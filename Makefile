@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the full pre-commit gate:
-# vet + build + tests + race detector over the concurrent packages.
+# vet + build + tests + race detector over the concurrent packages, plus a
+# build-and-short-test of the nested benchmark module.
 
 GO ?= go
 
@@ -44,9 +45,9 @@ BENCH_NEW ?= $(BENCH_TXT)
 # policy as the linters).
 BENCHSTAT_VERSION ?= v0.0.0-20240604174448-7c4a4e372563
 
-.PHONY: check vet lint build test race fuzz chaos chaos-stream chaos-cluster smoke smoke-stream bench bench-all benchdiff
+.PHONY: check vet lint build test race fuzz bench-build loc chaos chaos-stream chaos-cluster smoke smoke-stream bench bench-all benchdiff
 
-check: vet lint build test race fuzz
+check: vet lint build test race fuzz bench-build
 
 vet:
 	$(GO) vet ./...
@@ -73,6 +74,18 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# bench-build vets and short-tests the benchmark harness. benchmark/ is its
+# own module compiled against this one (`replace => ../`), so the root
+# `go build ./... && go test ./...` never descends into it: without this an
+# API deletion that breaks the regression gate's harness would pass check.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# loc prints the root module's non-test Go line count — the number behind
+# ROADMAP's "net non-test LoC goes down".
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
 # report-body decoder, the three mote packet codecs, and the batched binary

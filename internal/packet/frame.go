@@ -18,7 +18,7 @@ package packet
 // CRC turns a torn wire into a clean reject (the HTTP handler answers 400
 // and the client retransmits) instead of a half-applied batch.
 //
-// Three record encodings share the payload. All integers are big endian;
+// Two record encodings share the payload. All integers are big endian;
 // metric values travel as raw IEEE-754 float64 bit patterns, so decoding
 // reproduces the sender's vector bit for bit — including −0 and any NaN
 // payload, which matters because the delta path reconstructs vectors the
@@ -27,7 +27,6 @@ package packet
 //	full   0x01 | node u16 | epoch u32 | m u8 | m × value f64
 //	delta  0x02 | node u16 | epoch u32 | base u32 | m u8 | k u8 |
 //	            k × (index u8, value f64)
-//	report 0x03 | epoch u32 | c2len u8 | C1 (33 B) | C2 (c2len B) | C3 (64 B)
 //
 // A delta record rewrites k entries of the node's previous vector (the one
 // with epoch == base): the receiver copies its cached base vector of length
@@ -37,10 +36,6 @@ package packet
 // not hold (node, base) must reject the whole frame so the sender can fall
 // back to full encoding — reconstruction against the wrong base would be
 // silent corruption.
-//
-// The report encoding carries the three mote packets verbatim (fixed-point
-// milli wire fields, saturating per putFixed); the decoder assembles the
-// 43-metric vector exactly like a real sink. It is full by construction.
 
 import (
 	"encoding/binary"
@@ -48,8 +43,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"github.com/wsn-tools/vn2/internal/metricspec"
 )
 
 // Frame limits and layout constants.
@@ -69,12 +62,8 @@ const (
 	frameMagic   = 0x564E3246 // "VN2F"
 	frameVersion = 1
 
-	recFull   = 0x01
-	recDelta  = 0x02
-	recReport = 0x03
-
-	c1WireLen = headerLen + 4*6 + 2  // 33
-	c3WireLen = headerLen + 4*14 + 1 // 64
+	recFull  = 0x01
+	recDelta = 0x02
 )
 
 // Frame codec errors.
@@ -84,9 +73,6 @@ var (
 	ErrBadFrame = errors.New("packet: bad frame")
 	// ErrFrameTooLarge reports an encode that exceeded the frame limits.
 	ErrFrameTooLarge = errors.New("packet: frame limits exceeded")
-	// ErrDeltaBase reports a delta record whose base vector the decoder's
-	// cache does not hold; the sender must retransmit with full encoding.
-	ErrDeltaBase = errors.New("packet: delta base not cached")
 )
 
 var frameCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -96,13 +82,12 @@ type RecKind byte
 
 // Record kinds a frame may carry.
 const (
-	RecFull   RecKind = recFull
-	RecDelta  RecKind = recDelta
-	RecReport RecKind = recReport
+	RecFull  RecKind = recFull
+	RecDelta RecKind = recDelta
 )
 
-// WireRecord is one decoded frame record. For RecFull and RecReport,
-// Values holds the complete metric vector. For RecDelta, Values is nil and
+// WireRecord is one decoded frame record. For RecFull, Values holds the
+// complete metric vector. For RecDelta, Values is nil and
 // the record rewrites entries Idx[i] ← Diff[i] of the node's cached vector
 // whose epoch equals Base and whose length equals Len.
 //
@@ -235,56 +220,6 @@ func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) error {
 	return nil
 }
 
-// AddReport appends the three mote packets of one reporting epoch verbatim.
-// The record is always full; the encoder's baseline for the node advances
-// to the assembled (fixed-point-quantized) vector so later Add calls diff
-// against exactly what the receiver reconstructed.
-func (e *FrameEncoder) AddReport(epoch int, r *Report) error {
-	if err := e.precheck(epoch, metricspec.MetricCount); err != nil {
-		return err
-	}
-	c1, err := r.C1.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	c2, err := r.C2.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	c3, err := r.C3.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if len(c2) > MaxVectorLen {
-		return fmt.Errorf("%w: C2 %d bytes", ErrFrameTooLarge, len(c2))
-	}
-	e.buf = append(e.buf, recReport)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(epoch))
-	e.buf = append(e.buf, byte(len(c2)))
-	e.buf = append(e.buf, c1...)
-	e.buf = append(e.buf, c2...)
-	e.buf = append(e.buf, c3...)
-	e.n++
-	// Advance the baseline through a decode round-trip so sender and
-	// receiver agree on the quantized values.
-	var rt Report
-	if err := rt.C1.UnmarshalBinary(c1); err != nil {
-		return err
-	}
-	if err := rt.C2.UnmarshalBinary(c2); err != nil {
-		return err
-	}
-	if err := rt.C3.UnmarshalBinary(c3); err != nil {
-		return err
-	}
-	vec, err := rt.Vector()
-	if err != nil {
-		return err
-	}
-	e.baseline(r.C1.Node, uint32(epoch), vec)
-	return nil
-}
-
 func (e *FrameEncoder) commit(node NodeID, epoch int, vec []float64) {
 	e.n++
 	e.baseline(node, uint32(epoch), vec)
@@ -331,7 +266,6 @@ type FrameDecoder struct {
 	vals []float64 // arena backing Values/Diff (fixed up after the scan)
 	idxs []byte    // arena backing Idx
 	refs []valRef
-	rep  Report // scratch for RecReport decode; C2.Entries capacity is reused
 }
 
 // valRef remembers which arena spans a record's Values/Diff and Idx occupy
@@ -429,39 +363,6 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 				prev = ix
 				d.idxs = append(d.idxs, byte(ix))
 				d.vals = append(d.vals, math.Float64frombits(binary.BigEndian.Uint64(payload[off+13+9*j+1:])))
-			}
-			off += need
-		case recReport:
-			if len(payload)-off < 6 {
-				return nil, fmt.Errorf("%w: truncated report record %d", ErrBadFrame, i)
-			}
-			c2len := int(payload[off+5])
-			need := 6 + c1WireLen + c2len + c3WireLen
-			if len(payload)-off < need {
-				return nil, fmt.Errorf("%w: truncated report record %d", ErrBadFrame, i)
-			}
-			body := payload[off+6 : off+need]
-			if err := d.rep.C1.UnmarshalBinary(body[:c1WireLen]); err != nil {
-				return nil, fmt.Errorf("%w: record %d C1: %v", ErrBadFrame, i, err)
-			}
-			if err := d.rep.C2.UnmarshalBinary(body[c1WireLen : c1WireLen+c2len]); err != nil {
-				return nil, fmt.Errorf("%w: record %d C2: %v", ErrBadFrame, i, err)
-			}
-			if err := d.rep.C3.UnmarshalBinary(body[c1WireLen+c2len:]); err != nil {
-				return nil, fmt.Errorf("%w: record %d C3: %v", ErrBadFrame, i, err)
-			}
-			rec = WireRecord{
-				Kind:  RecReport,
-				Node:  d.rep.C1.Node,
-				Epoch: binary.BigEndian.Uint32(payload[off+1:]),
-				Len:   metricspec.MetricCount,
-			}
-			ref = valRef{off: len(d.vals), n: metricspec.MetricCount}
-			for k := 0; k < metricspec.MetricCount; k++ {
-				d.vals = append(d.vals, 0)
-			}
-			if err := d.rep.VectorInto(d.vals[ref.off : ref.off+ref.n]); err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrBadFrame, i, err)
 			}
 			off += need
 		default:

@@ -16,7 +16,7 @@ func applyWire(t *testing.T, recs []WireRecord, cache map[NodeID][]float64, epoc
 	out := make(map[NodeID][]float64)
 	for _, r := range recs {
 		switch r.Kind {
-		case RecFull, RecReport:
+		case RecFull:
 			v := append([]float64(nil), r.Values...)
 			cache[r.Node] = v
 			epochs[r.Node] = r.Epoch
@@ -141,52 +141,45 @@ func TestFrameDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameReportRecord(t *testing.T) {
-	rep := sampleReport()
+// reportRecordFrame returns a CRC-valid frame holding a full record, a
+// delta record and one record of the retired kind 0x03 (the three mote
+// packets verbatim) — what an old client could still put on the wire.
+func reportRecordFrame(t testing.TB) []byte {
+	t.Helper()
 	enc := NewFrameEncoder()
-	if err := enc.AddReport(12, &rep); err != nil {
-		t.Fatalf("AddReport: %v", err)
+	vec := make([]float64, metricspec.MetricCount)
+	for k := range vec {
+		vec[k] = float64(k) * 1.5
 	}
+	if err := enc.AddFull(1, 1, vec); err != nil {
+		t.Fatal(err)
+	}
+	vec[7] = math.Pi
+	if err := enc.Add(1, 2, vec); err != nil {
+		t.Fatal(err)
+	}
+	rep := sampleReport()
+	c1, _ := rep.C1.MarshalBinary()
+	c2, _ := rep.C2.MarshalBinary()
+	c3, _ := rep.C3.MarshalBinary()
+	enc.buf = append(enc.buf, 0x03, 0, 0, 0, 3, byte(len(c2)))
+	enc.buf = append(append(append(enc.buf, c1...), c2...), c3...)
+	enc.n++
 	frame, err := enc.Frame()
 	if err != nil {
-		t.Fatalf("Frame: %v", err)
+		t.Fatal(err)
 	}
+	return append([]byte(nil), frame...)
+}
+
+// TestFrameReportRecord: record kind 0x03 is retired. A frame carrying one
+// is rejected whole as ErrBadFrame — the valid records ahead of it are not
+// returned either — like any other unknown kind.
+func TestFrameReportRecord(t *testing.T) {
 	var dec FrameDecoder
-	recs, err := dec.Decode(frame)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if len(recs) != 1 || recs[0].Kind != RecReport || recs[0].Node != rep.C1.Node || recs[0].Epoch != 12 {
-		t.Fatalf("record = %+v", recs[0])
-	}
-	want, err := rep.Vector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if recs[0].Values[k] != want[k] {
-			t.Errorf("metric %d: got %v, want %v", k, recs[0].Values[k], want[k])
-		}
-	}
-	// A later Add for the same node deltas against the assembled vector.
-	want[metricspec.TransmitCounter] += 5
-	enc.Reset()
-	if err := enc.Add(rep.C1.Node, 13, want); err != nil {
-		t.Fatal(err)
-	}
-	frame, err = enc.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err = dec.Decode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Kind != RecDelta {
-		t.Fatalf("follow-up record kind = %v, want RecDelta", recs[0].Kind)
-	}
-	if recs[0].Base != 12 || len(recs[0].Idx) != 1 || metricspec.ID(recs[0].Idx[0]) != metricspec.TransmitCounter {
-		t.Fatalf("delta = %+v", recs[0])
+	recs, err := dec.Decode(reportRecordFrame(t))
+	if !errors.Is(err, ErrBadFrame) || recs != nil {
+		t.Fatalf("Decode = %d records, err %v; want none and ErrBadFrame", len(recs), err)
 	}
 }
 

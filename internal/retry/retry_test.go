@@ -155,3 +155,36 @@ func TestDoHonorsContext(t *testing.T) {
 		t.Fatalf("pre-canceled err = %v", err)
 	}
 }
+
+// TestBreakerStateMachine walks the three states with an injected clock:
+// threshold consecutive failures open it, the cooldown admits one probe, a
+// failed probe reopens it at once, a successful one closes it.
+func TestBreakerStateMachine(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	b := Breaker{Threshold: 2, Cooldown: time.Minute}
+	b.Fail(t0)
+	b.Success() // a success clears the streak
+	b.Fail(t0)
+	if !b.Allow(t0) || b.State() != "closed" || b.Trips() != 0 {
+		t.Fatalf("one failure after a success: state %s trips %d", b.State(), b.Trips())
+	}
+	b.Fail(t0)
+	if b.Allow(t0.Add(59*time.Second)) || b.State() != "open" || b.Trips() != 1 {
+		t.Fatalf("after the threshold: state %s trips %d, want open/1", b.State(), b.Trips())
+	}
+	if !b.Allow(t0.Add(time.Minute)) || b.State() != "half-open" {
+		t.Fatalf("after the cooldown: state %s, want a half-open probe", b.State())
+	}
+	t1 := t0.Add(time.Minute)
+	b.Fail(t1) // the probe fails: open again, cooldown restarts from t1
+	if b.Allow(t1.Add(59*time.Second)) || b.Trips() != 2 {
+		t.Fatalf("failed probe: state %s trips %d, want open/2", b.State(), b.Trips())
+	}
+	if !b.Allow(t1.Add(time.Minute)) {
+		t.Fatal("second cooldown did not admit a probe")
+	}
+	b.Success()
+	if !b.Allow(t1.Add(time.Minute)) || b.State() != "closed" {
+		t.Fatalf("successful probe: state %s, want closed", b.State())
+	}
+}

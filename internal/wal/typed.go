@@ -1,31 +1,28 @@
 package wal
 
 // Typed payload envelope. The WAL itself stores opaque bytes; the serve
-// path needs two record kinds in one log — sensor reports and model-swap
-// control records — replayed in a single LSN order so recovery re-applies
-// model swaps at exactly the position they happened between reports.
+// path needs several record kinds in one log — report batches and the
+// model-swap and shard-handoff control records — replayed in a single LSN
+// order so recovery re-applies every control record at exactly the
+// position it happened between reports.
 //
-// A typed payload starts with a reserved 0x00 byte (no JSON payload — the
-// only kind the log carried before typing existed — can begin with 0x00),
-// followed by one kind byte, followed by the inner payload. Anything not
-// starting with 0x00 decodes as KindRaw with the payload untouched, so
-// pre-existing logs replay exactly as before.
+// A typed payload starts with a reserved 0x00 byte, followed by one kind
+// byte, followed by the inner payload. Every record the serve path writes
+// is typed; anything else decodes as kind 0, which no writer produces and
+// replay counts as a bad record.
 
 // Kind tags a typed WAL payload.
 type Kind byte
 
 const (
-	// KindRaw is an untyped payload: either a legacy record written before
-	// the envelope existed, or a payload deliberately stored unwrapped (the
-	// serve path keeps sensor reports raw for backward compatibility).
-	KindRaw Kind = 0
 	// KindSwap is a model hot-swap control record (serve's swapRecord JSON).
 	KindSwap Kind = 'S'
-	// KindBatch is a batched binary ingest frame (internal/packet frame
-	// bytes). The frame's records are always fully materialized — never
-	// deltas — so a replay that starts after a snapshot truncation needs no
-	// history to reconstruct them. One batch is one WAL record: the group
-	// commit the binary path buys.
+	// KindBatch is a report batch (internal/packet frame bytes) — the one
+	// report record kind, whichever transport the batch arrived on. The
+	// frame's records are always fully materialized — never deltas — so a
+	// replay that starts after a snapshot truncation needs no history to
+	// reconstruct them. One batch is one WAL record: one append, one shared
+	// fsync.
 	KindBatch Kind = 'B'
 	// KindHandoff is a shard-handoff control record (store's HandoffRecord
 	// JSON): on the releasing shard it marks the LSN at which a set of
@@ -40,23 +37,18 @@ const (
 // typedMagic is the reserved first byte of a typed payload.
 const typedMagic = 0x00
 
-// Encode wraps payload in the typed envelope. Encoding KindRaw returns the
-// payload unchanged (raw is the absence of an envelope).
+// Encode wraps payload in the typed envelope.
 func Encode(kind Kind, payload []byte) []byte {
-	if kind == KindRaw {
-		return payload
-	}
 	out := make([]byte, 0, len(payload)+2)
 	out = append(out, typedMagic, byte(kind))
 	return append(out, payload...)
 }
 
-// Decode splits a WAL payload into its kind and inner payload. Payloads
-// that do not start with the typed magic byte — every record written before
-// the envelope existed — come back as KindRaw, unchanged.
+// Decode splits a WAL payload into its kind and inner payload. A payload
+// without the envelope comes back as kind 0, unchanged.
 func Decode(data []byte) (Kind, []byte) {
 	if len(data) < 2 || data[0] != typedMagic {
-		return KindRaw, data
+		return 0, data
 	}
 	return Kind(data[1]), data[2:]
 }

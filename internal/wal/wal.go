@@ -21,9 +21,10 @@
 //
 // The WAL is the durable queue, not the archive: once the server has
 // folded a prefix of the log into a durable snapshot it calls
-// TruncateBefore to drop wholly-covered segments, and MaxSegments bounds
-// disk use even when snapshots fail (oldest segments are dropped first, a
-// deliberate retention trade documented in DESIGN.md).
+// TruncateBefore to drop wholly-covered segments. That is the only
+// retention: nothing else ever deletes a record, because anything past the
+// snapshot watermark may be acknowledged data that exists nowhere else. A
+// full disk surfaces as an append error.
 package wal
 
 import (
@@ -64,10 +65,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once its size reaches this
 	// many bytes. Defaults to 1 MiB.
 	SegmentBytes int64
-	// MaxSegments caps retained segments (including the active one);
-	// exceeding it drops the oldest. 0 defaults to 64; negative means
-	// unlimited.
-	MaxSegments int
 	// SyncEvery fsyncs automatically after that many appends. 0 means only
 	// explicit Sync calls (the serve path group-commits per request).
 	SyncEvery int
@@ -76,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.MaxSegments == 0 {
-		o.MaxSegments = 64
 	}
 	return o
 }
@@ -292,21 +286,7 @@ func (w *WAL) rotateLocked() error {
 	w.bw = bufio.NewWriter(f)
 	w.size = 0
 	w.segs = append(w.segs, segment{start: w.next, path: path})
-	w.enforceRetentionLocked()
 	return nil
-}
-
-// enforceRetentionLocked drops oldest segments beyond MaxSegments. Caller
-// holds mu. Removal failures are ignored: retention is best-effort bounding,
-// and a leftover segment only costs disk until the next pass.
-func (w *WAL) enforceRetentionLocked() {
-	if w.opts.MaxSegments < 0 {
-		return
-	}
-	for len(w.segs) > w.opts.MaxSegments {
-		os.Remove(w.segs[0].path)
-		w.segs = w.segs[1:]
-	}
 }
 
 // flushSyncLocked pushes buffered frames to the OS and fsyncs. Caller holds

@@ -75,45 +75,43 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	w2.Close()
 }
 
-// TestRotationAndRetention: small segments rotate; MaxSegments drops the
-// oldest; FirstLSN tracks the retained floor.
+// TestRotationAndRetention: small segments rotate, and rotation alone never
+// deletes anything — retention is TruncateBefore only, because a record past
+// the snapshot watermark may be acknowledged data that exists nowhere else.
+// 200 rotated, un-truncated segments all replay, live and after a reopen.
 func TestRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64, MaxSegments: 3})
-	appendN(t, w, 40, "rot") // each frame is 8+8 = 16B → 4 records/segment
-	if segs := w.Segments(); segs != 3 {
-		t.Fatalf("segments = %d, want capped at 3", segs)
+	w := mustOpen(t, dir, Options{SegmentBytes: 64})
+	const n = 800
+	appendN(t, w, n, "rot") // each frame is 8+8 = 16B → 4 records/segment
+	if segs := w.Segments(); segs != n/4 {
+		t.Fatalf("segments = %d, want %d", segs, n/4)
 	}
-	lsns, _ := collect(t, w)
-	if len(lsns) == 40 {
-		t.Fatal("retention dropped nothing")
-	}
-	// What is retained is a contiguous tail ending at the last append.
-	for i := 1; i < len(lsns); i++ {
-		if lsns[i] != lsns[i-1]+1 {
-			t.Fatalf("retained lsns not contiguous: %v", lsns)
+	check := func(w *WAL) {
+		t.Helper()
+		lsns, _ := collect(t, w)
+		if len(lsns) != n || lsns[0] != 1 || lsns[n-1] != n {
+			t.Fatalf("replayed %d records, want all %d (1..%d)", len(lsns), n, n)
+		}
+		if w.FirstLSN() != 1 {
+			t.Fatalf("FirstLSN = %d, want 1", w.FirstLSN())
 		}
 	}
-	if lsns[len(lsns)-1] != 40 {
-		t.Fatalf("tail lsn = %d, want 40", lsns[len(lsns)-1])
-	}
-	if w.FirstLSN() != lsns[0] {
-		t.Fatalf("FirstLSN = %d, want %d", w.FirstLSN(), lsns[0])
-	}
+	check(w)
 	w.Close()
-
-	// On-disk files match the retained set.
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 3 {
-		t.Fatalf("%d segment files on disk, want 3", len(ents))
+	if ents, _ := os.ReadDir(dir); len(ents) != n/4 {
+		t.Fatalf("%d segment files on disk, want %d", len(ents), n/4)
 	}
+	w2 := mustOpen(t, dir, Options{SegmentBytes: 64})
+	check(w2)
+	w2.Close()
 }
 
 // TestTruncateBefore drops only wholly-covered segments and never the
 // active one.
 func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64, MaxSegments: -1})
+	w := mustOpen(t, dir, Options{SegmentBytes: 64})
 	appendN(t, w, 20, "tr")
 	before := w.Segments()
 	if before < 3 {
@@ -250,7 +248,7 @@ func TestRecoveryTornWrite(t *testing.T) {
 // removes every later segment.
 func TestRecoveryDropsSegmentsPastCorruption(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64, MaxSegments: -1})
+	w := mustOpen(t, dir, Options{SegmentBytes: 64})
 	appendN(t, w, 20, "mid")
 	if w.Segments() < 3 {
 		t.Fatalf("want ≥3 segments, got %d", w.Segments())

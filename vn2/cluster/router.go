@@ -96,7 +96,7 @@ type shardState struct {
 	url     string
 	ready   bool
 	lastErr string
-	br      breaker
+	br      retry.Breaker
 	hold    []heldDelivery
 
 	forwarded    atomic.Uint64 // deliveries that reached the shard
@@ -170,7 +170,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.shards = append(r.shards, &shardState{
 			url:   u,
 			ready: true,
-			br:    breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
+			br:    retry.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown},
 		})
 	}
 	return r, nil
@@ -331,18 +331,18 @@ func (r *Router) deliver(s int, d heldDelivery) bool {
 	sh := r.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.ready || len(sh.hold) > 0 || sh.br.allow(r.now()) != nil {
+	if !sh.ready || len(sh.hold) > 0 || !sh.br.Allow(r.now()) {
 		r.parkLocked(sh, d)
 		return false
 	}
 	if err := r.post(sh.url, d); err != nil {
-		sh.br.fail(r.now())
+		sh.br.Fail(r.now())
 		sh.ready = false
 		sh.lastErr = err.Error()
 		r.parkLocked(sh, d)
 		return false
 	}
-	sh.br.success()
+	sh.br.Success()
 	sh.forwarded.Add(1)
 	return true
 }
@@ -428,7 +428,7 @@ func (r *Router) probeShard(i int) {
 	}
 	sh.ready = true
 	sh.lastErr = ""
-	sh.br.success()
+	sh.br.Success()
 	r.flushHeldLocked(sh)
 }
 
@@ -451,13 +451,13 @@ func (r *Router) flushHeldLocked(sh *shardState) int {
 	for len(sh.hold) > 0 {
 		d := sh.hold[0]
 		if err := r.post(sh.url, d); err != nil {
-			sh.br.fail(r.now())
+			sh.br.Fail(r.now())
 			sh.ready = false
 			sh.lastErr = err.Error()
 			return n
 		}
 		sh.hold = sh.hold[1:]
-		sh.br.success()
+		sh.br.Success()
 		sh.forwarded.Add(1)
 		n++
 	}
@@ -584,7 +584,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		out.Shards = append(out.Shards, shardHealth{
-			URL: sh.url, Ready: sh.ready, Breaker: sh.br.stateName(),
+			URL: sh.url, Ready: sh.ready, Breaker: sh.br.State(),
 			Held: len(sh.hold), LastErr: sh.lastErr,
 		})
 		if !sh.ready {
@@ -612,7 +612,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		dropRecs += sh.holdDropRecs.Load()
 		sh.mu.Lock()
 		heldNow += len(sh.hold)
-		trips += sh.br.trips
+		trips += sh.br.Trips()
 		sh.mu.Unlock()
 	}
 	m["deliveries_forwarded"] = fwd

@@ -120,7 +120,7 @@ type Reporter struct {
 	drops                                    uint64
 	hwm                                      int
 	frames, records, nacks, retries, redials uint64
-	br                                       breaker
+	br                                       retry.Breaker
 
 	sendMu  sync.Mutex // serializes Flush; guards conn/enc/resync
 	conn    net.Conn
@@ -172,7 +172,7 @@ func New(cfg Config) (*Reporter, error) {
 	if r.now == nil {
 		r.now = time.Now
 	}
-	r.br = breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown}
+	r.br = retry.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
 	return r, nil
 }
 
@@ -261,8 +261,8 @@ func (r *Reporter) Stats() Stats {
 		Nacks:          r.nacks,
 		Retries:        r.retries,
 		Redials:        r.redials,
-		BreakerTrips:   r.br.trips,
-		BreakerState:   r.br.stateName(),
+		BreakerTrips:   r.br.Trips(),
+		BreakerState:   r.br.State(),
 	}
 }
 
@@ -299,19 +299,22 @@ func (r *Reporter) unpeek() {
 func (r *Reporter) allow() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.br.allow(r.now())
+	if !r.br.Allow(r.now()) {
+		return ErrBreakerOpen
+	}
+	return nil
 }
 
 func (r *Reporter) deliveryFailed() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.br.fail(r.now())
+	r.br.Fail(r.now())
 }
 
 func (r *Reporter) deliverySucceeded(records int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.br.success()
+	r.br.Success()
 	r.frames++
 	r.records += uint64(records)
 }

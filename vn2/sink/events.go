@@ -13,8 +13,8 @@ import (
 // Every type is currently at payload schema version 1 (the Event.V field);
 // payload shapes are documented in DESIGN.md "Event taxonomy".
 const (
-	// EvReportAccepted: a POST /report put records on the queue.
-	// Payload: {count, dropped?, queue_depth}.
+	// EvReportAccepted: a report batch (any transport) was committed.
+	// Payload: {count, queue_depth}.
 	EvReportAccepted = "ReportAccepted"
 	// EvEpochDiagnosed: a drain diagnosed states of one epoch.
 	// Payload: {epoch, states, causes} — causes maps cause name → summed
@@ -44,7 +44,6 @@ const (
 
 type reportAcceptedEvent struct {
 	Count      int `json:"count"`
-	Dropped    int `json:"dropped,omitempty"`
 	QueueDepth int `json:"queue_depth"`
 }
 

@@ -34,121 +34,34 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// walFail flips the server into degraded mode on a persistent journal
-// failure and answers the request with a 503: nothing is ACKed, the client
-// owns the retry.
-func (s *Server) walFail(w http.ResponseWriter, op string, err error) {
-	s.enterDegraded(fmt.Sprintf("%s: %s: %v", degradedWAL, op, err))
-	api.Unavailable(w, 5, "journal unavailable, report not accepted",
-		map[string]any{"reason": err.Error()})
-}
-
-// handleReport journals and enqueues reports. The 202 is the durability
-// contract: it is sent only after every report in the request is in the
-// queue AND fsynced to the WAL (when enabled) — a kill -9 after the 202
-// loses nothing. A full queue is backpressure: the request gets 503 +
-// Retry-After and the client is told how many of its reports were accepted
-// before the queue filled; those accepted are journaled, the dropped are
-// not ACKed and must be retried.
+// handleReport is the JSON ingest edge (POST /report): a bare report, an
+// array, or the {"reports": [...]} envelope, decoded here and committed as
+// one batch by the same core as the binary edges — same all-or-nothing
+// admission, same single fsync, same 202-means-durable contract (see
+// commit). A non-202 acknowledges nothing: the client resends the whole
+// request.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if s.deg.Active() {
-		reason, _ := s.deg.Reason()
-		api.Unavailable(w, 5, "degraded: ingest shed, serving last-good diagnosis",
-			map[string]any{"reason": reason})
+	raw, ok := s.readBody(w, r, 8<<20)
+	if !ok {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	raw, err := io.ReadAll(body)
-	if err != nil && isBodyTooLarge(err) {
+	recs, err := ingest.Decode(raw)
+	if err != nil {
 		s.badReqs.Add(1)
-		api.Error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", 8<<20), nil)
+		api.Error(w, http.StatusBadRequest,
+			"body must be a report, an array of reports, or {\"reports\": [...]}: "+err.Error(), nil)
 		return
 	}
-	var recs []trace.Record
-	if err == nil {
-		recs, err = ingest.Decode(raw)
-	}
-	if err != nil || len(recs) == 0 {
-		s.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "body must be a report, an array of reports, or {\"reports\": [...]}", nil)
-		return
-	}
-	s.received.Add(uint64(len(recs)))
-
-	// Per record: journal (when the WAL is on), then enqueue. The fsync
-	// comes once at the end — records are in the queue before they are
-	// durable, which is fine because only the final 202 promises
-	// durability; a crash in between loses nothing the client was told
-	// was safe. A record journaled but shed by a full queue is marked
-	// applied immediately so it cannot stall the truncation watermark —
-	// if it survives into a replay that is surplus, not loss, and the
-	// monitor's duplicate/stale handling absorbs it.
-	queued := 0
-	shed := false
-	for _, rec := range recs {
-		// The read side of the swap gate: a record's WAL append and its
-		// queue insertion happen with no swap record between them, so the
-		// record lands on the same side of every generation boundary in
-		// both orders.
-		s.lc.Gate.RLock()
-		var lsn uint64
-		if s.jnl != nil {
-			l, err := s.jnl.AppendRecord(rec)
-			if err != nil {
-				s.lc.Gate.RUnlock()
-				if queued > 0 {
-					_ = s.jnl.Sync() // best effort for what was enqueued
-				}
-				s.walFail(w, "append", err)
-				return
-			}
-			lsn = l
-		}
-		select {
-		case s.queue <- ingest.Item{LSN: lsn, Rec: rec}:
-			queued++
-		default:
-			if s.jnl != nil {
-				s.applied.Mark(lsn)
-			}
-			shed = true
-		}
-		s.lc.Gate.RUnlock()
-		if shed {
-			break
-		}
-	}
-	if s.jnl != nil {
-		if err := s.jnl.Sync(); err != nil {
-			s.walFail(w, "sync", err)
-			return
-		}
-	}
-	if shed {
-		s.accepted.Add(uint64(queued))
-		s.rejected.Add(uint64(len(recs) - queued))
-		api.Unavailable(w, 1, "ingest queue full", map[string]any{
-			"accepted": queued,
-			"dropped":  len(recs) - queued,
-		})
-		if queued > 0 {
-			s.publish(EvReportAccepted, reportAcceptedEvent{
-				Count: queued, Dropped: len(recs) - queued, QueueDepth: len(s.queue),
-			})
-		}
-		return
-	}
-	s.accepted.Add(uint64(queued))
-	api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": queued})
-	s.publish(EvReportAccepted, reportAcceptedEvent{Count: queued, QueueDepth: len(s.queue)})
+	writeOutcome(w, s.commit(func() ([]trace.Record, error) {
+		s.binDec.Observe(recs)
+		return recs, nil
+	}))
 }
 
 // handleReportBin is the batched binary ingest edge (POST /report/bin): one
 // length-prefixed frame carries many reports, delta-decoded against the
-// sink's per-node last-vector cache. The commit semantics — all-or-nothing
-// decode, ONE group-commit WAL record, 202 only after queue + fsync — live
-// in commitBinaryFrame, shared with the persistent stream listener; this
-// handler only maps the outcome onto HTTP status codes.
+// sink's per-node last-vector cache and committed by commitFrame, shared
+// with the persistent stream listener.
 //
 // On any non-202 response the client must drop its baselines and
 // retransmit with full encoding: depending on where the request failed the
@@ -157,42 +70,29 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // either state — they ignore the cache and overwrite it, resyncing both
 // sides.
 func (s *Server) handleReportBin(w http.ResponseWriter, r *http.Request) {
-	// The frame header caps payloads at MaxFramePayload; cap the HTTP body
-	// read at exactly one maximal frame so an unbounded body cannot pin the
-	// connection or the heap.
-	body := http.MaxBytesReader(w, r.Body, packet.FrameHeaderLen+packet.MaxFramePayload)
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		s.badReqs.Add(1)
-		if isBodyTooLarge(err) {
-			api.Error(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", packet.FrameHeaderLen+packet.MaxFramePayload), nil)
-			return
-		}
-		api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
-		return
-	}
-	out := s.commitBinaryFrame(raw)
-	switch out.status {
-	case packet.StreamAck:
-		api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": out.accepted})
-	case packet.StreamNackBad:
-		api.Error(w, http.StatusBadRequest, out.msg, nil)
-	case packet.StreamNackBusy:
-		api.Unavailable(w, out.retryAfter, out.msg, map[string]any{
-			"accepted": out.accepted,
-			"dropped":  out.dropped,
-		})
-	default: // StreamNackUnavailable: degraded or journal failure
-		api.Unavailable(w, out.retryAfter, out.msg, out.detail)
+	// The frame header caps payloads at MaxFramePayload; cap the body read at
+	// exactly one maximal frame.
+	if raw, ok := s.readBody(w, r, packet.FrameHeaderLen+packet.MaxFramePayload); ok {
+		writeOutcome(w, s.commitFrame(raw))
 	}
 }
 
-// isBodyTooLarge reports whether a body read failed because it outgrew the
-// MaxBytesReader cap (the clean-413 case, distinct from a torn upload).
-func isBodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
+// readBody reads a request body capped at limit bytes, so an unbounded body
+// cannot pin the connection or the heap. On failure it has answered — 413
+// for an oversized body, 400 for a torn upload — and returns false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return raw, true
+	}
+	s.badReqs.Add(1)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		api.Error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", limit), nil)
+	} else {
+		api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
+	}
+	return nil, false
 }
 
 func (s *Server) handleDiagnosis(w http.ResponseWriter, r *http.Request) {
@@ -215,12 +115,12 @@ func (s *Server) healthBody() (body map[string]any, ready bool) {
 		"status":      "ok",
 		"ready":       true,
 		"uptime_s":    time.Since(s.started).Seconds(),
-		"queue_depth": len(s.queue),
+		"queue_depth": s.QueueDepth(),
 	}
 	if s.jnl != nil {
 		body["wal_segments"] = s.jnl.Segments()
 		body["wal_next_lsn"] = s.jnl.NextLSN()
-		body["wal_applied"] = s.applied.Watermark()
+		body["wal_applied"] = s.applied.Load()
 	}
 	switch {
 	case reason != "":

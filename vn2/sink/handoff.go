@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -28,7 +27,7 @@ import (
 // can duplicate the moved state across the two shards but never lose it;
 // the fleet merge dedupes by ring ownership, so the duplication is
 // invisible in the merged view (see cluster.MergeEpochs). All three
-// operations run as ingest-queue barriers (enqueueApplyWait): they
+// operations go through the commit point as barriers (barrierWait): they
 // observe exactly the reports ACKed before them, in the same order a WAL
 // replay reproduces.
 
@@ -55,19 +54,16 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// readHandoffBody reads and caps a handoff request body.
-func readHandoffBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBody))
-	if err != nil {
-		if isBodyTooLarge(err) {
-			api.Error(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", maxHandoffBody), nil)
-		} else {
-			api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
-		}
-		return nil, false
+// barrierFail answers a handoff whose barrier failed: a full queue or a
+// slow ingest loop is a plain 503 (nothing changed, or the journaled change
+// will still apply); anything else is the journal failing, which degrades
+// the sink like a failed report append.
+func (s *Server) barrierFail(w http.ResponseWriter, op string, err error) {
+	if errors.Is(err, errQueueFull) || errors.Is(err, errApplyTimeout) {
+		api.Unavailable(w, retryAfterUnavailable, err.Error(), nil)
+		return
 	}
-	return raw, true
+	writeOutcome(w, s.journalDown(op, err))
 }
 
 // handleHandoffExport answers with the requested nodes' slice of monitor
@@ -76,7 +72,7 @@ func readHandoffBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // call (an export taken outside the queue could miss reports sitting in
 // it, and those would then be dropped by the later release).
 func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readHandoffBody(w, r)
+	raw, ok := s.readBody(w, r, maxHandoffBody)
 	if !ok {
 		return
 	}
@@ -87,8 +83,8 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sl online.NodeSlice
-	if err := s.enqueueApplyWait(0, func() { sl = s.mon.ExportNodes(req.Nodes) }); err != nil {
-		api.Unavailable(w, 5, err.Error(), nil)
+	if err := s.barrierWait(nil, func() { sl = s.mon.ExportNodes(req.Nodes) }); err != nil {
+		s.barrierFail(w, "handoff export", err)
 		return
 	}
 	s.handoffExports.Add(1)
@@ -102,12 +98,11 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 // merge applied — the orchestrator may release the source immediately on
 // seeing it.
 func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
-	if s.deg.Active() {
-		reason, _ := s.deg.Reason()
-		api.Unavailable(w, 5, "degraded: handoff import refused", map[string]any{"reason": reason})
+	if out, shed := s.shedDegraded("degraded: handoff import refused"); shed {
+		writeOutcome(w, out)
 		return
 	}
-	raw, ok := readHandoffBody(w, r)
+	raw, ok := s.readBody(w, r, maxHandoffBody)
 	if !ok {
 		return
 	}
@@ -129,26 +124,12 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-
-	// Same ordering contract as report appends: hold the swap gate's read
-	// side so no model-swap record lands between our WAL append and our
-	// queue insertion.
-	s.lc.Gate.RLock()
-	var lsn uint64
-	if s.jnl != nil {
-		l, err := s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffIn, Slice: raw})
-		if err != nil {
-			s.lc.Gate.RUnlock()
-			s.walFail(w, "handoff import", err)
-			return
-		}
-		lsn = l
-	}
 	var importErr error
-	err := s.enqueueApplyWait(lsn, func() { importErr = s.mon.ImportNodes(sl) })
-	s.lc.Gate.RUnlock()
+	err := s.barrierWait(func() (uint64, error) {
+		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffIn, Slice: raw})
+	}, func() { importErr = s.mon.ImportNodes(sl) })
 	if err != nil {
-		api.Unavailable(w, 5, err.Error(), nil)
+		s.barrierFail(w, "handoff import", err)
 		return
 	}
 	if importErr != nil {
@@ -172,12 +153,11 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 // exactly this position, after the nodes' own report records), then drop
 // at the barrier position.
 func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
-	if s.deg.Active() {
-		reason, _ := s.deg.Reason()
-		api.Unavailable(w, 5, "degraded: handoff release refused", map[string]any{"reason": reason})
+	if out, shed := s.shedDegraded("degraded: handoff release refused"); shed {
+		writeOutcome(w, out)
 		return
 	}
-	raw, ok := readHandoffBody(w, r)
+	raw, ok := s.readBody(w, r, maxHandoffBody)
 	if !ok {
 		return
 	}
@@ -187,21 +167,11 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, "body must be {\"nodes\": [id, ...]}", nil)
 		return
 	}
-	s.lc.Gate.RLock()
-	var lsn uint64
-	if s.jnl != nil {
-		l, err := s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffOut, Nodes: req.Nodes})
-		if err != nil {
-			s.lc.Gate.RUnlock()
-			s.walFail(w, "handoff release", err)
-			return
-		}
-		lsn = l
-	}
-	err := s.enqueueApplyWait(lsn, func() { s.mon.DropNodes(req.Nodes) })
-	s.lc.Gate.RUnlock()
+	err := s.barrierWait(func() (uint64, error) {
+		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffOut, Nodes: req.Nodes})
+	}, func() { s.mon.DropNodes(req.Nodes) })
 	if err != nil {
-		api.Unavailable(w, 5, err.Error(), nil)
+		s.barrierFail(w, "handoff release", err)
 		return
 	}
 	s.handoffReleases.Add(1)

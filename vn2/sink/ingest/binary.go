@@ -87,7 +87,7 @@ func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
 		vec := flat[off : off+wr.Len : off+wr.Len]
 		off += wr.Len
 		switch wr.Kind {
-		case packet.RecFull, packet.RecReport:
+		case packet.RecFull:
 			copy(vec, wr.Values)
 		case packet.RecDelta:
 			// The base is the node's latest vector: the one earlier in this
@@ -118,19 +118,54 @@ func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
 		out[i] = trace.Record{Node: wr.Node, Epoch: int(wr.Epoch), Vector: vec}
 		d.inFrame[wr.Node] = i
 	}
-	// Every record reconstructed — commit the cache: each node's slot moves
-	// to its last vector in this frame.
-	for node, i := range d.inFrame {
-		nb, ok := d.last[node]
+	// Every record reconstructed — commit the cache.
+	d.Observe(out)
+	return out, nil
+}
+
+// Observe advances the last-vector cache to recs, exactly as decoding a
+// frame of the same records would: each node's slot moves to its last
+// vector in the batch. The commit point calls it for batches that arrived
+// as JSON, so the cache is the same function of the journaled batches
+// whichever transport carried them — WAL replay feeds every batch through
+// Decode. Records must fit the wire's ranges (ingest.Decode guarantees it).
+func (d *BinaryDecoder) Observe(recs []trace.Record) {
+	for i := range recs {
+		nb, ok := d.last[recs[i].Node]
 		if !ok {
 			nb = &nodeBase{}
-			d.last[node] = nb
+			d.last[recs[i].Node] = nb
 		}
-		if len(nb.vec) != len(out[i].Vector) {
-			nb.vec = make([]float64, len(out[i].Vector))
+		if len(nb.vec) != len(recs[i].Vector) {
+			nb.vec = make([]float64, len(recs[i].Vector))
 		}
-		copy(nb.vec, out[i].Vector)
-		nb.epoch = uint32(out[i].Epoch)
+		copy(nb.vec, recs[i].Vector)
+		nb.epoch = uint32(recs[i].Epoch)
 	}
-	return out, nil
+}
+
+// SplitFrame cuts recs into the longest prefix one full-encoded frame can
+// hold (record count and payload bytes) and the remainder.
+func SplitFrame(recs []trace.Record) (head, rest []trace.Record) {
+	size := 0
+	for i := range recs {
+		size += 8 + 8*len(recs[i].Vector) // one full record on the wire
+		if i == packet.MaxFrameRecords || size > packet.MaxFramePayload {
+			return recs[:i], recs[i:]
+		}
+	}
+	return recs, nil
+}
+
+// FullFrame encodes recs as one frame of full records — the form the WAL
+// stores, so a replay that starts after a snapshot truncation never needs
+// delta history. The frame aliases enc's buffer until its next Reset.
+func FullFrame(enc *packet.FrameEncoder, recs []trace.Record) ([]byte, error) {
+	enc.Reset()
+	for i := range recs {
+		if err := enc.AddFull(recs[i].Node, recs[i].Epoch, recs[i].Vector); err != nil {
+			return nil, err
+		}
+	}
+	return enc.Frame()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
+	"github.com/wsn-tools/vn2/internal/trace"
 )
 
 // encodeFrame builds a frame through the real client-side encoder so the
@@ -292,5 +293,90 @@ func TestBinaryDecoderAllocBudget(t *testing.T) {
 	t.Logf("allocs per 64-report batch: %.1f", allocs)
 	if allocs > float64(reports) {
 		t.Fatalf("decode allocates %.1f per %d-report batch (> 1 alloc/report)", allocs, reports)
+	}
+}
+
+// TestObserveMatchesDecode: a batch that arrived as JSON (Observe) leaves
+// the delta cache exactly where decoding the same records off a frame
+// would — so a client's next delta frame is accepted either way, bit for
+// bit, and a cold node still is not.
+func TestObserveMatchesDecode(t *testing.T) {
+	vec := []float64{1, 2.5, math.Copysign(0, -1), 4}
+	recs := []trace.Record{{Node: 3, Epoch: 7, Vector: vec}, {Node: 4, Epoch: 7, Vector: vec}}
+	enc := packet.NewFrameEncoder()
+	full, err := FullFrame(enc, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaFrame, viaJSON := NewBinaryDecoder(), NewBinaryDecoder()
+	if _, err := viaFrame.Decode(full); err != nil {
+		t.Fatal(err)
+	}
+	viaJSON.Observe(recs)
+	if viaJSON.Nodes() != 2 {
+		t.Fatalf("Observe cached %d nodes, want 2", viaJSON.Nodes())
+	}
+
+	next := append([]float64(nil), vec...)
+	next[1] = 9
+	delta := encodeFrame(t, enc, func(e *packet.FrameEncoder) error { return e.Add(3, 8, next) })
+	a, errA := viaFrame.Decode(delta)
+	b, errB := viaJSON.Decode(delta)
+	if errA != nil || errB != nil {
+		t.Fatalf("delta after Decode: %v; after Observe: %v", errA, errB)
+	}
+	if viaJSON.Deltas() != 1 {
+		t.Fatal("follow-up frame carried no delta; the test exercised nothing")
+	}
+	for k := range next {
+		if math.Float64bits(a[0].Vector[k]) != math.Float64bits(b[0].Vector[k]) ||
+			math.Float64bits(b[0].Vector[k]) != math.Float64bits(next[k]) {
+			t.Fatalf("metric %d: %v via frame, %v via Observe, want %v", k, a[0].Vector[k], b[0].Vector[k], next[k])
+		}
+	}
+	cold := encodeFrame(t, packet.NewFrameEncoder(), func(e *packet.FrameEncoder) error {
+		if err := e.AddFull(5, 1, vec); err != nil {
+			return err
+		}
+		e.Reset()
+		return e.Add(5, 2, next)
+	})
+	if _, err := viaJSON.Decode(cold); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("delta for an unobserved node: err %v, want ErrDeltaBase", err)
+	}
+}
+
+// TestSplitFrame: a batch is cut at whichever frame limit it reaches first
+// — record count or payload bytes — and every piece frame-encodes.
+func TestSplitFrame(t *testing.T) {
+	batch := func(n, m int) []trace.Record {
+		vec := make([]float64, m)
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			recs[i] = trace.Record{Node: 1, Epoch: i, Vector: vec}
+		}
+		return recs
+	}
+	perFull := packet.MaxFramePayload / (8 + 8*packet.MaxVectorLen) // widest records per frame
+	cases := []struct {
+		name     string
+		recs     []trace.Record
+		wantHead int
+	}{
+		{"fits", batch(64, 43), 64},
+		{"exactly the record limit", batch(packet.MaxFrameRecords, 0), packet.MaxFrameRecords},
+		{"past the record limit", batch(packet.MaxFrameRecords+1, 0), packet.MaxFrameRecords},
+		{"past the payload limit", batch(perFull+1, packet.MaxVectorLen), perFull},
+	}
+	enc := packet.NewFrameEncoder()
+	for _, c := range cases {
+		head, rest := SplitFrame(c.recs)
+		if len(head) != c.wantHead || len(head)+len(rest) != len(c.recs) {
+			t.Errorf("%s: split %d → %d + %d, want head %d", c.name, len(c.recs), len(head), len(rest), c.wantHead)
+			continue
+		}
+		if _, err := FullFrame(enc, head); err != nil {
+			t.Errorf("%s: head does not encode: %v", c.name, err)
+		}
 	}
 }

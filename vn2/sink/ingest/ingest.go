@@ -1,7 +1,8 @@
 // Package ingest is the sink's decode layer: it turns a POST /report body
-// into validated trace records, and defines the queue item that carries an
-// accepted record (or a model-swap barrier) from the HTTP edge to the
-// single ingest loop. It deliberately knows nothing about HTTP status
+// or a binary frame into validated trace records, re-encodes a batch into
+// the fully-materialized frame the WAL stores, and defines the queue item
+// that carries a committed batch (or a barrier) from the commit point to
+// the single ingest loop. It deliberately knows nothing about HTTP status
 // codes, the WAL, or the monitor — those live in sink/api, sink/store and
 // the sink root respectively.
 package ingest
@@ -10,14 +11,36 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 )
 
 // Decode parses a POST /report body: a bare trace.Record, a bare array of
-// records, or the {"reports": [...]} envelope. Split out so the fuzz
+// records, or the {"reports": [...]} envelope. Every record it returns can
+// be represented in a full frame record (the one form the WAL journals), so
+// a record outside the wire's ranges is rejected here, by index, instead of
+// being acknowledged and then failing to journal. Split out so the fuzz
 // target can hit it directly.
 func Decode(raw []byte) ([]trace.Record, error) {
+	recs, err := decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	for i := range recs {
+		if e := recs[i].Epoch; e < 0 || int64(e) > math.MaxUint32 {
+			return nil, fmt.Errorf("report %d: epoch %d outside [0, %d]", i, e, uint32(math.MaxUint32))
+		}
+		if m := len(recs[i].Vector); m > packet.MaxVectorLen {
+			return nil, fmt.Errorf("report %d: vector of %d metrics exceeds %d", i, m, packet.MaxVectorLen)
+		}
+	}
+	return recs, nil
+}
+
+func decode(raw []byte) ([]trace.Record, error) {
 	raw = bytes.TrimSpace(raw)
 	if len(raw) == 0 {
 		return nil, errors.New("empty body")
@@ -60,20 +83,19 @@ func Decode(raw []byte) ([]trace.Record, error) {
 	return []trace.Record{rec}, nil
 }
 
-// Envelope is the batched POST /report body; a bare trace.Record (or bare
-// array of records) is also accepted.
-type Envelope struct {
-	Reports []trace.Record `json:"reports"`
-}
-
-// Item is one entry on the ingest queue. Ordinary reports carry Rec (and
-// the LSN their WAL append produced, 0 when journaling is off). A non-nil
-// Apply marks a barrier: the ingest loop runs Apply instead of ingesting,
-// which is how a model hot-swap lands at an exact point in the report
-// order. Apply is an opaque closure so this package stays ignorant of the
-// lifecycle layer.
+// Item is one entry on the ingest queue, in commit (= LSN) order. A report
+// batch carries Recs; a barrier carries Apply, which the ingest loop runs in
+// place — how a model hot-swap or a shard handoff lands at an exact point in
+// the report order. LSN is the WAL record the item was journaled as (0 when
+// journaling is off or the barrier journals nothing); the ingest loop
+// publishes it as the applied watermark once the item is done. Apply is an
+// opaque closure so this package stays ignorant of the lifecycle layer.
 type Item struct {
 	LSN   uint64
-	Rec   trace.Record
+	Recs  []trace.Record
 	Apply func()
 }
+
+// Weight is what the item costs against the queue's capacity, which is
+// counted in reports; a barrier costs one so it still owns a queue slot.
+func (it Item) Weight() int { return max(1, len(it.Recs)) }

@@ -3,9 +3,10 @@
 // off the serving path, a validation gate over a held-out window, an atomic
 // versioned hot-swap journaled through the WAL, and a probation window with
 // automatic rollback. The Manager owns the generation state machine and the
-// two locks that order swaps against the rest of the sink (the swap gate
-// and the snapshot mutex); journaling and queue insertion are injected as
-// hooks so this package never touches the WAL or the ingest queue directly.
+// snapshot mutex that orders swap application against snapshot capture;
+// journaling and queue insertion are injected as one hook (the sink's
+// commit point) so this package never touches the WAL or the ingest queue
+// directly.
 // See DESIGN.md "Model lifecycle & drift" for the state machine and the
 // crash-consistency argument.
 package lifecycle
@@ -85,8 +86,8 @@ type Config struct {
 }
 
 // Hooks are the seams back into the sink root. Enqueue must journal rec and
-// insert apply as a barrier into the ingest queue, both under Gate (the
-// sink implements the 5s full-queue fallback there). DrainErr counts a
+// insert apply as a barrier into the ingest queue as one step of the sink's
+// commit order, or fail having done neither. DrainErr counts a
 // failed pre-swap drain into the sink's drain_errors. OnSwap fires after a
 // swap (or rollback) is fully applied — the bus event seam. Any hook may be
 // nil.
@@ -103,10 +104,6 @@ type Manager struct {
 	sleep func(time.Duration)
 	hooks Hooks
 
-	// Gate excludes report journaling while a swap record is appended +
-	// enqueued, making queue order equal LSN order at the generation
-	// boundary. The sink's report path takes the read side.
-	Gate sync.RWMutex
 	// SnapMu serializes snapshot capture against swap application so no
 	// snapshot sees a half-applied swap. The sink's writeSnapshot holds it
 	// for the whole capture.
@@ -125,6 +122,12 @@ type Manager struct {
 	rejectN  int // consecutive rejected candidates (backoff exponent)
 
 	retraining atomic.Bool
+	// swapQueued is set from the moment a swap is journaled and queued until
+	// its barrier has run. The trigger stays quiet meanwhile: a second
+	// retrain started from the still-serving generation would reuse the
+	// queued swap's version number and overwrite its model file, and a WAL
+	// replay would then load a model the live sink never served.
+	swapQueued atomic.Bool
 	wg         sync.WaitGroup
 
 	Retrains     atomic.Uint64 // shadow retrains launched
@@ -260,7 +263,7 @@ func (m *Manager) Tick() {
 		m.mu.Unlock()
 		return
 	}
-	if m.retraining.Load() {
+	if m.retraining.Load() || m.swapQueued.Load() {
 		m.mu.Unlock()
 		return
 	}
@@ -318,6 +321,7 @@ func (m *Manager) retrainBackoff() {
 // then publish the new current set. Runs on the sink's ingest path via the
 // barrier closure.
 func (m *Manager) applySwap(ps *pendingSwap) {
+	defer m.swapQueued.Store(false)
 	// Exclude snapshot capture for the whole transition so no snapshot sees
 	// a half-applied swap.
 	m.SnapMu.Lock()
@@ -362,15 +366,15 @@ func (m *Manager) applySwap(ps *pendingSwap) {
 // barrier item that applies it. Ordering is the crash-consistency contract:
 //
 //  1. model (and detector) file: tmp + fsync + rename + dir fsync
-//  2. WAL swap record appended + fsynced under the swap gate
-//  3. barrier item enqueued under the same gate
+//  2. WAL swap record appended + fsynced at the sink's commit point
+//  3. barrier item enqueued in the same commit step
 //
 // Steps 2–3 live behind the Enqueue hook (the sink root owns the journal
 // and the queue). A crash after (1) leaves an orphan file — harmless. A
 // crash after (2) replays the swap from the WAL against the file (1)
-// guaranteed. The gate excludes report journaling between (2) and (3), so
-// the queue order equals the LSN order at the boundary and a replay
-// reconstructs exactly which reports each generation diagnosed.
+// guaranteed. Report batches commit through the same mutex, so the queue
+// order equals the LSN order at the boundary and a replay reconstructs
+// exactly which reports each generation diagnosed.
 func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, origin string) error {
 	if m.cfg.ModelsDir == "" {
 		return fmt.Errorf("serve: lifecycle swap requires -models")
@@ -406,7 +410,12 @@ func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, o
 		return fmt.Errorf("serve: lifecycle swap has no enqueue hook")
 	}
 	ps := &pendingSwap{rec: rec, set: set}
-	return m.hooks.Enqueue(rec, func() { m.applySwap(ps) })
+	m.swapQueued.Store(true)
+	if err := m.hooks.Enqueue(rec, func() { m.applySwap(ps) }); err != nil {
+		m.swapQueued.Store(false)
+		return err
+	}
+	return nil
 }
 
 // ReplaySwap re-applies a journaled swap during WAL replay: load the

@@ -20,7 +20,7 @@ func (s *Server) registerMetrics() {
 		m["bad_requests"] = s.badReqs.Load()
 		m["reports_ingested"] = s.ingested.Load()
 		m["ingest_errors"] = s.ingestErr.Load()
-		m["queue_depth"] = len(s.queue)
+		m["queue_depth"] = s.QueueDepth()
 		m["queue_capacity"] = cap(s.queue)
 		m["drains"] = s.drains.Load()
 		m["drain_errors"] = s.drainErrs.Load()
@@ -105,7 +105,7 @@ func (s *Server) registerMetrics() {
 		m["wal_errors"] = s.jnl.Errs()
 		m["wal_segments"] = s.jnl.Segments()
 		m["wal_next_lsn"] = s.jnl.NextLSN()
-		m["wal_applied"] = s.applied.Watermark()
+		m["wal_applied"] = s.applied.Load()
 		m["wal_truncations"] = s.jnl.Truncations()
 		m["wal_replayed"] = s.walReplayed.Load()
 		m["wal_replay_skipped"] = s.walSkipped.Load()
@@ -144,8 +144,8 @@ func (s *Server) registerMetrics() {
 		m["bin_records"] = s.binRecords.Load()
 		m["bin_rejects"] = s.binRejects.Load()
 		m["bin_deltas"] = s.binDec.Deltas()
-		s.binMu.Lock()
+		s.commitMu.Lock()
 		m["bin_cache_nodes"] = s.binDec.Nodes()
-		s.binMu.Unlock()
+		s.commitMu.Unlock()
 	})
 }

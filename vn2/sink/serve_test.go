@@ -164,18 +164,22 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure fills the bounded queue with no ingest loop running
-// and asserts the 503 + Retry-After backpressure contract.
+// TestServeBackpressure: with no ingest loop running, a batch the bounded
+// queue has no room for is shed whole — 503 + Retry-After, nothing queued,
+// nothing journaled — and is accepted once the queue has drained.
 func TestServeBackpressure(t *testing.T) {
 	fx := serveFixtures(t)
 	srv, err := New(Options{
 		ModelPath:     fx.modelPath,
 		CalibratePath: fx.tracePath,
-		QueueSize:     2,
+		WALPath:       filepath.Join(t.TempDir(), "wal"),
+		QueueSize:     4,
+		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	defer srv.CloseWAL()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -187,7 +191,13 @@ func TestServeBackpressure(t *testing.T) {
 	for i := range batch {
 		batch[i] = fx.hotReport(t, nodes[i], 1)
 	}
-	resp, body := postJSON(t, ts.URL+"/report", batch)
+	if resp, body := postJSON(t, ts.URL+"/report", batch[:2]); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first batch: %d %s", resp.StatusCode, body)
+	}
+	lsnBefore := srv.jnl.NextLSN()
+
+	// Three more do not fit the remaining room of two.
+	resp, body := postJSON(t, ts.URL+"/report", batch[2:])
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d %s, want 503", resp.StatusCode, body)
 	}
@@ -201,15 +211,22 @@ func TestServeBackpressure(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("503 body %s: %v", body, err)
 	}
-	if out.Accepted != 2 || out.Dropped != 3 {
-		t.Errorf("accepted=%d dropped=%d, want 2/3", out.Accepted, out.Dropped)
+	if out.Accepted != 0 || out.Dropped != 3 {
+		t.Errorf("accepted=%d dropped=%d, want 0/3", out.Accepted, out.Dropped)
 	}
-	// The queue holds what was accepted before the wall.
-	if len(srv.queue) != 2 {
-		t.Errorf("queue depth = %d, want 2", len(srv.queue))
+	if srv.QueueDepth() != 2 || len(srv.queue) != 1 {
+		t.Errorf("queue holds %d reports in %d items, want 2 in 1", srv.QueueDepth(), len(srv.queue))
 	}
-	if srv.rejected.Load() != 3 {
-		t.Errorf("rejected counter = %d, want 3", srv.rejected.Load())
+	if got := srv.jnl.NextLSN(); got != lsnBefore {
+		t.Errorf("shed batch was journaled: next LSN %d → %d", lsnBefore, got)
+	}
+	if srv.rejected.Load() != 3 || srv.accepted.Load() != 2 {
+		t.Errorf("rejected=%d accepted=%d, want 3/2", srv.rejected.Load(), srv.accepted.Load())
+	}
+
+	srv.IngestQueued()
+	if resp, body := postJSON(t, ts.URL+"/report", batch[2:]); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resend after drain: %d %s", resp.StatusCode, body)
 	}
 }
 

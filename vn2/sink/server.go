@@ -14,6 +14,7 @@ import (
 
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/retry"
+	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/api"
 	"github.com/wsn-tools/vn2/vn2/sink/bus"
@@ -47,21 +48,27 @@ const backlogTickLimit = 3
 type Server struct {
 	opts    Options
 	mon     *online.Monitor
-	queue   chan ingest.Item
 	jnl     *store.Journal
-	applied store.Tracker
 	started time.Time
 	sleep   func(time.Duration) // retry sleeper; nil = time.Sleep (tests inject)
 
 	lc  *lifecycle.Manager
 	bus *bus.Bus
 
-	// Binary ingest path (POST /report/bin). binMu serializes frame decode,
-	// WAL re-encode and enqueue: the delta cache must observe frames in the
-	// order their records hit the queue, and both codecs reuse arenas.
-	binMu  sync.Mutex
-	binDec *ingest.BinaryDecoder
-	binEnc *packet.FrameEncoder
+	// The commit point (see commit.go). commitMu orders every WAL append
+	// with its queue send; it also guards the two codecs, which reuse
+	// arenas: binDec is the sink side of the delta protocol, binEnc
+	// re-encodes batches fully materialized for the WAL. depth is the queue
+	// occupancy in reports (what -queue, queue_depth and admission count),
+	// raised under commitMu and lowered by the ingest loop. applied is the
+	// LSN of the last item the ingest loop finished — with in-order apply,
+	// everything at or below it has been offered to the monitor.
+	commitMu sync.Mutex
+	queue    chan ingest.Item
+	depth    atomic.Int64
+	applied  atomic.Uint64
+	binDec   *ingest.BinaryDecoder
+	binEnc   *packet.FrameEncoder
 
 	reg       *api.Registry // the /metrics keys (byte-compatible legacy set)
 	statusReg *api.Registry // /status extras layered on top of reg
@@ -137,64 +144,6 @@ func (s *Server) clearDegraded(class string) {
 	s.publish(EvDegradedCleared, degradedEvent{Reason: reason})
 }
 
-// enqueueSwapBarrier is the lifecycle's Enqueue hook: journal the swap
-// record and insert the barrier item, both under the swap gate (see
-// lifecycle.Manager.swapTo for the ordering contract).
-func (s *Server) enqueueSwapBarrier(rec store.SwapRecord, apply func()) error {
-	s.lc.Gate.Lock()
-	defer s.lc.Gate.Unlock()
-	var lsn uint64
-	if s.jnl != nil {
-		l, err := s.jnl.AppendSwapSync(rec)
-		if err != nil {
-			return err
-		}
-		lsn = l
-	}
-	select {
-	case s.queue <- ingest.Item{LSN: lsn, Apply: apply}:
-		return nil
-	case <-time.After(5 * time.Second):
-		// The queue stayed full with nothing consuming it (only possible in
-		// a wedged server). The journaled record is not lost: a restart
-		// replays it.
-		if s.jnl != nil && lsn != 0 {
-			s.applied.Mark(lsn)
-		}
-		return fmt.Errorf("serve: ingest queue full, swap v%d deferred to WAL replay", rec.Version)
-	}
-}
-
-// enqueueApplyWait inserts an Apply barrier into the ingest queue and
-// waits for the ingest loop to run it, so the operation observes every
-// report queued before it and none queued after — the same ordering the
-// WAL gives a replay. The handoff handlers ride this: an export computed
-// here cannot miss an already-ACKed report, and a drop cannot outrun one.
-// The caller must already hold whatever gates its WAL append needed.
-func (s *Server) enqueueApplyWait(lsn uint64, apply func()) error {
-	done := make(chan struct{})
-	item := ingest.Item{LSN: lsn, Apply: func() {
-		apply()
-		close(done)
-	}}
-	select {
-	case s.queue <- item:
-	case <-time.After(5 * time.Second):
-		// Queue wedged full. A journaled record is not lost — a restart
-		// replays it — but the live operation did not happen.
-		if s.jnl != nil && lsn != 0 {
-			s.applied.Mark(lsn)
-		}
-		return fmt.Errorf("serve: ingest queue full, operation deferred to WAL replay")
-	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("serve: ingest loop did not apply the operation in time")
-	}
-}
-
 // ingestLoop consumes the queue until it is closed, feeding the monitor and
 // advancing the applied watermark. A report counts as applied whether the
 // monitor accepted it or rejected it as stale/duplicate/invalid — either
@@ -220,21 +169,28 @@ func (s *Server) IngestQueued() {
 }
 
 func (s *Server) ingestOne(q ingest.Item) {
+	s.depth.Add(-int64(q.Weight()))
 	if q.Apply != nil {
 		q.Apply()
-		if s.jnl != nil && q.LSN != 0 {
-			s.applied.Mark(q.LSN)
+	}
+	s.ingestRecs(q.Recs)
+	if q.LSN != 0 {
+		s.applied.Store(q.LSN)
+	}
+}
+
+// ingestRecs offers one batch to the monitor, live or replayed, and returns
+// how many reports it took; the rest were stale, duplicate or invalid.
+func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
+	for i := range recs {
+		if _, err := s.mon.Ingest(recs[i]); err != nil {
+			s.ingestErr.Add(1)
+		} else {
+			taken++
 		}
-		return
 	}
-	if _, err := s.mon.Ingest(q.Rec); err != nil {
-		s.ingestErr.Add(1)
-	} else {
-		s.ingested.Add(1)
-	}
-	if s.jnl != nil && q.LSN != 0 {
-		s.applied.Mark(q.LSN)
-	}
+	s.ingested.Add(taken)
+	return taken
 }
 
 // DrainTick runs one batched diagnosis pass and drives the degraded-mode
@@ -266,13 +222,13 @@ func (s *Server) DrainTick() {
 	// Sustained-backlog detection: the queue and the pending backlog both
 	// pinned at capacity across consecutive ticks means diagnosis cannot
 	// keep up — shed instead of timing out every client.
-	if len(s.queue) >= cap(s.queue) && s.mon.Pending() >= s.opts.MaxPending {
+	if s.QueueDepth() >= cap(s.queue) && s.mon.Pending() >= s.opts.MaxPending {
 		if s.backlogTicks.Add(1) >= backlogTickLimit {
 			s.enterDegraded(fmt.Sprintf("%s: queue and pending backlog at capacity", degradedBacklog))
 		}
 	} else {
 		s.backlogTicks.Store(0)
-		if len(s.queue) < cap(s.queue)/2 && s.mon.Pending() < s.opts.MaxPending/2 {
+		if s.QueueDepth() < cap(s.queue)/2 && s.mon.Pending() < s.opts.MaxPending/2 {
 			s.clearDegraded(degradedBacklog)
 		}
 	}
@@ -307,10 +263,7 @@ func (s *Server) writeSnapshot() error {
 	// same side of any generation boundary. A torn capture (old model, new
 	// state) would recover with the wrong model and no replayable fix.
 	s.lc.SnapMu.Lock()
-	var wm uint64
-	if s.jnl != nil {
-		wm = s.applied.Watermark()
-	}
+	wm := s.applied.Load()
 	cur := s.lc.Current()
 	st := s.mon.State()
 	sum := s.mon.Snapshot()
@@ -352,8 +305,8 @@ func (s *Server) PersistSnapshot(ctx context.Context) error {
 	return retry.Do(ctx, b, 3, s.sleep, s.writeSnapshot)
 }
 
-// QueueDepth is the current ingest queue occupancy (chaos/test drive API).
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// QueueDepth is the current ingest queue occupancy, in reports.
+func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 
 // MonitorState exports the monitor's rolling state (chaos/test drive API).
 func (s *Server) MonitorState() online.MonitorState { return s.mon.State() }

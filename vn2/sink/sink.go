@@ -1,17 +1,17 @@
 // Package sink is the online diagnosis sink service, decomposed into
 // layers:
 //
-//	sink/ingest    — POST /report body decoding and the queue item type
-//	sink/store     — WAL journal policy, snapshot format, LSN watermark
+//	sink/ingest    — report body and frame decoding, the queue item type
+//	sink/store     — WAL journal policy, snapshot format
 //	sink/lifecycle — drift → shadow retrain → gate → hot-swap → rollback
 //	sink/api       — HTTP helpers: JSON responses, SSE, metrics registry,
 //	                 degraded-mode state machine, embedded dashboard
 //	sink/bus       — the event plane connecting all of the above to the
 //	                 live visibility surface (GET /stream)
 //
-// The root package wires them into one Server: a bounded ingest queue
-// feeding the monitor, periodic drains and snapshots, a WAL making every
-// 202 durable, and the HTTP surface — including the visibility plane
+// The root package wires them into one Server: one commit point (commit.go)
+// in front of a bounded ingest queue feeding the monitor, periodic drains
+// and snapshots, a WAL making every 202 durable, and the HTTP surface — including the visibility plane
 // (/stream, /status, and the embedded dashboard at /). cmd/vn2's serve
 // subcommand is just flag parsing in front of New + Run.
 package sink
@@ -271,7 +271,9 @@ func New(o Options) (*Server, error) {
 		&lifecycle.Set{Model: model, Det: det, Version: meta.ModelVersion, Raw: modelRaw},
 		o.Sleep,
 		lifecycle.Hooks{
-			Enqueue:  s.enqueueSwapBarrier,
+			Enqueue: func(rec store.SwapRecord, apply func()) error {
+				return s.barrier(func() (uint64, error) { return s.jnl.AppendSwapSync(rec) }, apply)
+			},
 			DrainErr: func() { s.drainErrs.Add(1) },
 			OnSwap:   s.onModelSwap,
 		})
@@ -298,7 +300,8 @@ func New(o Options) (*Server, error) {
 				s.walSkipped.Add(1)
 				return nil
 			}
-			if kind == store.KindSwap {
+			switch kind {
+			case store.KindSwap:
 				var rec store.SwapRecord
 				if err := json.Unmarshal(inner, &rec); err != nil {
 					s.walBadRec.Add(1)
@@ -312,60 +315,33 @@ func New(o Options) (*Server, error) {
 					return err
 				}
 				s.walReplayed.Add(1)
-				return nil
-			}
-			if kind == store.KindHandoff {
+			case store.KindHandoff:
 				// A shard handoff replays at exactly its LSN position: the
 				// moved nodes' own report records land first, then the
 				// import/drop — the same ordering the live queue barrier
 				// enforced.
 				return s.replayHandoff(inner)
-			}
-			if kind == store.KindBatch {
-				// A batched binary frame: one WAL record carrying many
-				// reports, always fully materialized (the live path
-				// re-encodes deltas before journaling). Replaying through
-				// the binary decoder both feeds the monitor and re-primes
-				// the sink's delta cache, so a client that kept its
-				// baselines across our restart can keep sending deltas.
+			case store.KindBatch:
+				// A report batch: one WAL record carrying many reports,
+				// always fully materialized, whichever transport it arrived
+				// on. Replaying through the binary decoder both feeds the
+				// monitor and re-primes the sink's delta cache, so a client
+				// that kept its baselines across our restart can keep
+				// sending deltas.
 				recs, err := s.binDec.Decode(inner)
 				if err != nil {
 					s.walBadRec.Add(1)
 					return nil
 				}
-				for _, rec := range recs {
-					if _, err := mon.Ingest(rec); err != nil {
-						s.ingestErr.Add(1)
-					} else {
-						s.walReplayed.Add(1)
-						s.ingested.Add(1)
-					}
-				}
+				s.walReplayed.Add(s.ingestRecs(recs))
 				if mon.Pending() >= o.MaxPending/2 {
+					// Keep the backlog bounded during long replays.
 					if _, err := mon.Drain(); err != nil {
 						return fmt.Errorf("drain during replay: %w", err)
 					}
 				}
-				return nil
-			}
-			var rec trace.Record
-			if err := json.Unmarshal(inner, &rec); err != nil {
-				// CRC passed, so this is a format drift, not corruption;
-				// count it and keep the rest of the log.
+			default: // no writer produces any other kind
 				s.walBadRec.Add(1)
-				return nil
-			}
-			if _, err := mon.Ingest(rec); err != nil {
-				s.ingestErr.Add(1)
-			} else {
-				s.walReplayed.Add(1)
-				s.ingested.Add(1)
-			}
-			if mon.Pending() >= o.MaxPending/2 {
-				// Keep the backlog bounded during long replays.
-				if _, err := mon.Drain(); err != nil {
-					return fmt.Errorf("drain during replay: %w", err)
-				}
 			}
 			return nil
 		})
@@ -374,7 +350,7 @@ func New(o Options) (*Server, error) {
 			return nil, fmt.Errorf("replay wal: %w", err)
 		}
 		s.jnl = j
-		s.applied.Init(j.NextLSN())
+		s.applied.Store(j.NextLSN() - 1)
 	}
 	s.registerMetrics()
 	return s, nil

@@ -1,8 +1,7 @@
 // Package store is the sink's durability layer: the report journal (a thin
 // policy wrapper over internal/wal adding retries, typed swap records and
-// error accounting), the snapshot file format, the applied-LSN watermark
-// tracker, and the atomic-file primitives the lifecycle uses for persisted
-// model generations. Nothing here knows about HTTP, the event bus, or the
+// error accounting), the snapshot file format, and the atomic-file
+// primitives the lifecycle uses for persisted model generations. Nothing here knows about HTTP, the event bus, or the
 // monitor — callers hand in bytes and records and get LSNs back.
 package store
 
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/wal"
@@ -24,7 +24,6 @@ type RecordKind = wal.Kind
 
 // Journal frame kinds.
 const (
-	KindRaw     = wal.KindRaw
 	KindSwap    = wal.KindSwap
 	KindBatch   = wal.KindBatch
 	KindHandoff = wal.KindHandoff
@@ -32,8 +31,9 @@ const (
 
 // Journal wraps the write-ahead log with the sink's append/sync policy:
 // decorrelated-jitter retries for transient report-path failures, no
-// retries on the swap path (the caller holds the swap gate and must fail
-// fast), and a single error counter feeding the wal_errors metric.
+// retries on the swap and handoff paths (they fsync under the sink's commit
+// mutex and must fail fast), and a single error counter feeding the
+// wal_errors metric.
 type Journal struct {
 	w     *wal.WAL
 	sleep func(time.Duration) // retry sleeper; nil = time.Sleep (tests inject)
@@ -50,37 +50,27 @@ func OpenJournal(dir string, sleep func(time.Duration)) (*Journal, error) {
 	return &Journal{w: w, sleep: sleep}, nil
 }
 
-// AppendRecord journals one report, retrying transient failures (a segment
-// rotation hiding behind Append gets the same retries) with
-// decorrelated-jitter backoff. The record is durable only after a later
-// Sync.
+// AppendRecord journals one report as a one-record batch. Nothing in the
+// sink calls it — every transport commits whole batches through
+// AppendBatch — but the frozen benchmark harness still times it, so it
+// stays as a shim over the single record kind replay reads.
 func (j *Journal) AppendRecord(rec trace.Record) (uint64, error) {
-	payload, err := json.Marshal(rec)
+	enc := packet.NewFrameEncoder()
+	if err := enc.AddFull(rec.Node, rec.Epoch, rec.Vector); err != nil {
+		return 0, err
+	}
+	frame, err := enc.Frame()
 	if err != nil {
 		return 0, err
 	}
-	var lsn uint64
-	b := retry.New(10*time.Millisecond, 250*time.Millisecond, 0x77a1)
-	err = retry.Do(context.Background(), b, 3, j.sleep, func() error {
-		l, err := j.w.Append(payload)
-		if err != nil {
-			return err
-		}
-		lsn = l
-		return nil
-	})
-	if err != nil {
-		j.errs.Add(1)
-	}
-	return lsn, err
+	return j.AppendBatch(frame)
 }
 
-// AppendBatch journals one batched binary ingest frame as a single WAL
-// record (the group-commit framing: a 64-report batch costs one append and
-// shares one fsync, where the JSON path appends per report). The frame must
-// contain only fully-materialized records — replay after a snapshot
-// truncation has no delta history. Same retry policy as AppendRecord; the
-// batch is durable only after a later Sync.
+// AppendBatch journals one report batch as a single WAL record, retrying
+// transient failures (a segment rotation hiding behind Append gets the same
+// retries) with decorrelated-jitter backoff. The frame must contain only
+// fully-materialized records — replay after a snapshot truncation has no
+// delta history. The batch is durable only after a later Sync.
 func (j *Journal) AppendBatch(frame []byte) (uint64, error) {
 	payload := wal.Encode(wal.KindBatch, frame)
 	var lsn uint64
@@ -100,7 +90,7 @@ func (j *Journal) AppendBatch(frame []byte) (uint64, error) {
 }
 
 // Sync group-commits everything appended so far. One fsync covers every
-// record of the request (and any a concurrent request just appended).
+// batch of the request (and any a concurrent request just appended).
 func (j *Journal) Sync() error {
 	b := retry.New(10*time.Millisecond, 250*time.Millisecond, 0x77a2)
 	err := retry.Do(context.Background(), b, 3, j.sleep, j.w.Sync)
@@ -111,9 +101,9 @@ func (j *Journal) Sync() error {
 }
 
 // AppendSwapSync journals a model-swap record and fsyncs it immediately,
-// with NO retries: the caller holds the swap gate, and stalling there would
-// stall every report append behind the gate. A failure is the caller's to
-// surface; the swap simply does not happen.
+// with NO retries: the caller holds the sink's commit mutex, and stalling
+// there would stall every report append behind it. A failure is the
+// caller's to surface; the swap simply does not happen.
 func (j *Journal) AppendSwapSync(rec SwapRecord) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {

@@ -4,7 +4,7 @@ package sink
 // consecutive VN2F frames off each long-lived connection and answers every
 // frame with the 8-byte ACK/NACK response (packet.StreamResp). Commit
 // semantics are byte-for-byte those of POST /report/bin — both edges call
-// commitBinaryFrame — so a client may freely mix transports.
+// commitFrame — so a client may freely mix transports.
 //
 // Robustness properties:
 //
@@ -14,9 +14,9 @@ package sink
 //   - Connection cap: beyond StreamMaxConns, new connections get one
 //     StreamNackUnavailable response and are closed, so accept pressure
 //     cannot exhaust file descriptors or goroutines.
-//   - Backpressure propagation: a full ingest queue NACKs the frame
-//     (StreamNackBusy + how many records made it); the client owns the
-//     slow-down.
+//   - Backpressure propagation: a frame the ingest queue has no room for
+//     is NACKed whole (StreamNackBusy, nothing accepted, nothing
+//     journaled); the client owns the slow-down.
 //   - Graceful drain: shutdown stops accepting, lets every in-flight frame
 //     finish and be acknowledged, then closes; an abrupt stop (the chaos
 //     harness's kill -9) severs everything mid-flight.
@@ -217,7 +217,7 @@ func (st *streamSrv) handle(c net.Conn) {
 		}
 		buf = frame[:0]
 		st.s.streamFrames.Add(1)
-		out := st.s.commitBinaryFrame(frame)
+		out := st.s.commitFrame(frame)
 		if out.status != packet.StreamAck {
 			st.s.streamNacks.Add(1)
 		}

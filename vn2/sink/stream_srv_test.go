@@ -97,7 +97,7 @@ func TestStreamAckEquivalence(t *testing.T) {
 		if resp.Status != packet.StreamAck || resp.Accepted != len(batch) {
 			t.Fatalf("epoch %d: resp %+v, want ack of %d", epoch, resp, len(batch))
 		}
-		out := srvHTTP.commitBinaryFrame(binFrame(t, encHTTP, batch))
+		out := srvHTTP.commitFrame(binFrame(t, encHTTP, batch))
 		if out.status != packet.StreamAck {
 			t.Fatalf("http-path commit: %+v", out)
 		}
@@ -269,13 +269,12 @@ func TestStreamConnCap(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressureNack: a frame that overruns the ingest queue is
-// NACKed busy with the accepted prefix count; what WAS accepted is
-// journaled and queued (the client retransmits the lot full-encoded and the
-// monitor absorbs the duplicates).
+// TestStreamBackpressureNack: a frame the ingest queue has no room for is
+// NACKed busy whole — nothing accepted, nothing queued, nothing journaled —
+// and the same frame resent full-encoded once the queue drained is ACKed.
 func TestStreamBackpressureNack(t *testing.T) {
 	fx := serveFixtures(t)
-	_, addr := streamServer(t, fx, t.TempDir(), func(o *Options) { o.QueueSize = 2 })
+	srv, addr := streamServer(t, fx, t.TempDir(), func(o *Options) { o.QueueSize = 4 })
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -283,22 +282,49 @@ func TestStreamBackpressureNack(t *testing.T) {
 	defer c.Close()
 
 	nodes := fx.nodes()
-	if len(nodes) < 4 {
-		t.Fatalf("need 4 nodes, have %d", len(nodes))
+	if len(nodes) < 6 {
+		t.Fatalf("need 6 nodes, have %d", len(nodes))
 	}
-	batch := make([]trace.Record, 4)
-	for i := range batch {
-		batch[i] = fx.hotReport(t, nodes[i], 1)
+	batchOf := func(from, to int) []trace.Record {
+		batch := make([]trace.Record, 0, to-from)
+		for _, node := range nodes[from:to] {
+			batch = append(batch, fx.hotReport(t, node, 1))
+		}
+		return batch
 	}
 	enc := packet.NewFrameEncoder()
-	resp := sendFrame(t, c, binFrame(t, enc, batch))
-	if resp.Status != packet.StreamNackBusy {
-		t.Fatalf("resp %+v, want nack-busy", resp)
+	if resp := sendFrame(t, c, binFrame(t, enc, batchOf(0, 3))); resp.Status != packet.StreamAck || resp.Accepted != 3 {
+		t.Fatalf("first frame: %+v, want ack of 3", resp)
 	}
-	// Queue of 2: the batch record barrier occupies nothing until the queue
-	// has space, so exactly 2 records fit.
-	if resp.Accepted != 2 {
-		t.Fatalf("accepted %d, want 2", resp.Accepted)
+	lsnBefore := srv.jnl.NextLSN()
+
+	// Three more do not fit the remaining room of one.
+	resp := sendFrame(t, c, binFrame(t, enc, batchOf(3, 6)))
+	if resp.Status != packet.StreamNackBusy || resp.Accepted != 0 || resp.RetryAfter == 0 {
+		t.Fatalf("resp %+v, want nack-busy accepting nothing, with a retry hint", resp)
+	}
+	if srv.QueueDepth() != 3 || len(srv.queue) != 1 {
+		t.Fatalf("queue depth %d reports in %d items, want 3 in 1", srv.QueueDepth(), len(srv.queue))
+	}
+	if got := srv.jnl.NextLSN(); got != lsnBefore {
+		t.Fatalf("shed frame was journaled: next LSN %d → %d", lsnBefore, got)
+	}
+	if srv.rejected.Load() != 3 {
+		t.Fatalf("rejected = %d, want 3", srv.rejected.Load())
+	}
+
+	// The client's recovery: queue drains, Forget, resend full.
+	srv.IngestQueued()
+	enc.Forget()
+	if resp := sendFrame(t, c, binFrame(t, enc, batchOf(3, 6))); resp.Status != packet.StreamAck || resp.Accepted != 3 {
+		t.Fatalf("resend after drain: %+v, want ack of 3", resp)
+	}
+
+	// A frame larger than the queue itself can never be admitted: NACK bad,
+	// not a busy the client would retry forever.
+	enc.Forget()
+	if resp := sendFrame(t, c, binFrame(t, enc, batchOf(0, 5))); resp.Status != packet.StreamNackBad {
+		t.Fatalf("over-capacity frame: %+v, want nack-bad", resp)
 	}
 }
 
