@@ -118,10 +118,11 @@ chaos-stream:
 
 # chaos-cluster proves the sharded fleet's contract: k serve shards behind
 # the consistent-hash router, the full lossless fault mix on the wire, one
-# shard kill -9'd mid-run (the router parks its traffic in the bounded
-# hold queue) and restarted from WAL+snapshot — the merged /fleet
-# distributions must be bit-identical to a single fault-free sink, with
-# zero hold-queue drops.
+# shard kill -9'd mid-run (the router answers 503 for every batch that
+# spans it; the harness's gateway resends in order) and restarted from
+# WAL+snapshot, the router itself discarded and rebuilt mid-outage and
+# again after recovery — the merged /fleet distributions must be
+# bit-identical to a single fault-free sink, with nothing left un-ACKed.
 chaos-cluster:
 	$(GO) run ./cmd/vn2 chaos -seed 1 -cluster
 	$(GO) run ./cmd/vn2 chaos -seed 1 -cluster -bin

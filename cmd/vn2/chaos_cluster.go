@@ -3,10 +3,14 @@ package main
 // Cluster chaos: the sharded counterpart of runChaos. A fleet of k
 // WAL-backed serve shards sits behind the cluster router; the same
 // lossless fault mix runs through the router, one shard is kill -9'd
-// mid-run and restarted a few batches later (the router holding its
-// traffic in the bounded queue meanwhile), and the merged /fleet
-// distributions must come out BIT-IDENTICAL to a single fault-free,
-// kill-free sink holding every node — with zero held-queue drops.
+// mid-run and restarted a few batches later, and the router itself is
+// thrown away and rebuilt twice — once during the outage, once after
+// recovery. The router answers 503 for every batch that spans the dark
+// shard; the harness plays the gateway the router's contract assumes,
+// keeping un-ACKed deliveries in an in-order pending list and resending
+// them whole. The merged /fleet distributions must come out BIT-IDENTICAL
+// to a single fault-free, kill-free sink fed every node, with the pending
+// list empty at the end of the run.
 
 import (
 	"context"
@@ -36,14 +40,12 @@ func cmdChaosCluster(o chaosOptions) error {
 		return err
 	}
 	fmt.Printf("transport: %+v\n", res.Transport)
-	fmt.Printf("shards: %d (killed %d), hold drops: %d\n", res.Shards, res.KilledShard, res.HoldDrops)
+	fmt.Printf("shards: %d (killed %d), router restarts: %d, deliveries resent after the outage: %d\n",
+		res.Shards, res.KilledShard, res.RouterRestarts, res.Resent)
 	fmt.Printf("epochs: baseline %d, fleet %d\n", len(res.BaselineCauses), len(res.FleetCauses))
 	fmt.Printf("max per-epoch deviation: %.6f (exact: %v)\n", res.MaxDeviation, res.Exact)
 	fmt.Printf("fleet digest: %s\n", res.Digest)
-	switch {
-	case res.HoldDrops != 0:
-		return fmt.Errorf("chaos-cluster: %d deliveries evicted from the hold queue — reports were lost", res.HoldDrops)
-	case !res.Exact:
+	if !res.Exact {
 		return fmt.Errorf("chaos-cluster: merged fleet distributions are not bit-identical to the single-sink baseline")
 	}
 	fmt.Println("chaos-cluster: PASS")
@@ -63,9 +65,12 @@ type chaosClusterResult struct {
 	MaxDeviation float64
 	// Digest fingerprints the merged distributions.
 	Digest string
-	// HoldDrops counts deliveries the router's bounded hold queue evicted
-	// (must be 0 for the zero-loss claim).
-	HoldDrops uint64
+	// Resent counts the deliveries the router refused during the outage and
+	// the gateway resent once the shard was back; the pending list is empty
+	// at the end of the run, or driveClusterRun fails.
+	Resent int
+	// RouterRestarts counts how often the router was discarded and rebuilt.
+	RouterRestarts int
 	// KilledShard is which shard took the kill -9.
 	KilledShard int
 	Shards      int
@@ -168,9 +173,9 @@ func buildShard(calibPath, modelPath, dir string) (*clusterShard, error) {
 }
 
 // driveClusterRun streams the batches through the router into k shards,
-// kill -9s one shard after o.killAfter batches, restarts it 5 batches
-// later (repointing the router at the new listener), and returns the
-// merged fleet view.
+// kill -9s one shard after o.killAfter batches and restarts it 5 batches
+// later (repointing the router at the new listener), replaces the router
+// 2 batches after each of those, and returns the merged fleet view.
 func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [][]trace.Record, tr *chaos.Transport, logf func(string, ...any)) (*chaosClusterResult, error) {
 	k := o.clusterShards
 	shards := make([]*clusterShard, k)
@@ -192,20 +197,38 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 	}()
 
 	noSleep := func(time.Duration) {}
-	rt, err := cluster.NewRouter(cluster.Config{
-		Shards:   urls,
-		Seed:     uint64(o.seed),
-		HoldCap:  4 * len(batches), // the outage must never evict: zero loss is the claim under test
-		Attempts: 2,
-		RetryMin: time.Millisecond,
-		RetryMax: 2 * time.Millisecond,
-		Sleep:    noSleep,
-	})
-	if err != nil {
+	res := &chaosClusterResult{Shards: k}
+	// bootRouter is a router process start: a fresh Router over the current
+	// shard addresses — empty delta cache, every shard optimistically ready.
+	// Nothing carries over from the one it replaces, which is the point.
+	var (
+		rt  *cluster.Router
+		rts *httptest.Server
+	)
+	bootRouter := func() error {
+		if rts != nil {
+			rts.Close()
+			res.RouterRestarts++
+		}
+		var err error
+		rt, err = cluster.NewRouter(cluster.Config{
+			Shards:   urls,
+			Seed:     uint64(o.seed),
+			Attempts: 2,
+			RetryMin: time.Millisecond,
+			RetryMax: 2 * time.Millisecond,
+			Sleep:    noSleep,
+		})
+		if err != nil {
+			return err
+		}
+		rts = httptest.NewServer(rt.Handler())
+		return nil
+	}
+	if err := bootRouter(); err != nil {
 		return nil, err
 	}
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
+	defer func() { rts.Close() }()
 
 	// Kill the shard that owns the first reporting node, so the outage is
 	// guaranteed to sit in the traffic path.
@@ -213,6 +236,7 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 	if len(batches) > 0 && len(batches[0]) > 0 {
 		killShard = rt.Ring().Owner(batches[0][0].Node)
 	}
+	res.KilledShard = killShard
 	killAfter := o.killAfter
 	restartAt := 0
 	if killAfter > 0 {
@@ -227,17 +251,27 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 	if o.bin {
 		enc = packet.NewFrameEncoder()
 	}
+	// The gateway's side of the contract: deliveries go out oldest first and
+	// nothing newer is sent while an older one is un-ACKed, so a resend can
+	// never land behind a newer report of the same node. A refusal is
+	// expected only while the killed shard is down.
+	var pending []chaos.Delivery
 	deliver := func(ds []chaos.Delivery) error {
-		for _, d := range ds {
+		pending = append(pending, ds...)
+		for len(pending) > 0 {
 			var err error
 			if o.bin {
-				err = postDeliveryBin(rts.URL, d, enc, noSleep)
+				err = postDeliveryBin(rts.URL, pending[0], enc, noSleep)
 			} else {
-				err = postDelivery(rts.URL, d, noSleep)
+				err = postDelivery(rts.URL, pending[0], noSleep)
 			}
 			if err != nil {
+				if shards[killShard].dead {
+					return nil
+				}
 				return err
 			}
+			pending = pending[1:]
 		}
 		return nil
 	}
@@ -252,13 +286,7 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 	}
 
 	for i, batch := range batches {
-		var ds []chaos.Delivery
-		if tr != nil {
-			ds = tr.Step(batch)
-		} else {
-			ds = []chaos.Delivery{{Records: batch}}
-		}
-		if err := deliver(ds); err != nil {
+		if err := deliver(tr.Step(batch)); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", i+1, err)
 		}
 		settle()
@@ -269,7 +297,7 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 				return nil, err
 			}
 			sh.dead = true
-			logf("chaos-cluster: killed shard %d after batch %d (queue held %d reports); router holds its traffic\n",
+			logf("chaos-cluster: killed shard %d after batch %d (queue held %d reports); the router refuses batches that span it\n",
 				killShard, i+1, sh.srv.QueueDepth())
 		}
 		if restartAt > 0 && i+1 == restartAt {
@@ -278,12 +306,22 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 				return nil, fmt.Errorf("restart shard %d: %w", killShard, err)
 			}
 			shards[killShard] = sh
+			urls[killShard] = sh.ts.URL
 			rt.SetShard(killShard, sh.ts.URL)
-			held := rt.Held(killShard)
-			rt.ProbeOnce() // readiness confirms, held traffic flushes FIFO
-			logf("chaos-cluster: restarted shard %d after batch %d, %d held deliveries flushed\n",
-				killShard, i+1, held)
+			rt.ProbeOnce() // readiness confirms; the gateway's resend goes through
+			res.Resent = len(pending)
+			if err := deliver(nil); err != nil {
+				return nil, fmt.Errorf("resend after restart: %w", err)
+			}
+			logf("chaos-cluster: restarted shard %d after batch %d, %d pending deliveries resent\n",
+				killShard, i+1, res.Resent)
 			settle()
+		}
+		if killAfter > 0 && (i+1 == killAfter+2 || i+1 == restartAt+2) {
+			if err := bootRouter(); err != nil {
+				return nil, fmt.Errorf("replace router: %w", err)
+			}
+			logf("chaos-cluster: replaced the router after batch %d (%d deliveries pending at the gateway)\n", i+1, len(pending))
 		}
 		if snapshotAt > 0 && i+1 == snapshotAt {
 			for _, sh := range shards {
@@ -296,26 +334,14 @@ func driveClusterRun(o chaosOptions, calibPath, modelPath, dir string, batches [
 			}
 		}
 	}
-	if tr != nil {
-		if err := deliver(tr.Flush()); err != nil {
-			return nil, fmt.Errorf("flush: %w", err)
-		}
+	if err := deliver(tr.Flush()); err != nil {
+		return nil, fmt.Errorf("flush: %w", err)
 	}
-	// A kill with no restart window left: bring the shard back now, or the
-	// fleet view would be missing its nodes.
-	if killAfter > 0 && restartAt == len(batches) && shards[killShard].dead {
-		return nil, fmt.Errorf("chaos-cluster: kill-epoch %d leaves no restart window", killAfter)
-	}
-	rt.ProbeOnce()
 	settle()
-
-	res := &chaosClusterResult{Shards: k, KilledShard: killShard}
-	for i := 0; i < k; i++ {
-		res.HoldDrops += rt.HoldDrops(i)
-		if held := rt.Held(i); held != 0 {
-			return nil, fmt.Errorf("chaos-cluster: shard %d still has %d held deliveries after recovery", i, held)
-		}
+	if len(pending) != 0 {
+		return nil, fmt.Errorf("chaos-cluster: %d deliveries still pending at the gateway after recovery", len(pending))
 	}
+
 	rank, merged, missing, err := rt.FleetEpochs()
 	if err != nil {
 		return nil, err

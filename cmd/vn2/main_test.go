@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -229,5 +232,48 @@ func TestEpochsSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"epochs"}); err == nil {
 		t.Error("epochs without flags succeeded")
+	}
+}
+
+// TestRouterFlags pins the router's option surface: the hold queue is gone
+// and took -hold with it, and -h lists exactly the flags that remain.
+func TestRouterFlags(t *testing.T) {
+	// The flag package prints usage to os.Stderr; capture it for the -h case.
+	stderr := os.Stderr
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = pw
+	holdErr := run([]string{"router", "-hold", "1"})
+	helpErr := run([]string{"router", "-h"})
+	os.Stderr = stderr
+	pw.Close()
+	out, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if holdErr == nil || !strings.Contains(holdErr.Error(), "flag provided but not defined: -hold") {
+		t.Errorf("router -hold 1: err = %v, want an unknown-flag error", holdErr)
+	}
+	if !errors.Is(helpErr, flag.ErrHelp) {
+		t.Errorf("router -h: err = %v, want flag.ErrHelp", helpErr)
+	}
+	// Each run printed the usage once; the flag set is the same both times.
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			listed[strings.Fields(name)[0]] = true
+		}
+	}
+	want := []string{"addr", "shards", "seed", "vnodes", "attempts", "probe-interval"}
+	if len(listed) != len(want) {
+		t.Errorf("router -h lists %v, want exactly %v", listed, want)
+	}
+	for _, name := range want {
+		if !listed[name] {
+			t.Errorf("router -h does not list -%s (got %v)", name, listed)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package main
 
 // The router subcommand is the cluster front door: a thin shell over
-// vn2/cluster.Router. It owns no diagnosis state — only the consistent-hash
-// ring, per-shard delivery machinery, and the merged /fleet view.
+// vn2/cluster.Router. It owns no state a crash can lose — only the
+// consistent-hash ring, per-shard readiness, and the merged /fleet view.
 
 import (
 	"context"
@@ -25,8 +25,7 @@ func cmdRouter(args []string) error {
 	shards := fs.String("shards", "", "comma-separated shard base URLs, index-aligned with the ring (required)")
 	seed := fs.Uint64("seed", 1, "ring + backoff seed; every router of a cluster must share it")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = 64)")
-	hold := fs.Int("hold", 0, "per-shard hold-queue bound in deliveries; full queue drops the oldest (0 = 256)")
-	attempts := fs.Int("attempts", 0, "delivery retry attempts per forward (0 = 4)")
+	attempts := fs.Int("attempts", 0, "retry attempts per forwarded slice (0 = 4)")
 	probe := fs.Duration("probe-interval", 0, "shard /readyz probe cadence (0 = 1s)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,7 +44,6 @@ func cmdRouter(args []string) error {
 		Shards:        urls,
 		Seed:          *seed,
 		Vnodes:        *vnodes,
-		HoldCap:       *hold,
 		Attempts:      *attempts,
 		ProbeInterval: *probe,
 	})

@@ -2,8 +2,8 @@ package retry
 
 import "time"
 
-// Breaker is the three-state circuit breaker shared by the stream reporter
-// (one per sink connection) and the cluster router (one per shard):
+// Breaker is the stream reporter's three-state circuit breaker (one per
+// sink connection):
 //
 //	closed ──Threshold consecutive failures──▶ open
 //	open ──Cooldown elapsed──▶ half-open (one probe allowed)

@@ -7,7 +7,7 @@ import (
 )
 
 // MergeEpochs combines per-shard epoch contribution exports into the fleet's
-// per-epoch cause distributions, bit-identical to what one monitor holding
+// per-epoch cause distributions, bit-identical to what one monitor fed
 // every node would produce.
 //
 // Exactness argument: a single monitor computes an epoch's distribution by
@@ -17,7 +17,7 @@ import (
 // distributions would NOT reproduce those bits. Merging at the Contribution
 // level does: the ring partitions nodes across shards, so concatenating
 // every shard's contributions for an epoch yields exactly the set the
-// single monitor held, and re-sorting by node recovers exactly its
+// single monitor had, and re-sorting by node recovers exactly its
 // summation order. The sum is then the same sequence of float additions.
 //
 // The repo's ingest path derives at most one diagnosed state per (node,

@@ -1,13 +1,3 @@
-// Package cluster shards the sink across N serve processes: a
-// deterministic consistent-hash ring partitions node IDs over shards, a
-// thin router front door splits incoming batches by ring ownership and
-// forwards them with retries, a circuit breaker, and a bounded
-// queue-and-hold per shard, and a fleet aggregator merges the shards'
-// per-epoch cause distributions into one fleet-wide view. The merge is
-// exact (bit-identical to a single sink owning every node) because the
-// distributions are additive histograms over per-node contributions and
-// the ring partitions nodes, so each contribution exists on exactly one
-// shard; see MergeEpochs.
 package cluster
 
 import (

@@ -3,18 +3,21 @@
 // `vn2 serve` shards, a thin router (this file) splits incoming report
 // traffic along ring ownership and forwards it, and a fleet merge
 // (merge.go) recombines the shards' per-epoch contribution exports into
-// distributions bit-identical to a single sink holding every node.
+// distributions bit-identical to a single sink fed every node.
 //
-// The router is deliberately stateless about diagnosis: it holds no
-// monitor, no model, no WAL — only the ring, per-shard delivery machinery
-// (retries, a circuit breaker, a bounded hold queue), and counters. Losing
-// the router loses nothing durable; shards own all state.
+// The router is stateless: it keeps no monitor, no model, no WAL and no
+// report it has answered for — only the ring, a per-shard readiness flag
+// and counters — so losing it loses nothing (see route for what its
+// answers mean). Clients keep one batch in flight per node stream: nothing
+// newer goes out while an older batch is un-ACKed. That, not the router,
+// is what preserves per-node report order.
 package cluster
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,12 +39,9 @@ const routerRetryTag = 0x72747230
 
 // Defaults applied by NewRouter for zero Config fields.
 const (
-	DefaultHoldCap          = 256
-	DefaultAttempts         = 4
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 2 * time.Second
-	DefaultProbeInterval    = time.Second
-	DefaultHTTPTimeout      = 10 * time.Second
+	DefaultAttempts      = 4
+	DefaultProbeInterval = time.Second
+	DefaultHTTPTimeout   = 10 * time.Second
 )
 
 // Config parametrizes a Router.
@@ -53,19 +53,10 @@ type Config struct {
 	Seed uint64
 	// Vnodes is the ring's virtual-node count per shard (0 = DefaultVnodes).
 	Vnodes int
-	// HoldCap bounds each shard's hold queue in deliveries; at capacity the
-	// OLDEST held delivery is dropped and counted — bounded memory beats
-	// unbounded growth through a long shard outage, and the drop is never
-	// silent (hold_drops / hold_dropped_records in /metrics).
-	HoldCap int
-	// Attempts bounds one delivery's retry ladder.
+	// Attempts bounds one forward's retry ladder.
 	Attempts int
 	// RetryMin/RetryMax bound the decorrelated-jitter backoff.
 	RetryMin, RetryMax time.Duration
-	// BreakerThreshold consecutive delivery failures open a shard's
-	// breaker; BreakerCooldown later one probe delivery is admitted.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// ProbeInterval paces the readiness prober in Run.
 	ProbeInterval time.Duration
 	// Client is the forwarding HTTP client (nil = a default with
@@ -74,54 +65,48 @@ type Config struct {
 	// Sleep is the backoff sleeper (nil = time.Sleep); tests and the chaos
 	// harness pass a stub so retry ladders run instantly.
 	Sleep func(time.Duration)
-	// Now is the breaker clock (nil = time.Now).
-	Now func() time.Time
 }
 
-// heldDelivery is one forward the router is holding for an unavailable
-// shard: the fully-encoded body, replayable verbatim.
-type heldDelivery struct {
-	path        string
-	contentType string
-	body        []byte
-	records     int
-}
-
-// shardState is one shard's delivery machinery. Its mutex serializes
-// deliveries to the shard, which is what preserves per-node report order:
-// every record of a node routes to this one shard, and holds flush FIFO
-// before anything newer goes out.
+// shardState is what the router knows about one shard. mu guards url and
+// down and is never locked across a request or a sleep: forwards and probes
+// copy the URL out, do their I/O unlocked, and lock again only to record
+// the verdict.
 type shardState struct {
-	mu      sync.Mutex
-	url     string
-	ready   bool
-	lastErr string
-	br      retry.Breaker
-	hold    []heldDelivery
+	mu   sync.Mutex
+	url  string
+	down error // nil = ready; otherwise why the shard is out of rotation
+}
 
-	forwarded    atomic.Uint64 // deliveries that reached the shard
-	held         atomic.Uint64 // deliveries parked in the hold queue
-	holdDrops    atomic.Uint64 // held deliveries evicted by a full queue
-	holdDropRecs atomic.Uint64 // records inside evicted deliveries
+// target returns the shard's current base URL and readiness.
+func (sh *shardState) target() (url string, ready bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.url, sh.down == nil
+}
+
+// mark records a readiness verdict: nil means ready.
+func (sh *shardState) mark(down error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.down = down
 }
 
 // Router is the cluster front door: it speaks the sink's own ingest
 // surface (POST /report, POST /report/bin) and fans out along the ring.
 type Router struct {
-	cfg    Config
+	cfg    Config // defaults applied
 	ring   *Ring
-	client *http.Client
-	sleep  func(time.Duration)
-	now    func() time.Time
 	shards []*shardState
 
-	// binMu serializes /report/bin traffic: the delta cache in binDec and
-	// the re-encoder must observe frames in arrival order.
+	// binMu guards binDec and binEnc: the delta cache must observe frames
+	// in arrival order, and both codecs reuse their buffers.
 	binMu  sync.Mutex
 	binDec *ingest.BinaryDecoder
 	binEnc *packet.FrameEncoder
 
 	received  atomic.Uint64 // records offered on either ingest path
+	forwarded atomic.Uint64 // slices a shard answered 202 for
+	refused   atomic.Uint64 // batches answered 503
 	badReqs   atomic.Uint64
 	fleetReqs atomic.Uint64
 }
@@ -133,45 +118,26 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: Config.Shards must name at least one shard")
 	}
-	if cfg.HoldCap <= 0 {
-		cfg.HoldCap = DefaultHoldCap
-	}
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = DefaultAttempts
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
+	if cfg.Client == nil {
+		cfg.Client = &http.Client{Timeout: DefaultHTTPTimeout}
+	}
+	if cfg.Sleep == nil {
+		cfg.Sleep = time.Sleep
+	}
 	r := &Router{
 		cfg:    cfg,
 		ring:   NewRing(cfg.Seed, len(cfg.Shards), cfg.Vnodes),
-		client: cfg.Client,
-		sleep:  cfg.Sleep,
-		now:    cfg.Now,
 		binDec: ingest.NewBinaryDecoder(),
 		binEnc: packet.NewFrameEncoder(),
 	}
-	if r.client == nil {
-		r.client = &http.Client{Timeout: DefaultHTTPTimeout}
-	}
-	if r.sleep == nil {
-		r.sleep = time.Sleep
-	}
-	if r.now == nil {
-		r.now = time.Now
-	}
 	for _, u := range cfg.Shards {
-		r.shards = append(r.shards, &shardState{
-			url:   u,
-			ready: true,
-			br:    retry.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown},
-		})
+		r.shards = append(r.shards, &shardState{url: u})
 	}
 	return r, nil
 }
@@ -180,24 +146,15 @@ func NewRouter(cfg Config) (*Router, error) {
 // tests share one ownership view.
 func (r *Router) Ring() *Ring { return r.ring }
 
-// ShardURL returns shard i's current base URL.
-func (r *Router) ShardURL(i int) string {
-	sh := r.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.url
-}
-
 // SetShard repoints shard i at a new base URL (a restarted or relocated
-// shard) and marks it unready until a probe confirms it — held traffic
-// flushes on that probe, oldest first.
+// shard) and marks it unready until a probe confirms it; batches that span
+// it get 503 meanwhile.
 func (r *Router) SetShard(i int, url string) {
 	sh := r.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.url = url
-	sh.ready = false
-	sh.lastErr = "repointed, awaiting readiness probe"
+	sh.down = errors.New("repointed, awaiting readiness probe")
 }
 
 // Handler builds the router's HTTP surface: the sink-compatible ingest
@@ -212,11 +169,8 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// handleReport splits a JSON report batch by ring ownership and forwards
-// each shard's slice, preserving per-node record order (the split is
-// stable). The 202 means every record is either delivered to its owner
-// shard or parked in that shard's bounded hold queue; "held" in the
-// response says how many are parked.
+// handleReport routes a JSON report batch; each shard's slice goes out as
+// a JSON array.
 func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
 	if err != nil {
@@ -230,37 +184,21 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 		api.Error(w, http.StatusBadRequest, "body must be a report, an array of reports, or {\"reports\": [...]}", nil)
 		return
 	}
-	r.received.Add(uint64(len(recs)))
-
-	parts := make([][]trace.Record, len(r.shards))
-	for _, rec := range recs {
-		s := r.ring.Owner(rec.Node)
-		parts[s] = append(parts[s], rec)
+	slices, err := r.split(recs, func(part []trace.Record) ([]byte, error) { return json.Marshal(part) })
+	if err != nil {
+		api.Error(w, http.StatusInternalServerError, "encode shard batch: "+err.Error(), nil)
+		return
 	}
-	forwarded, heldCount := 0, 0
-	for s, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		body, err := json.Marshal(part)
-		if err != nil {
-			api.Error(w, http.StatusInternalServerError, "encode shard batch: "+err.Error(), nil)
-			return
-		}
-		if r.deliver(s, heldDelivery{path: "/report", contentType: "application/json", body: body, records: len(part)}) {
-			forwarded += len(part)
-		} else {
-			heldCount += len(part)
-		}
-	}
-	api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": forwarded, "held": heldCount})
+	r.route(w, len(recs), "/report", "application/json", slices)
 }
 
 // handleReportBin terminates the binary delta encoding at the router: the
 // frame decodes against the ROUTER's delta cache (one upstream client
 // stream), and each shard's slice is re-encoded as a fully-materialized
 // frame — shards never see cross-shard delta baselines, so a shard restart
-// or handoff cannot desync them.
+// or handoff cannot desync them. A frame that decodes advances the cache
+// whatever the shards then answer; a client that gets anything but 202
+// resends full-encoded, which is correct against either cache state.
 func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, packet.FrameHeaderLen+packet.MaxFramePayload))
 	if err != nil {
@@ -268,6 +206,8 @@ func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
 		api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
 		return
 	}
+	// The decoded records alias binDec's arena, so the split and re-encode
+	// finish under binMu; only the copied frames leave it.
 	r.binMu.Lock()
 	recs, err := r.binDec.Decode(raw)
 	if err != nil {
@@ -276,205 +216,160 @@ func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
 		api.Error(w, http.StatusBadRequest, "bad binary frame (resend full encoding): "+err.Error(), nil)
 		return
 	}
-	r.received.Add(uint64(len(recs)))
+	n := len(recs)
+	slices, err := r.split(recs, func(part []trace.Record) ([]byte, error) {
+		frame, err := ingest.FullFrame(r.binEnc, part)
+		return append([]byte(nil), frame...), err
+	})
+	r.binMu.Unlock()
+	if err != nil {
+		api.Error(w, http.StatusInternalServerError, "re-encode shard frame: "+err.Error(), nil)
+		return
+	}
+	r.route(w, n, "/report/bin", "application/octet-stream", slices)
+}
+
+// split partitions recs by ring owner — stable, so per-node record order
+// survives — and encodes each shard's share. Shards that own none of the
+// batch get a nil slice.
+func (r *Router) split(recs []trace.Record, encode func([]trace.Record) ([]byte, error)) ([][]byte, error) {
 	parts := make([][]trace.Record, len(r.shards))
 	for _, rec := range recs {
 		s := r.ring.Owner(rec.Node)
 		parts[s] = append(parts[s], rec)
 	}
-	frames := make([][]byte, len(r.shards))
+	slices := make([][]byte, len(r.shards))
 	for s, part := range parts {
 		if len(part) == 0 {
 			continue
 		}
-		r.binEnc.Reset()
-		ferr := error(nil)
-		for i := range part {
-			if ferr = r.binEnc.AddFull(part[i].Node, part[i].Epoch, part[i].Vector); ferr != nil {
-				break
-			}
+		var err error
+		if slices[s], err = encode(part); err != nil {
+			return nil, err
 		}
-		var frame []byte
-		if ferr == nil {
-			frame, ferr = r.binEnc.Frame()
-		}
-		if ferr != nil {
-			r.binMu.Unlock()
-			api.Error(w, http.StatusInternalServerError, "re-encode shard frame: "+ferr.Error(), nil)
-			return
-		}
-		frames[s] = append([]byte(nil), frame...)
 	}
-	r.binMu.Unlock()
+	return slices, nil
+}
 
-	forwarded, heldCount := 0, 0
-	for s, frame := range frames {
-		if frame == nil {
+// route is the one delivery path behind both ingest endpoints: slices[s]
+// is shard s's share of a batch of n records (nil when it owns none). It
+// is all-or-nothing toward the client, as the sink's own commit is:
+//
+//   - an owner shard marked unready ⇒ 503 before anything is forwarded, so
+//     a long outage does not pile duplicate WAL records onto the healthy
+//     shards;
+//   - otherwise every slice is forwarded; a shard that stays down or 5xx
+//     through its retry ladder is marked unready (the probe re-admits it)
+//     and the batch gets 503 + Retry-After naming the refusing shards;
+//   - a shard's 4xx is final for that slice — retrying cannot change it —
+//     and is passed through without touching the shard's readiness;
+//   - 202 only when every owner shard answered 202.
+//
+// On anything but 202 the client resends the whole batch; shards that
+// already journaled their slice see exact duplicates, which the monitor
+// drops.
+func (r *Router) route(w http.ResponseWriter, n int, path, contentType string, slices [][]byte) {
+	r.received.Add(uint64(n))
+	urls := make([]string, len(r.shards))
+	var refusing []int
+	for s, slice := range slices {
+		if slice == nil {
 			continue
 		}
-		if r.deliver(s, heldDelivery{path: "/report/bin", contentType: "application/octet-stream", body: frame, records: len(parts[s])}) {
-			forwarded += len(parts[s])
-		} else {
-			heldCount += len(parts[s])
+		var ready bool
+		if urls[s], ready = r.shards[s].target(); !ready {
+			refusing = append(refusing, s)
 		}
 	}
-	api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": forwarded, "held": heldCount})
+	if len(refusing) > 0 {
+		r.refuse(w, refusing, 1)
+		return
+	}
+	retryAfter := 1
+	rejecting, rejection := 0, 0 // the first 4xx status drawn, and the shard it came from
+	for s, slice := range slices {
+		if slice == nil {
+			continue
+		}
+		status, hint, err := r.forward(s, urls[s]+path, contentType, slice)
+		retryAfter = max(retryAfter, hint)
+		switch {
+		case err != nil:
+			r.shards[s].mark(err)
+			refusing = append(refusing, s)
+		case status != http.StatusAccepted:
+			if rejection == 0 {
+				rejecting, rejection = s, status
+			}
+		default:
+			r.forwarded.Add(1)
+		}
+	}
+	switch {
+	case len(refusing) > 0:
+		r.refuse(w, refusing, retryAfter)
+	case rejection != 0:
+		api.Error(w, rejection, fmt.Sprintf("shard %d rejected its slice of the batch with status %d", rejecting, rejection),
+			map[string]any{"shard": rejecting})
+	default:
+		api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": n})
+	}
 }
 
-// deliver runs one delivery to shard s, returning true when it reached the
-// shard and false when it was parked in the hold queue. An unready shard
-// or an open breaker holds without attempting; a failed retry ladder trips
-// the breaker, marks the shard unready, and holds — order is preserved
-// because every later delivery then holds BEHIND this one until a probe
-// flushes the queue FIFO.
-func (r *Router) deliver(s int, d heldDelivery) bool {
-	sh := r.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.ready || len(sh.hold) > 0 || !sh.br.Allow(r.now()) {
-		r.parkLocked(sh, d)
-		return false
-	}
-	if err := r.post(sh.url, d); err != nil {
-		sh.br.Fail(r.now())
-		sh.ready = false
-		sh.lastErr = err.Error()
-		r.parkLocked(sh, d)
-		return false
-	}
-	sh.br.Success()
-	sh.forwarded.Add(1)
-	return true
+// refuse answers 503 + Retry-After for a batch some owner shard did not
+// take, naming the shards.
+func (r *Router) refuse(w http.ResponseWriter, shards []int, retryAfter int) {
+	r.refused.Add(1)
+	api.Unavailable(w, retryAfter, "owner shard unavailable, batch not accepted: resend the whole batch",
+		map[string]any{"accepted": 0, "shards": shards})
 }
 
-// parkLocked appends a delivery to the hold queue, evicting the oldest at
-// capacity. Caller holds sh.mu.
-func (r *Router) parkLocked(sh *shardState, d heldDelivery) {
-	if len(sh.hold) >= r.cfg.HoldCap {
-		sh.holdDrops.Add(1)
-		sh.holdDropRecs.Add(uint64(sh.hold[0].records))
-		sh.hold = sh.hold[1:]
-	}
-	sh.hold = append(sh.hold, d)
-	sh.held.Add(1)
-}
-
-// post runs one delivery's retry ladder against the shard's current URL.
-// A 503's Retry-After is honored as an extra sleep ahead of the jittered
-// one — the same contract the reporter applies to the stream hint.
-func (r *Router) post(baseURL string, d heldDelivery) error {
-	return retry.Do(context.Background(), r.newLadder(baseURL), r.cfg.Attempts, r.sleep, func() error {
-		resp, err := r.client.Post(baseURL+d.path, d.contentType, bytes.NewReader(d.body))
+// forward posts one slice to shard s through the retry ladder. It returns
+// the shard's terminal status — 202, or a 4xx, which ends the ladder at
+// once — or an error when every attempt ended in a transport failure or
+// another status; retryAfter is the largest Retry-After the shard sent, in
+// seconds, each honored as an extra sleep ahead of the jittered one — the
+// same contract the reporter applies to the stream hint.
+func (r *Router) forward(s int, url, contentType string, body []byte) (status, retryAfter int, err error) {
+	ladder := retry.New(r.cfg.RetryMin, r.cfg.RetryMax, routerRetryTag, r.cfg.Seed, uint64(s))
+	err = retry.Do(context.Background(), ladder, r.cfg.Attempts, r.cfg.Sleep, func() error {
+		resp, err := r.cfg.Client.Post(url, contentType, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusAccepted:
+		status = resp.StatusCode
+		if status == http.StatusAccepted || status/100 == 4 {
 			return nil
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-				r.sleep(time.Duration(secs) * time.Second)
-			}
-			return fmt.Errorf("shard status %d", resp.StatusCode)
-		default:
-			return fmt.Errorf("shard status %d", resp.StatusCode)
 		}
+		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
+			retryAfter = max(retryAfter, secs)
+			r.cfg.Sleep(time.Duration(secs) * time.Second)
+		}
+		return fmt.Errorf("shard status %d", status)
 	})
+	return status, retryAfter, err
 }
 
-// newLadder returns a fresh backoff for one delivery, keyed by the shard
-// URL so schedules stay deterministic but distinct per shard incarnation.
-func (r *Router) newLadder(baseURL string) *retry.Backoff {
-	var h uint64 = 1469598103934665603 // FNV-1a
-	for i := 0; i < len(baseURL); i++ {
-		h ^= uint64(baseURL[i])
-		h *= 1099511628211
-	}
-	return retry.New(r.cfg.RetryMin, r.cfg.RetryMax, routerRetryTag, r.cfg.Seed, h)
-}
-
-// ProbeOnce checks every shard's /readyz and flushes held traffic into
-// shards that just (re)became ready. Synchronous so tests and the chaos
-// harness drive readiness deterministically; Run wraps it in a ticker.
+// ProbeOnce checks every shard's /readyz and records the verdict; a shard
+// marked unready is re-admitted here and nowhere else. Synchronous so tests
+// and the chaos harness drive readiness deterministically; Run wraps it in
+// a ticker.
 func (r *Router) ProbeOnce() {
-	for i := range r.shards {
-		r.probeShard(i)
-	}
-}
-
-func (r *Router) probeShard(i int) {
-	sh := r.shards[i]
-	sh.mu.Lock()
-	url := sh.url
-	sh.mu.Unlock()
-	resp, err := r.client.Get(url + "/readyz")
-	ok := err == nil && resp.StatusCode == http.StatusOK
-	if resp != nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !ok {
-		sh.ready = false
-		if err != nil {
-			sh.lastErr = err.Error()
-		} else {
-			sh.lastErr = fmt.Sprintf("readyz status %d", resp.StatusCode)
+	for _, sh := range r.shards {
+		url, _ := sh.target()
+		resp, err := r.cfg.Client.Get(url + "/readyz")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("readyz status %d", resp.StatusCode)
+			}
 		}
-		return
+		sh.mark(err)
 	}
-	sh.ready = true
-	sh.lastErr = ""
-	sh.br.Success()
-	r.flushHeldLocked(sh)
 }
-
-// FlushHeld synchronously drains shard i's hold queue (if the shard is
-// ready). Returns how many deliveries flushed.
-func (r *Router) FlushHeld(i int) int {
-	sh := r.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.ready {
-		return 0
-	}
-	return r.flushHeldLocked(sh)
-}
-
-// flushHeldLocked replays held deliveries FIFO, stopping at the first
-// failure (the remainder stays held, order intact). Caller holds sh.mu.
-func (r *Router) flushHeldLocked(sh *shardState) int {
-	n := 0
-	for len(sh.hold) > 0 {
-		d := sh.hold[0]
-		if err := r.post(sh.url, d); err != nil {
-			sh.br.Fail(r.now())
-			sh.ready = false
-			sh.lastErr = err.Error()
-			return n
-		}
-		sh.hold = sh.hold[1:]
-		sh.br.Success()
-		sh.forwarded.Add(1)
-		n++
-	}
-	return n
-}
-
-// Held reports shard i's current hold-queue depth.
-func (r *Router) Held(i int) int {
-	sh := r.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.hold)
-}
-
-// HoldDrops reports how many held deliveries shard i's bounded queue has
-// evicted.
-func (r *Router) HoldDrops(i int) uint64 { return r.shards[i].holdDrops.Load() }
 
 // Run probes readiness on a ticker until ctx is done. The ingest handlers
 // need no goroutine of their own; this loop only drives recovery.
@@ -521,11 +416,8 @@ func (r *Router) FleetEpochs() (rank int, merged []online.EpochCauses, missing [
 }
 
 func (r *Router) fetchEpochs(i int) (*shardEpochs, error) {
-	sh := r.shards[i]
-	sh.mu.Lock()
-	url := sh.url
-	sh.mu.Unlock()
-	resp, err := r.client.Get(url + "/epochs")
+	url, _ := r.shards[i].target()
+	resp, err := r.cfg.Client.Get(url + "/epochs")
 	if err != nil {
 		return nil, err
 	}
@@ -566,15 +458,13 @@ func (r *Router) handleFleet(w http.ResponseWriter, req *http.Request) {
 	api.WriteJSON(w, http.StatusOK, body)
 }
 
-// handleHealthz reports router liveness plus the per-shard delivery view.
+// handleHealthz reports router liveness plus the per-shard readiness view.
 // Always 200: the router is alive if it can answer; degraded shards show
 // in the body (and in each shard's own /readyz).
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	type shardHealth struct {
 		URL     string `json:"url"`
 		Ready   bool   `json:"ready"`
-		Breaker string `json:"breaker"`
-		Held    int    `json:"held"`
 		LastErr string `json:"last_error,omitempty"`
 	}
 	out := struct {
@@ -583,43 +473,24 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	}{Status: "ok"}
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		out.Shards = append(out.Shards, shardHealth{
-			URL: sh.url, Ready: sh.ready, Breaker: sh.br.State(),
-			Held: len(sh.hold), LastErr: sh.lastErr,
-		})
-		if !sh.ready {
-			out.Status = "degraded"
+		h := shardHealth{URL: sh.url, Ready: sh.down == nil}
+		if sh.down != nil {
+			h.LastErr, out.Status = sh.down.Error(), "degraded"
 		}
 		sh.mu.Unlock()
+		out.Shards = append(out.Shards, h)
 	}
 	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics serves the router's flat counter map, sink-/metrics-style.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	m := map[string]any{
-		"reports_received": r.received.Load(),
-		"bad_requests":     r.badReqs.Load(),
-		"fleet_requests":   r.fleetReqs.Load(),
-		"shards":           len(r.shards),
-	}
-	var fwd, held, drops, dropRecs, trips uint64
-	heldNow := 0
-	for _, sh := range r.shards {
-		fwd += sh.forwarded.Load()
-		held += sh.held.Load()
-		drops += sh.holdDrops.Load()
-		dropRecs += sh.holdDropRecs.Load()
-		sh.mu.Lock()
-		heldNow += len(sh.hold)
-		trips += sh.br.Trips()
-		sh.mu.Unlock()
-	}
-	m["deliveries_forwarded"] = fwd
-	m["deliveries_held"] = held
-	m["hold_depth"] = heldNow
-	m["hold_drops"] = drops
-	m["hold_dropped_records"] = dropRecs
-	m["breaker_trips"] = trips
-	api.WriteJSON(w, http.StatusOK, m)
+	api.WriteJSON(w, http.StatusOK, map[string]any{
+		"reports_received":     r.received.Load(),
+		"deliveries_forwarded": r.forwarded.Load(),
+		"batches_refused":      r.refused.Load(),
+		"bad_requests":         r.badReqs.Load(),
+		"fleet_requests":       r.fleetReqs.Load(),
+		"shards":               len(r.shards),
+	})
 }

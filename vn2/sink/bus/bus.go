@@ -135,15 +135,15 @@ func (b *Bus) Publish(typ string, version int, data any) (Event, error) {
 		b.jLen--
 		b.evicted++
 	}
-	targets := make([]*Sub, 0, len(b.subs))
+	// Pushed under mu: two publishers that released it first could reach a
+	// subscriber's ring in the opposite order of their Seqs. push never
+	// blocks (ring insert + non-blocking notify), and nothing takes a Sub's
+	// mutex before the bus's.
 	for s := range b.subs {
-		targets = append(targets, s)
+		s.push(ev)
 	}
 	b.mu.Unlock()
 	b.published.Add(1)
-	for _, s := range targets {
-		s.push(ev)
-	}
 	return ev, nil
 }
 

@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -10,8 +11,11 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
+	"github.com/wsn-tools/vn2/vn2/sink/ingest"
+	"github.com/wsn-tools/vn2/vn2/sink/store"
 )
 
 // walServer builds a server with WAL + snapshot enabled and its loops NOT
@@ -146,6 +150,66 @@ func TestServeWALRecoveryIdempotent(t *testing.T) {
 	jb, _ := json.Marshal(stB)
 	if string(ja) != string(jb) {
 		t.Fatal("two recoveries from identical disk state diverged")
+	}
+}
+
+// TestSnapshotNeverAheadOfWAL: the ingest loop can apply a batch before the
+// fsync of the request that committed it has returned, so a snapshot cut at
+// that moment captures a watermark the disk has not reached. The snapshot
+// writer must close that gap itself; otherwise the WAL reopened after a
+// crash hands the watermark's LSN out again, and after a second crash
+// replay skips the report that got it.
+func TestSnapshotNeverAheadOfWAL(t *testing.T) {
+	fx := serveFixtures(t)
+	dir := t.TempDir()
+	srv := walServer(t, fx, dir)
+	nodes := fx.nodes()
+
+	// The commit step without its trailing Sync: appended and queued, then
+	// applied, with the bytes still in the WAL's write buffer.
+	early := []trace.Record{fx.hotReport(t, nodes[0], 1)}
+	frame, err := ingest.FullFrame(packet.NewFrameEncoder(), early)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.commitMu.Lock()
+	lsn, err := srv.jnl.AppendBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.enqueue(ingest.Item{LSN: lsn, Recs: early})
+	srv.commitMu.Unlock()
+	ingestAll(srv)
+	if err := srv.PersistSnapshot(context.Background()); err != nil {
+		t.Fatalf("PersistSnapshot: %v", err)
+	}
+	srv.AbortWAL()
+
+	snap, err := store.ReadSnapshot(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.WALApplied != lsn {
+		t.Fatalf("snapshot watermark %d, want the applied LSN %d", snap.WALApplied, lsn)
+	}
+	srv2 := walServer(t, fx, dir)
+	if tail := srv2.jnl.NextLSN() - 1; tail < snap.WALApplied {
+		t.Fatalf("WAL tail %d is behind the snapshot watermark %d: the next append reuses a covered LSN", tail, snap.WALApplied)
+	}
+
+	// A report ACKed after the recovery must survive a second crash.
+	ts := httptest.NewServer(srv2.Handler())
+	late := fx.hotReport(t, nodes[1], 1)
+	resp, body := postJSON(t, ts.URL+"/report", late)
+	ts.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("report: %d %s", resp.StatusCode, body)
+	}
+	srv2.AbortWAL()
+	srv3 := walServer(t, fx, dir)
+	defer srv3.CloseWAL()
+	if _, ok := monitorNodes(srv3.MonitorState())[late.Node]; !ok {
+		t.Fatalf("node %d's ACKed report vanished in the second recovery", late.Node)
 	}
 }
 

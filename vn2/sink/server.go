@@ -269,6 +269,17 @@ func (s *Server) writeSnapshot() error {
 	sum := s.mon.Snapshot()
 	hist := s.lc.History()
 	s.lc.SnapMu.Unlock()
+	// The ingest loop can apply a batch before the fsync of the request that
+	// committed it returns, so wm may be ahead of the WAL's durable tail.
+	// Make the tail catch up before the snapshot claims it: otherwise a crash
+	// lets the reopened WAL hand those LSNs out again, and replay after a
+	// second crash skips the reports that got them as "covered".
+	if s.jnl != nil {
+		if err := s.jnl.Sync(); err != nil {
+			s.snapErrs.Add(1)
+			return fmt.Errorf("sync wal ahead of snapshot: %w", err)
+		}
+	}
 	b, err := json.Marshal(store.Snapshot{
 		Version:      store.SnapshotVersion,
 		SavedAt:      time.Now().UTC(),
