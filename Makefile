@@ -45,7 +45,7 @@ BENCH_NEW ?= $(BENCH_TXT)
 # policy as the linters).
 BENCHSTAT_VERSION ?= v0.0.0-20240604174448-7c4a4e372563
 
-.PHONY: check vet lint build test race fuzz bench-build loc chaos chaos-stream chaos-cluster smoke smoke-stream bench bench-all benchdiff
+.PHONY: check vet lint build test race fuzz bench-build loc chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchdiff
 
 check: vet lint build test race fuzz bench-build
 
@@ -98,14 +98,19 @@ fuzz:
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC3$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime $(FUZZ_TIME)
 
+# The three chaos targets are one harness (`vn2 chaos`) on different
+# parameters: -transport picks how the faulty run is delivered, -shards the
+# fleet it is delivered into. Every CLI run prints `digest <transport>/<shards>
+# <sha256>`; the tests are rows of one table, TestChaosKillRecoveryExact.
+#
 # chaos proves the crash-safety contract end to end: a fault-injected run
 # (duplication, reordering, delays, wire truncation) with a mid-run kill -9
 # and WAL+snapshot recovery must reproduce the fault-free baseline's
-# per-epoch diagnoses bit for bit.
+# per-epoch diagnoses bit for bit — over JSON and over binary frames.
 chaos:
 	$(GO) run ./cmd/vn2 chaos -seed 1
-	$(GO) run ./cmd/vn2 chaos -seed 1 -bin
-	$(GO) test ./cmd/vn2 -run TestChaos -count=1 -v
+	$(GO) run ./cmd/vn2 chaos -seed 1 -transport bin
+	$(GO) test ./cmd/vn2 -run 'TestChaos/^(json|bin)-1$$' -count=1 -v
 
 # chaos-stream proves the same contract over the persistent TCP frame
 # stream: the production vn2/reporter client under mid-frame cuts, frame
@@ -113,8 +118,8 @@ chaos:
 # a slowloris probe, and the mid-run kill -9 — recovered diagnoses must
 # match the fault-free JSON baseline bit for bit, with zero spill drops.
 chaos-stream:
-	$(GO) run ./cmd/vn2 chaos -seed 1 -stream -partition-epoch 26 -partition-len 4
-	$(GO) test ./cmd/vn2 -run TestChaosStream -count=1 -v
+	$(GO) run ./cmd/vn2 chaos -seed 1 -transport stream -partition-epoch 26 -partition-len 4
+	$(GO) test ./cmd/vn2 -run 'TestChaosKillRecoveryExact/^stream-1$$' -count=1 -v
 
 # chaos-cluster proves the sharded fleet's contract: k serve shards behind
 # the consistent-hash router, the full lossless fault mix on the wire, one
@@ -124,9 +129,17 @@ chaos-stream:
 # again after recovery — the merged /fleet distributions must be
 # bit-identical to a single fault-free sink, with nothing left un-ACKed.
 chaos-cluster:
-	$(GO) run ./cmd/vn2 chaos -seed 1 -cluster
-	$(GO) run ./cmd/vn2 chaos -seed 1 -cluster -bin
-	$(GO) test ./cmd/vn2 -run TestChaosCluster -count=1 -v
+	$(GO) run ./cmd/vn2 chaos -seed 1 -shards 3
+	$(GO) run ./cmd/vn2 chaos -seed 1 -shards 3 -transport bin
+	$(GO) test ./cmd/vn2 -run 'TestChaosKillRecoveryExact/-3$$' -count=1 -v
+
+# chaos-all runs the three gates and prints only their digest lines, one
+# per CLI run, so comparing two commits is a diff of this target's output.
+# On any failure it prints the full log instead.
+chaos-all:
+	@log=$$(mktemp); \
+	$(MAKE) --no-print-directory chaos chaos-stream chaos-cluster >$$log 2>&1 || { cat $$log; rm -f $$log; exit 1; }; \
+	grep '^digest ' $$log; rm -f $$log
 
 # smoke boots the real sink stack end to end: build fixtures, start the HTTP
 # server, post reports, and assert the diagnosis round-trip, backpressure,

@@ -1,114 +1,128 @@
 package main
 
+// The chaos harness is ONE scenario runner: boot a fleet of WAL-backed
+// sinks (chaos_fleet.go), feed it the live workload through a client
+// (chaos_client.go), kill -9 a shard mid-run, restart it from disk, and
+// compare what the fleet then serves against a fault-free baseline — the
+// same loop with one sink, a clean JSON wire and nothing planned. Transport
+// and topology are parameters of that loop, not forks of it.
+
 import (
-	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
-	"time"
 
 	"github.com/wsn-tools/vn2/internal/chaos"
-	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/tracegen"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/reporter"
-	"github.com/wsn-tools/vn2/vn2/sink"
 )
 
 // chaosOptions parametrizes one chaos experiment.
 type chaosOptions struct {
-	scenario  string
-	seed      int64
-	rank      int
-	drop      float64
-	duplicate float64
-	delay     float64
-	truncate  float64
-	shuffle   bool
-	bin       bool    // deliver over the batched binary /report/bin path
-	killAfter int     // kill -9 the sink after this epoch batch (0 = never)
-	tolerance float64 // max allowed per-epoch relative L1 deviation when drop > 0
+	scenario string
+	rank     int
+	// wire is the record-level fault mix; wire.Seed keys the workload AND
+	// every fault decision.
+	wire chaos.Config
+	// conn is the stream transport's connection-level fault plan. Its Seed
+	// and Cut follow wire's Seed and Truncate: the wire that truncates JSON
+	// bodies cuts stream frames.
+	conn chaos.StreamFaults
+	// transport is how the faulty run reaches the fleet: "json" (POST
+	// /report), "bin" (delta-encoded frames to POST /report/bin) or "stream"
+	// (vn2/reporter over the persistent TCP frame stream, with conn's faults
+	// layered on the record mix). The baseline is always JSON, so a bin or
+	// stream run also proves cross-encoding equivalence.
+	transport string
+	// shards is the fleet size. 1 is a single sink; >= 2 puts the
+	// consistent-hash router in front and compares its merged /fleet view.
+	shards    int
+	killAfter int     // kill -9 a shard after this epoch batch (0 = never)
+	tolerance float64 // max allowed per-epoch relative L1 deviation when wire.Drop > 0
 	dir       string  // work dir (default: a temp dir, removed afterwards)
-	quiet     bool
+}
 
-	// Persistent-stream mode: deliver via vn2/reporter over the TCP stream
-	// edge, with connection-level faults layered on the record-level mix.
-	stream       bool
-	corrupt      float64 // per-step frame-corruption probability
-	partitionAt  int     // step at which a hard partition opens (0 = never)
-	partitionLen int     // steps the partition lasts
+// validate rejects what the harness cannot run.
+func (o chaosOptions) validate() error {
+	switch {
+	case o.transport != "json" && o.transport != "bin" && o.transport != "stream":
+		return fmt.Errorf("chaos: -transport must be json, bin or stream, got %q", o.transport)
+	case o.shards < 1:
+		return fmt.Errorf("chaos: -shards must be >= 1, got %d", o.shards)
+	case o.shards > 1 && o.transport == "stream":
+		return fmt.Errorf("chaos: -transport stream needs -shards 1 (the router fronts the HTTP edge only)")
+	case o.shards > 1 && o.wire.Drop > 0:
+		return fmt.Errorf("chaos: the bit-exact fleet claim needs a lossless mix; -drop must be 0 with -shards >= 2")
+	}
+	return nil
+}
 
-	// Cluster mode: k shards behind the consistent-hash router, one shard
-	// kill -9'd mid-run, merged /fleet view compared bit-exactly against a
-	// single fault-free sink.
-	cluster       bool
-	clusterShards int
+// chaosView is one run's diagnoses in the form its topology serves them.
+type chaosView struct {
+	// Epochs is a single sink's MonitorState.Epochs: every diagnosed state's
+	// contribution, per epoch and node. Nil for a cluster, which serves only
+	// the merged form.
+	Epochs []online.EpochState
+	// Causes is the per-epoch cause distribution: the router's own /fleet
+	// merge for a cluster, cluster.MergeEpochs of Epochs for one sink.
+	Causes []online.EpochCauses
 }
 
 // chaosResult is what the harness measured; the e2e test asserts on it and
 // the CLI prints it.
 type chaosResult struct {
-	Baseline  online.MonitorState
-	Recovered online.MonitorState
-	Transport chaos.Stats
+	// Baseline is the fault-free single-sink run in the form the faulty
+	// topology serves; Recovered is what that topology served after the
+	// faults, the kill and the restart.
+	Baseline, Recovered chaosView
+	Transport           chaos.Stats
 	// MaxDeviation is the worst per-epoch relative L1 distance between the
-	// fault-free and the recovered distributions (0 when they are
-	// bit-identical).
+	// fault-free and the recovered distributions (0 when bit-identical).
 	MaxDeviation float64
-	// Exact reports bit-identical per-epoch distributions.
+	// Exact reports Baseline and Recovered bit-identical.
 	Exact bool
-	// Digest fingerprints the recovered distributions; identical seeds must
-	// reproduce identical digests.
+	// Digest fingerprints what the recovered fleet served; identical seeds
+	// must reproduce identical digests.
 	Digest string
-	// Reporter carries the stream client's counters in -stream mode (nil
-	// otherwise): spill-queue bounds, breaker trips, NACKs, redials.
+	// Reporter carries the stream client's counters (nil on the HTTP
+	// transports): spill-queue bounds, breaker trips, NACKs, redials.
 	Reporter *reporter.Stats
+	// KilledShard is which shard took the kill -9. Resent counts the
+	// deliveries the router refused during its outage and the gateway resent
+	// once it was back (0 for one sink, which restarts before the next
+	// delivery); RouterRestarts how often the router was thrown away.
+	KilledShard, Resent, RouterRestarts int
 }
 
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	var o chaosOptions
 	fs.StringVar(&o.scenario, "scenario", "testbed-expansive", "testbed-local | testbed-expansive")
-	fs.Int64Var(&o.seed, "seed", 1, "seed for the workload AND every fault decision")
+	fs.Int64Var(&o.wire.Seed, "seed", 1, "seed for the workload AND every fault decision")
 	fs.IntVar(&o.rank, "rank", 6, "model rank")
-	fs.Float64Var(&o.drop, "drop", 0, "per-report drop probability (losses: recovery compared under -tolerance)")
-	fs.Float64Var(&o.duplicate, "dup", 0.1, "per-report duplication probability (lossless)")
-	fs.Float64Var(&o.delay, "delay", 0.2, "per-report delay probability (lossless, reorders across nodes)")
-	fs.Float64Var(&o.truncate, "truncate", 0.1, "per-delivery wire-truncation probability (lossless, client retransmits)")
-	fs.BoolVar(&o.shuffle, "shuffle", true, "shuffle each delivery's records")
-	fs.BoolVar(&o.bin, "bin", false, "deliver the chaos run over POST /report/bin (delta-encoded binary batches); the baseline stays on the JSON path, so exactness also proves cross-encoding equivalence")
-	fs.BoolVar(&o.stream, "stream", false, "deliver the chaos run through the persistent TCP frame stream via the production vn2/reporter client; adds connection-level faults (mid-frame cuts, corruption, partition, slowloris) on top of the record mix")
-	fs.Float64Var(&o.corrupt, "corrupt", 0.1, "per-step frame-corruption probability (-stream only; caught by the frame CRC and NACKed)")
-	fs.IntVar(&o.partitionAt, "partition-epoch", 0, "open a hard network partition at this epoch batch (-stream only; 0 = never): the reporter spills into its bounded queue and its circuit breaker trips")
-	fs.IntVar(&o.partitionLen, "partition-len", 4, "how many epoch batches the partition lasts (-stream only)")
-	fs.BoolVar(&o.cluster, "cluster", false, "run the sharded fleet experiment: k serve shards behind the consistent-hash router, one shard kill -9'd mid-run and restarted, merged /fleet view compared bit-exactly against a single fault-free sink")
-	fs.IntVar(&o.clusterShards, "shards", 3, "shard count in -cluster mode")
-	fs.IntVar(&o.killAfter, "kill-epoch", tracegen.TestbedEpochs/2, "kill -9 the sink after this epoch batch and restart it from WAL+snapshot (0 = never)")
+	fs.Float64Var(&o.wire.Drop, "drop", 0, "per-report drop probability (losses: recovery compared under -tolerance)")
+	fs.Float64Var(&o.wire.Duplicate, "dup", 0.1, "per-report duplication probability (lossless)")
+	fs.Float64Var(&o.wire.Delay, "delay", 0.2, "per-report delay probability (lossless, reorders across nodes)")
+	fs.Float64Var(&o.wire.Truncate, "truncate", 0.1, "per-delivery wire-truncation probability (lossless, client retransmits)")
+	fs.BoolVar(&o.wire.Shuffle, "shuffle", true, "shuffle each delivery's records")
+	fs.StringVar(&o.transport, "transport", "json", "how the chaos run is delivered: json (POST /report) | bin (delta-encoded frames to POST /report/bin) | stream (the production vn2/reporter over the persistent TCP frame stream, adding mid-frame cuts, corruption, partition and a slowloris probe); the baseline stays on JSON, so exactness also proves cross-encoding equivalence")
+	fs.IntVar(&o.shards, "shards", 1, "fleet size: 1 is a single sink; >= 2 puts the consistent-hash router in front of that many shards, kills one mid-run, replaces the router twice, and compares the merged /fleet view bit-exactly against a single fault-free sink (json and bin only)")
+	fs.Float64Var(&o.conn.Corrupt, "corrupt", 0.1, "per-step frame-corruption probability (-transport stream only; caught by the frame CRC and NACKed)")
+	fs.IntVar(&o.conn.PartitionAt, "partition-epoch", 0, "open a hard network partition at this epoch batch (-transport stream only; 0 = never): the reporter spills into its bounded queue and its circuit breaker trips")
+	fs.IntVar(&o.conn.PartitionLen, "partition-len", 4, "how many epoch batches the partition lasts (-transport stream only)")
+	fs.IntVar(&o.killAfter, "kill-epoch", tracegen.TestbedEpochs/2, "kill -9 a sink after this epoch batch and restart it from WAL+snapshot (0 = never)")
 	fs.Float64Var(&o.tolerance, "tolerance", 0.5, "allowed per-epoch relative L1 deviation when -drop > 0 (a single dropped hot report can dominate a sparse epoch)")
 	fs.StringVar(&o.dir, "dir", "", "work directory (default: temp)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if o.stream && o.bin {
-		return fmt.Errorf("chaos: -stream and -bin are mutually exclusive delivery modes")
-	}
-	if o.cluster && o.stream {
-		return fmt.Errorf("chaos: -cluster and -stream are mutually exclusive (the router fronts the HTTP edge)")
-	}
-	if o.cluster {
-		return cmdChaosCluster(o)
 	}
 	res, err := runChaos(o, func(format string, a ...any) { fmt.Fprintf(os.Stderr, format, a...) })
 	if err != nil {
@@ -118,46 +132,48 @@ func cmdChaos(args []string) error {
 	if res.Reporter != nil {
 		fmt.Printf("reporter: %+v\n", *res.Reporter)
 	}
-	fmt.Printf("epochs: baseline %d, recovered %d\n", len(res.Baseline.Epochs), len(res.Recovered.Epochs))
+	if o.shards > 1 {
+		fmt.Printf("shards: %d (killed %d), router restarts: %d, deliveries resent after the outage: %d\n",
+			o.shards, res.KilledShard, res.RouterRestarts, res.Resent)
+	}
+	fmt.Printf("epochs: baseline %d, recovered %d\n", len(res.Baseline.Causes), len(res.Recovered.Causes))
 	fmt.Printf("max per-epoch deviation: %.6f (exact: %v)\n", res.MaxDeviation, res.Exact)
-	fmt.Printf("recovered digest: %s\n", res.Digest)
+	fmt.Printf("digest %s/%d %s\n", o.transport, o.shards, res.Digest)
 	switch {
-	case o.drop == 0 && !res.Exact:
-		return fmt.Errorf("chaos: lossless fault mix but recovered distributions are not bit-identical")
-	case o.drop > 0 && res.MaxDeviation > o.tolerance:
+	case o.wire.Drop == 0 && !res.Exact:
+		return fmt.Errorf("chaos: lossless fault mix but what the recovered fleet serves is not bit-identical to the baseline")
+	case o.wire.Drop > 0 && res.MaxDeviation > o.tolerance:
 		return fmt.Errorf("chaos: deviation %.4f exceeds tolerance %.4f", res.MaxDeviation, o.tolerance)
 	}
 	fmt.Println("chaos: PASS")
 	return nil
 }
 
-// runChaos trains a model on a calibration trace, streams a second trace
-// through the sink twice — once over a clean wire, once through the chaos
-// transport with a mid-run kill -9 — and compares the per-epoch cause
-// distributions. Everything is keyed by o.seed; two invocations with the
-// same options produce bit-identical results.
+// runChaos trains a model on a calibration trace, then streams a second
+// trace through drive twice — once into one sink over a clean JSON wire
+// with nothing planned, once through the chaos transport into the fleet the
+// options describe, with a mid-run kill -9 — and compares what the two
+// serve. Everything is keyed by o.wire.Seed; two invocations with the same
+// options produce bit-identical results.
 func runChaos(o chaosOptions, logf func(string, ...any)) (*chaosResult, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
-	dir := o.dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "vn2-chaos-")
+	if o.dir == "" {
+		dir, err := os.MkdirTemp("", "vn2-chaos-")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
+		o.dir = dir
 	}
 
 	// Fixtures, built with the repo's own subcommands: calibration trace
-	// (also the training set) and the model both runs share.
-	calibPath := filepath.Join(dir, "calib.csv")
-	modelPath := filepath.Join(dir, "model.json")
-	if err := run([]string{"tracegen", "-scenario", o.scenario, "-seed", fmt.Sprint(o.seed), "-out", calibPath}); err != nil {
+	// (also the training set) and the model every sink of both runs boots.
+	if err := run([]string{"tracegen", "-scenario", o.scenario, "-seed", fmt.Sprint(o.wire.Seed), "-out", o.calibPath()}); err != nil {
 		return nil, fmt.Errorf("tracegen: %w", err)
 	}
-	if err := run([]string{"train", "-in", calibPath, "-out", modelPath, "-rank", fmt.Sprint(o.rank), "-all-states"}); err != nil {
+	if err := run([]string{"train", "-in", o.calibPath(), "-out", o.modelPath(), "-rank", fmt.Sprint(o.rank), "-all-states"}); err != nil {
 		return nil, fmt.Errorf("train: %w", err)
 	}
 
@@ -168,60 +184,160 @@ func runChaos(o chaosOptions, logf func(string, ...any)) (*chaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	logf("chaos: %d live epoch batches\n", len(batches))
+	logf("chaos: %d live epoch batches, %s transport, %d shard(s)\n", len(batches), o.transport, o.shards)
 
-	base := driveOptions{calibPath: calibPath, modelPath: modelPath, dir: filepath.Join(dir, "baseline")}
-	baseline, err := driveRun(base, batches, nil, 0, logf)
+	// The ground truth: ONE sink, every node, clean JSON wire, no kill.
+	base := o
+	base.transport, base.shards, base.killAfter = "json", 1, 0
+	baseline, err := drive(base, "baseline", batches, nil, logf)
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
 
-	tr, err := chaos.New(chaos.Config{
-		Seed:      o.seed,
-		Drop:      o.drop,
-		Duplicate: o.duplicate,
-		Delay:     o.delay,
-		Truncate:  o.truncate,
-		Shuffle:   o.shuffle,
-	})
+	tr, err := chaos.New(o.wire)
 	if err != nil {
 		return nil, err
 	}
-	faulty := driveOptions{calibPath: calibPath, modelPath: modelPath, dir: filepath.Join(dir, "chaos"), bin: o.bin}
-	var (
-		recovered *online.MonitorState
-		repStats  *reporter.Stats
-	)
-	if o.stream {
-		sf := chaos.StreamFaults{
-			Seed:         o.seed,
-			Cut:          o.truncate, // the wire that truncates JSON bodies cuts stream frames
-			Corrupt:      o.corrupt,
-			PartitionAt:  o.partitionAt,
-			PartitionLen: o.partitionLen,
-		}
-		recovered, repStats, err = driveStreamRun(faulty, batches, tr, sf, o.killAfter, logf)
-	} else {
-		recovered, err = driveRun(faulty, batches, tr, o.killAfter, logf)
-	}
+	res, err := drive(o, "chaos", batches, tr, logf)
 	if err != nil {
 		return nil, fmt.Errorf("chaos run: %w", err)
 	}
-
-	res := &chaosResult{
-		Baseline:  *baseline,
-		Recovered: *recovered,
-		Transport: tr.Stats(),
-		Reporter:  repStats,
+	res.Transport = tr.Stats()
+	res.Baseline = baseline.Recovered
+	// The oracle compares, and the digest fingerprints, what the topology
+	// serves: per-node contributions for one sink; for a cluster the router's
+	// own merge, held against cluster.MergeEpochs of the baseline.
+	served := any(res.Recovered.Epochs)
+	if o.shards > 1 {
+		res.Baseline.Epochs = nil
+		served = res.Recovered.Causes
 	}
-	res.Exact = reflect.DeepEqual(baseline.Epochs, recovered.Epochs)
-	res.MaxDeviation = maxEpochDeviation(baseline.Epochs, recovered.Epochs)
-	b, err := json.Marshal(recovered.Epochs)
+	res.Exact = reflect.DeepEqual(res.Baseline, res.Recovered)
+	res.MaxDeviation = maxCausesDeviation(res.Baseline.Causes, res.Recovered.Causes)
+	b, err := json.Marshal(served)
 	if err != nil {
 		return nil, err
 	}
 	res.Digest = fmt.Sprintf("%x", sha256.Sum256(b))
 	return res, nil
+}
+
+func (o chaosOptions) calibPath() string { return filepath.Join(o.dir, "calib.csv") }
+func (o chaosOptions) modelPath() string { return filepath.Join(o.dir, "model.json") }
+
+// chaosPlan is the step-indexed script of one run, computed up front from
+// the options; steps count from 1, so a zero entry never fires.
+type chaosPlan struct {
+	snapshot   int    // every live shard persists a snapshot
+	probe      int    // the stream client runs its slowloris probe
+	kill       int    // kill -9 the victim shard
+	restart    int    // boot it again from WAL + snapshot
+	swapRouter [2]int // discard the router and boot a fresh one
+}
+
+func planFor(o chaosOptions, steps int) chaosPlan {
+	if o.killAfter <= 0 || o.killAfter > steps {
+		return chaosPlan{}
+	}
+	p := chaosPlan{
+		// Cut a snapshot mid-run so recovery exercises snapshot restore +
+		// WAL truncation + replay of the suffix, not just a full replay.
+		snapshot: o.killAfter / 2,
+		probe:    o.killAfter / 4,
+		kill:     o.killAfter,
+		// One sink comes straight back: its clients have nowhere else to go.
+		restart: o.killAfter,
+	}
+	if o.shards > 1 {
+		// A shard of a fleet stays dark for a few batches (the router
+		// refuses what spans it), and the router itself is thrown away once
+		// during the outage and once after recovery.
+		p.restart = min(o.killAfter+5, steps)
+		p.swapRouter = [2]int{o.killAfter + 2, p.restart + 2}
+	}
+	return p
+}
+
+// drive is the experiment's one loop. It boots the fleet o describes under
+// o.dir/name and the o.transport client in front of it, walks the batches —
+// through tr's fault mix, or as they are when tr is nil — and fires the
+// plan: each step delivers, kills, settles whatever is still alive,
+// restarts, swaps the router, snapshots, in that order. The result carries
+// what the fleet serves at the end plus the client's and fleet's counters.
+func drive(o chaosOptions, name string, batches [][]trace.Record, tr *chaos.Transport, logf func(string, ...any)) (*chaosResult, error) {
+	p := planFor(o, len(batches))
+	f := &fleet{o: o}
+	defer f.close()
+	err := f.start(filepath.Join(o.dir, name))
+	if err != nil {
+		return nil, err
+	}
+	var c client = newGateway(f, o.transport == "bin")
+	if o.transport == "stream" {
+		sc, err := newStreamClient(o, f, p.probe, logf)
+		if err != nil {
+			return nil, err
+		}
+		defer sc.rep.Close()
+		c = sc
+	}
+
+	res := &chaosResult{KilledShard: f.victim(batches)}
+	for i, batch := range batches {
+		step := i + 1
+		ds := []chaos.Delivery{{Records: batch}}
+		if tr != nil {
+			ds = tr.Step(batch)
+		}
+		if err := c.send(step, ds); err != nil {
+			return nil, fmt.Errorf("batch %d: %w", step, err)
+		}
+		if step == p.kill {
+			// kill -9, BEFORE the step settles: ACKed reports are sitting in
+			// the queue, unflushed WAL buffers die with the process, no
+			// goodbye snapshot. Everything the clients were promised must
+			// come back from disk.
+			queued, err := f.kill(res.KilledShard)
+			if err != nil {
+				return nil, err
+			}
+			logf("chaos: killed shard %d after batch %d (queue held %d reports)\n", res.KilledShard, step, queued)
+		}
+		f.settle()
+		if step == p.restart {
+			if err := f.restart(res.KilledShard); err != nil {
+				return nil, fmt.Errorf("restart shard %d: %w", res.KilledShard, err)
+			}
+			if res.Resent, err = c.restarted(); err != nil {
+				return nil, fmt.Errorf("resend after restart: %w", err)
+			}
+			logf("chaos: restarted shard %d from disk after batch %d, %d pending deliveries resent\n", res.KilledShard, step, res.Resent)
+		}
+		if step == p.swapRouter[0] || step == p.swapRouter[1] {
+			if err := f.bootRouter(); err != nil {
+				return nil, fmt.Errorf("replace router: %w", err)
+			}
+			logf("chaos: replaced the router after batch %d\n", step)
+		}
+		if step == p.snapshot {
+			if err := f.snapshot(); err != nil {
+				return nil, fmt.Errorf("mid-run snapshot: %w", err)
+			}
+		}
+	}
+	var stragglers []chaos.Delivery
+	if tr != nil {
+		stragglers = tr.Flush()
+	}
+	if res.Reporter, err = c.finish(stragglers); err != nil {
+		return nil, fmt.Errorf("flush: %w", err)
+	}
+	f.settle()
+	if res.Recovered, err = f.view(); err != nil {
+		return nil, err
+	}
+	res.RouterRestarts = f.routerRestarts
+	return res, f.close()
 }
 
 // liveBatches generates the live deployment window (a fresh simulation of
@@ -232,7 +348,7 @@ func liveBatches(o chaosOptions, rebase int) ([][]trace.Record, error) {
 	if o.scenario == "testbed-local" {
 		sc = tracegen.ScenarioLocal
 	}
-	live, err := tracegen.Testbed(tracegen.TestbedOptions{Seed: o.seed + 1, Scenario: sc})
+	live, err := tracegen.Testbed(tracegen.TestbedOptions{Seed: o.wire.Seed + 1, Scenario: sc})
 	if err != nil {
 		return nil, fmt.Errorf("generate live trace: %w", err)
 	}
@@ -258,301 +374,45 @@ func liveBatches(o chaosOptions, rebase int) ([][]trace.Record, error) {
 	return batches, nil
 }
 
-type driveOptions struct {
-	calibPath string
-	modelPath string
-	dir       string
-	bin       bool // deliver over /report/bin instead of JSON /report
-}
-
-// driveRun streams the batches into a freshly built sink. With a transport,
-// each batch first passes through the chaos wire; killAfter > 0 kills the
-// sink abruptly after ACKing that batch — queue contents and all — and
-// restarts it from WAL + snapshot. The caller gets the final monitor state.
-func driveRun(o driveOptions, batches [][]trace.Record, tr *chaos.Transport, killAfter int, logf func(string, ...any)) (*online.MonitorState, error) {
-	if err := os.MkdirAll(o.dir, 0o755); err != nil {
-		return nil, err
-	}
-	noSleep := func(time.Duration) {}
-	build := func() (*sink.Server, *httptest.Server, error) {
-		srv, err := sink.New(sink.Options{
-			ModelPath:     o.modelPath,
-			CalibratePath: o.calibPath,
-			SnapshotPath:  filepath.Join(o.dir, "snapshot.json"),
-			WALPath:       filepath.Join(o.dir, "wal"),
-			QueueSize:     4096,
-			Sleep:         noSleep,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return srv, httptest.NewServer(srv.Handler()), nil
-	}
-	srv, ts, err := build()
-	if err != nil {
-		return nil, err
-	}
-	defer func() { ts.Close() }()
-
-	snapshotAt := 0
-	if killAfter > 0 {
-		// Cut a snapshot mid-run so recovery exercises snapshot restore +
-		// WAL truncation + replay of the suffix, not just a full replay.
-		snapshotAt = killAfter / 2
-	}
-	// The binary client's delta baselines live as long as the RUN, not the
-	// sink: they deliberately survive the kill -9 below, because the WAL
-	// replay re-primes the sink's cache to exactly the last ACKed frame —
-	// the restarted sink must keep accepting this client's deltas.
-	var enc *packet.FrameEncoder
-	if o.bin {
-		enc = packet.NewFrameEncoder()
-	}
-	deliver := func(ds []chaos.Delivery) error {
-		for _, d := range ds {
-			var err error
-			if o.bin {
-				err = postDeliveryBin(ts.URL, d, enc, noSleep)
-			} else {
-				err = postDelivery(ts.URL, d, noSleep)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, batch := range batches {
-		var ds []chaos.Delivery
-		if tr != nil {
-			ds = tr.Step(batch)
-		} else {
-			ds = []chaos.Delivery{{Records: batch}}
-		}
-		if err := deliver(ds); err != nil {
-			return nil, fmt.Errorf("batch %d: %w", i+1, err)
-		}
-		if i+1 == killAfter {
-			// kill -9: ACKed reports are sitting in the queue, unflushed WAL
-			// buffers die with the process, no goodbye snapshot. Everything
-			// the clients were promised must come back from disk.
-			ts.Close()
-			srv.AbortWAL()
-			logf("chaos: killed sink after batch %d (queue held %d reports), restarting from disk\n",
-				i+1, srv.QueueDepth())
-			srv, ts, err = build()
-			if err != nil {
-				return nil, fmt.Errorf("restart after kill: %w", err)
-			}
-			continue
-		}
-		srv.IngestQueued()
-		srv.DrainTick()
-		if i+1 == snapshotAt {
-			if err := srv.PersistSnapshot(context.Background()); err != nil {
-				return nil, fmt.Errorf("mid-run snapshot: %w", err)
-			}
-		}
-	}
-	if tr != nil {
-		if err := deliver(tr.Flush()); err != nil {
-			return nil, fmt.Errorf("flush: %w", err)
-		}
-	}
-	srv.IngestQueued()
-	srv.DrainTick()
-	st := srv.MonitorState()
-	ts.Close()
-	if err := srv.CloseWAL(); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// postWithRetry is the ONE client retry policy every chaos delivery path
-// shares: POST attempt bodies to url until a 202, with decorrelated-jitter
-// backoff (internal/retry, keyed by tag and the first body's size so equal
-// runs draw equal delay sequences), 12 attempts, and a 503's Retry-After
-// honored as an extra sleep ahead of the jittered one. body(1) is called
-// exactly once; body(n>1) builds each retry's payload, which lets the
-// binary path re-encode fully materialized frames per attempt.
-func postWithRetry(url, contentType string, tag uint64, sleep func(time.Duration), body func(attempt int) ([]byte, error)) error {
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	first, err := body(1)
-	if err != nil {
-		return err
-	}
-	b := retry.New(time.Millisecond, 50*time.Millisecond, tag, uint64(len(first)))
-	attempt := 0
-	return retry.Do(context.Background(), b, 12, sleep, func() error {
-		attempt++
-		payload := first
-		if attempt > 1 {
-			var err error
-			if payload, err = body(attempt); err != nil {
-				return err
-			}
-		}
-		resp, err := http.Post(url, contentType, bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusAccepted {
-			return nil
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-				sleep(time.Duration(secs) * time.Second)
-			}
-		}
-		return fmt.Errorf("report status %d", resp.StatusCode)
-	})
-}
-
-// postDelivery sends one wire transfer to the sink, honoring the
-// transport's truncation verdict: a truncated delivery goes out cut
-// mid-payload (the sink must 400 it), then the full batch is retransmitted
-// under the shared retry policy.
-func postDelivery(baseURL string, d chaos.Delivery, sleep func(time.Duration)) error {
-	body, err := json.Marshal(d.Records)
-	if err != nil {
-		return err
-	}
-	if d.Truncated {
-		resp, err := http.Post(baseURL+"/report", "application/json", bytes.NewReader(body[:len(body)*2/3]))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			return fmt.Errorf("truncated delivery got %d, want 400", resp.StatusCode)
-		}
-	}
-	return postWithRetry(baseURL+"/report", "application/json", 0xc4a05, sleep,
-		func(int) ([]byte, error) { return body, nil })
-}
-
-// postDeliveryBin is postDelivery over the batched binary path: the
-// delivery's records become one delta-encoded frame. A truncation verdict
-// cuts the frame mid-payload first (the sink must 400 it on the CRC). After
-// ANY failed attempt the sink's delta cache is in an unknown state — a
-// backpressure 503 committed it, a 400 did not — so retries forget the
-// client baselines and retransmit fully materialized, the one encoding
-// correct against either state.
-func postDeliveryBin(baseURL string, d chaos.Delivery, enc *packet.FrameEncoder, sleep func(time.Duration)) error {
-	encode := func(attempt int) ([]byte, error) {
-		if attempt > 1 {
-			enc.Forget()
-		}
-		enc.Reset()
-		for _, rec := range d.Records {
-			var err error
-			if attempt > 1 {
-				err = enc.AddFull(rec.Node, rec.Epoch, rec.Vector)
-			} else {
-				err = enc.Add(rec.Node, rec.Epoch, rec.Vector)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		f, err := enc.Frame()
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), f...), nil
-	}
-	if d.Truncated {
-		// The probe must cut the SAME frame the first real attempt sends, so
-		// encode it once here; postWithRetry's body(1) hands it back without
-		// re-encoding (a second delta encode would diff against baselines
-		// this very frame advanced).
-		frame, err := encode(1)
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(baseURL+"/report/bin", "application/octet-stream", bytes.NewReader(frame[:len(frame)*2/3]))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			return fmt.Errorf("truncated binary delivery got %d, want 400", resp.StatusCode)
-		}
-		return postWithRetry(baseURL+"/report/bin", "application/octet-stream", 0xc4a06, sleep,
-			func(attempt int) ([]byte, error) {
-				if attempt == 1 {
-					return frame, nil
-				}
-				return encode(attempt)
-			})
-	}
-	return postWithRetry(baseURL+"/report/bin", "application/octet-stream", 0xc4a06, sleep, encode)
-}
-
-// maxEpochDeviation is the comparison metric the tolerance applies to: for
-// each epoch present in either run, the L1 distance between the summed
-// cause distributions relative to the larger distribution's mass. 0 means
+// maxCausesDeviation is the comparison metric the tolerance applies to: for
+// each epoch present in either run, the L1 distance between the per-cause
+// distributions relative to the larger distribution's mass. 0 means
 // identical; 1 means an epoch's entire diagnosis mass is missing or new.
-func maxEpochDeviation(a, b []online.EpochState) float64 {
-	byEpoch := func(es []online.EpochState) map[int]map[int]float64 {
-		m := make(map[int]map[int]float64, len(es))
-		for _, e := range es {
-			dist := make(map[int]float64)
-			for _, c := range e.Contribs {
-				for _, rc := range c.Causes {
-					dist[rc.Cause] += rc.Strength
-				}
-			}
-			m[e.Epoch] = dist
+func maxCausesDeviation(a, b []online.EpochCauses) float64 {
+	byEpoch := func(ecs []online.EpochCauses) map[int][]float64 {
+		m := make(map[int][]float64, len(ecs))
+		for _, ec := range ecs {
+			m[ec.Epoch] = ec.Distribution
 		}
 		return m
 	}
 	am, bm := byEpoch(a), byEpoch(b)
 	var worst float64
-	for e, ad := range am {
-		if d := l1RelDeviation(ad, bm[e]); d > worst {
-			worst = d
-		}
-	}
-	for e, bd := range bm {
-		if _, ok := am[e]; !ok {
-			if d := l1RelDeviation(nil, bd); d > worst {
-				worst = d
-			}
+	for _, m := range []map[int][]float64{am, bm} {
+		for e := range m {
+			worst = max(worst, l1RelDeviation(am[e], bm[e]))
 		}
 	}
 	return worst
 }
 
-func l1RelDeviation(a, b map[int]float64) float64 {
+// l1RelDeviation compares two distributions over the same causes; nil is an
+// epoch the other run never diagnosed, i.e. all zeros.
+func l1RelDeviation(a, b []float64) float64 {
+	if a == nil {
+		a = make([]float64, len(b))
+	}
+	if b == nil {
+		b = make([]float64, len(a))
+	}
 	var diff, massA, massB float64
-	for cause, av := range a {
-		d := av - b[cause]
-		if d < 0 {
-			d = -d
-		}
-		diff += d
-		massA += av
+	for c := range a {
+		diff += math.Abs(a[c] - b[c])
+		massA += a[c]
+		massB += b[c]
 	}
-	for cause, bv := range b {
-		if _, ok := a[cause]; !ok {
-			diff += bv
-		}
-		massB += bv
+	if mass := max(massA, massB); mass > 0 {
+		return diff / mass
 	}
-	mass := massA
-	if massB > mass {
-		mass = massB
-	}
-	if mass == 0 {
-		return 0
-	}
-	return diff / mass
+	return 0
 }

@@ -13,7 +13,7 @@
 //	vn2 simulate   [-nodes n] [-epochs e] [-seed s]
 //	vn2 serve      -model model.json -calibrate trace.csv [-addr host:port] [-snapshot file] [-wal dir]
 //	vn2 router     -shards url1,url2,... [-addr host:port] [-seed s] [-vnodes k]
-//	vn2 chaos      [-seed s] [-drop p] [-dup p] [-delay p] [-truncate p] [-kill-epoch n] [-tolerance x] [-cluster] [-shards k]
+//	vn2 chaos      [-seed s] [-drop p] [-dup p] [-delay p] [-truncate p] [-kill-epoch n] [-tolerance x] [-transport json|bin|stream] [-shards k]
 //	vn2 experiment [table1|fig3a|fig3b|fig3c|fig4|fig5|fig6|baselines|prrest|all] [-quick] [-seed s]
 package main
 

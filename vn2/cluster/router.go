@@ -181,7 +181,8 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 	recs, err := ingest.Decode(raw)
 	if err != nil {
 		r.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "body must be a report, an array of reports, or {\"reports\": [...]}", nil)
+		api.Error(w, http.StatusBadRequest,
+			"body must be a report, an array of reports, or {\"reports\": [...]}: "+err.Error(), nil)
 		return
 	}
 	slices, err := r.split(recs, func(part []trace.Record) ([]byte, error) { return json.Marshal(part) })

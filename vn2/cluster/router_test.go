@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +379,32 @@ func TestRouterShardRejectPassesThrough(t *testing.T) {
 		shards[0].answer(0, "")
 		if resp := postBody(t, ts.URL+"/report", "application/json", body); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("batch after a %d: status %d, want 202 with no probe in between", status, resp.StatusCode)
+		}
+	}
+}
+
+// TestRouterRejectNamesBadReport: a JSON batch the router itself cannot
+// decode draws a 400 carrying ingest.Decode's by-index reason — the same
+// text a client posting straight to a sink gets — and reaches no shard.
+func TestRouterRejectNamesBadReport(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
+	_, ts := newTestRouter(t, shards)
+	recs := testRecords(5, 1)
+	recs[3].Epoch = -1
+	body, _ := json.Marshal(recs)
+
+	resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "report 3: epoch -1 outside") {
+		t.Fatalf("status %d, body %s; want 400 naming report 3 and its epoch", resp.StatusCode, msg)
+	}
+	for i, sh := range shards {
+		if got := sh.requests(); got != 0 {
+			t.Fatalf("shard %d saw %d requests for a batch the router rejected", i, got)
 		}
 	}
 }

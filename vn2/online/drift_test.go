@@ -30,6 +30,38 @@ func ingestOK(t *testing.T, m *Monitor, rec trace.Record) Observation {
 	return obs
 }
 
+// TestRelResidualIsTheDriftSample: the lifecycle's validation gate scores a
+// held-out state by RelResidual over the Flagged the monitor handed out; that
+// must be bit for bit the sample the monitor put in its drift window for the
+// same state, or the gate and the drift trigger disagree on "unattributed".
+func TestRelResidualIsTheDriftSample(t *testing.T) {
+	r := newRig(t)
+	m := newTestMonitor(t, Config{})
+	for epoch := 1; epoch <= 9; epoch++ {
+		ingestOK(t, m, r.hot(1, epoch))
+		ingestOK(t, m, r.alien(2, epoch))
+	}
+	holdout, err := m.Drain()
+	if err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	samples := m.State().Residuals
+	if len(holdout) != 16 || len(samples) != len(holdout) {
+		t.Fatalf("%d diagnosed states, %d drift samples, want 16 of each", len(holdout), len(samples))
+	}
+	distinct := map[float64]bool{}
+	for i, f := range holdout {
+		got := RelResidual(r.model, f.State.Delta, f.Diagnosis.Residual)
+		if got != samples[i].Rel {
+			t.Errorf("state %d (node %d epoch %d): gate residual %v, drift sample %v", i, f.State.Node, f.State.Epoch, got, samples[i].Rel)
+		}
+		distinct[got] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every residual is %v — the comparison is vacuous", distinct)
+	}
+}
+
 func TestDriftClassification(t *testing.T) {
 	r := newRig(t)
 	m := newTestMonitor(t, Config{})

@@ -1,12 +1,6 @@
 package online
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/vn2"
-)
+import "github.com/wsn-tools/vn2/internal/packet"
 
 // NodeSlice is the portable per-node slice of a monitor's rolling state:
 // everything a sink must hand to another sink when ring ownership of a
@@ -39,43 +33,7 @@ func (m *Monitor) ExportNodes(nodes []packet.NodeID) NodeSlice {
 	want := nodeSet(nodes)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var sl NodeSlice
-	for id, lr := range m.last {
-		if !want[id] {
-			continue
-		}
-		sl.Nodes = append(sl.Nodes, NodeState{
-			Node:   id,
-			Epoch:  lr.epoch,
-			Vector: append([]float64(nil), lr.vector...),
-		})
-	}
-	sort.Slice(sl.Nodes, func(i, j int) bool { return sl.Nodes[i].Node < sl.Nodes[j].Node })
-	for _, p := range m.pending {
-		if want[p.state.Node] {
-			sl.Pending = append(sl.Pending, PendingState{State: copyState(p.state), Score: p.score})
-		}
-	}
-	for _, ec := range m.epochs {
-		var es EpochState
-		for _, c := range ec.contribs {
-			if !want[c.Node] {
-				continue
-			}
-			es.Contribs = append(es.Contribs, Contribution{
-				Node:   c.Node,
-				Causes: append([]vn2.RankedCause(nil), c.Causes...),
-			})
-		}
-		if len(es.Contribs) == 0 {
-			continue
-		}
-		es.Epoch = ec.epoch
-		sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
-		sl.Epochs = append(sl.Epochs, es)
-	}
-	sort.Slice(sl.Epochs, func(i, j int) bool { return sl.Epochs[i].Epoch < sl.Epochs[j].Epoch })
-	return sl
+	return m.exportLocked(want)
 }
 
 // DropNodes removes the given nodes' slice from the monitor: their
@@ -127,37 +85,7 @@ func (m *Monitor) ImportNodes(sl NodeSlice) error {
 	if err := m.validateSliceLocked(sl); err != nil {
 		return err
 	}
-	for _, ns := range sl.Nodes {
-		if lr, ok := m.last[ns.Node]; ok && lr.epoch > ns.Epoch {
-			continue
-		}
-		m.last[ns.Node] = lastReport{
-			epoch:  ns.Epoch,
-			vector: append([]float64(nil), ns.Vector...),
-		}
-		if ns.Epoch > m.stats.LastEpoch {
-			m.stats.LastEpoch = ns.Epoch
-		}
-	}
-	for _, p := range sl.Pending {
-		m.pending = append(m.pending, pendingState{state: copyState(p.State), score: p.Score})
-	}
-	for _, es := range sl.Epochs {
-		ec := m.epochs[es.Epoch]
-		if ec == nil {
-			ec = &epochAcc{epoch: es.Epoch}
-			m.epochs[es.Epoch] = ec
-		}
-		for _, c := range es.Contribs {
-			ec.contribs = append(ec.contribs, Contribution{
-				Node:   c.Node,
-				Causes: append([]vn2.RankedCause(nil), c.Causes...),
-			})
-		}
-		if es.Epoch > m.stats.LastEpoch {
-			m.stats.LastEpoch = es.Epoch
-		}
-	}
+	m.importLocked(sl)
 	return nil
 }
 
@@ -171,39 +99,6 @@ func (m *Monitor) ValidateSlice(sl NodeSlice) error {
 	return m.validateSliceLocked(sl)
 }
 
-// validateSliceLocked checks shapes against the live detector/model.
-// Caller holds mu.
-func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
-	metrics := m.det.Metrics()
-	rank := m.model.Rank
-	for _, ns := range sl.Nodes {
-		if len(ns.Vector) != metrics {
-			return fmt.Errorf("%w: handoff node %d vector has %d metrics, want %d",
-				ErrBadState, ns.Node, len(ns.Vector), metrics)
-		}
-		if k := firstNonFinite(ns.Vector); k >= 0 {
-			return fmt.Errorf("%w: handoff node %d metric %d non-finite", ErrBadState, ns.Node, k)
-		}
-	}
-	for _, p := range sl.Pending {
-		if len(p.State.Delta) != metrics {
-			return fmt.Errorf("%w: handoff pending node %d delta has %d metrics, want %d",
-				ErrBadState, p.State.Node, len(p.State.Delta), metrics)
-		}
-	}
-	for _, es := range sl.Epochs {
-		for _, c := range es.Contribs {
-			for _, rc := range c.Causes {
-				if rc.Cause < 0 || rc.Cause >= rank {
-					return fmt.Errorf("%w: handoff epoch %d node %d cites cause %d outside model rank %d",
-						ErrBadState, es.Epoch, c.Node, rc.Cause, rank)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // EpochStates exports the rolling per-epoch contributions in canonical
 // order (epochs ascending, contributions node-ascending) WITHOUT the
 // rest of the monitor state — the fleet aggregator's merge input. Unlike
@@ -215,17 +110,7 @@ func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
 func (m *Monitor) EpochStates() []EpochState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]EpochState, 0, len(m.epochs))
-	for _, ec := range m.epochs {
-		es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, len(ec.contribs))}
-		for i, c := range ec.contribs {
-			es.Contribs[i] = Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)}
-		}
-		sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
-		out = append(out, es)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
-	return out
+	return m.exportEpochsLocked(nil)
 }
 
 // Rank returns the serving model's root-cause count — the Distribution

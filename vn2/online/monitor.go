@@ -522,26 +522,28 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 	return out, nil
 }
 
-// classify turns one diagnosis into its drift-window sample: the relative
-// residual ‖s−wΨ‖/‖s‖ and whether the state counts as unattributed (residual
-// past the threshold, or an empty diagnosis of a state the detector flagged).
-func (m *Monitor) classify(model *vn2.Model, delta []float64, d *vn2.Diagnosis) resSample {
+// RelResidual is THE definition of a diagnosis's relative residual
+// ‖s−wΨ‖/‖s‖, clamped to [0,1]: what the drift window samples and what the
+// lifecycle's validation gate scores a candidate by.
+func RelResidual(model *vn2.Model, delta []float64, residual float64) float64 {
 	norm, err := model.NormalizedNorm(delta)
-	var rel float64
-	switch {
-	case err != nil || norm < 1e-12:
+	if err != nil || norm < 1e-12 {
 		// A flagged state with a ~zero normalized norm should not happen
 		// (the detector flagged it for deviating); treat any leftover
 		// residual as fully unexplained rather than dividing by ~0.
-		if d.Residual > 1e-12 {
-			rel = 1
+		if residual > 1e-12 {
+			return 1
 		}
-	default:
-		rel = d.Residual / norm
-		if rel > 1 {
-			rel = 1
-		}
+		return 0
 	}
+	return min(residual/norm, 1)
+}
+
+// classify turns one diagnosis into its drift-window sample: the relative
+// residual and whether the state counts as unattributed (residual past the
+// threshold, or an empty diagnosis of a state the detector flagged).
+func (m *Monitor) classify(model *vn2.Model, delta []float64, d *vn2.Diagnosis) resSample {
+	rel := RelResidual(model, delta, d.Residual)
 	return resSample{rel: rel, unattributed: rel >= m.cfg.ResidualThreshold || len(d.Ranked) == 0}
 }
 

@@ -70,30 +70,8 @@ type MonitorState struct {
 func (m *Monitor) State() MonitorState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := MonitorState{Stats: m.stats}
-	st.Nodes = make([]NodeState, 0, len(m.last))
-	for id, lr := range m.last {
-		st.Nodes = append(st.Nodes, NodeState{
-			Node:   id,
-			Epoch:  lr.epoch,
-			Vector: append([]float64(nil), lr.vector...),
-		})
-	}
-	sort.Slice(st.Nodes, func(i, j int) bool { return st.Nodes[i].Node < st.Nodes[j].Node })
-	st.Pending = make([]PendingState, len(m.pending))
-	for i, p := range m.pending {
-		st.Pending[i] = PendingState{State: copyState(p.state), Score: p.score}
-	}
-	st.Epochs = make([]EpochState, 0, len(m.epochs))
-	for _, ec := range m.epochs {
-		es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, len(ec.contribs))}
-		for i, c := range ec.contribs {
-			es.Contribs[i] = Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)}
-		}
-		sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
-		st.Epochs = append(st.Epochs, es)
-	}
-	sort.Slice(st.Epochs, func(i, j int) bool { return st.Epochs[i].Epoch < st.Epochs[j].Epoch })
+	sl := m.exportLocked(nil)
+	st := MonitorState{Stats: m.stats, Nodes: sl.Nodes, Pending: sl.Pending, Epochs: sl.Epochs}
 	st.Recent = make([]Flagged, len(m.recent))
 	for i, f := range m.recent {
 		st.Recent[i] = copyFlagged(f)
@@ -119,6 +97,119 @@ func copyState(s trace.StateVector) trace.StateVector {
 	return s
 }
 
+// exportLocked deep-copies the per-node part of the rolling state in
+// canonical order: baselines node-ascending, the flagged backlog in arrival
+// order, epochs as exportEpochsLocked orders them. A nil want keeps every
+// node; otherwise only the nodes in want. Caller holds mu.
+func (m *Monitor) exportLocked(want map[packet.NodeID]bool) NodeSlice {
+	var sl NodeSlice
+	if want == nil {
+		// A full export sizes its slices once, and marshals an empty
+		// monitor's nodes as [] where an empty handoff slice says null.
+		sl.Nodes = make([]NodeState, 0, len(m.last))
+		sl.Pending = make([]PendingState, 0, len(m.pending))
+	}
+	for id, lr := range m.last {
+		if want == nil || want[id] {
+			sl.Nodes = append(sl.Nodes, NodeState{Node: id, Epoch: lr.epoch, Vector: append([]float64(nil), lr.vector...)})
+		}
+	}
+	sort.Slice(sl.Nodes, func(i, j int) bool { return sl.Nodes[i].Node < sl.Nodes[j].Node })
+	for _, p := range m.pending {
+		if want == nil || want[p.state.Node] {
+			sl.Pending = append(sl.Pending, PendingState{State: copyState(p.state), Score: p.score})
+		}
+	}
+	sl.Epochs = m.exportEpochsLocked(want)
+	return sl
+}
+
+// exportEpochsLocked deep-copies the per-epoch contributions, epochs
+// ascending and each epoch's contributions node-ascending. A nil want keeps
+// every contribution and consults no node set; under a filter, epochs left
+// with no contribution are omitted. Caller holds mu.
+func (m *Monitor) exportEpochsLocked(want map[packet.NodeID]bool) []EpochState {
+	out := make([]EpochState, 0, len(m.epochs))
+	for _, ec := range m.epochs {
+		es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, 0, len(ec.contribs))}
+		for _, c := range ec.contribs {
+			if want != nil && !want[c.Node] {
+				continue
+			}
+			es.Contribs = append(es.Contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
+		}
+		if want != nil && len(es.Contribs) == 0 {
+			continue
+		}
+		sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
+		out = append(out, es)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
+	return out
+}
+
+// validateSliceLocked checks the per-node part of an incoming state — a
+// snapshot's or a handoff's — against the live detector and model: vector
+// lengths, finite baselines, cause indices within the model's rank. Caller
+// holds mu.
+func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
+	metrics := m.det.Metrics()
+	rank := m.model.Rank
+	for _, ns := range sl.Nodes {
+		if len(ns.Vector) != metrics {
+			return fmt.Errorf("%w: node %d vector has %d metrics, want %d",
+				ErrBadState, ns.Node, len(ns.Vector), metrics)
+		}
+		if k := firstNonFinite(ns.Vector); k >= 0 {
+			return fmt.Errorf("%w: node %d metric %d non-finite", ErrBadState, ns.Node, k)
+		}
+	}
+	for _, p := range sl.Pending {
+		if len(p.State.Delta) != metrics {
+			return fmt.Errorf("%w: pending state node %d delta has %d metrics, want %d",
+				ErrBadState, p.State.Node, len(p.State.Delta), metrics)
+		}
+	}
+	for _, es := range sl.Epochs {
+		for _, c := range es.Contribs {
+			for _, rc := range c.Causes {
+				if rc.Cause < 0 || rc.Cause >= rank {
+					return fmt.Errorf("%w: epoch %d node %d cites cause %d outside model rank %d",
+						ErrBadState, es.Epoch, c.Node, rc.Cause, rank)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// importLocked merges a validated slice into the monitor under the rules
+// ImportNodes documents; Restore runs it over freshly emptied maps, where
+// merging is replacing. Caller holds mu.
+func (m *Monitor) importLocked(sl NodeSlice) {
+	for _, ns := range sl.Nodes {
+		if lr, ok := m.last[ns.Node]; ok && lr.epoch > ns.Epoch {
+			continue
+		}
+		m.last[ns.Node] = lastReport{epoch: ns.Epoch, vector: append([]float64(nil), ns.Vector...)}
+		m.stats.LastEpoch = max(m.stats.LastEpoch, ns.Epoch)
+	}
+	for _, p := range sl.Pending {
+		m.pending = append(m.pending, pendingState{state: copyState(p.State), score: p.Score})
+	}
+	for _, es := range sl.Epochs {
+		ec := m.epochs[es.Epoch]
+		if ec == nil {
+			ec = &epochAcc{epoch: es.Epoch}
+			m.epochs[es.Epoch] = ec
+		}
+		for _, c := range es.Contribs {
+			ec.contribs = append(ec.contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
+		}
+		m.stats.LastEpoch = max(m.stats.LastEpoch, es.Epoch)
+	}
+}
+
 // Restore loads an exported state into a freshly constructed monitor,
 // replacing whatever it held. Vector lengths are validated against the
 // detector and diagnosis shapes against the model's rank, so a snapshot
@@ -128,20 +219,12 @@ func copyState(s trace.StateVector) trace.StateVector {
 func (m *Monitor) Restore(st MonitorState) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	sl := NodeSlice{Nodes: st.Nodes, Pending: st.Pending, Epochs: st.Epochs}
+	if err := m.validateSliceLocked(sl); err != nil {
+		return err
+	}
 	metrics := m.det.Metrics()
 	rank := m.model.Rank
-	for _, ns := range st.Nodes {
-		if len(ns.Vector) != metrics {
-			return fmt.Errorf("%w: node %d vector has %d metrics, want %d",
-				ErrBadState, ns.Node, len(ns.Vector), metrics)
-		}
-	}
-	for _, p := range st.Pending {
-		if len(p.State.Delta) != metrics {
-			return fmt.Errorf("%w: pending state node %d delta has %d metrics, want %d",
-				ErrBadState, p.State.Node, len(p.State.Delta), metrics)
-		}
-	}
 	for _, s := range st.Quarantine {
 		if len(s.Delta) != metrics {
 			return fmt.Errorf("%w: quarantined state node %d delta has %d metrics, want %d",
@@ -158,33 +241,11 @@ func (m *Monitor) Restore(st MonitorState) error {
 				ErrBadState, f.State.Node, len(f.Diagnosis.Weights), rank)
 		}
 	}
-	for _, es := range st.Epochs {
-		for _, c := range es.Contribs {
-			for _, rc := range c.Causes {
-				if rc.Cause < 0 || rc.Cause >= rank {
-					return fmt.Errorf("%w: epoch %d node %d cites cause %d outside model rank %d",
-						ErrBadState, es.Epoch, c.Node, rc.Cause, rank)
-				}
-			}
-		}
-	}
 	m.stats = st.Stats
 	m.last = make(map[packet.NodeID]lastReport, len(st.Nodes))
-	for _, ns := range st.Nodes {
-		m.last[ns.Node] = lastReport{epoch: ns.Epoch, vector: append([]float64(nil), ns.Vector...)}
-	}
-	m.pending = make([]pendingState, len(st.Pending))
-	for i, p := range st.Pending {
-		m.pending[i] = pendingState{state: copyState(p.State), score: p.Score}
-	}
+	m.pending = nil
 	m.epochs = make(map[int]*epochAcc, len(st.Epochs))
-	for _, es := range st.Epochs {
-		ec := &epochAcc{epoch: es.Epoch, contribs: make([]Contribution, len(es.Contribs))}
-		for i, c := range es.Contribs {
-			ec.contribs[i] = Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)}
-		}
-		m.epochs[es.Epoch] = ec
-	}
+	m.importLocked(sl)
 	m.recent = make([]Flagged, len(st.Recent))
 	for i, f := range st.Recent {
 		m.recent[i] = copyFlagged(f)

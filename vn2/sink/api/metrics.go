@@ -1,17 +1,13 @@
 package api
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Registry is the sink's metrics surface: each layer (ingest, store,
 // lifecycle, bus, the monitor) registers its own counters at wiring time
 // and GET /metrics gathers them into one flat expvar-style JSON object —
 // replacing the ad-hoc map building that used to live in one giant
 // handler. Keys are whatever the providers emit; encoding/json sorts map
-// keys, so the wire bytes depend only on the key/value set, which is kept
-// byte-compatible with the pre-registry output.
+// keys, so the wire bytes depend only on the key/value set.
 type Registry struct {
 	mu        sync.Mutex
 	providers []func(out map[string]any)
@@ -27,16 +23,6 @@ func (r *Registry) Add(fn func(out map[string]any)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.providers = append(r.providers, fn)
-}
-
-// Gauge registers one key computed at gather time.
-func (r *Registry) Gauge(name string, fn func() any) {
-	r.Add(func(out map[string]any) { out[name] = fn() })
-}
-
-// Counter registers one monotonically increasing key.
-func (r *Registry) Counter(name string, c *atomic.Uint64) {
-	r.Gauge(name, func() any { return c.Load() })
 }
 
 // Gather runs every provider into a fresh map.

@@ -164,9 +164,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the flat expvar-style counters gathered from every
-// layer's registered provider. The key set (and therefore the marshaled
-// bytes, since JSON maps sort keys) is byte-compatible with the
-// pre-registry handler.
+// layer's registered provider.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, s.reg.Gather())
 }

@@ -209,23 +209,6 @@ func (m *Manager) recordSwapLocked(rec store.SwapRecord) store.SwapEvent {
 	return ev
 }
 
-// relResidual mirrors the monitor's classification arithmetic: the
-// scale-free residual ‖s−wΨ‖/‖s‖, clamped to [0,1].
-func relResidual(m *vn2.Model, delta []float64, residual float64) float64 {
-	norm, err := m.NormalizedNorm(delta)
-	if err != nil || norm < 1e-12 {
-		if residual > 1e-12 {
-			return 1
-		}
-		return 0
-	}
-	r := residual / norm
-	if r > 1 {
-		r = 1
-	}
-	return r
-}
-
 // Tick advances the lifecycle state machine by one drain tick: probation
 // verdicts first (commit or roll back the newest swap), then cooldown, then
 // the drift trigger that launches a shadow retrain.

@@ -145,8 +145,8 @@ func (m *Manager) ValidateCandidate(cur *Set, cand *vn2.Model, holdout []online.
 		if f.Diagnosis == nil {
 			continue
 		}
-		curRel := relResidual(cur.Model, f.State.Delta, f.Diagnosis.Residual)
-		candRel := relResidual(cand, f.State.Delta, diags[i].Residual)
+		curRel := online.RelResidual(cur.Model, f.State.Delta, f.Diagnosis.Residual)
+		candRel := online.RelResidual(cand, f.State.Delta, diags[i].Residual)
 		curSum += curRel
 		candSum += candRel
 		if dom := f.Diagnosis.Dominant(); dom >= 0 && curRel < m.cfg.ResidThreshold {

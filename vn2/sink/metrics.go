@@ -7,8 +7,8 @@ import (
 )
 
 // registerMetrics wires every layer's counters into the two registries:
-// reg carries exactly the legacy /metrics key set (byte-compatible with the
-// pre-refactor handler), statusReg the /status-only extras layered on top.
+// reg carries the /metrics key set, statusReg the /status-only extras
+// layered on top.
 func (s *Server) registerMetrics() {
 	s.reg = api.NewRegistry()
 
@@ -112,8 +112,8 @@ func (s *Server) registerMetrics() {
 		m["wal_replay_bad"] = s.walBadRec.Load()
 	})
 
-	// /status extras: everything useful that would break /metrics
-	// byte-compatibility.
+	// /status extras: provenance, health detail and per-subsystem counters
+	// that are not part of the /metrics key set.
 	s.statusReg = api.NewRegistry()
 	s.statusReg.Add(func(m map[string]any) {
 		m["started"] = s.started.UTC().Format(time.RFC3339Nano)
@@ -138,8 +138,7 @@ func (s *Server) registerMetrics() {
 		m["stream_journal_len"] = bst.JournalLen
 		m["stream_journal_cap"] = bst.JournalCap
 		m["stream_next_seq"] = s.bus.NextSeq()
-		// Binary ingest path (/report/bin). /status-only: adding keys to
-		// /metrics would break its byte-compatibility contract.
+		// Binary ingest path (/report/bin).
 		m["bin_frames"] = s.binFrames.Load()
 		m["bin_records"] = s.binRecords.Load()
 		m["bin_rejects"] = s.binRejects.Load()

@@ -70,7 +70,7 @@ type Server struct {
 	binDec   *ingest.BinaryDecoder
 	binEnc   *packet.FrameEncoder
 
-	reg       *api.Registry // the /metrics keys (byte-compatible legacy set)
+	reg       *api.Registry // the /metrics keys
 	statusReg *api.Registry // /status extras layered on top of reg
 
 	received  atomic.Uint64 // reports offered by clients

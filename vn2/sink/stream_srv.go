@@ -128,17 +128,6 @@ func (s *Server) StopStream(graceful bool) error {
 	return err
 }
 
-// StreamListenerAddr reports the live stream listener's address (nil when
-// the stream edge is off).
-func (s *Server) StreamListenerAddr() net.Addr {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if s.stream == nil {
-		return nil
-	}
-	return s.stream.ln.Addr()
-}
-
 // StreamConns reports the number of live stream connections.
 func (s *Server) StreamConns() int {
 	s.streamMu.Lock()
