@@ -31,11 +31,12 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # The scaling ladders `make bench` runs: per-epoch cost at CitySee scale,
 # the worker sweep, end-to-end trace generation at 60/120/286/1000 nodes,
 # the blocked-GEMM size ladder, the ingest decode ladder (JSON vs binary
-# vs binary+delta at 1/8/64-report batches), and the cluster router
+# vs binary+delta at 1/8/64-report batches of 43-metric tracegen vectors,
+# with the wire's B/report on the binary rungs), and the cluster router
 # forward ladder (JSON and binary, 1/4 shards x 8/64-report batches).
 BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM|BenchmarkIngestDecode|BenchmarkRouterForward
 BENCH_TXT     ?= bench.txt
-BENCH_JSON    ?= BENCH_10.json
+BENCH_JSON    ?= BENCH_15.json
 
 # benchdiff inputs: two benchstat-compatible texts to compare.
 BENCH_OLD ?= bench.old.txt
@@ -89,10 +90,12 @@ loc:
 
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
 # report-body decoder, the three mote packet codecs, and the batched binary
-# frame decoder — each seeded from a committed corpus under testdata/.
+# frame decoder — each seeded from a committed corpus under testdata/ — and
+# the delta wire's bit-exact round trip (encoder → frame decoder → sink cache).
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDecodeReports -fuzztime $(FUZZ_TIME)
+	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC1$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC2$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC3$$' -fuzztime $(FUZZ_TIME)

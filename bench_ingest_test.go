@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
+	"github.com/wsn-tools/vn2/internal/tracegen"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 )
 
@@ -19,34 +22,73 @@ import (
 // re-arms the decoder's cache every revolution.
 const ingestFrames = 8
 
-// ingestWorkload builds the report stream the decode ladder replays: each
-// batch is one epoch of `batch` nodes reporting slowly-moving counters, so
-// successive epochs differ in a few vector slots — the regime delta
-// encoding exists for.
-func ingestWorkload(batch int) [][]trace.Record {
-	const m = 16
+// district is the production-shape report stream the ingest ladder and the
+// wire budget share: one seeded CitySee district — 72 nodes, two days, the
+// full 43-metric vector with the trace's own epoch-to-epoch sparsity —
+// grouped per node in epoch order.
+var district = sync.OnceValues(func() ([][]trace.Record, error) {
+	res, err := tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: 2, Days: 2, Nodes: 72})
+	if err != nil {
+		return nil, err
+	}
+	var nodes [][]trace.Record
+	for _, id := range res.Dataset.Nodes() {
+		nodes = append(nodes, res.Dataset.Records(id))
+	}
+	return nodes, nil
+})
+
+// ingestWorkload builds the report stream the decode ladder replays: batch
+// f holds the f-th report of each of the district's first `batch` nodes, so
+// successive batches differ exactly as consecutive real reports do.
+func ingestWorkload(tb testing.TB, batch int) [][]trace.Record {
+	nodes, err := district()
+	if err != nil {
+		tb.Fatal(err)
+	}
 	out := make([][]trace.Record, ingestFrames)
-	vecs := make(map[packet.NodeID][]float64)
-	for f := 0; f < ingestFrames; f++ {
-		recs := make([]trace.Record, batch)
-		for i := 0; i < batch; i++ {
-			node := packet.NodeID(i + 1)
-			v, ok := vecs[node]
-			if !ok {
-				v = make([]float64, m)
-				for k := range v {
-					v[k] = float64(k*1000 + i)
-				}
-				vecs[node] = v
-			}
-			v[f%m] += 1 // a transmit counter ticking
-			v[(f+5)%m] += 7
-			v[m-1] += 0.125 // radio-on time accumulating
-			recs[i] = trace.Record{Node: node, Epoch: 100 + f, Vector: append([]float64(nil), v...)}
+	for f := range out {
+		for _, recs := range nodes[:batch] {
+			out[f] = append(out[f], recs[f])
 		}
-		out[f] = recs
 	}
 	return out
+}
+
+// TestDeltaWireBudget pins the delta codec's byte cost in tier-1: the whole
+// district in (epoch, node) order through one FrameEncoder in 64-record
+// frames — frame headers and every node's first full record included —
+// must average at most 175 B/report (full encoding costs 352).
+func TestDeltaWireBudget(t *testing.T) {
+	nodes, err := district()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []trace.Record
+	for _, n := range nodes {
+		recs = append(recs, n...)
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Epoch < recs[j].Epoch })
+	enc := packet.NewFrameEncoder()
+	wire := 0
+	for i, rec := range recs {
+		if err := enc.Add(rec.Node, rec.Epoch, rec.Vector); err != nil {
+			t.Fatal(err)
+		}
+		if enc.Count() == 64 || i == len(recs)-1 {
+			frame, err := enc.Frame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire += len(frame)
+			enc.Reset()
+		}
+	}
+	perReport := float64(wire) / float64(len(recs))
+	t.Logf("%d reports, %.1f B/report", len(recs), perReport)
+	if perReport > 175 {
+		t.Fatalf("delta frames cost %.1f B/report, budget 175", perReport)
+	}
 }
 
 // reportIngestMetrics derives the ladder's headline numbers: reports/sec
@@ -63,12 +105,14 @@ func reportIngestMetrics(b *testing.B, batch int, mallocs uint64) {
 
 // BenchmarkIngestDecode measures the sink's decode hot path across the
 // ingest ladder: batch sizes 1/8/64 × (per-report JSON, binary full
-// frames, binary delta frames). The JSON rung decodes the same records
+// frames, binary delta frames). The binary rungs also report the wire's
+// B/report over one revolution (one full frame in every ingestFrames on the
+// delta rung, frame headers included). The JSON rung decodes the same records
 // through ingest.Decode; the binary rungs run the frame decoder plus delta
 // reconstruction — the full /report/bin decode path minus HTTP and WAL.
 func BenchmarkIngestDecode(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
-		batches := ingestWorkload(batch)
+		batches := ingestWorkload(b, batch)
 
 		b.Run(fmt.Sprintf("json/batch%d", batch), func(b *testing.B) {
 			bodies := make([][]byte, len(batches))
@@ -140,6 +184,11 @@ func BenchmarkIngestDecode(b *testing.B) {
 			}
 			runtime.ReadMemStats(&ms1)
 			reportIngestMetrics(b, batch, ms1.Mallocs-ms0.Mallocs)
+			wire := 0
+			for _, f := range frames {
+				wire += len(f)
+			}
+			b.ReportMetric(float64(wire)/float64(ingestFrames*batch), "B/report")
 			if delta && dec.Deltas() == 0 {
 				b.Fatal("delta rung decoded no delta records")
 			}

@@ -64,7 +64,7 @@ func BenchmarkRouterForward(b *testing.B) {
 			b.Run(fmt.Sprintf("shards%d/batch%d", shards, batch), func(b *testing.B) {
 				_, rts, cleanup := newBenchRouter(b, shards)
 				defer cleanup()
-				batches := ingestWorkload(batch)
+				batches := ingestWorkload(b, batch)
 				bodies := make([][]byte, len(batches))
 				for i, recs := range batches {
 					body, err := json.Marshal(recs)
@@ -115,7 +115,7 @@ func BenchmarkRouterForwardBin(b *testing.B) {
 			b.Run(fmt.Sprintf("shards%d/batch%d", shards, batch), func(b *testing.B) {
 				_, rts, cleanup := newBenchRouter(b, shards)
 				defer cleanup()
-				batches := ingestWorkload(batch)
+				batches := ingestWorkload(b, batch)
 				enc := packet.NewFrameEncoder()
 				frames := make([][]byte, len(batches))
 				for i, recs := range batches {

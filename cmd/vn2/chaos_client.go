@@ -371,7 +371,7 @@ func slowlorisProbe(addr string) error {
 		return err
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte("VN2F\x01\x00")); err != nil {
+	if _, err := c.Write([]byte(packet.FramePreamble)); err != nil {
 		return err
 	}
 	c.SetReadDeadline(time.Now().Add(10 * streamReadTimeout))

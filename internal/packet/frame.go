@@ -7,7 +7,7 @@ package packet
 //
 //	offset len
 //	0      4   magic "VN2F" (big endian 0x564E3246)
-//	4      1   version (1)
+//	4      1   version (2; any other version is rejected)
 //	5      1   flags (reserved, must be 0)
 //	6      2   record count n (big endian)
 //	8      4   payload length in bytes (big endian)
@@ -25,17 +25,25 @@ package packet
 // monitor then first-differences:
 //
 //	full   0x01 | node u16 | epoch u32 | m u8 | m × value f64
-//	delta  0x02 | node u16 | epoch u32 | base u32 | m u8 | k u8 |
-//	            k × (index u8, value f64)
+//	delta  0x02 | node u16 | epoch u32 | m u8 | gap uvarint | bitmap ⌈m/8⌉ |
+//	            ⌈k/2⌉ × (control u8, 1..8 XOR bytes, 1..8 XOR bytes)
 //
-// A delta record rewrites k entries of the node's previous vector (the one
-// with epoch == base): the receiver copies its cached base vector of length
-// m and overwrites the k changed indices with the transmitted values. Most
-// of the 43 metrics move slowly between consecutive reports, so k ≪ m and
-// the record shrinks from 8+8m bytes to 13+9k. A receiver whose cache does
-// not hold (node, base) must reject the whole frame so the sender can fall
-// back to full encoding — reconstruction against the wrong base would be
-// silent corruption.
+// A delta record patches the node's previous vector: the one of length m
+// and epoch == epoch − gap (mod 2³²). Bitmap bit i (byte i/8, bit i%8 from
+// the least significant; bits ≥ m are 0) marks slot i changed, k bits in
+// all. A changed slot carries x = bits(new) XOR bits(base) without its zero
+// bytes: a control nibble — top two bits the leading zero bytes dropped
+// (0..3), low two bits selecting the trailing ones dropped (0, 3, 4, 5) —
+// and the 8 − lead − tail bytes between. Slots travel in pairs: a control
+// byte, high nibble first, then both spans; an odd k ends on a 0 low nibble
+// and one span. The receiver XORs x back onto its cached base; XOR is its
+// own inverse on bit patterns, so no arithmetic ever touches a value.
+// Consecutive values of a metric share sign, exponent and top mantissa
+// bytes, and an integer counter below 2²⁸/2²⁰/2¹² has 3/4/5 zero low bytes,
+// so a counter tick costs 1–2 bytes and a float gauge 5–6 instead of 9. A
+// receiver whose cache does not hold (node, base) must reject the whole
+// frame so the sender can fall back to full encoding — reconstruction
+// against the wrong base would be silent corruption.
 
 import (
 	"encoding/binary"
@@ -43,6 +51,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // Frame limits and layout constants.
@@ -58,12 +67,17 @@ const (
 	MaxVectorLen = 1<<8 - 1
 )
 
-const (
-	frameMagic   = 0x564E3246 // "VN2F"
-	frameVersion = 1
+// FramePreamble is the first six bytes of every frame header: magic,
+// version 2, zero flags. Frames that start otherwise are rejected; a probe
+// sends it alone to stall mid-header.
+const FramePreamble = "VN2F\x02\x00"
 
-	recFull  = 0x01
-	recDelta = 0x02
+// A delta control nibble c says its XOR word lost c>>2 leading and
+// deltaTail[c] trailing zero bytes, leaving deltaSpan[c] = 8 − lead − tail
+// on the wire (0: no such nibble).
+var (
+	deltaTail = [16]uint8{0, 3, 4, 5, 0, 3, 4, 5, 0, 3, 4, 5, 0, 3, 4, 5}
+	deltaSpan = [16]uint8{8, 5, 4, 3, 7, 4, 3, 2, 6, 3, 2, 1, 5, 2, 1, 0}
 )
 
 // Frame codec errors.
@@ -82,16 +96,16 @@ type RecKind byte
 
 // Record kinds a frame may carry.
 const (
-	RecFull  RecKind = recFull
-	RecDelta RecKind = recDelta
+	RecFull  RecKind = 0x01
+	RecDelta RecKind = 0x02
 )
 
 // WireRecord is one decoded frame record. For RecFull, Values holds the
-// complete metric vector. For RecDelta, Values is nil and
-// the record rewrites entries Idx[i] ← Diff[i] of the node's cached vector
-// whose epoch equals Base and whose length equals Len.
+// complete metric vector. For RecDelta, Values is nil and Patch rewrites
+// the node's cached vector — the one whose epoch equals Base and whose
+// length equals Len — into this record's vector.
 //
-// Values, Idx and Diff alias the decoder's arena and the frame buffer; they
+// Values and the patch alias the decoder's arena and the frame buffer; they
 // are valid only until the next Decode call.
 type WireRecord struct {
 	Node   NodeID
@@ -100,8 +114,21 @@ type WireRecord struct {
 	Base   uint32 // RecDelta: epoch of the base vector
 	Len    int    // vector length (RecDelta: required base length)
 	Values []float64
-	Idx    []byte
-	Diff   []float64
+	bitmap []byte   // RecDelta: bit i set = slot i changed; no bit ≥ Len
+	xor    []uint64 // RecDelta: one nonzero XOR word per set bit, in slot order
+}
+
+// Patch turns vec, a copy of the base vector of a RecDelta record, into the
+// record's vector by XORing each changed slot's bit pattern.
+func (r *WireRecord) Patch(vec []float64) {
+	k := 0
+	for j, b := range r.bitmap {
+		for ; b != 0; b &= b - 1 {
+			ix := 8*j + bits.TrailingZeros8(b)
+			vec[ix] = math.Float64frombits(math.Float64bits(vec[ix]) ^ r.xor[k])
+			k++
+		}
+	}
 }
 
 // --- encoder ---------------------------------------------------------------
@@ -116,9 +143,10 @@ type encBase struct {
 // encodes sparse diffs whenever they are smaller than a full record. The
 // encoder is not safe for concurrent use.
 type FrameEncoder struct {
-	buf  []byte
-	n    int
-	last map[NodeID]*encBase
+	buf   []byte
+	n     int
+	fulls int
+	last  map[NodeID]*encBase
 }
 
 // NewFrameEncoder returns an encoder with an empty frame and no delta
@@ -135,7 +163,7 @@ func NewFrameEncoder() *FrameEncoder {
 // the whole point.
 func (e *FrameEncoder) Reset() {
 	e.buf = e.buf[:FrameHeaderLen]
-	e.n = 0
+	e.n, e.fulls = 0, 0
 }
 
 // Forget drops every delta baseline: subsequent Add calls encode full
@@ -148,6 +176,9 @@ func (e *FrameEncoder) Forget() {
 
 // Count reports how many records the current frame holds.
 func (e *FrameEncoder) Count() int { return e.n }
+
+// Fulls reports how many of them are full records.
+func (e *FrameEncoder) Fulls() int { return e.fulls }
 
 func (e *FrameEncoder) precheck(epoch int, m int) error {
 	if e.n >= MaxFrameRecords {
@@ -162,9 +193,9 @@ func (e *FrameEncoder) precheck(epoch int, m int) error {
 	return nil
 }
 
-// Add appends one report, choosing delta encoding when the node has a
-// baseline of the same length and the diff is smaller than a full record,
-// and full encoding otherwise. The baseline advances to vec either way.
+// Add appends one report, delta-encoded when the node has a baseline of
+// the same length and the delta comes out smaller than a full record, and
+// full otherwise. The baseline advances to vec either way.
 func (e *FrameEncoder) Add(node NodeID, epoch int, vec []float64) error {
 	if err := e.precheck(epoch, len(vec)); err != nil {
 		return err
@@ -173,28 +204,43 @@ func (e *FrameEncoder) Add(node NodeID, epoch int, vec []float64) error {
 	if !ok || len(base.vals) != len(vec) {
 		return e.addFull(node, epoch, vec)
 	}
-	changed := 0
-	for k, v := range vec {
-		if math.Float64bits(v) != math.Float64bits(base.vals[k]) {
-			changed++
-		}
-	}
-	// delta = 1+2+4+4+1+1+9k bytes vs full = 1+2+4+1+8m.
-	if changed > MaxVectorLen || 13+9*changed >= 8+8*len(vec) {
-		return e.addFull(node, epoch, vec)
-	}
-	e.buf = append(e.buf, recDelta)
+	start := len(e.buf)
+	e.buf = append(e.buf, byte(RecDelta))
 	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(node))
 	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(epoch))
-	e.buf = binary.BigEndian.AppendUint32(e.buf, base.epoch)
-	e.buf = append(e.buf, byte(len(vec)), byte(changed))
-	for k, v := range vec {
-		if math.Float64bits(v) != math.Float64bits(base.vals[k]) {
-			e.buf = append(e.buf, byte(k))
-			e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+	e.buf = append(e.buf, byte(len(vec)))
+	e.buf = binary.AppendUvarint(e.buf, uint64(uint32(epoch)-base.epoch))
+	bitmap := len(e.buf)
+	buf := append(e.buf, make([]byte, (len(vec)+7)/8)...)
+	k, control := 0, 0
+	for i, v := range vec {
+		x := math.Float64bits(v) ^ math.Float64bits(base.vals[i])
+		if x == 0 {
+			continue
 		}
+		buf[bitmap+i/8] |= 1 << (i % 8)
+		lead := min(bits.LeadingZeros64(x)/8, 3)
+		nib := byte(lead<<2 + max(min(bits.TrailingZeros64(x)/8, 5)-2, 0))
+		if k%2 == 0 {
+			control = len(buf)
+			buf = append(buf, nib<<4)
+		} else {
+			buf[control] |= nib
+		}
+		k++
+		// Write the word from its first kept byte, then keep only the span.
+		n := len(buf)
+		buf = binary.BigEndian.AppendUint64(buf, x<<(8*lead))
+		buf = buf[:n+int(deltaSpan[nib])]
 	}
-	e.commit(node, epoch, vec)
+	e.buf = buf
+	if len(e.buf)-start >= 8+8*len(vec) {
+		e.buf = e.buf[:start]
+		return e.addFull(node, epoch, vec)
+	}
+	e.n++
+	base.epoch = uint32(epoch)
+	copy(base.vals, vec)
 	return nil
 }
 
@@ -209,23 +255,15 @@ func (e *FrameEncoder) AddFull(node NodeID, epoch int, vec []float64) error {
 }
 
 func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) error {
-	e.buf = append(e.buf, recFull)
+	e.buf = append(e.buf, byte(RecFull))
 	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(node))
 	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(epoch))
 	e.buf = append(e.buf, byte(len(vec)))
 	for _, v := range vec {
 		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
 	}
-	e.commit(node, epoch, vec)
-	return nil
-}
-
-func (e *FrameEncoder) commit(node NodeID, epoch int, vec []float64) {
+	e.fulls++
 	e.n++
-	e.baseline(node, uint32(epoch), vec)
-}
-
-func (e *FrameEncoder) baseline(node NodeID, epoch uint32, vec []float64) {
 	base, ok := e.last[node]
 	if !ok {
 		base = &encBase{}
@@ -234,8 +272,9 @@ func (e *FrameEncoder) baseline(node NodeID, epoch uint32, vec []float64) {
 	if len(base.vals) != len(vec) {
 		base.vals = make([]float64, len(vec))
 	}
+	base.epoch = uint32(epoch)
 	copy(base.vals, vec)
-	base.epoch = epoch
+	return nil
 }
 
 // Frame finalizes the header (count, length, CRC) and returns the encoded
@@ -246,9 +285,7 @@ func (e *FrameEncoder) Frame() ([]byte, error) {
 	if len(payload) > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	binary.BigEndian.PutUint32(e.buf[0:], frameMagic)
-	e.buf[4] = frameVersion
-	e.buf[5] = 0
+	copy(e.buf, FramePreamble)
 	binary.BigEndian.PutUint16(e.buf[6:], uint16(e.n))
 	binary.BigEndian.PutUint32(e.buf[8:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(e.buf[12:], crc32.Checksum(payload, frameCRCTable))
@@ -258,19 +295,76 @@ func (e *FrameEncoder) Frame() ([]byte, error) {
 // --- decoder ---------------------------------------------------------------
 
 // FrameDecoder parses frames into WireRecords without allocating in steady
-// state: records, vector values and delta indices live in arenas reused
+// state: records, vector values and delta XOR words live in arenas reused
 // across Decode calls. The returned records are valid only until the next
 // Decode. The decoder is not safe for concurrent use.
 type FrameDecoder struct {
 	recs []WireRecord
-	vals []float64 // arena backing Values/Diff (fixed up after the scan)
-	idxs []byte    // arena backing Idx
+	vals []float64 // arena backing Values (fixed up after the scan)
+	xors []uint64  // arena backing the delta XOR words
 	refs []valRef
 }
 
-// valRef remembers which arena spans a record's Values/Diff and Idx occupy
+// valRef remembers which arena span a record's Values or XOR words occupy
 // while the arenas may still grow (append can move them).
-type valRef struct{ off, n, ioff int }
+type valRef struct{ off, n int }
+
+// decodeDelta parses the delta record rec of vector length m from offset p
+// (bitmap, then control bytes and XOR spans), appending the XOR words to
+// xors. It returns the record's length, or a non-empty defect. A function
+// of its own so the value loop's few variables stay in registers.
+func decodeDelta(rec []byte, p, m int, xors []uint64) (int, []uint64, string) {
+	if len(rec)-p < (m+7)/8 {
+		return 0, nil, "truncated bitmap"
+	}
+	k := 0
+	for _, b := range rec[p : p+(m+7)/8] {
+		k += bits.OnesCount8(b)
+	}
+	if m%8 != 0 && rec[p+m/8]>>(m%8) != 0 {
+		return 0, nil, "bitmap bit past vector length"
+	}
+	p += (m + 7) / 8
+	var control byte
+	for j := 0; j < k; j++ {
+		nib := control & 0x0f
+		if j%2 == 0 {
+			if p == len(rec) {
+				return 0, nil, "truncated"
+			}
+			control, p = rec[p], p+1
+			nib = control >> 4
+		}
+		span := deltaSpan[nib]
+		p += int(span)
+		if span == 0 || p > len(rec) {
+			return 0, nil, "value span"
+		}
+		// The span is the low bytes of the 8 that end with it; the record's
+		// 8 fixed header bytes guarantee there are 8.
+		x := (binary.BigEndian.Uint64(rec[p-8:]) & (1<<(8*span) - 1)) << (8 * deltaTail[nib])
+		if x == 0 {
+			return 0, nil, "zero XOR for a changed slot"
+		}
+		xors = append(xors, x)
+	}
+	if k%2 == 1 && control&0x0f != 0 {
+		return 0, nil, "nonzero padding nibble"
+	}
+	return p, xors, ""
+}
+
+// parseHeader validates the preamble and payload bound of a frame's 16
+// header bytes and returns its record count and payload length.
+func parseHeader(h []byte) (count, plen int, err error) {
+	if string(h[:len(FramePreamble)]) != FramePreamble {
+		return 0, 0, fmt.Errorf("%w: header starts % x, want % x", ErrBadFrame, h[:len(FramePreamble)], FramePreamble)
+	}
+	if plen = int(binary.BigEndian.Uint32(h[8:])); plen > MaxFramePayload {
+		return 0, 0, fmt.Errorf("%w: payload length %d", ErrBadFrame, plen)
+	}
+	return int(binary.BigEndian.Uint16(h[6:])), plen, nil
+}
 
 // Decode parses one frame. On any error the decoder state is unchanged and
 // no records are returned — a frame is all-or-nothing, so a torn wire or a
@@ -279,19 +373,9 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 	if len(frame) < FrameHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes, need %d header bytes", ErrBadFrame, len(frame), FrameHeaderLen)
 	}
-	if binary.BigEndian.Uint32(frame) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if frame[4] != frameVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, frame[4], frameVersion)
-	}
-	if frame[5] != 0 {
-		return nil, fmt.Errorf("%w: reserved flags %#x", ErrBadFrame, frame[5])
-	}
-	count := int(binary.BigEndian.Uint16(frame[6:]))
-	plen := int(binary.BigEndian.Uint32(frame[8:]))
-	if plen > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, plen)
+	count, plen, err := parseHeader(frame)
+	if err != nil {
+		return nil, err
 	}
 	if len(frame) < FrameHeaderLen+plen {
 		return nil, fmt.Errorf("%w: %d payload bytes, header says %d", ErrBadFrame, len(frame)-FrameHeaderLen, plen)
@@ -301,72 +385,46 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
 	}
 
-	d.recs = d.recs[:0]
-	d.vals = d.vals[:0]
-	d.idxs = d.idxs[:0]
-	d.refs = d.refs[:0]
+	d.recs, d.refs, d.vals, d.xors = d.recs[:0], d.refs[:0], d.vals[:0], d.xors[:0]
 	off := 0
 	for i := 0; i < count; i++ {
-		if off >= len(payload) {
-			return nil, fmt.Errorf("%w: record %d past payload end", ErrBadFrame, i)
+		rest := payload[off:]
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("%w: record %d truncated or past payload end", ErrBadFrame, i)
 		}
-		kind := payload[off]
-		var rec WireRecord
+		rec := WireRecord{
+			Kind:  RecKind(rest[0]),
+			Node:  NodeID(binary.BigEndian.Uint16(rest[1:])),
+			Epoch: binary.BigEndian.Uint32(rest[3:]),
+			Len:   int(rest[7]),
+		}
 		var ref valRef
-		switch kind {
-		case recFull:
-			if len(payload)-off < 8 {
+		switch rec.Kind {
+		case RecFull:
+			if len(rest) < 8+8*rec.Len {
 				return nil, fmt.Errorf("%w: truncated full record %d", ErrBadFrame, i)
 			}
-			m := int(payload[off+7])
-			need := 8 + 8*m
-			if len(payload)-off < need {
-				return nil, fmt.Errorf("%w: truncated full record %d", ErrBadFrame, i)
+			ref = valRef{off: len(d.vals), n: rec.Len}
+			for k := 0; k < rec.Len; k++ {
+				d.vals = append(d.vals, math.Float64frombits(binary.BigEndian.Uint64(rest[8+8*k:])))
 			}
-			rec = WireRecord{
-				Kind:  RecFull,
-				Node:  NodeID(binary.BigEndian.Uint16(payload[off+1:])),
-				Epoch: binary.BigEndian.Uint32(payload[off+3:]),
-				Len:   m,
+			off += 8 + 8*rec.Len
+		case RecDelta:
+			gap, n := binary.Uvarint(rest[8:])
+			if n <= 0 || gap > math.MaxUint32 {
+				return nil, fmt.Errorf("%w: delta record %d: base epoch gap", ErrBadFrame, i)
 			}
-			ref = valRef{off: len(d.vals), n: m}
-			for k := 0; k < m; k++ {
-				d.vals = append(d.vals, math.Float64frombits(binary.BigEndian.Uint64(payload[off+8+8*k:])))
+			rec.Base = rec.Epoch - uint32(gap)
+			size, grown, defect := decodeDelta(rest, 8+n, rec.Len, d.xors)
+			if defect != "" {
+				return nil, fmt.Errorf("%w: delta record %d: %s", ErrBadFrame, i, defect)
 			}
-			off += need
-		case recDelta:
-			if len(payload)-off < 13 {
-				return nil, fmt.Errorf("%w: truncated delta record %d", ErrBadFrame, i)
-			}
-			m := int(payload[off+11])
-			k := int(payload[off+12])
-			need := 13 + 9*k
-			if len(payload)-off < need {
-				return nil, fmt.Errorf("%w: truncated delta record %d", ErrBadFrame, i)
-			}
-			rec = WireRecord{
-				Kind:  RecDelta,
-				Node:  NodeID(binary.BigEndian.Uint16(payload[off+1:])),
-				Epoch: binary.BigEndian.Uint32(payload[off+3:]),
-				Base:  binary.BigEndian.Uint32(payload[off+7:]),
-				Len:   m,
-			}
-			ref = valRef{off: len(d.vals), n: k, ioff: len(d.idxs)}
-			// Indices must be strictly ascending and within the declared
-			// length, so a record cannot set one entry twice or out of range.
-			prev := -1
-			for j := 0; j < k; j++ {
-				ix := int(payload[off+13+9*j])
-				if ix >= m || ix <= prev {
-					return nil, fmt.Errorf("%w: delta record %d index %d (len %d)", ErrBadFrame, i, ix, m)
-				}
-				prev = ix
-				d.idxs = append(d.idxs, byte(ix))
-				d.vals = append(d.vals, math.Float64frombits(binary.BigEndian.Uint64(payload[off+13+9*j+1:])))
-			}
-			off += need
+			rec.bitmap = rest[8+n : 8+n+(rec.Len+7)/8]
+			ref = valRef{off: len(d.xors), n: len(grown) - len(d.xors)}
+			d.xors = grown
+			off += size
 		default:
-			return nil, fmt.Errorf("%w: record %d kind %#x", ErrBadFrame, i, kind)
+			return nil, fmt.Errorf("%w: record %d kind %#x", ErrBadFrame, i, rec.Kind)
 		}
 		d.recs = append(d.recs, rec)
 		d.refs = append(d.refs, ref)
@@ -377,12 +435,10 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 	// The arenas have stopped growing; materialize the spans.
 	for i := range d.recs {
 		ref := d.refs[i]
-		span := d.vals[ref.off : ref.off+ref.n]
 		if d.recs[i].Kind == RecDelta {
-			d.recs[i].Diff = span
-			d.recs[i].Idx = d.idxs[ref.ioff : ref.ioff+ref.n]
+			d.recs[i].xor = d.xors[ref.off : ref.off+ref.n]
 		} else {
-			d.recs[i].Values = span
+			d.recs[i].Values = d.vals[ref.off : ref.off+ref.n]
 		}
 	}
 	return d.recs, nil

@@ -3,13 +3,14 @@ package packet
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
 )
 
 // applyWire reconstructs the vectors a frame describes, the way a sink-side
-// consumer does: full records replace the cache, delta records rewrite the
+// consumer does: full records replace the cache, delta records XOR onto the
 // cached base. It fails the test on any protocol violation.
 func applyWire(t *testing.T, recs []WireRecord, cache map[NodeID][]float64, epochs map[NodeID]uint32) map[NodeID][]float64 {
 	t.Helper()
@@ -27,9 +28,7 @@ func applyWire(t *testing.T, recs []WireRecord, cache map[NodeID][]float64, epoc
 				t.Fatalf("delta for node %d base %d: cache miss", r.Node, r.Base)
 			}
 			v := append([]float64(nil), base...)
-			for j, ix := range r.Idx {
-				v[ix] = r.Diff[j]
-			}
+			r.Patch(v)
 			cache[r.Node] = v
 			epochs[r.Node] = r.Epoch
 			out[r.Node] = v
@@ -207,6 +206,7 @@ func TestFrameRejects(t *testing.T) {
 		"bad magic": append([]byte{0, 0, 0, 0}, good[4:]...),
 		"bad crc":   flipByte(good, len(good)-1),
 		"version":   flipByte(good, 4),
+		"version 1": append(append(append([]byte(nil), good[:4]...), 1), good[5:]...),
 		"flags":     flipByte(good, 5),
 	}
 	for name, b := range cases {
@@ -224,6 +224,120 @@ func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xff
 	return out
+}
+
+// rawFrame wraps a hand-built payload of n records in a valid header, so a
+// structural defect is what the decoder sees, not a CRC mismatch.
+func rawFrame(n int, payload []byte) []byte {
+	enc := NewFrameEncoder()
+	enc.buf = append(enc.buf, payload...)
+	enc.n = n
+	frame, _ := enc.Frame()
+	return append([]byte(nil), frame...)
+}
+
+// malformedDeltaFrames returns CRC-valid frames whose one delta record
+// (node 1, epoch 9, m = 9 unless noted) breaks one structural rule each.
+func malformedDeltaFrames() map[string][]byte {
+	head := func(m byte, rest ...byte) []byte {
+		return append([]byte{byte(RecDelta), 0, 1, 0, 0, 0, 9, m}, rest...)
+	}
+	return map[string][]byte{
+		"truncated header":   rawFrame(1, head(9)[:7]),
+		"no gap":             rawFrame(1, head(9)),
+		"unterminated gap":   rawFrame(1, head(9, 0x80, 0x80)),
+		"gap past u32":       rawFrame(1, head(9, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0)),
+		"truncated bitmap":   rawFrame(1, head(9, 1, 0x00)),
+		"bitmap bit >= m":    rawFrame(1, head(9, 1, 0x00, 0x02, 0x00, 0xaa)),
+		"missing control":    rawFrame(1, head(9, 1, 0x01, 0x00)),
+		"padding nibble set": rawFrame(1, head(9, 1, 0x01, 0x00, 0xc1, 0xaa)),
+		"span of zero bytes": rawFrame(1, head(9, 1, 0x01, 0x00, 0xf0)),
+		"span overruns":      rawFrame(1, head(9, 1, 0x01, 0x00, 0x00, 1, 2, 3, 4, 5, 6, 7)),
+		"zero XOR":           rawFrame(1, head(9, 1, 0x01, 0x00, 0xc0, 0, 0, 0, 0, 0)),
+		"trailing byte":      rawFrame(1, head(9, 1, 0x01, 0x00, 0xd0, 0xaa, 0xbb, 0xcc)),
+		"count short":        rawFrame(2, head(9, 1, 0x00, 0x00)),
+	}
+}
+
+// TestDeltaControlTables: the two nibble tables say the same thing — a span
+// is what the leading and trailing trims leave of the 8 bytes.
+func TestDeltaControlTables(t *testing.T) {
+	for c := range deltaSpan {
+		if got, want := int(deltaSpan[c]), 8-c>>2-int(deltaTail[c]); got != want {
+			t.Errorf("nibble %#x: span %d, lead and tail leave %d", c, got, want)
+		}
+	}
+}
+
+// TestFrameDeltaRejects: every structural defect of a delta record rejects
+// the whole frame as ErrBadFrame.
+func TestFrameDeltaRejects(t *testing.T) {
+	var dec FrameDecoder
+	for name, frame := range malformedDeltaFrames() {
+		if recs, err := dec.Decode(frame); !errors.Is(err, ErrBadFrame) || recs != nil {
+			t.Errorf("%s: %d records, err %v; want none and ErrBadFrame", name, len(recs), err)
+		}
+	}
+	// The nearest well-formed records: an empty bitmap, and three slots —
+	// one control byte and two spans, then a control byte with a 0 low
+	// nibble and the last span.
+	empty := []byte{byte(RecDelta), 0, 1, 0, 0, 0, 9, 9, 1, 0x00, 0x00}
+	three := []byte{byte(RecDelta), 0, 1, 0, 0, 0, 9, 9, 1, 0x03, 0x01,
+		0xce, 1, 2, 3, 4, 5, 0x7f, // lead 3 tail 0: 5 bytes; lead 3 tail 4: 1 byte
+		0xb0, 0x80} // lead 2 tail 5: 1 byte
+	recs, err := dec.Decode(rawFrame(2, append(empty, three...)))
+	if err != nil || len(recs) != 2 || recs[0].Base != 8 || recs[0].Len != 9 || len(recs[0].xor) != 0 {
+		t.Fatalf("well-formed deltas: recs %+v, err %v", recs, err)
+	}
+	vec := make([]float64, 9)
+	recs[1].Patch(vec)
+	want := []float64{0: math.Float64frombits(0x0102030405), 1: math.Float64frombits(0x7f << 32), 8: math.Float64frombits(0x80 << 40)}
+	if len(recs[1].xor) != 3 || !slices.Equal(vec, want) {
+		t.Fatalf("patched a zero vector into %v (%d slots), want %v", vec, len(recs[1].xor), want)
+	}
+}
+
+// TestFrameDeltaOrFull pins the delta-vs-full choice to real sizes: 43
+// slots changing to unrelated bit patterns fall back to a full record, a
+// repeat of the same vector costs header and empty bitmap only, and the
+// baseline advances exactly once either way.
+func TestFrameDeltaOrFull(t *testing.T) {
+	const m = metricspec.MetricCount
+	enc := NewFrameEncoder()
+	var dec FrameDecoder
+	vec := make([]float64, m)
+	add := func(epoch int) WireRecord {
+		t.Helper()
+		enc.Reset()
+		if err := enc.Add(7, epoch, vec); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := enc.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := dec.Decode(frame)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("epoch %d: %d records, err %v", epoch, len(recs), err)
+		}
+		return recs[0]
+	}
+	add(1)
+	for k := range vec { // every byte of every slot changes
+		vec[k] = math.Float64frombits(0x0123456789abcdef*uint64(k+1) | 0x0100000000000001)
+	}
+	if r := add(2); r.Kind != RecFull || enc.Fulls() != 1 || len(enc.buf)-FrameHeaderLen != 8+8*m {
+		t.Fatalf("all-slots-changed record: kind %#x, %d payload bytes; want full, %d", r.Kind, len(enc.buf)-FrameHeaderLen, 8+8*m)
+	}
+	r := add(3)
+	if want := 9 + (m+7)/8; r.Kind != RecDelta || r.Base != 2 || len(r.xor) != 0 || len(enc.buf)-FrameHeaderLen != want {
+		t.Fatalf("repeat record: kind %#x base %d, %d changed, %d payload bytes; want delta on 2, 0, %d",
+			r.Kind, r.Base, len(r.xor), len(enc.buf)-FrameHeaderLen, want)
+	}
+	vec[3]++ // the base after the fallback is the full record's vector, once
+	if r := add(500); r.Kind != RecDelta || r.Base != 3 || len(r.xor) != 1 || enc.Fulls() != 0 {
+		t.Fatalf("delta after fallback: %+v", r)
+	}
 }
 
 // TestFrameDecoderZeroAlloc pins the decode hot path at zero steady-state
@@ -258,6 +372,17 @@ func TestFrameDecoderZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("FrameDecoder.Decode allocates %.1f per call, want 0", allocs)
+	}
+	// The encoder's delta path reuses its buffer and baselines the same way.
+	allocs = testing.AllocsPerRun(100, func() {
+		enc.Reset()
+		vec[5]++
+		if err := enc.Add(1, 3, vec); err != nil || enc.Fulls() != 0 {
+			t.Fatalf("Add: %v, %d full records", err, enc.Fulls())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FrameEncoder.Add allocates %.1f per delta record, want 0", allocs)
 	}
 }
 

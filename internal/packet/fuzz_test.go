@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"math"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -100,20 +101,34 @@ func FuzzC3(f *testing.F) {
 
 // FuzzFrame hammers the batch frame decoder. Invariants: never panic, never
 // accept a frame whose record structure is inconsistent (every accepted
-// record has a sane kind, in-range delta indices, and Values/Diff lengths
-// matching its header), and accepted frames re-decode identically (the
-// decoder is deterministic over its reused arenas).
+// record has a sane kind, a delta patch that rewrites exactly its announced
+// slots inside the declared length, and Values lengths matching its
+// header), and accepted frames re-decode identically (the decoder is
+// deterministic over its reused arenas). Each input is tried twice: as a
+// frame, and as a record count byte plus payload sealed in a valid header,
+// so mutations reach the record parsers behind the CRC.
 func FuzzFrame(f *testing.F) {
 	f.Add(reportRecordFrame(f)) // retired kind 0x03: a rejection input
+	for _, frame := range malformedDeltaFrames() {
+		f.Add(frame)
+		f.Add(append([]byte{1}, frame[FrameHeaderLen:]...))
+	}
 	enc := NewFrameEncoder()
-	enc.Reset()
 	if b, err := enc.Frame(); err == nil { // empty frame
 		f.Add(append([]byte(nil), b...))
+	}
+	vec := make([]float64, 9)
+	enc.AddFull(1, 1, vec)
+	vec[0], vec[8] = 1, math.Pi
+	enc.Add(1, 2, vec)
+	if b, err := enc.Frame(); err == nil { // full + delta, accepted
+		f.Add(append([]byte(nil), b...))
+		f.Add(append([]byte{2}, b[FrameHeaderLen:]...))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("VN2F"))
 
-	f.Fuzz(func(t *testing.T, b []byte) {
+	check := func(t *testing.T, b []byte) {
 		var dec FrameDecoder
 		recs, err := dec.Decode(b)
 		if err != nil {
@@ -126,15 +141,18 @@ func FuzzFrame(f *testing.F) {
 					t.Fatalf("record %d: %d values, header says %d", i, len(r.Values), r.Len)
 				}
 			case RecDelta:
-				if len(r.Idx) != len(r.Diff) {
-					t.Fatalf("record %d: %d indices, %d values", i, len(r.Idx), len(r.Diff))
-				}
-				prev := -1
-				for _, ix := range r.Idx {
-					if int(ix) >= r.Len || int(ix) <= prev {
-						t.Fatalf("record %d: index %d out of order or range (len %d)", i, ix, r.Len)
+				// Patch must stay inside a vector of the declared length and
+				// flip exactly the announced slots.
+				vec := make([]float64, r.Len)
+				r.Patch(vec)
+				changed := 0
+				for _, v := range vec {
+					if math.Float64bits(v) != 0 {
+						changed++
 					}
-					prev = int(ix)
+				}
+				if changed != len(r.xor) {
+					t.Fatalf("record %d: patch changed %d slots, record says %d", i, changed, len(r.xor))
 				}
 			default:
 				t.Fatalf("record %d: impossible kind %#x", i, r.Kind)
@@ -145,6 +163,12 @@ func FuzzFrame(f *testing.F) {
 		recs2, err := dec2.Decode(b)
 		if err != nil || len(recs2) != len(recs) {
 			t.Fatalf("re-decode diverged: %v, %d vs %d records", err, len(recs2), len(recs))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check(t, b)
+		if len(b) > 0 {
+			check(t, rawFrame(int(b[0]), b[1:]))
 		}
 	})
 }

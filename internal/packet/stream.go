@@ -152,18 +152,9 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint32(buf) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	if buf[4] != frameVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, buf[4], frameVersion)
-	}
-	if buf[5] != 0 {
-		return nil, fmt.Errorf("%w: reserved flags %#x", ErrBadFrame, buf[5])
-	}
-	plen := int(binary.BigEndian.Uint32(buf[8:]))
-	if plen > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, plen)
+	_, plen, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
 	}
 	total := FrameHeaderLen + plen
 	if cap(buf) < total {

@@ -109,9 +109,7 @@ func TestReadFrameStream(t *testing.T) {
 		vec := recs[0].Values
 		if recs[0].Kind == RecDelta {
 			vec = append([]float64(nil), want[i-1]...)
-			for j, ix := range recs[0].Idx {
-				vec[ix] = recs[0].Diff[j]
-			}
+			recs[0].Patch(vec)
 		}
 		for k, v := range want[i] {
 			if vec[k] != v {

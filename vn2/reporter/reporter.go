@@ -100,6 +100,8 @@ type Stats struct {
 	SpillHighWater int    // max spill-queue depth ever observed
 	Frames         uint64 // frames ACKed
 	Records        uint64 // records ACKed
+	BytesSent      uint64 // frame bytes written to the wire, retransmits included
+	FullRecords    uint64 // records written fully encoded, retransmits included
 	Nacks          uint64 // NACK responses received
 	Retries        uint64 // delivery attempts beyond each batch's first
 	Redials        uint64 // connections established
@@ -120,6 +122,7 @@ type Reporter struct {
 	drops                                    uint64
 	hwm                                      int
 	frames, records, nacks, retries, redials uint64
+	bytesSent, fullRecords                   uint64
 	br                                       retry.Breaker
 
 	sendMu  sync.Mutex // serializes Flush; guards conn/enc/resync
@@ -258,6 +261,8 @@ func (r *Reporter) Stats() Stats {
 		SpillHighWater: r.hwm,
 		Frames:         r.frames,
 		Records:        r.records,
+		BytesSent:      r.bytesSent,
+		FullRecords:    r.fullRecords,
 		Nacks:          r.nacks,
 		Retries:        r.retries,
 		Redials:        r.redials,
@@ -382,6 +387,10 @@ func (r *Reporter) attempt(batch []trace.Record) error {
 		r.dropConn()
 		return fmt.Errorf("reporter: write frame: %w", err)
 	}
+	r.mu.Lock()
+	r.bytesSent += uint64(len(frame))
+	r.fullRecords += uint64(r.enc.Fulls())
+	r.mu.Unlock()
 	c.SetReadDeadline(time.Now().Add(r.cfg.IOTimeout))
 	resp, err := packet.ReadStreamResp(c, r.respBuf)
 	if err != nil {

@@ -249,6 +249,15 @@ func TestReporterHappyPath(t *testing.T) {
 	if sink.dec.Deltas() == 0 {
 		t.Fatal("no delta records on the wire; the happy path exercised only full encoding")
 	}
+	// With no retransmit the wire counters are the sink's view: every record
+	// it did not reconstruct from a delta went out full, and the bytes stay
+	// under what full encoding alone would have cost.
+	if want := st.Records - sink.dec.Deltas(); st.FullRecords != want || st.FullRecords < 4 {
+		t.Fatalf("FullRecords %d, want %d (4 nodes' first reports at least)", st.FullRecords, want)
+	}
+	if full := st.Records * (8 + 8*8); st.BytesSent == 0 || st.BytesSent >= full {
+		t.Fatalf("BytesSent %d, want within (0, %d)", st.BytesSent, full)
+	}
 	if st.SpillHighWater != len(recs) {
 		t.Fatalf("high water %d, want %d", st.SpillHighWater, len(recs))
 	}

@@ -188,6 +188,7 @@ func (s *Server) commitFrame(raw []byte) outcome {
 		}
 		s.binFrames.Add(1)
 		s.binRecords.Add(uint64(len(recs)))
+		s.binBytes.Add(uint64(len(raw)))
 		return recs, nil
 	})
 }

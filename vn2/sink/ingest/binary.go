@@ -29,9 +29,10 @@ type nodeBase struct {
 // BinaryDecoder is the sink side of the batched binary ingest protocol: it
 // parses /report/bin frames and reconstructs delta-encoded records against
 // a per-node cache of the last vector received. Reconstruction is bit-exact
-// because the wire carries raw float64 bits and a delta only ever rewrites
-// entries of a cached vector the sender provably shares (epoch and length
-// are checked; any mismatch rejects the whole frame before the cache moves).
+// because a delta carries the XOR of raw float64 bit patterns and is only
+// ever applied to a cached vector the sender provably shares (epoch and
+// length are checked; any mismatch rejects the whole frame before the cache
+// moves).
 //
 // Decode is all-or-nothing: the cache commits only after every record in
 // the frame has been reconstructed, so a rejected frame leaves the decoder
@@ -108,9 +109,7 @@ func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
 					ErrDeltaBase, wr.Node, wr.Base, wr.Len, baseEpoch, len(base))
 			}
 			copy(vec, base)
-			for j, ix := range wr.Idx {
-				vec[ix] = wr.Diff[j]
-			}
+			wr.Patch(vec)
 			d.deltas.Add(1)
 		default:
 			return nil, fmt.Errorf("%w: record kind %#x", packet.ErrBadFrame, wr.Kind)

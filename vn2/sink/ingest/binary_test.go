@@ -1,7 +1,9 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -205,6 +207,61 @@ func TestBinaryDecoderRejectsStaleBase(t *testing.T) {
 	f3 := encodeFrame(t, enc, func(e *packet.FrameEncoder) error { return e.Add(5, 2, next) })
 	if _, err := dec.Decode(f3); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("got %v, want ErrDeltaBase for stale base epoch", err)
+	}
+}
+
+// TestBinaryDecoderMalformedDeltaKeepsCache sweeps every single-byte
+// corruption of a delta record (CRC resealed, so the structure checks are
+// what rejects it) plus a version-1 header: each frame either decodes or is
+// rejected whole as a bad frame, and after a reject the cache still holds
+// the base — the untouched delta frame reconstructs next bit for bit.
+func TestBinaryDecoderMalformedDeltaKeepsCache(t *testing.T) {
+	enc := packet.NewFrameEncoder()
+	base := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	next := []float64{1, 2.5, 3, math.Copysign(0, -1), 5, 6, 7, math.NaN(), 1e300}
+	full := encodeFrame(t, enc, func(e *packet.FrameEncoder) error { return e.Add(5, 1, base) })
+	delta := encodeFrame(t, enc, func(e *packet.FrameEncoder) error { return e.Add(5, 2, next) })
+	if enc.Fulls() != 0 {
+		t.Fatal("fixture did not delta-encode")
+	}
+	var frames [][]byte
+	for i := packet.FrameHeaderLen; i < len(delta); i++ {
+		for _, flip := range []byte{0x01, 0x10, 0x80, 0xff} {
+			bad := append([]byte(nil), delta...)
+			bad[i] ^= flip
+			binary.BigEndian.PutUint32(bad[12:], crc32.Checksum(bad[packet.FrameHeaderLen:], crc32.MakeTable(crc32.Castagnoli)))
+			frames = append(frames, bad)
+		}
+	}
+	v1 := append([]byte(nil), delta...)
+	v1[4] = 1
+	frames = append(frames, v1, delta[:len(delta)-1])
+	rejected := 0
+	for _, bad := range frames {
+		dec := NewBinaryDecoder()
+		if _, err := dec.Decode(full); err != nil {
+			t.Fatal(err)
+		}
+		_, err := dec.Decode(bad)
+		if err == nil {
+			continue // the corruption landed on a value byte, node or epoch
+		}
+		rejected++
+		if !errors.Is(err, packet.ErrBadFrame) && !errors.Is(err, ErrDeltaBase) {
+			t.Fatalf("frame %x: err %v, want a bad-frame or delta-base reject", bad, err)
+		}
+		recs, err := dec.Decode(delta)
+		if err != nil {
+			t.Fatalf("after rejecting %x the good delta fails: %v", bad, err)
+		}
+		for i, v := range recs[0].Vector {
+			if math.Float64bits(v) != math.Float64bits(next[i]) {
+				t.Fatalf("after rejecting %x slot %d: got %v, want %v", bad, i, v, next[i])
+			}
+		}
+	}
+	if rejected < len(frames)/4 {
+		t.Fatalf("only %d of %d corruptions rejected — the sweep is not reaching the structure checks", rejected, len(frames))
 	}
 }
 

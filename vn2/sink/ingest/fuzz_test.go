@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -57,6 +59,79 @@ func FuzzDecodeReports(f *testing.F) {
 			back, err := dec.Decode(frame)
 			if err != nil || len(back) != len(head) {
 				t.Fatalf("journal frame decodes to %d of %d reports: %v", len(back), len(head), err)
+			}
+		}
+	})
+}
+
+// FuzzDeltaRoundTrip is the bit-exactness property of the delta wire: for
+// any vector length m and any (base, next) float64 bit patterns — slot i's
+// pair is read from data, cycled when short — Add(base), Add(next) through
+// the frame decoder and the sink's delta cache returns next bit for bit,
+// for any pair of epochs (the gap wraps mod 2³² when next is the earlier),
+// and the second record is never larger than a full one.
+func FuzzDeltaRoundTrip(f *testing.F) {
+	special := []uint64{
+		0, 1 << 63, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000001, 0x7ff0000000000001, 0xfff7ffffffffffff, // quiet, signaling, negative NaN payloads
+		1, 0x000fffffffffffff, 0x8000000000000001, // subnormals
+		math.Float64bits(1234), math.Float64bits(1237), math.Float64bits(0.1), math.Float64bits(0.1000001),
+		0x0123456789abcdef, 0xfedcba9876543210,
+	}
+	var pairs, shifted []byte
+	for i, w := range special {
+		pairs = binary.BigEndian.AppendUint64(pairs, w)
+		pairs = binary.BigEndian.AppendUint64(pairs, special[(i+1)%len(special)])
+		shifted = binary.BigEndian.AppendUint64(shifted, w)
+		shifted = binary.BigEndian.AppendUint64(shifted, w^0xff<<(8*(i%8))) // one byte differs
+	}
+	for _, m := range []uint8{0, 1, 8, 9, 43, 255} {
+		f.Add(m, uint32(7), uint32(8), pairs)
+		f.Add(m, uint32(1<<32-1), uint32(0), pairs[8:]) // base and next roles swapped
+		f.Add(m, uint32(9), uint32(1<<31), shifted)
+		f.Add(m, uint32(5), uint32(5), []byte{})
+	}
+
+	f.Fuzz(func(t *testing.T, m uint8, e0, e1 uint32, data []byte) {
+		word := func(j int) float64 {
+			var w [8]byte
+			for k := range w {
+				if len(data) > 0 {
+					w[k] = data[(8*j+k)%len(data)]
+				}
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(w[:]))
+		}
+		base, next := make([]float64, m), make([]float64, m)
+		for i := range base {
+			base[i], next[i] = word(2*i), word(2*i+1)
+		}
+		enc := packet.NewFrameEncoder()
+		dec := NewBinaryDecoder()
+		for _, step := range []struct {
+			epoch int
+			vec   []float64
+		}{{int(e0), base}, {int(e1), next}} {
+			enc.Reset()
+			if err := enc.Add(3, step.epoch, step.vec); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := enc.Frame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frame) > packet.FrameHeaderLen+8+8*int(m) {
+				t.Fatalf("record of %d bytes, a full one is %d", len(frame)-packet.FrameHeaderLen, 8+8*int(m))
+			}
+			recs, err := dec.Decode(frame)
+			if err != nil || len(recs) != 1 || recs[0].Epoch != step.epoch {
+				t.Fatalf("epoch %d: %d records, err %v", step.epoch, len(recs), err)
+			}
+			for i, v := range recs[0].Vector {
+				if math.Float64bits(v) != math.Float64bits(step.vec[i]) {
+					t.Fatalf("epoch %d slot %d: got %x, want %x", step.epoch, i, math.Float64bits(v), math.Float64bits(step.vec[i]))
+				}
 			}
 		}
 	})

@@ -140,10 +140,13 @@ func (s *Server) registerMetrics() {
 		m["stream_next_seq"] = s.bus.NextSeq()
 		// Binary ingest path (/report/bin).
 		m["bin_frames"] = s.binFrames.Load()
-		m["bin_records"] = s.binRecords.Load()
 		m["bin_rejects"] = s.binRejects.Load()
-		m["bin_deltas"] = s.binDec.Deltas()
+		// Frames decode under commitMu: read there, the counters agree.
 		s.commitMu.Lock()
+		m["bin_records"] = s.binRecords.Load()
+		m["bin_bytes"] = s.binBytes.Load()
+		m["bin_deltas"] = s.binDec.Deltas()
+		m["bin_fulls"] = s.binRecords.Load() - s.binDec.Deltas()
 		m["bin_cache_nodes"] = s.binDec.Nodes()
 		s.commitMu.Unlock()
 	})

@@ -61,6 +61,7 @@ func TestServeBinaryEquivalence(t *testing.T) {
 		t.Fatalf("calibration trace has only %d nodes", len(nodes))
 	}
 	enc := packet.NewFrameEncoder()
+	var wireBytes, fulls float64
 	for epoch := 1; epoch <= 6; epoch++ {
 		batch := make([]trace.Record, 4)
 		for i := 0; i < 4; i++ {
@@ -70,6 +71,8 @@ func TestServeBinaryEquivalence(t *testing.T) {
 			t.Fatalf("json report: %d %s", resp.StatusCode, body)
 		}
 		frame := binFrame(t, enc, batch)
+		wireBytes += float64(len(frame))
+		fulls += float64(enc.Fulls())
 		if resp, body := postBin(t, tsBin.URL, frame); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("bin report: %d %s", resp.StatusCode, body)
 		}
@@ -82,6 +85,23 @@ func TestServeBinaryEquivalence(t *testing.T) {
 	}
 	if srvBin.binDec.Deltas() == 0 {
 		t.Fatal("no delta records crossed the wire; the test exercised nothing")
+	}
+	// /status carries what an operator needs for uplink B/report and the
+	// delta hit ratio, and it agrees with what the client put on the wire.
+	resp, err := http.Get(tsBin.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status["bin_bytes"] != wireBytes || status["bin_fulls"] != fulls || status["bin_records"] != 24.0 ||
+		status["bin_deltas"] != 24-fulls {
+		t.Fatalf("/status bin_bytes=%v bin_fulls=%v bin_records=%v bin_deltas=%v; client sent %v bytes, %v fulls of 24",
+			status["bin_bytes"], status["bin_fulls"], status["bin_records"], status["bin_deltas"], wireBytes, fulls)
 	}
 
 	stJSON, _ := json.Marshal(srvJSON.MonitorState())

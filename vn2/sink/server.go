@@ -90,6 +90,7 @@ type Server struct {
 
 	binFrames  atomic.Uint64 // binary frames accepted
 	binRecords atomic.Uint64 // reports carried by accepted binary frames
+	binBytes   atomic.Uint64 // wire bytes of accepted binary frames, headers included
 	binRejects atomic.Uint64 // frames rejected (bad frame or delta-base miss)
 
 	// Persistent frame-stream edge (see stream_srv.go).

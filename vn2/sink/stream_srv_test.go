@@ -181,7 +181,7 @@ func TestStreamSlowlorisDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte("VN2F\x01\x00")); err != nil { // 6 of 16 header bytes, then stall
+	if _, err := c.Write([]byte(packet.FramePreamble)); err != nil { // 6 of 16 header bytes, then stall
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
