@@ -30,7 +30,7 @@ func cmdServe(args []string) error {
 	fs.IntVar(&o.MaxPending, "max-pending", 0, "bound on flagged states awaiting diagnosis (0 = 4096)")
 	fs.IntVar(&o.History, "history", 0, "rolling per-epoch diagnosis window, epochs (0 = 64)")
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
-	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "how often flagged states are batch-diagnosed")
+	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", time.Minute, "how often the snapshot file is rewritten")
 	fs.StringVar(&o.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
 	fs.BoolVar(&o.Lifecycle, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")

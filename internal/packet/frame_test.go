@@ -381,7 +381,7 @@ func TestFrameDecoderZeroAlloc(t *testing.T) {
 			t.Fatalf("Add: %v, %d full records", err, enc.Fulls())
 		}
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("FrameEncoder.Add allocates %.1f per delta record, want 0", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -404,5 +405,132 @@ func TestConcurrentIngestDrainSnapshot(t *testing.T) {
 	}
 	if st.Reports != nodes*epochs {
 		t.Errorf("reports = %d, want %d", st.Reports, nodes*epochs)
+	}
+}
+
+// stormTrace is a seeded failure-window trace: every node reports most
+// epochs, a third of the reports carry a contention archetype of varying
+// strength, some a spike no archetype explains, and the last report is
+// always flagged so every grouping below ends on the same LastEpoch.
+func (r testRig) stormTrace(seed int64, nodes, epochs int) []trace.Record {
+	rng := rand.New(rand.NewSource(seed))
+	vecs := make([][]float64, nodes)
+	for n := range vecs {
+		vecs[n] = append([]float64(nil), r.baseline...)
+	}
+	var out []trace.Record
+	for e := 1; e <= epochs; e++ {
+		for n, v := range vecs {
+			last := e == epochs && n == nodes-1
+			if !last && rng.Float64() < 0.1 {
+				continue // lost report: the next one spans a gap
+			}
+			for k := range v {
+				v[k] += rng.NormFloat64() * 0.2
+			}
+			switch p := rng.Float64(); {
+			case last || p < 0.3:
+				scale := 0.5 + 1.5*rng.Float64()
+				for k, d := range r.hotDelta {
+					v[k] += scale * d
+				}
+			case p < 0.4:
+				v[metricspec.BeaconCounter] += 500
+				v[metricspec.NoParentCounter] += 400
+			}
+			out = append(out, trace.Record{Node: packet.NodeID(n + 1), Epoch: e, Vector: append([]float64(nil), v...)})
+		}
+	}
+	return out
+}
+
+// TestDrainGroupingIndependent is what lets the sink drain whenever it
+// likes: per-state diagnoses, the epoch distributions, the recent ring, the
+// drift window and the quarantine are functions of the ordered set of
+// flagged states, not of how drains partitioned it — one drain per state,
+// one every k states, one at the end, or a goroutine draining as fast as it
+// can while the trace is still being ingested, all bit for bit the same.
+// The trace outruns History, MaxRecent and ResidualWindow, so the pruning
+// and both rings are exercised. Stats.Drains is excluded: it counts the
+// grouping itself.
+func TestDrainGroupingIndependent(t *testing.T) {
+	r := newRig(t)
+	recs := r.stormTrace(7, 24, 80)
+
+	type result struct {
+		sum   Summary
+		state MonitorState
+		diag  []Flagged
+	}
+	// run ingests the trace, draining when every(flagged so far) says so —
+	// or concurrently when every is nil — and once more at the end.
+	run := func(every func(flagged int) bool) result {
+		m := newTestMonitor(t, Config{Workers: 2, MaxPending: len(recs)})
+		for n := 1; n <= 24; n++ {
+			if err := m.Warm(r.calm(packet.NodeID(n), 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var res result
+		drain := func() {
+			out, err := m.Drain()
+			if err != nil {
+				t.Error(err)
+			}
+			res.diag = append(res.diag, out...)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for every == nil {
+				select {
+				case <-stop:
+					return
+				default:
+					drain()
+				}
+			}
+		}()
+		flagged := 0
+		for _, rec := range recs {
+			if ingestOK(t, m, rec).Flagged {
+				flagged++
+				if every != nil && every(flagged) {
+					drain()
+				}
+			}
+		}
+		close(stop)
+		<-done
+		drain()
+		res.sum, res.state = m.Snapshot(), m.State()
+		if res.sum.Stats.Dropped != 0 || int(res.sum.Stats.Diagnosed) != flagged || len(res.diag) != flagged {
+			t.Fatalf("flagged %d, diagnosed %d, returned %d, dropped %d", flagged, res.sum.Stats.Diagnosed, len(res.diag), res.sum.Stats.Dropped)
+		}
+		res.sum.Stats.Drains, res.state.Stats.Drains = 0, 0
+		return res
+	}
+
+	base := run(func(int) bool { return false })
+	if n := len(base.diag); n <= 256 || len(base.sum.Epochs) != 64 || len(base.sum.Recent) != 128 ||
+		base.sum.Drift.Window != 256 || base.sum.Drift.Quarantine == 0 {
+		t.Fatalf("trace too small to exercise the rings: %d flagged, %d epochs, %d recent, drift %+v",
+			n, len(base.sum.Epochs), len(base.sum.Recent), base.sum.Drift)
+	}
+	for name, every := range map[string]func(int) bool{
+		"a drain per state":       func(int) bool { return true },
+		"a drain every 7 states":  func(n int) bool { return n%7 == 0 },
+		"drains racing the trace": nil,
+	} {
+		got := run(every)
+		if !reflect.DeepEqual(got.diag, base.diag) {
+			t.Errorf("%s: diagnoses differ from the single drain's", name)
+		}
+		if !reflect.DeepEqual(got.sum, base.sum) {
+			t.Errorf("%s: Snapshot differs from the single drain's", name)
+		}
+		if !reflect.DeepEqual(got.state, base.state) {
+			t.Errorf("%s: State differs from the single drain's", name)
+		}
 	}
 }

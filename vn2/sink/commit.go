@@ -23,8 +23,8 @@ import (
 // items in the order a WAL replay would, and the applied watermark is the
 // LSN of the last item it finished. Admission is all-or-nothing and comes
 // first, so an item that does not fit leaves nothing behind. Lock order is
-// commitMu → the WAL's mutex; lifecycle.Manager.SnapMu is independent (the
-// ingest loop and the snapshot writer take it, never a producer).
+// commitMu → the WAL's mutex or the monitor's; lifecycle.Manager.SnapMu is
+// independent (the ingest loop and the snapshot writer take it, no producer).
 
 // outcome is the transport-independent verdict on one report batch. The
 // HTTP edges map it onto status codes (202/400/413/503) and the stream
@@ -44,8 +44,8 @@ type outcome struct {
 	tooLarge bool
 }
 
-// Backoff hints, in seconds. Busy is transient (the queue drains on the
-// next tick); unavailable (degraded/draining) clears on operator or
+// Backoff hints, in seconds. Busy is transient (queue and backlog drain
+// within milliseconds); unavailable (degraded/draining) clears on operator or
 // probe timescales.
 const (
 	retryAfterBusy        = 1
@@ -128,19 +128,28 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 	}
 	n := len(recs)
 	s.received.Add(uint64(n))
+	// All-or-nothing: room in the queue, and in the diagnosis backlog should
+	// every queued and offered report flag — no ACKed report is ever dropped.
+	busy := ""
 	if !s.room(n) {
+		busy = "ingest queue full"
+	} else if s.mon.Pending()+s.QueueDepth()+n > s.opts.MaxPending {
+		busy = "diagnosis backlog full"
+		s.refusedBacklog.Add(uint64(n))
+	}
+	if busy != "" {
 		s.commitMu.Unlock()
 		s.rejected.Add(uint64(n))
-		if n > cap(s.queue) {
+		if limit := min(cap(s.queue), s.opts.MaxPending); n > limit {
 			return outcome{
 				status:   packet.StreamNackBad,
 				tooLarge: true,
-				msg:      fmt.Sprintf("batch of %d reports exceeds the ingest queue (%d); send smaller batches", n, cap(s.queue)),
+				msg:      fmt.Sprintf("batch of %d reports exceeds the ingest queue or the diagnosis backlog (%d); send smaller batches", n, limit),
 			}
 		}
 		return outcome{
 			status:     packet.StreamNackBusy,
-			msg:        "ingest queue full",
+			msg:        busy,
 			detail:     map[string]any{"accepted": 0, "dropped": n},
 			retryAfter: retryAfterBusy,
 		}

@@ -59,6 +59,7 @@ func TestReportEdgeValidation(t *testing.T) {
 		CalibratePath: fx.tracePath,
 		WALPath:       filepath.Join(dir, "wal"),
 		QueueSize:     queue,
+		MaxPending:    queue, // admission also bounds a batch by the diagnosis backlog
 		Sleep:         noSleep,
 	})
 	if err != nil {
@@ -463,5 +464,114 @@ func TestWALHoldsOneReportKind(t *testing.T) {
 		if len(got) != 1 || got[0] != want[0] {
 			t.Errorf("%s WAL differs from the JSON WAL for the same batch", name)
 		}
+	}
+}
+
+// TestBacklogAdmission: "ACKed" also means "will be diagnosed". With every
+// report flagged and no drain running, the batch that could overflow the
+// diagnosis backlog — counting what is still queued as well as what is
+// pending — is refused whole on both edges, busy with a retry hint, leaving
+// WAL, queue and monitor_dropped untouched; one DrainTick later it is
+// accepted. The drain loop's burst rule, which IngestQueued applies inline,
+// keeps a driver that never ticks clear of the bound.
+func TestBacklogAdmission(t *testing.T) {
+	fx := serveFixtures(t)
+	srv, err := New(Options{
+		ModelPath:     fx.modelPath,
+		CalibratePath: fx.tracePath,
+		WALPath:       filepath.Join(t.TempDir(), "wal"),
+		QueueSize:     64,
+		MaxPending:    6,
+		Sleep:         noSleep,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.CloseWAL()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	nodes := fx.nodes()
+	hot := func(from, to int) (recs []trace.Record) {
+		for _, node := range nodes[from:to] {
+			recs = append(recs, fx.hotReport(t, node, 1))
+		}
+		return recs
+	}
+	accept := func(recs []trace.Record) {
+		t.Helper()
+		if resp, body := postJSON(t, ts.URL+"/report", recs); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("batch of %d: %d %s", len(recs), resp.StatusCode, body)
+		}
+	}
+
+	accept(hot(0, 4))
+	srv.IngestQueued() // 4 pending
+	accept(hot(4, 6))  // 4 pending + 2 queued: the backlog is spoken for
+	lsn, items := srv.jnl.NextLSN(), len(srv.queue)
+
+	resp, body := postJSON(t, ts.URL+"/report", hot(6, 7))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
+		!strings.Contains(string(body), "diagnosis backlog full") {
+		t.Fatalf("JSON edge: %d (Retry-After %q) %s, want 503 naming the backlog", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	out := srv.commitFrame(binFrame(t, packet.NewFrameEncoder(), hot(6, 9)))
+	if out.status != packet.StreamNackBusy || out.accepted != 0 || out.retryAfter != retryAfterBusy {
+		t.Fatalf("frame edge: %+v, want a busy NACK", out)
+	}
+	if got := srv.jnl.NextLSN(); got != lsn || len(srv.queue) != items || srv.QueueDepth() != 2 {
+		t.Errorf("refused batches left a trace: next LSN %d → %d, queue %d → %d items, depth %d", lsn, got, items, len(srv.queue), srv.QueueDepth())
+	}
+	if rej, ref := srv.rejected.Load(), srv.refusedBacklog.Load(); rej != 4 || ref != 4 {
+		t.Errorf("reports_rejected=%d reports_refused_backlog=%d, want 4/4", rej, ref)
+	}
+
+	srv.IngestQueued()
+	if p, d := srv.mon.Pending(), srv.mon.Stats().Dropped; p != 6 || d != 0 {
+		t.Fatalf("pending=%d dropped=%d with the backlog exactly full, want 6/0", p, d)
+	}
+	srv.DrainTick()
+	accept(hot(6, 9))
+	srv.IngestQueued()
+	srv.DrainTick()
+	if st := srv.mon.Stats(); st.Flagged != 9 || st.Diagnosed != 9 || st.Dropped != 0 {
+		t.Errorf("flagged=%d diagnosed=%d dropped=%d, want 9/9/0", st.Flagged, st.Diagnosed, st.Dropped)
+	}
+
+	// A batch no amount of draining makes room for is a 413, as for the queue.
+	if resp, body := postJSON(t, ts.URL+"/report", hot(9, 16)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch larger than the backlog: %d %s, want 413", resp.StatusCode, body)
+	}
+}
+
+// TestIngestQueuedBurstRule: IngestQueued stands in for both loops, so it
+// diagnoses at drainBurst pending states as the drain loop's wake would —
+// not one state earlier.
+func TestIngestQueuedBurstRule(t *testing.T) {
+	fx := serveFixtures(t)
+	srv, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath, QueueSize: 1024})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var recs []trace.Record
+	for _, b := range fx.rampBatches(t, drainBurst, drainBurst) {
+		recs = append(recs, b...)
+	}
+	for _, part := range [][]trace.Record{recs[:drainBurst-1], recs[drainBurst-1:]} {
+		if resp, body := postJSON(t, ts.URL+"/report", part); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("batch of %d: %d %s", len(part), resp.StatusCode, body)
+		}
+		srv.IngestQueued()
+		want := uint64(0)
+		if len(part) == 1 {
+			want = drainBurst
+		}
+		if got := srv.mon.Stats().Diagnosed; got != want {
+			t.Fatalf("after %d more flagged reports: %d diagnosed, want %d", len(part), got, want)
+		}
+	}
+	if w, k := srv.drainsWoken.Load(), srv.drainsTicked.Load(); w != 1 || k != 0 {
+		t.Errorf("drains_woken=%d drains_ticked=%d, want 1/0", w, k)
 	}
 }

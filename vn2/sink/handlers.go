@@ -151,7 +151,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is READINESS: 200 only when the sink is accepting and
 // applying new reports. Degraded (up but read-only: WAL down, diagnosis
-// failing, backlog shed) and draining (graceful shutdown started) both
+// failing) and draining (graceful shutdown started) both
 // answer 503 with the state named in the body, so a router health probe
 // stops routing to this shard without the process being declared dead.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

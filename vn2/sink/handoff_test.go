@@ -185,11 +185,5 @@ func TestHandoffImportValidates(t *testing.T) {
 // waitIngested waits until the pump has drained n queued reports.
 func waitIngested(t *testing.T, srv *Server, n uint64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ingested.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingested %d, want >= %d", srv.ingested.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, 5*time.Second, "the pump to ingest the queued reports", func() bool { return srv.ingested.Load() >= n })
 }

@@ -17,12 +17,17 @@ func (s *Server) registerMetrics() {
 		m["reports_received"] = s.received.Load()
 		m["reports_accepted"] = s.accepted.Load()
 		m["reports_rejected"] = s.rejected.Load()
+		m["reports_refused_backlog"] = s.refusedBacklog.Load()
 		m["bad_requests"] = s.badReqs.Load()
 		m["reports_ingested"] = s.ingested.Load()
 		m["ingest_errors"] = s.ingestErr.Load()
 		m["queue_depth"] = s.QueueDepth()
 		m["queue_capacity"] = cap(s.queue)
-		m["drains"] = s.drains.Load()
+		woken, ticked := s.drainsWoken.Load(), s.drainsTicked.Load()
+		m["drains"] = woken + ticked
+		m["drains_woken"] = woken
+		m["drains_ticked"] = ticked
+		m["drain_busy_us"] = s.drainBusy.Load() / 1000
 		m["drain_errors"] = s.drainErrs.Load()
 		m["drain_fails_in_a_row"] = s.drainFails.Load()
 		m["snapshots_written"] = s.snapshots.Load()

@@ -24,8 +24,7 @@ import (
 func TestServeRoundTrip(t *testing.T) {
 	fx := serveFixtures(t)
 	snapPath := filepath.Join(t.TempDir(), "snapshot.json")
-	srv, err := New(Options{
-		Addr:          freePort(t),
+	srv, base, stop := runSink(t, Options{
 		ModelPath:     fx.modelPath,
 		CalibratePath: fx.tracePath,
 		SnapshotPath:  snapPath,
@@ -33,29 +32,7 @@ func TestServeRoundTrip(t *testing.T) {
 		DrainEvery:    20 * time.Millisecond,
 		SnapshotEvery: time.Hour, // final shutdown snapshot is the one under test
 	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	runErr := make(chan error, 1)
-	go func() { runErr <- srv.Run(ctx) }()
-	base := "http://" + srv.opts.Addr
-
-	// Wait for the listener.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server did not come up")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	// One bare hot report, then a batch envelope for two more nodes.
 	nodes := fx.nodes()
@@ -107,7 +84,7 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 
 	// Metrics reflect the traffic.
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +105,7 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 
 	// Graceful shutdown writes the final snapshot.
-	cancel()
-	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not shut down")
-	}
+	stop()
 	b, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
@@ -332,5 +301,207 @@ func TestNewErrors(t *testing.T) {
 	}
 	if _, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath, SnapshotPath: badSnap}); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad snapshot version err = %v", err)
+	}
+}
+
+// runSink boots the real server — Run, with its ingest and drain loops — and
+// waits for the listener. stop shuts it down gracefully and fails the test
+// if Run does not return cleanly.
+func runSink(t *testing.T, o Options, prep ...func(*Server)) (srv *Server, base string, stop func()) {
+	t.Helper()
+	o.Addr = freePort(t)
+	srv, err := New(o)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, f := range prep { // runs before any loop starts
+		f(srv)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	base = "http://" + o.Addr
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server did not come up")
+		}
+	}
+	return srv, base, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-runErr:
+			if err != nil {
+				t.Errorf("run: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("server did not shut down")
+		}
+	}
+}
+
+// rampReport is hotReport with the jump scaled by the epoch, so consecutive
+// reports of one node each derive a flagged state (hotReport's constant jump
+// flags only the first).
+func (f fixtures) rampReport(t *testing.T, node, epochsAhead int) trace.Record {
+	rec := f.hotReport(t, node, epochsAhead)
+	for k := 0; k < 6 && k < len(rec.Vector); k++ {
+		rec.Vector[k] += 1e7 * float64(epochsAhead-1)
+	}
+	return rec
+}
+
+// rampBatches is count flagged reports over the fixture's first 40 nodes,
+// epoch-major so each node's epochs ascend, cut into batches of size.
+func (f fixtures) rampBatches(t *testing.T, count, size int) (batches [][]trace.Record) {
+	nodes := f.nodes()[:40]
+	for i := 0; i < count; i++ {
+		if i%size == 0 {
+			batches = append(batches, nil)
+		}
+		last := &batches[len(batches)-1]
+		*last = append(*last, f.rampReport(t, nodes[i%len(nodes)], 1+i/len(nodes)))
+	}
+	return batches
+}
+
+// waitFor polls cond; the drain loop's effects have no event to wait on but
+// the counters themselves.
+func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(within); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %s waiting for %s", within, what)
+		}
+	}
+}
+
+// TestDrainWokenByFlaggedState: the tick is an hour away, yet a flagged
+// report's EpochDiagnosed is on the bus within a quarter second of its 202 —
+// the flagged state woke the drain loop — and the backlog is empty again.
+func TestDrainWokenByFlaggedState(t *testing.T) {
+	fx := serveFixtures(t)
+	srv, base, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath, DrainEvery: time.Hour})
+	defer stop()
+	sub := srv.bus.Subscribe(64)
+	defer sub.Close()
+
+	if resp, body := postJSON(t, base+"/report", fx.hotReport(t, fx.nodes()[0], 1)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("report: %d %s", resp.StatusCode, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	for {
+		ev, ok := sub.Next(ctx)
+		if !ok {
+			t.Fatal("no EpochDiagnosed within 250ms of the ACK: the drain waited for its tick")
+		}
+		if ev.Type == EvEpochDiagnosed {
+			break
+		}
+	}
+	if p := srv.mon.Pending(); p != 0 {
+		t.Errorf("pending_states = %d after the diagnosis, want 0", p)
+	}
+	if w, k := srv.drainsWoken.Load(), srv.drainsTicked.Load(); w != 1 || k != 0 {
+		t.Errorf("drains_woken=%d drains_ticked=%d, want 1/0", w, k)
+	}
+}
+
+// TestDrainCoalesces: 1000 flagged states arriving 64 to a batch share a few
+// dozen DiagnoseBatch calls at most, not one each; drainBurst of them in one
+// batch are diagnosed by the wake that finds them, whole; and a shutdown
+// that catches the loop with a wake or a window pending still diagnoses
+// every ACKed state. The tick is an hour away throughout.
+func TestDrainCoalesces(t *testing.T) {
+	fx := serveFixtures(t)
+	srv, base, stop := runSink(t, Options{
+		ModelPath: fx.modelPath, CalibratePath: fx.tracePath, QueueSize: 2048, DrainEvery: time.Hour,
+	})
+	batches := fx.rampBatches(t, 1000+drainBurst+128, 64)
+	posted := 0
+	post := func(recs []trace.Record) {
+		t.Helper()
+		if resp, body := postJSON(t, base+"/report", recs); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("batch: %d %s", resp.StatusCode, body)
+		}
+		posted += len(recs)
+	}
+	diagnosed := func() bool { return srv.mon.Stats().Diagnosed == uint64(posted) }
+
+	trickle, rest := batches[:len(batches)-drainBurst/64-2], batches[len(batches)-drainBurst/64-2:]
+	for _, b := range trickle {
+		post(b)
+	}
+	waitFor(t, 10*time.Second, "the 64-report batches' diagnoses", diagnosed)
+	drains := srv.drainsWoken.Load()
+	if drains == 0 || drains > uint64(len(trickle)) {
+		t.Errorf("%d states in %d batches took %d drains, want at most one per batch", posted, len(trickle), drains)
+	}
+
+	time.Sleep(5 * drainLinger) // let a window the last wake may have opened close
+	var burst []trace.Record
+	for _, b := range rest[:drainBurst/64] {
+		burst = append(burst, b...)
+	}
+	post(burst)
+	waitFor(t, 10*time.Second, "the burst's diagnosis", diagnosed)
+	if got := srv.drainsWoken.Load() - drains; got != 1 {
+		t.Errorf("a burst of %d states took %d drains, want 1", len(burst), got)
+	}
+
+	for _, b := range rest[drainBurst/64:] {
+		post(b)
+	}
+	stop()
+	st := srv.mon.Stats()
+	if int(st.Flagged) != posted || st.Diagnosed != st.Flagged || st.Dropped != 0 || srv.mon.Pending() != 0 {
+		t.Errorf("after shutdown: posted %d, flagged %d, diagnosed %d, dropped %d, pending %d",
+			posted, st.Flagged, st.Diagnosed, st.Dropped, srv.mon.Pending())
+	}
+	if k := srv.drainsTicked.Load(); k > 1 {
+		t.Errorf("drains_ticked = %d with the tick an hour away, want at most the shutdown pass", k)
+	}
+}
+
+// TestDrainFailureRetriedByTicksOnly: with a model whose every drain fails,
+// the first wake's pass fails and the loop stands down — further flagged
+// reports wake nothing — so only ticks retry, and it is the fifth failed
+// tick, not the fifth wake, that degrades the server.
+func TestDrainFailureRetriedByTicksOnly(t *testing.T) {
+	fx := serveFixtures(t)
+	o := Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath, DrainEvery: time.Hour}
+	srv, base, stop := runSink(t, o, func(srv *Server) {
+		m := srv.lc.Current().Model
+		m.Scale = m.Scale[:len(m.Scale)-1] // DiagnoseBatch now fails on every batch
+	})
+	defer stop()
+
+	nodes := fx.nodes()
+	for i := 0; i < 2*drainFailLimit; i++ {
+		if resp, body := postJSON(t, base+"/report", fx.hotReport(t, nodes[i], 1)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("report %d: %d %s", i, resp.StatusCode, body)
+		}
+		waitFor(t, 5*time.Second, "the report's ingest", func() bool { return srv.mon.Pending() == i+1 })
+		waitFor(t, 5*time.Second, "the first wake's failed pass", func() bool { return srv.drainErrs.Load() >= 1 })
+		time.Sleep(3 * drainLinger) // a window, had this wake opened one, would close in here
+	}
+	if errs, fails := srv.drainErrs.Load(), srv.drainFails.Load(); errs != 1 || fails != 0 || srv.deg.Active() {
+		t.Fatalf("after %d wakes: drain_errors=%d drain_fails_in_a_row=%d degraded=%v, want 1/0/false",
+			2*drainFailLimit, errs, fails, srv.deg.Active())
+	}
+	for tick := 1; tick <= drainFailLimit; tick++ {
+		if srv.deg.Active() {
+			t.Fatalf("degraded before tick %d, want after tick %d", tick, drainFailLimit)
+		}
+		srv.DrainTick()
+	}
+	if !srv.deg.Active() || srv.mon.Pending() != 2*drainFailLimit {
+		t.Errorf("after %d failed ticks: degraded=%v pending=%d, want degraded with all %d states kept",
+			drainFailLimit, srv.deg.Active(), srv.mon.Pending(), 2*drainFailLimit)
 	}
 }

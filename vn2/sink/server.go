@@ -25,21 +25,21 @@ import (
 
 // Degraded-mode reasons; the prefix picks which recovery probe clears it.
 const (
-	degradedWAL     = "wal"
-	degradedDrain   = "drain"
-	degradedBacklog = "backlog"
+	degradedWAL   = "wal"
+	degradedDrain = "drain"
 )
 
-// drainFailLimit is how many consecutive failed diagnosis passes flip the
-// server into degraded mode.
-const drainFailLimit = 5
-
-// backlogTickLimit is how many consecutive drain ticks may observe a full
-// queue AND a full pending backlog before the server sheds to degraded.
-const backlogTickLimit = 3
+// Drain scheduling, see DESIGN.md: a flagged state wakes the drain loop, which
+// lingers drainLinger to batch what follows unless drainBurst states are
+// pending; drainFailLimit consecutive failed ticks degrade the server.
+const (
+	drainLinger    = 4 * time.Millisecond
+	drainBurst     = 256
+	drainFailLimit = 5
+)
 
 // Server is the online sink service: a bounded ingest queue feeding the
-// monitor, periodic drains and snapshots, a WAL making every 202 durable,
+// monitor, woken drains and periodic snapshots, a WAL making every 202 durable,
 // the lifecycle manager, the event bus, and the HTTP surface. When
 // persistence or diagnosis fails persistently it degrades to a read-only
 // "last-good diagnosis" mode instead of erroring: ingest answers 503,
@@ -65,6 +65,7 @@ type Server struct {
 	// everything at or below it has been offered to the monitor.
 	commitMu sync.Mutex
 	queue    chan ingest.Item
+	wake     chan struct{} // 1 slot, ingest loop → drain loop: "flagged states are pending"
 	depth    atomic.Int64
 	applied  atomic.Uint64
 	binDec   *ingest.BinaryDecoder
@@ -73,16 +74,19 @@ type Server struct {
 	reg       *api.Registry // the /metrics keys
 	statusReg *api.Registry // /status extras layered on top of reg
 
-	received  atomic.Uint64 // reports offered by clients
-	accepted  atomic.Uint64 // reports that fit in the queue
-	rejected  atomic.Uint64 // reports shed by backpressure (503)
-	badReqs   atomic.Uint64 // malformed request bodies (400)
-	ingested  atomic.Uint64 // reports the monitor consumed cleanly
-	ingestErr atomic.Uint64 // stale/invalid/backlogged reports
-	drains    atomic.Uint64
-	drainErrs atomic.Uint64 // failed diagnosis passes (total)
-	snapshots atomic.Uint64
-	snapErrs  atomic.Uint64
+	received       atomic.Uint64 // reports offered by clients
+	accepted       atomic.Uint64 // reports that fit in the queue
+	rejected       atomic.Uint64 // reports shed by backpressure (503)
+	refusedBacklog atomic.Uint64 // of those, refused for the diagnosis backlog
+	badReqs        atomic.Uint64 // malformed request bodies (400)
+	ingested       atomic.Uint64 // reports the monitor consumed cleanly
+	ingestErr      atomic.Uint64 // stale/invalid/backlogged reports
+	drainsWoken    atomic.Uint64 // non-empty passes a flagged state woke
+	drainsTicked   atomic.Uint64 // non-empty passes the tick ran
+	drainBusy      atomic.Int64  // ns inside Monitor.Drain, cumulative
+	drainErrs      atomic.Uint64 // failed diagnosis passes (total)
+	snapshots      atomic.Uint64
+	snapErrs       atomic.Uint64
 
 	walReplayed atomic.Uint64 // records re-ingested from the WAL at startup
 	walSkipped  atomic.Uint64 // replay records at or below the snapshot watermark
@@ -101,10 +105,9 @@ type Server struct {
 	streamFrames     atomic.Uint64 // frames read off stream connections
 	streamNacks      atomic.Uint64 // frames NACKed on the stream edge
 
-	deg          api.Degraded
-	lastGood     atomic.Pointer[online.Summary] // served read-only while degraded
-	drainFails   atomic.Uint64                  // consecutive failed drains
-	backlogTicks atomic.Uint64                  // consecutive drain ticks at full pressure
+	deg        api.Degraded
+	lastGood   atomic.Pointer[online.Summary] // served read-only while degraded
+	drainFails atomic.Uint64                  // consecutive failed ticks
 
 	// draining flips when graceful shutdown starts: the process is still
 	// live (/healthz stays 200 so supervisors do not double-kill it) but
@@ -158,23 +161,28 @@ func (s *Server) ingestLoop() {
 // IngestQueued synchronously feeds everything currently queued into the
 // monitor — the deterministic stand-in for ingestLoop used by the chaos
 // harness and tests, which drive the server without background goroutines.
+// With no drain loop to wake, it applies the loop's burst rule itself.
 func (s *Server) IngestQueued() {
 	for {
 		select {
 		case q := <-s.queue:
 			s.ingestOne(q)
 		default:
+			if s.mon.Pending() >= drainBurst {
+				_ = s.drainPass(&s.drainsWoken) // a failure is logged and counted inside
+			}
 			return
 		}
 	}
 }
 
 func (s *Server) ingestOne(q ingest.Item) {
-	s.depth.Add(-int64(q.Weight()))
 	if q.Apply != nil {
 		q.Apply()
 	}
 	s.ingestRecs(q.Recs)
+	// Lowered last: admission must never see a report as neither queued nor pending.
+	s.depth.Add(-int64(q.Weight()))
 	if q.LSN != 0 {
 		s.applied.Store(q.LSN)
 	}
@@ -182,6 +190,7 @@ func (s *Server) ingestOne(q ingest.Item) {
 
 // ingestRecs offers one batch to the monitor, live or replayed, and returns
 // how many reports it took; the rest were stale, duplicate or invalid.
+// Flagged states left pending wake the drain loop.
 func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
 	for i := range recs {
 		if _, err := s.mon.Ingest(recs[i]); err != nil {
@@ -191,48 +200,44 @@ func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
 		}
 	}
 	s.ingested.Add(taken)
+	if s.mon.Pending() > 0 {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
 	return taken
 }
 
-// DrainTick runs one batched diagnosis pass and drives the degraded-mode
-// state machine: consecutive drain failures or sustained full-queue +
-// full-backlog pressure degrade the server; a clean pass (or relieved
-// pressure, or a successful WAL probe) recovers it. Diagnosed epochs are
-// published to the event bus.
-func (s *Server) DrainTick() {
+// drainPass runs one batched diagnosis pass — Monitor.Drain, timed, then the
+// diagnosed epochs onto the event bus — counting a non-empty one in count.
+func (s *Server) drainPass(count *atomic.Uint64) error {
+	start := time.Now()
 	out, err := s.mon.Drain()
+	s.drainBusy.Add(int64(time.Since(start)))
 	if err != nil {
-		total := s.drainErrs.Add(1)
-		fails := s.drainFails.Add(1)
 		// Log at 1, 2, 4, 8, ... so a persistent failure doesn't flood.
-		if total&(total-1) == 0 {
-			fmt.Fprintf(os.Stderr, "vn2 serve: drain failed (%d in a row, %d total): %v\n", fails, total, err)
+		if total := s.drainErrs.Add(1); total&(total-1) == 0 {
+			fmt.Fprintf(os.Stderr, "vn2 serve: drain failed (%d total): %v\n", total, err)
 		}
-		if fails >= drainFailLimit {
+	} else if len(out) > 0 {
+		count.Add(1)
+		s.publishDiagnosed(out)
+	}
+	return err
+}
+
+// DrainTick is one tick of the drain loop — a pass, then, if it was clean,
+// the tick's housekeeping; the chaos harness and tests call it directly.
+func (s *Server) DrainTick() {
+	if err := s.drainPass(&s.drainsTicked); err != nil {
+		if fails := s.drainFails.Add(1); fails >= drainFailLimit {
 			s.enterDegraded(fmt.Sprintf("%s: %d consecutive diagnosis failures: %v", degradedDrain, fails, err))
 		}
 		return
 	}
 	s.drainFails.Store(0)
 	s.clearDegraded(degradedDrain)
-	if len(out) > 0 {
-		s.drains.Add(1)
-		s.publishDiagnosed(out)
-	}
-
-	// Sustained-backlog detection: the queue and the pending backlog both
-	// pinned at capacity across consecutive ticks means diagnosis cannot
-	// keep up — shed instead of timing out every client.
-	if s.QueueDepth() >= cap(s.queue) && s.mon.Pending() >= s.opts.MaxPending {
-		if s.backlogTicks.Add(1) >= backlogTickLimit {
-			s.enterDegraded(fmt.Sprintf("%s: queue and pending backlog at capacity", degradedBacklog))
-		}
-	} else {
-		s.backlogTicks.Store(0)
-		if s.QueueDepth() < cap(s.queue)/2 && s.mon.Pending() < s.opts.MaxPending/2 {
-			s.clearDegraded(degradedBacklog)
-		}
-	}
 
 	// WAL recovery probe: while degraded for a WAL reason, a successful
 	// sync means the disk came back.
@@ -248,6 +253,35 @@ func (s *Server) DrainTick() {
 	// bigger problems than drift, and its window is not trustworthy.
 	if s.opts.Lifecycle && !s.deg.Active() {
 		s.lc.Tick()
+	}
+}
+
+// drainLoop schedules the passes: a wake opens a drainLinger window, or at
+// drainBurst pending states drains at once; the ticker is the idle bound.
+func (s *Server) drainLoop(ctx context.Context) {
+	ticker := time.NewTicker(s.opts.DrainEvery)
+	defer ticker.Stop()
+	wake := s.wake              // nil while standing down after a failed woken pass
+	var window <-chan time.Time // nil while no window is open
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+			s.DrainTick()
+			wake = s.wake
+		case <-wake:
+			if s.mon.Pending() >= drainBurst {
+				window = time.After(0)
+			} else if window == nil {
+				window = time.After(drainLinger)
+			}
+		case <-window:
+			window = nil
+			if s.drainPass(&s.drainsWoken) != nil {
+				wake = nil // the tick is the retry clock
+			}
+		}
 	}
 }
 
@@ -371,16 +405,7 @@ func (s *Server) Run(ctx context.Context) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ticker := time.NewTicker(s.opts.DrainEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-loopCtx.Done():
-				return
-			case <-ticker.C:
-				s.DrainTick()
-			}
-		}
+		s.drainLoop(loopCtx)
 	}()
 	if s.opts.SnapshotPath != "" {
 		wg.Add(1)

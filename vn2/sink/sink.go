@@ -10,8 +10,8 @@
 //	                 live visibility surface (GET /stream)
 //
 // The root package wires them into one Server: one commit point (commit.go)
-// in front of a bounded ingest queue feeding the monitor, periodic drains
-// and snapshots, a WAL making every 202 durable, and the HTTP surface — including the visibility plane
+// in front of a bounded ingest queue feeding the monitor, drains woken by
+// flagged states, periodic snapshots, a WAL making every 202 durable, and the HTTP surface — including the visibility plane
 // (/stream, /status, and the embedded dashboard at /). cmd/vn2's serve
 // subcommand is just flag parsing in front of New + Run.
 package sink
@@ -52,7 +52,7 @@ type Options struct {
 	MaxPending    int
 	History       int
 	Workers       int
-	DrainEvery    time.Duration
+	DrainEvery    time.Duration // idle upper bound of the diagnosis pass; clock of the lifecycle/degraded probes
 	SnapshotEvery time.Duration
 
 	// Model lifecycle (all inert unless Lifecycle is true).
@@ -246,6 +246,7 @@ func New(o Options) (*Server, error) {
 		opts:    o,
 		mon:     mon,
 		queue:   make(chan ingest.Item, o.QueueSize),
+		wake:    make(chan struct{}, 1),
 		started: time.Now(),
 		sleep:   o.Sleep,
 		binDec:  ingest.NewBinaryDecoder(),
