@@ -30,11 +30,11 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 # The scaling ladders `make bench` runs: per-epoch cost at CitySee scale,
 # the worker sweep, end-to-end trace generation at 60/120/286/1000 nodes,
-# the blocked-GEMM size ladder, the ingest decode ladder (JSON vs binary
+# the blocked-GEMM size ladder, and the ingest decode ladder (JSON vs binary
 # vs binary+delta at 1/8/64-report batches of 43-metric tracegen vectors,
-# with the wire's B/report on the binary rungs), and the cluster router
-# forward ladder (JSON and binary, 1/4 shards x 8/64-report batches).
-BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM|BenchmarkIngestDecode|BenchmarkRouterForward
+# with the wire's B/report on the binary rungs). The router's cost is
+# `vn2bench --trace 1`'s cluster.* spans on the router-bin workload.
+BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM|BenchmarkIngestDecode
 BENCH_TXT     ?= bench.txt
 BENCH_JSON    ?= BENCH_15.json
 

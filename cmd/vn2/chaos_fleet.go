@@ -103,8 +103,8 @@ func (sh *shard) unlisten() error {
 }
 
 // bootRouter is a router process start: a fresh Router over the current
-// shard addresses — empty delta cache, every shard optimistically ready.
-// Nothing carries over from the one it replaces, which is the point.
+// shard addresses, every shard optimistically ready. Nothing carries over
+// from the one it replaces (it held no delta cache), which is the point.
 func (f *fleet) bootRouter() error {
 	if f.rts != nil {
 		f.rts.Close()

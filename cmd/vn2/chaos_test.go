@@ -52,8 +52,8 @@ func chaosTestOptions(dir, transport string, shards int) chaosOptions {
 //     order), the router discarded and rebuilt during the outage and after
 //     it; the router's own /fleet merge is compared against MergeEpochs of
 //     the baseline, and drive fails unless the gateway's pending list ends
-//     empty. bin/3 also proves the router's full re-encode lossless and a
-//     replaced router's empty delta cache (400 "resend full") harmless.
+//     empty. bin/3 also proves the router's record-boundary split lossless
+//     and a replaced router invisible to the client's delta stream.
 func TestChaosKillRecoveryExact(t *testing.T) {
 	for _, tc := range []struct {
 		transport string

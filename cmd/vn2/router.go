@@ -9,7 +9,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"github.com/wsn-tools/vn2/vn2/cluster"
+	"github.com/wsn-tools/vn2/vn2/sink/api"
 )
 
 func cmdRouter(args []string) error {
@@ -54,7 +54,8 @@ func cmdRouter(args []string) error {
 	defer stop()
 	go r.Run(ctx)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: r.Handler()}
+	httpSrv := api.NewServer(r.Handler())
+	httpSrv.Addr = *addr
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "vn2 router: listening on %s, %d shards (seed %d)\n", *addr, len(urls), *seed)

@@ -116,6 +116,7 @@ type WireRecord struct {
 	Values []float64
 	bitmap []byte   // RecDelta: bit i set = slot i changed; no bit ≥ Len
 	xor    []uint64 // RecDelta: one nonzero XOR word per set bit, in slot order
+	wire   []byte   // the record's validated bytes in the frame, kind byte to last value
 }
 
 // Patch turns vec, a copy of the base vector of a RecDelta record, into the
@@ -281,15 +282,21 @@ func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) error {
 // frame. The slice aliases the encoder's buffer: it is valid until the next
 // Reset or Add.
 func (e *FrameEncoder) Frame() ([]byte, error) {
-	payload := e.buf[FrameHeaderLen:]
-	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
+	if payload := len(e.buf) - FrameHeaderLen; payload > MaxFramePayload {
+		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payload)
 	}
-	copy(e.buf, FramePreamble)
-	binary.BigEndian.PutUint16(e.buf[6:], uint16(e.n))
-	binary.BigEndian.PutUint32(e.buf[8:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(e.buf[12:], crc32.Checksum(payload, frameCRCTable))
+	sealFrame(e.buf, e.n)
 	return e.buf, nil
+}
+
+// sealFrame fills in the header of buf, a frame of n records: FrameHeaderLen
+// bytes to overwrite, then the payload.
+func sealFrame(buf []byte, n int) {
+	payload := buf[FrameHeaderLen:]
+	copy(buf, FramePreamble)
+	binary.BigEndian.PutUint16(buf[6:], uint16(n))
+	binary.BigEndian.PutUint32(buf[8:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[12:], crc32.Checksum(payload, frameCRCTable))
 }
 
 // --- decoder ---------------------------------------------------------------
@@ -426,6 +433,7 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 		default:
 			return nil, fmt.Errorf("%w: record %d kind %#x", ErrBadFrame, i, rec.Kind)
 		}
+		rec.wire = payload[len(payload)-len(rest) : off] // rest starts where the record does
 		d.recs = append(d.recs, rec)
 		d.refs = append(d.refs, ref)
 	}
@@ -442,4 +450,33 @@ func (d *FrameDecoder) Decode(frame []byte) ([]WireRecord, error) {
 		}
 	}
 	return d.recs, nil
+}
+
+// Split validates frame exactly as Decode does and cuts it at record
+// boundaries into k frames: each record's bytes go verbatim, in arrival
+// order, into the frame of the part owner(node) names (0 ≤ part < k), under
+// that part's own count, length and CRC; a part that owns no record is nil.
+// A delta stays a delta against the base its sender chose, so whoever gets a
+// part must get every record of its nodes. The parts are fresh allocations;
+// the int is the frame's record count.
+func (d *FrameDecoder) Split(frame []byte, k int, owner func(NodeID) int) ([][]byte, int, error) {
+	recs, err := d.Decode(frame)
+	if err != nil {
+		return nil, 0, err
+	}
+	parts, counts := make([][]byte, k), make([]int, k)
+	for i := range recs {
+		s := owner(recs[i].Node)
+		if parts[s] == nil { // sized for an even split's share; append grows the rest
+			parts[s] = make([]byte, FrameHeaderLen, FrameHeaderLen+len(frame)/k)
+		}
+		parts[s] = append(parts[s], recs[i].wire...)
+		counts[s]++
+	}
+	for s, part := range parts {
+		if part != nil {
+			sealFrame(part, counts[s])
+		}
+	}
+	return parts, len(recs), nil
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -213,6 +214,9 @@ func TestFrameRejects(t *testing.T) {
 		if _, err := dec.Decode(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
+		if parts, _, err := dec.Split(b, 2, func(n NodeID) int { return int(n) % 2 }); !errors.Is(err, ErrBadFrame) || parts != nil {
+			t.Errorf("%s: Split = %d parts, err %v; want none and ErrBadFrame", name, len(parts), err)
+		}
 	}
 	// The good frame still decodes after all those rejects.
 	if _, err := dec.Decode(good); err != nil {
@@ -277,6 +281,9 @@ func TestFrameDeltaRejects(t *testing.T) {
 		if recs, err := dec.Decode(frame); !errors.Is(err, ErrBadFrame) || recs != nil {
 			t.Errorf("%s: %d records, err %v; want none and ErrBadFrame", name, len(recs), err)
 		}
+		if parts, _, err := dec.Split(frame, 2, func(n NodeID) int { return int(n) % 2 }); !errors.Is(err, ErrBadFrame) || parts != nil {
+			t.Errorf("%s: Split = %d parts, err %v; want none and ErrBadFrame", name, len(parts), err)
+		}
 	}
 	// The nearest well-formed records: an empty bitmap, and three slots —
 	// one control byte and two spans, then a control byte with a 0 low
@@ -294,6 +301,51 @@ func TestFrameDeltaRejects(t *testing.T) {
 	want := []float64{0: math.Float64frombits(0x0102030405), 1: math.Float64frombits(0x7f << 32), 8: math.Float64frombits(0x80 << 40)}
 	if len(recs[1].xor) != 3 || !slices.Equal(vec, want) {
 		t.Fatalf("patched a zero vector into %v (%d slots), want %v", vec, len(recs[1].xor), want)
+	}
+}
+
+// checkSplit cuts frame — which must decode — k ways by node mod k and
+// checks the split's contract: part s is a frame that decodes to exactly
+// the records s owns, in the original's order and saying the same thing
+// (header fields; values or patch bit for bit), an ownerless part is nil,
+// and the parts' payloads add up to the original's — nothing re-encoded.
+func checkSplit(t *testing.T, frame []byte, k int) {
+	t.Helper()
+	var dec, splitter FrameDecoder
+	recs, err := dec.Decode(frame)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	parts, n, err := splitter.Split(frame, k, func(n NodeID) int { return int(n) % k })
+	if err != nil || n != len(recs) || len(parts) != k {
+		t.Fatalf("Split %d ways: %d parts, n %d of %d, err %v", k, len(parts), n, len(recs), err)
+	}
+	got := make([][]WireRecord, k)
+	payload, held := 0, 0
+	for s, part := range parts {
+		if part == nil {
+			continue
+		}
+		if got[s], err = new(FrameDecoder).Decode(part); err != nil || len(got[s]) == 0 {
+			t.Fatalf("part %d of %d: %d records, err %v", s, k, len(got[s]), err)
+		}
+		payload, held = payload+len(part)-FrameHeaderLen, held+len(got[s])
+	}
+	if want := int(binary.BigEndian.Uint32(frame[8:])); payload != want || held != n {
+		t.Fatalf("%d parts carry %d records in %d payload bytes, the frame %d in %d", k, held, payload, n, want)
+	}
+	for _, w := range recs {
+		s := int(w.Node) % k
+		if len(got[s]) == 0 {
+			t.Fatalf("part %d of %d lacks node %d epoch %d", s, k, w.Node, w.Epoch)
+		}
+		g := got[s][0]
+		if g.Kind != w.Kind || g.Node != w.Node || g.Epoch != w.Epoch || g.Base != w.Base || g.Len != w.Len ||
+			!slices.Equal(g.bitmap, w.bitmap) || !slices.Equal(g.xor, w.xor) ||
+			!slices.EqualFunc(g.Values, w.Values, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("part %d of %d: record %+v, want %+v", s, k, g, w)
+		}
+		got[s] = got[s][1:]
 	}
 }
 

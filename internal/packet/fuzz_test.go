@@ -104,9 +104,12 @@ func FuzzC3(f *testing.F) {
 // record has a sane kind, a delta patch that rewrites exactly its announced
 // slots inside the declared length, and Values lengths matching its
 // header), and accepted frames re-decode identically (the decoder is
-// deterministic over its reused arenas). Each input is tried twice: as a
-// frame, and as a record count byte plus payload sealed in a valid header,
-// so mutations reach the record parsers behind the CRC.
+// deterministic over its reused arenas). Split rides the same walk and must
+// agree with it: a frame Decode rejects Split rejects, and one it accepts
+// splits 1 to 4 ways into frames holding the same records per owner, in
+// order, in the same payload bytes (checkSplit). Each input is tried twice:
+// as a frame, and as a record count byte plus payload sealed in a valid
+// header, so mutations reach the record parsers behind the CRC.
 func FuzzFrame(f *testing.F) {
 	f.Add(reportRecordFrame(f)) // retired kind 0x03: a rejection input
 	for _, frame := range malformedDeltaFrames() {
@@ -125,6 +128,16 @@ func FuzzFrame(f *testing.F) {
 		f.Add(append([]byte(nil), b...))
 		f.Add(append([]byte{2}, b[FrameHeaderLen:]...))
 	}
+	enc.Reset() // ten nodes six times over: a split must keep deltas behind their in-frame bases
+	for e := 1; e <= 6; e++ {
+		for n := NodeID(1); n <= 10; n++ {
+			vec[0], vec[n%9] = float64(e)*1.25, math.Float64frombits(0x7ff8000000000000|uint64(e)) // a NaN payload
+			enc.Add(n, e, vec)
+		}
+	}
+	if b, err := enc.Frame(); err == nil {
+		f.Add(append([]byte(nil), b...))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("VN2F"))
 
@@ -132,7 +145,13 @@ func FuzzFrame(f *testing.F) {
 		var dec FrameDecoder
 		recs, err := dec.Decode(b)
 		if err != nil {
+			if parts, _, serr := new(FrameDecoder).Split(b, 2, func(n NodeID) int { return int(n) % 2 }); serr == nil {
+				t.Fatalf("Split accepted (%d parts) a frame Decode rejects: %v", len(parts), err)
+			}
 			return
+		}
+		for k := 1; k <= 4; k++ {
+			checkSplit(t, b, k)
 		}
 		for i, r := range recs {
 			switch r.Kind {

@@ -348,17 +348,3 @@ func (p *C3) UnmarshalBinary(b []byte) error {
 	p.QueuePeak = b[off]
 	return nil
 }
-
-// PeekType returns the wire type tag of an encoded packet.
-func PeekType(b []byte) (Type, error) {
-	if len(b) < 1 {
-		return 0, ErrTruncated
-	}
-	t := Type(b[0])
-	switch t {
-	case TypeC1, TypeC2, TypeC3:
-		return t, nil
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrBadType, b[0])
-	}
-}

@@ -160,28 +160,6 @@ func TestC2UnmarshalOverflowCount(t *testing.T) {
 	}
 }
 
-func TestPeekType(t *testing.T) {
-	r := sampleReport()
-	b1, _ := r.C1.MarshalBinary()
-	b2, _ := r.C2.MarshalBinary()
-	b3, _ := r.C3.MarshalBinary()
-	if tp, err := PeekType(b1); err != nil || tp != TypeC1 {
-		t.Errorf("PeekType(C1) = %v, %v", tp, err)
-	}
-	if tp, err := PeekType(b2); err != nil || tp != TypeC2 {
-		t.Errorf("PeekType(C2) = %v, %v", tp, err)
-	}
-	if tp, err := PeekType(b3); err != nil || tp != TypeC3 {
-		t.Errorf("PeekType(C3) = %v, %v", tp, err)
-	}
-	if _, err := PeekType(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("PeekType(nil) err = %v", err)
-	}
-	if _, err := PeekType([]byte{99}); !errors.Is(err, ErrBadType) {
-		t.Errorf("PeekType(99) err = %v", err)
-	}
-}
-
 func TestVectorLayout(t *testing.T) {
 	r := sampleReport()
 	v, err := r.Vector()

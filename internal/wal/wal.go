@@ -11,13 +11,12 @@
 //
 // and LSNs are implicit: the i-th record of segment S has LSN S+i. Appends
 // go through a buffered writer; durability happens at Sync (group commit —
-// the serve handler syncs once per HTTP request, not per record) or every
-// SyncEvery appends. Rotation closes and fsyncs the full segment, creates
-// the next one, and fsyncs the directory so the rename-free layout is
-// crash-atomic. Recovery (run inside Open) scans from the tail: a torn or
-// corrupt frame truncates the log at the last whole record instead of
-// failing — exactly what a mid-write crash leaves behind — and any
-// segments after the corruption are dropped.
+// the serve handler syncs once per HTTP request, not per record). Rotation
+// closes and fsyncs the full segment, creates the next one, and fsyncs the
+// directory so the rename-free layout is crash-atomic. Recovery (run inside
+// Open) scans from the tail: a torn or corrupt frame truncates the log at
+// the last whole record instead of failing — exactly what a mid-write crash
+// leaves behind — and any segments after the corruption are dropped.
 //
 // The WAL is the durable queue, not the archive: once the server has
 // folded a prefix of the log into a durable snapshot it calls
@@ -65,9 +64,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once its size reaches this
 	// many bytes. Defaults to 1 MiB.
 	SegmentBytes int64
-	// SyncEvery fsyncs automatically after that many appends. 0 means only
-	// explicit Sync calls (the serve path group-commits per request).
-	SyncEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -307,8 +303,8 @@ func (w *WAL) flushSyncLocked() error {
 }
 
 // Append frames payload into the active segment and returns its LSN. The
-// record is buffered; it is durable only after the next Sync (or SyncEvery
-// threshold, or rotation). Rotation happens before the append when the
+// record is buffered; it is durable only after the next Sync (or
+// rotation). Rotation happens before the append when the
 // active segment is full, so a record never spans segments.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordBytes {
@@ -338,11 +334,6 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.segs[len(w.segs)-1].count++
 	w.size += frameHeader + int64(len(payload))
 	w.dirty++
-	if w.opts.SyncEvery > 0 && w.dirty >= w.opts.SyncEvery {
-		if err := w.flushSyncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	return lsn, nil
 }
 

@@ -278,21 +278,6 @@ func TestRecoveryDropsSegmentsPastCorruption(t *testing.T) {
 	w2.Close()
 }
 
-// TestSyncEvery: the auto-sync threshold makes records durable without an
-// explicit Sync.
-func TestSyncEvery(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SyncEvery: 4})
-	appendN(t, w, 6, "auto") // 4 auto-synced, 2 buffered
-	w.Abort()
-	w2 := mustOpen(t, dir, Options{})
-	lsns, _ := collect(t, w2)
-	if len(lsns) != 4 {
-		t.Fatalf("recovered %d records, want the 4 auto-synced", len(lsns))
-	}
-	w2.Close()
-}
-
 // TestRecordTooLargeAndClosed covers the typed error paths.
 func TestRecordTooLargeAndClosed(t *testing.T) {
 	dir := t.TempDir()

@@ -86,14 +86,3 @@ func (r *Ring) Owner(node packet.NodeID) int {
 	}
 	return r.points[i].shard
 }
-
-// Partition splits nodes by owner, preserving each node's position within
-// its shard's slice (stable split). The result has Shards() entries.
-func (r *Ring) Partition(nodes []packet.NodeID) [][]packet.NodeID {
-	out := make([][]packet.NodeID, r.Shards())
-	for _, n := range nodes {
-		s := r.Owner(n)
-		out[s] = append(out[s], n)
-	}
-	return out
-}

@@ -101,54 +101,3 @@ func TestRingRebalanceBound(t *testing.T) {
 		}
 	}
 }
-
-// TestRingPartitionStable pins that Partition preserves each node's
-// relative order within its shard slice and loses nothing.
-func TestRingPartitionStable(t *testing.T) {
-	r := NewRing(3, 3, 0)
-	nodes := make([]packet.NodeID, 300)
-	for i := range nodes {
-		nodes[i] = packet.NodeID(i % 100) // duplicates on purpose
-	}
-	parts := r.Partition(nodes)
-	if len(parts) != 3 {
-		t.Fatalf("Partition returned %d slices, want 3", len(parts))
-	}
-	total := 0
-	pos := make(map[packet.NodeID]int)
-	for i, n := range nodes {
-		pos[n] = i
-	}
-	for s, part := range parts {
-		last := -1
-		for _, n := range part {
-			if r.Owner(n) != s {
-				t.Fatalf("node %d landed on shard %d, owner is %d", n, s, r.Owner(n))
-			}
-			total++
-			_ = last
-		}
-	}
-	if total != len(nodes) {
-		t.Fatalf("Partition kept %d of %d nodes", total, len(nodes))
-	}
-	// Order preservation: for each shard, the original indices of its
-	// nodes must be increasing for each distinct node's occurrences.
-	for s, part := range parts {
-		idx := make(map[packet.NodeID][]int)
-		for i, n := range nodes {
-			if r.Owner(n) == s {
-				idx[n] = append(idx[n], i)
-			}
-		}
-		got := make(map[packet.NodeID]int)
-		for _, n := range part {
-			got[n]++
-		}
-		for n, occ := range idx {
-			if got[n] != len(occ) {
-				t.Fatalf("shard %d: node %d appears %d times, want %d", s, n, got[n], len(occ))
-			}
-		}
-	}
-}

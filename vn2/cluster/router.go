@@ -5,12 +5,13 @@
 // (merge.go) recombines the shards' per-epoch contribution exports into
 // distributions bit-identical to a single sink fed every node.
 //
-// The router is stateless: it keeps no monitor, no model, no WAL and no
-// report it has answered for — only the ring, a per-shard readiness flag
-// and counters — so losing it loses nothing (see route for what its
-// answers mean). Clients keep one batch in flight per node stream: nothing
-// newer goes out while an older batch is un-ACKed. That, not the router,
-// is what preserves per-node report order.
+// The router is stateless: it keeps no monitor, no model, no WAL, no report
+// it has answered for and nothing per node or per client — only the ring, a
+// per-shard readiness flag and counters — so losing it loses nothing and a
+// rebuilt one is the one it replaced (see route for what its answers mean).
+// Clients keep one batch in flight per node stream: nothing newer goes out
+// while an older batch is un-ACKed. That, not the router, is what preserves
+// per-node report order.
 package cluster
 
 import (
@@ -98,18 +99,16 @@ type Router struct {
 	ring   *Ring
 	shards []*shardState
 
-	// binMu guards binDec and binEnc: the delta cache must observe frames
-	// in arrival order, and both codecs reuse their buffers.
-	binMu  sync.Mutex
-	binDec *ingest.BinaryDecoder
-	binEnc *packet.FrameEncoder
-
-	received  atomic.Uint64 // records offered on either ingest path
-	forwarded atomic.Uint64 // slices a shard answered 202 for
-	refused   atomic.Uint64 // batches answered 503
-	badReqs   atomic.Uint64
-	fleetReqs atomic.Uint64
+	received, bytesReceived   atomic.Uint64 // records offered on either ingest path, and their bodies' bytes
+	forwarded, bytesForwarded atomic.Uint64 // slices a shard answered 202 for, and their bytes
+	refused                   atomic.Uint64 // batches answered 503
+	badReqs                   atomic.Uint64
+	fleetReqs                 atomic.Uint64
 }
+
+// frameDecoders pools the frame walkers handleReportBin splits with: a
+// decoder carries nothing from one frame to the next but its arenas.
+var frameDecoders = sync.Pool{New: func() any { return new(packet.FrameDecoder) }}
 
 // NewRouter validates cfg, applies defaults, and returns a Router. No
 // shard is probed until ProbeOnce or Run; shards start optimistically
@@ -130,12 +129,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	r := &Router{
-		cfg:    cfg,
-		ring:   NewRing(cfg.Seed, len(cfg.Shards), cfg.Vnodes),
-		binDec: ingest.NewBinaryDecoder(),
-		binEnc: packet.NewFrameEncoder(),
-	}
+	r := &Router{cfg: cfg, ring: NewRing(cfg.Seed, len(cfg.Shards), cfg.Vnodes)}
 	for _, u := range cfg.Shards {
 		r.shards = append(r.shards, &shardState{url: u})
 	}
@@ -169,8 +163,8 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// handleReport routes a JSON report batch; each shard's slice goes out as
-// a JSON array.
+// handleReport routes a JSON report batch, split by ring owner — stable, so
+// per-node order survives; each shard's share goes out as a JSON array.
 func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
 	if err != nil {
@@ -185,55 +179,6 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 			"body must be a report, an array of reports, or {\"reports\": [...]}: "+err.Error(), nil)
 		return
 	}
-	slices, err := r.split(recs, func(part []trace.Record) ([]byte, error) { return json.Marshal(part) })
-	if err != nil {
-		api.Error(w, http.StatusInternalServerError, "encode shard batch: "+err.Error(), nil)
-		return
-	}
-	r.route(w, len(recs), "/report", "application/json", slices)
-}
-
-// handleReportBin terminates the binary delta encoding at the router: the
-// frame decodes against the ROUTER's delta cache (one upstream client
-// stream), and each shard's slice is re-encoded as a fully-materialized
-// frame — shards never see cross-shard delta baselines, so a shard restart
-// or handoff cannot desync them. A frame that decodes advances the cache
-// whatever the shards then answer; a client that gets anything but 202
-// resends full-encoded, which is correct against either cache state.
-func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, packet.FrameHeaderLen+packet.MaxFramePayload))
-	if err != nil {
-		r.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
-		return
-	}
-	// The decoded records alias binDec's arena, so the split and re-encode
-	// finish under binMu; only the copied frames leave it.
-	r.binMu.Lock()
-	recs, err := r.binDec.Decode(raw)
-	if err != nil {
-		r.binMu.Unlock()
-		r.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "bad binary frame (resend full encoding): "+err.Error(), nil)
-		return
-	}
-	n := len(recs)
-	slices, err := r.split(recs, func(part []trace.Record) ([]byte, error) {
-		frame, err := ingest.FullFrame(r.binEnc, part)
-		return append([]byte(nil), frame...), err
-	})
-	r.binMu.Unlock()
-	if err != nil {
-		api.Error(w, http.StatusInternalServerError, "re-encode shard frame: "+err.Error(), nil)
-		return
-	}
-	r.route(w, n, "/report/bin", "application/octet-stream", slices)
-}
-
-// split partitions recs by ring owner — stable, so per-node record order
-// survives — and encodes each shard's share. Shards that own none of the
-// batch get a nil slice.
-func (r *Router) split(recs []trace.Record, encode func([]trace.Record) ([]byte, error)) ([][]byte, error) {
 	parts := make([][]trace.Record, len(r.shards))
 	for _, rec := range recs {
 		s := r.ring.Owner(rec.Node)
@@ -244,17 +189,47 @@ func (r *Router) split(recs []trace.Record, encode func([]trace.Record) ([]byte,
 		if len(part) == 0 {
 			continue
 		}
-		var err error
-		if slices[s], err = encode(part); err != nil {
-			return nil, err
+		if slices[s], err = json.Marshal(part); err != nil {
+			api.Error(w, http.StatusInternalServerError, "encode shard batch: "+err.Error(), nil)
+			return
 		}
 	}
-	return slices, nil
+	r.route(w, len(recs), len(raw), "/report", "application/json", slices)
+}
+
+// handleReportBin routes a VN2F frame as a validated byte split: the frame
+// passes every check the sink's decoder makes, then each record's bytes go
+// verbatim, in arrival order, into the frame of its node's owner. A delta is
+// a diff against the same node's previous record and a node has one owner,
+// so its whole chain reaches one shard, whose delta cache is the only one
+// there is. "Resend full" is thus a shard's answer — its cache lacks a base:
+// it restarted, took a handoff, or decoded this very frame before refusing
+// it busy, so the ladder's retry finds the base replaced — passed through
+// as its 400. A malformed or empty frame gets 400 here; no shard sees it.
+func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, packet.FrameHeaderLen+packet.MaxFramePayload))
+	if err != nil {
+		r.badReqs.Add(1)
+		api.Error(w, http.StatusBadRequest, "read body: "+err.Error(), nil)
+		return
+	}
+	dec := frameDecoders.Get().(*packet.FrameDecoder)
+	slices, n, err := dec.Split(raw, len(r.shards), r.ring.Owner)
+	frameDecoders.Put(dec)
+	if err == nil && n == 0 {
+		err = ingest.ErrEmptyFrame
+	}
+	if err != nil {
+		r.badReqs.Add(1)
+		api.Error(w, http.StatusBadRequest, "bad binary frame (resend full encoding): "+err.Error(), nil)
+		return
+	}
+	r.route(w, n, len(raw), "/report/bin", "application/octet-stream", slices)
 }
 
 // route is the one delivery path behind both ingest endpoints: slices[s]
-// is shard s's share of a batch of n records (nil when it owns none). It
-// is all-or-nothing toward the client, as the sink's own commit is:
+// is shard s's share (nil when it owns none) of a batch of n records in size
+// body bytes. It is all-or-nothing toward the client, as the sink's commit is:
 //
 //   - an owner shard marked unready ⇒ 503 before anything is forwarded, so
 //     a long outage does not pile duplicate WAL records onto the healthy
@@ -263,14 +238,16 @@ func (r *Router) split(recs []trace.Record, encode func([]trace.Record) ([]byte,
 //     through its retry ladder is marked unready (the probe re-admits it)
 //     and the batch gets 503 + Retry-After naming the refusing shards;
 //   - a shard's 4xx is final for that slice — retrying cannot change it —
-//     and is passed through without touching the shard's readiness;
+//     and is passed through, with the shard's own reason as shard_error,
+//     without touching the shard's readiness;
 //   - 202 only when every owner shard answered 202.
 //
-// On anything but 202 the client resends the whole batch; shards that
-// already journaled their slice see exact duplicates, which the monitor
-// drops.
-func (r *Router) route(w http.ResponseWriter, n int, path, contentType string, slices [][]byte) {
+// On anything but 202 the client resends the whole batch, a binary client
+// full-encoded; shards that already journaled their slice see exact
+// duplicates, which the monitor drops.
+func (r *Router) route(w http.ResponseWriter, n, size int, path, contentType string, slices [][]byte) {
 	r.received.Add(uint64(n))
+	r.bytesReceived.Add(uint64(size))
 	urls := make([]string, len(r.shards))
 	var refusing []int
 	for s, slice := range slices {
@@ -287,12 +264,12 @@ func (r *Router) route(w http.ResponseWriter, n int, path, contentType string, s
 		return
 	}
 	retryAfter := 1
-	rejecting, rejection := 0, 0 // the first 4xx status drawn, and the shard it came from
+	rejecting, rejection, reason := 0, 0, "" // the first 4xx drawn: its shard, status and reason
 	for s, slice := range slices {
 		if slice == nil {
 			continue
 		}
-		status, hint, err := r.forward(s, urls[s]+path, contentType, slice)
+		status, hint, why, err := r.forward(s, urls[s]+path, contentType, slice)
 		retryAfter = max(retryAfter, hint)
 		switch {
 		case err != nil:
@@ -300,10 +277,11 @@ func (r *Router) route(w http.ResponseWriter, n int, path, contentType string, s
 			refusing = append(refusing, s)
 		case status != http.StatusAccepted:
 			if rejection == 0 {
-				rejecting, rejection = s, status
+				rejecting, rejection, reason = s, status, why
 			}
 		default:
 			r.forwarded.Add(1)
+			r.bytesForwarded.Add(uint64(len(slice)))
 		}
 	}
 	switch {
@@ -311,7 +289,7 @@ func (r *Router) route(w http.ResponseWriter, n int, path, contentType string, s
 		r.refuse(w, refusing, retryAfter)
 	case rejection != 0:
 		api.Error(w, rejection, fmt.Sprintf("shard %d rejected its slice of the batch with status %d", rejecting, rejection),
-			map[string]any{"shard": rejecting})
+			map[string]any{"shard": rejecting, "shard_error": reason})
 	default:
 		api.WriteJSON(w, http.StatusAccepted, map[string]any{"accepted": n})
 	}
@@ -327,20 +305,28 @@ func (r *Router) refuse(w http.ResponseWriter, shards []int, retryAfter int) {
 
 // forward posts one slice to shard s through the retry ladder. It returns
 // the shard's terminal status — 202, or a 4xx, which ends the ladder at
-// once — or an error when every attempt ended in a transport failure or
-// another status; retryAfter is the largest Retry-After the shard sent, in
-// seconds, each honored as an extra sleep ahead of the jittered one — the
-// same contract the reporter applies to the stream hint.
-func (r *Router) forward(s int, url, contentType string, body []byte) (status, retryAfter int, err error) {
+// once and comes with the shard's reason — or an error when every attempt
+// ended in a transport failure or another status; retryAfter is the largest
+// Retry-After the shard sent, in seconds, each honored as an extra sleep
+// ahead of the jittered one — the same contract the reporter applies to the
+// stream hint.
+func (r *Router) forward(s int, url, contentType string, body []byte) (status, retryAfter int, reason string, err error) {
 	ladder := retry.New(r.cfg.RetryMin, r.cfg.RetryMax, routerRetryTag, r.cfg.Seed, uint64(s))
 	err = retry.Do(context.Background(), ladder, r.cfg.Attempts, r.cfg.Sleep, func() error {
 		resp, err := r.cfg.Client.Post(url, contentType, bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
+		status = resp.StatusCode
+		if status/100 == 4 {
+			// The sink's {"error": …}, read within 4 KiB; a body of another
+			// shape relays no reason.
+			var e struct{ Error string }
+			_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
+			reason = e.Error
+		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		status = resp.StatusCode
 		if status == http.StatusAccepted || status/100 == 4 {
 			return nil
 		}
@@ -350,7 +336,7 @@ func (r *Router) forward(s int, url, contentType string, body []byte) (status, r
 		}
 		return fmt.Errorf("shard status %d", status)
 	})
-	return status, retryAfter, err
+	return status, retryAfter, reason, err
 }
 
 // ProbeOnce checks every shard's /readyz and records the verdict; a shard
@@ -488,7 +474,9 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"reports_received":     r.received.Load(),
+		"bytes_received":       r.bytesReceived.Load(),
 		"deliveries_forwarded": r.forwarded.Load(),
+		"bytes_forwarded":      r.bytesForwarded.Load(),
 		"batches_refused":      r.refused.Load(),
 		"bad_requests":         r.badReqs.Load(),
 		"fleet_requests":       r.fleetReqs.Load(),

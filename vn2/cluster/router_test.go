@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,17 +19,19 @@ import (
 
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
+	"github.com/wsn-tools/vn2/vn2/sink/api"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 )
 
 // fakeShard is a scriptable stand-in for one `vn2 serve` shard: it records
 // every record that reaches its ingest endpoints (decoding both the JSON
 // and the binary path with the sink's own decoder), counts ingest requests,
-// and answers a scripted status.
+// and answers a scripted status, refusals in the sink's {"error": …} shape.
 type fakeShard struct {
 	mu         sync.Mutex
 	status     int    // ingest answers this instead of 202 (0 = accept)
 	retryAfter string // Retry-After sent with a scripted status
+	busyOnce   bool   // decode the next request, then refuse it 503 — the sink's order
 	hits       int    // ingest requests received, whatever the answer
 	recs       []trace.Record
 	dec        *ingest.BinaryDecoder
@@ -54,12 +60,17 @@ func newFakeShard(t *testing.T) *fakeShard {
 				if f.retryAfter != "" {
 					w.Header().Set("Retry-After", f.retryAfter)
 				}
-				w.WriteHeader(f.status)
+				api.Error(w, f.status, fmt.Sprintf("scripted %d", f.status), nil)
 				return
 			}
 			recs, err := decode(raw)
 			if err != nil {
-				w.WriteHeader(http.StatusBadRequest)
+				api.Error(w, http.StatusBadRequest, err.Error(), nil)
+				return
+			}
+			if f.busyOnce {
+				f.busyOnce = false
+				api.Unavailable(w, 1, "ingest queue full", nil)
 				return
 			}
 			for _, rec := range recs {
@@ -105,18 +116,25 @@ func (f *fakeShard) records() []trace.Record {
 	return append([]trace.Record(nil), f.recs...)
 }
 
+// testRecords is a fleet's stream in (epoch, node) order. Three of eight
+// slots move per epoch, one between 0 and −0: the binary wire sends deltas
+// after a node's first report, and equality is bit for bit (sameRecords).
 func testRecords(n, epochs int) []trace.Record {
 	var recs []trace.Record
 	for e := 1; e <= epochs; e++ {
 		for id := 1; id <= n; id++ {
-			recs = append(recs, trace.Record{
-				Node:   packet.NodeID(id),
-				Epoch:  e,
-				Vector: []float64{float64(id), float64(e), float64(id * e)},
-			})
+			vec := []float64{float64(id), float64(e), float64(id*e) / 7, math.Copysign(0, float64(e%2)-0.5), 4, 5, 6, 7}
+			recs = append(recs, trace.Record{Node: packet.NodeID(id), Epoch: e, Vector: vec})
 		}
 	}
 	return recs
+}
+
+func sameRecords(a, b []trace.Record) bool {
+	return slices.EqualFunc(a, b, func(x, y trace.Record) bool {
+		return x.Node == y.Node && x.Epoch == y.Epoch && slices.EqualFunc(x.Vector, y.Vector,
+			func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	})
 }
 
 func newTestRouter(t *testing.T, shards []*fakeShard) (*Router, *httptest.Server) {
@@ -147,13 +165,35 @@ func postBody(t *testing.T, url, ct string, body []byte) *http.Response {
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(raw)) // replyOf reads it
 	return resp
 }
 
-// TestRouterForwardSplit: a mixed-node JSON batch lands on each node's
-// ring owner, with per-node record order preserved.
+// postStatus posts without a *testing.T, so off the test goroutine too.
+func postStatus(url, ct string, body []byte) (int, error) {
+	resp, err := http.Post(url, ct, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	resp.Body.Close()
+	return resp.StatusCode, nil
+}
+
+// replyOf decodes the JSON body of a router answer.
+func replyOf(t *testing.T, resp *http.Response) map[string]any {
+	t.Helper()
+	var reply map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("status %d, body is not JSON: %v", resp.StatusCode, err)
+	}
+	return reply
+}
+
+// TestRouterForwardSplit: a mixed-node JSON batch — every node three times
+// over — is split stably: each shard holds exactly the records it owns, in
+// the batch's order, bit for bit.
 func TestRouterForwardSplit(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t), newFakeShard(t), newFakeShard(t)}
 	r, ts := newTestRouter(t, shards)
@@ -163,65 +203,59 @@ func TestRouterForwardSplit(t *testing.T) {
 	if resp := postBody(t, ts.URL+"/report", "application/json", body); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("report status %d", resp.StatusCode)
 	}
-
-	total := 0
 	for i, sh := range shards {
-		got := sh.records()
-		total += len(got)
-		lastEpoch := map[packet.NodeID]int{}
-		for _, rec := range got {
-			if own := r.Ring().Owner(rec.Node); own != i {
-				t.Fatalf("shard %d received node %d owned by shard %d", i, rec.Node, own)
-			}
-			if rec.Epoch <= lastEpoch[rec.Node] {
-				t.Fatalf("shard %d: node %d epoch %d arrived out of order", i, rec.Node, rec.Epoch)
-			}
-			lastEpoch[rec.Node] = rec.Epoch
+		if got, want := sh.records(), ownedBy(r, i, recs); !sameRecords(got, want) {
+			t.Fatalf("shard %d has %d records, want its %d owned ones in order", i, len(got), len(want))
 		}
-	}
-	if total != len(recs) {
-		t.Fatalf("shards received %d records, want %d", total, len(recs))
 	}
 }
 
-// TestRouterForwardBin: the binary path decodes at the router and reaches
-// shards as full-encoded frames with the same split guarantee.
+// TestRouterForwardBin: the binary path is a byte split that holds nothing a
+// delta needs and shares nothing between requests but pooled frame walkers.
+// Gateways owning disjoint node sets post their delta streams at once, and
+// half way each moves to a second router that has seen none of it: no Forget,
+// no full resend, every answer 202, the deltas reach the shards as deltas and
+// every shard reconstructs each owned node's stream, in order, bit for bit
+// (across gateways the arrival order is the scheduler's). Run under -race.
 func TestRouterForwardBin(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
-	r, ts := newTestRouter(t, shards)
-
-	recs := testRecords(8, 2)
-	enc := packet.NewFrameEncoder()
-	var frames [][]byte
-	for e := 0; e < 2; e++ {
-		enc.Reset()
-		for _, rec := range recs[e*8 : (e+1)*8] {
-			if err := enc.Add(rec.Node, rec.Epoch, rec.Vector); err != nil {
-				t.Fatal(err)
+	const gateways, nodes, epochs = 4, 8, 4
+	shards := []*fakeShard{newFakeShard(t), newFakeShard(t), newFakeShard(t)}
+	_, first := newTestRouter(t, shards)
+	r, second := newTestRouter(t, shards)
+	all := testRecords(gateways*nodes, epochs)
+	var wg sync.WaitGroup
+	for g := 0; g < gateways; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			enc := packet.NewFrameEncoder()
+			for e := 0; e < epochs; e++ {
+				enc.Reset()
+				for _, rec := range all[(e*gateways+g)*nodes:][:nodes] {
+					enc.Add(rec.Node, rec.Epoch, rec.Vector)
+				}
+				frame, _ := enc.Frame()
+				ts := []*httptest.Server{first, second}[2*e/epochs]
+				if code, err := postStatus(ts.URL+"/report/bin", "application/octet-stream", frame); code != http.StatusAccepted {
+					t.Errorf("gateway %d epoch %d: status %d, err %v; want 202", g, e+1, code, err)
+					return
+				}
 			}
-		}
-		frame, err := enc.Frame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, append([]byte(nil), frame...))
+		}()
 	}
-	for _, frame := range frames {
-		if resp := postBody(t, ts.URL+"/report/bin", "application/octet-stream", frame); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("report/bin status %d", resp.StatusCode)
-		}
+	wg.Wait()
+	byNode := func(recs []trace.Record) []trace.Record {
+		slices.SortStableFunc(recs, func(a, b trace.Record) int { return cmp.Compare(a.Node, b.Node) })
+		return recs
 	}
-	total := 0
 	for i, sh := range shards {
-		for _, rec := range sh.records() {
-			if own := r.Ring().Owner(rec.Node); own != i {
-				t.Fatalf("shard %d received node %d owned by shard %d", i, rec.Node, own)
-			}
-			total++
+		got, want := byNode(sh.records()), byNode(ownedBy(r, i, all))
+		if !sameRecords(got, want) {
+			t.Fatalf("shard %d has %d records, want its %d owned ones, each node's in order, bit for bit", i, len(got), len(want))
 		}
-	}
-	if total != len(recs) {
-		t.Fatalf("shards received %d records, want %d", total, len(recs))
+		if got, want := sh.dec.Deltas(), uint64(len(want)*(epochs-1)/epochs); got != want {
+			t.Fatalf("shard %d decoded %d deltas, want all %d the gateways sent it", i, got, want)
+		}
 	}
 }
 
@@ -295,7 +329,7 @@ func TestRouterAckMeansDurable(t *testing.T) {
 			// Equality with the owner-filtered input is both claims at once:
 			// every record on its ring owner, in per-node order.
 			for i, sh := range shards {
-				if got, want := sh.records(), ownedBy(r, i, recs); !reflect.DeepEqual(got, want) {
+				if got, want := sh.records(), ownedBy(r, i, recs); !sameRecords(got, want) {
 					t.Fatalf("shard %d has %d records, want its %d owned ones in order", i, len(got), len(want))
 				}
 			}
@@ -334,10 +368,10 @@ func TestRouterAckMeansDurable(t *testing.T) {
 			if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("resend after recovery: status %d, want 202", resp.StatusCode)
 			}
-			if got := shards[1].records(); !reflect.DeepEqual(got, want1) {
+			if got := shards[1].records(); !sameRecords(got, want1) {
 				t.Fatalf("recovered shard has %d records, want each of its %d exactly once", len(got), len(want1))
 			}
-			if got := shards[0].records(); !reflect.DeepEqual(got, append(want0, want0...)) {
+			if got := shards[0].records(); !sameRecords(got, append(want0, want0...)) {
 				t.Fatalf("healthy shard has %d records, want its slice and one exact duplicate of it", len(got))
 			}
 		})
@@ -361,8 +395,8 @@ func TestRouterAckMeansDurable(t *testing.T) {
 
 // TestRouterShardRejectPassesThrough is the poison-pill case: a shard that
 // answers 4xx to a router-built slice will answer it again, so the status
-// goes to the client unretried, the shard stays ready, and the next
-// well-formed batch gets through.
+// goes to the client unretried with the shard's own reason beside it, the
+// shard stays ready, and the next well-formed batch gets through.
 func TestRouterShardRejectPassesThrough(t *testing.T) {
 	for _, status := range []int{http.StatusRequestEntityTooLarge, http.StatusBadRequest} {
 		shards := []*fakeShard{newFakeShard(t)}
@@ -370,8 +404,9 @@ func TestRouterShardRejectPassesThrough(t *testing.T) {
 		body, _ := json.Marshal(testRecords(4, 1))
 
 		shards[0].answer(status, "")
-		if resp := postBody(t, ts.URL+"/report", "application/json", body); resp.StatusCode != status {
-			t.Fatalf("shard answered %d, client saw %d", status, resp.StatusCode)
+		resp := postBody(t, ts.URL+"/report", "application/json", body)
+		if reply := replyOf(t, resp); resp.StatusCode != status || reply["shard"] != 0.0 || reply["shard_error"] != fmt.Sprintf("scripted %d", status) {
+			t.Fatalf("shard answered %d, client saw %d %v", status, resp.StatusCode, reply)
 		}
 		if got := shards[0].requests(); got != 1 {
 			t.Fatalf("a %d was retried: shard saw %d requests", status, got)
@@ -383,29 +418,111 @@ func TestRouterShardRejectPassesThrough(t *testing.T) {
 	}
 }
 
-// TestRouterRejectNamesBadReport: a JSON batch the router itself cannot
-// decode draws a 400 carrying ingest.Decode's by-index reason — the same
-// text a client posting straight to a sink gets — and reaches no shard.
+// TestRouterShardAsksForFull: a passed-through delta fails one way, on a
+// shard whose cache lacks its base. Cold: the shard was replaced by one with
+// an empty cache (a restart, a handoff target). Busy: it decoded the frame,
+// moving its cache, then refused it 503 — the sink's own order — so the
+// ladder's retry of the same bytes finds the base gone, as a client retrying
+// a delta after a sink's busy NACK does. Either way the shard's 400 comes
+// through with its reason, its readiness untouched (the full-encoded resend
+// gets 202, no probe in between), and the end state is the input bit for bit:
+// each record once on the asking shard, the other's taken slice twice.
+func TestRouterShardAsksForFull(t *testing.T) {
+	const nodes = 10
+	for _, cold := range []bool{true, false} {
+		shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
+		r, ts := newTestRouter(t, shards)
+		recs, post := testRecords(nodes, 3), wires["bin"]()
+		for e := 0; e < 2; e++ {
+			if resp := post(t, ts.URL, recs[e*nodes:(e+1)*nodes], false); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("cold %v, epoch %d: status %d, want 202", cold, e+1, resp.StatusCode)
+			}
+		}
+		if cold {
+			shards[1] = newFakeShard(t)
+			r.SetShard(1, shards[1].ts.URL)
+			r.ProbeOnce()
+		} else {
+			shards[1].mu.Lock()
+			shards[1].busyOnce = true
+			shards[1].mu.Unlock()
+		}
+		held, last := shards[1].records(), recs[2*nodes:]
+
+		resp := post(t, ts.URL, last, false)
+		reply := replyOf(t, resp)
+		if reason, _ := reply["shard_error"].(string); resp.StatusCode != http.StatusBadRequest || reply["shard"] != 1.0 ||
+			!strings.Contains(reason, ingest.ErrDeltaBase.Error()) {
+			t.Fatalf("cold %v, delta onto a missing base: status %d %v, want shard 1's 400 and its %q", cold, resp.StatusCode, reply, ingest.ErrDeltaBase)
+		}
+		if resp := post(t, ts.URL, last, true); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cold %v, full-encoded resend: status %d, want 202", cold, resp.StatusCode)
+		}
+		if got, want := shards[0].records(), append(ownedBy(r, 0, recs), ownedBy(r, 0, last)...); !sameRecords(got, want) {
+			t.Fatalf("cold %v: shard 0 has %d records, want its %d owned ones and the resent slice again", cold, len(got), len(want))
+		}
+		if got, want := shards[1].records(), append(held, ownedBy(r, 1, last)...); !sameRecords(got, want) {
+			t.Fatalf("cold %v: shard 1 has %d records, want the %d it held and its resent slice once", cold, len(got), len(want))
+		}
+	}
+}
+
+// TestRouterRejectNamesBadReport: a body the router itself cannot decode —
+// a bad JSON report, or a frame the sink's decoder would refuse (torn, a
+// flipped CRC bit, a zero XOR word) and the empty one — draws a 400 carrying
+// the decoder's reason, the text a client posting straight to a sink gets,
+// and reaches no shard. /metrics counts them, and shows the hop a good frame
+// then takes: its bytes in, plus one frame header per extra slice out.
 func TestRouterRejectNamesBadReport(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
 	_, ts := newTestRouter(t, shards)
 	recs := testRecords(5, 1)
 	recs[3].Epoch = -1
-	body, _ := json.Marshal(recs)
+	badJSON, _ := json.Marshal(recs)
+	enc := packet.NewFrameEncoder()
+	frame, _ := enc.Frame()
+	empty := slices.Clone(frame)
+	for _, rec := range testRecords(6, 2) {
+		enc.Add(rec.Node, rec.Epoch, rec.Vector)
+	}
+	good, _ := enc.Frame()
+	flipped := slices.Clone(good)
+	flipped[12] ^= 0x01
+	// Node 1, epoch 9 on base 8, 9 slots, slot 0 changed by an all-zero word.
+	payload := []byte{byte(packet.RecDelta), 0, 1, 0, 0, 0, 9, 9, 1, 0x01, 0x00, 0xc0, 0, 0, 0, 0, 0}
+	zeroXOR := append([]byte(packet.FramePreamble), 0, 1, 0, 0, 0, byte(len(payload)))
+	zeroXOR = binary.BigEndian.AppendUint32(zeroXOR, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 
-	resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(body))
+	for want, body := range map[string][]byte{
+		"report 3: epoch -1 outside": badJSON,
+		"payload bytes, header says": good[:len(good)*2/3],
+		"CRC mismatch":               flipped,
+		"zero XOR":                   append(zeroXOR, payload...),
+		"empty binary frame":         empty,
+	} {
+		path, ct := "/report/bin", "application/octet-stream"
+		if body[0] == '[' {
+			path, ct = "/report", "application/json"
+		}
+		resp := postBody(t, ts.URL+path, ct, body)
+		if msg, _ := replyOf(t, resp)["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Errorf("status %d, error %q; want 400 naming %q", resp.StatusCode, msg, want)
+		}
+	}
+	if shards[0].requests()+shards[1].requests() != 0 {
+		t.Fatal("a shard saw a request for a body the router rejected")
+	}
+	if resp := postBody(t, ts.URL+"/report/bin", "application/octet-stream", good); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("the good frame after the rejects: status %d, want 202", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	msg, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "report 3: epoch -1 outside") {
-		t.Fatalf("status %d, body %s; want 400 naming report 3 and its epoch", resp.StatusCode, msg)
-	}
-	for i, sh := range shards {
-		if got := sh.requests(); got != 0 {
-			t.Fatalf("shard %d saw %d requests for a batch the router rejected", i, got)
-		}
+	in, out := float64(len(good)), float64(len(good)+packet.FrameHeaderLen)
+	if m := replyOf(t, resp); m["bad_requests"] != 5.0 || m["deliveries_forwarded"] != 2.0 || m["bytes_received"] != in || m["bytes_forwarded"] != out {
+		t.Errorf("metrics %v: want 5 bad requests, %v bytes received and %v forwarded in 2 slices", m, in, out)
 	}
 }
 
@@ -450,12 +567,7 @@ func TestRouterNoLockAcrossForward(t *testing.T) {
 	all := testRecords(10, 1)
 	post := func(recs []trace.Record) (int, error) {
 		body, _ := json.Marshal(recs)
-		resp, err := http.Post(ts.URL+"/report", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		resp.Body.Close()
-		return resp.StatusCode, nil
+		return postStatus(ts.URL+"/report", "application/json", body)
 	}
 
 	stuck := make(chan int, 1)

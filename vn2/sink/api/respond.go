@@ -42,6 +42,19 @@ func Unavailable(w http.ResponseWriter, retryAfter int, msg string, extra map[st
 	Error(w, http.StatusServiceUnavailable, msg, extra)
 }
 
+// NewServer returns the http.Server every vn2 listener runs, sink and router.
+// Its timeouts close the slowloris hole: a peer that dribbles header bytes,
+// stalls mid-body, or parks an idle keep-alive connection cannot pin a
+// connection forever (the report handlers' MaxBytesReader bounds body size).
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // Degraded is the read-only "last-good" mode state machine shared by the
 // ingest and status surfaces. Reasons are namespaced by a class prefix
 // ("wal: ...", "drain: ...") so a recovery probe for one class cannot

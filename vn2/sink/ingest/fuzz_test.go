@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -69,7 +70,10 @@ func FuzzDecodeReports(f *testing.F) {
 // pair is read from data, cycled when short — Add(base), Add(next) through
 // the frame decoder and the sink's delta cache returns next bit for bit,
 // for any pair of epochs (the gap wraps mod 2³² when next is the earlier),
-// and the second record is never larger than a full one.
+// and the second record is never larger than a full one. Each frame carries
+// the step for three nodes (node j's vector is the step's rotated j slots)
+// and the router's hop is held to the same property: the frame split k ways
+// by node into k sink caches reconstructs what the one cache fed all of it does.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	special := []uint64{
 		0, 1 << 63, // ±0
@@ -107,31 +111,61 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		for i := range base {
 			base[i], next[i] = word(2*i), word(2*i+1)
 		}
+		const nodes = 3
+		k := 1 + int(e0)%nodes
 		enc := packet.NewFrameEncoder()
 		dec := NewBinaryDecoder()
+		var splitter packet.FrameDecoder
+		shards := []*BinaryDecoder{NewBinaryDecoder(), NewBinaryDecoder(), NewBinaryDecoder()}
 		for _, step := range []struct {
 			epoch int
 			vec   []float64
 		}{{int(e0), base}, {int(e1), next}} {
 			enc.Reset()
-			if err := enc.Add(3, step.epoch, step.vec); err != nil {
-				t.Fatal(err)
+			for j := 0; j < nodes; j++ {
+				r := min(j, int(m))
+				if err := enc.Add(packet.NodeID(j), step.epoch, slices.Concat(step.vec[r:], step.vec[:r])); err != nil {
+					t.Fatal(err)
+				}
 			}
 			frame, err := enc.Frame()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(frame) > packet.FrameHeaderLen+8+8*int(m) {
-				t.Fatalf("record of %d bytes, a full one is %d", len(frame)-packet.FrameHeaderLen, 8+8*int(m))
+			if len(frame) > packet.FrameHeaderLen+nodes*(8+8*int(m)) {
+				t.Fatalf("%d records in %d bytes, full ones take %d each", nodes, len(frame)-packet.FrameHeaderLen, 8+8*int(m))
 			}
 			recs, err := dec.Decode(frame)
-			if err != nil || len(recs) != 1 || recs[0].Epoch != step.epoch {
+			if err != nil || len(recs) != nodes {
 				t.Fatalf("epoch %d: %d records, err %v", step.epoch, len(recs), err)
 			}
-			for i, v := range recs[0].Vector {
-				if math.Float64bits(v) != math.Float64bits(step.vec[i]) {
-					t.Fatalf("epoch %d slot %d: got %x, want %x", step.epoch, i, math.Float64bits(v), math.Float64bits(step.vec[i]))
+			for j, rec := range recs {
+				for i, v := range rec.Vector {
+					if want := step.vec[(i+j)%int(m)]; rec.Epoch != step.epoch || math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("epoch %d node %d slot %d: got %x, want %x", step.epoch, j, i, math.Float64bits(v), math.Float64bits(want))
+					}
 				}
+			}
+			parts, _, err := splitter.Split(frame, k, func(n packet.NodeID) int { return int(n) % k })
+			if err != nil {
+				t.Fatalf("epoch %d: split %d ways: %v", step.epoch, k, err)
+			}
+			seen := 0
+			for s, part := range parts {
+				got, err := shards[s].Decode(part)
+				if err != nil {
+					t.Fatalf("epoch %d: shard %d of %d: %v", step.epoch, s, k, err)
+				}
+				for _, rec := range got { // recs[j] is node j's
+					if want := recs[rec.Node]; int(rec.Node)%k != s || rec.Epoch != want.Epoch || !slices.EqualFunc(rec.Vector, want.Vector,
+						func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+						t.Fatalf("epoch %d: shard %d of %d diverges from the single sink at node %d", step.epoch, s, k, rec.Node)
+					}
+				}
+				seen += len(got)
+			}
+			if seen != nodes {
+				t.Fatalf("epoch %d: %d shards decoded %d records of %d", step.epoch, k, seen, nodes)
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -381,16 +380,7 @@ func (s *Server) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// The timeouts close the slowloris hole: a peer that dribbles header
-	// bytes, stalls mid-body, or parks an idle keep-alive connection cannot
-	// pin a connection forever (body size is separately bounded by the
-	// MaxBytesReader wrapping in the report handlers).
-	httpSrv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := api.NewServer(s.Handler())
 	// Unwind long-lived /stream subscribers when Shutdown starts; without
 	// this every open SSE connection would hold Shutdown to its deadline.
 	httpSrv.RegisterOnShutdown(s.bus.Shutdown)
