@@ -46,7 +46,7 @@ BENCH_NEW ?= $(BENCH_TXT)
 # policy as the linters).
 BENCHSTAT_VERSION ?= v0.0.0-20240604174448-7c4a4e372563
 
-.PHONY: check vet lint build test race fuzz bench-build loc chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchdiff benchpairs
+.PHONY: check vet lint build test race fuzz bench-build loc chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchdiff benchpairs benchsoak
 
 check: vet lint build test race fuzz bench-build
 
@@ -189,6 +189,9 @@ benchdiff:
 # METRICS defaults to BENCHMARK.json's end-to-end set; name per-layer ones to
 # judge them the same way:
 #   make benchpairs PARENT=HEAD~1 WORKLOAD=storm-json N=10 METRICS="cpu_us_per_report ack_p50_ms"
+# A run that exits non-zero, reports a failed operation or lacks `oracle ok`
+# in its header line aborts the whole procedure: a gain does not count when
+# more operations fail, so a failure is looked into, not averaged.
 PARENT   ?= HEAD
 WORKLOAD ?= stream-direct
 N        ?= 10
@@ -205,7 +208,9 @@ benchpairs:
 			root=.; [ $$side = parent ] && root=.bench_build/parent; \
 			bash $$root/benchmark/run.sh --workload $(WORKLOAD) --seed $$i --out $(CURDIR)/$(PAIRS)/$$side-$$i \
 				> $(PAIRS)/$$side-$$i.txt || { cat $(PAIRS)/$$side-$$i.txt; exit 1; }; \
-			printf 'pair %2d %-6s %s\n' $$i $$side "$$(grep '^== ' $(PAIRS)/$$side-$$i.txt)"; \
+			hdr="$$(grep '^== ' $(PAIRS)/$$side-$$i.txt)"; \
+			printf 'pair %2d %-6s %s\n' $$i $$side "$$hdr"; \
+			case "$$hdr" in *"attempted, 0 failed, oracle ok") ;; *) echo "benchpairs: $$side run of pair $$i has failed operations or no oracle verdict" >&2; exit 1 ;; esac; \
 		done; \
 	done
 	@awk -v metrics="$(METRICS)" -v n=$(N) -v dir=$(PAIRS) ' \
@@ -226,3 +231,22 @@ benchpairs:
 				printf "%-26s %10.4g /%10.4g /%10.4g %10.4g /%10.4g /%10.4g %7.3f %2d/%d\n", m, \
 					q(a, .25), q(a, .5), q(a, .75), q(b, .25), q(b, .5), q(b, .75), q(a, .5) ? q(b, .5) / q(a, .5) : 0, won, n } }'
 
+# benchsoak is the failure gate on the working tree alone: every workload of
+# BENCHMARK.json on seeds 1..N at the driver's window (--seconds 12), one
+# line per run — workload, seed, reports attempted, reports failed, oracle,
+# setup_s — and a non-zero exit at the first run that fails an operation,
+# loses its oracle verdict or does not finish:
+#   make benchsoak N=12
+SOAK_WORKLOADS ?= $(shell sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\(.*\)".*/\1/p' BENCHMARK.json)
+
+benchsoak:
+	@mkdir -p .bench_build/soak
+	@printf '%-14s %4s %9s %6s %-7s %8s\n' workload seed attempted failed oracle setup_s
+	@for w in $(SOAK_WORKLOADS); do for i in $$(seq 1 $(N)); do \
+		out=.bench_build/soak/$$w-$$i.txt; \
+		bash benchmark/run.sh --workload $$w --seed $$i --seconds 12 > $$out 2>&1 || { cat $$out; exit 1; }; \
+		awk -v w=$$w -v seed=$$i ' \
+			/^== / { attempted = $$5; failed = $$8; oracle = /oracle ok$$/ ? "ok" : "MISSING" } \
+			$$1 == "setup_s" { setup = $$2 } \
+			END { printf "%-14s %4d %9d %6s %-7s %8.4f\n", w, seed, attempted, failed, oracle, setup; exit !(failed == "0" && oracle == "ok") }' $$out || exit 1; \
+	done; done

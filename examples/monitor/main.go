@@ -73,9 +73,8 @@ func run() error {
 	}
 	// Prime the diff slots with each node's last warm-up report so the
 	// first live report already produces a state vector.
-	for _, id := range ds.Nodes() {
-		recs := ds.Records(id)
-		if err := mon.Warm(recs[len(recs)-1]); err != nil {
+	for _, rec := range ds.LastRecords() {
+		if err := mon.Warm(rec); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -13,32 +14,44 @@ import (
 
 // WriteCSV writes the dataset as CSV with a header row:
 // node,epoch,<metric names...>. Rows are ordered by (node, epoch).
+//
+// A data row is numbers in strconv's shortest round-trip form, which never
+// needs quoting, so it is appended into one reused line buffer; the bytes
+// are what encoding/csv would have written.
 func (d *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"node", "epoch"}, metricspec.Names()...)
-	if err := cw.Write(header); err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	cw := csv.NewWriter(bw)
+	if err := cw.Write(append([]string{"node", "epoch"}, metricspec.Names()...)); err != nil {
 		return fmt.Errorf("write csv header: %w", err)
 	}
-	row := make([]string, len(header))
+	cw.Flush() // into bw, whose errors are sticky: the last Flush reports them
+	var line []byte
 	for _, id := range d.Nodes() {
 		for _, rec := range d.byNode[id] {
-			row[0] = strconv.Itoa(int(rec.Node))
-			row[1] = strconv.Itoa(rec.Epoch)
-			for k, v := range rec.Vector {
-				row[2+k] = strconv.FormatFloat(v, 'g', -1, 64)
+			line = strconv.AppendInt(line[:0], int64(rec.Node), 10)
+			line = append(line, ',')
+			line = strconv.AppendInt(line, int64(rec.Epoch), 10)
+			for _, v := range rec.Vector {
+				line = append(line, ',')
+				line = strconv.AppendFloat(line, v, 'g', -1, 64)
 			}
-			if err := cw.Write(row); err != nil {
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return fmt.Errorf("write csv row: %w", err)
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
-// ReadCSV parses a dataset produced by WriteCSV.
+// ReadCSV parses a dataset produced by WriteCSV. Rows are split by
+// encoding/csv and cells parsed by strconv, so what is accepted and rejected
+// is theirs; the record and the vector are reused from row to row (Add
+// copies), which leaves encoding/csv's one string per row as the only
+// per-row allocation.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("read csv header: %w", err)
@@ -48,6 +61,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: header has %d columns, want %d", ErrVectorLength, len(header), want)
 	}
 	d := NewDataset()
+	vec := make([]float64, metricspec.MetricCount)
 	// Rows are numbered by their position in the file: the header is line 1,
 	// the first data row line 2. The counter is bumped before any error is
 	// reported, so a cr.Read failure and a parse failure on the same row
@@ -70,7 +84,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d epoch: %w", line, err)
 		}
-		vec := make([]float64, metricspec.MetricCount)
 		for k := range vec {
 			vec[k], err = strconv.ParseFloat(rec[2+k], 64)
 			if err != nil {

@@ -182,6 +182,10 @@ func (d *Detector) Refreeze(states []StateVector) (*Detector, error) {
 // calibrate computes the frozen calibration and the raw (unnormalized)
 // per-state deviations of the training window. Shared by NewDetector and
 // DetectExceptions so the two stay bit-identical by construction.
+// Each metric's two order statistics come from selection (select.go) on one
+// column buffer: the median's selection rearranges it and the deviations are
+// then taken in place — a percentile does not depend on the order. Five
+// allocations whatever the window: calibration, column, scores.
 func calibrate(states []StateVector, threshold float64) (*Detector, []float64, error) {
 	if len(states) == 0 {
 		return nil, nil, ErrEmpty
@@ -199,13 +203,14 @@ func calibrate(states []StateVector, threshold float64) (*Detector, []float64, e
 	center := make([]float64, m)
 	scale := make([]float64, m)
 	col := make([]float64, len(states))
+	p99 := int(0.99 * float64(len(states)-1))
 	for k := 0; k < m; k++ {
 		for i, s := range states {
 			col[i] = s.Delta[k]
 		}
-		center[k] = median(col)
-		for i, s := range states {
-			col[i] = math.Abs(s.Delta[k] - center[k])
+		center[k] = selectMedian(col)
+		for i, v := range col {
+			col[i] = math.Abs(v - center[k])
 		}
 		// The 99th-percentile deviation is the "routine tail" of the
 		// metric: normal churn (retry bursts, table updates) lands at
@@ -214,7 +219,7 @@ func calibrate(states []StateVector, threshold float64) (*Detector, []float64, e
 		// deviation, and unlike the MAD it does not declare a heavy-tailed
 		// metric's own tail anomalous. The floor keeps constant metrics
 		// harmless.
-		scale[k] = percentile(col, 0.99)
+		scale[k] = selectKth(col, p99)
 		if scale[k] < 1e-9 {
 			scale[k] = 1e-9
 		}

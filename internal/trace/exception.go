@@ -1,9 +1,5 @@
 package trace
 
-import (
-	"sort"
-)
-
 // DefaultExceptionThreshold is the paper's cutoff: a state u is an
 // exception when εᵤ/max(εᵤ) ≥ 0.01 (Section IV-B).
 const DefaultExceptionThreshold = 0.01
@@ -73,31 +69,4 @@ func DetectExceptions(states []StateVector, threshold float64) (*ExceptionResult
 		}
 	}
 	return res, nil
-}
-
-// median returns the median of v, sorting a copy.
-func median(v []float64) float64 {
-	tmp := make([]float64, len(v))
-	copy(tmp, v)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// percentile returns the p-th quantile (p in [0,1]) of v, sorting a copy.
-func percentile(v []float64, p float64) float64 {
-	tmp := make([]float64, len(v))
-	copy(tmp, v)
-	sort.Float64s(tmp)
-	idx := int(p * float64(len(tmp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return tmp[idx]
 }

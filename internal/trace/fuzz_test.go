@@ -9,11 +9,14 @@ import (
 	"github.com/wsn-tools/vn2/internal/metricspec"
 )
 
-// FuzzReadCSV hammers the trace decoder with arbitrary bytes. Seeds come
-// from the malformed-input regression tables plus well-formed traces; the
-// invariant is decode-or-reject: never panic, and whatever is accepted must
-// be a coherent dataset (monotone per-node epochs, full-width vectors) that
-// survives a write/read round trip.
+// FuzzReadCSV hammers the trace decoder with arbitrary bytes, differentially
+// against the allocating reader it replaced (oracleReadCSV): the two must
+// accept and reject the same inputs, with the same error text — line number
+// included — or the same dataset bit for bit. Seeds come from the
+// malformed-input regression tables plus well-formed traces. Whatever is
+// accepted must also be a coherent dataset (monotone per-node epochs,
+// full-width vectors) that WriteCSV renders exactly as the encoding/csv
+// writer does and that survives the round trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("")
 	f.Add("a,b,c\n")
@@ -30,8 +33,15 @@ func FuzzReadCSV(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in string) {
 		ds, err := ReadCSV(strings.NewReader(in))
+		want, wantErr := oracleReadCSV(strings.NewReader(in))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ReadCSV error %v, reference reader %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if diff := sameDataset(ds, want); diff != "" {
+			t.Fatalf("ReadCSV differs from the reference reader: %s", diff)
 		}
 		for _, id := range ds.Nodes() {
 			last := math.MinInt
@@ -48,9 +58,12 @@ func FuzzReadCSV(f *testing.F) {
 				}
 			}
 		}
-		var buf bytes.Buffer
+		var buf, ref bytes.Buffer
 		if err := ds.WriteCSV(&buf); err != nil {
 			t.Fatalf("accepted dataset does not re-encode: %v", err)
+		}
+		if err := OracleWriteCSV(ds, &ref); err != nil || !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+			t.Fatalf("WriteCSV bytes differ from the encoding/csv writer's (err %v)", err)
 		}
 		ds2, err := ReadCSV(&buf)
 		if err != nil {

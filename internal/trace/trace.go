@@ -5,10 +5,11 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -42,6 +43,7 @@ type StateVector struct {
 // Dataset accumulates records and derives state vectors.
 type Dataset struct {
 	byNode map[packet.NodeID][]Record
+	arena  []float64 // the unused rest of the vector arena Add carves from
 }
 
 // NewDataset returns an empty dataset.
@@ -50,7 +52,8 @@ func NewDataset() *Dataset {
 }
 
 // Add appends a record. Records must arrive in non-decreasing epoch order
-// per node (the sink naturally produces them that way).
+// per node (the sink naturally produces them that way). The vector is
+// copied, into arenas of 1024: one allocation per thousand records.
 func (d *Dataset) Add(rec Record) error {
 	if len(rec.Vector) != metricspec.MetricCount {
 		return fmt.Errorf("%w: got %d", ErrVectorLength, len(rec.Vector))
@@ -60,9 +63,11 @@ func (d *Dataset) Add(rec Record) error {
 		return fmt.Errorf("trace: node %d epoch %d not after previous epoch %d",
 			rec.Node, rec.Epoch, recs[len(recs)-1].Epoch)
 	}
-	v := make([]float64, len(rec.Vector))
-	copy(v, rec.Vector)
-	rec.Vector = v
+	if len(d.arena) == 0 {
+		d.arena = make([]float64, 1024*metricspec.MetricCount)
+	}
+	n := copy(d.arena, rec.Vector)
+	rec.Vector, d.arena = d.arena[:n:n], d.arena[n:]
 	d.byNode[rec.Node] = append(recs, rec)
 	return nil
 }
@@ -91,7 +96,7 @@ func (d *Dataset) Nodes() []packet.NodeID {
 	for id := range d.byNode {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -104,15 +109,31 @@ func (d *Dataset) Records(node packet.NodeID) []Record {
 	return out
 }
 
-// States derives all state vectors: for every node, the difference between
-// each pair of successive received reports. Results are ordered by (epoch,
-// node) so downstream processing is deterministic.
-func (d *Dataset) States() []StateVector {
-	var out []StateVector
+// LastRecords returns each node's latest record, by ascending node (the
+// vectors are shared and must not be mutated).
+func (d *Dataset) LastRecords() []Record {
+	out := make([]Record, 0, len(d.byNode))
 	for _, id := range d.Nodes() {
 		recs := d.byNode[id]
+		out = append(out, recs[len(recs)-1])
+	}
+	return out
+}
+
+// States derives all state vectors: for every node, the difference between
+// each pair of successive received reports. Results are ordered by (epoch,
+// node) so downstream processing is deterministic. The deltas are carved
+// from one allocation, in (node, epoch) order.
+func (d *Dataset) States() []StateVector {
+	nodes := d.Nodes()
+	n := d.Len() - len(nodes)
+	out := make([]StateVector, 0, n)
+	arena := make([]float64, n*metricspec.MetricCount)
+	for _, id := range nodes {
+		recs := d.byNode[id]
 		for i := 1; i < len(recs); i++ {
-			delta := make([]float64, metricspec.MetricCount)
+			delta := arena[:metricspec.MetricCount:metricspec.MetricCount]
+			arena = arena[metricspec.MetricCount:]
 			for k := range delta {
 				delta[k] = recs[i].Vector[k] - recs[i-1].Vector[k]
 			}
@@ -124,11 +145,11 @@ func (d *Dataset) States() []StateVector {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Epoch != out[j].Epoch {
-			return out[i].Epoch < out[j].Epoch
+	slices.SortFunc(out, func(a, b StateVector) int {
+		if c := cmp.Compare(a.Epoch, b.Epoch); c != 0 {
+			return c
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	return out
 }

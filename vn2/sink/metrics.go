@@ -32,6 +32,10 @@ func (s *Server) registerMetrics() {
 		m["drain_fails_in_a_row"] = s.drainFails.Load()
 		m["snapshots_written"] = s.snapshots.Load()
 		m["snapshot_errors"] = s.snapErrs.Load()
+		// Where the (re)start spent its time; fixed once New has returned.
+		m["boot_ms"] = ms(s.boot.total())
+		m["boot_calibration_ms"] = ms(s.boot.calibRead + s.boot.calibrate)
+		m["boot_replay_ms"] = ms(s.boot.replay)
 	})
 
 	// Degraded-mode state machine.

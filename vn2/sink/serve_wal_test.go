@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -377,5 +378,52 @@ func TestSnapshotModelMismatch(t *testing.T) {
 	}
 	if !errors.Is(err, ErrSnapshotMismatch) {
 		t.Errorf("err = %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestBootMetrics: /metrics says where a (re)start spent its time. A cold
+// boot calibrates from the trace; a restart whose snapshot supplied the
+// detector did not, and reads exactly zero there; the replay gauge is zero
+// without a WAL and the stages never add up to more than the whole.
+func TestBootMetrics(t *testing.T) {
+	fx := serveFixtures(t)
+	dir := t.TempDir()
+	bootMetrics := func(srv *Server) (calibration, replay float64) {
+		t.Helper()
+		m := srv.reg.Gather()
+		total, ok := m["boot_ms"].(float64)
+		calibration, okC := m["boot_calibration_ms"].(float64)
+		replay, okR := m["boot_replay_ms"].(float64)
+		if !ok || !okC || !okR || total <= 0 || calibration < 0 || replay < 0 || calibration+replay > total {
+			t.Fatalf("boot_ms %v, boot_calibration_ms %v, boot_replay_ms %v: missing, or do not fit together",
+				m["boot_ms"], m["boot_calibration_ms"], m["boot_replay_ms"])
+		}
+		return calibration, replay
+	}
+
+	cold := walServer(t, fx, dir)
+	if calibration, _ := bootMetrics(cold); calibration <= 0 {
+		t.Fatalf("cold boot calibrated from the trace but boot_calibration_ms = %v", calibration)
+	}
+	if line := cold.boot.String(); !strings.Contains(line, "calibrate") || !strings.Contains(line, "replay") {
+		t.Fatalf("boot line %q does not name its stages", line)
+	}
+	if err := cold.writeSnapshot(); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
+	}
+	cold.jnl.Abort()
+
+	warm := walServer(t, fx, dir)
+	defer warm.jnl.Close()
+	if calibration, _ := bootMetrics(warm); calibration != 0 {
+		t.Fatalf("the snapshot supplied the detector but boot_calibration_ms = %v", calibration)
+	}
+
+	noWAL, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, replay := bootMetrics(noWAL); replay != 0 {
+		t.Fatalf("no WAL was configured but boot_replay_ms = %v", replay)
 	}
 }

@@ -49,6 +49,7 @@ type Server struct {
 	mon     *online.Monitor
 	jnl     *store.Journal
 	started time.Time
+	boot    bootTimes           // where New spent its time
 	sleep   func(time.Duration) // retry sleeper; nil = time.Sleep (tests inject)
 
 	lc  *lifecycle.Manager
@@ -435,6 +436,7 @@ func (s *Server) Run(ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "vn2 serve: stream listening on %s\n", streamAddr)
 	}
 
+	fmt.Fprintf(os.Stderr, "vn2 serve: boot %s\n", s.boot)
 	fmt.Fprintf(os.Stderr, "vn2 serve: listening on http://%s (queue %d, drain %s, wal %q)\n",
 		ln.Addr(), cap(s.queue), s.opts.DrainEvery, s.opts.WALPath)
 	serveErr := make(chan error, 1)

@@ -40,6 +40,22 @@ import (
 // corrupt the stream.
 var ErrSnapshotMismatch = errors.New("serve: snapshot monitor state does not match the configured model/detector")
 
+// bootTimes is where New spent its time, in the order the stages run; one
+// that did not run (no snapshot, a snapshot detector, no WAL) reads zero.
+// monitor includes its warm-up or restore and the wiring of the server.
+type bootTimes struct{ snapshot, model, calibRead, calibrate, monitor, replay time.Duration }
+
+func (b bootTimes) total() time.Duration {
+	return b.snapshot + b.model + b.calibRead + b.calibrate + b.monitor + b.replay
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+func (b bootTimes) String() string {
+	return fmt.Sprintf("%.1fms (snapshot %.1f, model %.1f, calibration read %.1f, calibrate %.1f, monitor %.1f, replay %.1f)",
+		ms(b.total()), ms(b.snapshot), ms(b.model), ms(b.calibRead), ms(b.calibrate), ms(b.monitor), ms(b.replay))
+}
+
 // Options collects the sink's configuration (the serve subcommand's flags).
 type Options struct {
 	Addr          string
@@ -124,6 +140,12 @@ func (o *Options) lifecycleDefaults() {
 // the WAL, and assembles the Server without starting it.
 func New(o Options) (*Server, error) {
 	o.lifecycleDefaults()
+	var boot bootTimes
+	mark := time.Now()
+	lap := func(stage *time.Duration) {
+		*stage = time.Since(mark)
+		mark = mark.Add(*stage)
+	}
 	var snap *store.Snapshot
 	if o.SnapshotPath != "" {
 		var err error
@@ -131,6 +153,7 @@ func New(o Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		lap(&boot.snapshot)
 	}
 
 	// Model: explicit -model wins — unless the snapshot carries a LATER
@@ -174,11 +197,12 @@ func New(o Options) (*Server, error) {
 	if meta.ModelVersion == 0 {
 		meta.ModelVersion = 1
 	}
+	lap(&boot.model)
 
 	// Detector: frozen calibration from the snapshot when present, else
 	// frozen from the calibration trace.
 	var det *trace.Detector
-	var warm *trace.Dataset
+	var warm []trace.Record // each calibration node's last report
 	switch {
 	case snap != nil && snap.Detector.Valid():
 		det = snap.Detector
@@ -192,11 +216,13 @@ func New(o Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("read calibration trace: %w", err)
 		}
+		lap(&boot.calibRead)
 		det, err = trace.NewDetector(ds.States(), o.Threshold)
 		if err != nil {
 			return nil, fmt.Errorf("calibrate detector: %w", err)
 		}
-		warm = ds
+		lap(&boot.calibrate)
+		warm = ds.LastRecords()
 	default:
 		return nil, fmt.Errorf("serve: -calibrate is required (no snapshot detector available)")
 	}
@@ -213,14 +239,13 @@ func New(o Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if warm != nil {
-		// Prime each node's diff slot with its last calibration report so
-		// the first live report already yields a state vector.
-		for _, id := range warm.Nodes() {
-			recs := warm.Records(id)
-			if err := mon.Warm(recs[len(recs)-1]); err != nil {
-				return nil, fmt.Errorf("warm monitor: %w", err)
-			}
+	// Prime each node's diff slot with its last calibration report so the
+	// first live report already yields a state vector. Warm copies the
+	// vector: past this loop nothing refers to the parsed trace or its
+	// states, so a restart does not carry them through the WAL replay.
+	for _, rec := range warm {
+		if err := mon.Warm(rec); err != nil {
+			return nil, fmt.Errorf("warm monitor: %w", err)
 		}
 	}
 	// Restore the monitor's rolling state (version ≥ 2 snapshots). This
@@ -281,6 +306,7 @@ func New(o Options) (*Server, error) {
 	if snap != nil {
 		s.lc.SeedHistory(snap.Swaps)
 	}
+	lap(&boot.monitor)
 
 	// WAL: open, then replay everything retained past the snapshot's
 	// watermark into the monitor. Records at or below the watermark are
@@ -352,7 +378,9 @@ func New(o Options) (*Server, error) {
 		}
 		s.jnl = j
 		s.applied.Store(j.NextLSN() - 1)
+		lap(&boot.replay)
 	}
+	s.boot = boot
 	s.registerMetrics()
 	return s, nil
 }
