@@ -90,9 +90,11 @@ loc:
 
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
 # report-body decoder, the three mote packet codecs, and the batched binary
-# frame decoder — each seeded from a committed corpus under testdata/ — and
-# the delta wire's bit-exact round trip (encoder → frame decoder → sink cache).
+# frame decoder — each seeded from a committed corpus under testdata/ — the
+# delta wire's bit-exact round trip (encoder → frame decoder → sink cache),
+# and the NNLS solver on degenerate and non-finite problems.
 fuzz:
+	$(GO) test ./internal/nnls -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDecodeReports -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZ_TIME)

@@ -18,7 +18,6 @@ import (
 	"github.com/wsn-tools/vn2/internal/experiments"
 	"github.com/wsn-tools/vn2/internal/mat"
 	"github.com/wsn-tools/vn2/internal/nmf"
-	"github.com/wsn-tools/vn2/internal/nnls"
 	"github.com/wsn-tools/vn2/internal/par"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/tracegen"
@@ -388,32 +387,6 @@ func keepLabel(keep float64) string {
 		return "keep90"
 	default:
 		return "keep100"
-	}
-}
-
-// BenchmarkAblationNNLS compares the two Problem-3 solvers.
-func BenchmarkAblationNNLS(b *testing.B) {
-	f := sharedFixtures(b)
-	state := f.exceptions[0]
-	norm := make([]float64, len(state.Delta))
-	for k, v := range state.Delta {
-		if v < 0 {
-			v = -v
-		}
-		norm[k] = v / f.model.Scale[k]
-	}
-	for _, solver := range []nnls.Solver{nnls.Multiplicative, nnls.ProjectedGradient} {
-		solver := solver
-		b.Run(solver.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sol, err := nnls.Solve(norm, f.model.Psi, nnls.Config{Solver: solver})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = sol.Residual
-			}
-		})
 	}
 }
 

@@ -4,9 +4,9 @@
 //	argmin_w ‖s − wΨ‖²  subject to w ≥ 0
 //
 // where s is a 1×m node-state vector, Ψ is the r×m representative matrix and
-// w is the 1×r correlation-strength vector. Two solvers are provided: a
-// multiplicative-update solver (the natural companion of the NMF training
-// rule) and a projected-gradient solver. Both are deterministic.
+// w is the 1×r correlation-strength vector. The solver is Lawson–Hanson's
+// active-set method on the normal equations (G = ΨΨᵀ, b = Ψsᵀ): it stops at
+// the KKT point, with exact zeros off the support, a function of (Ψ, s) alone.
 package nnls
 
 import (
@@ -17,133 +17,230 @@ import (
 	"github.com/wsn-tools/vn2/internal/mat"
 )
 
-// Solver selects the optimization algorithm.
-type Solver int
-
-const (
-	// Multiplicative uses the Lee–Seung style update
-	// w_j ← w_j (sΨᵀ)_j / (wΨΨᵀ)_j, which preserves non-negativity by
-	// construction.
-	Multiplicative Solver = iota + 1
-	// ProjectedGradient takes gradient steps with backtracking line search
-	// and projects onto the non-negative orthant.
-	ProjectedGradient
-)
-
-// String implements fmt.Stringer.
-func (s Solver) String() string {
-	switch s {
-	case Multiplicative:
-		return "multiplicative"
-	case ProjectedGradient:
-		return "projected-gradient"
-	default:
-		return fmt.Sprintf("Solver(%d)", int(s))
-	}
-}
-
-// ErrShape reports a state vector whose length does not match Ψ's columns.
+// ErrShape reports a state, basis and Gram matrix whose dimensions disagree.
 var ErrShape = errors.New("nnls: state length does not match basis columns")
 
-const epsDiv = 1e-12
+const (
+	// roundTol separates a quantity from the rounding of a zero, three times.
+	// A cause is admitted only while its dual b_j − (Gw)_j exceeds
+	// roundTol·‖b‖∞. A candidate whose squared Cholesky pivot (what of G_jj
+	// the passive causes do not explain) is ≤ roundTol·G_jj is a zero row of
+	// Ψ or collinear with the passive rows: refused, the singular-pivot rule.
+	// A passive weight ≤ roundTol·‖z‖∞ is a zero: a planted 0 is not 1e-17.
+	roundTol = 1e-10
+	// solvesPerCause bounds a solve at solvesPerCause·r passive solves;
+	// Lawson–Hanson needs about one per cause on the support.
+	solvesPerCause = 3
+)
 
-// Config controls a solve.
-type Config struct {
-	// Solver selects the algorithm; defaults to Multiplicative.
-	Solver Solver
-	// MaxIter bounds iterations; defaults to 500.
-	MaxIter int
-	// Tolerance stops when the objective improvement falls below it;
-	// defaults to 1e-9.
-	Tolerance float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Solver == 0 {
-		c.Solver = Multiplicative
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 500
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-9
-	}
-	return c
-}
-
-// Result holds the solution and solve diagnostics.
+// Result is a solution: W ≥ 0 (length r), ‖s − wΨ‖₂ there, passive solves taken.
 type Result struct {
-	// W is the non-negative weight vector, length r.
-	W []float64
-	// Residual is ‖s − wΨ‖₂ at the solution.
-	Residual float64
-	// Iterations performed.
+	W          []float64
+	Residual   float64
 	Iterations int
 }
 
-// Solve computes argmin_w ‖s − wΨ‖² with w ≥ 0.
-func Solve(s []float64, psi *mat.Dense, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	r, m := psi.Dims()
-	if len(s) != m {
-		return nil, fmt.Errorf("%w: state %d, basis %dx%d", ErrShape, len(s), r, m)
-	}
-	g := gramOf(psi)
-	sc := newSolveScratch(r, m)
-	res := &Result{W: make([]float64, r)}
-	res.Residual, res.Iterations = solveWith(res.W, s, psi, g, sc, cfg)
-	return res, nil
-}
-
-// gramOf returns the Gram matrix G = ΨΨᵀ (r×r). It depends only on Ψ, so
-// batch solvers compute it once and share it across every row — the single
-// largest saving of the batch path (the per-row r²·m product dominated each
-// solve).
-func gramOf(psi *mat.Dense) *mat.Dense {
+// Gram returns G = ΨΨᵀ (r×r), the only form in which the solver reads Ψ
+// until the final residual. Whoever owns a basis builds it once.
+func Gram(psi *mat.Dense) *mat.Dense {
 	g := mat.MustNew(psi.Rows(), psi.Rows())
 	mat.MulABTInto(g, psi, psi)
 	return g
 }
 
-// solveScratch is the reusable working set of one solver goroutine: the
-// linear term b = Ψsᵀ, the gradient, and the residual's difference vector.
-// Batch solves allocate one per worker instead of fresh slices per row.
+// Solve computes argmin_w ‖s − wΨ‖² with w ≥ 0. gram must be Gram(psi).
+func Solve(s []float64, psi, gram *mat.Dense) (*Result, error) {
+	r, m := psi.Dims()
+	if len(s) != m || gram.Rows() != r || gram.Cols() != r {
+		return nil, fmt.Errorf("%w: state %d, gram %dx%d, basis %dx%d", ErrShape, len(s), gram.Rows(), gram.Cols(), r, m)
+	}
+	res := &Result{W: make([]float64, r)}
+	res.Residual, res.Iterations = solveInto(res.W, s, psi, gram, newSolveScratch(r, m))
+	return res, nil
+}
+
+// solveScratch is the reusable working set of one solver goroutine.
 type solveScratch struct {
-	b    []float64 // length r: Ψsᵀ for the current row
-	grad []float64 // length r
-	diff []float64 // length m: s − wΨ for the residual
+	b       []float64 // length r: Ψsᵀ for the current row
+	z       []float64 // length r: the passive block's solution, in passive order
+	chol    []float64 // r×r: row k is the Cholesky row of the k-th passive cause
+	passive []int     // the passive set, in admission order
+	skip    []bool    // length r: candidates refused in the current outer step
+	diff    []float64 // length m: s − wΨ for the residual
 }
 
 func newSolveScratch(r, m int) *solveScratch {
 	return &solveScratch{
-		b:    make([]float64, r),
-		grad: make([]float64, r),
-		diff: make([]float64, m),
+		b: make([]float64, r), z: make([]float64, r), chol: make([]float64, r*r),
+		passive: make([]int, 0, r), skip: make([]bool, r), diff: make([]float64, m),
 	}
 }
 
-// fillB computes b = Ψsᵀ into the scratch.
-func (sc *solveScratch) fillB(s []float64, psi *mat.Dense) {
-	for i := range sc.b {
-		row := psi.RawRow(i)
-		var sum float64
-		for j, pv := range row {
-			sum += pv * s[j]
+// push appends cause j to the passive set and a row to the Cholesky factor of
+// G's passive block — unless j fails the singular-pivot rule, as a NaN or
+// infinite pivot also does: then it reports false and the set is as it was.
+func (sc *solveScratch) push(g *mat.Dense, j int) bool {
+	r, k := len(sc.b), len(sc.passive)
+	gRow, row := g.RawRow(j), sc.chol[k*r:k*r+k+1]
+	pivot := gRow[j]
+	for i, pi := range sc.passive {
+		li := sc.chol[i*r : i*r+i+1]
+		sum := gRow[pi]
+		for t := 0; t < i; t++ {
+			sum -= row[t] * li[t]
 		}
-		sc.b[i] = sum
+		row[i] = sum / li[i]
+		pivot -= row[i] * row[i]
+	}
+	if !(pivot > roundTol*gRow[j]) {
+		return false
+	}
+	row[k] = math.Sqrt(pivot)
+	sc.passive = append(sc.passive, j)
+	return true
+}
+
+// solvePassive solves G_PP z = b_P through the factor (L y = b_P, then
+// Lᵀ z = y, both in z) and returns rounded zeros as zeros.
+func (sc *solveScratch) solvePassive() {
+	r, z := len(sc.b), sc.z[:len(sc.passive)]
+	for k, pk := range sc.passive {
+		row := sc.chol[k*r : k*r+k+1]
+		sum := sc.b[pk]
+		for t := 0; t < k; t++ {
+			sum -= row[t] * z[t]
+		}
+		z[k] = sum / row[k]
+	}
+	var zMax float64
+	for k := len(z) - 1; k >= 0; k-- {
+		z[k] /= sc.chol[k*r+k]
+		for t := 0; t < k; t++ {
+			z[t] -= sc.chol[k*r+t] * z[k]
+		}
+		zMax = math.Max(zMax, math.Abs(z[k]))
+	}
+	for k, v := range z {
+		if v > 0 && v <= roundTol*zMax {
+			z[k] = 0
+		}
 	}
 }
 
-// residualWith computes ‖s − wΨ‖₂ through the scratch difference vector:
-// one contiguous pass per basis row instead of the strided per-element
-// column walk. The accumulation order is fixed (rows i ascending into diff,
-// then j ascending for the norm), so every solve path produces identical
-// bits.
+// solveInto runs Lawson–Hanson from w = 0 into w (length r, overwritten);
+// g must be ΨΨᵀ, sc is caller-owned. It returns ‖s − wΨ‖ and the number of
+// passive solves. Every iterate it can stop on is feasible (w ≥ 0) and, in
+// exact arithmetic, no worse than the one before: any exit returns the best.
+func solveInto(w, s []float64, psi, g *mat.Dense, sc *solveScratch) (float64, int) {
+	r, b, z := len(w), sc.b, sc.z
+	var bMax float64
+	for i := range w {
+		w[i], b[i] = 0, 0
+		for j, pv := range psi.RawRow(i) {
+			b[i] += pv * s[j]
+		}
+		bMax = math.Max(bMax, math.Abs(b[i]))
+	}
+	sNorm := residualWith(sc.diff, s, w, psi) // w = 0: ‖s‖
+	// A zero state has b = 0 and admits nothing: w = 0. A NaN or Inf in s
+	// makes tol NaN or infinite, and `d > tol` fails for every candidate.
+	tol := roundTol * bMax
+	sc.passive = sc.passive[:0]
+	solves := 0
+outer:
+	for {
+		// Admit the most violated dual among the causes at zero; ties go to
+		// the lowest index (strict >). Between outer steps a cause is
+		// passive exactly when its weight is positive.
+		clear(sc.skip)
+		for {
+			best, bestD := -1, tol
+			for j := 0; j < r; j++ {
+				if w[j] > 0 || sc.skip[j] {
+					continue
+				}
+				d, gRow := b[j], g.RawRow(j)
+				for _, k := range sc.passive {
+					d -= gRow[k] * w[k]
+				}
+				if d > bestD {
+					best, bestD = j, d
+				}
+			}
+			// No dual above tolerance: the KKT point. Or the hard bound, past
+			// which the current iterate stands.
+			if best < 0 || solves >= solvesPerCause*r {
+				break outer
+			}
+			// A refused candidate — a singular pivot, or a newcomer solved to
+			// a weight ≤ 0 (exactly it is dual/pivot > 0: rounding) — sits
+			// out the rest of this outer step and the next best is tried.
+			if sc.push(g, best) {
+				sc.solvePassive()
+				solves++
+				if z[len(sc.passive)-1] > 0 {
+					break
+				}
+				sc.passive = sc.passive[:len(sc.passive)-1]
+			}
+			sc.skip[best] = true
+		}
+		// Walk from w towards z; while a passive weight would go ≤ 0, stop
+		// at the boundary, drop what reached it, and solve the smaller block.
+		for {
+			alpha, out := math.Inf(1), -1
+			for k, i := range sc.passive {
+				if !(z[k] > 0) {
+					if a := w[i] / (w[i] - z[k]); a < alpha {
+						alpha, out = a, i
+					}
+				}
+			}
+			if out < 0 {
+				for k, i := range sc.passive {
+					w[i] = z[k]
+				}
+				break
+			}
+			for k, i := range sc.passive {
+				w[i] += alpha * (z[k] - w[i])
+			}
+			// The blocking cause leaves with an exact zero whatever rounding
+			// left in it: each pass shrinks the set, the walk ends in r.
+			w[out] = 0
+			old := sc.passive
+			sc.passive = old[:0]
+			for _, i := range old {
+				if !(w[i] > 0 && sc.push(g, i)) {
+					w[i] = 0
+				}
+			}
+			if solves >= solvesPerCause*r {
+				break outer
+			}
+			sc.solvePassive()
+			solves++
+		}
+	}
+	// The residual is computed once, here. One that is not a finite number
+	// ≤ ‖s‖ (an overflow, a NaN that got through) loses to the feasible w = 0.
+	res := residualWith(sc.diff, s, w, psi)
+	if !(res <= sNorm && res <= math.MaxFloat64) {
+		clear(w)
+		res = sNorm
+	}
+	return res, solves
+}
+
+// residualWith computes ‖s − wΨ‖₂ through the scratch difference vector: one
+// pass per basis row on the support, rows then columns ascending.
 func residualWith(diff, s, w []float64, psi *mat.Dense) float64 {
 	copy(diff, s)
 	for i, wv := range w {
-		row := psi.RawRow(i)
-		for j, pv := range row {
+		if wv == 0 {
+			continue
+		}
+		for j, pv := range psi.RawRow(i) {
 			diff[j] -= wv * pv
 		}
 	}
@@ -152,99 +249,4 @@ func residualWith(diff, s, w []float64, psi *mat.Dense) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// solveWith runs the configured solver, writing the solution into w (length
-// r, fully overwritten). g must be ΨΨᵀ; sc is caller-owned scratch. It
-// returns the final residual and the iteration count. cfg must already have
-// defaults applied.
-func solveWith(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config) (float64, int) {
-	sc.fillB(s, psi)
-	switch cfg.Solver {
-	case ProjectedGradient:
-		return solvePGInto(w, s, psi, g, sc, cfg)
-	default:
-		return solveMUInto(w, s, psi, g, sc, cfg)
-	}
-}
-
-func solveMUInto(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config) (float64, int) {
-	r := len(w)
-	for i := range w {
-		w[i] = 1.0 / float64(r) // uniform positive start
-	}
-	iters := 0
-	prev := math.Inf(1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		for i := 0; i < r; i++ {
-			num := sc.b[i]
-			if num < 0 {
-				// A negative correlation with the basis cannot be expressed
-				// with w ≥ 0; the multiplicative rule drives w_i to zero.
-				num = 0
-			}
-			var den float64
-			gRow := g.RawRow(i)
-			for k := 0; k < r; k++ {
-				den += gRow[k] * w[k]
-			}
-			w[i] *= num / (den + epsDiv)
-		}
-		iters = iter + 1
-		obj := residualWith(sc.diff, s, w, psi)
-		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
-			break
-		}
-		prev = obj
-	}
-	return residualWith(sc.diff, s, w, psi), iters
-}
-
-func solvePGInto(w, s []float64, psi, g *mat.Dense, sc *solveScratch, cfg Config) (float64, int) {
-	r := len(w)
-	// Lipschitz constant of the gradient is bounded by the trace of G.
-	var lip float64
-	for i := 0; i < r; i++ {
-		lip += g.At(i, i)
-	}
-	if lip <= 0 {
-		lip = 1
-	}
-	step := 1.0 / lip
-	for i := range w {
-		w[i] = 0
-	}
-	iters := 0
-	prev := math.Inf(1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		// ∇f(w) = 2(Gw − b); the constant 2 folds into the step size.
-		for i := 0; i < r; i++ {
-			gRow := g.RawRow(i)
-			var gw float64
-			for k := 0; k < r; k++ {
-				gw += gRow[k] * w[k]
-			}
-			sc.grad[i] = gw - sc.b[i]
-		}
-		for i := 0; i < r; i++ {
-			w[i] -= step * sc.grad[i]
-			if w[i] < 0 {
-				w[i] = 0
-			}
-		}
-		iters = iter + 1
-		obj := residualWith(sc.diff, s, w, psi)
-		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
-			break
-		}
-		prev = obj
-	}
-	return residualWith(sc.diff, s, w, psi), iters
-}
-
-// SolveBatch solves one NNLS problem per row of states, returning an
-// n×r weight matrix and per-row residuals. states is n×m, psi is r×m.
-// It is the single-worker case of SolveBatchParallel.
-func SolveBatch(states, psi *mat.Dense, cfg Config) (*mat.Dense, []float64, error) {
-	return SolveBatchParallel(states, psi, cfg, 1)
 }

@@ -7,38 +7,23 @@ import (
 	"github.com/wsn-tools/vn2/internal/par"
 )
 
-// SolveBatchParallel is SolveBatch with the rows statically partitioned
-// across a bounded set of workers (internal/par): rows are independent NNLS
-// problems, so a sink processing hundreds of node states per epoch can fan
-// them out. workers follows the par.Workers norm shared by every worker
-// knob in the repository: 0 is sequential, ≥1 fans out, negative uses
-// GOMAXPROCS. Each row's solve is identical to the sequential path and
-// writes only its own output row, so results are bit-identical to
-// SolveBatch for any worker count.
-func SolveBatchParallel(states, psi *mat.Dense, cfg Config, workers int) (*mat.Dense, []float64, error) {
-	n, _ := states.Dims()
-	r, _ := psi.Dims()
-	weights := mat.MustNew(n, r)
-	residuals := make([]float64, n)
-	if err := SolveBatchInto(weights, residuals, states, psi, cfg, workers); err != nil {
-		return nil, nil, err
-	}
-	return weights, residuals, nil
-}
+// minParallelRows is the batch size below which SolveBatchInto stays on the
+// caller: a solve costs microseconds, so a handful of rows — an event-driven
+// drain — is done before a second goroutine wakes (r = 12: level at 64).
+const minParallelRows = 64
 
-// SolveBatchInto is SolveBatchParallel writing into caller-provided
-// buffers: weights must be n×r and residuals length n. Steady-state batch
-// callers — a sink draining flagged states every epoch — reuse the same
-// buffers across calls instead of allocating an n×r matrix per drain.
-// The Gram matrix ΨΨᵀ is computed once and shared by every row, solutions
-// are written directly into the weights rows, and each chunk reuses one
-// scratch set — the batch does O(workers) allocations instead of O(rows).
-// Results are bit-identical to SolveBatchParallel for any worker count.
-func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi *mat.Dense, cfg Config, workers int) error {
+// SolveBatchInto solves one NNLS problem per row of states (n×m) against psi
+// (r×m) and gram = Gram(psi) into caller-provided buffers: weights n×r,
+// residuals length n. From minParallelRows rows up the rows are statically
+// partitioned across workers (the par.Workers norm: 0 sequential, ≥1 fans
+// out, negative GOMAXPROCS). Each row is solved as the sequential path solves
+// it, into its own output row, one scratch set per chunk (O(workers)
+// allocations), so results are bit-identical for any worker count.
+func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi, gram *mat.Dense, workers int) error {
 	n, m := states.Dims()
 	r, pm := psi.Dims()
-	if m != pm {
-		return fmt.Errorf("%w: states %dx%d, basis %dx%d", ErrShape, n, m, r, pm)
+	if m != pm || gram.Rows() != r || gram.Cols() != r {
+		return fmt.Errorf("%w: states %dx%d, gram %dx%d, basis %dx%d", ErrShape, n, m, gram.Rows(), gram.Cols(), r, pm)
 	}
 	if wr, wc := weights.Dims(); wr != n || wc != r {
 		return fmt.Errorf("nnls: weights buffer is %dx%d, want %dx%d", wr, wc, n, r)
@@ -46,12 +31,13 @@ func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi *mat.De
 	if len(residuals) != n {
 		return fmt.Errorf("nnls: residuals buffer has %d entries, want %d", len(residuals), n)
 	}
-	cfg = cfg.withDefaults()
-	g := gramOf(psi)
+	if n < minParallelRows {
+		workers = 0
+	}
 	par.For(n, workers, func(start, end int) {
 		sc := newSolveScratch(r, m)
 		for i := start; i < end; i++ {
-			residuals[i], _ = solveWith(weights.RawRow(i), states.RawRow(i), psi, g, sc, cfg)
+			residuals[i], _ = solveInto(weights.RawRow(i), states.RawRow(i), psi, gram, sc)
 		}
 	})
 	return nil

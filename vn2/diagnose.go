@@ -50,11 +50,6 @@ func (d *Diagnosis) Dominant() int {
 
 // DiagnoseConfig tunes inference.
 type DiagnoseConfig struct {
-	// Solver selects the NNLS algorithm; zero-value uses the
-	// multiplicative solver.
-	Solver nnls.Solver
-	// MaxIter bounds solver iterations; 0 uses 500.
-	MaxIter int
 	// MinStrength zeroes weights below it in the ranking; ≤0 uses 1e-6.
 	MinStrength float64
 	// Workers parallelizes batch diagnosis across this many goroutines;
@@ -86,7 +81,7 @@ func (m *Model) DiagnoseWith(state trace.StateVector, cfg DiagnoseConfig) (*Diag
 	if err != nil {
 		return nil, err
 	}
-	sol, err := nnls.Solve(s, m.Psi, nnls.Config{Solver: cfg.Solver, MaxIter: cfg.MaxIter})
+	sol, err := nnls.Solve(s, m.Psi, m.basisGram())
 	if err != nil {
 		return nil, fmt.Errorf("project state: %w", err)
 	}
@@ -106,11 +101,8 @@ func (m *Model) DiagnoseBatch(states []trace.StateVector, cfg DiagnoseConfig) ([
 	if err != nil {
 		return nil, err
 	}
-	solverCfg := nnls.Config{Solver: cfg.Solver, MaxIter: cfg.MaxIter}
-	// cfg.Workers passes straight through: nnls shares the par.Workers norm
-	// (0 sequential, ≥1 fan-out, negative GOMAXPROCS), so no branch needed.
-	weights, residuals, err := nnls.SolveBatchParallel(sm, m.Psi, solverCfg, cfg.Workers)
-	if err != nil {
+	weights, residuals := mat.MustNew(len(states), m.Psi.Rows()), make([]float64, len(states))
+	if err := nnls.SolveBatchInto(weights, residuals, sm, m.Psi, m.basisGram(), cfg.Workers); err != nil {
 		return nil, fmt.Errorf("project states: %w", err)
 	}
 	out := make([]*Diagnosis, len(states))

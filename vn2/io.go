@@ -121,5 +121,6 @@ func LoadVersioned(r io.Reader) (*Model, ModelMeta, error) {
 	if mf.Meta != nil {
 		meta = *mf.Meta
 	}
+	m.cacheGram()
 	return m, meta, nil
 }

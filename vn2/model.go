@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"github.com/wsn-tools/vn2/internal/mat"
+	"github.com/wsn-tools/vn2/internal/nnls"
 	"github.com/wsn-tools/vn2/internal/trace"
 )
 
@@ -62,6 +63,22 @@ type Model struct {
 	// Labels holds optional expert labels per root cause (Problem 2's
 	// output); persisted with the model. May be nil.
 	Labels map[int]string `json:"labels,omitempty"`
+
+	// gram is ΨΨᵀ for the basis gramOf: Train, Update and Load build it,
+	// diagnoses only read it. Psi is not written to once a model diagnoses.
+	gram, gramOf *mat.Dense
+}
+
+// cacheGram is called by Train, Update and Load, before the model is shared.
+func (m *Model) cacheGram() { m.gram, m.gramOf = nnls.Gram(m.Psi), m.Psi }
+
+// basisGram returns ΨΨᵀ: the cached matrix while Psi is still the basis it
+// was built from, a fresh one for a literal Model or a re-pointed Psi.
+func (m *Model) basisGram() *mat.Dense {
+	if m.gramOf == m.Psi {
+		return m.gram
+	}
+	return nnls.Gram(m.Psi)
 }
 
 // SetLabel attaches an expert label to root cause j, replacing any prior

@@ -67,8 +67,8 @@ type Config struct {
 	// MaxRecent bounds the kept ring of most recent diagnosed states (the
 	// serve path's /diagnosis detail view). Defaults to 128.
 	MaxRecent int
-	// Workers bounds the goroutines of each drain's batched NNLS solve
-	// (nnls.SolveBatchParallel underneath): 0 uses all cores, otherwise as
+	// Workers bounds the goroutines a large drain's NNLS solves fan out to
+	// (nnls.SolveBatchInto): 0 uses all cores, otherwise as
 	// vn2.DiagnoseConfig.Workers. Results are identical for any value.
 	Workers int
 	// MinStrength is passed through to diagnosis ranking; ≤0 uses the
@@ -427,9 +427,9 @@ func (m *Monitor) Ingest(rec trace.Record) (Observation, error) {
 	return obs, nil
 }
 
-// Drain diagnoses everything flagged since the last drain in one parallel
-// NNLS batch (nnls.SolveBatchParallel underneath) and folds the results
-// into the rolling per-epoch cause distributions. Ingest keeps flowing
+// Drain diagnoses everything flagged since the last drain — one exact NNLS
+// solve per state on the model's Gram matrix, in one batch — and folds the
+// results into the rolling per-epoch cause distributions. Ingest keeps flowing
 // while the solve runs. Returns the diagnosed states in ingest order; a nil
 // slice means there was nothing pending.
 func (m *Monitor) Drain() ([]Flagged, error) {

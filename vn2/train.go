@@ -169,6 +169,7 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		TrainStates: len(workingStates),
 	}
 	model.Signatures = signedSignatures(workingStates, sparseW, scale)
+	model.cacheGram()
 	return model, report, nil
 }
 

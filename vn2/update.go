@@ -94,5 +94,6 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 		TrainStates: len(workingStates),
 	}
 	updated.Signatures = signedSignatures(workingStates, sparseW, updated.Scale)
+	updated.cacheGram()
 	return updated, report, nil
 }
