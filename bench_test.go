@@ -684,6 +684,25 @@ func BenchmarkCitySeeTraining(b *testing.B) {
 			})
 		}
 	}
+	// vn2bench's healthy set-up (benchmark/vn2bench/fleet.go): a 2-day
+	// calibration trace at seed s and a 10-day live trace at s+1, 72 nodes,
+	// sequential — the go-test twin of tracegen.reports_per_s.
+	b.Run("fixtures72/seq", func(b *testing.B) {
+		b.ReportAllocs()
+		reports := 0
+		for i := 0; i < b.N; i++ {
+			for _, o := range []tracegen.CitySeeOptions{
+				{Seed: 1, Days: 2, Nodes: 72}, {Seed: 2, Days: 10, Nodes: 72},
+			} {
+				res, err := tracegen.CitySeeTraining(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reports += res.Dataset.Len()
+			}
+		}
+		b.ReportMetric(float64(reports)/b.Elapsed().Seconds(), "reports/s")
+	})
 }
 
 // BenchmarkModelUpdate measures the incremental vn2 retraining path.

@@ -10,8 +10,10 @@
 package ctp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -61,9 +63,6 @@ type Table struct {
 func NewTable(self packet.NodeID) *Table {
 	return &Table{self: self, parent: NoParent}
 }
-
-// Self returns the owning node's ID.
-func (t *Table) Self() packet.NodeID { return t.self }
 
 // Parent returns the current parent, or NoParent.
 func (t *Table) Parent() packet.NodeID { return t.parent }
@@ -256,18 +255,17 @@ func (t *Table) PathETX() float64 {
 // epochs — slot churn would otherwise masquerade as RSSI/ETX variation in
 // the diffed state vectors.
 func (t *Table) C2Entries() []packet.NeighborEntry {
-	entries := make([]Entry, len(t.entries))
-	copy(entries, t.entries)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Neighbor < entries[j].Neighbor })
-	out := make([]packet.NeighborEntry, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, packet.NeighborEntry{
+	out := make([]packet.NeighborEntry, len(t.entries))
+	for i, e := range t.entries {
+		out[i] = packet.NeighborEntry{
 			Neighbor: e.Neighbor,
 			RSSI:     e.RSSI,
 			LinkETX:  e.LinkETX,
 			PathETX:  e.PathETX,
-		})
+		}
 	}
+	// A neighbor has one row, so the order is total and any sort yields it.
+	slices.SortFunc(out, func(a, b packet.NeighborEntry) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	return out
 }
 

@@ -1,6 +1,9 @@
 package ctp
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -283,5 +286,50 @@ func TestInitialETXMonotone(t *testing.T) {
 			t.Errorf("initialETX not monotone: rssi=%v etx=%v prev=%v", rssi, etx, prev)
 		}
 		prev = etx
+	}
+}
+
+// oracleC2Entries is C2Entries as it stood: copy the table, reflection-sort
+// the copy by neighbor, convert.
+func oracleC2Entries(t *Table) []packet.NeighborEntry {
+	entries := make([]Entry, len(t.entries))
+	copy(entries, t.entries)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Neighbor < entries[j].Neighbor })
+	out := make([]packet.NeighborEntry, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, packet.NeighborEntry{
+			Neighbor: e.Neighbor,
+			RSSI:     e.RSSI,
+			LinkETX:  e.LinkETX,
+			PathETX:  e.PathETX,
+		})
+	}
+	return out
+}
+
+func TestC2EntriesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		tb := NewTable(0)
+		// More distinct neighbors than slots, heard in random order, aged
+		// and removed at random: tables of every size up to MaxNeighbors,
+		// in the slot order evictions leave behind.
+		for step := rng.Intn(60); step >= 0; step-- {
+			switch r := rng.Intn(10); {
+			case r < 7:
+				mustHear(t, tb, packet.NodeID(1+rng.Intn(25)), -60-40*rng.Float64(), 1+10*rng.Float64())
+			case r < 8:
+				tb.RemoveNeighbor(packet.NodeID(1 + rng.Intn(25)))
+			default:
+				tb.Tick(2)
+			}
+			got, want := tb.C2Entries(), oracleC2Entries(tb)
+			if got == nil || !slices.Equal(got, want) {
+				t.Fatalf("trial %d: C2Entries = %v, oracle %v", trial, got, want)
+			}
+			if len(got) > metricspec.MaxNeighbors {
+				t.Fatalf("trial %d: %d entries", trial, len(got))
+			}
+		}
 	}
 }

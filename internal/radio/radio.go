@@ -27,8 +27,12 @@
 // SetTopology precomputes a dense per-directed-link table of the
 // deterministic received power (tx power − path loss + shadowing −
 // injected attenuation), eliminating map lookups and math.Log10 from the
-// per-transmission path. DegradeLink and SetPosition invalidate the
-// affected entries in place.
+// per-transmission path. DegradeLink updates the affected entries in place.
+//
+// A draw's key is (seed, epoch, stream, a, b[, seq]) and rng.Key is a left
+// fold, so BeginEpoch hashes the (seed, epoch, stream, a) prefix once per
+// transmitter and each draw extends it (rng.Extend) by its own parts: the
+// same key, bit for bit.
 package radio
 
 import (
@@ -137,10 +141,11 @@ func (c Config) MaxRange() float64 {
 	return math.Pow(10, budget/(10*c.PathLossExponent))
 }
 
-// Stream phase tags keep the per-link draw families disjoint.
+// Stream phase tags keep the per-link draw families disjoint. They are key
+// parts: a tag's value is part of every trace ever generated.
 const (
 	streamShadow uint64 = iota + 1
-	streamFade
+	_                   // 2 was a per-sample fade stream
 	streamBeacon
 	streamUnicast
 )
@@ -156,38 +161,32 @@ type linkState struct {
 	epoch int32
 }
 
-// Medium simulates the shared wireless channel. Draws are counter-based
-// per link, so after SetTopology the read-side methods (RSSI, PRR, Beacon,
-// Unicast) may be called concurrently for links with distinct transmitters;
-// topology mutation (SetTopology, SetPosition, DegradeLink, BeginEpoch)
-// must be serialized with all other calls.
+// Medium simulates the shared wireless channel over the nodes SetTopology
+// registered; every link-indexed method takes node indices below that
+// count. Draws are counter-based per link, so the read-side methods (PRR,
+// Beacon, UnicastNoise) may be called concurrently for links with distinct
+// transmitters; mutation (SetTopology, DegradeLink, BeginEpoch) must be
+// serialized with all other calls.
 type Medium struct {
 	cfg   Config
-	field *env.Field
 	epoch int
 
 	// Dense per-link cache, built by SetTopology (links[a*n+b] is a→b).
 	n     int
 	links []linkState
-	pos   []env.Position
 
-	// adhoc carries per-link state for media used without SetTopology
-	// (direct API use, tests).
-	adhoc map[[2]int]*linkState
+	// beaconKey[a] and unicastKey[a] are this epoch's stream-key prefixes
+	// (seed, epoch, stream, a), hashed once by BeginEpoch.
+	beaconKey, unicastKey []uint64
 
 	// degraded accumulates DegradeLink attenuation per directed link so a
 	// topology rebuild preserves injected faults.
 	degraded map[[2]int]float64
 }
 
-// NewMedium constructs a Medium over the given environment field.
-func NewMedium(cfg Config, field *env.Field) *Medium {
-	return &Medium{
-		cfg:      cfg.WithDefaults(),
-		field:    field,
-		adhoc:    make(map[[2]int]*linkState),
-		degraded: make(map[[2]int]float64),
-	}
+// NewMedium constructs a Medium; SetTopology gives it its nodes.
+func NewMedium(cfg Config) *Medium {
+	return &Medium{cfg: cfg.WithDefaults(), degraded: make(map[[2]int]float64)}
 }
 
 // SetTopology registers the node positions (index == node ID) and builds
@@ -196,7 +195,6 @@ func NewMedium(cfg Config, field *env.Field) *Medium {
 // DegradeLink attenuation is preserved.
 func (m *Medium) SetTopology(positions []env.Position) {
 	m.n = len(positions)
-	m.pos = append(m.pos[:0], positions...)
 	m.links = make([]linkState, m.n*m.n)
 	for a := 0; a < m.n; a++ {
 		for b := 0; b < m.n; b++ {
@@ -206,22 +204,9 @@ func (m *Medium) SetTopology(positions []env.Position) {
 			m.links[a*m.n+b].rxBase = m.computeRxBase(a, b, positions[a], positions[b])
 		}
 	}
-}
-
-// SetPosition moves node i (mobility) and recomputes every cached link
-// entry involving it. Panics if no topology is registered.
-func (m *Medium) SetPosition(i int, pos env.Position) {
-	if m.links == nil {
-		panic("radio: SetPosition before SetTopology")
-	}
-	m.pos[i] = pos
-	for j := 0; j < m.n; j++ {
-		if j == i {
-			continue
-		}
-		m.links[i*m.n+j].rxBase = m.computeRxBase(i, j, pos, m.pos[j])
-		m.links[j*m.n+i].rxBase = m.computeRxBase(j, i, m.pos[j], pos)
-	}
+	m.beaconKey = make([]uint64, m.n)
+	m.unicastKey = make([]uint64, m.n)
+	m.BeginEpoch(m.epoch)
 }
 
 // computeRxBase evaluates the deterministic link budget a→b.
@@ -254,27 +239,16 @@ func (m *Medium) linkShadow(a, b int) float64 {
 }
 
 // BeginEpoch advances the medium to a new reporting epoch: subsequent
-// draws are keyed by this epoch and per-link draw sequences restart.
+// draws are keyed by this epoch and per-link draw sequences restart (lazily,
+// by their epoch tag).
 func (m *Medium) BeginEpoch(epoch int) {
 	m.epoch = epoch
-	for _, st := range m.adhoc {
-		st.seq, st.epoch = 0, int32(epoch)
+	seed, e := rng.I(int(m.cfg.Seed)), rng.I(epoch)
+	beacon, unicast := rng.Key(seed, e, streamBeacon), rng.Key(seed, e, streamUnicast)
+	for a := range m.beaconKey {
+		m.beaconKey[a] = rng.Extend(beacon, rng.I(a))
+		m.unicastKey[a] = rng.Extend(unicast, rng.I(a))
 	}
-	// Dense entries reset lazily via their epoch tag.
-}
-
-// link returns the mutable state for the directed link a→b.
-func (m *Medium) link(a, b int) *linkState {
-	if m.links != nil && a < m.n && b < m.n && a >= 0 && b >= 0 {
-		return &m.links[a*m.n+b]
-	}
-	key := [2]int{a, b}
-	st, ok := m.adhoc[key]
-	if !ok {
-		st = &linkState{rxBase: math.NaN(), epoch: int32(m.epoch)}
-		m.adhoc[key] = st
-	}
-	return st
 }
 
 // nextSeq returns the link's draw-session sequence number for the current
@@ -289,43 +263,17 @@ func (m *Medium) nextSeq(st *linkState) uint32 {
 	return s
 }
 
-// rxBase returns the deterministic received power for a→b, using the dense
-// cache when topology is registered and computing from the given positions
-// otherwise.
-func (m *Medium) rxBase(a, b int, src, dst env.Position) float64 {
-	if m.links != nil && a < m.n && b < m.n && a >= 0 && b >= 0 {
-		return m.links[a*m.n+b].rxBase
-	}
-	return m.computeRxBase(a, b, src, dst)
-}
-
-// MeanRSSI returns the deterministic part of the received signal strength
-// for a→b (no fast fading): the quantity range planning and link pruning
-// reason about.
-func (m *Medium) MeanRSSI(a, b int, src, dst env.Position) float64 {
-	return m.rxBase(a, b, src, dst)
-}
-
 // InRange reports whether the a→b link can ever deliver a frame: its
 // deterministic budget plus the maximum possible fade clears sensitivity.
 // Fading is bounded, so out-of-range links have exactly zero reception
 // probability — skipping them cannot change any outcome.
-func (m *Medium) InRange(a, b int, src, dst env.Position) bool {
-	return m.rxBase(a, b, src, dst)+FadeClampDB >= m.cfg.SensitivityDBM
+func (m *Medium) InRange(a, b int) bool {
+	return m.links[a*m.n+b].rxBase+FadeClampDB >= m.cfg.SensitivityDBM
 }
 
 // fade draws one bounded fast-fading value from the stream.
 func fade(s *rng.Stream) float64 {
 	return s.NormFloat64() * fadeSigmaDB
-}
-
-// RSSI returns the received signal strength in dBm for one transmission
-// from node a to node b, including stable link shadowing and fast fading.
-// Each call consumes one per-link draw session.
-func (m *Medium) RSSI(a, b int, src, dst env.Position) float64 {
-	st := m.link(a, b)
-	s := rng.New(rng.I(int(m.cfg.Seed)), rng.I(m.epoch), streamFade, rng.I(a), rng.I(b), uint64(m.nextSeq(st)))
-	return m.rxBase(a, b, src, dst) + fade(&s)
 }
 
 // PRR maps an RSSI and local noise floor to a packet reception ratio via a
@@ -342,10 +290,15 @@ func (m *Medium) PRR(rssi, noiseFloor float64) float64 {
 // Beacon simulates one broadcast beacon reception attempt on the a→b link
 // against the receiver-side noise floor. Exactly one beacon per directed
 // link per epoch is modelled; the draw is keyed by (epoch, a, b) alone, so
-// receivers may evaluate their incoming links concurrently.
-func (m *Medium) Beacon(a, b int, src, dst env.Position, noiseFloor float64) (rssi float64, heard bool) {
-	s := rng.New(rng.I(int(m.cfg.Seed)), rng.I(m.epoch), streamBeacon, rng.I(a), rng.I(b))
-	rssi = m.rxBase(a, b, src, dst) + fade(&s)
+// receivers may evaluate their incoming links concurrently. Below
+// sensitivity PRR is 0 and no uniform in [0, 1) is under it, so the
+// reception draw is not taken.
+func (m *Medium) Beacon(a, b int, noiseFloor float64) (rssi float64, heard bool) {
+	s := rng.At(rng.Extend(m.beaconKey[a], rng.I(b)))
+	rssi = m.links[a*m.n+b].rxBase + fade(&s)
+	if rssi < m.cfg.SensitivityDBM {
+		return rssi, false
+	}
 	return rssi, s.Float64() < m.PRR(rssi, noiseFloor)
 }
 
@@ -355,10 +308,8 @@ func (m *Medium) Beacon(a, b int, src, dst env.Position, noiseFloor float64) (rs
 func (m *Medium) DegradeLink(a, b int, attenuationDB float64) {
 	m.degraded[[2]int{a, b}] += attenuationDB
 	m.degraded[[2]int{b, a}] += attenuationDB
-	if m.links != nil && a < m.n && b < m.n && a >= 0 && b >= 0 {
-		m.links[a*m.n+b].rxBase -= attenuationDB
-		m.links[b*m.n+a].rxBase -= attenuationDB
-	}
+	m.links[a*m.n+b].rxBase -= attenuationDB
+	m.links[b*m.n+a].rxBase -= attenuationDB
 }
 
 // TxOutcome reports what happened to one link-layer unicast attempt
@@ -381,22 +332,15 @@ type TxOutcome struct {
 	Backoffs int
 }
 
-// Unicast simulates a full link-layer unicast exchange from node a at src
-// to node b at dst, with channel contention level in [0,1] raising backoff
-// and loss. rxUp reports whether the receiver is powered and able to accept
-// frames; a down receiver yields pure NOACK retransmissions. Noise floors
-// are sampled from the environment field; use UnicastNoise when the caller
-// already holds them.
-func (m *Medium) Unicast(a, b int, src, dst env.Position, contention float64, rxUp bool) TxOutcome {
-	return m.UnicastNoise(a, b, src, dst, contention, rxUp, m.field.NoiseFloor(dst), m.field.NoiseFloor(src))
-}
-
-// UnicastNoise is Unicast with caller-supplied noise floors (noiseRx at the
-// receiver, noiseTx at the sender, for the reverse-path ACK). The whole
-// exchange — every retry, both directions — draws from one stream keyed by
-// (seed, epoch, a, b, per-link sequence), so concurrent exchanges with
-// distinct transmitters never interact.
-func (m *Medium) UnicastNoise(a, b int, src, dst env.Position, contention float64, rxUp bool, noiseRx, noiseTx float64) TxOutcome {
+// UnicastNoise simulates a full link-layer unicast exchange from node a to
+// node b, with channel contention level in [0,1] raising backoff and loss.
+// rxUp reports whether the receiver is powered and able to accept frames; a
+// down receiver yields pure NOACK retransmissions. The caller supplies the
+// noise floors (noiseRx at the receiver, noiseTx at the sender, for the
+// reverse-path ACK). The whole exchange — every retry, both directions —
+// draws from one stream keyed by (seed, epoch, a, b, per-link sequence), so
+// concurrent exchanges with distinct transmitters never interact.
+func (m *Medium) UnicastNoise(a, b int, contention float64, rxUp bool, noiseRx, noiseTx float64) TxOutcome {
 	var out TxOutcome
 	if contention < 0 {
 		contention = 0
@@ -404,10 +348,9 @@ func (m *Medium) UnicastNoise(a, b int, src, dst env.Position, contention float6
 	if contention > 1 {
 		contention = 1
 	}
-	st := m.link(a, b)
-	s := rng.New(rng.I(int(m.cfg.Seed)), rng.I(m.epoch), streamUnicast, rng.I(a), rng.I(b), uint64(m.nextSeq(st)))
-	fwdBase := m.rxBase(a, b, src, dst)
-	revBase := m.rxBase(b, a, dst, src)
+	st := &m.links[a*m.n+b]
+	s := rng.At(rng.Extend(m.unicastKey[a], rng.I(b), uint64(m.nextSeq(st))))
+	fwdBase, revBase := st.rxBase, m.links[b*m.n+a].rxBase
 	for out.Attempts < MaxRetries {
 		out.Attempts++
 		// CSMA: under contention the sender may back off before each try.

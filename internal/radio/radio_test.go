@@ -6,22 +6,38 @@ import (
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/env"
+	"github.com/wsn-tools/vn2/internal/rng"
 )
 
-func newTestMedium(seed int64) (*Medium, *env.Field) {
+// newTestMedium builds a medium whose nodes 1, 2, … stand at pos; node 0 is
+// a bystander at the origin, so the links under test keep the ids (and with
+// them the shadowing and stream keys) they always had.
+func newTestMedium(seed int64, pos ...env.Position) (*Medium, *env.Field) {
 	field := env.New(env.Config{Seed: seed, NoiseSigma: 0.001})
-	m := NewMedium(Config{Seed: seed}, field)
+	m := NewMedium(Config{Seed: seed})
+	m.SetTopology(append([]env.Position{{}}, pos...))
 	return m, field
 }
 
+// unicast is one a→b exchange with both noise floors sampled from the field
+// at the endpoints' positions, as the simulator samples them per epoch.
+func unicast(m *Medium, f *env.Field, a, b int, src, dst env.Position, contention float64, rxUp bool) TxOutcome {
+	return m.UnicastNoise(a, b, contention, rxUp, f.NoiseFloor(dst), f.NoiseFloor(src))
+}
+
+// meanRSSI is the cached deterministic received power for a→b.
+func (m *Medium) meanRSSI(a, b int) float64 { return m.links[a*m.n+b].rxBase }
+
 func TestRSSIDecreasesWithDistance(t *testing.T) {
-	m, _ := newTestMedium(1)
-	src := env.Position{X: 0, Y: 0}
+	m, _ := newTestMedium(1, env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}, env.Position{X: 100, Y: 0})
 	var near, far float64
 	const n = 200
 	for i := 0; i < n; i++ {
-		near += m.RSSI(1, 2, src, env.Position{X: 10, Y: 0})
-		far += m.RSSI(1, 3, src, env.Position{X: 100, Y: 0})
+		m.BeginEpoch(i) // one beacon fade per link per epoch
+		r12, _ := m.Beacon(1, 2, -98)
+		r13, _ := m.Beacon(1, 3, -98)
+		near += r12
+		far += r13
 	}
 	if near/n <= far/n {
 		t.Errorf("RSSI near (%.1f) should exceed far (%.1f)", near/n, far/n)
@@ -71,12 +87,12 @@ func TestPRRHighSNRNearOne(t *testing.T) {
 }
 
 func TestUnicastGoodLinkSucceedsQuickly(t *testing.T) {
-	m, _ := newTestMedium(6)
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 15, Y: 0}
+	m, f := newTestMedium(6, src, dst)
 	var attempts int
 	const n = 300
 	for i := 0; i < n; i++ {
-		out := m.Unicast(1, 2, src, dst, 0, true)
+		out := unicast(m, f, 1, 2, src, dst, 0, true)
 		if !out.Acked {
 			t.Fatalf("good link failed: %v", out)
 		}
@@ -88,8 +104,9 @@ func TestUnicastGoodLinkSucceedsQuickly(t *testing.T) {
 }
 
 func TestUnicastDownReceiverNeverDelivers(t *testing.T) {
-	m, _ := newTestMedium(7)
-	out := m.Unicast(1, 2, env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}, 0, false)
+	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}
+	m, f := newTestMedium(7, src, dst)
+	out := unicast(m, f, 1, 2, src, dst, 0, false)
 	if out.Delivered || out.Acked {
 		t.Errorf("delivered to a down receiver: %v", out)
 	}
@@ -102,10 +119,11 @@ func TestUnicastDownReceiverNeverDelivers(t *testing.T) {
 }
 
 func TestUnicastFarLinkFails(t *testing.T) {
-	m, _ := newTestMedium(8)
+	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 5000, Y: 0}
+	m, f := newTestMedium(8, src, dst)
 	var acked int
 	for i := 0; i < 100; i++ {
-		out := m.Unicast(1, 2, env.Position{X: 0, Y: 0}, env.Position{X: 5000, Y: 0}, 0, true)
+		out := unicast(m, f, 1, 2, src, dst, 0, true)
 		if out.Acked {
 			acked++
 		}
@@ -116,13 +134,13 @@ func TestUnicastFarLinkFails(t *testing.T) {
 }
 
 func TestUnicastContentionCausesBackoffs(t *testing.T) {
-	m, _ := newTestMedium(9)
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 15, Y: 0}
+	m, f := newTestMedium(9, src, dst)
 	var quiet, busy int
 	const n = 400
 	for i := 0; i < n; i++ {
-		quiet += m.Unicast(1, 2, src, dst, 0, true).Backoffs
-		busy += m.Unicast(1, 2, src, dst, 0.8, true).Backoffs
+		quiet += unicast(m, f, 1, 2, src, dst, 0, true).Backoffs
+		busy += unicast(m, f, 1, 2, src, dst, 0.8, true).Backoffs
 	}
 	if busy <= quiet {
 		t.Errorf("contention backoffs (%d) should exceed quiet backoffs (%d)", busy, quiet)
@@ -130,13 +148,13 @@ func TestUnicastContentionCausesBackoffs(t *testing.T) {
 }
 
 func TestUnicastContentionIncreasesRetries(t *testing.T) {
-	m, _ := newTestMedium(10)
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 20, Y: 0}
+	m, f := newTestMedium(10, src, dst)
 	var quiet, busy int
 	const n = 400
 	for i := 0; i < n; i++ {
-		quiet += m.Unicast(1, 2, src, dst, 0, true).NoAckRetries
-		busy += m.Unicast(1, 2, src, dst, 0.9, true).NoAckRetries
+		quiet += unicast(m, f, 1, 2, src, dst, 0, true).NoAckRetries
+		busy += unicast(m, f, 1, 2, src, dst, 0.9, true).NoAckRetries
 	}
 	if busy <= quiet {
 		t.Errorf("contention retries (%d) should exceed quiet retries (%d)", busy, quiet)
@@ -146,11 +164,11 @@ func TestUnicastContentionIncreasesRetries(t *testing.T) {
 func TestUnicastDuplicatesWhenAckLost(t *testing.T) {
 	// A marginal link with contention loses ACKs while some data frames get
 	// through, which must register duplicates over enough trials.
-	m, _ := newTestMedium(11)
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 28, Y: 0}
+	m, f := newTestMedium(11, src, dst)
 	var dups int
 	for i := 0; i < 2000; i++ {
-		dups += m.Unicast(1, 2, src, dst, 0.5, true).Duplicates
+		dups += unicast(m, f, 1, 2, src, dst, 0.5, true).Duplicates
 	}
 	if dups == 0 {
 		t.Error("no duplicates generated on a lossy contended link in 2000 exchanges")
@@ -158,13 +176,13 @@ func TestUnicastDuplicatesWhenAckLost(t *testing.T) {
 }
 
 func TestDegradeLinkReducesDelivery(t *testing.T) {
-	m, _ := newTestMedium(12)
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 15, Y: 0}
+	m, f := newTestMedium(12, src, dst)
 	const n = 300
 	acked := func() int {
 		var c int
 		for i := 0; i < n; i++ {
-			if m.Unicast(1, 2, src, dst, 0, true).Acked {
+			if unicast(m, f, 1, 2, src, dst, 0, true).Acked {
 				c++
 			}
 		}
@@ -181,13 +199,15 @@ func TestDegradeLinkReducesDelivery(t *testing.T) {
 func TestMediumDeterministic(t *testing.T) {
 	run := func() []TxOutcome {
 		field := env.New(env.Config{Seed: 5})
-		m := NewMedium(Config{Seed: 5}, field)
+		src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 22, Y: 0}
+		m := NewMedium(Config{Seed: 5})
+		m.SetTopology([]env.Position{{}, src, dst})
 		var outs []TxOutcome
 		for i := 0; i < 50; i++ {
 			if err := field.Advance(time.Minute); err != nil {
 				t.Fatalf("Advance: %v", err)
 			}
-			outs = append(outs, m.Unicast(1, 2, env.Position{X: 0, Y: 0}, env.Position{X: 22, Y: 0}, 0.3, true))
+			outs = append(outs, unicast(m, field, 1, 2, src, dst, 0.3, true))
 		}
 		return outs
 	}
@@ -229,13 +249,14 @@ func indexOf(s, sub string) int {
 }
 
 func TestUnicastContentionClamped(t *testing.T) {
-	m, _ := newTestMedium(13)
+	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}
+	m, f := newTestMedium(13, src, dst)
 	// Out-of-range contention must not panic or produce nonsense.
-	out := m.Unicast(1, 2, env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}, 5, true)
+	out := unicast(m, f, 1, 2, src, dst, 5, true)
 	if out.Attempts < 1 || out.Attempts > MaxRetries {
 		t.Errorf("attempts = %d out of range", out.Attempts)
 	}
-	out = m.Unicast(1, 2, env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}, -3, true)
+	out = unicast(m, f, 1, 2, src, dst, -3, true)
 	if out.Attempts < 1 {
 		t.Errorf("attempts = %d", out.Attempts)
 	}
@@ -281,13 +302,12 @@ func TestWithDefaultsZeroSentinel(t *testing.T) {
 func TestZeroSigmaDeterministicLink(t *testing.T) {
 	// With the sentinel, a shadowing-free medium has rxBase equal to the
 	// pure log-distance budget for every link.
-	field := env.New(env.Config{Seed: 3})
-	m := NewMedium(Config{Seed: 3, ShadowingSigma: Zero}, field)
-	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 10, Y: 0}
+	m := NewMedium(Config{Seed: 3, ShadowingSigma: Zero})
+	m.SetTopology([]env.Position{{}, {X: 0, Y: 0}, {X: 10, Y: 0}})
 	cfg := m.cfg
 	want := cfg.TxPower - cfg.ReferenceLoss - 10*cfg.PathLossExponent*math.Log10(10)
-	if got := m.MeanRSSI(1, 2, src, dst); got != want {
-		t.Errorf("MeanRSSI with zero shadowing = %v, want %v", got, want)
+	if got := m.meanRSSI(1, 2); got != want {
+		t.Errorf("mean RSSI with zero shadowing = %v, want %v", got, want)
 	}
 }
 
@@ -295,16 +315,17 @@ func TestLinkDrawsIndependent(t *testing.T) {
 	// The outcome on link 1→2 must not depend on whether link 3→4 also
 	// transmitted — the property the shared-rand design lacked.
 	src, dst := env.Position{X: 0, Y: 0}, env.Position{X: 22, Y: 0}
-	other := env.Position{X: 40, Y: 0}
+	other, far := env.Position{X: 40, Y: 0}, env.Position{X: 60, Y: 0}
 	run := func(interleave bool) []TxOutcome {
-		field := env.New(env.Config{Seed: 21})
-		m := NewMedium(Config{Seed: 21}, field)
+		f := env.New(env.Config{Seed: 21})
+		m := NewMedium(Config{Seed: 21})
+		m.SetTopology([]env.Position{{}, src, dst, other, far})
 		var outs []TxOutcome
 		for i := 0; i < 40; i++ {
 			if interleave {
-				m.Unicast(3, 4, other, env.Position{X: 60, Y: 0}, 0.2, true)
+				unicast(m, f, 3, 4, other, far, 0.2, true)
 			}
-			outs = append(outs, m.Unicast(1, 2, src, dst, 0.2, true))
+			outs = append(outs, unicast(m, f, 1, 2, src, dst, 0.2, true))
 		}
 		return outs
 	}
@@ -317,19 +338,19 @@ func TestLinkDrawsIndependent(t *testing.T) {
 }
 
 func TestSetTopologyMatchesAdhoc(t *testing.T) {
-	// The dense cache must agree with the on-the-fly computation.
+	// The dense cache must agree with the on-the-fly computation, on a
+	// medium that never had a topology.
 	pos := []env.Position{{X: 0, Y: 0}, {X: 15, Y: 0}, {X: 30, Y: 20}}
-	field := env.New(env.Config{Seed: 31})
-	cached := NewMedium(Config{Seed: 31}, field)
+	cached := NewMedium(Config{Seed: 31})
 	cached.SetTopology(pos)
-	plain := NewMedium(Config{Seed: 31}, env.New(env.Config{Seed: 31}))
+	plain := NewMedium(Config{Seed: 31})
 	for a := range pos {
 		for b := range pos {
 			if a == b {
 				continue
 			}
-			if got, want := cached.MeanRSSI(a, b, pos[a], pos[b]), plain.MeanRSSI(a, b, pos[a], pos[b]); got != want {
-				t.Errorf("cached MeanRSSI(%d,%d) = %v, adhoc = %v", a, b, got, want)
+			if got, want := cached.meanRSSI(a, b), plain.computeRxBase(a, b, pos[a], pos[b]); got != want {
+				t.Errorf("cached rxBase(%d,%d) = %v, computeRxBase = %v", a, b, got, want)
 			}
 		}
 	}
@@ -337,53 +358,34 @@ func TestSetTopologyMatchesAdhoc(t *testing.T) {
 
 func TestDegradeLinkInvalidatesCache(t *testing.T) {
 	pos := []env.Position{{X: 0, Y: 0}, {X: 15, Y: 0}}
-	field := env.New(env.Config{Seed: 32})
-	m := NewMedium(Config{Seed: 32}, field)
+	m := NewMedium(Config{Seed: 32})
 	m.SetTopology(pos)
-	before := m.MeanRSSI(0, 1, pos[0], pos[1])
+	before := m.meanRSSI(0, 1)
 	m.DegradeLink(0, 1, 25)
-	if got := m.MeanRSSI(0, 1, pos[0], pos[1]); got != before-25 {
+	if got := m.meanRSSI(0, 1); got != before-25 {
 		t.Errorf("degraded cached link = %v, want %v", got, before-25)
 	}
-	if got := m.MeanRSSI(1, 0, pos[1], pos[0]); got != before-25 {
+	if got := m.meanRSSI(1, 0); got != before-25 {
 		t.Errorf("reverse direction = %v, want symmetric degradation %v", got, before-25)
 	}
 	// Degradation survives a topology rebuild.
 	m.SetTopology(pos)
-	if got := m.MeanRSSI(0, 1, pos[0], pos[1]); got != before-25 {
+	if got := m.meanRSSI(0, 1); got != before-25 {
 		t.Errorf("rebuild dropped degradation: %v, want %v", got, before-25)
-	}
-}
-
-func TestSetPositionInvalidatesCache(t *testing.T) {
-	pos := []env.Position{{X: 0, Y: 0}, {X: 15, Y: 0}, {X: 100, Y: 0}}
-	field := env.New(env.Config{Seed: 33})
-	m := NewMedium(Config{Seed: 33}, field)
-	m.SetTopology(pos)
-	moved := env.Position{X: 60, Y: 0}
-	m.SetPosition(1, moved)
-	plain := NewMedium(Config{Seed: 33}, env.New(env.Config{Seed: 33}))
-	if got, want := m.MeanRSSI(0, 1, pos[0], moved), plain.MeanRSSI(0, 1, pos[0], moved); got != want {
-		t.Errorf("after move MeanRSSI(0,1) = %v, want %v", got, want)
-	}
-	if got, want := m.MeanRSSI(1, 2, moved, pos[2]), plain.MeanRSSI(1, 2, moved, pos[2]); got != want {
-		t.Errorf("after move MeanRSSI(1,2) = %v, want %v", got, want)
 	}
 }
 
 func TestInRangeExact(t *testing.T) {
 	// InRange must be exactly the "PRR can be nonzero" predicate: an
 	// out-of-range link never receives even the luckiest fade.
-	field := env.New(env.Config{Seed: 34})
-	m := NewMedium(Config{Seed: 34}, field)
-	src := env.Position{X: 0, Y: 0}
+	m := NewMedium(Config{Seed: 34})
 	for d := 10.0; d < 2000; d *= 1.5 {
-		dst := env.Position{X: d, Y: 0}
-		if m.InRange(1, 2, src, dst) {
+		m.SetTopology([]env.Position{{}, {X: 0, Y: 0}, {X: d, Y: 0}})
+		if m.InRange(1, 2) {
 			continue
 		}
 		// Even with the maximum fade the RSSI stays below sensitivity.
-		if best := m.MeanRSSI(1, 2, src, dst) + FadeClampDB; best >= m.cfg.SensitivityDBM {
+		if best := m.meanRSSI(1, 2) + FadeClampDB; best >= m.cfg.SensitivityDBM {
 			t.Errorf("d=%v: InRange=false but best-case RSSI %v ≥ sensitivity", d, best)
 		}
 	}
@@ -391,15 +393,18 @@ func TestInRangeExact(t *testing.T) {
 
 func TestMaxRangeCoversInRange(t *testing.T) {
 	cfg := Config{Seed: 35}
-	field := env.New(env.Config{Seed: 35})
-	m := NewMedium(cfg, field)
+	m := NewMedium(cfg)
 	limit := cfg.MaxRange()
-	src := env.Position{X: 0, Y: 0}
-	// Any in-range link must be within MaxRange, for every shadowing draw.
-	for a := 0; a < 40; a++ {
-		for d := limit * 0.5; d < limit*2; d *= 1.05 {
-			dst := env.Position{X: d, Y: 0}
-			if m.InRange(a, a+1, src, dst) && d > limit {
+	// Any in-range link must be within MaxRange, for every shadowing draw:
+	// nodes alternate between the two ends, so each link a→a+1 spans d.
+	pos := make([]env.Position, 41)
+	for d := limit * 0.5; d < limit*2; d *= 1.05 {
+		for i := 1; i < len(pos); i += 2 {
+			pos[i].X = d
+		}
+		m.SetTopology(pos)
+		for a := 0; a < 40; a++ {
+			if m.InRange(a, a+1) && d > limit {
 				t.Fatalf("link at d=%v in range beyond MaxRange=%v", d, limit)
 			}
 		}
@@ -408,18 +413,81 @@ func TestMaxRangeCoversInRange(t *testing.T) {
 
 func TestBeaconDeterministicPerEpoch(t *testing.T) {
 	pos := []env.Position{{X: 0, Y: 0}, {X: 15, Y: 0}}
-	field := env.New(env.Config{Seed: 36})
-	m := NewMedium(Config{Seed: 36}, field)
+	m := NewMedium(Config{Seed: 36})
 	m.SetTopology(pos)
 	m.BeginEpoch(4)
-	r1, h1 := m.Beacon(0, 1, pos[0], pos[1], -98)
-	r2, h2 := m.Beacon(0, 1, pos[0], pos[1], -98)
+	r1, h1 := m.Beacon(0, 1, -98)
+	r2, h2 := m.Beacon(0, 1, -98)
 	if r1 != r2 || h1 != h2 {
 		t.Error("beacon draw not a pure function of (epoch, link)")
 	}
 	m.BeginEpoch(5)
-	r3, _ := m.Beacon(0, 1, pos[0], pos[1], -98)
+	r3, _ := m.Beacon(0, 1, -98)
 	if r3 == r1 {
 		t.Error("beacon fade identical across epochs")
 	}
+}
+
+// TestHoistedKeysMatchFullKeys holds Beacon and UnicastNoise to the draws
+// they made when each hashed its whole (seed, epoch, stream, a, b[, seq])
+// key per call and Beacon always took its reception draw: links from strong
+// to far below sensitivity, several epochs, repeated exchanges per link.
+func TestHoistedKeysMatchFullKeys(t *testing.T) {
+	pos := []env.Position{{}, {X: 12}, {X: 30, Y: 5}, {X: 70}, {X: 160, Y: 40}, {X: 900}}
+	m := NewMedium(Config{Seed: 41, TxPower: -5})
+	m.SetTopology(pos)
+	seed := rng.I(41)
+	for epoch := 1; epoch <= 6; epoch++ {
+		m.BeginEpoch(epoch)
+		for a := range pos {
+			for b := range pos {
+				if a == b {
+					continue
+				}
+				s := rng.New(seed, rng.I(epoch), streamBeacon, rng.I(a), rng.I(b))
+				wantRSSI := m.meanRSSI(a, b) + fade(&s)
+				wantHeard := s.Float64() < m.PRR(wantRSSI, -97)
+				if rssi, heard := m.Beacon(a, b, -97); rssi != wantRSSI || heard != wantHeard {
+					t.Fatalf("epoch %d beacon %d→%d = (%v, %v), full key gives (%v, %v)", epoch, a, b, rssi, heard, wantRSSI, wantHeard)
+				}
+				for seq := uint64(0); seq < 3; seq++ {
+					want := oracleUnicast(m, a, b, epoch, seq, 0.3, -97, -96)
+					if got := m.UnicastNoise(a, b, 0.3, true, -97, -96); got != want {
+						t.Fatalf("epoch %d unicast %d→%d #%d = %v, full key gives %v", epoch, a, b, seq, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleUnicast is UnicastNoise (receiver up) as it stood when it hashed
+// the full six-part key for every exchange.
+func oracleUnicast(m *Medium, a, b, epoch int, seq uint64, contention, noiseRx, noiseTx float64) TxOutcome {
+	var out TxOutcome
+	s := rng.New(rng.I(int(m.cfg.Seed)), rng.I(epoch), streamUnicast, rng.I(a), rng.I(b), seq)
+	fwdBase, revBase := m.meanRSSI(a, b), m.meanRSSI(b, a)
+	for out.Attempts < MaxRetries {
+		out.Attempts++
+		if s.Float64() < contention {
+			out.Backoffs++
+		}
+		rssi := fwdBase + fade(&s)
+		prr := m.PRR(rssi, noiseRx) * (1 - 0.6*contention)
+		if s.Float64() < prr {
+			if out.Delivered {
+				out.Duplicates++
+			}
+			out.Delivered = true
+			ackRssi := revBase + fade(&s)
+			ackPrr := math.Min(1, m.PRR(ackRssi, noiseTx)*(1-0.4*contention)*1.1)
+			if s.Float64() < ackPrr {
+				out.Acked = true
+				out.NoAckRetries = out.Attempts - 1
+				return out
+			}
+		}
+	}
+	out.NoAckRetries = out.Attempts - 1
+	return out
 }

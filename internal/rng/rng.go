@@ -34,8 +34,12 @@ func mix64(z uint64) uint64 {
 // Key combines an arbitrary tuple of identifiers into a 64-bit stream key.
 // Each part is avalanched into the accumulator, so tuples differing in any
 // single part (including by transposition) yield unrelated keys.
-func Key(parts ...uint64) uint64 {
-	h := uint64(gamma)
+func Key(parts ...uint64) uint64 { return Extend(gamma, parts...) }
+
+// Extend folds further parts into a key: Extend(Key(a, b), c) == Key(a, b, c),
+// because Key is this same left fold started from gamma. A caller whose keys
+// share a prefix hashes the prefix once and extends it per draw.
+func Extend(h uint64, parts ...uint64) uint64 {
 	for _, p := range parts {
 		h = mix64(h^p) + gamma
 	}
@@ -59,6 +63,9 @@ type Stream struct {
 func New(parts ...uint64) Stream {
 	return Stream{key: Key(parts...)}
 }
+
+// At returns the stream whose key is already combined (by Key or Extend).
+func At(key uint64) Stream { return Stream{key: key} }
 
 // Uint64 returns the next 64-bit value of the stream.
 func (s *Stream) Uint64() uint64 {

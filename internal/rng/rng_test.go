@@ -110,3 +110,36 @@ func TestBits(t *testing.T) {
 		t.Error("Bits mismatch")
 	}
 }
+
+// oracleKey is Key as it stood before Extend existed: the reference the
+// hoisted prefixes are held to.
+func oracleKey(parts ...uint64) uint64 {
+	h := uint64(gamma)
+	for _, p := range parts {
+		h = mix64(h^p) + gamma
+	}
+	return h
+}
+
+func TestExtendEveryPrefixSplit(t *testing.T) {
+	src := New(2024)
+	for trial := 0; trial < 500; trial++ {
+		p := make([]uint64, src.Uint64()%8)
+		for i := range p {
+			p[i] = src.Uint64()
+			if src.Uint64()%4 == 0 {
+				p[i] %= 4 // small ids, the simulator's common case
+			}
+		}
+		want := oracleKey(p...)
+		for i := 0; i <= len(p); i++ {
+			if got := Extend(Key(p[:i]...), p[i:]...); got != want {
+				t.Fatalf("Extend(Key(%v), %v) = %x, want Key(%v) = %x", p[:i], p[i:], got, p, want)
+			}
+		}
+		a, b := At(want), New(p...)
+		if a.Uint64() != b.Uint64() || a.NormFloat64() != b.NormFloat64() {
+			t.Fatalf("At(Key(%v)) draws differ from New(%v)", p, p)
+		}
+	}
+}

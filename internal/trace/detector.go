@@ -219,7 +219,7 @@ func calibrate(states []StateVector, threshold float64) (*Detector, []float64, e
 		// deviation, and unlike the MAD it does not declare a heavy-tailed
 		// metric's own tail anomalous. The floor keeps constant metrics
 		// harmless.
-		scale[k] = selectKth(col, p99)
+		scale[k] = SelectKth(col, p99)
 		if scale[k] < 1e-9 {
 			scale[k] = 1e-9
 		}

@@ -1,6 +1,6 @@
 package trace
 
-// selectKth rearranges v so that v[k] is the element sort.Float64s would
+// SelectKth rearranges v so that v[k] is the element sort.Float64s would
 // leave there — NaN before everything, then < — with nothing that sorts
 // after it before it, and returns it. An order statistic belongs to the
 // multiset, so neither the order of v nor the pivots can change the result;
@@ -9,7 +9,7 @@ package trace
 // Expected O(len(v)): three-way partitions (most metric deltas are mostly 0)
 // around the median of three elements an LCG draws, so that no pattern in
 // the data — sorted, periodic, organ-pipe — makes it quadratic.
-func selectKth(v []float64, k int) float64 {
+func SelectKth(v []float64, k int) float64 {
 	lo, hi := 0, len(v) // v[:lo] sorts at or before v[lo:hi], v[hi:] at or after
 	for i, x := range v {
 		if x != x {
@@ -51,11 +51,11 @@ func selectKth(v []float64, k int) float64 {
 }
 
 // selectMedian returns the median of v, rearranging it: the middle element,
-// or the mean of the two middle ones — once selectKth has placed the upper,
+// or the mean of the two middle ones — once SelectKth has placed the upper,
 // the lower is the largest element before it.
 func selectMedian(v []float64) float64 {
 	n := len(v)
-	hi := selectKth(v, n/2)
+	hi := SelectKth(v, n/2)
 	if n%2 == 1 {
 		return hi
 	}

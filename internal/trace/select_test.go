@@ -37,9 +37,9 @@ func column(rng *rand.Rand, n int) []float64 {
 }
 
 // TestSelectMatchesSortOracle holds the two statistics calibrate takes —
-// selectMedian and selectKth at percentile's index — against the sort-based
-// median / percentile, selectKth at other indices against sort.Float64s
-// itself, and checks the arrangement selectKth promises to leave behind.
+// selectMedian and SelectKth at percentile's index — against the sort-based
+// median / percentile, SelectKth at other indices against sort.Float64s
+// itself, and checks the arrangement SelectKth promises to leave behind.
 func TestSelectMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	sortsBefore := func(a, b float64) bool { return a < b || (a != a && b == b) }
@@ -53,16 +53,16 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 			}
 			p99 := int(0.99 * float64(n-1))
 			copy(work, v)
-			if got, want := selectKth(work, p99), percentile(v, 0.99); !sameStat(got, want) || !positiveZero(got) {
-				t.Fatalf("n=%d: selectKth(%d) = %v, percentile(0.99) = %v\n%v", n, p99, got, want, v)
+			if got, want := SelectKth(work, p99), percentile(v, 0.99); !sameStat(got, want) || !positiveZero(got) {
+				t.Fatalf("n=%d: SelectKth(%d) = %v, percentile(0.99) = %v\n%v", n, p99, got, want, v)
 			}
 			sorted := append([]float64(nil), v...)
 			sort.Float64s(sorted)
 			for _, k := range []int{0, n / 2, n - 1, rng.Intn(n)} {
 				copy(work, v)
-				got := selectKth(work, k)
+				got := SelectKth(work, k)
 				if !sameStat(got, sorted[k]) || !positiveZero(got) || !sameStat(work[k], got) {
-					t.Fatalf("n=%d k=%d: selectKth = %v leaving v[k] = %v, sorted[k] = %v\n%v", n, k, got, work[k], sorted[k], v)
+					t.Fatalf("n=%d k=%d: SelectKth = %v leaving v[k] = %v, sorted[k] = %v\n%v", n, k, got, work[k], sorted[k], v)
 				}
 				for i, x := range work {
 					if (i < k && sortsBefore(work[k], x)) || (i > k && sortsBefore(x, work[k])) {
@@ -88,8 +88,8 @@ func TestSelectSignOfZeroIsDeterministic(t *testing.T) {
 		if got := selectMedian(append([]float64(nil), v...)); got != 0 || math.Signbit(got) {
 			t.Errorf("selectMedian(%v) = %v (signbit %v), want +0", v, got, math.Signbit(got))
 		}
-		if got := selectKth(append([]float64(nil), v...), len(v)/2); got != 0 || math.Signbit(got) {
-			t.Errorf("selectKth(%v, %d) = %v (signbit %v), want +0", v, len(v)/2, got, math.Signbit(got))
+		if got := SelectKth(append([]float64(nil), v...), len(v)/2); got != 0 || math.Signbit(got) {
+			t.Errorf("SelectKth(%v, %d) = %v (signbit %v), want +0", v, len(v)/2, got, math.Signbit(got))
 		}
 	}
 }

@@ -58,27 +58,40 @@ func (d *Dataset) Add(rec Record) error {
 	if len(rec.Vector) != metricspec.MetricCount {
 		return fmt.Errorf("%w: got %d", ErrVectorLength, len(rec.Vector))
 	}
-	recs := d.byNode[rec.Node]
-	if len(recs) > 0 && recs[len(recs)-1].Epoch >= rec.Epoch {
-		return fmt.Errorf("trace: node %d epoch %d not after previous epoch %d",
-			rec.Node, rec.Epoch, recs[len(recs)-1].Epoch)
+	copy(d.slot(), rec.Vector)
+	return d.commit(rec.Node, rec.Epoch)
+}
+
+// AddReport converts a packet.Report to a record and adds it, assembling
+// the vector where it will live.
+func (d *Dataset) AddReport(epoch int, r packet.Report) error {
+	if err := r.VectorInto(d.slot()); err != nil {
+		return fmt.Errorf("assemble vector: %w", err)
 	}
+	return d.commit(r.C1.Node, epoch)
+}
+
+// slot returns the arena's next vector for the caller to fill. It belongs
+// to no record until commit consumes it, so a caller that fails leaves the
+// dataset as it was.
+func (d *Dataset) slot() []float64 {
 	if len(d.arena) == 0 {
 		d.arena = make([]float64, 1024*metricspec.MetricCount)
 	}
-	n := copy(d.arena, rec.Vector)
-	rec.Vector, d.arena = d.arena[:n:n], d.arena[n:]
-	d.byNode[rec.Node] = append(recs, rec)
-	return nil
+	return d.arena[:metricspec.MetricCount:metricspec.MetricCount]
 }
 
-// AddReport converts a packet.Report to a record and adds it.
-func (d *Dataset) AddReport(epoch int, r packet.Report) error {
-	v, err := r.Vector()
-	if err != nil {
-		return fmt.Errorf("assemble vector: %w", err)
+// commit appends the filled slot as node's record for epoch, or refuses it
+// (the slot stays unconsumed) when the epoch is not after the node's last.
+func (d *Dataset) commit(node packet.NodeID, epoch int) error {
+	recs := d.byNode[node]
+	if len(recs) > 0 && recs[len(recs)-1].Epoch >= epoch {
+		return fmt.Errorf("trace: node %d epoch %d not after previous epoch %d",
+			node, epoch, recs[len(recs)-1].Epoch)
 	}
-	return d.Add(Record{Node: r.C1.Node, Epoch: epoch, Vector: v})
+	d.byNode[node] = append(recs, Record{Node: node, Epoch: epoch, Vector: d.slot()})
+	d.arena = d.arena[metricspec.MetricCount:]
+	return nil
 }
 
 // Len returns the total record count.

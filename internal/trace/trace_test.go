@@ -150,6 +150,39 @@ func TestAddReport(t *testing.T) {
 	}
 }
 
+// TestAddReportRefusedLeavesDatasetIntact: AddReport assembles the vector in
+// the arena slot the record would own, so a refused report — too many
+// neighbours, or an epoch not after the node's last — must leave the slot
+// unconsumed and the next record's vector its own.
+func TestAddReportRefusedLeavesDatasetIntact(t *testing.T) {
+	d := NewDataset()
+	if err := d.AddReport(1, packet.Report{C1: packet.C1{Node: 9, Voltage: 3}}); err != nil {
+		t.Fatalf("AddReport: %v", err)
+	}
+	arena := len(d.arena)
+	crowded := packet.Report{C1: packet.C1{Node: 9, Voltage: 7}}
+	crowded.C2.Entries = make([]packet.NeighborEntry, metricspec.MaxNeighbors+1)
+	if err := d.AddReport(2, crowded); !errors.Is(err, packet.ErrTooManyNeighbors) {
+		t.Fatalf("crowded report: err = %v, want ErrTooManyNeighbors", err)
+	}
+	if err := d.AddReport(1, packet.Report{C1: packet.C1{Node: 9, Voltage: 8}}); err == nil {
+		t.Fatal("a second report for epoch 1 was accepted")
+	}
+	if d.Len() != 1 || len(d.arena) != arena {
+		t.Fatalf("after two refusals: Len = %d, arena %d → %d", d.Len(), arena, len(d.arena))
+	}
+	if err := d.AddReport(2, packet.Report{C1: packet.C1{Node: 9, Voltage: 2.5}}); err != nil {
+		t.Fatalf("AddReport after refusals: %v", err)
+	}
+	recs := d.Records(9)
+	if len(recs) != 2 || recs[0].Vector[metricspec.Voltage] != 3 || recs[1].Vector[metricspec.Voltage] != 2.5 {
+		t.Fatalf("records after refusals = %+v", recs)
+	}
+	if &recs[0].Vector[0] == &recs[1].Vector[0] || cap(recs[0].Vector) != metricspec.MetricCount {
+		t.Fatal("records share a vector, or one can grow into the next")
+	}
+}
+
 func TestPRRSeries(t *testing.T) {
 	d := NewDataset()
 	// 4 nodes; epochs 1-3; node 4 misses epoch 2 entirely.

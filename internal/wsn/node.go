@@ -70,13 +70,8 @@ type node struct {
 	ctr counters
 
 	// seen caches recently handled packet keys for duplicate suppression
-	// and loop detection (a node re-receiving a packet it forwarded), as
-	// seenRx/seenTx flag bits so one probe answers both questions.
-	seen map[uint64]uint8
-	// seenOrder bounds the cache: a circular buffer of the cached keys in
-	// insertion order, overwritten in place once full.
-	seenOrder []uint64
-	seenHead  int
+	// and loop detection (a node re-receiving a packet it forwarded).
+	seen seenCache
 
 	// forcedParent overrides CTP parent selection (loop injection).
 	forcedParent *packet.NodeID
@@ -86,7 +81,73 @@ type node struct {
 	epochTx int
 }
 
-const seenCacheSize = 4096
+// seenCache remembers the flags of the last seenCacheSize distinct packet
+// keys, evicting first-in first-out: an open-addressed table (linear
+// probing, never more than half full, so probe chains stay short and always
+// end) beside the ring of its keys in insertion order. flags[i] == 0 marks
+// an empty slot — remembered flags are never zero — so any key, 0 included,
+// can be stored, and the zero value is an empty cache.
+type seenCache struct {
+	keys  [seenSlots]uint64
+	flags [seenSlots]uint8
+	order [seenCacheSize]uint64
+	n     int // keys ever inserted; the next goes to order[n%seenCacheSize]
+}
+
+const (
+	seenBits      = 13
+	seenSlots     = 1 << seenBits
+	seenMask      = seenSlots - 1
+	seenCacheSize = seenSlots / 2
+	seenFib       = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+)
+
+// seenHome is k's first probe slot: the top bits of a Fibonacci hash.
+func seenHome(k uint64) int { return int(k * seenFib >> (64 - seenBits)) }
+
+// slot returns the slot holding k, or the empty slot where k would go.
+func (c *seenCache) slot(k uint64) int {
+	i := seenHome(k)
+	for c.flags[i] != 0 && c.keys[i] != k {
+		i = (i + 1) & seenMask
+	}
+	return i
+}
+
+// get returns k's flags: seenRx/seenTx bits, so one probe answers both
+// questions, or zero when k is not cached.
+func (c *seenCache) get(k uint64) uint8 { return c.flags[c.slot(k)] }
+
+// remember ORs a non-zero flag into k's entry, evicting the oldest key
+// first when k is new and the cache is full.
+func (c *seenCache) remember(k uint64, flag uint8) {
+	i := c.slot(k)
+	if c.flags[i] != 0 {
+		c.flags[i] |= flag
+		return
+	}
+	if c.n >= seenCacheSize {
+		c.delete(c.order[c.n%seenCacheSize])
+		i = c.slot(k) // the deletion may have shifted k's probe chain
+	}
+	c.order[c.n%seenCacheSize] = k
+	c.n++
+	c.keys[i], c.flags[i] = k, flag
+}
+
+// delete removes a cached key by backward shift: each later entry of the
+// probe chain moves into the hole if the hole lies on its own probe path,
+// so no tombstones accumulate and lookups stay exact.
+func (c *seenCache) delete(k uint64) {
+	i := c.slot(k)
+	for j := (i + 1) & seenMask; c.flags[j] != 0; j = (j + 1) & seenMask {
+		if (j-seenHome(c.keys[j]))&seenMask >= (j-i)&seenMask {
+			c.keys[i], c.flags[i] = c.keys[j], c.flags[j]
+			i = j
+		}
+	}
+	c.flags[i] = 0
+}
 
 func newNode(id packet.NodeID, pos env.Position, cfg Config) *node {
 	return &node{
@@ -95,7 +156,6 @@ func newNode(id packet.NodeID, pos env.Position, cfg Config) *node {
 		up:      true,
 		voltage: cfg.InitialVoltage,
 		table:   ctp.NewTable(id),
-		seen:    make(map[uint64]uint8, seenCacheSize),
 	}
 }
 
@@ -108,26 +168,6 @@ const (
 	seenTx
 )
 
-// remember ORs a flag into a packet's cache entry with bounded memory.
-// Flags are never zero, so a zero probe means the key is absent.
-func (nd *node) remember(k uint64, flag uint8) {
-	if old := nd.seen[k]; old != 0 {
-		if old&flag == 0 {
-			nd.seen[k] = old | flag
-		}
-		return
-	}
-	nd.seen[k] = flag
-	if len(nd.seenOrder) < seenCacheSize {
-		nd.seenOrder = append(nd.seenOrder, k)
-		return
-	}
-	evict := nd.seenOrder[nd.seenHead]
-	nd.seenOrder[nd.seenHead] = k
-	nd.seenHead = (nd.seenHead + 1) % seenCacheSize
-	delete(nd.seen, evict)
-}
-
 // reboot power-cycles the node: volatile state (routing table, counters,
 // queue, caches, uptime) clears; the battery does not recover.
 func (nd *node) reboot() {
@@ -138,9 +178,7 @@ func (nd *node) reboot() {
 	nd.queue = nil
 	nd.qhead = 0
 	nd.ctr = counters{}
-	nd.seen = make(map[uint64]uint8, seenCacheSize)
-	nd.seenOrder = nil
-	nd.seenHead = 0
+	nd.seen = seenCache{}
 	nd.seq = 0
 	nd.incarnation++
 	nd.forcedParent = nil

@@ -2,7 +2,6 @@ package wsn
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/wsn-tools/vn2/internal/ctp"
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -301,7 +300,7 @@ func (n *Network) transmitOne(nd *node) delivery {
 		nd.ctr.dropPacket++
 		return delivery{attempted: true}
 	}
-	out := n.medium.UnicastNoise(int(nd.id), int(parentID), nd.pos, parent.pos,
+	out := n.medium.UnicastNoise(int(nd.id), int(parentID),
 		n.contention[nd.id], parent.up, n.noise[parentID], n.noise[nd.id])
 	nd.ctr.transmit += uint32(out.Attempts)
 	nd.ctr.noackRetransmit += uint32(out.NoAckRetries)
@@ -371,18 +370,15 @@ func (n *Network) passesPerEpoch() int {
 // markSent records that nd transmitted packet p, enabling loop detection
 // when the same packet comes back.
 func (nd *node) markSent(p dataPacket) {
-	nd.remember(p.key(), seenTx)
+	nd.seen.remember(p.key(), seenTx)
 }
-
-func (nd *node) wasSent(p dataPacket) bool     { return nd.seen[p.key()]&seenTx != 0 }
-func (nd *node) wasReceived(p dataPacket) bool { return nd.seen[p.key()]&seenRx != 0 }
 
 // receive processes a delivery at the parent (or sink).
 func (n *Network) receive(rx *node, p dataPacket, extraCopies int, totals *trafficTotals) {
 	rx.ctr.receive++
 	rx.ctr.duplicate += uint32(extraCopies)
 	key := p.key()
-	switch flags := rx.seen[key]; {
+	switch flags := rx.seen.get(key); {
 	case flags&seenTx != 0:
 		// The node already forwarded this packet and it came back: a
 		// routing loop. Count it and keep it circulating (TTL bounds it).
@@ -394,7 +390,7 @@ func (n *Network) receive(rx *node, p dataPacket, extraCopies int, totals *traff
 		// A retransmission duplicate (our ACK was lost earlier); absorb it.
 		rx.ctr.duplicate++
 	default:
-		rx.remember(key, seenRx)
+		rx.seen.remember(key, seenRx)
 		if rx.isSink() {
 			totals.delivered++
 			if p.genEpoch == n.epoch {
@@ -431,19 +427,21 @@ func (n *Network) computeContention() {
 // collectReports assembles the epoch's report bundles. A node's report
 // reaches the sink when at least one of its self-generated packets was
 // delivered this epoch — report traffic rides the same lossy collection
-// tree as everything else.
+// tree as everything else. Reports come out ascending by node: nodes is
+// indexed by node ID.
 func (n *Network) collectReports(res *EpochResult) {
+	count := 0
 	for _, nd := range n.nodes[1:] {
-		if !nd.up {
-			continue
+		if nd.up && n.epochDelivered[nd.id] {
+			count++
 		}
-		if n.epochDelivered[nd.id] {
+	}
+	res.Reports = make([]packet.Report, 0, count)
+	for _, nd := range n.nodes[1:] {
+		if nd.up && n.epochDelivered[nd.id] {
 			res.Reports = append(res.Reports, nd.buildReport(n.field))
 		}
 	}
-	sort.Slice(res.Reports, func(i, j int) bool {
-		return res.Reports[i].C1.Node < res.Reports[j].C1.Node
-	})
 }
 
 // accountEnergy applies battery drain and radio-on time for the epoch's

@@ -191,7 +191,7 @@ func New(cfg Config) (*Network, error) {
 		cfg:            cfg,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		field:          field,
-		medium:         radio.NewMedium(cfg.Radio, field),
+		medium:         radio.NewMedium(cfg.Radio),
 		perEpochTx:     make([]int, nn),
 		pool:           par.NewPool(cfg.Workers),
 		noise:          make([]float64, nn),
@@ -238,7 +238,7 @@ func (n *Network) buildKernels() {
 				if !tx.up {
 					continue
 				}
-				rssi, heard := n.medium.Beacon(i, j, tx.pos, rx.pos, noise)
+				rssi, heard := n.medium.Beacon(i, j, noise)
 				if heard {
 					// Hearing our own beacon is impossible by construction
 					// (lists exclude self), so the error is unreachable.
@@ -305,7 +305,7 @@ func (n *Network) buildLinks() {
 func (n *Network) refreshCandidates(i int) {
 	out := n.candidates[i][:0]
 	for _, j := range n.contenders[i] {
-		if n.medium.InRange(i, j, n.nodes[i].pos, n.nodes[j].pos) {
+		if n.medium.InRange(i, j) {
 			out = append(out, j)
 		}
 	}

@@ -1,7 +1,13 @@
 package online
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -278,4 +284,96 @@ func TestRestoreValidatesDriftShapes(t *testing.T) {
 			t.Errorf("err = %v, want ErrBadState", err)
 		}
 	})
+}
+
+// oracleDrift is driftLocked as it stood: a fresh slice and a full sort per
+// call for three nearest-rank quantiles.
+func oracleDrift(m *Monitor) DriftStats {
+	ds := DriftStats{
+		ModelVersion: m.version,
+		Window:       len(m.residuals),
+		Unattributed: m.stats.Unattributed,
+		Quarantine:   len(m.quar),
+	}
+	if len(m.residuals) == 0 {
+		return ds
+	}
+	rels := make([]float64, len(m.residuals))
+	var sum float64
+	for i, s := range m.residuals {
+		rels[i] = s.rel
+		sum += s.rel
+		if s.unattributed {
+			ds.WindowUnattributed++
+		}
+	}
+	ds.UnattributedRate = float64(ds.WindowUnattributed) / float64(len(m.residuals))
+	ds.MeanResidual = sum / float64(len(m.residuals))
+	sort.Float64s(rels)
+	nearest := func(q float64) float64 {
+		i := int(math.Ceil(q*float64(len(rels)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		if i >= len(rels) {
+			i = len(rels) - 1
+		}
+		return rels[i]
+	}
+	ds.P50, ds.P90, ds.P99 = nearest(0.50), nearest(0.90), nearest(0.99)
+	return ds
+}
+
+// TestDriftStatsMatchesSortOracle: DriftStats by selection from a reused
+// buffer marshals to the bytes the sort gave — on the window real drains
+// recorded, and on windows shaped to trip a selection (one sample, all
+// equal, heavy ties, every length up to the 256 default) — and costs no
+// allocation once the buffer has grown.
+func TestDriftStatsMatchesSortOracle(t *testing.T) {
+	r := newRig(t)
+	m := newTestMonitor(t, Config{})
+	check := func(name string) {
+		t.Helper()
+		want, _ := json.Marshal(oracleDrift(m))
+		for call := 0; call < 2; call++ { // the second call selects from a rearranged buffer's successor
+			if got, _ := json.Marshal(m.DriftStats()); !bytes.Equal(got, want) {
+				t.Fatalf("%s: DriftStats = %s, sort oracle %s", name, got, want)
+			}
+		}
+	}
+	check("empty")
+	for epoch := 1; epoch <= 40; epoch++ {
+		ingestOK(t, m, r.hot(1, epoch))
+		ingestOK(t, m, r.alien(2, epoch))
+		ingestOK(t, m, r.hot(3, epoch))
+		if epoch%3 == 0 {
+			if _, err := m.Drain(); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			check(fmt.Sprintf("recorded window after epoch %d", epoch))
+		}
+	}
+	if len(m.residuals) < 100 {
+		t.Fatalf("recorded window holds %d samples", len(m.residuals))
+	}
+	rng := rand.New(rand.NewSource(22))
+	for n := 1; n <= 256; n++ {
+		for _, shape := range []string{"equal", "ties", "spread"} {
+			m.residuals = m.residuals[:0]
+			for i := 0; i < n; i++ {
+				s := resSample{rel: 0.25, unattributed: rng.Intn(3) == 0}
+				switch shape {
+				case "ties":
+					s.rel = float64(rng.Intn(4)) / 4
+				case "spread":
+					s.rel = rng.Float64()
+				}
+				m.residuals = append(m.residuals, s)
+			}
+			check(fmt.Sprintf("%s window of %d", shape, n))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.driftLocked() }); allocs != 0 {
+		t.Errorf("driftLocked allocates %.0f times per call at steady state, want 0", allocs)
+	}
 }

@@ -283,6 +283,7 @@ type Monitor struct {
 	epochs    map[int]*epochAcc
 	recent    []Flagged
 	residuals []resSample
+	driftBuf  []float64 // driftLocked's selection buffer, reused across drains
 	quar      []trace.StateVector
 	stats     Stats
 
@@ -664,10 +665,10 @@ func (m *Monitor) driftLocked() DriftStats {
 	if len(m.residuals) == 0 {
 		return ds
 	}
-	rels := make([]float64, len(m.residuals))
+	rels := m.driftBuf[:0]
 	var sum float64
-	for i, s := range m.residuals {
-		rels[i] = s.rel
+	for _, s := range m.residuals {
+		rels = append(rels, s.rel)
 		sum += s.rel
 		if s.unattributed {
 			ds.WindowUnattributed++
@@ -675,18 +676,17 @@ func (m *Monitor) driftLocked() DriftStats {
 	}
 	ds.UnattributedRate = float64(ds.WindowUnattributed) / float64(len(m.residuals))
 	ds.MeanResidual = sum / float64(len(m.residuals))
-	sort.Float64s(rels)
-	nearest := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(rels)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(rels) {
-			i = len(rels) - 1
-		}
-		return rels[i]
-	}
-	ds.P50, ds.P90, ds.P99 = nearest(0.50), nearest(0.90), nearest(0.99)
+	m.driftBuf = rels
+	// Nearest-rank quantiles by selection: an order statistic is a property
+	// of the multiset, so selecting gives what a sort would without sorting
+	// 256 samples under mu on every drain. A selection leaves everything
+	// before its index at or below it, so each next rank is sought in the
+	// suffix only. For q in (0, 1] and a non-empty window a rank is in range.
+	rank := func(q float64) int { return int(math.Ceil(q*float64(len(rels)))) - 1 }
+	i50, i90, i99 := rank(0.50), rank(0.90), rank(0.99)
+	ds.P50 = trace.SelectKth(rels, i50)
+	ds.P90 = trace.SelectKth(rels[i50:], i90-i50)
+	ds.P99 = trace.SelectKth(rels[i90:], i99-i90)
 	return ds
 }
 
