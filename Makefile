@@ -184,8 +184,8 @@ benchdiff:
 # choosing-metrics guide, section 8): N runs of one vn2bench workload on
 # PARENT and on the working tree, alternately — which side goes first
 # alternates with the pair, because this host's speed drifts in waves of
-# minutes — on seeds 1..N, then per metric both sides' medians and quartiles
-# (linear interpolation), the median ratio, and how many pairs the change won
+# minutes — on seeds 1..N at the driver's window (--seconds 12), then per
+# metric both sides' medians and quartiles (linear interpolation), the median ratio, and how many pairs the change won
 # (lower wins; ties count for neither). PARENT is extracted with `git archive`
 # into .bench_build/parent, whose own build cache is kept between invocations.
 # METRICS defaults to BENCHMARK.json's end-to-end set; name per-layer ones to
@@ -208,7 +208,7 @@ benchpairs:
 		order="parent change"; [ $$((i % 2)) -eq 0 ] && order="change parent"; \
 		for side in $$order; do \
 			root=.; [ $$side = parent ] && root=.bench_build/parent; \
-			bash $$root/benchmark/run.sh --workload $(WORKLOAD) --seed $$i --out $(CURDIR)/$(PAIRS)/$$side-$$i \
+			bash $$root/benchmark/run.sh --workload $(WORKLOAD) --seed $$i --seconds 12 --out $(CURDIR)/$(PAIRS)/$$side-$$i \
 				> $(PAIRS)/$$side-$$i.txt || { cat $(PAIRS)/$$side-$$i.txt; exit 1; }; \
 			hdr="$$(grep '^== ' $(PAIRS)/$$side-$$i.txt)"; \
 			printf 'pair %2d %-6s %s\n' $$i $$side "$$hdr"; \

@@ -390,27 +390,6 @@ func keepLabel(keep float64) string {
 	}
 }
 
-// BenchmarkAblationNMFObjective compares the Euclidean rule the paper uses
-// against the KL-divergence variant.
-func BenchmarkAblationNMFObjective(b *testing.B) {
-	f := sharedFixtures(b)
-	e := exceptionMatrix(b, f)
-	for _, obj := range []nmf.Objective{nmf.Euclidean, nmf.KullbackLeibler} {
-		obj := obj
-		b.Run(obj.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := nmf.Factorize(e, nmf.Config{Rank: 10, MaxIter: 60, Seed: 17, Objective: obj, Tolerance: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Iterations == 0 {
-					b.Fatal("no iterations")
-				}
-			}
-		})
-	}
-}
-
 // --- Substrate throughput -----------------------------------------------------
 
 // BenchmarkSimulatorEpoch measures per-epoch simulation cost at CitySee

@@ -92,67 +92,6 @@ func refSweepEuclidean(e, w, psi *mat.Dense) {
 	}
 }
 
-// refSweepKL is the unfused KL sweep over the materialized ratio matrix.
-func refSweepKL(e, w, psi *mat.Dense) {
-	n, m := e.Dims()
-	r := psi.Rows()
-	ratio := func() *mat.Dense {
-		out := mat.MustNew(n, m)
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				var s float64
-				for c := 0; c < r; c++ {
-					s += w.At(i, c) * psi.At(c, j)
-				}
-				out.Set(i, j, e.At(i, j)/(s+epsDiv))
-			}
-		}
-		return out
-	}
-	colSum := make([]float64, r)
-	for i := 0; i < n; i++ {
-		for a := 0; a < r; a++ {
-			colSum[a] += w.At(i, a)
-		}
-	}
-	rat := ratio()
-	num := mat.MustNew(r, m)
-	for i := 0; i < n; i++ {
-		for a := 0; a < r; a++ {
-			for j := 0; j < m; j++ {
-				num.Set(a, j, num.At(a, j)+w.At(i, a)*rat.At(i, j))
-			}
-		}
-	}
-	for a := 0; a < r; a++ {
-		for j := 0; j < m; j++ {
-			psi.Set(a, j, psi.At(a, j)*(num.At(a, j)/(colSum[a]+epsDiv)))
-		}
-	}
-	rowSum := make([]float64, r)
-	for a := 0; a < r; a++ {
-		var s float64
-		for j := 0; j < m; j++ {
-			s += psi.At(a, j)
-		}
-		rowSum[a] = s
-	}
-	rat = ratio()
-	for i := 0; i < n; i++ {
-		wNum := make([]float64, r)
-		for a := 0; a < r; a++ {
-			var s float64
-			for j := 0; j < m; j++ {
-				s += rat.At(i, j) * psi.At(a, j)
-			}
-			wNum[a] = s
-		}
-		for a := 0; a < r; a++ {
-			w.Set(i, a, w.At(i, a)*(wNum[a]/(rowSum[a]+epsDiv)))
-		}
-	}
-}
-
 func randomFactors(t *testing.T, n, m, r int, seed int64) (e, w, psi *mat.Dense) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -201,63 +140,29 @@ func TestFusedSweepEuclideanMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestFusedSweepKLMatchesOracle(t *testing.T) {
-	const n, m, r = 19, 13, 5
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		e, w0, psi0 := randomFactors(t, n, m, r, 92)
-		wRef, psiRef := w0.Clone(), psi0.Clone()
-		for s := 0; s < 3; s++ {
-			refSweepKL(e, wRef, psiRef)
-		}
-		w, psi := w0.Clone(), psi0.Clone()
-		st := newUpdateState(n, m, r, workers)
-		for s := 0; s < 3; s++ {
-			st.sweepKL(e, w, psi)
-		}
-		st.close()
-		mustSameBits(t, "kl W", w, wRef)
-		mustSameBits(t, "kl Psi", psi, psiRef)
-	}
-}
-
 func TestFusedObjectiveMatchesOracle(t *testing.T) {
 	const n, m, r = 21, 15, 4
 	e, w, psi := randomFactors(t, n, m, r, 93)
 	// Reference: per-row contributions summed in row order, approx row
 	// accumulated c-ascending — the canonical orders of the fused kernel.
-	rowEuc := make([]float64, n)
-	rowKL := make([]float64, n)
+	var want float64
 	for i := 0; i < n; i++ {
-		var dE, dK float64
+		var d float64
 		for j := 0; j < m; j++ {
 			var av float64
 			for c := 0; c < r; c++ {
 				av += w.At(i, c) * psi.At(c, j)
 			}
 			diff := e.At(i, j) - av
-			dE += diff * diff
-			if ev := e.At(i, j); ev > 0 {
-				dK += ev*math.Log(ev/(av+epsDiv)) - ev + av
-			} else {
-				dK += av
-			}
+			d += diff * diff
 		}
-		rowEuc[i] = dE
-		rowKL[i] = dK
+		want += d
 	}
-	var wantEuc, wantKL float64
-	for i := 0; i < n; i++ {
-		wantEuc += rowEuc[i]
-		wantKL += rowKL[i]
-	}
-	wantEuc = math.Sqrt(wantEuc)
+	want = math.Sqrt(want)
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		st := newUpdateState(n, m, r, workers)
-		if got := objective(Euclidean, e, w, psi, st); got != wantEuc {
-			t.Errorf("workers=%d: euclidean objective %v, want %v", workers, got, wantEuc)
-		}
-		if got := objective(KullbackLeibler, e, w, psi, st); got != wantKL {
-			t.Errorf("workers=%d: KL objective %v, want %v", workers, got, wantKL)
+		if got := objective(e, w, psi, st); got != want {
+			t.Errorf("workers=%d: objective %v, want %v", workers, got, want)
 		}
 		st.close()
 	}

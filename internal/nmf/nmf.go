@@ -21,30 +21,6 @@ import (
 	"github.com/wsn-tools/vn2/internal/par"
 )
 
-// Objective selects the divergence minimized by the multiplicative updates.
-type Objective int
-
-const (
-	// Euclidean minimizes ‖E−WΨ‖²_F. This is the rule in the paper's
-	// Algorithm 1 / Theorem 1.
-	Euclidean Objective = iota + 1
-	// KullbackLeibler minimizes the generalized KL divergence D(E‖WΨ).
-	// Provided as an ablation; the paper uses Euclidean.
-	KullbackLeibler
-)
-
-// String implements fmt.Stringer.
-func (o Objective) String() string {
-	switch o {
-	case Euclidean:
-		return "euclidean"
-	case KullbackLeibler:
-		return "kl"
-	default:
-		return fmt.Sprintf("Objective(%d)", int(o))
-	}
-}
-
 // Errors returned by Factorize.
 var (
 	// ErrNegativeInput reports a factorization input containing negative
@@ -68,8 +44,6 @@ type Config struct {
 	// objective between sweeps drops below it. Defaults to 1e-5. Zero or
 	// negative disables early stopping.
 	Tolerance float64
-	// Objective selects the update rule. Defaults to Euclidean.
-	Objective Objective
 	// Seed seeds the random initialization of W and Ψ.
 	Seed int64
 	// Workers bounds the goroutines used by the update sweeps (matrix
@@ -87,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tolerance == 0 {
 		c.Tolerance = 1e-5
-	}
-	if c.Objective == 0 {
-		c.Objective = Euclidean
 	}
 	return c
 }
@@ -152,13 +123,8 @@ func Factorize(e *mat.Dense, cfg Config) (*Result, error) {
 	defer st.close()
 	prev := math.Inf(1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		switch cfg.Objective {
-		case KullbackLeibler:
-			st.sweepKL(e, w, psi)
-		default:
-			st.sweepEuclidean(e, w, psi)
-		}
-		obj := objective(cfg.Objective, e, w, psi, st)
+		st.sweepEuclidean(e, w, psi)
+		obj := objective(e, w, psi, st)
 		res.History = append(res.History, obj)
 		res.Iterations = iter + 1
 		if cfg.Tolerance > 0 && !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
@@ -187,7 +153,6 @@ type updateState struct {
 	psiPsiT *mat.Dense     // r×r Gram matrix ΨΨᵀ for the W denominator
 	num     *mat.Dense     // r×m fused Ψ-update numerator (column stripes)
 	den     *mat.Dense     // r×m fused Ψ-update denominator (column stripes)
-	klSum   []float64      // length-r KL column/row sums of W / Ψ
 	rowObj  []float64      // length-n per-row objective partials
 	scratch []sweepScratch // one slot per pool worker
 	pool    *par.Pool
@@ -207,7 +172,6 @@ func newUpdateState(n, m, r, workers int) *updateState {
 		psiPsiT: mat.MustNew(r, r),
 		num:     mat.MustNew(r, m),
 		den:     mat.MustNew(r, m),
-		klSum:   make([]float64, r),
 		rowObj:  make([]float64, n),
 		scratch: make([]sweepScratch, pool.Workers()),
 		pool:    pool,
@@ -328,152 +292,26 @@ func (st *updateState) wRowsEuclidean(e, w, psi *mat.Dense, worker, i0, i1 int) 
 	}
 }
 
-// sweepKL performs one pass of the KL-divergence update rules, expressed
-// over the ratio matrix R = E/(WΨ+ε):
-//
-//	Ψaj ← Ψaj · (WᵀR)aj / Σi Wia
-//	Wia ← Wia · (RΨᵀ)ia / Σj Ψaj
-//
-// R is never materialized: each fused dispatch recomputes the ratio row
-// segment it needs into per-worker scratch, eliminating the two n×m caches
-// (approx, ratio) the unfused sweep carried. Column j of WΨ depends only on
-// column j of Ψ, so the Ψ half stripes by columns exactly like the
-// Euclidean sweep; the W half is row-local. Bit-identical across worker
-// counts for the same reason.
-func (st *updateState) sweepKL(e, w, psi *mat.Dense) {
-	n, m := e.Dims()
-	r := psi.Rows()
-	colSum := st.klSum
-	for a := range colSum {
-		colSum[a] = 0
-	}
-	for i := 0; i < n; i++ {
-		wRow := w.RawRow(i)
-		for a, v := range wRow {
-			colSum[a] += v
-		}
-	}
-	st.pool.RunIndexed(m, func(worker, j0, j1 int) {
-		st.psiStripeKL(e, w, psi, worker, j0, j1)
-	})
-	// W update, against the freshly updated Ψ.
-	rowSum := st.klSum
-	for a := 0; a < r; a++ {
-		pRow := psi.RawRow(a)
-		var s float64
-		for _, v := range pRow {
-			s += v
-		}
-		rowSum[a] = s
-	}
-	st.pool.RunIndexed(n, func(worker, i0, i1 int) {
-		st.wRowsKL(e, w, psi, worker, i0, i1)
-	})
-}
-
-// psiStripeKL updates Ψ columns [j0, j1) for the KL rule, recomputing each
-// approx row segment (WΨ) and its ratio into the worker's scratch vector.
-func (st *updateState) psiStripeKL(e, w, psi *mat.Dense, worker, j0, j1 int) {
-	r := psi.Rows()
-	n := e.Rows()
-	vec := st.scratch[worker].vec[:j1-j0]
-	for a := 0; a < r; a++ {
-		num := st.num.RawRow(a)[j0:j1]
-		for j := range num {
-			num[j] = 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		wRow := w.RawRow(i)
-		eSeg := e.RawRow(i)[j0:j1]
-		for j := range vec {
-			vec[j] = 0
-		}
-		for c, wv := range wRow {
-			pSeg := psi.RawRow(c)[j0:j1]
-			for j, pv := range pSeg {
-				vec[j] += wv * pv
-			}
-		}
-		for j, ev := range eSeg {
-			vec[j] = ev / (vec[j] + epsDiv)
-		}
-		for a, wv := range wRow {
-			num := st.num.RawRow(a)[j0:j1]
-			for j, rv := range vec {
-				num[j] += wv * rv
-			}
-		}
-	}
-	for a := 0; a < r; a++ {
-		pSeg := psi.RawRow(a)[j0:j1]
-		num := st.num.RawRow(a)[j0:j1]
-		d := st.klSum[a] + epsDiv
-		for j := range pSeg {
-			pSeg[j] *= num[j] / d
-		}
-	}
-}
-
-// wRowsKL updates W rows [i0, i1) for the KL rule, recomputing each row's
-// ratio against the freshly updated Ψ in the worker's scratch vector.
-func (st *updateState) wRowsKL(e, w, psi *mat.Dense, worker, i0, i1 int) {
-	r := psi.Rows()
-	m := e.Cols()
-	s := &st.scratch[worker]
-	vec := s.vec[:m]
-	for i := i0; i < i1; i++ {
-		eRow := e.RawRow(i)
-		wRow := w.RawRow(i)
-		for j := range vec {
-			vec[j] = 0
-		}
-		for c, wv := range wRow {
-			pRow := psi.RawRow(c)
-			for j, pv := range pRow {
-				vec[j] += wv * pv
-			}
-		}
-		for j, ev := range eRow {
-			vec[j] = ev / (vec[j] + epsDiv)
-		}
-		for a := 0; a < r; a++ {
-			pRow := psi.RawRow(a)
-			var sum float64
-			for j, rv := range vec {
-				sum += rv * pRow[j]
-			}
-			s.wNum[a] = sum
-		}
-		for a := 0; a < r; a++ {
-			wRow[a] *= s.wNum[a] / (st.klSum[a] + epsDiv)
-		}
-	}
-}
-
-// objective evaluates the divergence without materializing WΨ: each row's
+// objective evaluates ‖E−WΨ‖_F without materializing WΨ: each row's
 // contribution lands in st.rowObj[i] (disjoint writes), recomputing the
 // approx row in per-worker scratch, and the partials are summed in fixed
 // row order — never a partition-dependent reduction tree — so the value is
 // bit-identical for any worker count.
-func objective(o Objective, e, w, psi *mat.Dense, st *updateState) float64 {
+func objective(e, w, psi *mat.Dense, st *updateState) float64 {
 	n := e.Rows()
 	st.pool.RunIndexed(n, func(worker, i0, i1 int) {
-		st.rowObjectives(o, e, w, psi, worker, i0, i1)
+		st.rowObjectives(e, w, psi, worker, i0, i1)
 	})
 	var total float64
 	for _, v := range st.rowObj {
 		total += v
 	}
-	if o == KullbackLeibler {
-		return total
-	}
 	return math.Sqrt(total)
 }
 
-// rowObjectives fills st.rowObj for rows [i0, i1): squared residual norm
-// per row for Euclidean, generalized KL divergence per row otherwise.
-func (st *updateState) rowObjectives(o Objective, e, w, psi *mat.Dense, worker, i0, i1 int) {
+// rowObjectives fills st.rowObj for rows [i0, i1) with each row's squared
+// residual norm.
+func (st *updateState) rowObjectives(e, w, psi *mat.Dense, worker, i0, i1 int) {
 	m := e.Cols()
 	vec := st.scratch[worker].vec[:m]
 	for i := i0; i < i1; i++ {
@@ -489,20 +327,9 @@ func (st *updateState) rowObjectives(o Objective, e, w, psi *mat.Dense, worker, 
 			}
 		}
 		var d float64
-		if o == KullbackLeibler {
-			for j, ev := range eRow {
-				av := vec[j]
-				if ev > 0 {
-					d += ev*math.Log(ev/(av+epsDiv)) - ev + av
-				} else {
-					d += av
-				}
-			}
-		} else {
-			for j, ev := range eRow {
-				diff := ev - vec[j]
-				d += diff * diff
-			}
+		for j, ev := range eRow {
+			diff := ev - vec[j]
+			d += diff * diff
 		}
 		st.rowObj[i] = d
 	}

@@ -75,22 +75,6 @@ func TestFactorizeMonotoneObjective(t *testing.T) {
 	}
 }
 
-func TestFactorizeKLMonotone(t *testing.T) {
-	e := syntheticLowRank(t, 20, 12, 3, 6)
-	res, err := Factorize(e, Config{Rank: 3, MaxIter: 60, Tolerance: -1, Seed: 8, Objective: KullbackLeibler})
-	if err != nil {
-		t.Fatalf("Factorize KL: %v", err)
-	}
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i] > res.History[i-1]*(1+1e-6)+1e-6 {
-			t.Fatalf("KL objective increased at sweep %d: %v -> %v", i, res.History[i-1], res.History[i])
-		}
-	}
-	if !res.W.NonNegative() || !res.Psi.NonNegative() {
-		t.Error("KL factors not non-negative")
-	}
-}
-
 func TestFactorizeDeterministic(t *testing.T) {
 	e := syntheticLowRank(t, 20, 10, 3, 9)
 	cfg := Config{Rank: 3, MaxIter: 50, Seed: 11}
@@ -143,15 +127,6 @@ func TestFactorizeConvergesEarly(t *testing.T) {
 	}
 	if res.Iterations >= 5000 {
 		t.Errorf("Iterations = %d, expected early stop", res.Iterations)
-	}
-}
-
-func TestObjectiveString(t *testing.T) {
-	if Euclidean.String() != "euclidean" || KullbackLeibler.String() != "kl" {
-		t.Error("Objective.String mismatch")
-	}
-	if Objective(99).String() != "Objective(99)" {
-		t.Errorf("unknown objective String = %q", Objective(99).String())
 	}
 }
 

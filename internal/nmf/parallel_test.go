@@ -13,10 +13,10 @@ func determinismWorkers() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
-func factorizeWith(t *testing.T, e *mat.Dense, obj Objective, workers int) *Result {
+func factorizeWith(t *testing.T, e *mat.Dense, workers int) *Result {
 	t.Helper()
 	res, err := Factorize(e, Config{
-		Rank: 4, MaxIter: 40, Tolerance: -1, Seed: 3, Objective: obj, Workers: workers,
+		Rank: 4, MaxIter: 40, Tolerance: -1, Seed: 3, Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("Factorize(workers=%d): %v", workers, err)
@@ -26,9 +26,9 @@ func factorizeWith(t *testing.T, e *mat.Dense, obj Objective, workers int) *Resu
 
 func TestFactorizeEuclideanBitIdenticalAcrossWorkers(t *testing.T) {
 	e := syntheticLowRank(t, 60, 25, 4, 21)
-	want := factorizeWith(t, e, Euclidean, 0)
+	want := factorizeWith(t, e, 0)
 	for _, w := range determinismWorkers() {
-		got := factorizeWith(t, e, Euclidean, w)
+		got := factorizeWith(t, e, w)
 		if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
 			t.Fatalf("workers=%d: factors differ from sequential", w)
 		}
@@ -39,17 +39,6 @@ func TestFactorizeEuclideanBitIdenticalAcrossWorkers(t *testing.T) {
 			if got.History[i] != want.History[i] {
 				t.Fatalf("workers=%d: objective history diverges at sweep %d", w, i)
 			}
-		}
-	}
-}
-
-func TestFactorizeKLBitIdenticalAcrossWorkers(t *testing.T) {
-	e := syntheticLowRank(t, 40, 18, 4, 22)
-	want := factorizeWith(t, e, KullbackLeibler, 0)
-	for _, w := range determinismWorkers() {
-		got := factorizeWith(t, e, KullbackLeibler, w)
-		if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
-			t.Fatalf("workers=%d: KL factors differ from sequential", w)
 		}
 	}
 }

@@ -74,13 +74,8 @@ func Resume(e, w0, psi0 *mat.Dense, cfg Config) (*Result, error) {
 	defer st.close()
 	prev := math.Inf(1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		switch cfg.Objective {
-		case KullbackLeibler:
-			st.sweepKL(e, w, psi)
-		default:
-			st.sweepEuclidean(e, w, psi)
-		}
-		obj := objective(cfg.Objective, e, w, psi, st)
+		st.sweepEuclidean(e, w, psi)
+		obj := objective(e, w, psi, st)
 		res.History = append(res.History, obj)
 		res.Iterations = iter + 1
 		if cfg.Tolerance > 0 && !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {

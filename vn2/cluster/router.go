@@ -379,15 +379,26 @@ type shardEpochs struct {
 	Epochs []online.EpochState `json:"epochs"`
 }
 
-// FleetEpochs polls every shard's /epochs export, filters each by ring
+// FleetEpochs polls every shard's /epochs export — all at once, so the view
+// waits for the slowest shard, not for their sum — filters each by ring
 // ownership (mid-handoff duplication dedupes here — see FilterOwned), and
-// merges into the fleet's per-epoch distributions. Shards that fail to
-// answer are returned in missing; the merge covers the rest.
+// merges into the fleet's per-epoch distributions. Answers are collected by
+// shard index, whatever order they came in. Shards that fail to answer are
+// returned in missing; the merge covers the rest.
 func (r *Router) FleetEpochs() (rank int, merged []online.EpochCauses, missing []int, err error) {
-	parts := make([][]online.EpochState, 0, len(r.shards))
+	answers := make([]*shardEpochs, len(r.shards))
+	var wg sync.WaitGroup
 	for i := range r.shards {
-		se, perr := r.fetchEpochs(i)
-		if perr != nil {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], _ = r.fetchEpochs(i) // a failed shard stays nil: missing
+		}(i)
+	}
+	wg.Wait()
+	parts := make([][]online.EpochState, 0, len(r.shards))
+	for i, se := range answers {
+		if se == nil {
 			missing = append(missing, i)
 			continue
 		}

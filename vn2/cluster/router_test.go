@@ -19,6 +19,8 @@ import (
 
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
+	"github.com/wsn-tools/vn2/vn2"
+	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/api"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 )
@@ -608,5 +610,84 @@ func TestRouterNoLockAcrossForward(t *testing.T) {
 	close(shards[1].release)
 	if code := <-stuck; code != http.StatusAccepted {
 		t.Errorf("the stuck forward finished with status %d, want 202", code)
+	}
+}
+
+// TestFleetFetchesShardsAtOnce: every shard's /epochs request is in flight
+// before any is answered — the stubs hold their answers until all four have
+// been asked, so a router asking one shard after another never gets its
+// first — and the view is still assembled by shard index: rank, the merged
+// distributions and missing_shards are what the sequential walk gave, with
+// a shard failing and without.
+func TestFleetFetchesShardsAtOnce(t *testing.T) {
+	const k = 4
+	shardBody := func(s int) shardEpochs {
+		se := shardEpochs{Rank: 2 + s%3}
+		for e := 1; e <= 3; e++ {
+			es := online.EpochState{Epoch: e}
+			// Every shard claims every node, as mid-handoff shards do: the
+			// ownership filter must take each node from its owner's answer.
+			for n := 1; n <= 20; n++ {
+				es.Contribs = append(es.Contribs, online.Contribution{Node: packet.NodeID(n),
+					Causes: []vn2.RankedCause{{Cause: n % 2, Strength: float64(100*s+n) / 7}}})
+			}
+			se.Epochs = append(se.Epochs, es)
+		}
+		return se
+	}
+	for _, fail := range []int{-1, 2} { // the shard that answers 500; -1 for none
+		asked, release := make(chan int, k), make(chan struct{})
+		urls := make([]string, k)
+		for s := 0; s < k; s++ {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				asked <- s
+				<-release
+				if s == fail {
+					api.Error(w, http.StatusInternalServerError, "scripted", nil)
+					return
+				}
+				api.WriteJSON(w, http.StatusOK, shardBody(s))
+			}))
+			t.Cleanup(ts.Close)
+			urls[s] = ts.URL
+		}
+		r, err := NewRouter(Config{Shards: urls, Seed: 7, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		want := map[string]any{"shards": k}
+		var parts [][]online.EpochState
+		rank := 0
+		for s := 0; s < k; s++ {
+			if s == fail {
+				want["missing_shards"], want["partial"] = []int{s}, true
+				continue
+			}
+			rank = max(rank, shardBody(s).Rank)
+			parts = append(parts, FilterOwned(r.ring, s, shardBody(s).Epochs))
+		}
+		want["rank"], want["epochs"] = rank, MergeEpochs(rank, parts...)
+		wantBody := httptest.NewRecorder()
+		api.WriteJSON(wantBody, http.StatusOK, want)
+
+		got := httptest.NewRecorder()
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			r.Handler().ServeHTTP(got, httptest.NewRequest("GET", "/fleet", nil))
+		}()
+		for n := 0; n < k; n++ {
+			select {
+			case <-asked:
+			case <-time.After(5 * time.Second):
+				close(release)
+				t.Fatalf("failing shard %d: %d of %d shards asked and none answered yet: they are not asked at once", fail, n, k)
+			}
+		}
+		close(release)
+		<-answered
+		if got.Code != http.StatusOK || got.Body.String() != wantBody.Body.String() {
+			t.Fatalf("failing shard %d: /fleet answered %d\n got %.300s\nwant %.300s", fail, got.Code, got.Body, wantBody.Body)
+		}
 	}
 }

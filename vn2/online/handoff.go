@@ -33,7 +33,9 @@ func (m *Monitor) ExportNodes(nodes []packet.NodeID) NodeSlice {
 	want := nodeSet(nodes)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.exportLocked(want)
+	sl := m.exportNodesLocked(want)
+	sl.Epochs = m.exportEpochsLocked(want)
+	return sl
 }
 
 // DropNodes removes the given nodes' slice from the monitor: their
@@ -62,7 +64,9 @@ func (m *Monitor) DropNodes(nodes []packet.NodeID) {
 				kc = append(kc, c)
 			}
 		}
-		ec.contribs = kc
+		if len(kc) != len(ec.contribs) {
+			ec.contribs, ec.part = kc, nil
+		}
 		if len(ec.contribs) == 0 {
 			delete(m.epochs, e)
 		}

@@ -255,9 +255,14 @@ type pendingState struct {
 // diagnosed states — bit-identical no matter how drains grouped them, which
 // is what lets a crash-recovered monitor reproduce the fault-free run
 // exactly (see DESIGN.md "Failure model & recovery").
+//
+// part is the read plane's cache: the epoch's EpochState as JSON, rendered
+// on the first read after a change and immutable once built, so readers
+// use it outside mu. Whatever changes contribs sets it to nil.
 type epochAcc struct {
 	epoch    int
 	contribs []Contribution
+	part     []byte
 }
 
 // resSample is one diagnosed state's contribution to the rolling residual
@@ -286,6 +291,7 @@ type Monitor struct {
 	driftBuf  []float64 // driftLocked's selection buffer, reused across drains
 	quar      []trace.StateVector
 	stats     Stats
+	rendered  uint64 // epoch parts rendered, cumulative (EpochsRendered)
 
 	// drainMu serializes drains so two concurrent Drain calls cannot
 	// interleave their merges (ingest keeps flowing meanwhile: the solve
@@ -484,6 +490,7 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 			Node:   f.State.Node,
 			Causes: append([]vn2.RankedCause(nil), f.Diagnosis.Ranked...),
 		})
+		ec.part = nil
 	}
 	m.recent = append(m.recent, out...)
 	if over := len(m.recent) - m.cfg.MaxRecent; over > 0 {
@@ -553,6 +560,11 @@ func (m *Monitor) classify(model *vn2.Model, delta []float64, d *vn2.Diagnosis) 
 func (m *Monitor) Snapshot() Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.summaryLocked()
+}
+
+// summaryLocked computes Snapshot. Caller holds mu.
+func (m *Monitor) summaryLocked() Summary {
 	s := Summary{
 		Stats:   m.stats,
 		Pending: len(m.pending),

@@ -1,7 +1,10 @@
 package online
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -70,8 +73,15 @@ type MonitorState struct {
 func (m *Monitor) State() MonitorState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sl := m.exportLocked(nil)
-	st := MonitorState{Stats: m.stats, Nodes: sl.Nodes, Pending: sl.Pending, Epochs: sl.Epochs}
+	st := m.stateLocked()
+	st.Epochs = m.exportEpochsLocked(nil)
+	return st
+}
+
+// stateLocked is State without the epochs. Caller holds mu.
+func (m *Monitor) stateLocked() MonitorState {
+	sl := m.exportNodesLocked(nil)
+	st := MonitorState{Stats: m.stats, Nodes: sl.Nodes, Pending: sl.Pending}
 	st.Recent = make([]Flagged, len(m.recent))
 	for i, f := range m.recent {
 		st.Recent[i] = copyFlagged(f)
@@ -92,16 +102,85 @@ func (m *Monitor) State() MonitorState {
 	return st
 }
 
+// Capture is what a snapshot takes from the monitor, all of one instant;
+// State.Epochs is nil, EpochParts carries them rendered (Monitor.EpochParts).
+type Capture struct {
+	State      MonitorState
+	Summary    Summary
+	EpochParts [][]byte
+}
+
+// Capture takes State, Snapshot and EpochParts under ONE acquisition of mu.
+// Taken apart, a drain between them moves states from Pending into the
+// epochs: a file holding both would diagnose them a second time on restore.
+// It also waits out a running drain (drainMu, then mu — Drain's own order):
+// the states a drain is solving are in neither place, and a file cut then
+// would restore without them.
+func (m *Monitor) Capture() (Capture, error) {
+	m.drainMu.Lock()
+	defer m.drainMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	parts, err := m.partsLocked()
+	if err != nil {
+		return Capture{}, err
+	}
+	return Capture{State: m.stateLocked(), Summary: m.summaryLocked(), EpochParts: parts}, nil
+}
+
+// EpochParts returns what EpochStates returns, as JSON — one element per
+// retained epoch, ascending, each byte for byte json.Marshal of its
+// EpochState — and the model's rank. An epoch is rendered on the first read
+// after its contributions changed and the bytes are shared by all readers
+// (who must not modify them) until they change again: a read costs the
+// epochs drained since the last one, not the window.
+func (m *Monitor) EpochParts() (rank int, parts [][]byte, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	parts, err = m.partsLocked()
+	return m.model.Rank, parts, err
+}
+
+// EpochsRendered counts the epochs EpochParts and Capture had to render.
+func (m *Monitor) EpochsRendered() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.rendered
+}
+
+// partsLocked collects the epochs' rendered parts, ascending, rendering the
+// missing ones. Caller holds mu.
+func (m *Monitor) partsLocked() ([][]byte, error) {
+	accs := make([]*epochAcc, 0, len(m.epochs))
+	for _, ec := range m.epochs {
+		accs = append(accs, ec)
+	}
+	slices.SortFunc(accs, func(a, b *epochAcc) int { return cmp.Compare(a.epoch, b.epoch) })
+	parts := make([][]byte, len(accs))
+	for i, ec := range accs {
+		if ec.part == nil {
+			b, err := json.Marshal(ec.export(nil))
+			if err != nil {
+				return nil, fmt.Errorf("render epoch %d: %w", ec.epoch, err)
+			}
+			ec.part = b
+			m.rendered++
+		}
+		parts[i] = ec.part
+	}
+	return parts, nil
+}
+
 func copyState(s trace.StateVector) trace.StateVector {
 	s.Delta = append([]float64(nil), s.Delta...)
 	return s
 }
 
-// exportLocked deep-copies the per-node part of the rolling state in
-// canonical order: baselines node-ascending, the flagged backlog in arrival
-// order, epochs as exportEpochsLocked orders them. A nil want keeps every
-// node; otherwise only the nodes in want. Caller holds mu.
-func (m *Monitor) exportLocked(want map[packet.NodeID]bool) NodeSlice {
+// exportNodesLocked deep-copies the per-node part of the rolling state but
+// the epochs, in canonical order: baselines node-ascending, the flagged
+// backlog in arrival order. A nil want keeps every node; otherwise only the
+// nodes in want. Caller holds mu.
+func (m *Monitor) exportNodesLocked(want map[packet.NodeID]bool) NodeSlice {
 	var sl NodeSlice
 	if want == nil {
 		// A full export sizes its slices once, and marshals an empty
@@ -120,7 +199,6 @@ func (m *Monitor) exportLocked(want map[packet.NodeID]bool) NodeSlice {
 			sl.Pending = append(sl.Pending, PendingState{State: copyState(p.state), Score: p.score})
 		}
 	}
-	sl.Epochs = m.exportEpochsLocked(want)
 	return sl
 }
 
@@ -131,21 +209,26 @@ func (m *Monitor) exportLocked(want map[packet.NodeID]bool) NodeSlice {
 func (m *Monitor) exportEpochsLocked(want map[packet.NodeID]bool) []EpochState {
 	out := make([]EpochState, 0, len(m.epochs))
 	for _, ec := range m.epochs {
-		es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, 0, len(ec.contribs))}
-		for _, c := range ec.contribs {
-			if want != nil && !want[c.Node] {
-				continue
-			}
-			es.Contribs = append(es.Contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
+		if es := ec.export(want); want == nil || len(es.Contribs) > 0 {
+			out = append(out, es)
 		}
-		if want != nil && len(es.Contribs) == 0 {
-			continue
-		}
-		sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
-		out = append(out, es)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out
+}
+
+// export deep-copies one epoch's contributions (those of the nodes in want;
+// all of them when want is nil), node-ascending. It is what both the struct
+// export and the rendered part are made from, so the two cannot disagree.
+func (ec *epochAcc) export(want map[packet.NodeID]bool) EpochState {
+	es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, 0, len(ec.contribs))}
+	for _, c := range ec.contribs {
+		if want == nil || want[c.Node] {
+			es.Contribs = append(es.Contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
+		}
+	}
+	sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
+	return es
 }
 
 // validateSliceLocked checks the per-node part of an incoming state — a
@@ -206,6 +289,7 @@ func (m *Monitor) importLocked(sl NodeSlice) {
 		for _, c := range es.Contribs {
 			ec.contribs = append(ec.contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
 		}
+		ec.part = nil
 		m.stats.LastEpoch = max(m.stats.LastEpoch, es.Epoch)
 	}
 }

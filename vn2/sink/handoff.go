@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -46,12 +47,25 @@ type handoffNodesReq struct {
 // contributions so the fleet-wide sum can run in one canonical order and
 // stay bit-identical to a single sink (float addition is not
 // associative). Served even while degraded: it reads diagnosis state the
-// sink already holds.
+// sink already holds. The body is {"epochs":[...],"rank":N} as
+// api.WriteJSON would encode it, written from the monitor's rendered
+// parts: the monitor's lock is held for the epochs that changed since the
+// last read, and nothing holds the whole document.
 func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"rank":   s.mon.Rank(),
-		"epochs": s.mon.EpochStates(),
-	})
+	rank, parts, err := s.mon.EpochParts()
+	if err != nil {
+		api.Error(w, http.StatusInternalServerError, err.Error(), nil)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	io.WriteString(w, `{"epochs":[`)
+	for i, part := range parts {
+		if i > 0 {
+			io.WriteString(w, `,`)
+		}
+		w.Write(part)
+	}
+	fmt.Fprintf(w, "],\"rank\":%d}\n", rank)
 }
 
 // barrierFail answers a handoff whose barrier failed: a full queue or a

@@ -32,6 +32,8 @@ func (s *Server) registerMetrics() {
 		m["drain_fails_in_a_row"] = s.drainFails.Load()
 		m["snapshots_written"] = s.snapshots.Load()
 		m["snapshot_errors"] = s.snapErrs.Load()
+		m["snapshot_bytes"] = s.snapBytes.Load()
+		m["snapshot_ms"] = ms(time.Duration(s.snapNanos.Load()))
 		// Where the (re)start spent its time; fixed once New has returned.
 		m["boot_ms"] = ms(s.boot.total())
 		m["boot_calibration_ms"] = ms(s.boot.calibRead + s.boot.calibrate)
@@ -64,6 +66,7 @@ func (s *Server) registerMetrics() {
 		m["monitor_max_gap"] = st.MaxGap
 		m["monitor_last_epoch"] = st.LastEpoch
 		m["pending_states"] = s.mon.Pending()
+		m["epochs_rendered"] = s.mon.EpochsRendered()
 		ds := s.mon.DriftStats()
 		m["model_version"] = ds.ModelVersion
 		m["drift_window"] = ds.Window

@@ -2,8 +2,8 @@ package sink
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -87,6 +87,8 @@ type Server struct {
 	drainErrs      atomic.Uint64 // failed diagnosis passes (total)
 	snapshots      atomic.Uint64
 	snapErrs       atomic.Uint64
+	snapBytes      atomic.Int64 // size of the last snapshot written
+	snapNanos      atomic.Int64 // its capture-to-rename time
 
 	walReplayed atomic.Uint64 // records re-ingested from the WAL at startup
 	walSkipped  atomic.Uint64 // replay records at or below the snapshot watermark
@@ -288,11 +290,13 @@ func (s *Server) drainLoop(ctx context.Context) {
 // writeSnapshot atomically rewrites the snapshot file (tmp + rename), then
 // lets the WAL drop segments wholly covered by the snapshot. The watermark
 // is read BEFORE the monitor state so the state can only be newer — see
-// store.Snapshot.WALApplied.
+// store.Snapshot.WALApplied. The file is streamed (store.WriteSnapshot): the
+// document is never in memory, and its epochs are the read plane's parts.
 func (s *Server) writeSnapshot() error {
 	if s.opts.SnapshotPath == "" {
 		return nil
 	}
+	start := time.Now()
 	// The capture is serialized against swap application (SnapMu): the
 	// model envelope, the monitor state, and the history all describe the
 	// same side of any generation boundary. A torn capture (old model, new
@@ -300,10 +304,13 @@ func (s *Server) writeSnapshot() error {
 	s.lc.SnapMu.Lock()
 	wm := s.applied.Load()
 	cur := s.lc.Current()
-	st := s.mon.State()
-	sum := s.mon.Snapshot()
+	capt, err := s.mon.Capture()
 	hist := s.lc.History()
 	s.lc.SnapMu.Unlock()
+	if err != nil {
+		s.snapErrs.Add(1)
+		return err
+	}
 	// The ingest loop can apply a batch before the fsync of the request that
 	// committed it returns, so wm may be ahead of the WAL's durable tail.
 	// Make the tail catch up before the snapshot claims it: otherwise a crash
@@ -315,27 +322,30 @@ func (s *Server) writeSnapshot() error {
 			return fmt.Errorf("sync wal ahead of snapshot: %w", err)
 		}
 	}
-	b, err := json.Marshal(store.Snapshot{
+	snap := store.Snapshot{
 		Version:      store.SnapshotVersion,
 		SavedAt:      time.Now().UTC(),
 		Model:        cur.Raw,
 		Detector:     cur.Det,
-		Summary:      sum,
-		Monitor:      &st,
+		Summary:      capt.Summary,
+		Monitor:      &capt.State,
 		WALApplied:   wm,
 		ModelVersion: cur.Version,
 		Swaps:        hist,
+	}
+	var size int64
+	err = store.WriteAtomic(s.opts.SnapshotPath, false, func(w io.Writer) (err error) {
+		size, err = store.WriteSnapshot(w, &snap, capt.EpochParts)
+		return err
 	})
 	if err != nil {
 		s.snapErrs.Add(1)
 		return err
 	}
-	if err := store.WriteFileAtomic(s.opts.SnapshotPath, b, false); err != nil {
-		s.snapErrs.Add(1)
-		return err
-	}
 	s.snapshots.Add(1)
-	s.publish(EvSnapshotWritten, snapshotEvent{WALApplied: wm, Bytes: len(b), ModelVersion: cur.Version})
+	s.snapBytes.Store(size)
+	s.snapNanos.Store(int64(time.Since(start)))
+	s.publish(EvSnapshotWritten, snapshotEvent{WALApplied: wm, Bytes: int(size), ModelVersion: cur.Version})
 	if s.jnl != nil {
 		if err := s.jnl.TruncateBefore(wm + 1); err != nil {
 			fmt.Fprintln(os.Stderr, "vn2 serve: wal truncate:", err)

@@ -1,38 +1,43 @@
 package store
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFileAtomic writes path via tmp + fsync + rename so a crash never
-// leaves the path pointing at a file whose content didn't make it to disk.
-// With syncDir the containing directory is fsynced too, making the rename
-// itself durable — required when a WAL record is about to reference the
-// file by name (lifecycle model/detector generations); the periodic
-// snapshot skips it because a lost rename there just replays a little more
-// WAL.
+// WriteFileAtomic writes data to path by WriteAtomic.
 func WriteFileAtomic(path string, data []byte, syncDir bool) error {
+	return WriteAtomic(path, syncDir, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteAtomic writes path via tmp + fsync + rename so a crash never leaves
+// the path pointing at a file whose content didn't make it to disk: fill
+// writes the content to the temporary file, and if it fails the path keeps
+// what it had. With syncDir the containing directory is fsynced too, making
+// the rename itself durable — required when a WAL record is about to
+// reference the file by name (lifecycle model/detector generations); the
+// periodic snapshot skips it because a lost rename there just replays a
+// little more WAL.
+func WriteAtomic(path string, syncDir bool, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if err = fill(tmp); err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -62,4 +65,113 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: unsupported snapshot version %d", snap.Version)
 	}
 	return snap, nil
+}
+
+// WriteSnapshot streams snap to w as the bytes json.Marshal(snap) gives
+// without ever holding them: member by member, every array one element at a
+// time through one buffer. epochs stands for snap.Monitor.Epochs, which must
+// be empty: the monitor's rendered parts (online.Capture), spliced in as
+// they are. Returns the bytes written. The members are listed by hand, in
+// struct order under the structs' omitempty rules; a field added to
+// Snapshot, online.MonitorState or online.Summary must be added here
+// (TestStreamKnowsEveryField holds that).
+func WriteSnapshot(w io.Writer, snap *Snapshot, epochs [][]byte) (int64, error) {
+	if snap.Monitor != nil && len(snap.Monitor.Epochs) > 0 {
+		return 0, errors.New("write snapshot: monitor epochs given as structs and as rendered parts")
+	}
+	s := &jsonStream{w: bufio.NewWriterSize(w, 32<<10)}
+	s.enc = json.NewEncoder(&s.el)
+	s.member(`{"version":`, snap.Version)
+	s.member(`,"saved_at":`, snap.SavedAt)
+	s.member(`,"model":`, snap.Model)
+	s.member(`,"detector":`, snap.Detector)
+	sum := &snap.Summary
+	s.member(`,"summary":{"stats":`, &sum.Stats)
+	s.member(`,"pending":`, sum.Pending)
+	s.member(`,"rank":`, sum.Rank)
+	streamArray(s, `,"epochs":`, sum.Epochs, false)
+	streamArray(s, `,"recent":`, sum.Recent, false)
+	s.member(`,"drift":`, &sum.Drift)
+	s.raw(`}`)
+	if st := snap.Monitor; st != nil {
+		s.member(`,"monitor":{"stats":`, &st.Stats)
+		streamArray(s, `,"nodes":`, st.Nodes, false)
+		streamArray(s, `,"pending":`, st.Pending, true)
+		if len(epochs) > 0 {
+			s.raw(`,"epochs":[`)
+			for i, part := range epochs {
+				if i > 0 {
+					s.raw(`,`)
+				}
+				s.write(part)
+			}
+			s.raw(`]`)
+		}
+		streamArray(s, `,"recent":`, st.Recent, true)
+		if st.ModelVersion != 0 {
+			s.member(`,"model_version":`, st.ModelVersion)
+		}
+		streamArray(s, `,"quarantine":`, st.Quarantine, true)
+		streamArray(s, `,"residuals":`, st.Residuals, true)
+		s.raw(`}`)
+	}
+	if snap.WALApplied != 0 {
+		s.member(`,"wal_applied":`, snap.WALApplied)
+	}
+	if snap.ModelVersion != 0 {
+		s.member(`,"model_version":`, snap.ModelVersion)
+	}
+	streamArray(s, `,"swaps":`, snap.Swaps, true)
+	s.raw(`}`)
+	if s.err == nil {
+		s.err = s.w.Flush()
+	}
+	return s.n, s.err
+}
+
+// jsonStream writes JSON piecewise; the first error sticks and mutes the rest.
+type jsonStream struct {
+	w   *bufio.Writer
+	el  bytes.Buffer  // the one element being encoded
+	enc *json.Encoder // onto el: Marshal's encoding without Marshal's copy
+	n   int64
+	err error
+}
+
+func (s *jsonStream) write(p []byte) {
+	if s.err == nil {
+		_, s.err = s.w.Write(p)
+		s.n += int64(len(p))
+	}
+}
+
+func (s *jsonStream) raw(p string) { s.write([]byte(p)) }
+
+// member writes key — the punctuation before it included — and v's encoding.
+func (s *jsonStream) member(key string, v any) {
+	s.raw(key)
+	s.el.Reset()
+	if s.err == nil {
+		s.err = s.enc.Encode(v)
+	}
+	s.write(bytes.TrimSuffix(s.el.Bytes(), []byte("\n"))) // Encode ends a value with a newline
+}
+
+// streamArray writes key and xs one element at a time; an empty xs is
+// nothing at all under omitempty, else Marshal's null or [].
+func streamArray[T any](s *jsonStream, key string, xs []T, omitempty bool) {
+	switch {
+	case len(xs) > 0:
+		sep := key + `[`
+		for i := range xs {
+			s.member(sep, &xs[i])
+			sep = `,`
+		}
+		s.raw(`]`)
+	case omitempty:
+	case xs == nil:
+		s.raw(key + `null`)
+	default:
+		s.raw(key + `[]`)
+	}
 }
