@@ -25,10 +25,14 @@ import (
 	"github.com/wsn-tools/vn2/vn2/reporter"
 )
 
+// The workload every chaos run replays and the rank of the model it boots.
+const (
+	chaosScenario = "testbed-expansive"
+	chaosRank     = 6
+)
+
 // chaosOptions parametrizes one chaos experiment.
 type chaosOptions struct {
-	scenario string
-	rank     int
 	// wire is the record-level fault mix; wire.Seed keys the workload AND
 	// every fault decision.
 	wire chaos.Config
@@ -105,9 +109,7 @@ type chaosResult struct {
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	var o chaosOptions
-	fs.StringVar(&o.scenario, "scenario", "testbed-expansive", "testbed-local | testbed-expansive")
 	fs.Int64Var(&o.wire.Seed, "seed", 1, "seed for the workload AND every fault decision")
-	fs.IntVar(&o.rank, "rank", 6, "model rank")
 	fs.Float64Var(&o.wire.Drop, "drop", 0, "per-report drop probability (losses: recovery compared under -tolerance)")
 	fs.Float64Var(&o.wire.Duplicate, "dup", 0.1, "per-report duplication probability (lossless)")
 	fs.Float64Var(&o.wire.Delay, "delay", 0.2, "per-report delay probability (lossless, reorders across nodes)")
@@ -170,10 +172,10 @@ func runChaos(o chaosOptions, logf func(string, ...any)) (*chaosResult, error) {
 
 	// Fixtures, built with the repo's own subcommands: calibration trace
 	// (also the training set) and the model every sink of both runs boots.
-	if err := run([]string{"tracegen", "-scenario", o.scenario, "-seed", fmt.Sprint(o.wire.Seed), "-out", o.calibPath()}); err != nil {
+	if err := run([]string{"tracegen", "-scenario", chaosScenario, "-seed", fmt.Sprint(o.wire.Seed), "-out", o.calibPath()}); err != nil {
 		return nil, fmt.Errorf("tracegen: %w", err)
 	}
-	if err := run([]string{"train", "-in", o.calibPath(), "-out", o.modelPath(), "-rank", fmt.Sprint(o.rank), "-all-states"}); err != nil {
+	if err := run([]string{"train", "-in", o.calibPath(), "-out", o.modelPath(), "-rank", fmt.Sprint(chaosRank), "-all-states"}); err != nil {
 		return nil, fmt.Errorf("train: %w", err)
 	}
 
@@ -344,11 +346,7 @@ func drive(o chaosOptions, name string, batches [][]trace.Record, tr *chaos.Tran
 // the same testbed under a different seed) and groups it into per-epoch
 // report batches, node-ascending, epochs rebased past the calibration run.
 func liveBatches(o chaosOptions, rebase int) ([][]trace.Record, error) {
-	sc := tracegen.ScenarioExpansive
-	if o.scenario == "testbed-local" {
-		sc = tracegen.ScenarioLocal
-	}
-	live, err := tracegen.Testbed(tracegen.TestbedOptions{Seed: o.wire.Seed + 1, Scenario: sc})
+	live, err := tracegen.Testbed(tracegen.TestbedOptions{Seed: o.wire.Seed + 1, Scenario: tracegen.ScenarioExpansive})
 	if err != nil {
 		return nil, fmt.Errorf("generate live trace: %w", err)
 	}

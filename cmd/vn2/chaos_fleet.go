@@ -202,7 +202,7 @@ func (f *fleet) snapshot() error {
 func (f *fleet) view() (chaosView, error) {
 	if f.rt == nil {
 		eps := f.shards[0].srv.MonitorState().Epochs
-		return chaosView{Epochs: eps, Causes: cluster.MergeEpochs(f.o.rank, eps)}, nil
+		return chaosView{Epochs: eps, Causes: cluster.MergeEpochs(chaosRank, eps)}, nil
 	}
 	rank, merged, missing, err := f.rt.FleetEpochs()
 	switch {
@@ -210,8 +210,8 @@ func (f *fleet) view() (chaosView, error) {
 		return chaosView{}, err
 	case len(missing) > 0:
 		return chaosView{}, fmt.Errorf("shards %v missing from the fleet merge", missing)
-	case rank != f.o.rank:
-		return chaosView{}, fmt.Errorf("fleet rank %d, want %d", rank, f.o.rank)
+	case rank != chaosRank:
+		return chaosView{}, fmt.Errorf("fleet rank %d, want %d", rank, chaosRank)
 	}
 	return chaosView{Causes: merged}, nil
 }

@@ -17,8 +17,6 @@ import (
 // given transport into a fleet of the given size.
 func chaosTestOptions(dir, transport string, shards int) chaosOptions {
 	o := chaosOptions{
-		scenario:  "testbed-expansive",
-		rank:      6,
 		wire:      chaos.Config{Seed: 11, Duplicate: 0.15, Delay: 0.25, Truncate: 0.1, Shuffle: true},
 		transport: transport,
 		shards:    shards,

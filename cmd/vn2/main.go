@@ -7,12 +7,12 @@
 //	vn2 tracegen   -scenario citysee|september|testbed-local|testbed-expansive -out trace.csv
 //	vn2 train      -in trace.csv -out model.json [-rank r] [-all-states]
 //	vn2 update     -model model.json -in trace.csv -out new-model.json [-all-states]
-//	vn2 diagnose   -model model.json -in trace.csv [-top k] [-exceptions-only]
-//	vn2 explain    -model model.json [-top k]
-//	vn2 epochs     -model model.json -in trace.csv [-min-strength x]
+//	vn2 diagnose   -model model.json -in trace.csv
+//	vn2 explain    -model model.json
+//	vn2 epochs     -model model.json -in trace.csv
 //	vn2 simulate   [-nodes n] [-epochs e] [-seed s]
 //	vn2 serve      -model model.json -calibrate trace.csv [-addr host:port] [-snapshot file] [-wal dir]
-//	vn2 router     -shards url1,url2,... [-addr host:port] [-seed s] [-vnodes k]
+//	vn2 router     -shards url1,url2,... [-addr host:port] [-seed s]
 //	vn2 chaos      [-seed s] [-drop p] [-dup p] [-delay p] [-truncate p] [-kill-epoch n] [-tolerance x] [-transport json|bin|stream] [-shards k]
 //	vn2 experiment [table1|fig3a|fig3b|fig3c|fig4|fig5|fig6|baselines|prrest|all] [-quick] [-seed s]
 package main
@@ -98,7 +98,6 @@ func cmdTracegen(args []string) error {
 	scenario := fs.String("scenario", "citysee", "citysee | september | testbed-local | testbed-expansive")
 	out := fs.String("out", "", "output CSV path (default stdout)")
 	seed := fs.Int64("seed", 1, "random seed")
-	days := fs.Int("days", 0, "CitySee days (default 7, september 14)")
 	nodes := fs.Int("nodes", 0, "CitySee node count (default 286)")
 	workers := fs.Int("workers", 0, "simulation goroutines (0 sequential, -1 all cores); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
@@ -109,9 +108,9 @@ func cmdTracegen(args []string) error {
 	var err error
 	switch *scenario {
 	case "citysee":
-		res, err = tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: *seed, Days: *days, Nodes: *nodes, Workers: *workers})
+		res, err = tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes, Workers: *workers})
 	case "september":
-		res, _, err = tracegen.CitySeeSeptember(tracegen.CitySeeOptions{Seed: *seed, Days: *days, Nodes: *nodes, Workers: *workers})
+		res, _, err = tracegen.CitySeeSeptember(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes, Workers: *workers})
 	case "testbed-local":
 		res, err = tracegen.Testbed(tracegen.TestbedOptions{Seed: *seed, Scenario: tracegen.ScenarioLocal, Workers: *workers})
 	case "testbed-expansive":
@@ -252,8 +251,6 @@ func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "model JSON path (required)")
 	in := fs.String("in", "", "input trace CSV (required)")
-	top := fs.Int("top", 3, "causes to print per state")
-	exceptionsOnly := fs.Bool("exceptions-only", true, "diagnose only detected exceptions")
 	workers := fs.Int("workers", 0, "diagnosis goroutines (0 sequential, -1 all cores); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -280,13 +277,11 @@ func cmdDiagnose(args []string) error {
 		return fmt.Errorf("read trace: %w", err)
 	}
 	states := ds.States()
-	if *exceptionsOnly {
-		det, err := trace.DetectExceptions(states, 0)
-		if err != nil {
-			return fmt.Errorf("detect exceptions: %w", err)
-		}
-		states = det.Exceptions(states)
+	det, err := trace.DetectExceptions(states, 0)
+	if err != nil {
+		return fmt.Errorf("detect exceptions: %w", err)
 	}
+	states = det.Exceptions(states)
 	if len(states) == 0 {
 		fmt.Println("no states to diagnose")
 		return nil
@@ -303,7 +298,7 @@ func cmdDiagnose(args []string) error {
 			continue
 		}
 		for k, rc := range d.Ranked {
-			if k >= *top {
+			if k >= 3 {
 				break
 			}
 			exp, err := model.Explain(rc.Cause, 3)
@@ -429,7 +424,6 @@ func outputWriter(path string) (*os.File, func(), error) {
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "model JSON path (required)")
-	top := fs.Int("top", 5, "metrics to print per cause")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -448,7 +442,7 @@ func cmdExplain(args []string) error {
 	fmt.Printf("Psi(%dx%d), trained on %d exception states, keep=%.0f%%\n",
 		model.Rank, model.Metrics(), model.TrainStates, model.Keep*100)
 	for j := 0; j < model.Rank; j++ {
-		exp, err := model.Explain(j, *top)
+		exp, err := model.Explain(j, 5)
 		if err != nil {
 			return err
 		}
@@ -476,7 +470,6 @@ func cmdEpochs(args []string) error {
 	fs := flag.NewFlagSet("epochs", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "model JSON path (required)")
 	in := fs.String("in", "", "input trace CSV (required)")
-	minStrength := fs.Float64("min-strength", 0, "suppress epochs whose total strength is below this")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -514,9 +507,6 @@ func cmdEpochs(args []string) error {
 		var total float64
 		for _, v := range ed.Distribution {
 			total += v
-		}
-		if total < *minStrength {
-			continue
 		}
 		fmt.Printf("epoch %4d  states %3d  total %8.2f  ", ed.Epoch, ed.States, total)
 		for k, rc := range ed.Combination {

@@ -267,7 +267,7 @@ func TestRouterFlags(t *testing.T) {
 			listed[strings.Fields(name)[0]] = true
 		}
 	}
-	want := []string{"addr", "shards", "seed", "vnodes", "attempts", "probe-interval"}
+	want := []string{"addr", "shards", "seed", "attempts", "probe-interval"}
 	if len(listed) != len(want) {
 		t.Errorf("router -h lists %v, want exactly %v", listed, want)
 	}

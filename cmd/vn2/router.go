@@ -24,7 +24,6 @@ func cmdRouter(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8079", "listen address")
 	shards := fs.String("shards", "", "comma-separated shard base URLs, index-aligned with the ring (required)")
 	seed := fs.Uint64("seed", 1, "ring + backoff seed; every router of a cluster must share it")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the ring (0 = 64)")
 	attempts := fs.Int("attempts", 0, "retry attempts per forwarded slice (0 = 4)")
 	probe := fs.Duration("probe-interval", 0, "shard /readyz probe cadence (0 = 1s)")
 	if err := fs.Parse(args); err != nil {
@@ -43,7 +42,6 @@ func cmdRouter(args []string) error {
 	r, err := cluster.NewRouter(cluster.Config{
 		Shards:        urls,
 		Seed:          *seed,
-		Vnodes:        *vnodes,
 		Attempts:      *attempts,
 		ProbeInterval: *probe,
 	})

@@ -28,25 +28,18 @@ func cmdServe(args []string) error {
 	fs.Float64Var(&o.Threshold, "threshold", 0, "exception cutoff eps/max(eps) (0 = paper's 0.01)")
 	fs.IntVar(&o.QueueSize, "queue", 1024, "bounded ingest queue size; full queue returns 503")
 	fs.IntVar(&o.MaxPending, "max-pending", 0, "bound on flagged states awaiting diagnosis (0 = 4096)")
-	fs.IntVar(&o.History, "history", 0, "rolling per-epoch diagnosis window, epochs (0 = 64)")
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
 	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", time.Minute, "how often the snapshot file is rewritten")
 	fs.StringVar(&o.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
 	fs.BoolVar(&o.Lifecycle, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")
-	fs.Float64Var(&o.DriftRate, "drift-rate", 0, "unattributed-exception rate that triggers a shadow retrain (0 = 0.5)")
 	fs.IntVar(&o.DriftMin, "drift-min", 0, "diagnosed states the drift window must hold before the trigger can fire (0 = 32)")
 	fs.DurationVar(&o.RetrainTimeout, "retrain-timeout", 0, "shadow retrain deadline (0 = 2m)")
 	fs.IntVar(&o.Probation, "probation", 0, "post-swap diagnosed states before the swap commits or rolls back (0 = 32)")
-	fs.Float64Var(&o.ResidThreshold, "residual-threshold", 0, "relative residual above which an exception counts as unattributed (0 = 0.5)")
-	fs.BoolVar(&o.Refreeze, "refreeze", false, "re-anchor the exception detector on accepted swaps (declares the drifted regime the new routine)")
-	fs.IntVar(&o.EventJournal, "event-journal", 0, "event-bus replay journal capacity for /stream resume (0 = 256)")
-	fs.IntVar(&o.EventJournalBytes, "event-journal-bytes", 0, "event-bus replay journal byte budget; oldest events evict early when payloads outgrow it (0 = 1 MiB)")
 	fs.IntVar(&o.StreamBuffer, "stream-buffer", 0, "per-/stream-subscriber event buffer; slow consumers drop oldest (0 = 64)")
 	fs.StringVar(&o.StreamAddr, "stream-addr", "", "persistent frame-stream listen address (raw TCP, VN2F frames with per-frame ACK/NACK); empty = HTTP ingest only")
 	fs.IntVar(&o.StreamMaxConns, "stream-conns", 0, "stream connection cap; excess connections are refused with a NACK (0 = 64)")
 	fs.DurationVar(&o.StreamReadTimeout, "stream-read-timeout", 0, "per-frame stream read deadline; slow or stalled peers are disconnected (0 = 30s)")
-	fs.DurationVar(&o.StreamWriteTimeout, "stream-write-timeout", 0, "per-response stream write deadline (0 = 10s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

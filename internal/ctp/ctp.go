@@ -187,21 +187,6 @@ func (t *Table) Tick(maxStale int) {
 	}
 }
 
-// RemoveNeighbor drops a neighbor (e.g. it was observed dead). If it was
-// the parent, the node becomes parentless until the next SelectParent.
-func (t *Table) RemoveNeighbor(n packet.NodeID) {
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if e.Neighbor != n {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	if t.parent == n {
-		t.parent = NoParent
-	}
-}
-
 // SelectParent runs ETX-greedy parent selection with hysteresis and returns
 // the chosen parent. Selecting no parent increments the no-parent counter;
 // an actual switch increments the parent-change counter.

@@ -126,9 +126,9 @@ func TestParentLossCountsChange(t *testing.T) {
 	tb := NewTable(1)
 	mustHear(t, tb, 2, -70, 1)
 	tb.SelectParent()
-	tb.RemoveNeighbor(2)
+	tb.Tick(0) // the parent goes stale and is evicted
 	if tb.Parent() != NoParent {
-		t.Error("parent survived neighbor removal")
+		t.Error("parent survived its eviction")
 	}
 	if p := tb.SelectParent(); p != NoParent {
 		t.Errorf("parent = %d, want NoParent", p)
@@ -311,16 +311,13 @@ func TestC2EntriesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
 		tb := NewTable(0)
-		// More distinct neighbors than slots, heard in random order, aged
-		// and removed at random: tables of every size up to MaxNeighbors,
-		// in the slot order evictions leave behind.
+		// More distinct neighbors than slots, heard in random order and
+		// aged out at random: tables of every size up to MaxNeighbors, in
+		// the slot order evictions leave behind.
 		for step := rng.Intn(60); step >= 0; step-- {
-			switch r := rng.Intn(10); {
-			case r < 7:
+			if rng.Intn(10) < 7 {
 				mustHear(t, tb, packet.NodeID(1+rng.Intn(25)), -60-40*rng.Float64(), 1+10*rng.Float64())
-			case r < 8:
-				tb.RemoveNeighbor(packet.NodeID(1 + rng.Intn(25)))
-			default:
+			} else {
 				tb.Tick(2)
 			}
 			got, want := tb.C2Entries(), oracleC2Entries(tb)

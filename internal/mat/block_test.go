@@ -115,9 +115,9 @@ func TestMulABTIntoBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedRowPartitionDeterminism crosses block sizes with row partitions
-// (the pool's dispatch shape): any chunking of dst rows over any blocking
-// must be bit-identical to the naive sequential kernels.
+// TestBlockedRowPartitionDeterminism crosses block sizes with the pool's row
+// chunks: any chunking of dst rows over any blocking must be bit-identical to
+// the naive sequential kernels.
 func TestBlockedRowPartitionDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	const m, k, n = 45, 80, 33
@@ -126,15 +126,15 @@ func TestBlockedRowPartitionDeterminism(t *testing.T) {
 	want := MustNew(m, n)
 	mulIntoRows(want, a, b, 0, m)
 	for _, parts := range blockWorkerGrid() {
+		p := par.NewPool(parts)
 		for _, kc := range []int{1, 13, 64} {
 			for _, jc := range []int{1, 13, 64} {
 				got := MustNew(m, n)
-				for _, r := range par.RowPartition(m, par.Workers(parts)) {
-					mulIntoBlocked(got, a, b, r.Start, r.End, kc, jc)
-				}
+				p.Run(m, func(start, end int) { mulIntoBlocked(got, a, b, start, end, kc, jc) })
 				mustEqualBits(t, ctxBlock("partitioned MulInto", m, k, n, kc, jc), got, want)
 			}
 		}
+		p.Close()
 	}
 }
 

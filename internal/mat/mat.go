@@ -119,18 +119,6 @@ func (m *Dense) SetRow(i int, v []float64) {
 	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // RawRow returns row i without copying. The returned slice aliases the
 // matrix storage; callers must not retain it across mutations.
 func (m *Dense) RawRow(i int) []float64 {
@@ -277,16 +265,6 @@ func mulATBIntoRows(dst, a, b *Dense, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// MulABT returns a*bᵀ without materializing the transpose.
-func MulABT(a, b *Dense) (*Dense, error) {
-	if a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d * (%dx%d)^T", ErrDimension, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := MustNew(a.rows, b.rows)
-	MulABTInto(out, a, b)
-	return out, nil
 }
 
 // MulABTInto computes dst = a*bᵀ without allocating. dst must not alias a

@@ -245,25 +245,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// ByPacket returns the specs carried in packet p, in ID order.
-func ByPacket(p Packet) []Spec {
-	var out []Spec
-	for _, sp := range specs {
-		if sp.Packet == p {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// ByLayer returns the specs monitoring layer l, in ID order.
-func ByLayer(l Layer) []Spec {
-	var out []Spec
-	for _, sp := range specs {
-		if sp.Layer == l {
-			out = append(out, sp)
-		}
-	}
-	return out
-}

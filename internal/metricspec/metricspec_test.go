@@ -37,19 +37,18 @@ func TestRegistryNamesUnique(t *testing.T) {
 }
 
 func TestPacketPartition(t *testing.T) {
-	c1 := ByPacket(PacketC1)
-	c2 := ByPacket(PacketC2)
-	c3 := ByPacket(PacketC3)
-	if got := len(c1) + len(c2) + len(c3); got != MetricCount {
-		t.Fatalf("packet partition covers %d metrics, want %d", got, MetricCount)
-	}
-	if len(c2) != 2*MaxNeighbors {
-		t.Errorf("C2 carries %d metrics, want %d", len(c2), 2*MaxNeighbors)
-	}
-	for _, sp := range c2 {
-		if !strings.HasPrefix(sp.Name, "NeighborRssi") && !strings.HasPrefix(sp.Name, "NeighborEtx") {
+	carried := map[Packet]int{}
+	for _, sp := range specs {
+		carried[sp.Packet]++
+		if sp.Packet == PacketC2 && !strings.HasPrefix(sp.Name, "NeighborRssi") && !strings.HasPrefix(sp.Name, "NeighborEtx") {
 			t.Errorf("unexpected C2 metric %q", sp.Name)
 		}
+	}
+	if got := carried[PacketC1] + carried[PacketC2] + carried[PacketC3]; got != MetricCount {
+		t.Fatalf("packet partition covers %d metrics, want %d", got, MetricCount)
+	}
+	if carried[PacketC2] != 2*MaxNeighbors {
+		t.Errorf("C2 carries %d metrics, want %d", carried[PacketC2], 2*MaxNeighbors)
 	}
 }
 
@@ -130,11 +129,11 @@ func TestLookupErrors(t *testing.T) {
 }
 
 func TestByLayerCoversAll(t *testing.T) {
-	total := 0
-	for _, l := range []Layer{Physical, Link, Network, Application} {
-		total += len(ByLayer(l))
+	monitoring := map[Layer]int{}
+	for _, sp := range specs {
+		monitoring[sp.Layer]++
 	}
-	if total != MetricCount {
+	if total := monitoring[Physical] + monitoring[Link] + monitoring[Network] + monitoring[Application]; total != MetricCount {
 		t.Errorf("layer partition covers %d metrics, want %d", total, MetricCount)
 	}
 }

@@ -24,8 +24,6 @@ func (p RankPoint) SparsityGap() float64 { return p.SparseAccuracy - p.Accuracy 
 type SweepConfig struct {
 	// MinRank and MaxRank bound the sweep (inclusive). Step defaults to 1.
 	MinRank, MaxRank, Step int
-	// Keep is the Algorithm-2 retained-mass fraction; defaults to 0.9.
-	Keep float64
 	// Base configures each factorization (Rank is overwritten per point).
 	Base Config
 	// Workers bounds the goroutines running sweep points concurrently:
@@ -44,9 +42,6 @@ func SweepRanks(e *mat.Dense, cfg SweepConfig) ([]RankPoint, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = 1
 	}
-	if cfg.Keep == 0 {
-		cfg.Keep = DefaultKeepFraction
-	}
 	if cfg.MinRank < 1 || cfg.MaxRank < cfg.MinRank {
 		return nil, fmt.Errorf("%w: sweep [%d,%d]", ErrBadRank, cfg.MinRank, cfg.MaxRank)
 	}
@@ -55,7 +50,9 @@ func SweepRanks(e *mat.Dense, cfg SweepConfig) ([]RankPoint, error) {
 		ranks = append(ranks, r)
 	}
 	points := make([]RankPoint, len(ranks))
-	err := par.ForErr(len(ranks), cfg.Workers, func(i0, i1 int) error {
+	pool := par.NewPool(cfg.Workers)
+	defer pool.Close()
+	err := pool.RunErr(len(ranks), func(_, i0, i1 int) error {
 		for idx := i0; idx < i1; idx++ {
 			p, err := sweepPoint(e, cfg, ranks[idx])
 			if err != nil {
@@ -84,7 +81,7 @@ func sweepPoint(e *mat.Dense, cfg SweepConfig, r int) (RankPoint, error) {
 	if err != nil {
 		return RankPoint{}, fmt.Errorf("sweep rank %d accuracy: %w", r, err)
 	}
-	sparseW, err := Sparsify(res.W, cfg.Keep)
+	sparseW, err := Sparsify(res.W, DefaultKeepFraction)
 	if err != nil {
 		return RankPoint{}, fmt.Errorf("sweep rank %d sparsify: %w", r, err)
 	}

@@ -15,10 +15,11 @@ const minParallelRows = 64
 // SolveBatchInto solves one NNLS problem per row of states (n×m) against psi
 // (r×m) and gram = Gram(psi) into caller-provided buffers: weights n×r,
 // residuals length n. From minParallelRows rows up the rows are statically
-// partitioned across workers (the par.Workers norm: 0 sequential, ≥1 fans
-// out, negative GOMAXPROCS). Each row is solved as the sequential path solves
-// it, into its own output row, one scratch set per chunk (O(workers)
-// allocations), so results are bit-identical for any worker count.
+// partitioned across a per-call par.Pool of workers (the par.Workers norm: 0
+// sequential, ≥1 fans out, negative GOMAXPROCS). Each row is solved as the
+// sequential path solves it, into its own output row, one scratch set per
+// chunk (O(workers) allocations), so results are bit-identical for any
+// worker count.
 func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi, gram *mat.Dense, workers int) error {
 	n, m := states.Dims()
 	r, pm := psi.Dims()
@@ -31,14 +32,18 @@ func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi, gram *
 	if len(residuals) != n {
 		return fmt.Errorf("nnls: residuals buffer has %d entries, want %d", len(residuals), n)
 	}
-	if n < minParallelRows {
-		workers = 0
-	}
-	par.For(n, workers, func(start, end int) {
+	solve := func(_, start, end int) {
 		sc := newSolveScratch(r, m)
 		for i := start; i < end; i++ {
 			residuals[i], _ = solveInto(weights.RawRow(i), states.RawRow(i), psi, gram, sc)
 		}
-	})
+	}
+	if n < minParallelRows {
+		solve(0, 0, n)
+		return nil
+	}
+	pool := par.NewPool(workers)
+	defer pool.Close()
+	pool.RunIndexed(n, solve)
 	return nil
 }

@@ -15,15 +15,14 @@
 // across the repository enforce.
 package par
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Workers normalizes a worker-count knob to an effective goroutine bound:
 // n ≥ 1 is used as-is, 0 means sequential (one worker), and negative values
-// resolve to runtime.GOMAXPROCS(0). This is the shared semantics of every
-// Workers field in the repository.
+// resolve to runtime.GOMAXPROCS(0). This is the semantics of every compute
+// Workers field (nmf, nnls, wsn, vn2.TrainConfig, vn2.DiagnoseConfig). One
+// caller reads 0 differently: online.Config.Workers (serve -workers) maps 0
+// to -1 before it gets here, so a sink's drains default to all cores.
 func Workers(n int) int {
 	switch {
 	case n >= 1:
@@ -38,102 +37,4 @@ func Workers(n int) int {
 // Range is a half-open [Start, End) interval of row indices.
 type Range struct {
 	Start, End int
-}
-
-// Len returns the number of indices in the range.
-func (r Range) Len() int { return r.End - r.Start }
-
-// RowPartition splits [0, n) into at most parts contiguous, near-equal,
-// ascending ranges. Every index is covered exactly once and empty ranges are
-// never emitted; fewer than parts ranges are returned when n < parts. The
-// result is a pure function of (n, parts).
-func RowPartition(n, parts int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([]Range, 0, parts)
-	chunk := n / parts
-	rem := n % parts
-	start := 0
-	for i := 0; i < parts; i++ {
-		end := start + chunk
-		if i < rem {
-			end++
-		}
-		out = append(out, Range{Start: start, End: end})
-		start = end
-	}
-	return out
-}
-
-// For runs fn over [0, n) split into at most `workers` contiguous chunks,
-// one goroutine per chunk (the bounded pool). workers is normalized with
-// Workers; with one worker (or n ≤ 1) fn runs inline on the calling
-// goroutine, so the sequential path allocates nothing. fn must honor the
-// package determinism contract: disjoint writes per index, identical
-// per-index arithmetic regardless of chunk boundaries.
-func For(n, workers int, fn func(start, end int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	ranges := RowPartition(n, workers)
-	var wg sync.WaitGroup
-	wg.Add(len(ranges))
-	for _, r := range ranges {
-		go func(r Range) {
-			defer wg.Done()
-			fn(r.Start, r.End)
-		}(r)
-	}
-	wg.Wait()
-}
-
-// ForErr is For with error collection. Each chunk may return one error;
-// ForErr returns the error of the lowest-indexed chunk that failed. Chunks
-// are contiguous and ascending, so when every chunk processes its rows in
-// order and stops at its first failure, the returned error is the one the
-// sequential loop would have hit first — deterministic for any worker count
-// and any goroutine schedule.
-func ForErr(n, workers int, fn func(start, end int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return fn(0, n)
-	}
-	ranges := RowPartition(n, workers)
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	wg.Add(len(ranges))
-	for c, r := range ranges {
-		go func(c int, r Range) {
-			defer wg.Done()
-			errs[c] = fn(r.Start, r.End)
-		}(c, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -28,14 +28,14 @@ func TestWorkers(t *testing.T) {
 func TestRowPartitionCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 45, 100, 286} {
 		for _, parts := range []int{1, 2, 3, 4, 7, 16, 300} {
-			ranges := RowPartition(n, parts)
+			ranges := partitionInto(nil, n, parts)
 			seen := make([]int, n)
 			prevEnd := 0
 			for _, r := range ranges {
 				if r.Start != prevEnd {
 					t.Fatalf("n=%d parts=%d: range %v not contiguous after %d", n, parts, r, prevEnd)
 				}
-				if r.Len() <= 0 {
+				if r.End <= r.Start {
 					t.Fatalf("n=%d parts=%d: empty range %v", n, parts, r)
 				}
 				for i := r.Start; i < r.End; i++ {
@@ -63,33 +63,48 @@ func TestRowPartitionCoversExactlyOnce(t *testing.T) {
 }
 
 func TestRowPartitionNearEqual(t *testing.T) {
-	ranges := RowPartition(10, 3)
-	sizes := []int{ranges[0].Len(), ranges[1].Len(), ranges[2].Len()}
-	want := []int{4, 3, 3}
-	for i := range sizes {
-		if sizes[i] != want[i] {
-			t.Fatalf("RowPartition(10,3) sizes %v, want %v", sizes, want)
+	got := partitionInto(nil, 10, 3)
+	want := []Range{{0, 4}, {4, 7}, {7, 10}}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("partitionInto(10,3) = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestRowPartitionEdgeCases(t *testing.T) {
-	if got := RowPartition(0, 4); got != nil {
-		t.Errorf("RowPartition(0,4) = %v, want nil", got)
+	if got := partitionInto(nil, 0, 4); len(got) != 0 {
+		t.Errorf("partitionInto(0,4) = %v, want none", got)
 	}
-	if got := RowPartition(-3, 4); got != nil {
-		t.Errorf("RowPartition(-3,4) = %v, want nil", got)
+	if got := partitionInto(nil, -3, 4); len(got) != 0 {
+		t.Errorf("partitionInto(-3,4) = %v, want none", got)
 	}
-	if got := RowPartition(5, 0); len(got) != 1 || got[0] != (Range{0, 5}) {
-		t.Errorf("RowPartition(5,0) = %v, want [{0 5}]", got)
+	if got := partitionInto(nil, 5, 0); len(got) != 1 || got[0] != (Range{0, 5}) {
+		t.Errorf("partitionInto(5,0) = %v, want [{0 5}]", got)
 	}
+}
+
+// perCall and perCallErr fan out the way the cold callers (nnls.SolveBatchInto,
+// nmf.SweepRanks) do: a pool made for the call, run once and closed. The For
+// tests hold that pattern to the fan-out contract, at worker counts the
+// reused-pool tests do not visit (3, 7, 16, more workers than indices).
+func perCall(n, workers int, fn func(start, end int)) {
+	p := NewPool(workers)
+	defer p.Close()
+	p.Run(n, fn)
+}
+
+func perCallErr(n, workers int, fn func(start, end int) error) error {
+	p := NewPool(workers)
+	defer p.Close()
+	return p.RunErr(n, func(_, start, end int) error { return fn(start, end) })
 }
 
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 4, -1, 64} {
 		const n = 97
 		hits := make([]int32, n)
-		For(n, workers, func(start, end int) {
+		perCall(n, workers, func(start, end int) {
 			for i := start; i < end; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -104,9 +119,9 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForZeroLength(t *testing.T) {
 	called := false
-	For(0, 4, func(start, end int) { called = true })
+	perCall(0, 4, func(start, end int) { called = true })
 	if called {
-		t.Error("For(0, ...) invoked fn")
+		t.Error("a zero-length run invoked fn")
 	}
 }
 
@@ -118,7 +133,7 @@ func TestForDeterministicDisjointWrites(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		out := make([]float64, n)
-		For(n, workers, func(start, end int) {
+		perCall(n, workers, func(start, end int) {
 			for i := start; i < end; i++ {
 				out[i] = float64(i)*1.5 + 3
 			}
@@ -132,8 +147,8 @@ func TestForDeterministicDisjointWrites(t *testing.T) {
 }
 
 func TestForErrNil(t *testing.T) {
-	if err := ForErr(50, 4, func(start, end int) error { return nil }); err != nil {
-		t.Fatalf("ForErr = %v, want nil", err)
+	if err := perCallErr(50, 4, func(start, end int) error { return nil }); err != nil {
+		t.Fatalf("err = %v, want nil", err)
 	}
 }
 
@@ -141,7 +156,7 @@ func TestForErrReturnsLowestChunkError(t *testing.T) {
 	// Every chunk fails; the reported error must come from the chunk owning
 	// the lowest rows, for any worker count.
 	for _, workers := range []int{1, 2, 3, 4, 8} {
-		err := ForErr(64, workers, func(start, end int) error {
+		err := perCallErr(64, workers, func(start, end int) error {
 			return fmt.Errorf("chunk starting at row %d", start)
 		})
 		if err == nil || err.Error() != "chunk starting at row 0" {
@@ -156,7 +171,7 @@ func TestForErrLowestRowSemantics(t *testing.T) {
 	// worker count — the error the sequential loop would return.
 	sentinel := errors.New("bad row")
 	for _, workers := range []int{1, 2, 4, 7, 16} {
-		err := ForErr(64, workers, func(start, end int) error {
+		err := perCallErr(64, workers, func(start, end int) error {
 			for i := start; i < end; i++ {
 				if i == 30 || i == 50 {
 					return fmt.Errorf("row %d: %w", i, sentinel)
@@ -174,7 +189,7 @@ func TestForErrLowestRowSemantics(t *testing.T) {
 }
 
 func TestForErrZeroLength(t *testing.T) {
-	if err := ForErr(0, 4, func(start, end int) error { return errors.New("no") }); err != nil {
-		t.Fatalf("ForErr(0, ...) = %v, want nil", err)
+	if err := perCallErr(0, 4, func(start, end int) error { return errors.New("no") }); err != nil {
+		t.Fatalf("zero-length run: err = %v, want nil", err)
 	}
 }

@@ -4,14 +4,15 @@ import "sync"
 
 // Pool is a reusable bounded worker pool: a fixed set of long-lived
 // goroutines fed chunks of an index space through per-worker wake channels.
-// It exists because the one-shot For fan-out allocates (one goroutine, one
-// closure frame and one range slice per call), which turns fine-grained hot
+// It exists because a goroutine per chunk per call allocates (a goroutine, a
+// closure frame and a range slice each time), which turns fine-grained hot
 // loops — the per-pass traffic fan-out of the WSN simulator, the per-sweep
 // products of NMF training — into allocation regressions. A Pool amortizes
 // all of that at construction time: steady-state Run calls with a prebuilt
-// fn perform zero heap allocations regardless of worker count.
+// fn perform zero heap allocations regardless of worker count. A one-shot
+// fan-out is a pool made, run once and closed by the caller.
 //
-// Chunking is static and contiguous (RowPartition), chunk c of a run is
+// Chunking is static and contiguous (partitionInto), chunk c of a run is
 // always executed by the same worker slot c, and chunk 0 runs inline on the
 // calling goroutine, so a run costs at most chunks-1 handoffs. The package
 // determinism contract applies unchanged: a kernel must compute each index
@@ -25,7 +26,6 @@ import "sync"
 // parallelism by partitioning the outer loop only.
 type Pool struct {
 	workers int
-	grain   int
 
 	mu     sync.Mutex // serializes runs; held for a run's full duration
 	ranges []Range    // chunk bounds of the current run, reused
@@ -35,13 +35,9 @@ type Pool struct {
 	fnErr  func(worker, start, end int) error
 	wake   []chan struct{} // wake[k] triggers worker k (chunk k+1)
 	wg     sync.WaitGroup
+	exited sync.WaitGroup // the background workers, for Close to wait on
 	closed bool
 }
-
-// defaultGrain is the minimum indices per chunk when none is given: small
-// enough that every phase of a CitySee-scale epoch still fans out, large
-// enough that trivial index spaces stay inline instead of paying handoffs.
-const defaultGrain = 1
 
 // NewPool returns a pool bounded to Workers(workers) goroutines including
 // the caller: workers-1 background workers are spawned parked on their wake
@@ -52,11 +48,11 @@ func NewPool(workers int) *Pool {
 	w := Workers(workers)
 	p := &Pool{
 		workers: w,
-		grain:   defaultGrain,
 		ranges:  make([]Range, 0, w),
 		errs:    make([]error, w),
 		wake:    make([]chan struct{}, w-1),
 	}
+	p.exited.Add(len(p.wake))
 	for k := range p.wake {
 		p.wake[k] = make(chan struct{}, 1)
 		go p.worker(k)
@@ -71,6 +67,7 @@ func (p *Pool) Workers() int { return p.workers }
 
 // worker k loops forever executing chunk k+1 of each run it is woken for.
 func (p *Pool) worker(k int) {
+	defer p.exited.Done()
 	for range p.wake[k] {
 		p.runChunk(k + 1)
 		p.wg.Done()
@@ -137,7 +134,7 @@ func (p *Pool) finish(run func(Range)) {
 // calling goroutine. A steady-state call with a prebuilt fn allocates
 // nothing.
 func (p *Pool) Run(n int, fn func(start, end int)) {
-	p.RunGrain(n, p.grain, fn)
+	p.RunGrain(n, 1, fn)
 }
 
 // RunGrain is Run with an explicit minimum chunk size: fewer than grain
@@ -179,7 +176,7 @@ func (p *Pool) RunIndexed(n int, fn func(worker, start, end int)) {
 		return
 	}
 	p.mu.Lock()
-	chunks := p.chunkCount(n, p.grain)
+	chunks := p.chunkCount(n, 1)
 	if p.closed || chunks == 1 {
 		p.mu.Unlock()
 		fn(0, 0, n)
@@ -204,7 +201,7 @@ func (p *Pool) RunErr(n int, fn func(worker, start, end int) error) error {
 		return fn(0, 0, n)
 	}
 	p.mu.Lock()
-	chunks := p.chunkCount(n, p.grain)
+	chunks := p.chunkCount(n, 1)
 	if p.closed || chunks == 1 {
 		p.mu.Unlock()
 		return fn(0, 0, n)
@@ -226,9 +223,10 @@ func (p *Pool) RunErr(n int, fn func(worker, start, end int) error) error {
 	return err
 }
 
-// Close stops the background workers. It is idempotent, and the pool stays
-// usable afterwards: subsequent runs execute inline sequentially, which is
-// bit-identical by the determinism contract. Closing mid-run is safe — the
+// Close stops the background workers and returns once they have exited, so
+// a per-call pool leaves no goroutine behind. It is idempotent, and the pool
+// stays usable afterwards: subsequent runs execute inline sequentially, which
+// is bit-identical by the determinism contract. Closing mid-run is safe — the
 // run in flight completes first.
 func (p *Pool) Close() {
 	p.mu.Lock()
@@ -240,10 +238,13 @@ func (p *Pool) Close() {
 	for _, ch := range p.wake {
 		close(ch)
 	}
+	p.exited.Wait()
 }
 
-// partitionInto is RowPartition writing into a reused backing slice, so
-// steady-state dispatch does not allocate.
+// partitionInto splits [0, n) into at most parts contiguous, near-equal,
+// ascending ranges, written into a reused backing slice so steady-state
+// dispatch does not allocate. Every index is covered exactly once and empty
+// ranges are never emitted; the result is a pure function of (n, parts).
 func partitionInto(dst []Range, n, parts int) []Range {
 	dst = dst[:0]
 	if n <= 0 {

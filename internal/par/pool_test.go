@@ -125,7 +125,7 @@ func TestPoolRunIndexedWorkerIDs(t *testing.T) {
 			atomic.StoreInt32(&owner[i], int32(w))
 		}
 	})
-	want := RowPartition(n, 4)
+	want := partitionInto(nil, n, 4)
 	for c, r := range want {
 		for i := r.Start; i < r.End; i++ {
 			if owner[i] != int32(c) {

@@ -70,7 +70,7 @@ func sameDetector(t *testing.T, name string, got, want *trace.Detector) {
 func TestCalibrateMatchesSortOracle(t *testing.T) {
 	for _, tr := range calibrationTraces() {
 		name, states := tr.name, tr.ds.States()
-		want, raw := trace.OracleCalibrate(states, trace.DefaultExceptionThreshold)
+		want, raw := trace.OracleCalibrate(states, 0.01) // the paper's cutoff, what threshold 0 selects
 		det, err := trace.NewDetector(states, 0)
 		if err != nil {
 			t.Fatalf("%s: NewDetector: %v", name, err)

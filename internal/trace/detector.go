@@ -43,7 +43,7 @@ type Detector struct {
 // NewDetector calibrates a detector from a training window: robust
 // center/scale per metric, the batch max deviation as the frozen
 // normalization reference, and the exception threshold (≤ 0 uses
-// DefaultExceptionThreshold).
+// defaultExceptionThreshold).
 func NewDetector(states []StateVector, threshold float64) (*Detector, error) {
 	d, _, err := calibrate(states, threshold)
 	return d, err
@@ -157,28 +157,6 @@ func (d *Detector) Detect(states []StateVector) (*ExceptionResult, error) {
 	return res, nil
 }
 
-// Refreeze recalibrates a detector from a new window while keeping the
-// receiver's threshold policy: the returned detector has fresh robust
-// center/scale and a fresh RefMax frozen from the given states, but the same
-// ε/RefMax cutoff. This is the lifecycle's "the regime moved, re-anchor the
-// notion of routine variation" step — note that refreezing from a window of
-// exception states declares those exceptions the new routine, so the serve
-// path keeps it opt-in. The receiver is not modified.
-func (d *Detector) Refreeze(states []StateVector) (*Detector, error) {
-	if !d.Valid() {
-		return nil, ErrDetectorUncalibrated
-	}
-	nd, _, err := calibrate(states, d.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	if nd.Metrics() != d.Metrics() {
-		return nil, fmt.Errorf("%w: window has %d metrics, detector %d",
-			ErrVectorLength, nd.Metrics(), d.Metrics())
-	}
-	return nd, nil
-}
-
 // calibrate computes the frozen calibration and the raw (unnormalized)
 // per-state deviations of the training window. Shared by NewDetector and
 // DetectExceptions so the two stay bit-identical by construction.
@@ -191,7 +169,7 @@ func calibrate(states []StateVector, threshold float64) (*Detector, []float64, e
 		return nil, nil, ErrEmpty
 	}
 	if threshold <= 0 {
-		threshold = DefaultExceptionThreshold
+		threshold = defaultExceptionThreshold
 	}
 	m := len(states[0].Delta)
 	for i, s := range states {

@@ -48,8 +48,8 @@ func TestNewDetectorFreezesThresholdAndCalibration(t *testing.T) {
 	if !det.Valid() {
 		t.Fatal("detector not Valid after calibration")
 	}
-	if det.Threshold != DefaultExceptionThreshold {
-		t.Errorf("threshold = %v, want default %v", det.Threshold, DefaultExceptionThreshold)
+	if det.Threshold != defaultExceptionThreshold {
+		t.Errorf("threshold = %v, want default %v", det.Threshold, defaultExceptionThreshold)
 	}
 	if det.Metrics() != metricspec.MetricCount {
 		t.Errorf("Metrics = %d, want %d", det.Metrics(), metricspec.MetricCount)

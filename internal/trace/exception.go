@@ -1,8 +1,8 @@
 package trace
 
-// DefaultExceptionThreshold is the paper's cutoff: a state u is an
+// defaultExceptionThreshold is the paper's cutoff: a state u is an
 // exception when εᵤ/max(εᵤ) ≥ 0.01 (Section IV-B).
-const DefaultExceptionThreshold = 0.01
+const defaultExceptionThreshold = 0.01
 
 // zClip bounds a single metric's standardized deviation so that one
 // colossal excursion (e.g. a counter reset of tens of thousands after a
@@ -42,7 +42,7 @@ func (r *ExceptionResult) Exceptions(states []StateVector) []StateVector {
 // all visible to the same rule — the property the paper's raw-unit rule
 // gets from its comparable metric scales.
 //
-// A threshold ≤ 0 uses DefaultExceptionThreshold.
+// A threshold ≤ 0 uses defaultExceptionThreshold.
 //
 // DetectExceptions shares its calibration and scoring code with Detector,
 // so freezing a Detector on the same window and replaying it reproduces

@@ -432,16 +432,6 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 	return nil
 }
 
-// FirstLSN returns the lowest retained LSN (0 when the log is empty).
-func (w *WAL) FirstLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.segs) == 0 || (len(w.segs) == 1 && w.segs[0].count == 0) {
-		return 0
-	}
-	return w.segs[0].start
-}
-
 // NextLSN returns the LSN the next Append will get.
 func (w *WAL) NextLSN() uint64 {
 	w.mu.Lock()

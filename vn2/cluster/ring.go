@@ -14,10 +14,12 @@ const (
 	ringNodeDomain  = 0x6e6f6465   // "node"
 )
 
-// DefaultVnodes is the virtual-node count per shard. 64 vnodes keeps the
+// defaultVnodes is the virtual-node count per shard. 64 vnodes keeps the
 // max/min shard load ratio within ~20% for uniform node populations while
-// the ring stays small enough to rebuild on every topology change.
-const DefaultVnodes = 64
+// the ring stays small enough to rebuild on every topology change. It is a
+// constant, not a router setting: every party that derives the partition
+// must use the same count, so a second value could only break routing.
+const defaultVnodes = 64
 
 // Ring is a consistent-hash ring over node IDs. It is a pure function of
 // (seed, shards, vnodes): rebuilding the same tuple in any process yields
@@ -31,7 +33,6 @@ const DefaultVnodes = 64
 type Ring struct {
 	seed   uint64
 	shards int
-	vnodes int
 	points []ringPoint // sorted ascending by hash
 }
 
@@ -41,18 +42,17 @@ type ringPoint struct {
 }
 
 // NewRing builds the ring for the given seed and shard count. vnodes <= 0
-// selects DefaultVnodes. shards must be >= 1.
+// selects defaultVnodes. shards must be >= 1.
 func NewRing(seed uint64, shards, vnodes int) *Ring {
 	if shards < 1 {
 		panic("cluster: NewRing needs at least one shard")
 	}
 	if vnodes <= 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
 	r := &Ring{
 		seed:   seed,
 		shards: shards,
-		vnodes: vnodes,
 		points: make([]ringPoint, 0, shards*vnodes),
 	}
 	for s := 0; s < shards; s++ {

@@ -52,8 +52,6 @@ type Config struct {
 	// Seed keys the ring AND every jitter stream; equal seeds give
 	// bit-identical routing and backoff schedules.
 	Seed uint64
-	// Vnodes is the ring's virtual-node count per shard (0 = DefaultVnodes).
-	Vnodes int
 	// Attempts bounds one forward's retry ladder.
 	Attempts int
 	// RetryMin/RetryMax bound the decorrelated-jitter backoff.
@@ -129,7 +127,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	r := &Router{cfg: cfg, ring: NewRing(cfg.Seed, len(cfg.Shards), cfg.Vnodes)}
+	r := &Router{cfg: cfg, ring: NewRing(cfg.Seed, len(cfg.Shards), 0)}
 	for _, u := range cfg.Shards {
 		r.shards = append(r.shards, &shardState{url: u})
 	}

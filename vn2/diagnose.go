@@ -48,21 +48,15 @@ func (d *Diagnosis) Dominant() int {
 	return d.Ranked[0].Cause
 }
 
+// minStrength is the weight below which a cause is left out of the ranking.
+const minStrength = 1e-6
+
 // DiagnoseConfig tunes inference.
 type DiagnoseConfig struct {
-	// MinStrength zeroes weights below it in the ranking; ≤0 uses 1e-6.
-	MinStrength float64
 	// Workers parallelizes batch diagnosis across this many goroutines;
 	// 0 keeps it sequential and 1 or more fans out (negative uses
 	// GOMAXPROCS). Results are identical for any value.
 	Workers int
-}
-
-func (c DiagnoseConfig) withDefaults() DiagnoseConfig {
-	if c.MinStrength <= 0 {
-		c.MinStrength = 1e-6
-	}
-	return c
 }
 
 // Diagnose solves Problem 3 for one state with default configuration.
@@ -76,7 +70,6 @@ func (m *Model) DiagnoseWith(state trace.StateVector, cfg DiagnoseConfig) (*Diag
 	if !m.trained() {
 		return nil, ErrNotTrained
 	}
-	cfg = cfg.withDefaults()
 	s, err := m.normalize(state.Delta)
 	if err != nil {
 		return nil, err
@@ -85,7 +78,7 @@ func (m *Model) DiagnoseWith(state trace.StateVector, cfg DiagnoseConfig) (*Diag
 	if err != nil {
 		return nil, fmt.Errorf("project state: %w", err)
 	}
-	return rankDiagnosis(sol.W, sol.Residual, cfg.MinStrength), nil
+	return rankDiagnosis(sol.W, sol.Residual), nil
 }
 
 // DiagnoseBatch diagnoses many states, returning one Diagnosis per state.
@@ -96,7 +89,6 @@ func (m *Model) DiagnoseBatch(states []trace.StateVector, cfg DiagnoseConfig) ([
 	if len(states) == 0 {
 		return nil, ErrNoStates
 	}
-	cfg = cfg.withDefaults()
 	sm, err := statesMatrix(states, m.Scale)
 	if err != nil {
 		return nil, err
@@ -107,7 +99,7 @@ func (m *Model) DiagnoseBatch(states []trace.StateVector, cfg DiagnoseConfig) ([
 	}
 	out := make([]*Diagnosis, len(states))
 	for i := range states {
-		out[i] = rankDiagnosis(weights.Row(i), residuals[i], cfg.MinStrength)
+		out[i] = rankDiagnosis(weights.Row(i), residuals[i])
 	}
 	return out, nil
 }
@@ -132,7 +124,7 @@ func (m *Model) NormalizedNorm(delta []float64) (float64, error) {
 	return math.Sqrt(sum), nil
 }
 
-func rankDiagnosis(w []float64, residual, minStrength float64) *Diagnosis {
+func rankDiagnosis(w []float64, residual float64) *Diagnosis {
 	d := &Diagnosis{
 		Weights:  append([]float64(nil), w...),
 		Residual: residual,

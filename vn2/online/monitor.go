@@ -48,6 +48,13 @@ var (
 // Observation.Duplicate set and counts it in Stats.Duplicates. A same-epoch
 // report with a DIFFERENT vector is a conflict and stays ErrStaleReport.
 
+// ResidualThreshold is the relative-residual cutoff at or above which a
+// diagnosed exception counts as unattributed (the basis explains too little
+// of it) and enters the quarantine buffer. Relative residual is ‖s − wΨ‖/‖s‖
+// in the model's normalized space: 0 = fully explained, 1 = not explained at
+// all. The lifecycle judges drift and candidates against the same cutoff.
+const ResidualThreshold = 0.5
+
 // Config assembles a Monitor.
 type Config struct {
 	// Model is the trained representative matrix used to diagnose flagged
@@ -71,15 +78,6 @@ type Config struct {
 	// (nnls.SolveBatchInto): 0 uses all cores, otherwise as
 	// vn2.DiagnoseConfig.Workers. Results are identical for any value.
 	Workers int
-	// MinStrength is passed through to diagnosis ranking; ≤0 uses the
-	// vn2 default.
-	MinStrength float64
-	// ResidualThreshold is the relative-residual cutoff above which a
-	// diagnosed exception counts as unattributed (the basis explains too
-	// little of it) and enters the quarantine buffer. Relative residual is
-	// ‖s − wΨ‖/‖s‖ in the model's normalized space: 0 = fully explained,
-	// 1 = not explained at all. Defaults to 0.5.
-	ResidualThreshold float64
 	// QuarantineSize bounds the buffer of unattributed exception states kept
 	// for the next shadow retrain; the oldest are evicted when it is full.
 	// Defaults to 512.
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = -1
-	}
-	if c.ResidualThreshold <= 0 {
-		c.ResidualThreshold = 0.5
 	}
 	if c.QuarantineSize == 0 {
 		c.QuarantineSize = 512
@@ -456,10 +451,7 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 	for i, p := range pend {
 		states[i] = p.state
 	}
-	diags, err := model.DiagnoseBatch(states, vn2.DiagnoseConfig{
-		Workers:     m.cfg.Workers,
-		MinStrength: m.cfg.MinStrength,
-	})
+	diags, err := model.DiagnoseBatch(states, vn2.DiagnoseConfig{Workers: m.cfg.Workers})
 	if err != nil {
 		// Put the batch back so nothing is lost; newer flagged states queued
 		// during the solve stay behind it in order.
@@ -552,7 +544,7 @@ func RelResidual(model *vn2.Model, delta []float64, residual float64) float64 {
 // threshold, or an empty diagnosis of a state the detector flagged).
 func (m *Monitor) classify(model *vn2.Model, delta []float64, d *vn2.Diagnosis) resSample {
 	rel := RelResidual(model, delta, d.Residual)
-	return resSample{rel: rel, unattributed: rel >= m.cfg.ResidualThreshold || len(d.Ranked) == 0}
+	return resSample{rel: rel, unattributed: rel >= ResidualThreshold || len(d.Ranked) == 0}
 }
 
 // Snapshot returns a consistent copy of the rolling state: counters, the

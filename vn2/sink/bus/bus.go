@@ -46,12 +46,11 @@ type Event struct {
 // DefaultJournal is the journal capacity when New is given 0.
 const DefaultJournal = 256
 
-// DefaultJournalBytes is the journal's payload-byte budget when the
-// constructor is given 0. The journal is bounded by entries AND bytes: a
-// burst of large events (a drain diagnosing hundreds of states in one
-// epoch) evicts old entries early instead of pinning journalCap maximal
-// payloads in sink memory.
-const DefaultJournalBytes = 1 << 20
+// journalBytes is the journal's payload-byte budget. The journal is bounded
+// by entries AND bytes: a burst of large events (a drain diagnosing hundreds
+// of states in one epoch) evicts old entries early instead of pinning
+// journalCap maximal payloads in sink memory.
+const journalBytes = 1 << 20
 
 // eventOverhead approximates the fixed in-memory cost of one journaled
 // Event beyond its payload (sequence, timestamp, type header, slice
@@ -67,34 +66,22 @@ type Bus struct {
 	jHead     int
 	jLen      int
 	jBytes    int // payload bytes currently journaled (incl. overhead)
-	jMaxBytes int // byte budget; evict-oldest past it
 	evicted   uint64
 	published atomic.Uint64
 	encodeErr atomic.Uint64
 }
 
-// New builds a bus whose replay journal holds the last journalCap events
-// (0 = DefaultJournal) within the default byte budget.
+// New builds a bus whose replay journal is bounded both by entry count
+// (journalCap; 0 = DefaultJournal) and by journalBytes of payload. Whichever
+// bound fills first evicts the oldest journaled events; the newest event is
+// always retained even when it alone exceeds the byte budget.
 func New(journalCap int) *Bus {
-	return NewWithBytes(journalCap, 0)
-}
-
-// NewWithBytes builds a bus whose replay journal is bounded both by entry
-// count (0 = DefaultJournal) and by payload bytes (0 =
-// DefaultJournalBytes). Whichever bound fills first evicts the oldest
-// journaled events; the newest event is always retained even when it
-// alone exceeds the byte budget.
-func NewWithBytes(journalCap, maxBytes int) *Bus {
 	if journalCap <= 0 {
 		journalCap = DefaultJournal
 	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultJournalBytes
-	}
 	return &Bus{
-		subs:      make(map[*Sub]struct{}),
-		journal:   make([]Event, journalCap),
-		jMaxBytes: maxBytes,
+		subs:    make(map[*Sub]struct{}),
+		journal: make([]Event, journalCap),
 	}
 }
 
@@ -128,7 +115,7 @@ func (b *Bus) Publish(typ string, version int, data any) (Event, error) {
 	// entry bound would, so the journal's memory stays flat. The newest
 	// event always survives (jLen > 1) — resume semantics degrade to a
 	// shorter replay window, never to a dead journal.
-	for b.jBytes > b.jMaxBytes && b.jLen > 1 {
+	for b.jBytes > journalBytes && b.jLen > 1 {
 		b.jBytes -= eventSize(b.journal[b.jHead])
 		b.journal[b.jHead] = Event{} // release the payload
 		b.jHead = (b.jHead + 1) % len(b.journal)
@@ -217,7 +204,7 @@ func (b *Bus) Stats() Stats {
 		JournalLen:       b.jLen,
 		JournalCap:       len(b.journal),
 		JournalBytes:     b.jBytes,
-		JournalMaxBytes:  b.jMaxBytes,
+		JournalMaxBytes:  journalBytes,
 		JournalEvictions: b.evicted,
 	}
 	b.mu.Unlock()

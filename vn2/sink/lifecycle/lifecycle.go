@@ -67,20 +67,27 @@ type pendingSwap struct {
 	set *Set
 }
 
+// The drift trigger and the rollback verdict, over a filled window: a
+// shadow retrain starts when the unattributed rate reaches driftRate, or
+// when the residual p50 reaches driftRegress × its healthy baseline (and
+// half the unattributed cutoff, so a tiny baseline cannot trigger on noise);
+// a swap is reverted when the mean residual after probation exceeds
+// rollbackMargin × the pre-swap mean.
+const (
+	driftRate      = 0.5
+	driftRegress   = 4
+	rollbackMargin = 1.05
+)
+
 // Config is the lifecycle's knobs, already defaulted by the sink.
 type Config struct {
 	Enabled        bool          // lifecycle machinery on/off (Tick is a no-op when false upstream)
 	ModelsDir      string        // directory for persisted model generations
-	DriftRate      float64       // unattributed-rate trigger
 	DriftMin       int           // min drift-window fill before triggering
-	DriftRegress   float64       // p50 regression factor trigger
 	RetrainTimeout time.Duration // shadow retrain deadline
 	Probation      int           // post-swap window before commit/rollback
-	RollbackMargin float64       // mean-residual regression factor that reverts
-	ResidThreshold float64       // monitor's unattributed cutoff
 	HoldoutMin     int           // min held-out states to judge a candidate
 	CooldownTicks  int           // base trigger cooldown, in drain ticks
-	Refreeze       bool          // re-anchor the detector on accepted swaps (opt-in)
 	Sync           bool          // run retrains inline in the tick (tests/chaos only)
 	Workers        int           // solver goroutines for retrain/validation
 }
@@ -221,7 +228,7 @@ func (m *Manager) Tick() {
 	// pre-swap baseline by the rollback margin auto-reverts.
 	if m.prev != nil && ds.ModelVersion == m.cur.Version {
 		if ds.Window >= m.cfg.Probation {
-			if m.baseMean > 1e-9 && ds.MeanResidual > m.baseMean*m.cfg.RollbackMargin {
+			if m.baseMean > 1e-9 && ds.MeanResidual > m.baseMean*rollbackMargin {
 				from, to := m.cur, m.prev
 				base := m.baseMean
 				m.prev = nil
@@ -232,7 +239,7 @@ func (m *Manager) Tick() {
 				m.mu.Unlock()
 				fmt.Fprintf(os.Stderr,
 					"vn2 serve: rollback: v%d mean residual %.4f regressed past pre-swap %.4f (margin %.2f), reverting to v%d content\n",
-					from.Version, ds.MeanResidual, base, m.cfg.RollbackMargin, to.Version)
+					from.Version, ds.MeanResidual, base, rollbackMargin, to.Version)
 				if err := m.swapTo(to.Model, to.Det, from.Version, OriginRollback); err != nil {
 					fmt.Fprintln(os.Stderr, "vn2 serve: rollback swap:", err)
 				}
@@ -258,12 +265,12 @@ func (m *Manager) Tick() {
 	trigger := ""
 	if ds.Window >= m.cfg.DriftMin {
 		switch {
-		case ds.UnattributedRate >= m.cfg.DriftRate:
+		case ds.UnattributedRate >= driftRate:
 			trigger = fmt.Sprintf("unattributed rate %.3f >= %.3f over %d states",
-				ds.UnattributedRate, m.cfg.DriftRate, ds.Window)
+				ds.UnattributedRate, driftRate, ds.Window)
 		case m.p50Set && m.p50Base > 1e-9 &&
-			ds.P50 >= m.p50Base*m.cfg.DriftRegress &&
-			ds.P50 >= m.cfg.ResidThreshold/2:
+			ds.P50 >= m.p50Base*driftRegress &&
+			ds.P50 >= online.ResidualThreshold/2:
 			trigger = fmt.Sprintf("residual p50 %.4f regressed %.1fx past baseline %.4f",
 				ds.P50, ds.P50/m.p50Base, m.p50Base)
 		}
@@ -348,7 +355,7 @@ func (m *Manager) applySwap(ps *pendingSwap) {
 // swapTo persists the new generation, journals the swap, and enqueues the
 // barrier item that applies it. Ordering is the crash-consistency contract:
 //
-//  1. model (and detector) file: tmp + fsync + rename + dir fsync
+//  1. model file: tmp + fsync + rename + dir fsync
 //  2. WAL swap record appended + fsynced at the sink's commit point
 //  3. barrier item enqueued in the same commit step
 //
@@ -376,17 +383,6 @@ func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, o
 	rec := store.SwapRecord{Version: version, Parent: parent, Origin: origin, File: store.ModelFileName(version)}
 	if err := m.persistFile(rec.File, raw.Bytes()); err != nil {
 		return fmt.Errorf("persist model v%d: %w", version, err)
-	}
-	cur := m.Current()
-	if det != cur.Det {
-		db, err := json.Marshal(det)
-		if err != nil {
-			return fmt.Errorf("serialize detector v%d: %w", version, err)
-		}
-		rec.Detector = store.DetectorFileName(version)
-		if err := m.persistFile(rec.Detector, db); err != nil {
-			return fmt.Errorf("persist detector v%d: %w", version, err)
-		}
 	}
 	set := &Set{Model: model, Det: det, Version: version, Raw: json.RawMessage(raw.Bytes())}
 	if m.hooks.Enqueue == nil {

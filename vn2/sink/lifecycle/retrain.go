@@ -58,19 +58,7 @@ func (m *Manager) runRetrain() {
 	m.rejectN = 0
 	m.mu.Unlock()
 
-	det := cur.Det
-	if m.cfg.Refreeze {
-		// Opt-in: re-anchor "routine variation" on the very window that
-		// drifted. Refreezing from exception states declares them the new
-		// normal — that is the point of the flag, and why it is off by
-		// default.
-		if nd, err := det.Refreeze(window); err == nil {
-			det = nd
-		} else {
-			fmt.Fprintln(os.Stderr, "vn2 serve: detector refreeze failed, keeping frozen calibration:", err)
-		}
-	}
-	if err := m.swapTo(cand, det, cur.Version, OriginUpdate); err != nil {
+	if err := m.swapTo(cand, cur.Det, cur.Version, OriginUpdate); err != nil {
 		m.RetrainFails.Add(1)
 		m.retrainBackoff()
 		fmt.Fprintln(os.Stderr, "vn2 serve: hot-swap failed:", err)
@@ -149,7 +137,7 @@ func (m *Manager) ValidateCandidate(cur *Set, cand *vn2.Model, holdout []online.
 		candRel := online.RelResidual(cand, f.State.Delta, diags[i].Residual)
 		curSum += curRel
 		candSum += candRel
-		if dom := f.Diagnosis.Dominant(); dom >= 0 && curRel < m.cfg.ResidThreshold {
+		if dom := f.Diagnosis.Dominant(); dom >= 0 && curRel < online.ResidualThreshold {
 			attributed++
 			if diags[i].Dominant() == dom {
 				consistent++

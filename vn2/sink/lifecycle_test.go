@@ -107,7 +107,7 @@ func TestLifecycleDriftRetrainHotSwap(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 	pre := srv.mon.DriftStats()
-	if pre.Window < srv.opts.DriftMin || pre.UnattributedRate < srv.opts.DriftRate {
+	if pre.Window < srv.opts.DriftMin || pre.UnattributedRate < 0.5 { // the lifecycle's drift rate
 		t.Fatalf("drift regime did not saturate the window: %+v", pre)
 	}
 	if pre.MeanResidual < 0.5 {
@@ -179,7 +179,7 @@ func TestLifecycleDriftRetrainHotSwap(t *testing.T) {
 	if post.MeanResidual >= pre.MeanResidual || post.MeanResidual > 0.25 {
 		t.Errorf("post-swap mean residual %.4f did not improve on pre-swap %.4f", post.MeanResidual, pre.MeanResidual)
 	}
-	if post.UnattributedRate >= srv.opts.DriftRate {
+	if post.UnattributedRate >= 0.5 {
 		t.Errorf("post-swap unattributed rate %.3f still at trigger level", post.UnattributedRate)
 	}
 

@@ -8,7 +8,9 @@ import (
 
 // registerMetrics wires every layer's counters into the two registries:
 // reg carries the /metrics key set, statusReg the /status-only extras
-// layered on top.
+// layered on top. The key sets are disjoint — a key has one source, so
+// /metrics and /status cannot disagree about it (model_version is the
+// monitor's: the generation that is labelling diagnoses right now).
 func (s *Server) registerMetrics() {
 	s.reg = api.NewRegistry()
 
@@ -132,8 +134,7 @@ func (s *Server) registerMetrics() {
 		m["uptime_s"] = time.Since(s.started).Seconds()
 		m["uptime"] = time.Since(s.started).Round(time.Second).String()
 		m["lifecycle_enabled"] = s.opts.Lifecycle
-		version, cooldown, probation := s.lc.State()
-		m["model_version"] = version
+		_, cooldown, probation := s.lc.State()
 		m["model_cooldown_ticks"] = cooldown
 		m["model_probation"] = probation
 		m["model_retraining"] = s.lc.Retraining()

@@ -427,3 +427,18 @@ func TestBootMetrics(t *testing.T) {
 		t.Fatalf("no WAL was configured but boot_replay_ms = %v", replay)
 	}
 }
+
+// TestMetricsAndStatusKeysDisjoint: /status layers statusReg's keys over
+// reg's, so a key registered in both has two sources that can disagree while
+// a swap is in flight, and /status silently shows one of them (model_version
+// once did). With the WAL on, so every conditional provider reports.
+func TestMetricsAndStatusKeysDisjoint(t *testing.T) {
+	srv := walServer(t, serveFixtures(t), t.TempDir())
+	defer srv.jnl.Close()
+	status := srv.statusReg.Gather()
+	for k := range srv.reg.Gather() {
+		if _, twice := status[k]; twice {
+			t.Errorf("%q is registered for /metrics and again for /status", k)
+		}
+	}
+}

@@ -66,7 +66,6 @@ type Options struct {
 	Threshold     float64
 	QueueSize     int
 	MaxPending    int
-	History       int
 	Workers       int
 	DrainEvery    time.Duration // idle upper bound of the diagnosis pass; clock of the lifecycle/degraded probes
 	SnapshotEvery time.Duration
@@ -74,29 +73,21 @@ type Options struct {
 	// Model lifecycle (all inert unless Lifecycle is true).
 	ModelsDir      string        // directory for persisted model generations
 	Lifecycle      bool          // enable drift-triggered retrain + hot-swap
-	DriftRate      float64       // unattributed-rate trigger (default 0.5)
 	DriftMin       int           // min drift-window fill before triggering (default 32)
-	DriftRegress   float64       // p50 regression factor trigger (default 4)
 	RetrainTimeout time.Duration // shadow retrain deadline (default 2m)
 	Probation      int           // post-swap window before commit/rollback (default 32)
-	RollbackMargin float64       // mean-residual regression factor that reverts (default 1.05)
-	ResidThreshold float64       // monitor's unattributed cutoff (default 0.5)
 	HoldoutMin     int           // min held-out states to judge a candidate (default 8)
 	CooldownTicks  int           // base trigger cooldown, in drain ticks (default 8)
-	Refreeze       bool          // re-anchor the detector on accepted swaps (opt-in)
 	LifecycleSync  bool          // run retrains inline in DrainTick (tests/chaos only)
 
-	// Visibility plane.
-	EventJournal      int // bus replay journal capacity (0 = bus.DefaultJournal)
-	EventJournalBytes int // bus replay journal byte budget (0 = bus.DefaultJournalBytes)
-	StreamBuffer      int // per-/stream-subscriber ring capacity (0 = 64)
+	// StreamBuffer is the per-/stream-subscriber ring capacity (0 = 64).
+	StreamBuffer int
 
 	// Persistent frame-stream ingest edge (the -stream-addr flag; empty =
 	// no raw-TCP listener, HTTP ingest only).
-	StreamAddr         string
-	StreamMaxConns     int           // connection cap (0 = 64)
-	StreamReadTimeout  time.Duration // per-frame read deadline (0 = 30s)
-	StreamWriteTimeout time.Duration // per-response write deadline (0 = 10s)
+	StreamAddr        string
+	StreamMaxConns    int           // connection cap (0 = 64)
+	StreamReadTimeout time.Duration // per-frame read deadline (0 = 30s)
 
 	// Sleep is the retry sleeper; nil = time.Sleep (tests inject a no-op).
 	Sleep func(time.Duration)
@@ -106,26 +97,14 @@ type Options struct {
 // stays off unless o.Lifecycle is set — a zero-valued Options (the chaos
 // harness, existing tests) behaves exactly as before.
 func (o *Options) lifecycleDefaults() {
-	if o.DriftRate <= 0 {
-		o.DriftRate = 0.5
-	}
 	if o.DriftMin <= 0 {
 		o.DriftMin = 32
-	}
-	if o.DriftRegress <= 0 {
-		o.DriftRegress = 4
 	}
 	if o.RetrainTimeout <= 0 {
 		o.RetrainTimeout = 2 * time.Minute
 	}
 	if o.Probation <= 0 {
 		o.Probation = 32
-	}
-	if o.RollbackMargin <= 0 {
-		o.RollbackMargin = 1.05
-	}
-	if o.ResidThreshold <= 0 {
-		o.ResidThreshold = 0.5
 	}
 	if o.HoldoutMin <= 0 {
 		o.HoldoutMin = 8
@@ -228,13 +207,11 @@ func New(o Options) (*Server, error) {
 	}
 
 	mon, err := online.NewMonitor(online.Config{
-		Model:             model,
-		Detector:          det,
-		History:           o.History,
-		MaxPending:        o.MaxPending,
-		Workers:           o.Workers,
-		ResidualThreshold: o.ResidThreshold,
-		ModelVersion:      meta.ModelVersion,
+		Model:        model,
+		Detector:     det,
+		MaxPending:   o.MaxPending,
+		Workers:      o.Workers,
+		ModelVersion: meta.ModelVersion,
 	})
 	if err != nil {
 		return nil, err
@@ -277,20 +254,15 @@ func New(o Options) (*Server, error) {
 		binDec:  ingest.NewBinaryDecoder(),
 		binEnc:  packet.NewFrameEncoder(),
 	}
-	s.bus = bus.NewWithBytes(o.EventJournal, o.EventJournalBytes)
+	s.bus = bus.New(0)
 	s.lc = lifecycle.New(lifecycle.Config{
 		Enabled:        o.Lifecycle,
 		ModelsDir:      o.ModelsDir,
-		DriftRate:      o.DriftRate,
 		DriftMin:       o.DriftMin,
-		DriftRegress:   o.DriftRegress,
 		RetrainTimeout: o.RetrainTimeout,
 		Probation:      o.Probation,
-		RollbackMargin: o.RollbackMargin,
-		ResidThreshold: o.ResidThreshold,
 		HoldoutMin:     o.HoldoutMin,
 		CooldownTicks:  o.CooldownTicks,
-		Refreeze:       o.Refreeze,
 		Sync:           o.LifecycleSync,
 		Workers:        o.Workers,
 	}, mon,

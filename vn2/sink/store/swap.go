@@ -6,9 +6,10 @@ import (
 )
 
 // SwapRecord is the KindSwap WAL payload: which model generation starts at
-// this LSN. File (and Detector when the swap refroze one) name files inside
-// the models directory; they are persisted and fsynced BEFORE the record is
-// appended, so a replayed record's files always exist.
+// this LSN. File names a file inside the models directory, persisted and
+// fsynced BEFORE the record is appended, so a replayed record's file always
+// exists. Detector is only read: a WAL written by a sink that still refroze
+// its detector on a swap names that generation's detector file here.
 type SwapRecord struct {
 	Version  uint64 `json:"version"`
 	Parent   uint64 `json:"parent"`
@@ -29,9 +30,4 @@ type SwapEvent struct {
 // ModelFileName names a persisted model generation inside the models dir.
 func ModelFileName(version uint64) string {
 	return fmt.Sprintf("model-v%06d.json", version)
-}
-
-// DetectorFileName names a persisted detector generation.
-func DetectorFileName(version uint64) string {
-	return fmt.Sprintf("detector-v%06d.json", version)
 }

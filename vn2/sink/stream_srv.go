@@ -37,22 +37,22 @@ import (
 	"github.com/wsn-tools/vn2/internal/packet"
 )
 
-// Stream listener defaults (overridable via Options).
+// Stream listener defaults (the first two overridable via Options) and the
+// per-response write deadline.
 const (
-	defaultStreamConns        = 64
-	defaultStreamReadTimeout  = 30 * time.Second
-	defaultStreamWriteTimeout = 10 * time.Second
+	defaultStreamConns       = 64
+	defaultStreamReadTimeout = 30 * time.Second
+	streamWriteTimeout       = 10 * time.Second
 	// streamDrainGrace bounds how long a graceful StopStream waits for an
 	// in-flight frame before the read deadline severs the connection.
 	streamDrainGrace = 2 * time.Second
 )
 
 type streamSrv struct {
-	s            *Server
-	ln           net.Listener
-	maxConns     int
-	readTimeout  time.Duration
-	writeTimeout time.Duration
+	s           *Server
+	ln          net.Listener
+	maxConns    int
+	readTimeout time.Duration
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -75,21 +75,17 @@ func (s *Server) StartStream(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	st := &streamSrv{
-		s:            s,
-		ln:           ln,
-		maxConns:     s.opts.StreamMaxConns,
-		readTimeout:  s.opts.StreamReadTimeout,
-		writeTimeout: s.opts.StreamWriteTimeout,
-		conns:        make(map[net.Conn]struct{}),
+		s:           s,
+		ln:          ln,
+		maxConns:    s.opts.StreamMaxConns,
+		readTimeout: s.opts.StreamReadTimeout,
+		conns:       make(map[net.Conn]struct{}),
 	}
 	if st.maxConns <= 0 {
 		st.maxConns = defaultStreamConns
 	}
 	if st.readTimeout <= 0 {
 		st.readTimeout = defaultStreamReadTimeout
-	}
-	if st.writeTimeout <= 0 {
-		st.writeTimeout = defaultStreamWriteTimeout
 	}
 	s.stream = st
 	st.wg.Add(1)
@@ -157,7 +153,7 @@ func (st *streamSrv) acceptLoop() {
 		if over {
 			// Tell the peer why before hanging up; best effort.
 			st.s.streamRejects.Add(1)
-			c.SetWriteDeadline(time.Now().Add(st.writeTimeout))
+			c.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 			c.Write(packet.AppendStreamResp(nil, packet.StreamResp{
 				Status: packet.StreamNackUnavailable, RetryAfter: retryAfterUnavailable,
 			}))
@@ -210,7 +206,7 @@ func (st *streamSrv) handle(c net.Conn) {
 		if out.status != packet.StreamAck {
 			st.s.streamNacks.Add(1)
 		}
-		c.SetWriteDeadline(time.Now().Add(st.writeTimeout))
+		c.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		resp = packet.AppendStreamResp(resp[:0], packet.StreamResp{
 			Status: out.status, Accepted: out.accepted, RetryAfter: out.retryAfter,
 		})

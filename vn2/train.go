@@ -25,11 +25,6 @@ type TrainConfig struct {
 	// statuses are not large enough to conceal the representation of
 	// exceptions".
 	CompressAllStates bool
-	// ExceptionThreshold overrides the ε/max(ε) cutoff; ≤0 uses the
-	// paper's 0.01.
-	ExceptionThreshold float64
-	// Keep is the Algorithm-2 retained-information fraction; ≤0 uses 0.9.
-	Keep float64
 	// MaxIter bounds NMF sweeps; 0 uses 300.
 	MaxIter int
 	// Seed drives NMF initialization.
@@ -51,9 +46,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.SweepStep == 0 {
 		c.SweepStep = 5
-	}
-	if c.Keep <= 0 {
-		c.Keep = nmf.DefaultKeepFraction
 	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 300
@@ -93,7 +85,7 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		return nil, nil, ErrNoStates
 	}
 
-	det, err := trace.DetectExceptions(states, cfg.ExceptionThreshold)
+	det, err := trace.DetectExceptions(states, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("detect exceptions: %w", err)
 	}
@@ -151,7 +143,7 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		return nil, nil, fmt.Errorf("accuracy: %w", err)
 	}
 
-	sparseW, err := nmf.Sparsify(res.W, cfg.Keep)
+	sparseW, err := nmf.Sparsify(res.W, nmf.DefaultKeepFraction)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sparsify: %w", err)
 	}
@@ -165,7 +157,7 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		Scale:       scale,
 		MetricNames: metricNamesFor(e.Cols()),
 		Rank:        rank,
-		Keep:        cfg.Keep,
+		Keep:        nmf.DefaultKeepFraction,
 		TrainStates: len(workingStates),
 	}
 	model.Signatures = signedSignatures(workingStates, sparseW, scale)
@@ -213,7 +205,6 @@ func selectRank(e *mat.Dense, cfg TrainConfig) (int, []nmf.RankPoint, error) {
 		MinRank: minRank,
 		MaxRank: maxRank,
 		Step:    cfg.SweepStep,
-		Keep:    cfg.Keep,
 		Workers: cfg.Workers,
 		Base: nmf.Config{
 			MaxIter: cfg.MaxIter,

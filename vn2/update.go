@@ -14,8 +14,7 @@ import (
 // today's. The receiver is not modified; a new model is returned.
 //
 // The original normalization scale is kept so that diagnoses before and
-// after the update remain comparable; rank and keep fraction carry over
-// unless overridden in cfg.
+// after the update remain comparable; the rank carries over.
 func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, error) {
 	if !m.trained() {
 		return nil, nil, ErrNotTrained
@@ -25,7 +24,7 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 		return nil, nil, ErrNoStates
 	}
 
-	det, err := trace.DetectExceptions(states, cfg.ExceptionThreshold)
+	det, err := trace.DetectExceptions(states, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("detect exceptions: %w", err)
 	}
@@ -72,11 +71,7 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 	if report.Accuracy, err = res.Accuracy(e); err != nil {
 		return nil, nil, fmt.Errorf("accuracy: %w", err)
 	}
-	keep := m.Keep
-	if cfg.Keep > 0 {
-		keep = cfg.Keep
-	}
-	sparseW, err := nmf.Sparsify(res.W, keep)
+	sparseW, err := nmf.Sparsify(res.W, nmf.DefaultKeepFraction)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sparsify: %w", err)
 	}
@@ -90,7 +85,7 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 		Scale:       append([]float64(nil), m.Scale...),
 		MetricNames: append([]string(nil), m.MetricNames...),
 		Rank:        rank,
-		Keep:        keep,
+		Keep:        nmf.DefaultKeepFraction,
 		TrainStates: len(workingStates),
 	}
 	updated.Signatures = signedSignatures(workingStates, sparseW, updated.Scale)
