@@ -34,9 +34,9 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # and the router are timed by `vn2bench --trace 1`'s per-layer spans.
 BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM
 
-.PHONY: check vet lint build test race fuzz bench-build loc knobs chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak
+.PHONY: check vet lint build test race fuzz bench-build loc knobs chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
 
-check: vet lint build test race fuzz bench-build
+check: vet lint build test race fuzz bench-build benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -87,8 +87,9 @@ knobs:
 		s && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { n = split(substr($$0, RSTART + 1, RLENGTH - 2), f, ", "); for (i = 1; i <= n; i++) print f[i] }'; } | wc -l
 
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
-# report-body decoder, the three mote packet codecs, and the batched binary
-# frame decoder — each seeded from a committed corpus under testdata/ — the
+# report-body decoder, the three mote packet codecs, the batched binary
+# frame decoder — each seeded from a committed corpus under testdata/ — and
+# the stream's VN2A ack decoder (seeded in code), the
 # delta wire's bit-exact round trip (encoder → frame decoder → sink cache),
 # and the NNLS solver on degenerate and non-finite problems.
 fuzz:
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC2$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC3$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzStreamResp$$' -fuzztime $(FUZZ_TIME)
 
 # The three chaos targets are one harness (`vn2 chaos`) on different
 # parameters: -transport picks how the faulty run is delivered, -shards the
@@ -227,15 +229,22 @@ benchpairs:
 # loses its oracle verdict or does not finish:
 #   make benchsoak N=12
 SOAK_WORKLOADS ?= $(shell sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\(.*\)".*/\1/p' BENCHMARK.json)
+SOAK_ARGS      ?= --seconds 12
 
 benchsoak:
 	@mkdir -p .bench_build/soak
 	@printf '%-14s %4s %9s %6s %-7s %8s\n' workload seed attempted failed oracle setup_s
 	@for w in $(SOAK_WORKLOADS); do for i in $$(seq 1 $(N)); do \
 		out=.bench_build/soak/$$w-$$i.txt; \
-		bash benchmark/run.sh --workload $$w --seed $$i --seconds 12 > $$out 2>&1 || { cat $$out; exit 1; }; \
+		bash benchmark/run.sh --workload $$w --seed $$i $(SOAK_ARGS) > $$out 2>&1 || { cat $$out; exit 1; }; \
 		awk -v w=$$w -v seed=$$i ' \
 			/^== / { attempted = $$5; failed = $$8; oracle = /oracle ok$$/ ? "ok" : "MISSING" } \
 			$$1 == "setup_s" { setup = $$2 } \
 			END { printf "%-14s %4d %9d %6s %-7s %8.4f\n", w, seed, attempted, failed, oracle, setup; exit !(failed == "0" && oracle == "ok") }' $$out || exit 1; \
 	done; done
+
+# benchsmoke is benchsoak's rule at a smoke window, and the last step of
+# `make check`: every workload once with --smoke --seconds 2 (≈22 s for all
+# four on a 2-vCPU host), failing on any failed operation or missing oracle.
+benchsmoke:
+	@$(MAKE) --no-print-directory benchsoak N=1 SOAK_ARGS="--smoke --seconds 2"

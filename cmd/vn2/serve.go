@@ -26,7 +26,7 @@ func cmdServe(args []string) error {
 	fs.StringVar(&o.SnapshotPath, "snapshot", "", "snapshot file: loaded at startup when present, rewritten periodically")
 	fs.StringVar(&o.WALPath, "wal", "", "write-ahead log directory: accepted reports are journaled before the 202 and replayed on restart (empty = no WAL)")
 	fs.Float64Var(&o.Threshold, "threshold", 0, "exception cutoff eps/max(eps) (0 = paper's 0.01)")
-	fs.IntVar(&o.QueueSize, "queue", 1024, "bounded ingest queue size; full queue returns 503")
+	fs.IntVar(&o.QueueSize, "queue", 1024, "ingest queue bound, in reports: a bound, paid for as used; a batch it has no room for gets 503")
 	fs.IntVar(&o.MaxPending, "max-pending", 0, "bound on flagged states awaiting diagnosis (0 = 4096)")
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
 	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
@@ -36,7 +36,7 @@ func cmdServe(args []string) error {
 	fs.IntVar(&o.DriftMin, "drift-min", 0, "diagnosed states the drift window must hold before the trigger can fire (0 = 32)")
 	fs.DurationVar(&o.RetrainTimeout, "retrain-timeout", 0, "shadow retrain deadline (0 = 2m)")
 	fs.IntVar(&o.Probation, "probation", 0, "post-swap diagnosed states before the swap commits or rolls back (0 = 32)")
-	fs.IntVar(&o.StreamBuffer, "stream-buffer", 0, "per-/stream-subscriber event buffer; slow consumers drop oldest (0 = 64)")
+	fs.IntVar(&o.StreamBuffer, "stream-buffer", 0, "per-/stream-subscriber event buffer: a bound, paid for as used; slow consumers drop oldest (0 = 64)")
 	fs.StringVar(&o.StreamAddr, "stream-addr", "", "persistent frame-stream listen address (raw TCP, VN2F frames with per-frame ACK/NACK); empty = HTTP ingest only")
 	fs.IntVar(&o.StreamMaxConns, "stream-conns", 0, "stream connection cap; excess connections are refused with a NACK (0 = 64)")
 	fs.DurationVar(&o.StreamReadTimeout, "stream-read-timeout", 0, "per-frame stream read deadline; slow or stalled peers are disconnected (0 = 30s)")

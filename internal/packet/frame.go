@@ -181,9 +181,11 @@ func (e *FrameEncoder) Count() int { return e.n }
 // Fulls reports how many of them are full records.
 func (e *FrameEncoder) Fulls() int { return e.fulls }
 
-func (e *FrameEncoder) precheck(epoch int, m int) error {
-	if e.n >= MaxFrameRecords {
-		return fmt.Errorf("%w: %d records", ErrFrameTooLarge, e.n)
+// checkRecord checks one more record, of epoch and vector length m, for a
+// frame holding n against the wire's ranges.
+func checkRecord(n, epoch, m int) error {
+	if n >= MaxFrameRecords {
+		return fmt.Errorf("%w: %d records", ErrFrameTooLarge, n)
 	}
 	if epoch < 0 || int64(epoch) > math.MaxUint32 {
 		return fmt.Errorf("%w: epoch %d outside u32", ErrFrameTooLarge, epoch)
@@ -198,7 +200,7 @@ func (e *FrameEncoder) precheck(epoch int, m int) error {
 // the same length and the delta comes out smaller than a full record, and
 // full otherwise. The baseline advances to vec either way.
 func (e *FrameEncoder) Add(node NodeID, epoch int, vec []float64) error {
-	if err := e.precheck(epoch, len(vec)); err != nil {
+	if err := checkRecord(e.n, epoch, len(vec)); err != nil {
 		return err
 	}
 	base, ok := e.last[node]
@@ -249,19 +251,15 @@ func (e *FrameEncoder) Add(node NodeID, epoch int, vec []float64) error {
 // (the WAL path stores batches fully materialized so replay never depends
 // on truncated history).
 func (e *FrameEncoder) AddFull(node NodeID, epoch int, vec []float64) error {
-	if err := e.precheck(epoch, len(vec)); err != nil {
+	if err := checkRecord(e.n, epoch, len(vec)); err != nil {
 		return err
 	}
 	return e.addFull(node, epoch, vec)
 }
 
-func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) error {
-	e.buf = append(e.buf, byte(RecFull))
-	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(node))
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(epoch))
-	e.buf = append(e.buf, byte(len(vec)))
-	for _, v := range vec {
-		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) (err error) {
+	if e.buf, err = AppendFull(e.buf, node, epoch, vec); err != nil {
+		return err
 	}
 	e.fulls++
 	e.n++
@@ -281,12 +279,36 @@ func (e *FrameEncoder) addFull(node NodeID, epoch int, vec []float64) error {
 // Frame finalizes the header (count, length, CRC) and returns the encoded
 // frame. The slice aliases the encoder's buffer: it is valid until the next
 // Reset or Add.
-func (e *FrameEncoder) Frame() ([]byte, error) {
-	if payload := len(e.buf) - FrameHeaderLen; payload > MaxFramePayload {
+func (e *FrameEncoder) Frame() ([]byte, error) { return SealFrame(e.buf, e.n) }
+
+// AppendFull appends one full record to buf, a frame under construction —
+// the bytes AddFull writes, with no delta baseline kept — or returns buf
+// unchanged with the error AddFull would give.
+func AppendFull(buf []byte, node NodeID, epoch int, vec []float64) ([]byte, error) {
+	if err := checkRecord(0, epoch, len(vec)); err != nil {
+		return buf, err
+	}
+	buf = append(buf, byte(RecFull))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(node))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(epoch))
+	buf = append(buf, byte(len(vec)))
+	for _, v := range vec {
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf, nil
+}
+
+// SealFrame checks the frame limits of buf — FrameHeaderLen bytes of header
+// room, then n records — and fills in its header.
+func SealFrame(buf []byte, n int) ([]byte, error) {
+	if n > MaxFrameRecords {
+		return nil, fmt.Errorf("%w: %d records", ErrFrameTooLarge, n)
+	}
+	if payload := len(buf) - FrameHeaderLen; payload > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payload)
 	}
-	sealFrame(e.buf, e.n)
-	return e.buf, nil
+	sealFrame(buf, n)
+	return buf, nil
 }
 
 // sealFrame fills in the header of buf, a frame of n records: FrameHeaderLen

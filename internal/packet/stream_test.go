@@ -156,3 +156,35 @@ func TestReadFrameMalformed(t *testing.T) {
 		t.Fatalf("torn header: err %v, want io.ErrUnexpectedEOF", err)
 	}
 }
+
+// FuzzStreamResp: the VN2A ack decoder never panics on arbitrary bytes, a
+// short read is an error, a bad magic is ErrBadResp, and whatever it accepts
+// re-encodes to the same 8 bytes; every AppendStreamResp output with in-range
+// fields, unknown statuses included, reads back equal.
+func FuzzStreamResp(f *testing.F) {
+	for _, st := range []StreamStatus{StreamAck, StreamNackBad, StreamNackBusy, StreamNackUnavailable, 9} {
+		good := AppendStreamResp(nil, StreamResp{Status: st, Accepted: 64, RetryAfter: 1})
+		f.Add(good, byte(st), uint16(64), uint8(1))
+		f.Add(good[:5], byte(st), uint16(MaxFrameRecords), uint8(255))
+	}
+	f.Add([]byte{}, byte(0), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, b []byte, status byte, accepted uint16, retry uint8) {
+		got, err := ReadStreamResp(bytes.NewReader(b), nil)
+		switch {
+		case len(b) < StreamRespLen:
+			if err == nil {
+				t.Fatalf("%d bytes read as %+v", len(b), got)
+			}
+		case err == nil:
+			if out := AppendStreamResp(nil, got); !bytes.Equal(out, b[:StreamRespLen]) {
+				t.Fatalf("% x read as %+v, which encodes to % x", b[:StreamRespLen], got, out)
+			}
+		case !errors.Is(err, ErrBadResp):
+			t.Fatalf("% x: err %v, want ErrBadResp", b[:StreamRespLen], err)
+		}
+		want := StreamResp{Status: StreamStatus(status), Accepted: int(accepted), RetryAfter: int(retry)}
+		if got, err := ReadStreamResp(bytes.NewReader(AppendStreamResp(nil, want)), nil); err != nil || got != want {
+			t.Fatalf("round trip of %+v: %+v, %v", want, got, err)
+		}
+	})
+}

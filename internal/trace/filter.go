@@ -1,42 +1,5 @@
 package trace
 
-import "github.com/wsn-tools/vn2/internal/packet"
-
-// FilterEpochRange returns the states with Epoch in [lo, hi].
-func FilterEpochRange(states []StateVector, lo, hi int) []StateVector {
-	var out []StateVector
-	for _, s := range states {
-		if s.Epoch >= lo && s.Epoch <= hi {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FilterNode returns the states belonging to one node, in input order.
-func FilterNode(states []StateVector, node packet.NodeID) []StateVector {
-	var out []StateVector
-	for _, s := range states {
-		if s.Node == node {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SplitAtEpoch partitions states into those at or before the epoch and
-// those after — the train/test split used in the testbed study.
-func SplitAtEpoch(states []StateVector, epoch int) (before, after []StateVector) {
-	for _, s := range states {
-		if s.Epoch <= epoch {
-			before = append(before, s)
-		} else {
-			after = append(after, s)
-		}
-	}
-	return before, after
-}
-
 // GroupByEpoch buckets states by epoch.
 func GroupByEpoch(states []StateVector) map[int][]StateVector {
 	out := make(map[int][]StateVector)

@@ -12,53 +12,6 @@ func filterFixture() []StateVector {
 	}
 }
 
-func TestFilterEpochRange(t *testing.T) {
-	got := FilterEpochRange(filterFixture(), 2, 3)
-	if len(got) != 2 {
-		t.Fatalf("len = %d, want 2", len(got))
-	}
-	for _, s := range got {
-		if s.Epoch < 2 || s.Epoch > 3 {
-			t.Errorf("epoch %d outside [2,3]", s.Epoch)
-		}
-	}
-	if got := FilterEpochRange(filterFixture(), 10, 20); len(got) != 0 {
-		t.Errorf("empty range returned %d states", len(got))
-	}
-}
-
-func TestFilterNode(t *testing.T) {
-	got := FilterNode(filterFixture(), 1)
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Epoch < got[i-1].Epoch {
-			t.Error("input order not preserved")
-		}
-	}
-	if got := FilterNode(filterFixture(), 99); len(got) != 0 {
-		t.Errorf("unknown node returned %d states", len(got))
-	}
-}
-
-func TestSplitAtEpoch(t *testing.T) {
-	before, after := SplitAtEpoch(filterFixture(), 2)
-	if len(before) != 3 || len(after) != 2 {
-		t.Fatalf("split = %d/%d, want 3/2", len(before), len(after))
-	}
-	for _, s := range before {
-		if s.Epoch > 2 {
-			t.Errorf("before contains epoch %d", s.Epoch)
-		}
-	}
-	for _, s := range after {
-		if s.Epoch <= 2 {
-			t.Errorf("after contains epoch %d", s.Epoch)
-		}
-	}
-}
-
 func TestGroupByEpoch(t *testing.T) {
 	groups := GroupByEpoch(filterFixture())
 	if len(groups) != 4 {

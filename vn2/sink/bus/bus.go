@@ -7,7 +7,8 @@
 //   - Publishing never blocks and never waits on a subscriber. Each
 //     subscriber owns a bounded ring buffer; when a slow consumer falls
 //     behind, its OLDEST buffered events are dropped and counted — the
-//     serving path is never the victim of a stuck dashboard.
+//     serving path is never the victim of a stuck dashboard. The bound is
+//     not a reservation: a ring grows with what it holds (Queue).
 //   - No bus-level lock is held during fan-out. Publish assigns the
 //     sequence number and snapshots the subscriber list under the bus
 //     lock, releases it, and then touches each subscriber under that
@@ -62,9 +63,7 @@ type Bus struct {
 	mu        sync.Mutex
 	seq       uint64
 	subs      map[*Sub]struct{}
-	journal   []Event // ring: journal[(jHead+i)%cap] for i < jLen
-	jHead     int
-	jLen      int
+	journal   ring[Event]
 	jBytes    int // payload bytes currently journaled (incl. overhead)
 	evicted   uint64
 	published atomic.Uint64
@@ -81,7 +80,7 @@ func New(journalCap int) *Bus {
 	}
 	return &Bus{
 		subs:    make(map[*Sub]struct{}),
-		journal: make([]Event, journalCap),
+		journal: ring[Event]{bound: journalCap},
 	}
 }
 
@@ -102,40 +101,33 @@ func (b *Bus) Publish(typ string, version int, data any) (Event, error) {
 	b.mu.Lock()
 	b.seq++
 	ev := Event{Seq: b.seq, Time: time.Now().UTC(), Type: typ, V: version, Data: raw}
-	if b.jLen == len(b.journal) {
-		b.jBytes -= eventSize(b.journal[b.jHead])
-		b.journal[b.jHead] = ev
-		b.jHead = (b.jHead + 1) % len(b.journal)
-	} else {
-		b.journal[(b.jHead+b.jLen)%len(b.journal)] = ev
-		b.jLen++
+	if old, rotated := b.journal.push(ev); rotated {
+		b.jBytes -= eventSize(old)
 	}
 	b.jBytes += eventSize(ev)
 	// Byte budget: a burst of large payloads evicts oldest-first before the
 	// entry bound would, so the journal's memory stays flat. The newest
-	// event always survives (jLen > 1) — resume semantics degrade to a
+	// event always survives (n > 1) — resume semantics degrade to a
 	// shorter replay window, never to a dead journal.
-	for b.jBytes > journalBytes && b.jLen > 1 {
-		b.jBytes -= eventSize(b.journal[b.jHead])
-		b.journal[b.jHead] = Event{} // release the payload
-		b.jHead = (b.jHead + 1) % len(b.journal)
-		b.jLen--
+	for b.jBytes > journalBytes && b.journal.n > 1 {
+		old, _ := b.journal.pop()
+		b.jBytes -= eventSize(old)
 		b.evicted++
 	}
 	// Pushed under mu: two publishers that released it first could reach a
-	// subscriber's ring in the opposite order of their Seqs. push never
+	// subscriber's ring in the opposite order of their Seqs. Push never
 	// blocks (ring insert + non-blocking notify), and nothing takes a Sub's
 	// mutex before the bus's.
 	for s := range b.subs {
-		s.push(ev)
+		s.Push(ev)
 	}
 	b.mu.Unlock()
 	b.published.Add(1)
 	return ev, nil
 }
 
-// Subscribe attaches a live-only subscriber whose ring holds buffer events
-// (0 = 64).
+// Subscribe attaches a live-only subscriber whose ring holds up to buffer
+// events (0 = 64).
 func (b *Bus) Subscribe(buffer int) *Sub {
 	return b.Resume(0, buffer)
 }
@@ -149,16 +141,11 @@ func (b *Bus) Resume(after uint64, buffer int) *Sub {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	s := &Sub{
-		bus:    b,
-		buf:    make([]Event, buffer),
-		notify: make(chan struct{}, 1),
-	}
+	s := &Sub{Queue: NewQueue[Event](buffer), bus: b}
 	b.mu.Lock()
-	for i := 0; i < b.jLen; i++ {
-		ev := b.journal[(b.jHead+i)%len(b.journal)]
-		if ev.Seq > after {
-			s.pushLocked(ev)
+	for i := 0; i < b.journal.n; i++ {
+		if ev := b.journal.at(i); ev.Seq > after {
+			s.Push(ev)
 		}
 	}
 	b.subs[s] = struct{}{}
@@ -201,8 +188,8 @@ func (b *Bus) Stats() Stats {
 	st := Stats{
 		Published:        b.published.Load(),
 		EncodeErrs:       b.encodeErr.Load(),
-		JournalLen:       b.jLen,
-		JournalCap:       len(b.journal),
+		JournalLen:       b.journal.n,
+		JournalCap:       b.journal.bound,
 		JournalBytes:     b.jBytes,
 		JournalMaxBytes:  journalBytes,
 		JournalEvictions: b.evicted,
@@ -237,53 +224,67 @@ func (b *Bus) unsubscribe(s *Sub) {
 	b.mu.Unlock()
 }
 
-// Sub is one subscriber: a bounded ring of undelivered events plus a drop
-// counter. Not safe for concurrent Next calls; one consumer per Sub.
+// Sub is one subscriber: a Queue of undelivered events, registered with the
+// bus until Close.
 type Sub struct {
-	bus     *Bus
+	*Queue[Event]
+	bus *Bus
+}
+
+// Close detaches the subscriber. A blocked Next returns (Event{}, false).
+// Close is idempotent.
+func (s *Sub) Close() {
+	s.Queue.Close()
+	s.bus.unsubscribe(s)
+}
+
+// Queue is a FIFO of at most bound items with one consumer — what a /stream
+// subscriber reads, and the sink's ingest queue. Push never blocks: a full
+// queue sheds its oldest item, counted, never the producer. The bound is not
+// a reservation: the ring grows by doubling with what it holds.
+type Queue[T any] struct {
 	mu      sync.Mutex
-	buf     []Event
-	head, n int
+	ring    ring[T]
 	dropped uint64
 	closed  bool
 	notify  chan struct{}
 }
 
-func (s *Sub) push(ev Event) {
-	s.mu.Lock()
-	s.pushLocked(ev)
-	s.mu.Unlock()
+// NewQueue returns an empty queue of at most bound (≥ 1) items.
+func NewQueue[T any](bound int) *Queue[T] {
+	return &Queue[T]{ring: ring[T]{bound: bound}, notify: make(chan struct{}, 1)}
+}
+
+// Push appends v; once the queue is closed it drops v.
+func (q *Queue[T]) Push(v T) {
+	q.mu.Lock()
+	if !q.closed {
+		if _, dropped := q.ring.push(v); dropped {
+			q.dropped++
+		}
+	}
+	q.mu.Unlock()
+	q.wake()
+}
+
+func (q *Queue[T]) wake() {
 	select {
-	case s.notify <- struct{}{}:
+	case q.notify <- struct{}{}:
 	default:
 	}
 }
 
-func (s *Sub) pushLocked(ev Event) {
-	if s.closed {
-		return
-	}
-	if s.n == len(s.buf) {
-		// Slow consumer: shed its oldest buffered event, not the publisher.
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
-		s.dropped++
-	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
+// Next blocks until an item is queued, the context is done, or the queue is
+// closed and empty. ok is false exactly when no item is returned.
+func (q *Queue[T]) Next(ctx context.Context) (v T, ok bool) {
+	v, ok, _ = q.NextIdle(ctx, 0)
+	return v, ok
 }
 
-// Next blocks until an event is buffered, the context is done, or the
-// subscription is closed. ok is false exactly when no event is returned.
-func (s *Sub) Next(ctx context.Context) (ev Event, ok bool) {
-	ev, ok, _ = s.NextIdle(ctx, 0)
-	return ev, ok
-}
-
-// NextIdle is Next with an idle timeout: when idle > 0 and no event arrives
+// NextIdle is Next with an idle timeout: when idle > 0 and no item arrives
 // within it, NextIdle returns with idle=true (and ok=false) so the caller
 // can emit a keep-alive and come back. idle <= 0 blocks indefinitely.
-func (s *Sub) NextIdle(ctx context.Context, idleAfter time.Duration) (ev Event, ok, idle bool) {
+func (q *Queue[T]) NextIdle(ctx context.Context, idleAfter time.Duration) (v T, ok, idle bool) {
 	var idleC <-chan time.Time
 	if idleAfter > 0 {
 		t := time.NewTimer(idleAfter)
@@ -291,64 +292,91 @@ func (s *Sub) NextIdle(ctx context.Context, idleAfter time.Duration) (ev Event, 
 		idleC = t.C
 	}
 	for {
-		s.mu.Lock()
-		if s.n > 0 {
-			ev = s.buf[s.head]
-			s.buf[s.head] = Event{} // release the payload
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
-			s.mu.Unlock()
-			return ev, true, false
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return Event{}, false, false
+		q.mu.Lock()
+		v, ok = q.ring.pop()
+		closed := q.closed
+		q.mu.Unlock()
+		if ok || closed {
+			return v, ok, false
 		}
 		select {
 		case <-ctx.Done():
-			return Event{}, false, false
+			return v, false, false
 		case <-idleC:
-			return Event{}, false, true
-		case <-s.notify:
+			return v, false, true
+		case <-q.notify:
 		}
 	}
 }
 
-// TryNext returns a buffered event without blocking.
-func (s *Sub) TryNext() (Event, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Event{}, false
-	}
-	ev := s.buf[s.head]
-	s.buf[s.head] = Event{}
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	return ev, true
+// TryNext returns a queued item without blocking.
+func (q *Queue[T]) TryNext() (T, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.ring.pop()
 }
 
-// Dropped is how many events this subscriber has lost to its bounded ring.
-func (s *Sub) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
+// Len is how many items are queued.
+func (q *Queue[T]) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.ring.n
 }
 
-// Close detaches the subscriber. A blocked Next returns (Event{}, false).
-// Close is idempotent.
-func (s *Sub) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.bus.unsubscribe(s)
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
+// Dropped is how many items the queue has shed at its bound.
+func (q *Queue[T]) Dropped() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.dropped
 }
+
+// Close stops the queue taking items and wakes a blocked Next, which returns
+// what is still queued and then (zero, false). Close is idempotent.
+func (q *Queue[T]) Close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.wake()
+}
+
+// ring is a FIFO of at most bound (≥ 1) items whose backing array grows by
+// doubling as items are pushed. At the bound a push overwrites the oldest
+// item.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+	bound   int
+}
+
+// push appends v. A ring full at its bound first drops its oldest item and
+// returns it with dropped true.
+func (r *ring[T]) push(v T) (old T, dropped bool) {
+	if r.n == len(r.buf) {
+		if r.n < r.bound {
+			buf := make([]T, min(max(2*r.n, 8), r.bound))
+			copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+			r.buf, r.head = buf, 0
+		} else {
+			old, dropped = r.pop()
+		}
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+	return old, dropped
+}
+
+// pop removes and returns the oldest item, zeroing its slot so the ring
+// keeps nothing it no longer holds reachable.
+func (r *ring[T]) pop() (v T, ok bool) {
+	if r.n == 0 {
+		return v, false
+	}
+	var zero T
+	v, r.buf[r.head] = r.buf[r.head], zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v, true
+}
+
+// at is the i-th oldest item, 0 ≤ i < n.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }

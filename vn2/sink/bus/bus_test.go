@@ -220,3 +220,63 @@ func TestBusConcurrent(t *testing.T) {
 		t.Errorf("published = %d, want %d", st.Published, publishers*perPublisher)
 	}
 }
+
+// TestBusRingGrowsToItsBound: a subscriber's buffer is a bound, not a
+// reservation — 10 events into a 1<<16 ring take at most 16 slots — and at
+// the bound the ring still sheds exactly its oldest events, counted, the
+// survivors in Seq order.
+func TestBusRingGrowsToItsBound(t *testing.T) {
+	const buffer = 1 << 16
+	b := New(0)
+	sub := b.Subscribe(buffer)
+	defer sub.Close()
+	publishN(t, b, "tick", 10)
+	if slots := len(sub.ring.buf); slots > 16 {
+		t.Fatalf("10 events hold %d slots, want ≤ 16", slots)
+	}
+	publishN(t, b, "tick", 2*buffer-10)
+	if got := sub.Dropped(); got != buffer {
+		t.Fatalf("dropped %d after %d pushes, want %d", got, 2*buffer, buffer)
+	}
+	if slots := len(sub.ring.buf); slots != buffer {
+		t.Fatalf("ring at its bound has %d slots, want %d", slots, buffer)
+	}
+	for want := uint64(buffer + 1); want <= 2*buffer; want++ {
+		if ev, ok := sub.TryNext(); !ok || ev.Seq != want {
+			t.Fatalf("got (%d, %v), want seq %d", ev.Seq, ok, want)
+		}
+	}
+	if _, ok := sub.TryNext(); ok {
+		t.Fatal("ring holds more than its bound")
+	}
+}
+
+// TestRingMatchesSliceModel: growing from a wrapped ring, and dropping at
+// the bound, keep the ring equal to a plain FIFO slice op for op.
+func TestRingMatchesSliceModel(t *testing.T) {
+	const bound = 100
+	r := ring[int]{bound: bound}
+	var model []int
+	for i := 0; i < 500; i++ {
+		if i%3 == 2 {
+			v, ok := r.pop()
+			if !ok || v != model[0] {
+				t.Fatalf("op %d: pop (%d, %v), want %d", i, v, ok, model[0])
+			}
+			model = model[1:]
+			continue
+		}
+		old, dropped := r.push(i)
+		if model = append(model, i); len(model) > bound {
+			if !dropped || old != model[0] {
+				t.Fatalf("op %d: push at the bound dropped (%d, %v), want %d", i, old, dropped, model[0])
+			}
+			model = model[1:]
+		} else if dropped {
+			t.Fatalf("op %d: push below the bound dropped %d", i, old)
+		}
+		if r.n != len(model) || r.at(0) != model[0] || r.at(r.n-1) != i {
+			t.Fatalf("op %d: ring of %d from %d, model of %d from %d", i, r.n, r.at(0), len(model), model[0])
+		}
+	}
+}

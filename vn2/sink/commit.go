@@ -16,9 +16,9 @@ import (
 // report batch from any transport, a model swap, a shard handoff — enters
 // the sink through one step taken under commitMu:
 //
-//	check room → WAL append → queue send
+//	check room → WAL append → queue push
 //
-// No producer appends or sends outside that step, so queue order IS LSN
+// No producer appends or pushes outside that step, so queue order IS LSN
 // order and every appended record is in the queue: the ingest loop applies
 // items in the order a WAL replay would, and the applied watermark is the
 // LSN of the last item it finished. Admission is all-or-nothing and comes
@@ -53,23 +53,30 @@ const (
 )
 
 // Barrier failures that are not journal failures: refused for lack of room
-// (before anything was journaled), or queued but not applied in time.
+// in the queue or in the diagnosis backlog (before anything was journaled),
+// or queued but not applied in time.
 var (
 	errQueueFull    = errors.New("serve: ingest queue full")
+	errBacklogFull  = errors.New("serve: diagnosis backlog full")
 	errApplyTimeout = errors.New("serve: ingest loop did not apply the operation in time")
 )
 
 // room reports whether n more reports fit the queue. Only the ingest loop
-// lowers depth, so under commitMu a true answer stays true until the send.
-func (s *Server) room(n int) bool { return int(s.depth.Load())+n <= cap(s.queue) }
+// lowers depth, so under commitMu a true answer stays true until the push.
+func (s *Server) room(n int) bool { return int(s.depth.Load())+n <= s.opts.QueueSize }
 
-// enqueue sends one item. The caller holds commitMu and has checked room
-// for the item's weight; every queued item weighs at least one, so the
-// channel (capacity = the queue size in reports) has a free slot and the
-// send cannot block.
+// spoken is the diagnosis backlog already spoken for: the monitor's pending
+// states, every queued report (any of them may flag) and every pending state
+// a queued handoff import carries. Admission keeps it at most MaxPending, so
+// no ACKed report's flagged state is ever dropped.
+func (s *Server) spoken() int { return s.mon.Pending() + s.QueueDepth() + int(s.backlog.Load()) }
+
+// enqueue pushes one item. The caller holds commitMu and has checked room
+// for the item's weight and backlog for its pending states.
 func (s *Server) enqueue(it ingest.Item) {
 	s.depth.Add(int64(it.Weight()))
-	s.queue <- it
+	s.backlog.Add(int64(it.Pending))
+	s.queue.Push(it)
 }
 
 // shedDegraded builds the NACK for work refused because the server is in
@@ -133,14 +140,14 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 	busy := ""
 	if !s.room(n) {
 		busy = "ingest queue full"
-	} else if s.mon.Pending()+s.QueueDepth()+n > s.opts.MaxPending {
+	} else if s.spoken()+n > s.opts.MaxPending {
 		busy = "diagnosis backlog full"
 		s.refusedBacklog.Add(uint64(n))
 	}
 	if busy != "" {
 		s.commitMu.Unlock()
 		s.rejected.Add(uint64(n))
-		if limit := min(cap(s.queue), s.opts.MaxPending); n > limit {
+		if limit := min(s.opts.QueueSize, s.opts.MaxPending); n > limit {
 			return outcome{
 				status:   packet.StreamNackBad,
 				tooLarge: true,
@@ -162,9 +169,10 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 		head, rest = ingest.SplitFrame(rest)
 		var lsn uint64
 		if s.jnl != nil {
-			frame, err := ingest.FullFrame(s.binEnc, head)
+			var err error
+			s.walBuf, err = ingest.FullFrame(s.walBuf, head)
 			if err == nil {
-				lsn, err = s.jnl.AppendBatch(frame)
+				lsn, err = s.jnl.AppendBatch(s.walBuf)
 			}
 			if err != nil {
 				s.commitMu.Unlock()
@@ -221,13 +229,18 @@ func writeOutcome(w http.ResponseWriter, out outcome) {
 // barrier is the commit step for everything that is not a report batch: it
 // journals a control record (journal is nil for a read-only barrier) and
 // queues apply at that position in the report order — where a WAL replay
-// re-applies the record. With no room it fails before journaling, so a
-// control record is never in the WAL without being in the queue.
-func (s *Server) barrier(journal func() (uint64, error), apply func()) error {
+// re-applies the record. pending is how many states apply adds to the
+// diagnosis backlog (a handoff import's). With no room in the queue or the
+// backlog it fails before journaling, so a control record is never in the
+// WAL without being in the queue.
+func (s *Server) barrier(pending int, journal func() (uint64, error), apply func()) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	if !s.room(1) {
 		return errQueueFull
+	}
+	if pending > 0 && s.spoken()+pending > s.opts.MaxPending {
+		return errBacklogFull
 	}
 	var lsn uint64
 	if s.jnl != nil && journal != nil {
@@ -236,7 +249,7 @@ func (s *Server) barrier(journal func() (uint64, error), apply func()) error {
 			return err
 		}
 	}
-	s.enqueue(ingest.Item{LSN: lsn, Apply: apply})
+	s.enqueue(ingest.Item{LSN: lsn, Apply: apply, Pending: pending})
 	return nil
 }
 
@@ -244,9 +257,9 @@ func (s *Server) barrier(journal func() (uint64, error), apply func()) error {
 // to run apply, so the caller observes every report committed before it and
 // none committed after. The handoff handlers ride this: an export computed
 // here cannot miss an already-ACKed report, and a drop cannot outrun one.
-func (s *Server) barrierWait(journal func() (uint64, error), apply func()) error {
+func (s *Server) barrierWait(pending int, journal func() (uint64, error), apply func()) error {
 	done := make(chan struct{})
-	err := s.barrier(journal, func() {
+	err := s.barrier(pending, journal, func() {
 		apply()
 		close(done)
 	})

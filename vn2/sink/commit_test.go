@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net"
@@ -103,7 +104,7 @@ func TestReportEdgeValidation(t *testing.T) {
 			if got := srv.jnl.NextLSN() - before; got != c.batches {
 				t.Fatalf("request appended %d WAL records, want %d", got, c.batches)
 			}
-			if got := len(srv.queue); got != int(c.batches) {
+			if got := srv.queue.Len(); got != int(c.batches) {
 				t.Fatalf("queue holds %d items, want %d", got, c.batches)
 			}
 			srv.IngestQueued()
@@ -160,7 +161,7 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 
 	// The ingest loop, instrumented.
 	var applied int // items with an LSN, which must be 1, 2, 3, ...
-	stopIngest := make(chan struct{})
+	ingestCtx, stopIngest := context.WithCancel(context.Background())
 	ingestDone := make(chan struct{})
 	checkAndApply := func(q ingest.Item) {
 		if wm := srv.applied.Load(); wm != uint64(applied) {
@@ -179,13 +180,8 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 	}
 	go func() {
 		defer close(ingestDone)
-		for {
-			select {
-			case q := <-srv.queue:
-				checkAndApply(q)
-			case <-stopIngest:
-				return
-			}
+		for q, ok := srv.queue.Next(ingestCtx); ok; q, ok = srv.queue.Next(ingestCtx) {
+			checkAndApply(q)
 		}
 	}()
 
@@ -333,19 +329,14 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 	producers.Wait()
 	close(stopTicks)
 	<-ticksDone
-	close(stopIngest)
+	stopIngest()
 	<-ingestDone
 	if err := srv.StopStream(true); err != nil {
 		t.Fatalf("StopStream: %v", err)
 	}
 	drain := func() {
-		for {
-			select {
-			case q := <-srv.queue:
-				checkAndApply(q)
-			default:
-				return
-			}
+		for q, ok := srv.queue.TryNext(); ok; q, ok = srv.queue.TryNext() {
+			checkAndApply(q)
 		}
 	}
 	drain()
@@ -507,7 +498,7 @@ func TestBacklogAdmission(t *testing.T) {
 	accept(hot(0, 4))
 	srv.IngestQueued() // 4 pending
 	accept(hot(4, 6))  // 4 pending + 2 queued: the backlog is spoken for
-	lsn, items := srv.jnl.NextLSN(), len(srv.queue)
+	lsn, items := srv.jnl.NextLSN(), srv.queue.Len()
 
 	resp, body := postJSON(t, ts.URL+"/report", hot(6, 7))
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
@@ -518,8 +509,8 @@ func TestBacklogAdmission(t *testing.T) {
 	if out.status != packet.StreamNackBusy || out.accepted != 0 || out.retryAfter != retryAfterBusy {
 		t.Fatalf("frame edge: %+v, want a busy NACK", out)
 	}
-	if got := srv.jnl.NextLSN(); got != lsn || len(srv.queue) != items || srv.QueueDepth() != 2 {
-		t.Errorf("refused batches left a trace: next LSN %d → %d, queue %d → %d items, depth %d", lsn, got, items, len(srv.queue), srv.QueueDepth())
+	if got := srv.jnl.NextLSN(); got != lsn || srv.queue.Len() != items || srv.QueueDepth() != 2 {
+		t.Errorf("refused batches left a trace: next LSN %d → %d, queue %d → %d items, depth %d", lsn, got, items, srv.queue.Len(), srv.QueueDepth())
 	}
 	if rej, ref := srv.rejected.Load(), srv.refusedBacklog.Load(); rej != 4 || ref != 4 {
 		t.Errorf("reports_rejected=%d reports_refused_backlog=%d, want 4/4", rej, ref)

@@ -68,16 +68,19 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "],\"rank\":%d}\n", rank)
 }
 
-// barrierFail answers a handoff whose barrier failed: a full queue or a
-// slow ingest loop is a plain 503 (nothing changed, or the journaled change
-// will still apply); anything else is the journal failing, which degrades
-// the sink like a failed report append.
+// barrierFail answers a handoff whose barrier failed: a full queue or
+// backlog or a slow ingest loop is a plain 503 (nothing changed, or the
+// journaled change will still apply); anything else is the journal failing,
+// which degrades the sink like a failed report append.
 func (s *Server) barrierFail(w http.ResponseWriter, op string, err error) {
-	if errors.Is(err, errQueueFull) || errors.Is(err, errApplyTimeout) {
+	switch {
+	case errors.Is(err, errBacklogFull):
+		api.Unavailable(w, retryAfterBusy, err.Error(), nil)
+	case errors.Is(err, errQueueFull) || errors.Is(err, errApplyTimeout):
 		api.Unavailable(w, retryAfterUnavailable, err.Error(), nil)
-		return
+	default:
+		writeOutcome(w, s.journalDown(op, err))
 	}
-	writeOutcome(w, s.journalDown(op, err))
 }
 
 // handleHandoffExport answers with the requested nodes' slice of monitor
@@ -97,7 +100,7 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sl online.NodeSlice
-	if err := s.barrierWait(nil, func() { sl = s.mon.ExportNodes(req.Nodes) }); err != nil {
+	if err := s.barrierWait(0, nil, func() { sl = s.mon.ExportNodes(req.Nodes) }); err != nil {
 		s.barrierFail(w, "handoff export", err)
 		return
 	}
@@ -138,8 +141,14 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
+	// Its pending states join the diagnosis backlog like reports (commit's
+	// admission rule): a slice no amount of draining makes room for is a 413.
+	if len(sl.Pending) > s.opts.MaxPending {
+		api.Error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("slice carries %d pending states, the diagnosis backlog holds %d", len(sl.Pending), s.opts.MaxPending), nil)
+		return
+	}
 	var importErr error
-	err := s.barrierWait(func() (uint64, error) {
+	err := s.barrierWait(len(sl.Pending), func() (uint64, error) {
 		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffIn, Slice: raw})
 	}, func() { importErr = s.mon.ImportNodes(sl) })
 	if err != nil {
@@ -181,7 +190,7 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		api.Error(w, http.StatusBadRequest, "body must be {\"nodes\": [id, ...]}", nil)
 		return
 	}
-	err := s.barrierWait(func() (uint64, error) {
+	err := s.barrierWait(0, func() (uint64, error) {
 		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffOut, Nodes: req.Nodes})
 	}, func() { s.mon.DropNodes(req.Nodes) })
 	if err != nil {

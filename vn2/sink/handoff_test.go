@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/packet"
+	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/cluster"
 	"github.com/wsn-tools/vn2/vn2/online"
 )
@@ -186,4 +188,103 @@ func TestHandoffImportValidates(t *testing.T) {
 func waitIngested(t *testing.T, srv *Server, n uint64) {
 	t.Helper()
 	waitFor(t, 5*time.Second, "the pump to ingest the queued reports", func() bool { return srv.ingested.Load() >= n })
+}
+
+// TestHandoffImportAdmission: an import's pending states count against the
+// diagnosis backlog like reports do. With MaxPending 8 an import carrying 5
+// pending states sits queued (it weighs 1); a 6-report flagged batch —
+// 1 + 5 + 6 > 8 — is refused 503 with Retry-After 1 and nothing journaled,
+// where admission without the import's states ACKed it and then dropped 3 of
+// its states. A second import that would overflow is refused the same way,
+// one that alone exceeds MaxPending is a 413, and monitor_dropped stays 0.
+func TestHandoffImportAdmission(t *testing.T) {
+	fx := serveFixtures(t)
+	nodes := fx.nodes()
+	hot := func(ns []int) (recs []trace.Record) {
+		for _, n := range ns {
+			recs = append(recs, fx.hotReport(t, n, 1))
+		}
+		return recs
+	}
+	ids := func(ns []int) (out []packet.NodeID) {
+		for _, n := range ns {
+			out = append(out, packet.NodeID(n))
+		}
+		return out
+	}
+	peer, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath})
+	if err != nil {
+		t.Fatalf("New peer: %v", err)
+	}
+	if out := peer.commit(func() ([]trace.Record, error) { return hot(nodes[:9]), nil }); out.status != packet.StreamAck {
+		t.Fatalf("peer batch: %+v", out)
+	}
+	peer.IngestQueued()
+	five, nine := peer.mon.ExportNodes(ids(nodes[:5])), peer.mon.ExportNodes(ids(nodes[:9]))
+	if len(five.Pending) != 5 || len(nine.Pending) != 9 {
+		t.Fatalf("peer slices carry %d and %d pending states, want 5 and 9", len(five.Pending), len(nine.Pending))
+	}
+
+	srv, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
+		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 64, MaxPending: 8, Sleep: noSleep})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.CloseWAL()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	refused := func(what, path string, body any, code int) {
+		t.Helper()
+		lsn := srv.jnl.NextLSN()
+		resp, msg := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != code || (code == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "1") {
+			t.Fatalf("%s: %d (Retry-After %q) %s, want %d", what, resp.StatusCode, resp.Header.Get("Retry-After"), msg, code)
+		}
+		if srv.jnl.NextLSN() != lsn {
+			t.Fatalf("%s: refused, yet journaled", what)
+		}
+	}
+	dropped := func(when string) {
+		t.Helper()
+		if d := srv.mon.Stats().Dropped; d != 0 {
+			t.Fatalf("%s: monitor_dropped %d", when, d)
+		}
+	}
+
+	refused("import of 9 pending states", "/handoff/import", nine, http.StatusRequestEntityTooLarge)
+	raw, _ := json.Marshal(five)
+	imported := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/handoff/import", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			imported <- 0
+			return
+		}
+		resp.Body.Close()
+		imported <- resp.StatusCode
+	}()
+	waitFor(t, 5*time.Second, "the import to queue", func() bool { return srv.QueueDepth() == 1 })
+	refused("6 flagged reports behind a queued import", "/report", hot(nodes[10:16]), http.StatusServiceUnavailable)
+	dropped("batch refused")
+	srv.IngestQueued()
+	if code := <-imported; code != http.StatusOK {
+		t.Fatalf("import: %d", code)
+	}
+	if p := srv.mon.Pending(); p != 5 {
+		t.Fatalf("pending %d after the import, want 5", p)
+	}
+	refused("a second import of 5", "/handoff/import", five, http.StatusServiceUnavailable)
+	if resp, body := postJSON(t, ts.URL+"/report", hot(nodes[10:13])); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("3 reports into the 3 free slots: %d %s", resp.StatusCode, body)
+	}
+	srv.IngestQueued()
+	if p := srv.mon.Pending(); p != 8 {
+		t.Fatalf("pending %d, want the backlog exactly full at 8", p)
+	}
+	dropped("backlog full")
+	srv.DrainTick()
+	if p := srv.mon.Pending(); p != 0 {
+		t.Fatalf("pending %d after a drain", p)
+	}
+	dropped("drained")
 }

@@ -158,13 +158,14 @@ func SplitFrame(recs []trace.Record) (head, rest []trace.Record) {
 
 // FullFrame encodes recs as one frame of full records — the form the WAL
 // stores, so a replay that starts after a snapshot truncation never needs
-// delta history. The frame aliases enc's buffer until its next Reset.
-func FullFrame(enc *packet.FrameEncoder, recs []trace.Record) ([]byte, error) {
-	enc.Reset()
+// delta history — reusing buf's storage from its start. It keeps no per-node
+// state: the bytes are FrameEncoder.AddFull's for the same records.
+func FullFrame(buf []byte, recs []trace.Record) (_ []byte, err error) {
+	buf = append(buf[:0], make([]byte, packet.FrameHeaderLen)...)
 	for i := range recs {
-		if err := enc.AddFull(recs[i].Node, recs[i].Epoch, recs[i].Vector); err != nil {
+		if buf, err = packet.AppendFull(buf, recs[i].Node, recs[i].Epoch, recs[i].Vector); err != nil {
 			return nil, err
 		}
 	}
-	return enc.Frame()
+	return packet.SealFrame(buf, len(recs))
 }

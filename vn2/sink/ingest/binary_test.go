@@ -361,10 +361,14 @@ func TestObserveMatchesDecode(t *testing.T) {
 	vec := []float64{1, 2.5, math.Copysign(0, -1), 4}
 	recs := []trace.Record{{Node: 3, Epoch: 7, Vector: vec}, {Node: 4, Epoch: 7, Vector: vec}}
 	enc := packet.NewFrameEncoder()
-	full, err := FullFrame(enc, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := encodeFrame(t, enc, func(e *packet.FrameEncoder) error { // primes the client's baselines
+		for _, r := range recs {
+			if err := e.AddFull(r.Node, r.Epoch, r.Vector); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	viaFrame, viaJSON := NewBinaryDecoder(), NewBinaryDecoder()
 	if _, err := viaFrame.Decode(full); err != nil {
 		t.Fatal(err)
@@ -425,15 +429,55 @@ func TestSplitFrame(t *testing.T) {
 		{"past the record limit", batch(packet.MaxFrameRecords+1, 0), packet.MaxFrameRecords},
 		{"past the payload limit", batch(perFull+1, packet.MaxVectorLen), perFull},
 	}
-	enc := packet.NewFrameEncoder()
 	for _, c := range cases {
 		head, rest := SplitFrame(c.recs)
 		if len(head) != c.wantHead || len(head)+len(rest) != len(c.recs) {
 			t.Errorf("%s: split %d → %d + %d, want head %d", c.name, len(c.recs), len(head), len(rest), c.wantHead)
 			continue
 		}
-		if _, err := FullFrame(enc, head); err != nil {
+		if _, err := FullFrame(nil, head); err != nil {
 			t.Errorf("%s: head does not encode: %v", c.name, err)
 		}
+	}
+}
+
+// TestFullFrameMatchesEncoder: the WAL's frame builder, which keeps no
+// per-node state, writes exactly the bytes FrameEncoder.AddFull does for the
+// same records — ±0, NaN payloads, infinities and 255-metric vectors
+// included — and reusing its buffer changes nothing.
+func TestFullFrameMatchesEncoder(t *testing.T) {
+	words := []uint64{0, 1 << 63, 0x7ff8000000000001, 0x7ff0000000000001, 0xfff7ffffffffffff,
+		0x7ff0000000000000, 1, math.Float64bits(-1234.5)}
+	wide := make([]float64, packet.MaxVectorLen)
+	for i := range wide {
+		wide[i] = math.Float64frombits(words[i%len(words)] ^ uint64(i)<<20)
+	}
+	recs := []trace.Record{
+		{Node: 1, Epoch: 0, Vector: []float64{math.Copysign(0, -1), 0, math.NaN()}},
+		{Node: 2, Epoch: math.MaxUint32, Vector: wide},
+		{Node: 1, Epoch: 5, Vector: []float64{}},
+		{Node: 65535, Epoch: 7, Vector: wide[:43]},
+	}
+	enc := packet.NewFrameEncoder()
+	var buf []byte
+	for n := range recs {
+		want := encodeFrame(t, enc, func(e *packet.FrameEncoder) error {
+			for _, r := range recs[n:] {
+				if err := e.AddFull(r.Node, r.Epoch, r.Vector); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		var err error
+		if buf, err = FullFrame(buf, recs[n:]); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != string(want) {
+			t.Fatalf("records %d..: FullFrame differs from AddFull's frame (%d vs %d bytes)", n, len(buf), len(want))
+		}
+	}
+	if _, err := FullFrame(buf, []trace.Record{{Node: 1, Epoch: -1}}); !errors.Is(err, packet.ErrFrameTooLarge) {
+		t.Fatalf("epoch -1: err %v, want ErrFrameTooLarge as AddFull gives", err)
 	}
 }

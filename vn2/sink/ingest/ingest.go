@@ -1,6 +1,6 @@
 // Package ingest is the sink's decode layer: it turns a POST /report body
-// or a binary frame into validated trace records, re-encodes a batch into
-// the fully-materialized frame the WAL stores, and defines the queue item
+// or a binary frame into validated trace records, builds the
+// fully-materialized frame the WAL stores, and defines the queue item
 // that carries a committed batch (or a barrier) from the commit point to
 // the single ingest loop. It deliberately knows nothing about HTTP status
 // codes, the WAL, or the monitor — those live in sink/api, sink/store and
@@ -89,11 +89,14 @@ func decode(raw []byte) ([]trace.Record, error) {
 // the report order. LSN is the WAL record the item was journaled as (0 when
 // journaling is off or the barrier journals nothing); the ingest loop
 // publishes it as the applied watermark once the item is done. Apply is an
-// opaque closure so this package stays ignorant of the lifecycle layer.
+// opaque closure so this package stays ignorant of the lifecycle layer;
+// Pending is how many flagged states it adds to the monitor's backlog (a
+// handoff import's), which admission counts like reports.
 type Item struct {
-	LSN   uint64
-	Recs  []trace.Record
-	Apply func()
+	LSN     uint64
+	Recs    []trace.Record
+	Apply   func()
+	Pending int
 }
 
 // Weight is what the item costs against the queue's capacity, which is

@@ -24,7 +24,7 @@ func (s *Server) registerMetrics() {
 		m["reports_ingested"] = s.ingested.Load()
 		m["ingest_errors"] = s.ingestErr.Load()
 		m["queue_depth"] = s.QueueDepth()
-		m["queue_capacity"] = cap(s.queue)
+		m["queue_capacity"] = s.opts.QueueSize
 		woken, ticked := s.drainsWoken.Load(), s.drainsTicked.Load()
 		m["drains"] = woken + ticked
 		m["drains_woken"] = woken

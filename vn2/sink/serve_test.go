@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -183,8 +185,8 @@ func TestServeBackpressure(t *testing.T) {
 	if out.Accepted != 0 || out.Dropped != 3 {
 		t.Errorf("accepted=%d dropped=%d, want 0/3", out.Accepted, out.Dropped)
 	}
-	if srv.QueueDepth() != 2 || len(srv.queue) != 1 {
-		t.Errorf("queue holds %d reports in %d items, want 2 in 1", srv.QueueDepth(), len(srv.queue))
+	if srv.QueueDepth() != 2 || srv.queue.Len() != 1 {
+		t.Errorf("queue holds %d reports in %d items, want 2 in 1", srv.QueueDepth(), srv.queue.Len())
 	}
 	if got := srv.jnl.NextLSN(); got != lsnBefore {
 		t.Errorf("shed batch was journaled: next LSN %d → %d", lsnBefore, got)
@@ -261,7 +263,7 @@ func TestServeConcurrentIngest(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	close(srv.queue)
+	srv.queue.Close()
 	<-ingestDone
 	<-obsDone
 	srv.DrainTick()
@@ -504,4 +506,48 @@ func TestDrainFailureRetriedByTicksOnly(t *testing.T) {
 		t.Errorf("after %d failed ticks: degraded=%v pending=%d, want degraded with all %d states kept",
 			drainFailLimit, srv.deg.Active(), srv.mon.Pending(), 2*drainFailLimit)
 	}
+}
+
+// TestSinkReservesNothing: -queue and -stream-buffer are bounds, paid for as
+// used. A running sink with a 1<<16-report queue and one live /stream
+// subscriber holding a 1<<16-event ring grows the live heap by under 1 MB
+// (a reserved queue and ring would take ≈7.9), and still does after 64
+// batches have gone through both.
+func TestSinkReservesNothing(t *testing.T) {
+	fx := serveFixtures(t)
+	batches := fx.rampBatches(t, 64*8, 8)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	srv, url, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
+		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 1 << 16, StreamBuffer: 1 << 16,
+		DrainEvery: 20 * time.Millisecond, Sleep: noSleep})
+	defer stop()
+	resp, err := http.Get(url + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	go io.Copy(io.Discard, resp.Body)
+	waitFor(t, 5*time.Second, "the /stream subscriber", func() bool { return srv.bus.Stats().Subscribers == 1 })
+	check := func(when string) {
+		t.Helper()
+		grew := heap() - base
+		t.Logf("%s: live heap grew %.2f MB", when, float64(grew)/(1<<20))
+		if grew > 1<<20 {
+			t.Fatalf("%s: want < 1 MB", when)
+		}
+	}
+	check("booted")
+	for _, b := range batches {
+		if resp, body := postJSON(t, url+"/report", b); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("batch: %d %s", resp.StatusCode, body)
+		}
+	}
+	waitFor(t, 5*time.Second, "the batches to apply", func() bool { return srv.QueueDepth() == 0 })
+	check("after 64 batches")
 }

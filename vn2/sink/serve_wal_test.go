@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
@@ -169,7 +168,7 @@ func TestSnapshotNeverAheadOfWAL(t *testing.T) {
 	// The commit step without its trailing Sync: appended and queued, then
 	// applied, with the bytes still in the WAL's write buffer.
 	early := []trace.Record{fx.hotReport(t, nodes[0], 1)}
-	frame, err := ingest.FullFrame(packet.NewFrameEncoder(), early)
+	frame, err := ingest.FullFrame(nil, early)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
@@ -56,20 +55,22 @@ type Server struct {
 	bus *bus.Bus
 
 	// The commit point (see commit.go). commitMu orders every WAL append
-	// with its queue send; it also guards the two codecs, which reuse
-	// arenas: binDec is the sink side of the delta protocol, binEnc
-	// re-encodes batches fully materialized for the WAL. depth is the queue
-	// occupancy in reports (what -queue, queue_depth and admission count),
-	// raised under commitMu and lowered by the ingest loop. applied is the
-	// LSN of the last item the ingest loop finished — with in-order apply,
-	// everything at or below it has been offered to the monitor.
+	// with its queue push; it also guards the two arenas it reuses: binDec,
+	// the sink side of the delta protocol, and walBuf, where the WAL's full
+	// frames are built. depth is the queue occupancy in reports (what
+	// -queue, queue_depth and admission count) and backlog the pending
+	// states queued handoff imports carry; both are raised under commitMu
+	// and lowered by the ingest loop. applied is the LSN of the last item
+	// the ingest loop finished — with in-order apply, everything at or below
+	// it has been offered to the monitor.
 	commitMu sync.Mutex
-	queue    chan ingest.Item
-	wake     chan struct{} // 1 slot, ingest loop → drain loop: "flagged states are pending"
+	queue    *bus.Queue[ingest.Item] // grows with what it holds; room bounds it to -queue reports
+	wake     chan struct{}           // 1 slot, ingest loop → drain loop: "flagged states are pending"
 	depth    atomic.Int64
+	backlog  atomic.Int64
 	applied  atomic.Uint64
 	binDec   *ingest.BinaryDecoder
-	binEnc   *packet.FrameEncoder
+	walBuf   []byte
 
 	reg       *api.Registry // the /metrics keys
 	statusReg *api.Registry // /status extras layered on top of reg
@@ -150,12 +151,13 @@ func (s *Server) clearDegraded(class string) {
 	s.publish(EvDegradedCleared, degradedEvent{Reason: reason})
 }
 
-// ingestLoop consumes the queue until it is closed, feeding the monitor and
-// advancing the applied watermark. A report counts as applied whether the
-// monitor accepted it or rejected it as stale/duplicate/invalid — either
-// way it never needs replaying.
+// ingestLoop consumes the queue until it is closed and empty, feeding the
+// monitor and advancing the applied watermark. A report counts as applied
+// whether the monitor accepted it or rejected it as stale/duplicate/invalid
+// — either way it never needs replaying.
 func (s *Server) ingestLoop() {
-	for q := range s.queue {
+	ctx := context.Background()
+	for q, ok := s.queue.Next(ctx); ok; q, ok = s.queue.Next(ctx) {
 		s.ingestOne(q)
 	}
 }
@@ -165,16 +167,11 @@ func (s *Server) ingestLoop() {
 // harness and tests, which drive the server without background goroutines.
 // With no drain loop to wake, it applies the loop's burst rule itself.
 func (s *Server) IngestQueued() {
-	for {
-		select {
-		case q := <-s.queue:
-			s.ingestOne(q)
-		default:
-			if s.mon.Pending() >= drainBurst {
-				_ = s.drainPass(&s.drainsWoken) // a failure is logged and counted inside
-			}
-			return
-		}
+	for q, ok := s.queue.TryNext(); ok; q, ok = s.queue.TryNext() {
+		s.ingestOne(q)
+	}
+	if s.mon.Pending() >= drainBurst {
+		_ = s.drainPass(&s.drainsWoken) // a failure is logged and counted inside
 	}
 }
 
@@ -183,8 +180,10 @@ func (s *Server) ingestOne(q ingest.Item) {
 		q.Apply()
 	}
 	s.ingestRecs(q.Recs)
-	// Lowered last: admission must never see a report as neither queued nor pending.
+	// Lowered last: admission must never see a report or an imported state
+	// as neither queued nor pending.
 	s.depth.Add(-int64(q.Weight()))
+	s.backlog.Add(-int64(q.Pending))
 	if q.LSN != 0 {
 		s.applied.Store(q.LSN)
 	}
@@ -436,7 +435,7 @@ func (s *Server) Run(ctx context.Context) error {
 			ln.Close()
 			cancelLoops()
 			s.lc.Wait()
-			close(s.queue)
+			s.queue.Close()
 			wg.Wait()
 			if s.jnl != nil {
 				s.jnl.Close()
@@ -448,7 +447,7 @@ func (s *Server) Run(ctx context.Context) error {
 
 	fmt.Fprintf(os.Stderr, "vn2 serve: boot %s\n", s.boot)
 	fmt.Fprintf(os.Stderr, "vn2 serve: listening on http://%s (queue %d, drain %s, wal %q)\n",
-		ln.Addr(), cap(s.queue), s.opts.DrainEvery, s.opts.WALPath)
+		ln.Addr(), s.opts.QueueSize, s.opts.DrainEvery, s.opts.WALPath)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -457,7 +456,7 @@ func (s *Server) Run(ctx context.Context) error {
 		s.StopStream(true)
 		cancelLoops()
 		s.lc.Wait()
-		close(s.queue)
+		s.queue.Close()
 		wg.Wait()
 		if s.jnl != nil {
 			s.jnl.Close()
@@ -482,7 +481,7 @@ func (s *Server) Run(ctx context.Context) error {
 	// drain what was already queued, then finish.
 	cancelLoops()
 	s.lc.Wait()
-	close(s.queue)
+	s.queue.Close()
 	wg.Wait()
 	s.DrainTick()
 	if err := s.PersistSnapshot(context.Background()); err != nil {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
@@ -80,7 +79,8 @@ type Options struct {
 	CooldownTicks  int           // base trigger cooldown, in drain ticks (default 8)
 	LifecycleSync  bool          // run retrains inline in DrainTick (tests/chaos only)
 
-	// StreamBuffer is the per-/stream-subscriber ring capacity (0 = 64).
+	// StreamBuffer bounds each /stream subscriber's ring (0 = 64). It and
+	// QueueSize are bounds, paid for as used: neither is allocated up front.
 	StreamBuffer int
 
 	// Persistent frame-stream ingest edge (the -stream-addr flag; empty =
@@ -247,12 +247,11 @@ func New(o Options) (*Server, error) {
 	s := &Server{
 		opts:    o,
 		mon:     mon,
-		queue:   make(chan ingest.Item, o.QueueSize),
+		queue:   bus.NewQueue[ingest.Item](o.QueueSize),
 		wake:    make(chan struct{}, 1),
 		started: time.Now(),
 		sleep:   o.Sleep,
 		binDec:  ingest.NewBinaryDecoder(),
-		binEnc:  packet.NewFrameEncoder(),
 	}
 	s.bus = bus.New(0)
 	s.lc = lifecycle.New(lifecycle.Config{
@@ -270,7 +269,7 @@ func New(o Options) (*Server, error) {
 		o.Sleep,
 		lifecycle.Hooks{
 			Enqueue: func(rec store.SwapRecord, apply func()) error {
-				return s.barrier(func() (uint64, error) { return s.jnl.AppendSwapSync(rec) }, apply)
+				return s.barrier(0, func() (uint64, error) { return s.jnl.AppendSwapSync(rec) }, apply)
 			},
 			DrainErr: func() { s.drainErrs.Add(1) },
 			OnSwap:   s.onModelSwap,

@@ -303,8 +303,8 @@ func TestStreamBackpressureNack(t *testing.T) {
 	if resp.Status != packet.StreamNackBusy || resp.Accepted != 0 || resp.RetryAfter == 0 {
 		t.Fatalf("resp %+v, want nack-busy accepting nothing, with a retry hint", resp)
 	}
-	if srv.QueueDepth() != 3 || len(srv.queue) != 1 {
-		t.Fatalf("queue depth %d reports in %d items, want 3 in 1", srv.QueueDepth(), len(srv.queue))
+	if srv.QueueDepth() != 3 || srv.queue.Len() != 1 {
+		t.Fatalf("queue depth %d reports in %d items, want 3 in 1", srv.QueueDepth(), srv.queue.Len())
 	}
 	if got := srv.jnl.NextLSN(); got != lsnBefore {
 		t.Fatalf("shed frame was journaled: next LSN %d → %d", lsnBefore, got)
