@@ -34,7 +34,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # and the router are timed by `vn2bench --trace 1`'s per-layer spans.
 BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM
 
-.PHONY: check vet lint build test race fuzz bench-build loc knobs chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
+.PHONY: check vet lint build test race fuzz bench-build loc knobs experiments chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
 
 check: vet lint build test race fuzz bench-build benchsmoke
 
@@ -58,8 +58,18 @@ lint:
 build:
 	$(GO) build ./...
 
+# test includes TestExperimentDigests, the full seed-17 run held to
+# experiments_full.txt: ≈40 s alone on a 2-vCPU host, ≈80 s beside the other
+# packages. `go test -short` skips it.
 test:
 	$(GO) test ./...
+
+# experiments regenerates experiments_full.txt — the output of the full
+# seed-17 run that TestExperimentDigests holds every experiment to — and
+# experiments_full.err, its stderr and exit status (≈50 s on one core).
+experiments:
+	@$(GO) run ./cmd/vn2 experiment all -seed 17 >experiments_full.txt 2>experiments_full.err; \
+		s=$$?; echo "exit=$$s" >>experiments_full.err; exit $$s
 
 race:
 	$(GO) test -race $(RACE_PKGS)

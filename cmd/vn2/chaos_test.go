@@ -52,12 +52,23 @@ func chaosTestOptions(dir, transport string, shards int) chaosOptions {
 //     the baseline, and drive fails unless the gateway's pending list ends
 //     empty. bin/3 also proves the router's record-boundary split lossless
 //     and a replaced router invisible to the client's delta stream.
+//
+// Each row's digest is also pinned to a committed constant, so a change that
+// moves what a recovered fleet serves (the solver, the model, the merge)
+// fails here rather than only in a hand comparison of `make chaos-all`. The
+// test's fault mix is not the CLI's, so these are not that target's digests.
 func TestChaosKillRecoveryExact(t *testing.T) {
+	const (
+		oneSink   = "fb57afb14e02591e4ec26600bcaf9de6c893009b267f8760ba424f83d6035cdc"
+		threeSink = "7963190b7016452cad1979ec66bf94bc05e770c5a26f760fa85efe76b3b260c0"
+	)
 	for _, tc := range []struct {
 		transport string
 		shards    int
+		digest    string
 	}{
-		{"json", 1}, {"bin", 1}, {"stream", 1}, {"json", 3}, {"bin", 3},
+		{"json", 1, oneSink}, {"bin", 1, oneSink}, {"stream", 1, oneSink},
+		{"json", 3, threeSink}, {"bin", 3, threeSink},
 	} {
 		t.Run(fmt.Sprintf("%s-%d", tc.transport, tc.shards), func(t *testing.T) {
 			res, err := runChaos(chaosTestOptions(t.TempDir(), tc.transport, tc.shards), t.Logf)
@@ -67,6 +78,11 @@ func TestChaosKillRecoveryExact(t *testing.T) {
 			if !res.Exact || res.MaxDeviation != 0 {
 				t.Fatalf("lossless faults + kill must recover exactly: exact=%v deviation=%g",
 					res.Exact, res.MaxDeviation)
+			}
+			if res.Digest != tc.digest {
+				t.Fatalf("digest %s, committed %s: if the change is meant to move diagnoses, re-pin it here, "+
+					"regenerate experiments_full.txt with `make experiments` and record `make chaos-all`'s digests",
+					res.Digest, tc.digest)
 			}
 			st := res.Transport
 			if st.Dropped != 0 || st.Duplicated == 0 || st.Delayed == 0 || st.Truncated == 0 {

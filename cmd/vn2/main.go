@@ -363,43 +363,9 @@ func cmdExperiment(args []string) error {
 	if fs.NArg() > 0 {
 		id = fs.Arg(0)
 	}
-	r := experiments.NewRunner(experiments.Options{Seed: *seed, Quick: *quick})
-	var tables []*experiments.Table
-	var err error
-	one := func(t *experiments.Table, e error) ([]*experiments.Table, error) {
-		if e != nil {
-			return nil, e
-		}
-		return []*experiments.Table{t}, nil
-	}
-	switch id {
-	case "all":
-		tables, err = r.All()
-	case "table1":
-		tables, err = one(r.TableI())
-	case "fig3a":
-		tables, err = one(r.Fig3a())
-	case "fig3b":
-		tables, err = one(r.Fig3b())
-	case "fig3c":
-		tables, err = one(r.Fig3c())
-	case "fig4":
-		tables, err = one(r.Fig4())
-	case "fig5":
-		tables, err = r.Fig5()
-	case "fig6":
-		tables, err = r.Fig6()
-	case "baselines":
-		tables, err = one(r.BaselineStudy())
-	case "prrest":
-		tables, err = one(r.PRREstimation())
-	case "threshold":
-		tables, err = one(r.ThresholdSensitivity())
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
-	}
+	tables, err := experiments.NewRunner(experiments.Options{Seed: *seed, Quick: *quick}).Run(id)
 	if err != nil {
-		return fmt.Errorf("experiment %s: %w", id, err)
+		return err
 	}
 	for _, t := range tables {
 		if err := t.Fprint(os.Stdout); err != nil {

@@ -177,8 +177,9 @@ func TestSimulateRuns(t *testing.T) {
 }
 
 func TestExperimentUnknownID(t *testing.T) {
-	if err := run([]string{"experiment", "nonexistent", "-quick"}); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run([]string{"experiment", "nonexistent", "-quick"})
+	if err == nil || err.Error() != `unknown experiment "nonexistent"` {
+		t.Errorf("err = %v, want unknown experiment \"nonexistent\"", err)
 	}
 }
 

@@ -184,12 +184,14 @@ func (r *Runner) September() (*tracegen.Result, *tracegen.SeptemberWindow, int, 
 	return r.sept, r.septWindow, r.septDays, r.septErr
 }
 
-// All runs every experiment in paper order.
-func (r *Runner) All() ([]*Table, error) {
-	type step struct {
-		name string
-		run  func() ([]*Table, error)
-	}
+// step is one experiment the CLI can name, and the tables it produces.
+type step struct {
+	name string
+	run  func() ([]*Table, error)
+}
+
+// steps is the experiment table, in paper order.
+func (r *Runner) steps() []step {
 	one := func(f func() (*Table, error)) func() ([]*Table, error) {
 		return func() ([]*Table, error) {
 			t, err := f()
@@ -199,7 +201,7 @@ func (r *Runner) All() ([]*Table, error) {
 			return []*Table{t}, nil
 		}
 	}
-	steps := []step{
+	return []step{
 		{"table1", one(r.TableI)},
 		{"fig3a", one(r.Fig3a)},
 		{"fig3b", one(r.Fig3b)},
@@ -211,13 +213,26 @@ func (r *Runner) All() ([]*Table, error) {
 		{"prrest", one(r.PRREstimation)},
 		{"threshold", one(r.ThresholdSensitivity)},
 	}
+}
+
+// Run runs the experiment named id, or every experiment in paper order when
+// id is "all".
+func (r *Runner) Run(id string) ([]*Table, error) {
 	var out []*Table
-	for _, s := range steps {
+	found := false
+	for _, s := range r.steps() {
+		if id != "all" && id != s.name {
+			continue
+		}
+		found = true
 		ts, err := s.run()
 		if err != nil {
 			return out, fmt.Errorf("experiment %s: %w", s.name, err)
 		}
 		out = append(out, ts...)
+	}
+	if !found {
+		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,9 +222,9 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	tables, err := quickRunner.All()
+	tables, err := quickRunner.Run("all")
 	if err != nil {
-		t.Fatalf("All: %v", err)
+		t.Fatalf("Run(all): %v", err)
 	}
 	want := []string{"table1", "fig3a", "fig3b", "fig3c", "fig4",
 		"fig5b", "fig5cdef", "fig5g", "fig5h", "fig5i",
@@ -234,6 +236,108 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if tables[i].ID != id {
 			t.Errorf("table %d = %s, want %s", i, tables[i].ID, id)
 		}
+	}
+}
+
+// TestExperimentDigests holds the full seed-17 run to the committed
+// experiments_full.txt, the output of `vn2 experiment all -seed 17`. Every
+// section of the file belongs to the step whose name prefixes its table ID
+// (fig5 owns fig5b … fig5i); each step runs in a parallel subtest on one
+// shared Runner, so the CitySee trace and model are built once, and must
+// print exactly its sections.
+//
+// The tables print three or four significant digits, so a change that moves
+// the trained model's bits can leave the file untouched until the drift
+// crosses a rounding boundary. The model subtest pins the bytes of the
+// CitySee model every model-based step reads, so such a change surfaces in
+// the commit that makes it.
+func TestExperimentDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size experiment run in -short mode")
+	}
+	const path = "../../experiments_full.txt"
+	const regen = "if the change is meant to move results, regenerate with `make experiments` and re-read EXPERIMENTS.md"
+	const modelDigest = "9bfebbe653e09acd9478f3fafa9d31f5f4b2e4262da852628b784026c3a87b32"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Options{Seed: 17})
+	t.Run("model", func(t *testing.T) {
+		t.Parallel()
+		model, _, err := r.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := model.Save(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != modelDigest {
+			t.Fatalf("CitySee model digest %s, committed %s; re-pin it here, and %s", got, modelDigest, regen)
+		}
+	})
+	steps := r.steps()
+	want := make([][]string, len(steps)) // each step's lines of the file
+	first := make([]int, len(steps))     // 1-based file line of its first section
+	owner := -1
+	for n, line := range strings.SplitAfter(string(raw), "\n") {
+		if id, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(id, ":")
+			next := -1
+			for k, s := range steps {
+				if strings.HasPrefix(id, s.name) {
+					next = k
+				}
+			}
+			if next < 0 || next < owner {
+				t.Fatalf("%s:%d: section %q belongs to no step at or after this point; %s", path, n+1, id, regen)
+			}
+			if next > owner {
+				owner, first[next] = next, n+1
+			}
+		}
+		if line == "" {
+			continue
+		}
+		if owner < 0 {
+			t.Fatalf("%s:%d: text before the first section; %s", path, n+1, regen)
+		}
+		want[owner] = append(want[owner], line)
+	}
+	for k, s := range steps {
+		if len(want[k]) == 0 {
+			t.Fatalf("%s has no section for experiment %q; %s", path, s.name, regen)
+		}
+	}
+	for k, s := range steps {
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			tables, err := s.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			for _, tab := range tables {
+				if err := tab.Fprint(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := strings.SplitAfter(buf.String(), "\n")
+			got = got[:len(got)-1] // the empty remainder after the final newline
+			for i := 0; i < max(len(got), len(want[k])); i++ {
+				g, w := "<end of output>", "<end of section>"
+				if i < len(got) {
+					g = got[i]
+				}
+				if i < len(want[k]) {
+					w = want[k][i]
+				}
+				if g != w {
+					t.Fatalf("%s:%d differs:\n got %q\nwant %q\n%s", path, first[k]+i, g, w, regen)
+				}
+			}
+		})
 	}
 }
 

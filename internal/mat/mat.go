@@ -132,15 +132,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// CopyFrom overwrites m with the contents of src. Shapes must match.
-func (m *Dense) CopyFrom(src *Dense) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("%w: dst %dx%d, src %dx%d", ErrDimension, m.rows, m.cols, src.rows, src.cols)
-	}
-	copy(m.data, src.data)
-	return nil
-}
-
 // Fill sets every element to v.
 func (m *Dense) Fill(v float64) {
 	for i := range m.data {
@@ -323,24 +314,6 @@ func Sub(a, b *Dense) (*Dense, error) {
 		out.data[i] -= v
 	}
 	return out, nil
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
-// Hadamard performs the element-wise product m ∘ other in place.
-func (m *Dense) Hadamard(other *Dense) error {
-	if m.rows != other.rows || m.cols != other.cols {
-		return fmt.Errorf("%w: %dx%d ∘ %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	for i, v := range other.data {
-		m.data[i] *= v
-	}
-	return nil
 }
 
 // Frobenius returns the Frobenius norm ‖m‖_F.

@@ -257,25 +257,6 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestScaleHadamard(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	m.Scale(2)
-	if m.At(1, 1) != 8 {
-		t.Errorf("Scale At(1,1) = %v, want 8", m.At(1, 1))
-	}
-	other, _ := FromRows([][]float64{{2, 0}, {1, 3}})
-	if err := m.Hadamard(other); err != nil {
-		t.Fatalf("Hadamard: %v", err)
-	}
-	want, _ := FromRows([][]float64{{4, 0}, {6, 24}})
-	if !Equal(m, want, 1e-12) {
-		t.Errorf("Hadamard = %v, want %v", m, want)
-	}
-	if err := m.Hadamard(MustNew(1, 1)); !errors.Is(err, ErrDimension) {
-		t.Errorf("Hadamard mismatch err = %v, want ErrDimension", err)
-	}
-}
-
 func TestFrobenius(t *testing.T) {
 	m, _ := FromRows([][]float64{{3, 4}})
 	if got := m.Frobenius(); math.Abs(got-5) > 1e-12 {
@@ -329,20 +310,6 @@ func TestApplyFill(t *testing.T) {
 	m.Apply(func(i, j int, v float64) float64 { return v + float64(i*10+j) })
 	if m.At(1, 1) != 14 {
 		t.Errorf("Apply At(1,1) = %v, want 14", m.At(1, 1))
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	b := MustNew(1, 2)
-	if err := b.CopyFrom(a); err != nil {
-		t.Fatalf("CopyFrom: %v", err)
-	}
-	if !Equal(a, b, 0) {
-		t.Error("CopyFrom did not copy contents")
-	}
-	if err := b.CopyFrom(MustNew(2, 2)); !errors.Is(err, ErrDimension) {
-		t.Errorf("CopyFrom mismatch err = %v, want ErrDimension", err)
 	}
 }
 

@@ -227,16 +227,6 @@ func Lookup(id ID) (Spec, error) {
 	return specs[id], nil
 }
 
-// ByName returns the spec with the given canonical name.
-func ByName(name string) (Spec, error) {
-	for _, sp := range specs {
-		if sp.Name == name {
-			return sp, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("metricspec: unknown metric %q", name)
-}
-
 // Names returns the 43 canonical metric names in ID order.
 func Names() []string {
 	out := make([]string, len(specs))

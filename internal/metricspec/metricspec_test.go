@@ -107,13 +107,6 @@ func TestLookupAndByName(t *testing.T) {
 	if sp.Packet != PacketC3 || sp.Kind != Counter || sp.Layer != Link {
 		t.Errorf("NOACK spec = %+v", sp)
 	}
-	got, err := ByName("NOACK_retransmit_counter")
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	if got.ID != NOACKRetransmitCounter {
-		t.Errorf("ByName ID = %d", got.ID)
-	}
 }
 
 func TestLookupErrors(t *testing.T) {
@@ -122,9 +115,6 @@ func TestLookupErrors(t *testing.T) {
 	}
 	if _, err := Lookup(ID(MetricCount)); err == nil {
 		t.Error("Lookup(43) succeeded")
-	}
-	if _, err := ByName("nonexistent"); err == nil {
-		t.Error("ByName(nonexistent) succeeded")
 	}
 }
 

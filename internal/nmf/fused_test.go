@@ -10,12 +10,12 @@ import (
 
 // The reference sweeps below are deliberately naive: textbook triple loops
 // materializing every intermediate matrix, with the canonical accumulation
-// orders (i-, c- and j-ascending per element). The fused kernels must match
-// them bit for bit at every worker count — this is the oracle half of the
-// determinism contract, complementing the cross-worker grid in
-// parallel_test.go.
+// orders (i-, c- and j-ascending per element). The sweep over internal/mat's
+// pooled kernels and the per-row objective must match them bit for bit at
+// every worker count — this is the oracle half of the determinism contract,
+// complementing the cross-worker grid in parallel_test.go.
 
-// refSweepEuclidean is the unfused Theorem 1 sweep.
+// refSweepEuclidean is the triple-loop Theorem 1 sweep.
 func refSweepEuclidean(e, w, psi *mat.Dense) {
 	n, m := e.Dims()
 	r := psi.Rows()

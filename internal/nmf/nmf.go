@@ -41,17 +41,16 @@ type Config struct {
 	// Defaults to 200.
 	MaxIter int
 	// Tolerance stops iteration early when the relative improvement of the
-	// objective between sweeps drops below it. Defaults to 1e-5. Zero or
-	// negative disables early stopping.
+	// objective between sweeps drops below it. Zero means the default, 1e-5;
+	// a negative value disables early stopping.
 	Tolerance float64
 	// Seed seeds the random initialization of W and Ψ.
 	Seed int64
-	// Workers bounds the goroutines used by the update sweeps (matrix
-	// products and row-wise multiplicative updates run through
-	// internal/par): 0 keeps the sweeps sequential, ≥1 fans out across
+	// Workers sizes the par.Pool that runs the sweeps' matrix products and
+	// the per-row objective: 0 keeps them sequential, ≥1 fans out across
 	// that many workers, negative uses GOMAXPROCS. Row partitioning is
-	// static and writes are disjoint, so results are bit-identical to the
-	// sequential path for any value.
+	// static, writes are disjoint and every element folds in one fixed
+	// order, so results are bit-identical for any value.
 	Workers int
 }
 
@@ -118,8 +117,16 @@ func Factorize(e *mat.Dense, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("init Psi: %w", err)
 	}
 
+	return iterate(e, w, psi, cfg), nil
+}
+
+// iterate runs the multiplicative-update sweeps of Factorize and Resume on
+// the starting factors w and psi, updating them in place, until cfg.MaxIter
+// sweeps or the tolerance criterion.
+func iterate(e, w, psi *mat.Dense, cfg Config) *Result {
+	n, m := e.Dims()
 	res := &Result{W: w, Psi: psi, History: make([]float64, 0, cfg.MaxIter)}
-	st := newUpdateState(n, m, cfg.Rank, cfg.Workers)
+	st := newUpdateState(n, m, psi.Rows(), cfg.Workers)
 	defer st.close()
 	prev := math.Inf(1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
@@ -133,57 +140,41 @@ func Factorize(e *mat.Dense, cfg Config) (*Result, error) {
 		}
 		prev = obj
 	}
-	return res, nil
+	return res
 }
 
-// updateState holds the pool and scratch buffers reused across sweeps so a
-// factorization performs O(1) allocations after setup. The sweeps are fused:
-// instead of materializing the full numerator/denominator matrices (four
-// r×m / n×r products plus two n×m caches in the pre-pool implementation),
-// each dispatch computes numerator, denominator and the multiplicative
-// update in one pass while the touched stripe or row is cache-hot. Scratch
-// falls from O(n·m) to O(r·m + workers·m).
+// updateState holds the pool and the product matrices reused across sweeps,
+// so a factorization allocates nothing after setup.
 //
-// Ownership rules: st.num and st.den are shared across workers but written
-// in disjoint column stripes; scratch[k] is owned exclusively by pool worker
-// slot k for the duration of one dispatch; rowObj is written one disjoint
-// row per index. close must be called when the factorization finishes.
+// Ownership rules: the products are written by the mat kernels in disjoint
+// rows per pool worker; approx row k is owned by pool worker slot k for the
+// duration of one dispatch; rowObj is written one disjoint row per index.
+// close must be called when the factorization finishes.
 type updateState struct {
-	wtW     *mat.Dense     // r×r Gram matrix WᵀW for the Ψ denominator
-	psiPsiT *mat.Dense     // r×r Gram matrix ΨΨᵀ for the W denominator
-	num     *mat.Dense     // r×m fused Ψ-update numerator (column stripes)
-	den     *mat.Dense     // r×m fused Ψ-update denominator (column stripes)
-	rowObj  []float64      // length-n per-row objective partials
-	scratch []sweepScratch // one slot per pool worker
+	wtW     *mat.Dense // r×r Gram matrix WᵀW for the Ψ denominator
+	psiPsiT *mat.Dense // r×r Gram matrix ΨΨᵀ for the W denominator
+	num     *mat.Dense // r×m Ψ-update numerator WᵀE
+	den     *mat.Dense // r×m Ψ-update denominator WᵀWΨ
+	wNum    *mat.Dense // n×r W-update numerator EΨᵀ
+	wDen    *mat.Dense // n×r W-update denominator W(ΨΨᵀ)ᵀ
+	approx  *mat.Dense // workers×m: one WΨ row per pool worker
+	rowObj  []float64  // length-n per-row objective partials
 	pool    *par.Pool
-}
-
-// sweepScratch is the per-worker working set of the fused kernels.
-type sweepScratch struct {
-	vec  []float64 // length m: one approx/ratio row segment
-	wNum []float64 // length r: one W row's numerator
-	wDen []float64 // length r: one W row's denominator
 }
 
 func newUpdateState(n, m, r, workers int) *updateState {
 	pool := par.NewPool(workers)
-	st := &updateState{
+	return &updateState{
 		wtW:     mat.MustNew(r, r),
 		psiPsiT: mat.MustNew(r, r),
 		num:     mat.MustNew(r, m),
 		den:     mat.MustNew(r, m),
+		wNum:    mat.MustNew(n, r),
+		wDen:    mat.MustNew(n, r),
+		approx:  mat.MustNew(pool.Workers(), m),
 		rowObj:  make([]float64, n),
-		scratch: make([]sweepScratch, pool.Workers()),
 		pool:    pool,
 	}
-	for k := range st.scratch {
-		st.scratch[k] = sweepScratch{
-			vec:  make([]float64, m),
-			wNum: make([]float64, r),
-			wDen: make([]float64, r),
-		}
-	}
-	return st
 }
 
 // close releases the pool's worker goroutines.
@@ -194,100 +185,31 @@ func (st *updateState) close() { st.pool.Close() }
 //	Ψij ← Ψij (WᵀE)ij / (WᵀWΨ)ij
 //	Wij ← Wij (EΨᵀ)ij / (WΨΨᵀ)ij
 //
-// Only the two r×r Gram matrices are materialized; everything else is fused.
-// The Ψ half runs over column stripes: (WᵀWΨ)[a][j] depends only on column
-// j of the old Ψ, so a stripe can compute its numerator and denominator from
-// pre-update values and then apply the update in place without seeing any
-// other stripe (the Jacobi semantics of the rule are preserved for any
-// partition). The W half is row-local given ΨΨᵀ and fuses per row. Every
-// element accumulates in the same fixed order (i-, c- and j-ascending)
-// regardless of partition, so the sweep is bit-identical for any worker
-// count — the parallel_test.go grid enforces this.
+// Each half computes its numerator and denominator in full from the
+// pre-update factors and only then updates (Jacobi within a half; the W half
+// sees the new Ψ). The products are internal/mat's pooled kernels, which
+// fold every element in one fixed order (i-, c- and j-ascending) for any row
+// partition, so the sweep is bit-identical for any worker count. The W
+// denominator is taken as W·(ΨΨᵀ)ᵀ so that it folds c-ascending over row a
+// of ΨΨᵀ, exactly as the textbook loop reads column a.
 func (st *updateState) sweepEuclidean(e, w, psi *mat.Dense) {
-	n, m := e.Dims()
 	mat.MulATBIntoOn(st.pool, st.wtW, w, w)
-	st.pool.Run(m, func(j0, j1 int) {
-		st.psiStripeEuclidean(e, w, psi, j0, j1)
-	})
+	mat.MulATBIntoOn(st.pool, st.num, w, e)
+	mat.MulIntoOn(st.pool, st.den, st.wtW, psi)
+	multiplicativeUpdate(psi, st.num, st.den)
 	mat.MulABTIntoOn(st.pool, st.psiPsiT, psi, psi)
-	st.pool.RunIndexed(n, func(worker, i0, i1 int) {
-		st.wRowsEuclidean(e, w, psi, worker, i0, i1)
-	})
+	mat.MulABTIntoOn(st.pool, st.wNum, e, psi)
+	mat.MulABTIntoOn(st.pool, st.wDen, w, st.psiPsiT)
+	multiplicativeUpdate(w, st.wNum, st.wDen)
 }
 
-// psiStripeEuclidean updates Ψ columns [j0, j1): numerator (WᵀE) stripe,
-// denominator (WᵀWΨ) stripe from the old Ψ, then the in-place update.
-func (st *updateState) psiStripeEuclidean(e, w, psi *mat.Dense, j0, j1 int) {
-	r := psi.Rows()
-	n := e.Rows()
-	for a := 0; a < r; a++ {
-		num := st.num.RawRow(a)[j0:j1]
-		for j := range num {
-			num[j] = 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		wRow := w.RawRow(i)
-		eSeg := e.RawRow(i)[j0:j1]
-		for a, wv := range wRow {
-			num := st.num.RawRow(a)[j0:j1]
-			for j, ev := range eSeg {
-				num[j] += wv * ev
-			}
-		}
-	}
-	for a := 0; a < r; a++ {
-		den := st.den.RawRow(a)[j0:j1]
-		for j := range den {
-			den[j] = 0
-		}
-		gRow := st.wtW.RawRow(a)
-		for c, gv := range gRow {
-			pSeg := psi.RawRow(c)[j0:j1]
-			for j, pv := range pSeg {
-				den[j] += gv * pv
-			}
-		}
-	}
-	for a := 0; a < r; a++ {
-		pSeg := psi.RawRow(a)[j0:j1]
-		num := st.num.RawRow(a)[j0:j1]
-		den := st.den.RawRow(a)[j0:j1]
-		for j := range pSeg {
-			pSeg[j] *= num[j] / (den[j] + epsDiv)
-		}
-	}
-}
-
-// wRowsEuclidean updates W rows [i0, i1): each row's numerator (EΨᵀ) and
-// denominator (WΨΨᵀ) depend only on that row and the precomputed ΨΨᵀ, so
-// the whole update fuses into one pass per row. ΨΨᵀ is read by rows — it is
-// bitwise symmetric (each (a,c)/(c,a) pair sums identical products in
-// identical order), so row a stands in for column a exactly.
-func (st *updateState) wRowsEuclidean(e, w, psi *mat.Dense, worker, i0, i1 int) {
-	r := psi.Rows()
-	s := &st.scratch[worker]
-	for i := i0; i < i1; i++ {
-		eRow := e.RawRow(i)
-		wRow := w.RawRow(i)
-		for a := 0; a < r; a++ {
-			pRow := psi.RawRow(a)
-			var sum float64
-			for j, ev := range eRow {
-				sum += ev * pRow[j]
-			}
-			s.wNum[a] = sum
-		}
-		for a := 0; a < r; a++ {
-			gRow := st.psiPsiT.RawRow(a)
-			var sum float64
-			for c, wv := range wRow {
-				sum += wv * gRow[c]
-			}
-			s.wDen[a] = sum
-		}
-		for a := 0; a < r; a++ {
-			wRow[a] *= s.wNum[a] / (s.wDen[a] + epsDiv)
+// multiplicativeUpdate applies x ← x·(num/(den+epsDiv)) element-wise. The
+// ratio is taken first: x·num/den would round differently.
+func multiplicativeUpdate(x, num, den *mat.Dense) {
+	for i := 0; i < x.Rows(); i++ {
+		xRow, nRow, dRow := x.RawRow(i), num.RawRow(i), den.RawRow(i)
+		for j := range xRow {
+			xRow[j] *= nRow[j] / (dRow[j] + epsDiv)
 		}
 	}
 }
@@ -312,8 +234,7 @@ func objective(e, w, psi *mat.Dense, st *updateState) float64 {
 // rowObjectives fills st.rowObj for rows [i0, i1) with each row's squared
 // residual norm.
 func (st *updateState) rowObjectives(e, w, psi *mat.Dense, worker, i0, i1 int) {
-	m := e.Cols()
-	vec := st.scratch[worker].vec[:m]
+	vec := st.approx.RawRow(worker)
 	for i := i0; i < i1; i++ {
 		eRow := e.RawRow(i)
 		wRow := w.RawRow(i)

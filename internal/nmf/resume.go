@@ -2,7 +2,6 @@ package nmf
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/wsn-tools/vn2/internal/mat"
 )
@@ -68,21 +67,5 @@ func Resume(e, w0, psi0 *mat.Dense, cfg Config) (*Result, error) {
 		}
 		return v
 	})
-
-	res := &Result{W: w, Psi: psi, History: make([]float64, 0, cfg.MaxIter)}
-	st := newUpdateState(n, m, rank, cfg.Workers)
-	defer st.close()
-	prev := math.Inf(1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		st.sweepEuclidean(e, w, psi)
-		obj := objective(e, w, psi, st)
-		res.History = append(res.History, obj)
-		res.Iterations = iter + 1
-		if cfg.Tolerance > 0 && !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
-			res.Converged = true
-			break
-		}
-		prev = obj
-	}
-	return res, nil
+	return iterate(e, w, psi, cfg), nil
 }

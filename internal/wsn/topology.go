@@ -50,39 +50,3 @@ func RandomTopology(count int, fieldSize float64, seed int64) ([]env.Position, e
 	}
 	return out, nil
 }
-
-// ClusteredTopology scatters nodes around cluster centers, producing the
-// uneven density of a street-deployed network: some key nodes carry large
-// subtrees (the NeighborNum hazard in Table I).
-func ClusteredTopology(clusters, perCluster int, fieldSize, clusterRadius float64, seed int64) ([]env.Position, error) {
-	if clusters < 1 || perCluster < 1 {
-		return nil, fmt.Errorf("wsn: clusters %dx%d invalid", clusters, perCluster)
-	}
-	if fieldSize <= 0 || clusterRadius <= 0 {
-		return nil, fmt.Errorf("wsn: field %v / radius %v invalid", fieldSize, clusterRadius)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]env.Position, 0, clusters*perCluster+1)
-	out = append(out, env.Position{X: fieldSize / 2, Y: fieldSize / 2}) // sink
-	for c := 0; c < clusters; c++ {
-		cx := rng.Float64() * fieldSize
-		cy := rng.Float64() * fieldSize
-		for i := 0; i < perCluster; i++ {
-			out = append(out, env.Position{
-				X: clampCoord(cx+rng.NormFloat64()*clusterRadius, fieldSize),
-				Y: clampCoord(cy+rng.NormFloat64()*clusterRadius, fieldSize),
-			})
-		}
-	}
-	return out, nil
-}
-
-func clampCoord(v, max float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > max {
-		return max
-	}
-	return v
-}

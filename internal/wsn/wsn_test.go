@@ -81,27 +81,6 @@ func TestRandomTopologyDeterministic(t *testing.T) {
 	}
 }
 
-func TestClusteredTopology(t *testing.T) {
-	topo, err := ClusteredTopology(4, 10, 600, 30, 3)
-	if err != nil {
-		t.Fatalf("ClusteredTopology: %v", err)
-	}
-	if len(topo) != 41 {
-		t.Fatalf("len = %d, want 41", len(topo))
-	}
-	for _, p := range topo {
-		if p.X < 0 || p.X > 600 || p.Y < 0 || p.Y > 600 {
-			t.Fatalf("position %v outside field", p)
-		}
-	}
-	if _, err := ClusteredTopology(0, 1, 100, 10, 1); err == nil {
-		t.Error("zero clusters succeeded")
-	}
-	if _, err := ClusteredTopology(1, 1, 100, 0, 1); err == nil {
-		t.Error("zero radius succeeded")
-	}
-}
-
 func TestNetworkFormsTreeAndDelivers(t *testing.T) {
 	n := newTestNetwork(t, 1)
 	res := warmUp(t, n, 5)
