@@ -31,11 +31,11 @@ func cmdServe(args []string) error {
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
 	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", time.Minute, "how often the snapshot file is rewritten")
-	fs.StringVar(&o.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
-	fs.BoolVar(&o.Lifecycle, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")
-	fs.IntVar(&o.DriftMin, "drift-min", 0, "diagnosed states the drift window must hold before the trigger can fire (0 = 32)")
-	fs.DurationVar(&o.RetrainTimeout, "retrain-timeout", 0, "shadow retrain deadline (0 = 2m)")
-	fs.IntVar(&o.Probation, "probation", 0, "post-swap diagnosed states before the swap commits or rolls back (0 = 32)")
+	fs.StringVar(&o.Lifecycle.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
+	fs.BoolVar(&o.Lifecycle.Enabled, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")
+	fs.IntVar(&o.Lifecycle.DriftMin, "drift-min", 0, "diagnosed states the drift window must hold before the trigger can fire (0 = 32)")
+	fs.DurationVar(&o.Lifecycle.RetrainTimeout, "retrain-timeout", 0, "shadow retrain deadline (0 = 2m)")
+	fs.IntVar(&o.Lifecycle.Probation, "probation", 0, "post-swap diagnosed states before the swap commits or rolls back (0 = 32)")
 	fs.IntVar(&o.StreamBuffer, "stream-buffer", 0, "per-/stream-subscriber event buffer: a bound, paid for as used; slow consumers drop oldest (0 = 64)")
 	fs.StringVar(&o.StreamAddr, "stream-addr", "", "persistent frame-stream listen address (raw TCP, VN2F frames with per-frame ACK/NACK); empty = HTTP ingest only")
 	fs.IntVar(&o.StreamMaxConns, "stream-conns", 0, "stream connection cap; excess connections are refused with a NACK (0 = 64)")
@@ -43,7 +43,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if o.Lifecycle && o.ModelsDir == "" {
+	if o.Lifecycle.Enabled && o.Lifecycle.ModelsDir == "" {
 		return fmt.Errorf("serve: -lifecycle requires -models")
 	}
 	srv, err := sink.New(o)

@@ -375,3 +375,71 @@ func TestThresholdSensitivity(t *testing.T) {
 		prev = count
 	}
 }
+
+// TestExperimentShapes holds the committed experiments_full.txt to the shape
+// claims EXPERIMENTS.md makes of it, so a regenerated file that keeps its
+// digests consistent but breaks a claim fails here, not in a reader's eye:
+// train/test cause distributions positively correlated (Fig. 5h/5i), the
+// healthy days' PRR above the degraded window's (Fig. 6a), and the exception
+// count flat within 5% of its 0.01 value for cutoffs 0.005–0.05. It also
+// pins the known deviation as measured: local removal detected with higher
+// recall than expansive, the reverse of the paper.
+func TestExperimentShapes(t *testing.T) {
+	raw, err := os.ReadFile("../../experiments_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// section returns the lines of one table, header line excluded.
+	section := func(id string) []string {
+		_, body, ok := strings.Cut(string(raw), "\n== "+id+":")
+		if !ok {
+			t.Fatalf("no section %q", id)
+		}
+		body, _, _ = strings.Cut(body, "\n\n")
+		return strings.Split(body, "\n")[1:]
+	}
+	// note scans the values of the section's note that starts with prefix.
+	note := func(id, prefix, format string, v ...any) {
+		t.Helper()
+		for _, line := range section(id) {
+			if rest, ok := strings.CutPrefix(line, "note: "+prefix); ok {
+				if _, err := fmt.Sscanf(rest, format, v...); err != nil {
+					t.Fatalf("%s note %q: %v", id, line, err)
+				}
+				return
+			}
+		}
+		t.Fatalf("%s has no note starting %q", id, prefix)
+	}
+
+	for _, id := range []string{"fig5h", "fig5i"} {
+		var corr float64
+		note(id, "train/test distribution correlation = ", "%g", &corr)
+		if corr <= 0 {
+			t.Errorf("%s: train/test correlation %g, want > 0", id, corr)
+		}
+	}
+	var local, expansive float64
+	note("fig5i", "event detection recall (avg of 3 schedules): ", "local %g vs expansive %g", &local, &expansive)
+	if local <= expansive {
+		t.Errorf("fig5i: local recall %g ≤ expansive %g; the known deviation moved, update EXPERIMENTS.md", local, expansive)
+	}
+	var healthy, window float64
+	note("fig6a", "mean PRR: ", "healthy days %g vs degraded window %g", &healthy, &window)
+	if healthy <= window {
+		t.Errorf("fig6a: healthy-day PRR %g ≤ window PRR %g", healthy, window)
+	}
+
+	counts := map[string]float64{}
+	for _, line := range section("threshold") {
+		if f := strings.Fields(line); len(f) == 3 {
+			counts[f[0]], _ = strconv.ParseFloat(f[1], 64)
+		}
+	}
+	at01 := counts["0.0100"]
+	for _, th := range []string{"0.0050", "0.0100", "0.0200", "0.0500"} {
+		if c, ok := counts[th]; !ok || at01 == 0 || c < 0.95*at01 || c > 1.05*at01 {
+			t.Errorf("threshold %s: %g exceptions, want within 5%% of %g at 0.0100", th, c, at01)
+		}
+	}
+}

@@ -23,7 +23,6 @@ func (r *Runner) ThresholdSensitivity() (*Table, error) {
 		Columns: []string{"threshold", "exceptions", "share"},
 	}
 	thresholds := []float64{0.0001, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1}
-	var prev int
 	var at01, atLow int
 	for _, th := range thresholds {
 		det, err := trace.DetectExceptions(states, th)
@@ -42,18 +41,16 @@ func (r *Runner) ThresholdSensitivity() (*Table, error) {
 		if th == 0.0001 {
 			atLow = count
 		}
-		prev = count
 	}
-	_ = prev
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d states total; %d exceptions at the paper's 0.01 cutoff", len(states), at01),
-		fmt.Sprintf("lowering the cutoff 100x (to 0.0001) admits %dx more states — the plateau above the noise floor is where 0.01 sits", ratioOrZero(atLow, at01)))
+		fmt.Sprintf("lowering the cutoff 100x (to 0.0001) admits %.1fx more states — the plateau above the noise floor is where 0.01 sits", ratioOrZero(atLow, at01)))
 	return t, nil
 }
 
-func ratioOrZero(a, b int) int {
+func ratioOrZero(a, b int) float64 {
 	if b == 0 {
 		return 0
 	}
-	return a / b
+	return float64(a) / float64(b)
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -92,36 +91,6 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		}
 		if err := d.Add(Record{Node: packet.NodeID(node), Epoch: epoch, Vector: vec}); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-	}
-	return d, nil
-}
-
-// datasetJSON is the serialized dataset form.
-type datasetJSON struct {
-	Records []Record `json:"records"`
-}
-
-// WriteJSON writes the dataset as a JSON document.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	var dj datasetJSON
-	for _, id := range d.Nodes() {
-		dj.Records = append(dj.Records, d.byNode[id]...)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(dj)
-}
-
-// ReadJSON parses a dataset produced by WriteJSON.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var dj datasetJSON
-	if err := json.NewDecoder(r).Decode(&dj); err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	d := NewDataset()
-	for _, rec := range dj.Records {
-		if err := d.Add(rec); err != nil {
-			return nil, err
 		}
 	}
 	return d, nil

@@ -83,41 +83,3 @@ func TestReadCSVMalformed(t *testing.T) {
 		})
 	}
 }
-
-// TestReadJSONMalformed sweeps broken JSON envelopes.
-func TestReadJSONMalformed(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"truncated envelope", `{"records":[{"node":1,"epoch":1,`},
-		{"not json", `hello`},
-		{"wrong vector length", `{"records":[{"node":1,"epoch":1,"vector":[1,2,3]}]}`},
-		{"missing vector", `{"records":[{"node":1,"epoch":1}]}`},
-		{"duplicate epoch", fmt.Sprintf(`{"records":[{"node":1,"epoch":1,"vector":%s},{"node":1,"epoch":1,"vector":%s}]}`,
-			jsonVec(0), jsonVec(1))},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ds, err := ReadJSON(bytes.NewBufferString(tc.in))
-			if err == nil {
-				t.Fatalf("accepted, got dataset with %d records", ds.Len())
-			}
-		})
-	}
-	// Records key absent entirely: decodes to an empty (valid) dataset —
-	// that is the JSON round-trip contract for an empty dataset, not an
-	// error.
-	ds, err := ReadJSON(bytes.NewBufferString(`{}`))
-	if err != nil || ds.Len() != 0 {
-		t.Errorf("empty envelope: ds=%v err=%v", ds.Len(), err)
-	}
-}
-
-func jsonVec(fill float64) string {
-	parts := make([]string, metricspec.MetricCount)
-	for i := range parts {
-		parts[i] = fmt.Sprint(fill)
-	}
-	return "[" + strings.Join(parts, ",") + "]"
-}

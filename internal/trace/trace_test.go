@@ -349,32 +349,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	d := NewDataset()
-	mustAdd(t, d, Record{Node: 1, Epoch: 1, Vector: vec(1.5)})
-	mustAdd(t, d, Record{Node: 1, Epoch: 2, Vector: vec(2.5)})
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("Len = %d", got.Len())
-	}
-	if got.Records(1)[1].Vector[0] != 2.5 {
-		t.Error("JSON round trip lost data")
-	}
-}
-
-func TestReadJSONError(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("{nope")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-}
-
 // Property: States() output count equals Σ(records per node − 1), and every
 // delta equals the recomputed difference.
 func TestPropertyStatesConsistent(t *testing.T) {

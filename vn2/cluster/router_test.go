@@ -528,6 +528,26 @@ func TestRouterRejectNamesBadReport(t *testing.T) {
 	}
 }
 
+// TestRouterMetricsKeys pins the sorted key set of the router's GET
+// /metrics: operators and the benchmark harness read these names.
+func TestRouterMetricsKeys(t *testing.T) {
+	_, ts := newTestRouter(t, []*fakeShard{newFakeShard(t)})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	want := []string{"bad_requests", "batches_refused", "bytes_forwarded", "bytes_received",
+		"deliveries_forwarded", "fleet_requests", "reports_received", "shards"}
+	var got []string
+	for k := range replyOf(t, resp) {
+		got = append(got, k)
+	}
+	if slices.Sort(got); !slices.Equal(got, want) {
+		t.Errorf("/metrics keys\n got %q\nwant %q", got, want)
+	}
+}
+
 // TestRouterSetShard: repointing a shard marks it unready — batches that
 // span it get 503 and reach neither address — until a probe confirms the
 // new address, which then takes the traffic.

@@ -166,17 +166,14 @@ func TestSwapModel(t *testing.T) {
 		t.Fatal("expected a populated drift window before swap")
 	}
 
-	if err := m.SwapModel(1, r.model, nil); !errors.Is(err, ErrBadConfig) {
+	if err := m.SwapModel(1, r.model); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("swap to same version: err = %v, want ErrBadConfig", err)
 	}
-	if err := m.SwapModel(2, &vn2.Model{}, nil); !errors.Is(err, ErrBadConfig) {
+	if err := m.SwapModel(2, &vn2.Model{}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("swap to untrained model: err = %v, want ErrBadConfig", err)
 	}
-	if err := m.SwapModel(2, r.model, &trace.Detector{}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("swap with invalid detector: err = %v, want ErrBadConfig", err)
-	}
 
-	if err := m.SwapModel(2, r.model, nil); err != nil {
+	if err := m.SwapModel(2, r.model); err != nil {
 		t.Fatalf("SwapModel: %v", err)
 	}
 	if got := m.ModelVersion(); got != 2 {

@@ -269,8 +269,8 @@ type resSample struct {
 
 // Monitor is the streaming sink service core. All methods are safe for
 // concurrent use; Ingest stays O(M) per report and Drain batches the
-// expensive NNLS solves. The model and detector are mutable via SwapModel —
-// every read of either goes through mu.
+// expensive NNLS solves. The model is mutable via SwapModel — every read of
+// it goes through mu; the detector is fixed at construction.
 type Monitor struct {
 	cfg Config
 
@@ -732,15 +732,19 @@ func copyFlagged(f Flagged) Flagged {
 	return f
 }
 
-// SwapModel atomically replaces the serving model (and optionally the
-// detector: nil keeps the current one) under a new generation number. The
-// version must advance — rollbacks re-install old model CONTENT under a NEW
-// version, keeping the generation counter monotonic so swap records replay
-// deterministically. The drift window and quarantine are cleared (they
+// Workers is the drain's solver goroutine bound (Config.Workers, 0 read as
+// all cores); the sink's shadow retrain runs on the same count.
+func (m *Monitor) Workers() int { return m.cfg.Workers }
+
+// SwapModel atomically replaces the serving model under a new generation
+// number; the detector is the deployment's, fixed at construction, and the
+// model must fit its metric count. The version must advance — rollbacks
+// re-install old model CONTENT under a NEW version, keeping the generation
+// counter monotonic so swap records replay deterministically. The drift window and quarantine are cleared (they
 // describe the outgoing model); pending states stay queued and are diagnosed
 // by the new model; the recent ring and epoch distributions stay as the
 // record of what was actually served.
-func (m *Monitor) SwapModel(version uint64, model *vn2.Model, det *trace.Detector) error {
+func (m *Monitor) SwapModel(version uint64, model *vn2.Model) error {
 	if model == nil || model.Metrics() == 0 || model.Rank <= 0 {
 		return fmt.Errorf("%w: swap model missing or untrained", ErrBadConfig)
 	}
@@ -749,23 +753,11 @@ func (m *Monitor) SwapModel(version uint64, model *vn2.Model, det *trace.Detecto
 	if version <= m.version {
 		return fmt.Errorf("%w: swap version %d not after current %d", ErrBadConfig, version, m.version)
 	}
-	nd := m.det
-	if det != nil {
-		if !det.Valid() {
-			return fmt.Errorf("%w: swap detector uncalibrated", ErrBadConfig)
-		}
-		nd = det
-	}
-	if nd.Metrics() != model.Metrics() {
-		return fmt.Errorf("%w: detector has %d metrics, swap model %d",
-			ErrBadConfig, nd.Metrics(), model.Metrics())
-	}
 	if model.Metrics() != m.det.Metrics() {
 		return fmt.Errorf("%w: swap model has %d metrics, stream has %d",
 			ErrBadConfig, model.Metrics(), m.det.Metrics())
 	}
 	m.model = model
-	m.det = nd
 	m.version = version
 	m.residuals = nil
 	m.quar = nil

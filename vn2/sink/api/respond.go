@@ -1,7 +1,6 @@
 // Package api is the sink's HTTP edge: the one set of JSON response
 // helpers every handler uses (serve.go and lifecycle.go used to carry
-// near-duplicates), the metrics registry behind GET /metrics and
-// GET /status, the SSE bridge from the event bus to GET /stream, the
+// near-duplicates), the SSE bridge from the event bus to GET /stream, the
 // degraded-mode state machine, and the embedded dashboard.
 package api
 

@@ -310,7 +310,7 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 		}
 	})
 	// The drain ticker: diagnosis plus the lifecycle, whose retrains run
-	// inline (LifecycleSync) and commit their swap through the same point.
+	// inline (Lifecycle.Sync) and commit their swap through the same point.
 	stopTicks := make(chan struct{})
 	ticksDone := make(chan struct{})
 	go func() {

@@ -163,21 +163,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics serves the flat expvar-style counters gathered from every
-// layer's registered provider.
+// handleMetrics serves the flat expvar-style counters of every layer.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	api.WriteJSON(w, http.StatusOK, s.reg.Gather())
+	api.WriteJSON(w, http.StatusOK, s.metrics())
 }
 
 // handleStatus is the machine-readable superset of /metrics: every metrics
 // key plus uptime, model provenance, degraded detail, stream/bus health,
 // and the swap history.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	m := s.reg.Gather()
-	for k, v := range s.statusReg.Gather() {
-		m[k] = v
-	}
-	api.WriteJSON(w, http.StatusOK, m)
+	api.WriteJSON(w, http.StatusOK, s.status())
 }
 
 // handleModel answers GET /model: the serving generation, drift view, swap
@@ -189,7 +184,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		"version":             version,
 		"rank":                cur.Model.Rank,
 		"metrics":             cur.Model.Metrics(),
-		"lifecycle":           s.opts.Lifecycle,
+		"lifecycle":           s.opts.Lifecycle.Enabled,
 		"drift":               s.mon.DriftStats(),
 		"retraining":          s.lc.Retraining(),
 		"probation":           probation,

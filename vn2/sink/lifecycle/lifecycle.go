@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/store"
@@ -48,12 +47,12 @@ const (
 // HistoryMax bounds the kept swap history.
 const HistoryMax = 64
 
-// Set is one immutable generation of serving state: the model, the detector
-// screening for it, its version, and its serialized envelope (what
-// snapshots embed and the models directory files contain).
+// Set is one immutable generation of serving state: the model, its version,
+// and its serialized envelope (what snapshots embed and the models directory
+// files contain). The detector is not part of it: it belongs to the
+// deployment, frozen once at boot, and no swap changes it.
 type Set struct {
 	Model   *vn2.Model
-	Det     *trace.Detector
 	Version uint64
 	Raw     json.RawMessage
 }
@@ -79,17 +78,35 @@ const (
 	rollbackMargin = 1.05
 )
 
-// Config is the lifecycle's knobs, already defaulted by the sink.
+// Config is the lifecycle's knobs (sink.Options.Lifecycle, the serve
+// flags); New fills the zero ones with the defaults in parentheses.
 type Config struct {
-	Enabled        bool          // lifecycle machinery on/off (Tick is a no-op when false upstream)
+	Enabled        bool          // drift-triggered retrain + hot-swap on; the sink skips Tick when false
 	ModelsDir      string        // directory for persisted model generations
-	DriftMin       int           // min drift-window fill before triggering
-	RetrainTimeout time.Duration // shadow retrain deadline
-	Probation      int           // post-swap window before commit/rollback
-	HoldoutMin     int           // min held-out states to judge a candidate
-	CooldownTicks  int           // base trigger cooldown, in drain ticks
+	DriftMin       int           // min drift-window fill before triggering (32)
+	RetrainTimeout time.Duration // shadow retrain deadline (2m)
+	Probation      int           // post-swap window before commit/rollback (32)
+	HoldoutMin     int           // min held-out states to judge a candidate (8)
+	CooldownTicks  int           // base trigger cooldown, in drain ticks (8)
 	Sync           bool          // run retrains inline in the tick (tests/chaos only)
-	Workers        int           // solver goroutines for retrain/validation
+}
+
+func (c *Config) defaults() {
+	if c.DriftMin <= 0 {
+		c.DriftMin = 32
+	}
+	if c.RetrainTimeout <= 0 {
+		c.RetrainTimeout = 2 * time.Minute
+	}
+	if c.Probation <= 0 {
+		c.Probation = 32
+	}
+	if c.HoldoutMin <= 0 {
+		c.HoldoutMin = 8
+	}
+	if c.CooldownTicks <= 0 {
+		c.CooldownTicks = 8
+	}
 }
 
 // Hooks are the seams back into the sink root. Enqueue must journal rec and
@@ -145,8 +162,9 @@ type Manager struct {
 }
 
 // New builds a Manager serving cur. sleep is the retry sleeper (nil =
-// time.Sleep).
+// time.Sleep). The retrain solver runs on the monitor's worker count.
 func New(cfg Config, mon *online.Monitor, cur *Set, sleep func(time.Duration), hooks Hooks) *Manager {
+	cfg.defaults()
 	return &Manager{cfg: cfg, mon: mon, cur: cur, sleep: sleep, hooks: hooks}
 }
 
@@ -192,15 +210,6 @@ func (m *Manager) InjectBaseline(v float64) {
 	m.baseMean = v
 }
 
-// Metrics writes the lifecycle counters into a metrics gather.
-func (m *Manager) Metrics(out map[string]any) {
-	out["model_swaps"] = m.Swaps.Load()
-	out["model_rollbacks"] = m.Rollbacks.Load()
-	out["model_retrains"] = m.Retrains.Load()
-	out["model_retrain_failures"] = m.RetrainFails.Load()
-	out["model_candidates_rejected"] = m.CandRejects.Load()
-}
-
 // recordSwapLocked folds an applied swap into the history. Caller holds mu.
 func (m *Manager) recordSwapLocked(rec store.SwapRecord) store.SwapEvent {
 	ev := store.SwapEvent{
@@ -240,7 +249,7 @@ func (m *Manager) Tick() {
 				fmt.Fprintf(os.Stderr,
 					"vn2 serve: rollback: v%d mean residual %.4f regressed past pre-swap %.4f (margin %.2f), reverting to v%d content\n",
 					from.Version, ds.MeanResidual, base, rollbackMargin, to.Version)
-				if err := m.swapTo(to.Model, to.Det, from.Version, OriginRollback); err != nil {
+				if err := m.swapTo(to.Model, from.Version, OriginRollback); err != nil {
 					fmt.Fprintln(os.Stderr, "vn2 serve: rollback swap:", err)
 				}
 				return
@@ -325,7 +334,7 @@ func (m *Manager) applySwap(ps *pendingSwap) {
 		fmt.Fprintln(os.Stderr, "vn2 serve: pre-swap drain failed:", err)
 	}
 	pre := m.mon.DriftStats()
-	if err := m.mon.SwapModel(ps.set.Version, ps.set.Model, ps.set.Det); err != nil {
+	if err := m.mon.SwapModel(ps.set.Version, ps.set.Model); err != nil {
 		fmt.Fprintf(os.Stderr, "vn2 serve: swap to v%d not applied: %v\n", ps.set.Version, err)
 		return
 	}
@@ -365,7 +374,7 @@ func (m *Manager) applySwap(ps *pendingSwap) {
 // guaranteed. Report batches commit through the same mutex, so the queue
 // order equals the LSN order at the boundary and a replay reconstructs
 // exactly which reports each generation diagnosed.
-func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, origin string) error {
+func (m *Manager) swapTo(model *vn2.Model, parent uint64, origin string) error {
 	if m.cfg.ModelsDir == "" {
 		return fmt.Errorf("serve: lifecycle swap requires -models")
 	}
@@ -384,7 +393,7 @@ func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, o
 	if err := m.persistFile(rec.File, raw.Bytes()); err != nil {
 		return fmt.Errorf("persist model v%d: %w", version, err)
 	}
-	set := &Set{Model: model, Det: det, Version: version, Raw: json.RawMessage(raw.Bytes())}
+	set := &Set{Model: model, Version: version, Raw: json.RawMessage(raw.Bytes())}
 	if m.hooks.Enqueue == nil {
 		return fmt.Errorf("serve: lifecycle swap has no enqueue hook")
 	}
@@ -400,8 +409,15 @@ func (m *Manager) swapTo(model *vn2.Model, det *trace.Detector, parent uint64, o
 // ReplaySwap re-applies a journaled swap during WAL replay: load the
 // persisted generation and install it at the record's position. The
 // snapshot may already reflect the swap (its monitor state can be newer
-// than its watermark); then only the serving set is updated.
+// than its watermark); then only the serving set is updated. A record that
+// names a detector file comes from a sink that refroze its detector on a
+// swap; it is refused, since this one would diagnose the rest of the WAL
+// under a different detector.
 func (m *Manager) ReplaySwap(rec store.SwapRecord) error {
+	if rec.Detector != "" {
+		return fmt.Errorf("%w: swap to v%d names detector file %s; the detector is fixed at boot",
+			ErrSwapFileMismatch, rec.Version, rec.Detector)
+	}
 	if m.cfg.ModelsDir == "" {
 		return fmt.Errorf("%w: swap to v%d replayed but -models is not set", ErrSwapFileMissing, rec.Version)
 	}
@@ -420,34 +436,16 @@ func (m *Manager) ReplaySwap(rec store.SwapRecord) error {
 		return fmt.Errorf("%w: %s carries v%d, record says v%d",
 			ErrSwapFileMismatch, rec.File, meta.ModelVersion, rec.Version)
 	}
-	det := m.Current().Det
-	if rec.Detector != "" {
-		db, err := os.ReadFile(filepath.Join(m.cfg.ModelsDir, rec.Detector))
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("%w: %s (v%d)", ErrSwapFileMissing, rec.Detector, rec.Version)
-		}
-		if err != nil {
-			return err
-		}
-		nd := &trace.Detector{}
-		if err := json.Unmarshal(db, nd); err != nil {
-			return fmt.Errorf("load swap detector %s: %w", rec.Detector, err)
-		}
-		if !nd.Valid() {
-			return fmt.Errorf("%w: %s holds an uncalibrated detector", ErrSwapFileMismatch, rec.Detector)
-		}
-		det = nd
-	}
 	if m.mon.ModelVersion() < rec.Version {
 		if _, err := m.mon.Drain(); err != nil {
 			return fmt.Errorf("drain before replayed swap: %w", err)
 		}
-		if err := m.mon.SwapModel(rec.Version, model, det); err != nil {
+		if err := m.mon.SwapModel(rec.Version, model); err != nil {
 			return fmt.Errorf("replay swap to v%d: %w", rec.Version, err)
 		}
 	}
 	m.mu.Lock()
-	m.cur = &Set{Model: model, Det: det, Version: rec.Version, Raw: json.RawMessage(b)}
+	m.cur = &Set{Model: model, Version: rec.Version, Raw: json.RawMessage(b)}
 	m.prev = nil // probation does not survive a restart (documented)
 	m.recordSwapLocked(rec)
 	m.mu.Unlock()

@@ -38,7 +38,7 @@ func testManager(t *testing.T, origins *[]string) *Manager {
 		t.Fatal(err)
 	}
 	cfg := Config{Enabled: true, ModelsDir: t.TempDir(), DriftMin: 2, Probation: 2, HoldoutMin: 1, CooldownTicks: 1, Sync: true}
-	return New(cfg, mon, &Set{Model: model, Det: det, Version: 1}, nil, Hooks{
+	return New(cfg, mon, &Set{Model: model, Version: 1}, nil, Hooks{
 		Enqueue: func(rec store.SwapRecord, apply func()) error {
 			*origins = append(*origins, rec.Origin)
 			return nil

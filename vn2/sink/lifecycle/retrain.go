@@ -58,7 +58,7 @@ func (m *Manager) runRetrain() {
 	m.rejectN = 0
 	m.mu.Unlock()
 
-	if err := m.swapTo(cand, cur.Det, cur.Version, OriginUpdate); err != nil {
+	if err := m.swapTo(cand, cur.Version, OriginUpdate); err != nil {
 		m.RetrainFails.Add(1)
 		m.retrainBackoff()
 		fmt.Fprintln(os.Stderr, "vn2 serve: hot-swap failed:", err)
@@ -87,7 +87,7 @@ func (m *Manager) trainCandidate(cur *Set, window []trace.StateVector) (*vn2.Mod
 			}()
 			cm, _, err := cur.Model.Update(window, vn2.TrainConfig{
 				CompressAllStates: true,
-				Workers:           m.cfg.Workers,
+				Workers:           m.mon.Workers(),
 			})
 			ch <- result{m: cm, err: err}
 		}()
@@ -123,7 +123,7 @@ func (m *Manager) ValidateCandidate(cur *Set, cand *vn2.Model, holdout []online.
 	for i, f := range holdout {
 		states[i] = f.State
 	}
-	diags, err := cand.DiagnoseBatch(states, vn2.DiagnoseConfig{Workers: m.cfg.Workers})
+	diags, err := cand.DiagnoseBatch(states, vn2.DiagnoseConfig{Workers: m.mon.Workers()})
 	if err != nil {
 		return fmt.Sprintf("holdout replay failed: %v", err)
 	}

@@ -3,6 +3,7 @@ package sink
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -49,15 +50,17 @@ func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) 
 		CalibratePath: fx.tracePath,
 		SnapshotPath:  filepath.Join(dir, "snapshot.json"),
 		WALPath:       filepath.Join(dir, "wal"),
-		ModelsDir:     filepath.Join(dir, "models"),
 		QueueSize:     256,
-		Lifecycle:     true,
-		LifecycleSync: true,
-		DriftMin:      8,
-		HoldoutMin:    4,
-		Probation:     6,
-		CooldownTicks: 1,
-		Sleep:         noSleep,
+		Lifecycle: lifecycle.Config{
+			Enabled:       true,
+			ModelsDir:     filepath.Join(dir, "models"),
+			DriftMin:      8,
+			HoldoutMin:    4,
+			Probation:     6,
+			CooldownTicks: 1,
+			Sync:          true,
+		},
+		Sleep: noSleep,
 	}
 	if mut != nil {
 		mut(&o)
@@ -107,7 +110,7 @@ func TestLifecycleDriftRetrainHotSwap(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 	pre := srv.mon.DriftStats()
-	if pre.Window < srv.opts.DriftMin || pre.UnattributedRate < 0.5 { // the lifecycle's drift rate
+	if pre.Window < srv.opts.Lifecycle.DriftMin || pre.UnattributedRate < 0.5 { // the lifecycle's drift rate
 		t.Fatalf("drift regime did not saturate the window: %+v", pre)
 	}
 	if pre.MeanResidual < 0.5 {
@@ -237,7 +240,7 @@ func TestLifecycleValidationGate(t *testing.T) {
 
 	cur := srv.lc.Current()
 	holdout := srv.mon.RecentWindow()
-	if len(holdout) < srv.opts.HoldoutMin {
+	if len(holdout) < srv.opts.Lifecycle.HoldoutMin {
 		t.Fatalf("holdout too small: %d", len(holdout))
 	}
 
@@ -297,7 +300,7 @@ func TestLifecycleRetrainDeadline(t *testing.T) {
 	fx := serveFixtures(t)
 	dir := t.TempDir()
 	srv := lifecycleServer(t, fx, dir, func(o *Options) {
-		o.RetrainTimeout = time.Nanosecond
+		o.Lifecycle.RetrainTimeout = time.Nanosecond
 	})
 	defer srv.jnl.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -455,6 +458,58 @@ func TestLifecycleSwapCrashRecovery(t *testing.T) {
 	})
 }
 
+// TestReplayRefusesDetectorSwapRecord: a WAL swap record that names a
+// detector file was written by a sink that refroze its detector on a swap.
+// The detector is now fixed at boot, so replaying the rest of that WAL would
+// diagnose it under a different detector than the one that wrote it: New
+// must refuse, naming the file, even with the model file in place.
+func TestReplayRefusesDetectorSwapRecord(t *testing.T) {
+	fx := serveFixtures(t)
+	dir := t.TempDir()
+	models := filepath.Join(dir, "models")
+	b, err := os.ReadFile(fx.modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := vn2.Load(strings.NewReader(string(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := model.SaveVersioned(&buf, vn2.ModelMeta{ModelVersion: 2, Parent: 1, Origin: lifecycle.OriginUpdate}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(models, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(models, store.ModelFileName(2)), []byte(buf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := store.OpenJournal(filepath.Join(dir, "wal"), noSleep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := store.SwapRecord{Version: 2, Parent: 1, Origin: lifecycle.OriginUpdate,
+		File: store.ModelFileName(2), Detector: "detector-v000002.json"}
+	if _, err := j.AppendSwapSync(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = New(Options{
+		ModelPath:     fx.modelPath,
+		CalibratePath: fx.tracePath,
+		WALPath:       filepath.Join(dir, "wal"),
+		Lifecycle:     lifecycle.Config{Enabled: true, ModelsDir: models},
+		Sleep:         noSleep,
+	})
+	if !errors.Is(err, lifecycle.ErrSwapFileMismatch) || !strings.Contains(err.Error(), rec.Detector) {
+		t.Fatalf("New over a WAL naming a detector file: err = %v, want ErrSwapFileMismatch naming %s", err, rec.Detector)
+	}
+}
+
 // TestLifecycleRollback: a swap whose post-swap residuals regress past the
 // (injected) pre-swap baseline is auto-reverted within the probation window;
 // the revert is itself a journaled generation that survives restart.
@@ -503,7 +558,7 @@ func TestLifecycleRollback(t *testing.T) {
 	if cur.Model != orig.Model {
 		t.Error("rollback did not restore the pre-swap model content")
 	}
-	if _, cooldown, probation := srv.lc.State(); probation || cooldown <= srv.opts.CooldownTicks {
+	if _, cooldown, probation := srv.lc.State(); probation || cooldown <= srv.opts.Lifecycle.CooldownTicks {
 		t.Errorf("after rollback: probation=%v cooldown=%d, want committed with a long cooldown", probation, cooldown)
 	}
 	// The rollback is persisted with its provenance.
@@ -546,8 +601,8 @@ func TestLifecycleConcurrentSwap(t *testing.T) {
 	dir := t.TempDir()
 	srv := lifecycleServer(t, fx, dir, func(o *Options) {
 		o.Addr = freePort(t)
-		o.LifecycleSync = false // retrains on their own goroutine
-		o.Probation = 4
+		o.Lifecycle.Sync = false // retrains on their own goroutine
+		o.Lifecycle.Probation = 4
 		o.DrainEvery = 5 * time.Millisecond
 		o.SnapshotEvery = 20 * time.Millisecond
 	})

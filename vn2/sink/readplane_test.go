@@ -109,7 +109,7 @@ func mustViewAsStructs(t *testing.T, name string, srv *Server) {
 	}
 	cur, st := srv.lc.Current(), srv.mon.State()
 	oracle, err := json.Marshal(store.Snapshot{
-		Version: store.SnapshotVersion, SavedAt: head.SavedAt, Model: cur.Raw, Detector: cur.Det,
+		Version: store.SnapshotVersion, SavedAt: head.SavedAt, Model: cur.Raw, Detector: srv.det,
 		Summary: srv.mon.Snapshot(), Monitor: &st, WALApplied: srv.applied.Load(),
 		ModelVersion: cur.Version, Swaps: srv.lc.History(),
 	})
@@ -119,7 +119,7 @@ func mustViewAsStructs(t *testing.T, name string, srv *Server) {
 	if !bytes.Equal(file, oracle) {
 		t.Fatalf("%s: streamed snapshot (%d B) is not json.Marshal(store.Snapshot) (%d B)", name, len(file), len(oracle))
 	}
-	m := srv.reg.Gather()
+	m := srv.metrics()
 	if m["snapshot_bytes"] != int64(len(file)) || m["snapshot_ms"].(float64) <= 0 {
 		t.Fatalf("%s: snapshot_bytes %v, snapshot_ms %v after a %d-byte snapshot", name, m["snapshot_bytes"], m["snapshot_ms"], len(file))
 	}
@@ -165,7 +165,7 @@ func (w *maxWrite) Write(p []byte) (int, error) {
 func TestReadPlaneCostsWhatChanged(t *testing.T) {
 	fx := serveFixtures(t)
 	srv := stormSink(t, t.TempDir())
-	rendered := func() uint64 { return srv.reg.Gather()["epochs_rendered"].(uint64) }
+	rendered := func() uint64 { return srv.metrics()["epochs_rendered"].(uint64) }
 	if got := rendered(); got != 0 {
 		t.Fatalf("epochs_rendered = %d before anything was read", got)
 	}
@@ -183,7 +183,7 @@ func TestReadPlaneCostsWhatChanged(t *testing.T) {
 	}
 	var w maxWrite
 	n, err := store.WriteSnapshot(&w, &store.Snapshot{Version: store.SnapshotVersion, Model: srv.lc.Current().Raw,
-		Detector: srv.lc.Current().Det, Summary: capt.Summary, Monitor: &capt.State}, capt.EpochParts)
+		Detector: srv.det, Summary: capt.Summary, Monitor: &capt.State}, capt.EpochParts)
 	if err != nil || n != int64(w.total) || w.total < len(first) {
 		t.Fatalf("WriteSnapshot: %d bytes reported, %d written, err %v; the view alone is %d", n, w.total, err, len(first))
 	}

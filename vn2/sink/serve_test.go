@@ -129,8 +129,8 @@ func TestServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart from snapshot: %v", err)
 	}
-	if srv2.lc.Current().Det.RefMax != srv.lc.Current().Det.RefMax ||
-		srv2.lc.Current().Det.Threshold != srv.lc.Current().Det.Threshold {
+	if srv2.det.RefMax != srv.det.RefMax ||
+		srv2.det.Threshold != srv.det.Threshold {
 		t.Error("restarted detector differs from the frozen one")
 	}
 }

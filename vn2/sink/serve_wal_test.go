@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -331,7 +332,7 @@ func TestSnapshotV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 snapshot rejected: %v", err)
 	}
-	if v1.lc.Current().Det.RefMax != srv.lc.Current().Det.RefMax {
+	if v1.det.RefMax != srv.det.RefMax {
 		t.Error("v1 snapshot lost the detector")
 	}
 }
@@ -389,7 +390,7 @@ func TestBootMetrics(t *testing.T) {
 	dir := t.TempDir()
 	bootMetrics := func(srv *Server) (calibration, replay float64) {
 		t.Helper()
-		m := srv.reg.Gather()
+		m := srv.metrics()
 		total, ok := m["boot_ms"].(float64)
 		calibration, okC := m["boot_calibration_ms"].(float64)
 		replay, okR := m["boot_replay_ms"].(float64)
@@ -427,17 +428,94 @@ func TestBootMetrics(t *testing.T) {
 	}
 }
 
-// TestMetricsAndStatusKeysDisjoint: /status layers statusReg's keys over
-// reg's, so a key registered in both has two sources that can disagree while
-// a swap is in flight, and /status silently shows one of them (model_version
-// once did). With the WAL on, so every conditional provider reports.
-func TestMetricsAndStatusKeysDisjoint(t *testing.T) {
+// metricsKeys and statusExtraKeys pin the wire: dashboards, alerts and the
+// benchmark harness (which polls queue_depth, pending_states, monitor_*,
+// wal_replayed and snapshots_written mid-run) read these names. /status is
+// every /metrics key plus the extras. degraded_reason and degraded_for_s
+// join /status only while the sink is degraded.
+const (
+	metricsKeys = `bad_requests boot_calibration_ms boot_ms boot_replay_ms bus_journal_bytes
+		bus_journal_evictions degraded degraded_entries drain_busy_us drain_errors
+		drain_fails_in_a_row drains drains_ticked drains_woken drift_mean_residual
+		drift_residual_p50 drift_residual_p90 drift_residual_p99 drift_unattributed
+		drift_unattributed_rate drift_window epochs_rendered handoff_exports
+		handoff_imports handoff_nodes_in handoff_releases ingest_errors
+		model_candidates_rejected model_retrain_failures model_retrains model_rollbacks
+		model_swaps model_version monitor_diagnosed monitor_dropped monitor_duplicates
+		monitor_first_reports monitor_flagged monitor_gap_reports monitor_invalid
+		monitor_last_epoch monitor_max_gap monitor_normal monitor_reports monitor_stale
+		pending_states quarantine_len queue_capacity queue_depth reports_accepted
+		reports_ingested reports_received reports_refused_backlog reports_rejected
+		snapshot_bytes snapshot_errors snapshot_ms snapshots_written stream_conns
+		stream_conns_rejected stream_conns_total stream_frames stream_nacks wal_applied
+		wal_errors wal_next_lsn wal_replay_bad wal_replay_skipped wal_replayed
+		wal_segments wal_truncations`
+	statusExtraKeys = `bin_bytes bin_cache_nodes bin_deltas bin_frames bin_fulls bin_records
+		bin_rejects lifecycle_enabled model_cooldown_ticks model_history model_probation
+		model_retraining started stream_dropped stream_encode_errors stream_journal_cap
+		stream_journal_len stream_next_seq stream_published stream_subscribers uptime
+		uptime_s`
+)
+
+// TestMetricsAndStatusKeys: the sorted key sets GET /metrics and GET
+// /status answer on a WAL-backed sink (so every conditional key reports)
+// are exactly the pinned ones.
+func TestMetricsAndStatusKeys(t *testing.T) {
 	srv := walServer(t, serveFixtures(t), t.TempDir())
 	defer srv.jnl.Close()
-	status := srv.statusReg.Gather()
-	for k := range srv.reg.Gather() {
-		if _, twice := status[k]; twice {
-			t.Errorf("%q is registered for /metrics and again for /status", k)
+	keys := func(path string) []string {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		var m map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		var keys []string
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	want := strings.Fields(metricsKeys)
+	if got := keys("/metrics"); !slices.Equal(got, want) {
+		t.Errorf("/metrics keys\n got %q\nwant %q", got, want)
+	}
+	want = append(want, strings.Fields(statusExtraKeys)...)
+	slices.Sort(want)
+	if got := keys("/status"); !slices.Equal(got, want) {
+		t.Errorf("/status keys\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestMetricsAndStatusKeysDisjoint: /status is /metrics plus extras, so an
+// extra that reused a /metrics key would be its second source — the two could
+// disagree while a swap is in flight, and /status would silently show one of
+// them (model_version once did). The pinned extras name no /metrics key, and
+// on a sink at rest after a diagnosed batch every /metrics key reads the same
+// in both. With the WAL on, so every conditional key reports.
+func TestMetricsAndStatusKeysDisjoint(t *testing.T) {
+	fx := serveFixtures(t)
+	srv := walServer(t, fx, t.TempDir())
+	defer srv.jnl.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	batch := []trace.Record{fx.hotReport(t, fx.nodes()[0], 1), fx.hotReport(t, fx.nodes()[1], 1)}
+	if resp, body := postJSON(t, ts.URL+"/report", batch); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("report: %d %s", resp.StatusCode, body)
+	}
+	ingestAll(srv)
+	srv.DrainTick()
+
+	metrics, status := srv.metrics(), srv.status()
+	for _, k := range strings.Fields(statusExtraKeys) {
+		if _, twice := metrics[k]; twice {
+			t.Errorf("/status extra %q is a /metrics key too", k)
+		}
+	}
+	for k, v := range metrics {
+		if !reflect.DeepEqual(status[k], v) {
+			t.Errorf("%q: /metrics %v, /status %v", k, v, status[k])
 		}
 	}
 }

@@ -45,6 +45,7 @@ const (
 // reason.
 type Server struct {
 	opts    Options
+	det     *trace.Detector // the deployment's, frozen at boot; no swap changes it
 	mon     *online.Monitor
 	jnl     *store.Journal
 	started time.Time
@@ -71,9 +72,6 @@ type Server struct {
 	applied  atomic.Uint64
 	binDec   *ingest.BinaryDecoder
 	walBuf   []byte
-
-	reg       *api.Registry // the /metrics keys
-	statusReg *api.Registry // /status extras layered on top of reg
 
 	received       atomic.Uint64 // reports offered by clients
 	accepted       atomic.Uint64 // reports that fit in the queue
@@ -252,7 +250,7 @@ func (s *Server) DrainTick() {
 
 	// Lifecycle: only on a clean, non-degraded tick — a degraded server has
 	// bigger problems than drift, and its window is not trustworthy.
-	if s.opts.Lifecycle && !s.deg.Active() {
+	if s.opts.Lifecycle.Enabled && !s.deg.Active() {
 		s.lc.Tick()
 	}
 }
@@ -325,7 +323,7 @@ func (s *Server) writeSnapshot() error {
 		Version:      store.SnapshotVersion,
 		SavedAt:      time.Now().UTC(),
 		Model:        cur.Raw,
-		Detector:     cur.Det,
+		Detector:     s.det,
 		Summary:      capt.Summary,
 		Monitor:      &capt.State,
 		WALApplied:   wm,

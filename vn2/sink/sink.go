@@ -4,16 +4,17 @@
 //	sink/ingest    — report body and frame decoding, the queue item type
 //	sink/store     — WAL journal policy, snapshot format
 //	sink/lifecycle — drift → shadow retrain → gate → hot-swap → rollback
-//	sink/api       — HTTP helpers: JSON responses, SSE, metrics registry,
-//	                 degraded-mode state machine, embedded dashboard
+//	sink/api       — HTTP helpers: JSON responses, SSE, degraded-mode
+//	                 state machine, embedded dashboard
 //	sink/bus       — the event plane connecting all of the above to the
 //	                 live visibility surface (GET /stream)
 //
 // The root package wires them into one Server: one commit point (commit.go)
 // in front of a bounded ingest queue feeding the monitor, drains woken by
-// flagged states, periodic snapshots, a WAL making every 202 durable, and the HTTP surface — including the visibility plane
-// (/stream, /status, and the embedded dashboard at /). cmd/vn2's serve
-// subcommand is just flag parsing in front of New + Run.
+// flagged states, periodic snapshots, a WAL making every 202 durable, and
+// the HTTP surface — including the visibility plane (/stream, /status, and
+// the embedded dashboard at /). cmd/vn2's serve subcommand is just flag
+// parsing in front of New + Run.
 package sink
 
 import (
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/trace"
@@ -30,7 +32,6 @@ import (
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 	"github.com/wsn-tools/vn2/vn2/sink/lifecycle"
 	"github.com/wsn-tools/vn2/vn2/sink/store"
-	"os"
 )
 
 // ErrSnapshotMismatch reports a snapshot whose monitor state does not fit
@@ -41,7 +42,8 @@ var ErrSnapshotMismatch = errors.New("serve: snapshot monitor state does not mat
 
 // bootTimes is where New spent its time, in the order the stages run; one
 // that did not run (no snapshot, a snapshot detector, no WAL) reads zero.
-// monitor includes its warm-up or restore and the wiring of the server.
+// monitor includes its warm-up or restore and the wiring of the server;
+// /metrics reports the total, the calibration and the replay (boot_*).
 type bootTimes struct{ snapshot, model, calibRead, calibrate, monitor, replay time.Duration }
 
 func (b bootTimes) total() time.Duration {
@@ -69,15 +71,9 @@ type Options struct {
 	DrainEvery    time.Duration // idle upper bound of the diagnosis pass; clock of the lifecycle/degraded probes
 	SnapshotEvery time.Duration
 
-	// Model lifecycle (all inert unless Lifecycle is true).
-	ModelsDir      string        // directory for persisted model generations
-	Lifecycle      bool          // enable drift-triggered retrain + hot-swap
-	DriftMin       int           // min drift-window fill before triggering (default 32)
-	RetrainTimeout time.Duration // shadow retrain deadline (default 2m)
-	Probation      int           // post-swap window before commit/rollback (default 32)
-	HoldoutMin     int           // min held-out states to judge a candidate (default 8)
-	CooldownTicks  int           // base trigger cooldown, in drain ticks (default 8)
-	LifecycleSync  bool          // run retrains inline in DrainTick (tests/chaos only)
+	// Lifecycle is the model lifecycle, inert unless Lifecycle.Enabled; its
+	// retrain solves on Workers.
+	Lifecycle lifecycle.Config
 
 	// StreamBuffer bounds each /stream subscriber's ring (0 = 64). It and
 	// QueueSize are bounds, paid for as used: neither is allocated up front.
@@ -93,32 +89,10 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
-// lifecycleDefaults fills the zero lifecycle knobs. The lifecycle itself
-// stays off unless o.Lifecycle is set — a zero-valued Options (the chaos
-// harness, existing tests) behaves exactly as before.
-func (o *Options) lifecycleDefaults() {
-	if o.DriftMin <= 0 {
-		o.DriftMin = 32
-	}
-	if o.RetrainTimeout <= 0 {
-		o.RetrainTimeout = 2 * time.Minute
-	}
-	if o.Probation <= 0 {
-		o.Probation = 32
-	}
-	if o.HoldoutMin <= 0 {
-		o.HoldoutMin = 8
-	}
-	if o.CooldownTicks <= 0 {
-		o.CooldownTicks = 8
-	}
-}
-
 // New loads the model, obtains a frozen detector (snapshot first, else
 // calibration trace), primes the monitor, restores snapshot state, replays
 // the WAL, and assembles the Server without starting it.
 func New(o Options) (*Server, error) {
-	o.lifecycleDefaults()
 	var boot bootTimes
 	mark := time.Now()
 	lap := func(stage *time.Duration) {
@@ -246,6 +220,7 @@ func New(o Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:    o,
+		det:     det,
 		mon:     mon,
 		queue:   bus.NewQueue[ingest.Item](o.QueueSize),
 		wake:    make(chan struct{}, 1),
@@ -254,18 +229,8 @@ func New(o Options) (*Server, error) {
 		binDec:  ingest.NewBinaryDecoder(),
 	}
 	s.bus = bus.New(0)
-	s.lc = lifecycle.New(lifecycle.Config{
-		Enabled:        o.Lifecycle,
-		ModelsDir:      o.ModelsDir,
-		DriftMin:       o.DriftMin,
-		RetrainTimeout: o.RetrainTimeout,
-		Probation:      o.Probation,
-		HoldoutMin:     o.HoldoutMin,
-		CooldownTicks:  o.CooldownTicks,
-		Sync:           o.LifecycleSync,
-		Workers:        o.Workers,
-	}, mon,
-		&lifecycle.Set{Model: model, Det: det, Version: meta.ModelVersion, Raw: modelRaw},
+	s.lc = lifecycle.New(o.Lifecycle, mon,
+		&lifecycle.Set{Model: model, Version: meta.ModelVersion, Raw: modelRaw},
 		o.Sleep,
 		lifecycle.Hooks{
 			Enqueue: func(rec store.SwapRecord, apply func()) error {
@@ -352,6 +317,5 @@ func New(o Options) (*Server, error) {
 		lap(&boot.replay)
 	}
 	s.boot = boot
-	s.registerMetrics()
 	return s, nil
 }

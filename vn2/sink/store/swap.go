@@ -8,8 +8,9 @@ import (
 // SwapRecord is the KindSwap WAL payload: which model generation starts at
 // this LSN. File names a file inside the models directory, persisted and
 // fsynced BEFORE the record is appended, so a replayed record's file always
-// exists. Detector is only read: a WAL written by a sink that still refroze
-// its detector on a swap names that generation's detector file here.
+// exists. Detector is only recognised: a WAL written by a sink that still
+// refroze its detector on a swap names that generation's detector file here,
+// and replay refuses such a record (the detector is fixed at boot).
 type SwapRecord struct {
 	Version  uint64 `json:"version"`
 	Parent   uint64 `json:"parent"`
