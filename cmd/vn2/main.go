@@ -148,14 +148,9 @@ func cmdTrain(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("train: -in is required")
 	}
-	f, err := os.Open(*in)
+	ds, err := readTrace(*in)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	ds, err := trace.ReadCSV(f)
-	if err != nil {
-		return fmt.Errorf("read trace: %w", err)
 	}
 	model, report, err := vn2.Train(ds.States(), vn2.TrainConfig{
 		Rank:              *rank,
@@ -198,23 +193,13 @@ func cmdUpdate(args []string) error {
 	if *modelPath == "" || *in == "" {
 		return fmt.Errorf("update: -model and -in are required")
 	}
-	mf, err := os.Open(*modelPath)
+	model, meta, err := loadModel(*modelPath)
 	if err != nil {
 		return err
 	}
-	defer mf.Close()
-	model, meta, err := vn2.LoadVersioned(mf)
-	if err != nil {
-		return fmt.Errorf("load model: %w", err)
-	}
-	tf, err := os.Open(*in)
+	ds, err := readTrace(*in)
 	if err != nil {
 		return err
-	}
-	defer tf.Close()
-	ds, err := trace.ReadCSV(tf)
-	if err != nil {
-		return fmt.Errorf("read trace: %w", err)
 	}
 	next, report, err := model.Update(ds.States(), vn2.TrainConfig{
 		CompressAllStates: *allStates,
@@ -258,23 +243,13 @@ func cmdDiagnose(args []string) error {
 	if *modelPath == "" || *in == "" {
 		return fmt.Errorf("diagnose: -model and -in are required")
 	}
-	mf, err := os.Open(*modelPath)
+	model, _, err := loadModel(*modelPath)
 	if err != nil {
 		return err
 	}
-	defer mf.Close()
-	model, err := vn2.Load(mf)
-	if err != nil {
-		return fmt.Errorf("load model: %w", err)
-	}
-	tf, err := os.Open(*in)
+	ds, err := readTrace(*in)
 	if err != nil {
 		return err
-	}
-	defer tf.Close()
-	ds, err := trace.ReadCSV(tf)
-	if err != nil {
-		return fmt.Errorf("read trace: %w", err)
 	}
 	states := ds.States()
 	det, err := trace.DetectExceptions(states, 0)
@@ -375,6 +350,34 @@ func cmdExperiment(args []string) error {
 	return nil
 }
 
+// readTrace reads the trace CSV at path.
+func readTrace(path string) (*trace.Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	ds, err := trace.ReadCSV(f)
+	if err != nil {
+		return nil, fmt.Errorf("read trace: %w", err)
+	}
+	return ds, nil
+}
+
+// loadModel reads the model file at path and its lifecycle meta.
+func loadModel(path string) (*vn2.Model, vn2.ModelMeta, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, vn2.ModelMeta{}, err
+	}
+	defer f.Close()
+	model, meta, err := vn2.LoadVersioned(f)
+	if err != nil {
+		return nil, meta, fmt.Errorf("load model: %w", err)
+	}
+	return model, meta, nil
+}
+
 // outputWriter opens path for writing, or stdout when path is empty.
 func outputWriter(path string) (*os.File, func(), error) {
 	if path == "" {
@@ -396,14 +399,9 @@ func cmdExplain(args []string) error {
 	if *modelPath == "" {
 		return fmt.Errorf("explain: -model is required")
 	}
-	mf, err := os.Open(*modelPath)
+	model, _, err := loadModel(*modelPath)
 	if err != nil {
 		return err
-	}
-	defer mf.Close()
-	model, err := vn2.Load(mf)
-	if err != nil {
-		return fmt.Errorf("load model: %w", err)
 	}
 	fmt.Printf("Psi(%dx%d), trained on %d exception states, keep=%.0f%%\n",
 		model.Rank, model.Metrics(), model.TrainStates, model.Keep*100)
@@ -442,23 +440,13 @@ func cmdEpochs(args []string) error {
 	if *modelPath == "" || *in == "" {
 		return fmt.Errorf("epochs: -model and -in are required")
 	}
-	mf, err := os.Open(*modelPath)
+	model, _, err := loadModel(*modelPath)
 	if err != nil {
 		return err
 	}
-	defer mf.Close()
-	model, err := vn2.Load(mf)
-	if err != nil {
-		return fmt.Errorf("load model: %w", err)
-	}
-	tf, err := os.Open(*in)
+	ds, err := readTrace(*in)
 	if err != nil {
 		return err
-	}
-	defer tf.Close()
-	ds, err := trace.ReadCSV(tf)
-	if err != nil {
-		return fmt.Errorf("read trace: %w", err)
 	}
 	states := ds.States()
 	if len(states) == 0 {

@@ -22,7 +22,7 @@ func cmdServe(args []string) error {
 	var o sink.Options
 	fs.StringVar(&o.Addr, "addr", "127.0.0.1:8080", "listen address")
 	fs.StringVar(&o.ModelPath, "model", "", "model JSON path (required unless -snapshot holds one)")
-	fs.StringVar(&o.CalibratePath, "calibrate", "", "trace CSV to freeze the exception detector from (required unless -snapshot holds a detector)")
+	fs.StringVar(&o.CalibratePath, "calibrate", "", "trace CSV whose last report per node primes the monitor (required unless -snapshot holds a detector); the detector comes from the model's training window, not from this trace, unless the model was saved without its calibration")
 	fs.StringVar(&o.SnapshotPath, "snapshot", "", "snapshot file: loaded at startup when present, rewritten periodically")
 	fs.StringVar(&o.WALPath, "wal", "", "write-ahead log directory: accepted reports are journaled before the 202 and replayed on restart (empty = no WAL)")
 	fs.Float64Var(&o.Threshold, "threshold", 0, "exception cutoff eps/max(eps) (0 = paper's 0.01)")

@@ -1,5 +1,5 @@
 // Online monitor: run the simulator and VN2 side by side — train a model
-// on a warm-up window, freeze the exception detector from it, and stream
+// on a warm-up window, take the exception detector the model carries, and stream
 // each new epoch's reports through the online monitor. A report first
 // passes the frozen detector (is the derived state abnormal at all?) and
 // only then is batch-diagnosed against Ψ on the per-epoch drain (which
@@ -59,14 +59,12 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("train: %w", err)
 	}
-	// Freeze the detector from the same window: its RefMax is the batch
-	// max(ε), so the online rule ε/RefMax ≥ threshold is exactly the batch
-	// detector's cutoff applied per incoming state. A higher-than-default
-	// threshold keeps the live loop quiet until something breaks.
-	det, err := trace.NewDetector(trainStates, 0.05)
-	if err != nil {
-		return fmt.Errorf("freeze detector: %w", err)
-	}
+	// The model carries the detector's calibration over the same window:
+	// its RefMax is the batch max(ε), so the online rule ε/RefMax ≥
+	// threshold is exactly the batch detector's cutoff applied per incoming
+	// state. A higher-than-default threshold keeps the live loop quiet until
+	// something breaks.
+	det := model.Calibration.WithThreshold(0.05)
 	mon, err := online.NewMonitor(online.Config{Model: model, Detector: det})
 	if err != nil {
 		return fmt.Errorf("monitor: %w", err)

@@ -5,9 +5,12 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/wsn-tools/vn2/vn2"
 )
 
 // quickRunner shares one memoized runner across the package tests so the
@@ -257,7 +260,10 @@ func TestExperimentDigests(t *testing.T) {
 	}
 	const path = "../../experiments_full.txt"
 	const regen = "if the change is meant to move results, regenerate with `make experiments` and re-read EXPERIMENTS.md"
-	const modelDigest = "9bfebbe653e09acd9478f3fafa9d31f5f4b2e4262da852628b784026c3a87b32"
+	const modelDigest = "fe012a98579cc7bd28e35fee6c767da67cc5b1a155a8de13f431055dee856010"
+	// The same model saved without its calibration: the factors alone, as
+	// pinned before models carried one.
+	const factorsDigest = "9bfebbe653e09acd9478f3fafa9d31f5f4b2e4262da852628b784026c3a87b32"
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -269,12 +275,19 @@ func TestExperimentDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		if err := model.Save(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != modelDigest {
-			t.Fatalf("CitySee model digest %s, committed %s; re-pin it here, and %s", got, modelDigest, regen)
+		factors := *model
+		factors.Calibration = nil
+		for _, c := range []struct {
+			m    *vn2.Model
+			want string
+		}{{model, modelDigest}, {&factors, factorsDigest}} {
+			h := sha256.New()
+			if err := c.m.Save(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+				t.Errorf("CitySee model digest %s, committed %s; re-pin it here, and %s", got, c.want, regen)
+			}
 		}
 	})
 	steps := r.steps()
@@ -382,8 +395,9 @@ func TestThresholdSensitivity(t *testing.T) {
 // train/test cause distributions positively correlated (Fig. 5h/5i), the
 // healthy days' PRR above the degraded window's (Fig. 6a), and the exception
 // count flat within 5% of its 0.01 value for cutoffs 0.005–0.05. It also
-// pins the known deviation as measured: local removal detected with higher
-// recall than expansive, the reverse of the paper.
+// pins the known deviations as measured: local removal detected with higher
+// recall than expansive, the reverse of the paper; Fig. 6b's top four causes
+// holding 0.41 of the window, and none of Fig. 6c's four led by Loop_counter.
 func TestExperimentShapes(t *testing.T) {
 	raw, err := os.ReadFile("../../experiments_full.txt")
 	if err != nil {
@@ -423,6 +437,20 @@ func TestExperimentShapes(t *testing.T) {
 	note("fig5i", "event detection recall (avg of 3 schedules): ", "local %g vs expansive %g", &local, &expansive)
 	if local <= expansive {
 		t.Errorf("fig5i: local recall %g ≤ expansive %g; the known deviation moved, update EXPERIMENTS.md", local, expansive)
+	}
+	var top4 float64
+	note("fig6b", "top four measured: ", "%g", &top4)
+	if top4 < 0.38 || top4 > 0.44 {
+		t.Errorf("fig6b: the top four causes hold %g of the window, Known deviation 2 says 0.41 (±0.03)", top4)
+	}
+	var led []string
+	for _, line := range section("fig6c") {
+		if f := strings.Fields(line); len(f) >= 3 && strings.HasPrefix(f[0], "psi") {
+			led = append(led, f[2])
+		}
+	}
+	if len(led) != 4 || slices.ContainsFunc(led, func(m string) bool { return strings.HasPrefix(m, "Loop_counter=") }) {
+		t.Errorf("fig6c: rows led by %q, want four and none led by Loop_counter (Known deviation 2)", led)
 	}
 	var healthy, window float64
 	note("fig6a", "mean PRR: ", "healthy days %g vs degraded window %g", &healthy, &window)

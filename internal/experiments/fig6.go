@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/tracegen"
@@ -56,13 +57,9 @@ func (r *Runner) Fig6() ([]*Table, error) {
 	for _, v := range dist {
 		total += v
 	}
-	type causeStrength struct {
-		cause    int
-		strength float64
-	}
-	ranked := make([]causeStrength, len(dist))
+	ranked := make([]int, len(dist)) // causes, strongest first once sorted
 	for j, v := range dist {
-		ranked[j] = causeStrength{cause: j, strength: v}
+		ranked[j] = j
 		share := 0.0
 		if total > 0 {
 			share = v / total
@@ -73,10 +70,17 @@ func (r *Runner) Fig6() ([]*Table, error) {
 			fmt.Sprintf("%.3f", share),
 		})
 	}
-	sort.Slice(ranked, func(a, b int) bool { return ranked[a].strength > ranked[b].strength })
+	sort.Slice(ranked, func(a, b int) bool { return dist[ranked[a]] > dist[ranked[b]] })
+	var top []string
+	var topShare float64
+	for _, c := range ranked[:min(4, len(ranked))] {
+		top = append(top, fmt.Sprintf("psi%d", c+1))
+		topShare += dist[c] / total
+	}
 	t6b.Notes = append(t6b.Notes,
 		fmt.Sprintf("%d window states diagnosed against Psi(%dx%d)", len(windowStates), model.Rank, model.Metrics()),
-		"a small subset of causes dominates the window, as in the paper (psi11, psi16, psi17, psi22)")
+		fmt.Sprintf("top four measured: %.3f of the strength on %s (the paper's Fig. 6b labels its four psi11, psi16, psi17, psi22)",
+			topShare, strings.Join(top, ", ")))
 	tables = append(tables, t6b)
 
 	// Fig. 6c: detailed profiles of the dominant causes, with the
@@ -87,12 +91,8 @@ func (r *Runner) Fig6() ([]*Table, error) {
 		Columns: []string{"cause", "category", "top metric variations"},
 	}
 	catSeen := make(map[vn2.Category]bool)
-	topN := 4
-	if topN > len(ranked) {
-		topN = len(ranked)
-	}
-	for i := 0; i < topN; i++ {
-		exp, err := model.Explain(ranked[i].cause, 4)
+	for i := range top {
+		exp, err := model.Explain(ranked[i], 4)
 		if err != nil {
 			return nil, err
 		}

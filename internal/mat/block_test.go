@@ -115,10 +115,10 @@ func TestMulABTIntoBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedRowPartitionDeterminism crosses block sizes with the pool's row
+// TestBlockedMulIntoOverPoolChunks crosses block sizes with the pool's row
 // chunks: any chunking of dst rows over any blocking must be bit-identical to
 // the naive sequential kernels.
-func TestBlockedRowPartitionDeterminism(t *testing.T) {
+func TestBlockedMulIntoOverPoolChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	const m, k, n = 45, 80, 33
 	a := randomSigned(m, k, rng)

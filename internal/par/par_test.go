@@ -25,7 +25,7 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestRowPartitionCoversExactlyOnce(t *testing.T) {
+func TestPartitionIntoCoversExactlyOnce(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 45, 100, 286} {
 		for _, parts := range []int{1, 2, 3, 4, 7, 16, 300} {
 			ranges := partitionInto(nil, n, parts)
@@ -62,7 +62,7 @@ func TestRowPartitionCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRowPartitionNearEqual(t *testing.T) {
+func TestPartitionIntoNearEqual(t *testing.T) {
 	got := partitionInto(nil, 10, 3)
 	want := []Range{{0, 4}, {4, 7}, {7, 10}}
 	for i := range want {
@@ -72,7 +72,7 @@ func TestRowPartitionNearEqual(t *testing.T) {
 	}
 }
 
-func TestRowPartitionEdgeCases(t *testing.T) {
+func TestPartitionIntoEdgeCases(t *testing.T) {
 	if got := partitionInto(nil, 0, 4); len(got) != 0 {
 		t.Errorf("partitionInto(0,4) = %v, want none", got)
 	}

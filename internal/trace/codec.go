@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -94,4 +97,69 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// ReadLastRecords returns ReadCSV(r).LastRecords() for any file WriteCSV
+// writes, parsing the metrics of each node's last row only. Like ReadCSV it
+// skips blank lines and checks every row's column count, node, epoch and
+// per-node epoch order; rows are split at commas, so a quoted field is
+// refused. It streams: what it holds is one row per node.
+func ReadLastRecords(r io.Reader) ([]Record, error) {
+	type last struct {
+		epoch, line int
+		row         []byte // nil: no row for this node
+	}
+	var rows []last // by node
+	want := 2 + metricspec.MetricCount
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), math.MaxInt32)
+	line := 0
+	for sc.Scan() {
+		row := sc.Bytes()
+		if len(row) == 0 {
+			continue
+		}
+		if line++; bytes.IndexByte(row, '"') >= 0 || bytes.Count(row, []byte{','}) != want-1 {
+			return nil, fmt.Errorf("%w: line %d is not %d unquoted columns", ErrVectorLength, line, want)
+		}
+		if line == 1 {
+			continue // the header
+		}
+		f0, tail, _ := bytes.Cut(row, []byte{','})
+		f1, _, _ := bytes.Cut(tail, []byte{','})
+		node, errNode := strconv.Atoi(string(f0))
+		epoch, err := strconv.Atoi(string(f1))
+		if err = errors.Join(errNode, err); err != nil {
+			return nil, fmt.Errorf("line %d node or epoch: %w", line, err)
+		}
+		id := int(packet.NodeID(node))
+		if id >= len(rows) {
+			rows = append(rows, make([]last, id+1-len(rows))...)
+		}
+		if l := rows[id]; l.row != nil && l.epoch >= epoch {
+			return nil, fmt.Errorf("line %d: trace: node %d epoch %d not after previous epoch %d", line, id, epoch, l.epoch)
+		}
+		rows[id] = last{epoch, line, append(rows[id].row[:0], row...)}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("read csv: %w", err)
+	}
+	if line == 0 {
+		return nil, fmt.Errorf("read csv header: %w", io.EOF)
+	}
+	out := []Record{}
+	for id, l := range rows {
+		if l.row == nil {
+			continue
+		}
+		vec := make([]float64, metricspec.MetricCount)
+		for k, cell := range bytes.Split(l.row, []byte{','})[2:] {
+			var err error
+			if vec[k], err = strconv.ParseFloat(string(cell), 64); err != nil {
+				return nil, fmt.Errorf("line %d metric %d: %w", l.line, k, err)
+			}
+		}
+		out = append(out, Record{Node: packet.NodeID(id), Epoch: l.epoch, Vector: vec})
+	}
+	return out, nil
 }

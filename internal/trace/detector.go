@@ -36,8 +36,9 @@ type Detector struct {
 	// RefMax is the frozen reference deviation: max(ε) over the training
 	// window. Zero means the training window was perfectly uniform.
 	RefMax float64 `json:"ref_max"`
-	// Threshold is the ε/RefMax cutoff (the paper's 0.01 by default).
-	Threshold float64 `json:"threshold"`
+	// Threshold is the ε/RefMax cutoff (the paper's 0.01 by default). A
+	// model's calibration carries none: WithThreshold sets it at boot.
+	Threshold float64 `json:"threshold,omitempty"`
 }
 
 // NewDetector calibrates a detector from a training window: robust
@@ -47,6 +48,16 @@ type Detector struct {
 func NewDetector(states []StateVector, threshold float64) (*Detector, error) {
 	d, _, err := calibrate(states, threshold)
 	return d, err
+}
+
+// WithThreshold returns a copy of the calibration cutting at threshold
+// (≤ 0 uses defaultExceptionThreshold). Center and Scale are shared.
+func (d Detector) WithThreshold(threshold float64) *Detector {
+	if threshold <= 0 {
+		threshold = defaultExceptionThreshold
+	}
+	d.Threshold = threshold
+	return &d
 }
 
 // Valid reports whether the detector carries a usable calibration.
@@ -137,24 +148,28 @@ func (d *Detector) Detect(states []StateVector) (*ExceptionResult, error) {
 			return nil, fmt.Errorf("%w: state %d has %d metrics, want %d", ErrVectorLength, i, len(s.Delta), m)
 		}
 	}
-	res := &ExceptionResult{
-		Scores: make([]float64, len(states)),
-		Center: d.Center,
-		Scale:  d.Scale,
-	}
+	scores := make([]float64, len(states))
 	for i, s := range states {
-		res.Scores[i] = d.rawScore(s.Delta)
+		scores[i] = d.rawScore(s.Delta)
 	}
+	return d.judge(scores), nil
+}
+
+// judge divides raw scores by RefMax in place and flags those at or past the
+// threshold. Perfectly uniform data (RefMax 0) flags nothing: nothing
+// deviates.
+func (d *Detector) judge(scores []float64) *ExceptionResult {
+	res := &ExceptionResult{Scores: scores, Center: d.Center, Scale: d.Scale, RefMax: d.RefMax}
 	if d.RefMax == 0 {
-		return res, nil
+		return res
 	}
-	for i := range res.Scores {
-		res.Scores[i] /= d.RefMax
-		if res.Scores[i] >= d.Threshold {
+	for i := range scores {
+		scores[i] /= d.RefMax
+		if scores[i] >= d.Threshold {
 			res.Indices = append(res.Indices, i)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // calibrate computes the frozen calibration and the raw (unnormalized)
@@ -167,9 +182,6 @@ func (d *Detector) Detect(states []StateVector) (*ExceptionResult, error) {
 func calibrate(states []StateVector, threshold float64) (*Detector, []float64, error) {
 	if len(states) == 0 {
 		return nil, nil, ErrEmpty
-	}
-	if threshold <= 0 {
-		threshold = defaultExceptionThreshold
 	}
 	m := len(states[0].Delta)
 	for i, s := range states {
@@ -203,7 +215,7 @@ func calibrate(states []StateVector, threshold float64) (*Detector, []float64, e
 		}
 	}
 
-	d := &Detector{Center: center, Scale: scale, Threshold: threshold}
+	d := Detector{Center: center, Scale: scale}.WithThreshold(threshold)
 	scores := make([]float64, len(states))
 	for i, s := range states {
 		scores[i] = d.rawScore(s.Delta)

@@ -23,6 +23,8 @@ type ExceptionResult struct {
 	// Scale is the robust per-metric spread (99th-percentile absolute
 	// deviation, floored) used to standardize deviations.
 	Scale []float64
+	// RefMax is max(εᵤ), the divisor of Scores.
+	RefMax float64
 }
 
 // Exceptions returns the flagged states themselves.
@@ -52,21 +54,5 @@ func DetectExceptions(states []StateVector, threshold float64) (*ExceptionResult
 	if err != nil {
 		return nil, err
 	}
-	res := &ExceptionResult{
-		Scores: scores,
-		Center: det.Center,
-		Scale:  det.Scale,
-	}
-	if det.RefMax == 0 {
-		// Perfectly uniform data: nothing deviates, nothing is an
-		// exception.
-		return res, nil
-	}
-	for i := range res.Scores {
-		res.Scores[i] /= det.RefMax
-		if res.Scores[i] >= det.Threshold {
-			res.Indices = append(res.Indices, i)
-		}
-	}
-	return res, nil
+	return det.judge(scores), nil
 }

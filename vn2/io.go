@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -110,6 +111,17 @@ func LoadVersioned(r io.Reader) (*Model, ModelMeta, error) {
 	if m.MetricNames != nil && len(m.MetricNames) != cols {
 		return nil, ModelMeta{}, fmt.Errorf("%w: %d metric names for %d metrics",
 			ErrCorruptModel, len(m.MetricNames), cols)
+	}
+	if c := m.Calibration; c != nil {
+		// Every comparison with NaN is false, so NaN and ±Inf fail these.
+		ok := len(c.Center) == cols && len(c.Scale) == cols && c.RefMax >= 0 && c.RefMax <= math.MaxFloat64
+		for k := 0; ok && k < cols; k++ {
+			ok = math.Abs(c.Center[k]) <= math.MaxFloat64 && c.Scale[k] > 0 && c.Scale[k] <= math.MaxFloat64
+		}
+		if !ok {
+			return nil, ModelMeta{}, fmt.Errorf("%w: calibration is not %d finite centers and positive scales",
+				ErrCorruptModel, cols)
+		}
 	}
 	for j := range m.Labels {
 		if j < 0 || j >= m.Rank {

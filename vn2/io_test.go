@@ -89,6 +89,24 @@ func TestLoadMalformed(t *testing.T) {
 		{"rank disagrees with basis", corrupt(func(_, m map[string]any) {
 			m["rank"] = m["rank"].(float64) + 1
 		}), false},
+		{"short calibration center", corrupt(func(_, m map[string]any) {
+			c := m["calibration"].(map[string]any)
+			c["center"] = c["center"].([]any)[:5]
+		}), true},
+		{"calibration scale longer than basis", corrupt(func(_, m map[string]any) {
+			c := m["calibration"].(map[string]any)
+			c["scale"] = append(c["scale"].([]any), 1.0)
+		}), true},
+		{"zero calibration scale", corrupt(func(_, m map[string]any) {
+			m["calibration"].(map[string]any)["scale"].([]any)[3] = 0.0
+		}), true},
+		{"negative calibration ref max", corrupt(func(_, m map[string]any) {
+			m["calibration"].(map[string]any)["ref_max"] = -1.0
+		}), true},
+		{"calibration center past float64", func(t *testing.T) (*Model, error) {
+			b, _ := json.Marshal(savedModelJSON(t))
+			return Load(bytes.NewReader(bytes.Replace(b, []byte(`"center":[`), []byte(`"center":[1e999,`), 1)))
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,6 +63,9 @@ type Model struct {
 	// Labels holds optional expert labels per root cause (Problem 2's
 	// output); persisted with the model. May be nil.
 	Labels map[int]string `json:"labels,omitempty"`
+	// Calibration is the Section IV-B detector over the training window,
+	// without a threshold; nil in a model saved before models carried one.
+	Calibration *trace.Detector `json:"calibration,omitempty"`
 
 	// gram is ΨΨᵀ for the basis gramOf: Train, Update and Load build it,
 	// diagnoses only read it. Psi is not written to once a model diagnoses.

@@ -67,14 +67,15 @@ type Degraded struct {
 }
 
 // Enter flips into degraded mode with the given reason, returning true on
-// the transition and false when already degraded (first reason wins).
+// the transition and false when already degraded (first reason wins) or
+// when the reason is empty, which no Clear could ever match.
 // onFirst, when non-nil, runs under the state lock BEFORE the active flag
 // is published, so anything it captures (a last-good snapshot) is in place
 // by the time readers observe Active() == true.
 func (d *Degraded) Enter(reason string, onFirst func()) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.reason != "" {
+	if reason == "" || d.reason != "" {
 		return false
 	}
 	d.reason = reason

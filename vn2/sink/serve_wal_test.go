@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/trace"
+	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 	"github.com/wsn-tools/vn2/vn2/sink/store"
@@ -382,7 +384,7 @@ func TestSnapshotModelMismatch(t *testing.T) {
 }
 
 // TestBootMetrics: /metrics says where a (re)start spent its time. A cold
-// boot calibrates from the trace; a restart whose snapshot supplied the
+// boot reads the calibration trace; a restart whose snapshot supplied the
 // detector did not, and reads exactly zero there; the replay gauge is zero
 // without a WAL and the stages never add up to more than the whole.
 func TestBootMetrics(t *testing.T) {
@@ -425,6 +427,56 @@ func TestBootMetrics(t *testing.T) {
 	}
 	if _, replay := bootMetrics(noWAL); replay != 0 {
 		t.Fatalf("no WAL was configured but boot_replay_ms = %v", replay)
+	}
+}
+
+// TestBootFromModelCalibration: a sink whose model carries its calibration
+// reads only the trace's last rows (the boot line says "calibrate 0.0"), and
+// one booted from the same model stripped of it — the file a model saved
+// before models carried one — calibrates from the whole trace. Both cut at
+// the same -threshold, freeze the same detector, and after the same batches
+// hold the same monitor state and serve the same /epochs bytes.
+func TestBootFromModelCalibration(t *testing.T) {
+	fx := serveFixtures(t)
+	raw, err := os.ReadFile(fx.modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := vn2.Load(bytes.NewReader(raw))
+	if err != nil || model.Calibration == nil {
+		t.Fatalf("fixture model carries no calibration (err %v)", err)
+	}
+	model.Calibration = nil
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stripped := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(stripped, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot := func(modelPath string) *Server {
+		srv, err := New(Options{ModelPath: modelPath, CalibratePath: fx.tracePath, Threshold: 0.02, Sleep: noSleep})
+		if err != nil {
+			t.Fatalf("New(%s): %v", modelPath, err)
+		}
+		return srv
+	}
+	carried, calibrated := boot(fx.modelPath), boot(stripped)
+	if line := carried.boot.String(); !strings.Contains(line, "calibrate 0.0,") || calibrated.boot.calibrate == 0 {
+		t.Fatalf("boot lines %q and %q: only the stripped model should calibrate", line, calibrated.boot)
+	}
+	if !reflect.DeepEqual(carried.det, calibrated.det) {
+		t.Fatalf("detectors differ: %+v vs %+v", carried.det, calibrated.det)
+	}
+	batches := fx.rampBatches(t, 400, 40)
+	feed(t, carried, batches, 1)
+	feed(t, calibrated, batches, 1)
+	if !reflect.DeepEqual(carried.MonitorState(), calibrated.MonitorState()) {
+		t.Fatal("monitor states differ after the same batches")
+	}
+	if a, b := getEpochs(t, carried), getEpochs(t, calibrated); !bytes.Equal(a, b) {
+		t.Fatalf("/epochs differ:\n%.200s\n%.200s", a, b)
 	}
 }
 

@@ -89,9 +89,9 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
-// New loads the model, obtains a frozen detector (snapshot first, else
-// calibration trace), primes the monitor, restores snapshot state, replays
-// the WAL, and assembles the Server without starting it.
+// New loads the model, obtains a frozen detector (the snapshot's, else the
+// model's, else calibrated from the trace), primes the monitor, restores
+// snapshot state, replays the WAL, and assembles the Server unstarted.
 func New(o Options) (*Server, error) {
 	var boot bootTimes
 	mark := time.Now()
@@ -152,8 +152,10 @@ func New(o Options) (*Server, error) {
 	}
 	lap(&boot.model)
 
-	// Detector: frozen calibration from the snapshot when present, else
-	// frozen from the calibration trace.
+	// Detector: the snapshot's when present, else the model's training-window
+	// calibration cut at -threshold. The calibration trace then supplies only
+	// each node's last report; a model saved without a calibration is
+	// calibrated from the whole trace, as before models carried one.
 	var det *trace.Detector
 	var warm []trace.Record // each calibration node's last report
 	switch {
@@ -164,8 +166,16 @@ func New(o Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer f.Close()
+		if model.Calibration != nil {
+			det = model.Calibration.WithThreshold(o.Threshold)
+			if warm, err = trace.ReadLastRecords(f); err != nil {
+				return nil, fmt.Errorf("read calibration trace: %w", err)
+			}
+			lap(&boot.calibRead)
+			break
+		}
 		ds, err := trace.ReadCSV(f)
-		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("read calibration trace: %w", err)
 		}

@@ -81,30 +81,9 @@ type TrainReport struct {
 // signature computation for interpretation.
 func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, error) {
 	cfg = cfg.withDefaults()
-	if len(states) == 0 {
-		return nil, nil, ErrNoStates
-	}
-
-	det, err := trace.DetectExceptions(states, 0)
+	det, workingStates, report, err := extract(states, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("detect exceptions: %w", err)
-	}
-	report := &TrainReport{TotalStates: len(states)}
-
-	var workingStates []trace.StateVector
-	if cfg.CompressAllStates {
-		workingStates = states
-		report.ExceptionIndices = make([]int, len(states))
-		for i := range states {
-			report.ExceptionIndices[i] = i
-		}
-	} else {
-		workingStates = det.Exceptions(states)
-		report.ExceptionIndices = append([]int(nil), det.Indices...)
-	}
-	report.ExceptionStates = len(workingStates)
-	if len(workingStates) == 0 {
-		return nil, nil, fmt.Errorf("%w: no exceptions above threshold", ErrNoStates)
+		return nil, nil, err
 	}
 
 	// Normalization for factorization uses the population spread over ALL
@@ -159,10 +138,40 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		Rank:        rank,
 		Keep:        nmf.DefaultKeepFraction,
 		TrainStates: len(workingStates),
+		Calibration: &trace.Detector{Center: det.Center, Scale: det.Scale, RefMax: det.RefMax},
 	}
 	model.Signatures = signedSignatures(workingStates, sparseW, scale)
 	model.cacheGram()
 	return model, report, nil
+}
+
+// extract runs the Section IV-B detector over states and picks what to
+// factorize: its exceptions, or every state with CompressAllStates.
+func extract(states []trace.StateVector, cfg TrainConfig) (*trace.ExceptionResult, []trace.StateVector, *TrainReport, error) {
+	if len(states) == 0 {
+		return nil, nil, nil, ErrNoStates
+	}
+	det, err := trace.DetectExceptions(states, 0)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("detect exceptions: %w", err)
+	}
+	report := &TrainReport{TotalStates: len(states)}
+	var working []trace.StateVector
+	if cfg.CompressAllStates {
+		working = states
+		report.ExceptionIndices = make([]int, len(states))
+		for i := range states {
+			report.ExceptionIndices[i] = i
+		}
+	} else {
+		working = det.Exceptions(states)
+		report.ExceptionIndices = append([]int(nil), det.Indices...)
+	}
+	report.ExceptionStates = len(working)
+	if len(working) == 0 {
+		return nil, nil, nil, fmt.Errorf("%w: no exceptions above threshold", ErrNoStates)
+	}
+	return det, working, report, nil
 }
 
 // populationScale is the per-metric population standard deviation over all

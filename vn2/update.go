@@ -14,35 +14,16 @@ import (
 // today's. The receiver is not modified; a new model is returned.
 //
 // The original normalization scale is kept so that diagnoses before and
-// after the update remain comparable; the rank carries over.
+// after the update remain comparable; the rank and the detector's
+// calibration carry over.
 func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, error) {
 	if !m.trained() {
 		return nil, nil, ErrNotTrained
 	}
 	cfg = cfg.withDefaults()
-	if len(states) == 0 {
-		return nil, nil, ErrNoStates
-	}
-
-	det, err := trace.DetectExceptions(states, 0)
+	_, workingStates, report, err := extract(states, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("detect exceptions: %w", err)
-	}
-	report := &TrainReport{TotalStates: len(states)}
-	var workingStates []trace.StateVector
-	if cfg.CompressAllStates {
-		workingStates = states
-		report.ExceptionIndices = make([]int, len(states))
-		for i := range states {
-			report.ExceptionIndices[i] = i
-		}
-	} else {
-		workingStates = det.Exceptions(states)
-		report.ExceptionIndices = append([]int(nil), det.Indices...)
-	}
-	report.ExceptionStates = len(workingStates)
-	if len(workingStates) == 0 {
-		return nil, nil, fmt.Errorf("%w: no exceptions above threshold", ErrNoStates)
+		return nil, nil, err
 	}
 
 	e, err := statesMatrix(workingStates, m.Scale)
@@ -87,6 +68,7 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 		Rank:        rank,
 		Keep:        nmf.DefaultKeepFraction,
 		TrainStates: len(workingStates),
+		Calibration: m.Calibration,
 	}
 	updated.Signatures = signedSignatures(workingStates, sparseW, updated.Scale)
 	updated.cacheGram()
