@@ -4,19 +4,18 @@
 
 GO ?= go
 
-# Packages refactored onto internal/par; the race detector must stay clean
-# on them for any worker count. radio and env are included because the
-# parallel wsn phases call into them concurrently (keyed link draws and
-# pure environment queries). vn2/online and vn2/sink are included for the
+# The concurrent packages. par is the fork-join the coarse loops share, and
+# nnls and nmf fan out on it (batch solves, the rank sweep); the race
+# detector must stay clean on them for any worker count. vn2/online and
+# vn2/sink are included for the
 # streaming monitor and the sink service (concurrent ingest/drain/snapshot,
 # the lifecycle hot-swap, and the event bus under /stream subscribers).
 # wal, retry, and chaos are the crash-safety layer under the same gate.
-# mat carries the pool-backed blocked kernels (MulIntoOn and friends).
 # packet carries the wire codecs (fixed-point packets and the batched
 # binary frame format the sink's /report/bin path decodes).
 # vn2/reporter is the persistent-stream client (concurrent Report/Flush
 # over the spill queue, the breaker, and live TCP connections).
-RACE_PKGS = ./internal/par/... ./internal/mat/... ./internal/nnls/... ./internal/nmf/... ./internal/wsn/... ./internal/radio/... ./internal/env/... ./internal/wal/... ./internal/retry/... ./internal/chaos/... ./internal/packet/... ./vn2/online/... ./vn2/sink/... ./vn2/reporter/... ./vn2/cluster/... ./cmd/vn2/...
+RACE_PKGS = ./internal/par/... ./internal/nnls/... ./internal/nmf/... ./internal/wal/... ./internal/retry/... ./internal/chaos/... ./internal/packet/... ./vn2/online/... ./vn2/sink/... ./vn2/reporter/... ./vn2/cluster/... ./cmd/vn2/...
 
 # Short smoke budget per fuzz target inside `make check`; raise for a real
 # fuzzing session (e.g. FUZZ_TIME=10m make fuzz).
@@ -29,10 +28,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 # The scaling ladders `make bench` runs: per-epoch cost at CitySee scale,
-# the worker sweep, end-to-end trace generation at 60/120/286/1000 nodes and
+# end-to-end trace generation at 60/120/286/1000 nodes and
 # the blocked-GEMM size ladder — slices nothing else times. The ingest path
 # and the router are timed by `vn2bench --trace 1`'s per-layer spans.
-BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkWSNStepParallel|BenchmarkCitySeeTraining|BenchmarkGEMM
+BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkCitySeeTraining|BenchmarkGEMM
 
 .PHONY: check vet lint build test race fuzz bench-build loc knobs experiments chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
 
@@ -101,10 +100,13 @@ knobs:
 # frame decoder — each seeded from a committed corpus under testdata/ — and
 # the stream's VN2A ack decoder (seeded in code), the
 # delta wire's bit-exact round trip (encoder → frame decoder → sink cache),
-# and the NNLS solver on degenerate and non-finite problems.
+# the NNLS solver on degenerate and non-finite problems, and the model file
+# loader (seeded in code from a trained model; its inputs are kilobytes of
+# JSON, so minimization is capped or it takes the whole budget).
 fuzz:
 	$(GO) test ./internal/nnls -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZ_TIME)
+	$(GO) test ./vn2 -run '^$$' -fuzz FuzzLoadModel -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDecodeReports -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC1$$' -fuzztime $(FUZZ_TIME)

@@ -18,7 +18,6 @@ import (
 	"github.com/wsn-tools/vn2/internal/experiments"
 	"github.com/wsn-tools/vn2/internal/mat"
 	"github.com/wsn-tools/vn2/internal/nmf"
-	"github.com/wsn-tools/vn2/internal/par"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/tracegen"
 	"github.com/wsn-tools/vn2/internal/wsn"
@@ -403,7 +402,6 @@ func BenchmarkSimulatorEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer n.Close()
 	// Warm the routing tree.
 	if _, err := n.Run(3); err != nil {
 		b.Fatal(err)
@@ -504,49 +502,10 @@ func BenchmarkDiagnoseBatchParallel(b *testing.B) {
 	}
 }
 
-// --- Parallel compute layer ---------------------------------------------------
-
-// parallelWorkerGrid is the worker ladder the parallel benchmarks sweep;
-// "seq" baselines use the sequential kernels directly.
-var parallelWorkerGrid = []int{1, 2, 4, 8}
-
-// BenchmarkMulParallel compares the sequential matmul kernel against the
-// pool-dispatched row-partitioned variant across worker counts.
-func BenchmarkMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	const n, k, m = 600, 64, 200
-	a, err := mat.RandomPositive(n, k, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := mat.RandomPositive(k, m, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := mat.MustNew(n, m)
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.MulInto(dst, a, x)
-		}
-	})
-	for _, workers := range parallelWorkerGrid {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			p := par.NewPool(workers)
-			defer p.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mat.MulIntoOn(p, dst, a, x)
-			}
-		})
-	}
-}
-
 // BenchmarkGEMM measures the cache-blocked matmul kernel on square matrices
-// across the size ladder, sequentially and fanned out over every core
-// through a reused pool. The 64 rung fits L1/L2 entirely (blocking is free),
-// 256 spans the blocking sweet spot, and 1024 is firmly memory-bound — the
-// regime the B-panel blocking exists for.
+// across the size ladder. The 64 rung fits L1/L2 entirely (blocking is
+// free), 256 spans the blocking sweet spot, and 1024 is firmly memory-bound
+// — the regime the B-panel blocking exists for.
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range []int{64, 256, 1024} {
@@ -565,103 +524,30 @@ func BenchmarkGEMM(b *testing.B) {
 				mat.MulInto(dst, a, x)
 			}
 		})
-		b.Run(fmt.Sprintf("size%d/allcores", size), func(b *testing.B) {
-			p := par.NewPool(-1)
-			defer p.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mat.MulIntoOn(p, dst, a, x)
-			}
-		})
-	}
-}
-
-// BenchmarkFactorizeParallel measures NMF training on the CitySee-scale
-// exception matrix across worker counts, with a fixed sweep budget so every
-// sub-run does identical arithmetic.
-func BenchmarkFactorizeParallel(b *testing.B) {
-	f := sharedFixtures(b)
-	e := exceptionMatrix(b, f)
-	run := func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			res, err := nmf.Factorize(e, nmf.Config{
-				Rank: 10, MaxIter: 60, Seed: 17, Tolerance: -1, Workers: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Iterations != 60 {
-				b.Fatalf("iterations = %d", res.Iterations)
-			}
-		}
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 0) })
-	for _, workers := range parallelWorkerGrid {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) { run(b, workers) })
-	}
-}
-
-// BenchmarkWSNStepParallel measures per-epoch simulation cost at CitySee
-// scale across worker counts for the per-node phases.
-func BenchmarkWSNStepParallel(b *testing.B) {
-	topo, err := wsn.RandomTopology(286, 1200, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, workers int) {
-		n, err := wsn.New(wsn.Config{Seed: 17, Topology: topo, PacketsPerEpoch: 1, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		if _, err := n.Run(3); err != nil { // warm the routing tree
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := n.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("seq", func(b *testing.B) { run(b, 0) })
-	for _, workers := range parallelWorkerGrid {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) { run(b, workers) })
 	}
 }
 
 // BenchmarkCitySeeTraining measures end-to-end trace generation (one
-// simulated day) across the deployment-size ladder, sequentially and with
-// every core. This is the headline scaling benchmark for the simulator: it
-// exercises the spatial link pruning, the dense link cache, and the
-// parallel beacon/traffic phases together.
+// simulated day) across the deployment-size ladder. This is the headline
+// scaling benchmark for the simulator: it exercises the spatial link pruning
+// and the dense link cache together.
 func BenchmarkCitySeeTraining(b *testing.B) {
 	for _, nodes := range []int{60, 120, 286, 1000} {
-		for _, workers := range []int{0, -1} {
-			nodes, workers := nodes, workers
-			mode := "seq"
-			if workers != 0 {
-				mode = "allcores"
-			}
-			b.Run(fmt.Sprintf("nodes%d/%s", nodes, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := tracegen.CitySeeTraining(tracegen.CitySeeOptions{
-						Seed: 17, Days: 1, Nodes: nodes, Workers: workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Dataset.Len() == 0 {
-						b.Fatal("empty dataset")
-					}
+		nodes := nodes
+		b.Run(fmt.Sprintf("nodes%d/seq", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := tracegen.CitySeeTraining(tracegen.CitySeeOptions{
+					Seed: 17, Days: 1, Nodes: nodes,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if res.Dataset.Len() == 0 {
+					b.Fatal("empty dataset")
+				}
+			}
+		})
 	}
 	// vn2bench's healthy set-up (benchmark/vn2bench/fleet.go): a 2-day
 	// calibration trace at seed s and a 10-day live trace at s+1, 72 nodes,

@@ -99,7 +99,6 @@ func cmdTracegen(args []string) error {
 	out := fs.String("out", "", "output CSV path (default stdout)")
 	seed := fs.Int64("seed", 1, "random seed")
 	nodes := fs.Int("nodes", 0, "CitySee node count (default 286)")
-	workers := fs.Int("workers", 0, "simulation goroutines (0 sequential, -1 all cores); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,13 +107,13 @@ func cmdTracegen(args []string) error {
 	var err error
 	switch *scenario {
 	case "citysee":
-		res, err = tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes, Workers: *workers})
+		res, err = tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes})
 	case "september":
-		res, _, err = tracegen.CitySeeSeptember(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes, Workers: *workers})
+		res, _, err = tracegen.CitySeeSeptember(tracegen.CitySeeOptions{Seed: *seed, Nodes: *nodes})
 	case "testbed-local":
-		res, err = tracegen.Testbed(tracegen.TestbedOptions{Seed: *seed, Scenario: tracegen.ScenarioLocal, Workers: *workers})
+		res, err = tracegen.Testbed(tracegen.TestbedOptions{Seed: *seed, Scenario: tracegen.ScenarioLocal})
 	case "testbed-expansive":
-		res, err = tracegen.Testbed(tracegen.TestbedOptions{Seed: *seed, Scenario: tracegen.ScenarioExpansive, Workers: *workers})
+		res, err = tracegen.Testbed(tracegen.TestbedOptions{Seed: *seed, Scenario: tracegen.ScenarioExpansive})
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
@@ -186,7 +185,6 @@ func cmdUpdate(args []string) error {
 	in := fs.String("in", "", "input trace CSV with the fresh states (required)")
 	out := fs.String("out", "", "output model JSON path (default stdout)")
 	allStates := fs.Bool("all-states", false, "retrain on all states instead of extracted exceptions")
-	workers := fs.Int("workers", 0, "training goroutines (0 sequential, -1 all cores); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -203,7 +201,6 @@ func cmdUpdate(args []string) error {
 	}
 	next, report, err := model.Update(ds.States(), vn2.TrainConfig{
 		CompressAllStates: *allStates,
-		Workers:           *workers,
 	})
 	if err != nil {
 		return fmt.Errorf("update: %w", err)
@@ -295,7 +292,6 @@ func cmdSimulate(args []string) error {
 	nodes := fs.Int("nodes", 45, "node count (grid)")
 	epochs := fs.Int("epochs", 20, "epochs to run")
 	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "per-node phase goroutines (0 sequential, -1 all cores); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -305,11 +301,10 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := wsn.New(wsn.Config{Seed: *seed, Topology: topo, Workers: *workers})
+	n, err := wsn.New(wsn.Config{Seed: *seed, Topology: topo})
 	if err != nil {
 		return err
 	}
-	defer n.Close()
 	for i := 0; i < *epochs; i++ {
 		r, err := n.Step()
 		if err != nil {

@@ -42,7 +42,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer n.Close()
 
 	// Warm-up: collect a training window.
 	fmt.Printf("warm-up: %d epochs...\n", warmupEpochs)

@@ -394,7 +394,11 @@ func TestThresholdSensitivity(t *testing.T) {
 // digests consistent but breaks a claim fails here, not in a reader's eye:
 // train/test cause distributions positively correlated (Fig. 5h/5i), the
 // healthy days' PRR above the degraded window's (Fig. 6a), and the exception
-// count flat within 5% of its 0.01 value for cutoffs 0.005–0.05. It also
+// count flat within 5% of its 0.01 value for cutoffs 0.005–0.05, VN2
+// detecting every event window and fully attributing every multi-cause state
+// where Sympathy-style detects fewer and attributes none, and Fig. 5g's
+// failure-vs-reboot split (two causes at 2× on reboots, one at 2× on
+// failures). It also
 // pins the known deviations as measured: local removal detected with higher
 // recall than expansive, the reverse of the paper; Fig. 6b's top four causes
 // holding 0.41 of the window, and none of Fig. 6c's four led by Loop_counter.
@@ -456,6 +460,44 @@ func TestExperimentShapes(t *testing.T) {
 	note("fig6a", "mean PRR: ", "healthy days %g vs degraded window %g", &healthy, &window)
 	if healthy <= window {
 		t.Errorf("fig6a: healthy-day PRR %g ≤ window PRR %g", healthy, window)
+	}
+
+	// baselines: detected/total windows and attributed/total multi-cause
+	// states per approach, from the "24/24 (100%)" cells.
+	type tally struct{ windows, ofWindows, attributed, ofMulti int }
+	tallies := map[string]tally{}
+	for _, line := range section("baselines") {
+		var name string
+		var c tally
+		if n, _ := fmt.Sscanf(line, "%s %d/%d %s %d/%d", &name, &c.windows, &c.ofWindows, new(string), &c.attributed, &c.ofMulti); n == 6 {
+			tallies[name] = c
+		}
+	}
+	vn, sym := tallies["VN2"], tallies["Sympathy-style"]
+	if vn.ofWindows == 0 || vn.windows != vn.ofWindows || vn.windows <= sym.windows {
+		t.Errorf("baselines: VN2 detects %d/%d windows and Sympathy-style %d, want all and strictly more", vn.windows, vn.ofWindows, sym.windows)
+	}
+	if vn.ofMulti == 0 || vn.attributed != vn.ofMulti || sym.attributed != 0 {
+		t.Errorf("baselines: VN2 attributes %d/%d multi-cause states and Sympathy-style %d, want all and none", vn.attributed, vn.ofMulti, sym.attributed)
+	}
+
+	// fig5g: reboots light up causes of their own (reboot strength at least
+	// twice the failure strength on two or more) and failures at least one.
+	var rebootLed, failureLed int
+	for _, line := range section("fig5g") {
+		var cause string
+		var failure, reboot float64
+		if n, _ := fmt.Sscanf(line, "%s %g %g", &cause, &failure, &reboot); n == 3 && strings.HasPrefix(cause, "psi") {
+			if reboot >= 2*failure {
+				rebootLed++
+			}
+			if failure >= 2*reboot {
+				failureLed++
+			}
+		}
+	}
+	if rebootLed < 2 || failureLed < 1 {
+		t.Errorf("fig5g: %d causes at ≥ 2× on reboots and %d at ≥ 2× on failures, want ≥ 2 and ≥ 1", rebootLed, failureLed)
 	}
 
 	counts := map[string]float64{}

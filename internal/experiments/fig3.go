@@ -93,6 +93,9 @@ func (r *Runner) Fig3b() (*Table, error) {
 		SweepMin:  5,
 		SweepMax:  sweepMax(len(det.Indices), r.opts.Quick),
 		SweepStep: 5,
+		// The sweep points are independent factorizations, bit-identical
+		// for any worker count, so they take every core.
+		Workers: -1,
 	})
 	if err != nil {
 		return nil, err

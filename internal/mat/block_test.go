@@ -115,7 +115,7 @@ func TestMulABTIntoBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedMulIntoOverPoolChunks crosses block sizes with the pool's row
+// TestBlockedMulIntoOverPoolChunks crosses block sizes with par.Run's row
 // chunks: any chunking of dst rows over any blocking must be bit-identical to
 // the naive sequential kernels.
 func TestBlockedMulIntoOverPoolChunks(t *testing.T) {
@@ -126,20 +126,21 @@ func TestBlockedMulIntoOverPoolChunks(t *testing.T) {
 	want := MustNew(m, n)
 	mulIntoRows(want, a, b, 0, m)
 	for _, parts := range blockWorkerGrid() {
-		p := par.NewPool(parts)
 		for _, kc := range []int{1, 13, 64} {
 			for _, jc := range []int{1, 13, 64} {
 				got := MustNew(m, n)
-				p.Run(m, func(start, end int) { mulIntoBlocked(got, a, b, start, end, kc, jc) })
+				_ = par.Run(m, parts, func(_, start, end int) error {
+					mulIntoBlocked(got, a, b, start, end, kc, jc)
+					return nil
+				})
 				mustEqualBits(t, ctxBlock("partitioned MulInto", m, k, n, kc, jc), got, want)
 			}
 		}
-		p.Close()
 	}
 }
 
-// TestMulIntoOnMatchesSequential proves the pool-dispatched products are
-// bit-identical to their sequential counterparts at every worker count.
+// TestMulIntoOnMatchesSequential proves the three public products are
+// bit-identical to their naive sequential reference kernels.
 func TestMulIntoOnMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	const m, k, n = 38, 61, 27
@@ -154,23 +155,19 @@ func TestMulIntoOnMatchesSequential(t *testing.T) {
 	}
 
 	wantAB := MustNew(m, n)
-	MulInto(wantAB, a, b)
+	mulIntoRows(wantAB, a, b, 0, m)
 	wantATB := MustNew(m, n)
-	MulATBInto(wantATB, at, b)
+	mulATBIntoRows(wantATB, at, b, 0, m)
 	wantABT := MustNew(m, n)
-	MulABTInto(wantABT, a, bt)
+	mulABTIntoRows(wantABT, a, bt, 0, m)
 
-	for _, workers := range blockWorkerGrid() {
-		p := par.NewPool(workers)
-		got := MustNew(m, n)
-		MulIntoOn(p, got, a, b)
-		mustEqualBits(t, "MulIntoOn", got, wantAB)
-		MulATBIntoOn(p, got, at, b)
-		mustEqualBits(t, "MulATBIntoOn", got, wantATB)
-		MulABTIntoOn(p, got, a, bt)
-		mustEqualBits(t, "MulABTIntoOn", got, wantABT)
-		p.Close()
-	}
+	got := MustNew(m, n)
+	MulInto(got, a, b)
+	mustEqualBits(t, "MulInto", got, wantAB)
+	MulATBInto(got, at, b)
+	mustEqualBits(t, "MulATBInto", got, wantATB)
+	MulABTInto(got, a, bt)
+	mustEqualBits(t, "MulABTInto", got, wantABT)
 }
 
 // TestMulABTIntoBlockedGram covers the aliased a==b Gram case the NMF sweep

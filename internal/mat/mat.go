@@ -66,8 +66,9 @@ func FromSlice(r, c int, data []float64) (*Dense, error) {
 	if r <= 0 || c <= 0 {
 		return nil, fmt.Errorf("%w: %dx%d", ErrEmpty, r, c)
 	}
-	if len(data) != r*c {
-		return nil, fmt.Errorf("%w: have %d values, want %d", ErrDimension, len(data), r*c)
+	// Divide rather than multiply: r·c can wrap for decoded dims.
+	if len(data)%r != 0 || len(data)/r != c {
+		return nil, fmt.Errorf("%w: have %d values, want %dx%d", ErrDimension, len(data), r, c)
 	}
 	m := MustNew(r, c)
 	copy(m.data, data)

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"github.com/wsn-tools/vn2/internal/mat"
-	"github.com/wsn-tools/vn2/internal/par"
 )
 
 // Errors returned by Factorize.
@@ -46,12 +45,6 @@ type Config struct {
 	Tolerance float64
 	// Seed seeds the random initialization of W and Ψ.
 	Seed int64
-	// Workers sizes the par.Pool that runs the sweeps' matrix products and
-	// the per-row objective: 0 keeps them sequential, ≥1 fans out across
-	// that many workers, negative uses GOMAXPROCS. Row partitioning is
-	// static, writes are disjoint and every element folds in one fixed
-	// order, so results are bit-identical for any value.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -122,16 +115,17 @@ func Factorize(e *mat.Dense, cfg Config) (*Result, error) {
 
 // iterate runs the multiplicative-update sweeps of Factorize and Resume on
 // the starting factors w and psi, updating them in place, until cfg.MaxIter
-// sweeps or the tolerance criterion.
+// sweeps or the tolerance criterion. It runs on the calling goroutine: the
+// products are too small to pay for a fan-out, and the coarse parallelism —
+// independent factorizations — lives in SweepRanks.
 func iterate(e, w, psi *mat.Dense, cfg Config) *Result {
 	n, m := e.Dims()
 	res := &Result{W: w, Psi: psi, History: make([]float64, 0, cfg.MaxIter)}
-	st := newUpdateState(n, m, psi.Rows(), cfg.Workers)
-	defer st.close()
+	st := newUpdateState(n, m, psi.Rows())
 	prev := math.Inf(1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		st.sweepEuclidean(e, w, psi)
-		obj := objective(e, w, psi, st)
+		obj := st.objective(e, w, psi)
 		res.History = append(res.History, obj)
 		res.Iterations = iter + 1
 		if cfg.Tolerance > 0 && !math.IsInf(prev, 1) && prev-obj <= cfg.Tolerance*math.Max(prev, 1) {
@@ -143,13 +137,8 @@ func iterate(e, w, psi *mat.Dense, cfg Config) *Result {
 	return res
 }
 
-// updateState holds the pool and the product matrices reused across sweeps,
-// so a factorization allocates nothing after setup.
-//
-// Ownership rules: the products are written by the mat kernels in disjoint
-// rows per pool worker; approx row k is owned by pool worker slot k for the
-// duration of one dispatch; rowObj is written one disjoint row per index.
-// close must be called when the factorization finishes.
+// updateState holds the product matrices reused across sweeps, so a
+// factorization allocates nothing after setup.
 type updateState struct {
 	wtW     *mat.Dense // r×r Gram matrix WᵀW for the Ψ denominator
 	psiPsiT *mat.Dense // r×r Gram matrix ΨΨᵀ for the W denominator
@@ -157,13 +146,10 @@ type updateState struct {
 	den     *mat.Dense // r×m Ψ-update denominator WᵀWΨ
 	wNum    *mat.Dense // n×r W-update numerator EΨᵀ
 	wDen    *mat.Dense // n×r W-update denominator W(ΨΨᵀ)ᵀ
-	approx  *mat.Dense // workers×m: one WΨ row per pool worker
-	rowObj  []float64  // length-n per-row objective partials
-	pool    *par.Pool
+	approx  []float64  // length-m scratch: one row of WΨ
 }
 
-func newUpdateState(n, m, r, workers int) *updateState {
-	pool := par.NewPool(workers)
+func newUpdateState(n, m, r int) *updateState {
 	return &updateState{
 		wtW:     mat.MustNew(r, r),
 		psiPsiT: mat.MustNew(r, r),
@@ -171,14 +157,9 @@ func newUpdateState(n, m, r, workers int) *updateState {
 		den:     mat.MustNew(r, m),
 		wNum:    mat.MustNew(n, r),
 		wDen:    mat.MustNew(n, r),
-		approx:  mat.MustNew(pool.Workers(), m),
-		rowObj:  make([]float64, n),
-		pool:    pool,
+		approx:  make([]float64, m),
 	}
 }
-
-// close releases the pool's worker goroutines.
-func (st *updateState) close() { st.pool.Close() }
 
 // sweepEuclidean performs one pass of the Theorem 1 update rules:
 //
@@ -187,19 +168,18 @@ func (st *updateState) close() { st.pool.Close() }
 //
 // Each half computes its numerator and denominator in full from the
 // pre-update factors and only then updates (Jacobi within a half; the W half
-// sees the new Ψ). The products are internal/mat's pooled kernels, which
-// fold every element in one fixed order (i-, c- and j-ascending) for any row
-// partition, so the sweep is bit-identical for any worker count. The W
+// sees the new Ψ). The products are internal/mat's blocked kernels, which
+// fold every element in one fixed order (i-, c- and j-ascending). The W
 // denominator is taken as W·(ΨΨᵀ)ᵀ so that it folds c-ascending over row a
 // of ΨΨᵀ, exactly as the textbook loop reads column a.
 func (st *updateState) sweepEuclidean(e, w, psi *mat.Dense) {
-	mat.MulATBIntoOn(st.pool, st.wtW, w, w)
-	mat.MulATBIntoOn(st.pool, st.num, w, e)
-	mat.MulIntoOn(st.pool, st.den, st.wtW, psi)
+	mat.MulATBInto(st.wtW, w, w)
+	mat.MulATBInto(st.num, w, e)
+	mat.MulInto(st.den, st.wtW, psi)
 	multiplicativeUpdate(psi, st.num, st.den)
-	mat.MulABTIntoOn(st.pool, st.psiPsiT, psi, psi)
-	mat.MulABTIntoOn(st.pool, st.wNum, e, psi)
-	mat.MulABTIntoOn(st.pool, st.wDen, w, st.psiPsiT)
+	mat.MulABTInto(st.psiPsiT, psi, psi)
+	mat.MulABTInto(st.wNum, e, psi)
+	mat.MulABTInto(st.wDen, w, st.psiPsiT)
 	multiplicativeUpdate(w, st.wNum, st.wDen)
 }
 
@@ -214,28 +194,13 @@ func multiplicativeUpdate(x, num, den *mat.Dense) {
 	}
 }
 
-// objective evaluates ‖E−WΨ‖_F without materializing WΨ: each row's
-// contribution lands in st.rowObj[i] (disjoint writes), recomputing the
-// approx row in per-worker scratch, and the partials are summed in fixed
-// row order — never a partition-dependent reduction tree — so the value is
-// bit-identical for any worker count.
-func objective(e, w, psi *mat.Dense, st *updateState) float64 {
-	n := e.Rows()
-	st.pool.RunIndexed(n, func(worker, i0, i1 int) {
-		st.rowObjectives(e, w, psi, worker, i0, i1)
-	})
+// objective evaluates ‖E−WΨ‖_F without materializing WΨ: each row of WΨ is
+// rebuilt in st.approx, and the rows' squared residual norms are summed in
+// row order.
+func (st *updateState) objective(e, w, psi *mat.Dense) float64 {
+	vec := st.approx
 	var total float64
-	for _, v := range st.rowObj {
-		total += v
-	}
-	return math.Sqrt(total)
-}
-
-// rowObjectives fills st.rowObj for rows [i0, i1) with each row's squared
-// residual norm.
-func (st *updateState) rowObjectives(e, w, psi *mat.Dense, worker, i0, i1 int) {
-	vec := st.approx.RawRow(worker)
-	for i := i0; i < i1; i++ {
+	for i := 0; i < e.Rows(); i++ {
 		eRow := e.RawRow(i)
 		wRow := w.RawRow(i)
 		for j := range vec {
@@ -252,8 +217,9 @@ func (st *updateState) rowObjectives(e, w, psi *mat.Dense, worker, i0, i1 int) {
 			diff := ev - vec[j]
 			d += diff * diff
 		}
-		st.rowObj[i] = d
+		total += d
 	}
+	return math.Sqrt(total)
 }
 
 // Sparsify implements Algorithm 2 (Basis Matrix Sparse Process): it

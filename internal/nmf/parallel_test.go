@@ -5,39 +5,58 @@ import (
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/mat"
+	"github.com/wsn-tools/vn2/internal/par"
 )
 
-// determinismWorkers is the worker grid the ISSUE mandates for bit-identical
-// parallel/sequential comparisons.
+// determinismWorkers is the worker grid of the bit-identity comparisons.
 func determinismWorkers() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
-func factorizeWith(t *testing.T, e *mat.Dense, workers int) *Result {
+// onWorkers runs fn once per worker, all at once on par.Run's goroutines —
+// the way SweepRanks runs its factorizations — and returns the results in
+// worker order.
+func onWorkers(t *testing.T, workers int, fn func() (*Result, error)) []*Result {
 	t.Helper()
-	res, err := Factorize(e, Config{
-		Rank: 4, MaxIter: 40, Tolerance: -1, Seed: 3, Workers: workers,
-	})
-	if err != nil {
-		t.Fatalf("Factorize(workers=%d): %v", workers, err)
+	out := make([]*Result, par.Workers(workers))
+	if err := par.Run(len(out), workers, func(_, start, end int) error {
+		for i := start; i < end; i++ {
+			res, err := fn()
+			if err != nil {
+				return err
+			}
+			out[i] = res
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return res
+	return out
 }
 
+// TestFactorizeEuclideanBitIdenticalAcrossWorkers: factorizations running
+// concurrently share no state — each is bit-identical to one run alone.
 func TestFactorizeEuclideanBitIdenticalAcrossWorkers(t *testing.T) {
 	e := syntheticLowRank(t, 60, 25, 4, 21)
-	want := factorizeWith(t, e, 0)
+	factorize := func() (*Result, error) {
+		return Factorize(e, Config{Rank: 4, MaxIter: 40, Tolerance: -1, Seed: 3})
+	}
+	want, err := factorize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range determinismWorkers() {
-		got := factorizeWith(t, e, w)
-		if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
-			t.Fatalf("workers=%d: factors differ from sequential", w)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("workers=%d: %d iterations, want %d", w, got.Iterations, want.Iterations)
-		}
-		for i := range want.History {
-			if got.History[i] != want.History[i] {
-				t.Fatalf("workers=%d: objective history diverges at sweep %d", w, i)
+		for _, got := range onWorkers(t, w, factorize) {
+			if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
+				t.Fatalf("workers=%d: factors differ from a lone run", w)
+			}
+			if got.Iterations != want.Iterations {
+				t.Fatalf("workers=%d: %d iterations, want %d", w, got.Iterations, want.Iterations)
+			}
+			for i := range want.History {
+				if got.History[i] != want.History[i] {
+					t.Fatalf("workers=%d: objective history diverges at sweep %d", w, i)
+				}
 			}
 		}
 	}
@@ -94,24 +113,27 @@ func TestSweepRanksParallelErrorIsLowestRank(t *testing.T) {
 	}
 }
 
+// TestResumeBitIdenticalAcrossWorkers: warm starts from one shared seed
+// factorization, running concurrently, neither disturb each other nor
+// mutate the shared factors.
 func TestResumeBitIdenticalAcrossWorkers(t *testing.T) {
 	e := syntheticLowRank(t, 30, 20, 3, 25)
 	seed, err := Factorize(e, Config{Rank: 3, MaxIter: 20, Seed: 9})
 	if err != nil {
 		t.Fatalf("seed factorization: %v", err)
 	}
-	resume := func(workers int) *Result {
-		res, err := Resume(e, seed.W, seed.Psi, Config{Rank: 3, MaxIter: 15, Tolerance: -1, Workers: workers})
-		if err != nil {
-			t.Fatalf("Resume(workers=%d): %v", workers, err)
-		}
-		return res
+	resume := func() (*Result, error) {
+		return Resume(e, seed.W, seed.Psi, Config{Rank: 3, MaxIter: 15, Tolerance: -1})
 	}
-	want := resume(0)
+	want, err := resume()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range determinismWorkers() {
-		got := resume(w)
-		if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
-			t.Fatalf("workers=%d: resumed factors differ from sequential", w)
+		for _, got := range onWorkers(t, w, resume) {
+			if !mat.Equal(want.W, got.W, 0) || !mat.Equal(want.Psi, got.Psi, 0) {
+				t.Fatalf("workers=%d: resumed factors differ from a lone run", w)
+			}
 		}
 	}
 }

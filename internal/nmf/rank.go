@@ -29,9 +29,7 @@ type SweepConfig struct {
 	// Workers bounds the goroutines running sweep points concurrently:
 	// each rank's factorization is an independent, seeded computation, so
 	// points are perfectly parallel. 0 keeps the sweep sequential, ≥1 fans
-	// out, negative uses GOMAXPROCS. Points are bit-identical for any
-	// value; combine with a sequential Base (Base.Workers = 0) to avoid
-	// oversubscription.
+	// out, negative uses GOMAXPROCS. Points are bit-identical for any value.
 	Workers int
 }
 
@@ -50,9 +48,7 @@ func SweepRanks(e *mat.Dense, cfg SweepConfig) ([]RankPoint, error) {
 		ranks = append(ranks, r)
 	}
 	points := make([]RankPoint, len(ranks))
-	pool := par.NewPool(cfg.Workers)
-	defer pool.Close()
-	err := pool.RunErr(len(ranks), func(_, i0, i1 int) error {
+	err := par.Run(len(ranks), cfg.Workers, func(_, i0, i1 int) error {
 		for idx := i0; idx < i1; idx++ {
 			p, err := sweepPoint(e, cfg, ranks[idx])
 			if err != nil {

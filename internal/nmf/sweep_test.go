@@ -11,9 +11,7 @@ import (
 // The reference sweeps below are deliberately naive: textbook triple loops
 // materializing every intermediate matrix, with the canonical accumulation
 // orders (i-, c- and j-ascending per element). The sweep over internal/mat's
-// pooled kernels and the per-row objective must match them bit for bit at
-// every worker count — this is the oracle half of the determinism contract,
-// complementing the cross-worker grid in parallel_test.go.
+// blocked kernels and the per-row objective must match them bit for bit.
 
 // refSweepEuclidean is the triple-loop Theorem 1 sweep.
 func refSweepEuclidean(e, w, psi *mat.Dense) {
@@ -122,29 +120,25 @@ func mustSameBits(t *testing.T, ctx string, got, want *mat.Dense) {
 
 func TestSweepEuclideanMatchesOracle(t *testing.T) {
 	const n, m, r = 23, 17, 6
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		e, w0, psi0 := randomFactors(t, n, m, r, 91)
-		wRef, psiRef := w0.Clone(), psi0.Clone()
-		// Three chained sweeps so divergence would compound and surface.
-		for s := 0; s < 3; s++ {
-			refSweepEuclidean(e, wRef, psiRef)
-		}
-		w, psi := w0.Clone(), psi0.Clone()
-		st := newUpdateState(n, m, r, workers)
-		for s := 0; s < 3; s++ {
-			st.sweepEuclidean(e, w, psi)
-		}
-		st.close()
-		mustSameBits(t, "euclidean W", w, wRef)
-		mustSameBits(t, "euclidean Psi", psi, psiRef)
+	e, w, psi := randomFactors(t, n, m, r, 91)
+	wRef, psiRef := w.Clone(), psi.Clone()
+	// Three chained sweeps so divergence would compound and surface.
+	for s := 0; s < 3; s++ {
+		refSweepEuclidean(e, wRef, psiRef)
 	}
+	st := newUpdateState(n, m, r)
+	for s := 0; s < 3; s++ {
+		st.sweepEuclidean(e, w, psi)
+	}
+	mustSameBits(t, "euclidean W", w, wRef)
+	mustSameBits(t, "euclidean Psi", psi, psiRef)
 }
 
 func TestObjectiveMatchesOracle(t *testing.T) {
 	const n, m, r = 21, 15, 4
 	e, w, psi := randomFactors(t, n, m, r, 93)
 	// Reference: per-row contributions summed in row order, approx row
-	// accumulated c-ascending — the canonical orders of rowObjectives.
+	// accumulated c-ascending — the canonical orders of objective.
 	var want float64
 	for i := 0; i < n; i++ {
 		var d float64
@@ -159,11 +153,7 @@ func TestObjectiveMatchesOracle(t *testing.T) {
 		want += d
 	}
 	want = math.Sqrt(want)
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		st := newUpdateState(n, m, r, workers)
-		if got := objective(e, w, psi, st); got != want {
-			t.Errorf("workers=%d: objective %v, want %v", workers, got, want)
-		}
-		st.close()
+	if got := newUpdateState(n, m, r).objective(e, w, psi); got != want {
+		t.Errorf("objective %v, want %v", got, want)
 	}
 }

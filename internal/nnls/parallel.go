@@ -15,7 +15,7 @@ const minParallelRows = 64
 // SolveBatchInto solves one NNLS problem per row of states (n×m) against psi
 // (r×m) and gram = Gram(psi) into caller-provided buffers: weights n×r,
 // residuals length n. From minParallelRows rows up the rows are statically
-// partitioned across a per-call par.Pool of workers (the par.Workers norm: 0
+// partitioned by par.Run across workers (the par.Workers norm: 0
 // sequential, ≥1 fans out, negative GOMAXPROCS). Each row is solved as the
 // sequential path solves it, into its own output row, one scratch set per
 // chunk (O(workers) allocations), so results are bit-identical for any
@@ -32,18 +32,14 @@ func SolveBatchInto(weights *mat.Dense, residuals []float64, states, psi, gram *
 	if len(residuals) != n {
 		return fmt.Errorf("nnls: residuals buffer has %d entries, want %d", len(residuals), n)
 	}
-	solve := func(_, start, end int) {
+	if n < minParallelRows {
+		workers = 0
+	}
+	return par.Run(n, workers, func(_, start, end int) error {
 		sc := newSolveScratch(r, m)
 		for i := start; i < end; i++ {
 			residuals[i], _ = solveInto(weights.RawRow(i), states.RawRow(i), psi, gram, sc)
 		}
-	}
-	if n < minParallelRows {
-		solve(0, 0, n)
 		return nil
-	}
-	pool := par.NewPool(workers)
-	defer pool.Close()
-	pool.RunIndexed(n, solve)
-	return nil
+	})
 }

@@ -13,10 +13,9 @@
 // draws from a stream keyed by (seed, epoch, phase, link, sequence), never
 // from a shared generator. Consequences the simulator relies on:
 //
-//   - a link's draws are independent of which other links transmit, so the
-//     beacon and traffic phases may be computed concurrently per link and
-//     out-of-range links may be skipped entirely without perturbing the
-//     surviving links' randomness;
+//   - a link's draws are independent of which other links transmit and of
+//     the order links are evaluated in, so out-of-range links may be
+//     skipped entirely without perturbing the surviving links' randomness;
 //   - draws are bounded: fading never exceeds ±FadeClampDB and shadowing
 //     never exceeds ±ShadowClampSigma·σ, so "below sensitivity even with
 //     the maximum possible fade" is an exact zero-reception guarantee, not
@@ -163,10 +162,10 @@ type linkState struct {
 
 // Medium simulates the shared wireless channel over the nodes SetTopology
 // registered; every link-indexed method takes node indices below that
-// count. Draws are counter-based per link, so the read-side methods (PRR,
-// Beacon, UnicastNoise) may be called concurrently for links with distinct
-// transmitters; mutation (SetTopology, DegradeLink, BeginEpoch) must be
-// serialized with all other calls.
+// count. Draws are counter-based per link, so what the read-side methods
+// (PRR, Beacon, UnicastNoise) return for one link does not depend on which
+// other links were evaluated before it. A Medium is not safe for concurrent
+// use.
 type Medium struct {
 	cfg   Config
 	epoch int
@@ -290,7 +289,7 @@ func (m *Medium) PRR(rssi, noiseFloor float64) float64 {
 // Beacon simulates one broadcast beacon reception attempt on the a→b link
 // against the receiver-side noise floor. Exactly one beacon per directed
 // link per epoch is modelled; the draw is keyed by (epoch, a, b) alone, so
-// receivers may evaluate their incoming links concurrently. Below
+// receivers may evaluate their incoming links in any order. Below
 // sensitivity PRR is 0 and no uniform in [0, 1) is under it, so the
 // reception draw is not taken.
 func (m *Medium) Beacon(a, b int, noiseFloor float64) (rssi float64, heard bool) {
@@ -339,7 +338,7 @@ type TxOutcome struct {
 // noise floors (noiseRx at the receiver, noiseTx at the sender, for the
 // reverse-path ACK). The whole exchange — every retry, both directions —
 // draws from one stream keyed by (seed, epoch, a, b, per-link sequence), so
-// concurrent exchanges with distinct transmitters never interact.
+// exchanges on different links never interact.
 func (m *Medium) UnicastNoise(a, b int, contention float64, rxUp bool, noiseRx, noiseTx float64) TxOutcome {
 	var out TxOutcome
 	if contention < 0 {

@@ -65,8 +65,7 @@ func TestTraceDigests(t *testing.T) {
 		{"september/72/seed4", september(CitySeeOptions{Seed: 4, Days: 4, Nodes: 72}), "721832df5737d3f193c74dc36b8eb4b434aa1e4a643f44c7b0eb62e0ed63a0dd"},
 		{"testbed/local", testbed(TestbedOptions{Seed: 1, Scenario: ScenarioLocal}), "05be54f8951d52a38a3a3fb05dc7b56d2c4a24cd8de49dfe68331abcdaff6703"},
 		{"testbed/expansive", testbed(TestbedOptions{Seed: 1, Scenario: ScenarioExpansive}), "1ae24877fb85f008ef0ab10125441af5e8f5ec12042f1eb1d5208c97b03db4ce"},
-		{"training/286/workers0", training(CitySeeOptions{Seed: 5, Days: 1}), "f1570c98e186f65a42e624dc1354d97afc9ad6fa89e209781596a4a7ec97d29a"},
-		{"training/286/workers2", training(CitySeeOptions{Seed: 5, Days: 1, Workers: 2}), "f1570c98e186f65a42e624dc1354d97afc9ad6fa89e209781596a4a7ec97d29a"},
+		{"training/286", training(CitySeeOptions{Seed: 5, Days: 1}), "f1570c98e186f65a42e624dc1354d97afc9ad6fa89e209781596a4a7ec97d29a"},
 	}
 	for _, c := range cases {
 		res, err := c.gen()

@@ -56,9 +56,6 @@ type TestbedOptions struct {
 	Scenario Scenario
 	// Epochs to simulate; defaults to TestbedEpochs (2 hours at 3 min).
 	Epochs int
-	// Workers bounds the simulator's goroutines per epoch phase (see
-	// wsn.Config.Workers); the generated trace is identical for any value.
-	Workers int
 }
 
 func (o TestbedOptions) withDefaults() TestbedOptions {
@@ -86,14 +83,12 @@ func Testbed(opts TestbedOptions) (*Result, error) {
 		Topology:        topo,
 		ReportInterval:  testbedInterval,
 		PacketsPerEpoch: 3, // C1, C2, C3 every three minutes
-		Workers:         opts.Workers,
 		Radio:           radio.Config{TxPower: -25, Seed: opts.Seed + 21},
 		Env:             env.Config{Seed: opts.Seed + 22, FieldSize: 100, InterferenceRate: 0.01},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	defer n.Close()
 
 	res := &Result{
 		Dataset:       trace.NewDataset(),

@@ -74,9 +74,6 @@ type CitySeeOptions struct {
 	Days int
 	// Nodes is the sensor population. Defaults to 286 (the paper's count).
 	Nodes int
-	// Workers bounds the simulator's goroutines per epoch phase (see
-	// wsn.Config.Workers); the generated trace is identical for any value.
-	Workers int
 }
 
 func (o CitySeeOptions) withDefaults() CitySeeOptions {
@@ -110,7 +107,6 @@ func newCitySeeNetwork(o CitySeeOptions) (*wsn.Network, error) {
 		ReportInterval:   citySeeInterval,
 		PacketsPerEpoch:  1,
 		RandomRebootProb: 0.0004,
-		Workers:          o.Workers,
 		Radio:            radio.Config{TxPower: -5, Seed: o.Seed + 11},
 		Env:              env.Config{Seed: o.Seed + 12, FieldSize: fieldSize, InterferenceRate: 0.08},
 	})
@@ -165,7 +161,6 @@ func CitySeeTraining(opts CitySeeOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer n.Close()
 	res := &Result{
 		Dataset:       trace.NewDataset(),
 		TotalNodes:    opts.Nodes,
@@ -211,7 +206,6 @@ func CitySeeSeptember(opts CitySeeOptions) (*Result, *SeptemberWindow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer n.Close()
 	res := &Result{
 		Dataset:       trace.NewDataset(),
 		TotalNodes:    opts.Nodes,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/packet"
+	"github.com/wsn-tools/vn2/internal/par"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/wsn"
 )
@@ -61,54 +62,62 @@ func TestCitySeeTrainingDeterministic(t *testing.T) {
 	}
 }
 
-// TestCitySeeTrainingIdenticalAcrossWorkers is the tentpole determinism
-// contract at the dataset level: the generated trace — every report vector,
-// every PRR point, every ground-truth event — must be bit-identical for any
-// worker count, because all packet-level randomness is keyed per link, not
-// drawn from a shared stream.
+// TestCitySeeTrainingIdenticalAcrossWorkers is the determinism contract at
+// the dataset level: traces generated on several goroutines at once — every
+// report vector, every PRR point, every ground-truth event — are
+// bit-identical to one generated alone, because all packet-level randomness
+// is keyed per link, not drawn from a shared stream.
 func TestCitySeeTrainingIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) *Result {
-		opts := smallCitySee()
-		opts.Workers = workers
-		res, err := CitySeeTraining(opts)
-		if err != nil {
-			t.Fatalf("CitySeeTraining(workers=%d): %v", workers, err)
-		}
-		return res
+	want, err := CitySeeTraining(smallCitySee())
+	if err != nil {
+		t.Fatalf("CitySeeTraining: %v", err)
 	}
-	want := run(0)
-	for _, w := range []int{1, 2, 8} {
-		got := run(w)
-		if got.Dataset.Len() != want.Dataset.Len() {
-			t.Fatalf("workers=%d: dataset %d reports, want %d", w, got.Dataset.Len(), want.Dataset.Len())
-		}
-		for _, id := range want.Dataset.Nodes() {
-			wr, gr := want.Dataset.Records(id), got.Dataset.Records(id)
-			if len(wr) != len(gr) {
-				t.Fatalf("workers=%d node %d: %d records, want %d", w, id, len(gr), len(wr))
-			}
-			for i := range wr {
-				if wr[i].Epoch != gr[i].Epoch {
-					t.Fatalf("workers=%d node %d record %d epoch differs", w, id, i)
+	for _, w := range []int{2, 4} {
+		results := make([]*Result, w)
+		if err := par.Run(w, w, func(_, start, end int) error {
+			for k := start; k < end; k++ {
+				res, err := CitySeeTraining(smallCitySee())
+				if err != nil {
+					return err
 				}
-				for k := range wr[i].Vector {
-					if wr[i].Vector[k] != gr[i].Vector[k] {
-						t.Fatalf("workers=%d node %d record %d metric %d differs", w, id, i, k)
+				results[k] = res
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("CitySeeTraining(workers=%d): %v", w, err)
+		}
+		for _, got := range results {
+			if got.Dataset.Len() != want.Dataset.Len() {
+				t.Fatalf("workers=%d: dataset %d reports, want %d", w, got.Dataset.Len(), want.Dataset.Len())
+			}
+			for _, id := range want.Dataset.Nodes() {
+				wr, gr := want.Dataset.Records(id), got.Dataset.Records(id)
+				if len(wr) != len(gr) {
+					t.Fatalf("workers=%d node %d: %d records, want %d", w, id, len(gr), len(wr))
+				}
+				for i := range wr {
+					if wr[i].Epoch != gr[i].Epoch {
+						t.Fatalf("workers=%d node %d record %d epoch differs", w, id, i)
+					}
+					for k := range wr[i].Vector {
+						if wr[i].Vector[k] != gr[i].Vector[k] {
+							t.Fatalf("workers=%d node %d record %d metric %d differs", w, id, i, k)
+						}
 					}
 				}
 			}
-		}
-		for i := range want.PRR {
-			if got.PRR[i] != want.PRR[i] {
-				t.Fatalf("workers=%d: PRR point %d differs: %+v vs %+v", w, i, got.PRR[i], want.PRR[i])
+			for i := range want.PRR {
+				if got.PRR[i] != want.PRR[i] {
+					t.Fatalf("workers=%d: PRR point %d differs: %+v vs %+v", w, i, got.PRR[i], want.PRR[i])
+				}
 			}
-		}
-		if len(got.Events) != len(want.Events) {
-			t.Fatalf("workers=%d: %d events, want %d", w, len(got.Events), len(want.Events))
-		}
-		for i := range want.Events {
-			if got.Events[i] != want.Events[i] {
-				t.Fatalf("workers=%d: event %d differs: %+v vs %+v", w, i, got.Events[i], want.Events[i])
+			if len(got.Events) != len(want.Events) {
+				t.Fatalf("workers=%d: %d events, want %d", w, len(got.Events), len(want.Events))
+			}
+			for i := range want.Events {
+				if got.Events[i] != want.Events[i] {
+					t.Fatalf("workers=%d: event %d differs: %+v vs %+v", w, i, got.Events[i], want.Events[i])
+				}
 			}
 		}
 	}

@@ -87,19 +87,17 @@ func TestPRRBoundedDuringBacklogDrain(t *testing.T) {
 // links that can ever deliver produces bit-identical simulations to
 // iterating the full contention neighborhood.
 func TestLinkPruneExact(t *testing.T) {
-	run := func(disable bool) ([]*EpochResult, []NodeSnapshot) {
+	run := func(prune bool) ([]*EpochResult, []NodeSnapshot) {
 		topo, err := GridTopology(9, 5, 12)
 		if err != nil {
 			t.Fatalf("GridTopology: %v", err)
 		}
-		n, err := New(Config{
-			Seed:             42,
-			Topology:         topo,
-			ReportInterval:   3 * time.Minute,
-			DisableLinkPrune: disable,
-		})
+		n, err := New(Config{Seed: 42, Topology: topo, ReportInterval: 3 * time.Minute})
 		if err != nil {
 			t.Fatalf("New: %v", err)
+		}
+		if !prune {
+			n.candidates = n.contenders
 		}
 		res, err := n.Run(6)
 		if err != nil {
@@ -107,8 +105,8 @@ func TestLinkPruneExact(t *testing.T) {
 		}
 		return res, n.Snapshots()
 	}
-	wantRes, wantSnaps := run(false)
-	gotRes, gotSnaps := run(true)
+	wantRes, wantSnaps := run(true)
+	gotRes, gotSnaps := run(false)
 	for e := range wantRes {
 		a, b := wantRes[e], gotRes[e]
 		if a.Generated != b.Generated || a.Delivered != b.Delivered ||

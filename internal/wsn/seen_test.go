@@ -116,7 +116,6 @@ func TestReportsAscendingByNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
 	total := 0
 	for epoch := 1; epoch <= 60; epoch++ {
 		switch {

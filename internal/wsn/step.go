@@ -17,10 +17,6 @@ const initialTTL = 16
 // this many frames per second before CSMA pressure builds.
 const contentionPacketsPerSecond = 20.0
 
-// transmitGrain is the minimum active senders per pool chunk in the transmit
-// sub-phase: below it the per-pass handoff costs more than the transmits.
-const transmitGrain = 32
-
 // EpochResult summarizes one reporting epoch.
 type EpochResult struct {
 	// Epoch is the 1-based epoch number.
@@ -85,11 +81,12 @@ func (n *Network) Run(count int) ([]*EpochResult, error) {
 	return out, nil
 }
 
-// sampleNoise caches each node's noise floor for the epoch. Environment
-// queries are pure per (time, position), so the fan-out is safe and every
-// phase reads the same per-node value instead of re-querying per link.
+// sampleNoise caches each node's noise floor for the epoch, so every phase
+// reads the same per-node value instead of re-querying per link.
 func (n *Network) sampleNoise() {
-	n.pool.Run(len(n.nodes), n.noiseFn)
+	for i, nd := range n.nodes {
+		n.noise[i] = n.field.NoiseFloor(nd.pos)
+	}
 }
 
 // agePower advances uptime, applies spontaneous reboots, and fails nodes
@@ -114,10 +111,10 @@ func (n *Network) agePower() {
 
 // beaconPhase broadcasts one routing beacon per up node; receivers within
 // range probabilistically hear it and refresh their routing tables. The
-// phase is inverted over receivers: each worker owns a receiver range and
-// writes only those nodes' routing tables, reading a pre-phase snapshot of
+// phase is inverted over receivers, each reading a pre-phase snapshot of
 // the advertised path-ETX values. Beacon draws are keyed by (epoch, link),
-// so the fan-out is bit-identical to the sequential pass.
+// so a receiver iterates only its pruned candidate list without moving any
+// other link's draws.
 func (n *Network) beaconPhase() {
 	for i, nd := range n.nodes {
 		if !nd.up {
@@ -131,15 +128,40 @@ func (n *Network) beaconPhase() {
 		nd.ctr.beacon++
 		nd.epochTx++
 	}
-	n.pool.Run(len(n.nodes)-1, n.beaconFn)
+	for j := 1; j < len(n.nodes); j++ {
+		rx := n.nodes[j]
+		if !rx.up {
+			continue
+		}
+		noise := n.noise[j]
+		// Link lists are symmetric (path loss, shadowing and injected
+		// degradation all are), so j's outbound list is also its inbound
+		// sender list.
+		for _, i := range n.candidates[j] {
+			tx := n.nodes[i]
+			if !tx.up {
+				continue
+			}
+			rssi, heard := n.medium.Beacon(i, j, noise)
+			if heard {
+				// Hearing our own beacon is impossible by construction
+				// (lists exclude self), so the error is unreachable.
+				_ = rx.table.HearBeacon(tx.id, rssi, n.adv[i])
+			}
+		}
+	}
 }
 
 // routingPhase ages tables and re-selects parents. Each node mutates only
-// its own routing table and consumes no shared randomness, so the phase
-// fans out across workers with results bit-identical to the sequential
-// pass for any worker count.
+// its own routing table and consumes no shared randomness.
 func (n *Network) routingPhase() {
-	n.pool.Run(len(n.nodes)-1, n.routeFn)
+	for _, nd := range n.nodes[1:] {
+		if !nd.up {
+			continue
+		}
+		nd.table.Tick(n.cfg.NeighborStaleEpochs)
+		nd.table.SelectParent()
+	}
 }
 
 // pendingInject is one scheduled self-generated packet.
@@ -149,7 +171,7 @@ type pendingInject struct {
 }
 
 // delivery is the receiver-side effect of one transmission, recorded during
-// the parallel transmit sub-phase and applied sequentially: rx is nil when
+// the transmit sub-phase and applied in the apply sub-phase: rx is nil when
 // nothing reached a receiver. attempted distinguishes a node that used the
 // channel from one that sat on a packet without a route.
 type delivery struct {
@@ -168,8 +190,8 @@ type delivery struct {
 //
 // Each pass runs in two sub-phases: transmit, where every active sender
 // performs its unicast exchange against the pre-pass network state
-// (sender-local writes only, fanned out across workers), and apply, where
-// the recorded deliveries mutate receiver queues in sender order. A packet
+// (sender-local writes only), and apply, where the recorded deliveries
+// mutate receiver queues in sender order. A packet
 // therefore advances at most one hop per pass; the pass budget's slack
 // covers the pipeline depth.
 func (n *Network) trafficPhase() (generated, delivered, deliveredCurrent int) {
@@ -265,25 +287,18 @@ func (n *Network) compactActive() {
 
 // transmitPass runs the transmit sub-phase: every active sender pops its
 // head-of-line packet and performs the unicast exchange. All writes are
-// sender-local (queue, counters, link estimator, per-link draw sequence),
-// so the loop fans out across workers; receiver effects are recorded in
-// n.intents for the sequential apply. Reports whether any sender used the
-// channel.
+// sender-local (queue, counters, link estimator, per-link draw sequence);
+// receiver effects are recorded in n.intents for the apply. Reports whether
+// any sender used the channel.
 func (n *Network) transmitPass() bool {
-	if cap(n.intents) < len(n.active) {
-		n.intents = make([]delivery, len(n.active))
+	n.intents = n.intents[:0]
+	attempted := false
+	for _, i := range n.active {
+		d := n.transmitOne(n.nodes[i])
+		attempted = attempted || d.attempted
+		n.intents = append(n.intents, d)
 	}
-	n.intents = n.intents[:len(n.active)]
-	// A transmit is a few microseconds of work; grain-gate the fan-out so
-	// the short active lists of a draining epoch run inline instead of
-	// paying a goroutine handoff per pass.
-	n.pool.RunGrain(len(n.active), transmitGrain, n.transmitFn)
-	for k := range n.intents {
-		if n.intents[k].attempted {
-			return true
-		}
-	}
-	return false
+	return attempted
 }
 
 // transmitOne sends nd's head-of-line packet toward its parent and returns
@@ -445,9 +460,18 @@ func (n *Network) collectReports(res *EpochResult) {
 }
 
 // accountEnergy applies battery drain and radio-on time for the epoch's
-// activity, then rolls the per-epoch transmission counters. Pure per-node
-// arithmetic with disjoint writes (node state plus perEpochTx[i]), so the
-// phase fans out across workers bit-identically to the sequential pass.
+// activity, then rolls the per-epoch transmission counters.
 func (n *Network) accountEnergy() {
-	n.pool.Run(len(n.nodes), n.energyFn)
+	const (
+		txSecondsPerAttempt = 0.004
+		idleDutyCycle       = 0.02
+	)
+	for i, nd := range n.nodes {
+		if nd.up && !nd.isSink() {
+			nd.voltage -= n.cfg.BaseDrainPerEpoch + n.cfg.TxDrainPerPacket*float64(nd.epochTx)
+			nd.radioOn += float64(nd.epochTx)*txSecondsPerAttempt + idleDutyCycle*n.cfg.ReportInterval.Seconds()
+		}
+		n.perEpochTx[i] = nd.epochTx
+		nd.epochTx = 0
+	}
 }

@@ -23,7 +23,6 @@ import (
 
 	"github.com/wsn-tools/vn2/internal/env"
 	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/par"
 	"github.com/wsn-tools/vn2/internal/radio"
 )
 
@@ -83,20 +82,6 @@ type Config struct {
 	Radio radio.Config
 	// Env configures the environment; Env.Seed is derived from Seed when 0.
 	Env env.Config
-	// Workers bounds the goroutines used for the parallel phases of each
-	// epoch (beacon reception, traffic transmission, routing-table
-	// maintenance, energy accounting): 0 keeps them sequential, ≥1 fans
-	// out, negative uses GOMAXPROCS. All packet-level randomness is
-	// counter-based per link, so simulations are bit-identical for any
-	// Workers value.
-	Workers int
-	// DisableLinkPrune makes the beacon phase iterate every link in the
-	// contention neighborhood instead of only links that can ever deliver
-	// a frame. Pruning is exact — out-of-range links have zero reception
-	// probability under the bounded fading model and per-link draws are
-	// independent — so results are identical either way; the flag exists
-	// to assert exactly that in tests.
-	DisableLinkPrune bool
 }
 
 func (c Config) withDefaults() Config {
@@ -142,18 +127,6 @@ type Network struct {
 	nodes  []*node // index == NodeID; nodes[0] is the sink
 	epoch  int
 	events []Event
-	pool   *par.Pool // shared worker pool for the parallel phases
-
-	// Prebuilt phase kernels, constructed once in New and fed to the pool
-	// every epoch. A closure built at the call site is itself a heap
-	// allocation; with ~300 transmit passes per CitySee epoch that one
-	// allocation per pass dominated the steady-state profile. Prebuilding
-	// makes every pool run in Step allocation-free.
-	noiseFn    func(start, end int)
-	beaconFn   func(start, end int)
-	routeFn    func(start, end int)
-	transmitFn func(start, end int)
-	energyFn   func(start, end int)
 
 	// contenders[i] lists the nodes within the radio configuration's
 	// maximum possible range of i — the neighborhood that defines channel
@@ -161,7 +134,10 @@ type Network struct {
 	contenders [][]int
 	// candidates[i] is the subset of contenders[i] whose link with i can
 	// ever deliver a frame (radio.Medium.InRange); the beacon phase
-	// iterates only these. Refreshed when DegradeLink shifts a budget.
+	// iterates only these. Pruning is exact: an out-of-range link has zero
+	// reception probability under the bounded fading model, and per-link
+	// draws are keyed, so skipping it moves no other link's draws
+	// (TestLinkPruneExact). Refreshed when DegradeLink shifts a budget.
 	candidates [][]int
 
 	// perEpochTx tracks each node's transmission attempts last epoch to
@@ -193,7 +169,6 @@ func New(cfg Config) (*Network, error) {
 		field:          field,
 		medium:         radio.NewMedium(cfg.Radio),
 		perEpochTx:     make([]int, nn),
-		pool:           par.NewPool(cfg.Workers),
 		noise:          make([]float64, nn),
 		contention:     make([]float64, nn),
 		adv:            make([]float64, nn),
@@ -207,83 +182,8 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.medium.SetTopology(cfg.Topology)
 	n.buildLinks()
-	n.buildKernels()
 	return n, nil
 }
-
-// buildKernels constructs the phase closures the pool executes each epoch.
-// Each captures only n; per-epoch inputs (noise floors, the advertisement
-// snapshot, the active rotation) are Network fields written before the
-// corresponding run, so the same closure values are reused for the life of
-// the simulation.
-func (n *Network) buildKernels() {
-	n.noiseFn = func(start, end int) {
-		for i := start; i < end; i++ {
-			n.noise[i] = n.field.NoiseFloor(n.nodes[i].pos)
-		}
-	}
-	n.beaconFn = func(start, end int) {
-		links := n.beaconLinks()
-		for j := 1 + start; j < 1+end; j++ {
-			rx := n.nodes[j]
-			if !rx.up {
-				continue
-			}
-			noise := n.noise[j]
-			// Link lists are symmetric (path loss, shadowing and injected
-			// degradation all are), so j's outbound list is also its
-			// inbound sender list.
-			for _, i := range links[j] {
-				tx := n.nodes[i]
-				if !tx.up {
-					continue
-				}
-				rssi, heard := n.medium.Beacon(i, j, noise)
-				if heard {
-					// Hearing our own beacon is impossible by construction
-					// (lists exclude self), so the error is unreachable.
-					_ = rx.table.HearBeacon(tx.id, rssi, n.adv[i])
-				}
-			}
-		}
-	}
-	n.routeFn = func(start, end int) {
-		for i := 1 + start; i < 1+end; i++ {
-			nd := n.nodes[i]
-			if !nd.up {
-				continue
-			}
-			nd.table.Tick(n.cfg.NeighborStaleEpochs)
-			nd.table.SelectParent()
-		}
-	}
-	n.transmitFn = func(start, end int) {
-		for k := start; k < end; k++ {
-			n.intents[k] = n.transmitOne(n.nodes[n.active[k]])
-		}
-	}
-	n.energyFn = func(start, end int) {
-		const (
-			txSecondsPerAttempt = 0.004
-			idleDutyCycle       = 0.02
-		)
-		for i := start; i < end; i++ {
-			nd := n.nodes[i]
-			if nd.up && !nd.isSink() {
-				nd.voltage -= n.cfg.BaseDrainPerEpoch + n.cfg.TxDrainPerPacket*float64(nd.epochTx)
-				nd.radioOn += float64(nd.epochTx)*txSecondsPerAttempt + idleDutyCycle*n.cfg.ReportInterval.Seconds()
-			}
-			n.perEpochTx[i] = nd.epochTx
-			nd.epochTx = 0
-		}
-	}
-}
-
-// Close releases the pool's background goroutines. The network stays usable
-// afterwards — phases simply run inline sequentially, which is bit-identical
-// by the determinism contract — so Close is goroutine hygiene, not a
-// lifecycle requirement.
-func (n *Network) Close() { n.pool.Close() }
 
 // buildLinks precomputes the per-node neighbor lists via a spatial grid:
 // contenders by the configuration's exact maximum radio range, candidates
@@ -310,17 +210,6 @@ func (n *Network) refreshCandidates(i int) {
 		}
 	}
 	n.candidates[i] = out
-}
-
-// beaconLinks returns the link lists the beacon phase iterates: the pruned
-// candidates normally, the full contention neighborhood when pruning is
-// disabled. Results are identical either way — the extra links cannot
-// deliver — which TestLinkPruneExact asserts.
-func (n *Network) beaconLinks() [][]int {
-	if n.cfg.DisableLinkPrune {
-		return n.contenders
-	}
-	return n.candidates
 }
 
 // NumNodes returns the topology size including the sink.

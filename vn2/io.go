@@ -102,6 +102,24 @@ func LoadVersioned(r io.Reader) (*Model, ModelMeta, error) {
 	// load fine and panic later inside Signature/Explain.
 	m := mf.Model
 	cols := m.Psi.Cols()
+	// Factorize only produces a finite non-negative basis and training
+	// floors every scale at 1e-9; normalize divides by Scale, so a zero,
+	// negative or non-finite divisor is damage, not a model. Every
+	// comparison with NaN is false, so NaN and ±Inf fail these.
+	for i := 0; i < m.Psi.Rows(); i++ {
+		for _, v := range m.Psi.RawRow(i) {
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				return nil, ModelMeta{}, fmt.Errorf("%w: basis entry %v in row %d is not finite and non-negative",
+					ErrCorruptModel, v, i)
+			}
+		}
+	}
+	for k, s := range m.Scale {
+		if !(s > 0 && s <= math.MaxFloat64) {
+			return nil, ModelMeta{}, fmt.Errorf("%w: scale %v of metric %d is not finite and positive",
+				ErrCorruptModel, s, k)
+		}
+	}
 	if m.Signatures != nil {
 		if m.Signatures.Rows() != m.Rank || m.Signatures.Cols() != cols {
 			return nil, ModelMeta{}, fmt.Errorf("%w: signatures are %dx%d, want %dx%d",
@@ -113,7 +131,6 @@ func LoadVersioned(r io.Reader) (*Model, ModelMeta, error) {
 			ErrCorruptModel, len(m.MetricNames), cols)
 	}
 	if c := m.Calibration; c != nil {
-		// Every comparison with NaN is false, so NaN and ±Inf fail these.
 		ok := len(c.Center) == cols && len(c.Scale) == cols && c.RefMax >= 0 && c.RefMax <= math.MaxFloat64
 		for k := 0; ok && k < cols; k++ {
 			ok = math.Abs(c.Center[k]) <= math.MaxFloat64 && c.Scale[k] > 0 && c.Scale[k] <= math.MaxFloat64

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"github.com/wsn-tools/vn2/internal/trace"
 )
 
 // savedModelJSON trains a small model and returns its Save output as a
@@ -107,6 +110,23 @@ func TestLoadMalformed(t *testing.T) {
 			b, _ := json.Marshal(savedModelJSON(t))
 			return Load(bytes.NewReader(bytes.Replace(b, []byte(`"center":[`), []byte(`"center":[1e999,`), 1)))
 		}, false},
+		{"negative basis entry", corrupt(func(_, m map[string]any) {
+			m["psi"].(map[string]any)["data"].([]any)[7] = -0.5
+		}), true},
+		{"zero scale", corrupt(func(_, m map[string]any) {
+			m["scale"].([]any)[2] = 0.0
+		}), true},
+		{"negative scale", corrupt(func(_, m map[string]any) {
+			m["scale"].([]any)[4] = -3.0
+		}), true},
+		{"basis dims overflow int", corrupt(func(_, m map[string]any) {
+			// rows·cols wraps to 2 in 64 bits; the data has 2 values, and
+			// rank and scale agree with the claimed dims.
+			const rows = 6148914691236517206
+			psi := m["psi"].(map[string]any)
+			psi["rows"], psi["cols"], psi["data"] = rows, 3, []any{0.5, 0.5}
+			m["rank"], m["scale"] = rows, []any{1.0, 1.0, 1.0}
+		}), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +139,56 @@ func TestLoadMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadModel feeds Load arbitrary bytes, seeded with a trained model's
+// Save output. No input may panic; a model Load accepts must re-save and
+// reload to the same Psi, Scale and Calibration bits, and must diagnose a
+// finite state (its Scale, which normalizes to all ones) to a finite
+// residual.
+func FuzzLoadModel(f *testing.F) {
+	model, _, err := Train(synthStates(600, 42), TrainConfig{Rank: 3, Seed: 4})
+	if err != nil {
+		f.Fatalf("Train: %v", err)
+	}
+	var seed bytes.Buffer
+	if err := model.Save(&seed); err != nil {
+		f.Fatalf("Save: %v", err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatalf("re-save of an accepted model: %v", err)
+		}
+		again, err := Load(&out)
+		if err != nil {
+			t.Fatalf("reload of a re-saved model: %v", err)
+		}
+		same := m.Psi.Rows() == again.Psi.Rows() && sameBits(m.Scale, again.Scale)
+		for i := 0; same && i < m.Psi.Rows(); i++ {
+			same = sameBits(m.Psi.RawRow(i), again.Psi.RawRow(i))
+		}
+		if !same {
+			t.Fatal("basis or scale changed across save and reload")
+		}
+		if c, a := m.Calibration, again.Calibration; (c == nil) != (a == nil) ||
+			c != nil && (!sameBits(c.Center, a.Center) || !sameBits(c.Scale, a.Scale) ||
+				math.Float64bits(c.RefMax) != math.Float64bits(a.RefMax)) {
+			t.Fatal("calibration changed across save and reload")
+		}
+		d, err := m.Diagnose(trace.StateVector{Delta: append([]float64(nil), m.Scale...)})
+		if err != nil {
+			t.Fatalf("Diagnose: %v", err)
+		}
+		if math.IsNaN(d.Residual) || math.IsInf(d.Residual, 0) {
+			t.Fatalf("residual %v is not finite", d.Residual)
+		}
+	})
 }
 
 // TestLoadedCorruptionWouldHavePanicked documents the bug the validation

@@ -85,10 +85,7 @@ func (m *Manager) trainCandidate(cur *Set, window []trace.StateVector) (*vn2.Mod
 					ch <- result{err: fmt.Errorf("update panicked: %v", r)}
 				}
 			}()
-			cm, _, err := cur.Model.Update(window, vn2.TrainConfig{
-				CompressAllStates: true,
-				Workers:           m.mon.Workers(),
-			})
+			cm, _, err := cur.Model.Update(window, vn2.TrainConfig{CompressAllStates: true})
 			ch <- result{m: cm, err: err}
 		}()
 		select {

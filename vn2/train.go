@@ -29,11 +29,10 @@ type TrainConfig struct {
 	MaxIter int
 	// Seed drives NMF initialization.
 	Seed int64
-	// Workers bounds the goroutines used by training compute (the rank-
-	// selection sweep runs its independent factorizations concurrently and
-	// the final factorization parallelizes its update sweeps): 0 keeps
-	// training sequential, ≥1 fans out, negative uses GOMAXPROCS. The
-	// trained model is bit-identical for any value.
+	// Workers bounds the goroutines of the rank-selection sweep, which runs
+	// its independent factorizations concurrently: 0 keeps it sequential,
+	// ≥1 fans out, negative uses GOMAXPROCS. The final factorization runs
+	// on the caller. The trained model is bit-identical for any value.
 	Workers int
 }
 
@@ -112,7 +111,6 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		Rank:    rank,
 		MaxIter: cfg.MaxIter,
 		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("factorize: %w", err)
@@ -208,8 +206,7 @@ func selectRank(e *mat.Dense, cfg TrainConfig) (int, []nmf.RankPoint, error) {
 	maxRank := minInt(minInt(e.Rows(), e.Cols()), cfg.SweepMax)
 	minRank := minInt(cfg.SweepMin, maxRank)
 	// Parallelism goes to the sweep points (independent factorizations,
-	// the Fig. 3(b) fan-out); each point's factorization stays sequential
-	// so cfg.Workers bounds the total goroutine count.
+	// the Fig. 3(b) fan-out); each point's factorization is sequential.
 	points, err := nmf.SweepRanks(e, nmf.SweepConfig{
 		MinRank: minRank,
 		MaxRank: maxRank,

@@ -43,7 +43,6 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 	res, err := nmf.Resume(e, w0, m.Psi, nmf.Config{
 		Rank:    rank,
 		MaxIter: cfg.MaxIter,
-		Workers: cfg.Workers,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("resume factorization: %w", err)
