@@ -191,9 +191,9 @@ func TestForErrZeroLength(t *testing.T) {
 	}
 }
 
-// TestPoolRunCoversAllIndices: with more workers than indices every index is
+// TestRunOneIndexPerChunk: with more workers than indices every index is
 // its own chunk, run exactly once.
-func TestPoolRunCoversAllIndices(t *testing.T) {
+func TestRunOneIndexPerChunk(t *testing.T) {
 	const n = 5
 	hits := make([]int32, n)
 	var chunks int32
@@ -212,9 +212,9 @@ func TestPoolRunCoversAllIndices(t *testing.T) {
 	hitsOnce(t, "workers=64", hits)
 }
 
-// TestPoolRunMatchesSequential: runs nest — a chunk may fan out again — and
+// TestRunNestedMatchesSequential: runs nest — a chunk may fan out again — and
 // the nested result equals the sequential one.
-func TestPoolRunMatchesSequential(t *testing.T) {
+func TestRunNestedMatchesSequential(t *testing.T) {
 	const rows, cols = 12, 40
 	want := make([]float64, rows*cols)
 	for i := range want {
@@ -448,9 +448,9 @@ func TestPoolRunZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestNewPoolWorkers: Run applies the Workers norm — it uses
+// TestRunAppliesWorkersNorm: Run applies the Workers norm — it uses
 // min(Workers(w), n) chunks.
-func TestNewPoolWorkers(t *testing.T) {
+func TestRunAppliesWorkersNorm(t *testing.T) {
 	const n = 64
 	for _, w := range []int{4, 1, 0, -1} {
 		var mu sync.Mutex

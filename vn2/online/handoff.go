@@ -1,6 +1,10 @@
 package online
 
-import "github.com/wsn-tools/vn2/internal/packet"
+import (
+	"slices"
+
+	"github.com/wsn-tools/vn2/internal/packet"
+)
 
 // NodeSlice is the portable per-node slice of a monitor's rolling state:
 // everything a sink must hand to another sink when ring ownership of a
@@ -58,17 +62,12 @@ func (m *Monitor) DropNodes(nodes []packet.NodeID) {
 	}
 	m.pending = kept
 	for e, ec := range m.epochs {
-		kc := ec.contribs[:0]
-		for _, c := range ec.contribs {
-			if !drop[c.Node] {
-				kc = append(kc, c)
-			}
-		}
-		if len(kc) != len(ec.contribs) {
-			ec.contribs, ec.part = kc, nil
-		}
-		if len(ec.contribs) == 0 {
+		all := ec.held()
+		switch kept := slices.DeleteFunc(all, func(c Contribution) bool { return drop[c.Node] }); {
+		case len(kept) == 0:
 			delete(m.epochs, e)
+		case len(kept) != len(all):
+			ec.contribs, ec.part, ec.dist = kept, nil, nil
 		}
 	}
 }

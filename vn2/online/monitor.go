@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -252,12 +253,15 @@ type pendingState struct {
 // exactly (see DESIGN.md "Failure model & recovery").
 //
 // part is the read plane's cache: the epoch's EpochState as JSON, rendered
-// on the first read after a change and immutable once built, so readers
-// use it outside mu. Whatever changes contribs sets it to nil.
+// on the first read after a change with dist and states tallied from it, and
+// immutable once built, so readers use it outside mu. A rendered epoch older
+// than Stats.LastEpoch drops contribs (it is settled); a change opens it.
 type epochAcc struct {
 	epoch    int
 	contribs []Contribution
 	part     []byte
+	dist     []float64
+	states   int
 }
 
 // resSample is one diagnosed state's contribution to the rolling residual
@@ -478,11 +482,11 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 			ec = &epochAcc{epoch: f.State.Epoch}
 			m.epochs[f.State.Epoch] = ec
 		}
+		ec.open()
 		ec.contribs = append(ec.contribs, Contribution{
 			Node:   f.State.Node,
 			Causes: append([]vn2.RankedCause(nil), f.Diagnosis.Ranked...),
 		})
-		ec.part = nil
 	}
 	m.recent = append(m.recent, out...)
 	if over := len(m.recent) - m.cfg.MaxRecent; over > 0 {
@@ -572,21 +576,31 @@ func (m *Monitor) summaryLocked() Summary {
 	return s
 }
 
-// causes sums an epoch's contributions into its cause distribution, in
-// ascending node order so the result does not depend on drain grouping.
-// Caller holds mu.
+// causes is an epoch's cause distribution: the totals tallied at its
+// render, or, changed since, its contributions tallied the same way. Causes
+// at or past rank are left out. Caller holds mu.
 func (ec *epochAcc) causes(rank int) EpochCauses {
-	sorted := append([]Contribution(nil), ec.contribs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Node < sorted[j].Node })
-	out := EpochCauses{Epoch: ec.epoch, States: len(sorted), Distribution: make([]float64, rank)}
-	for _, c := range sorted {
+	dist, states := ec.dist, ec.states
+	if ec.part == nil {
+		dist, states = tally(sortByNode(slices.Clone(ec.contribs))), len(ec.contribs)
+	}
+	out := EpochCauses{Epoch: ec.epoch, States: states, Distribution: make([]float64, rank)}
+	copy(out.Distribution, dist)
+	return out
+}
+
+// tally sums each cause ≥ 0 on its own, in the order given — node order
+// everywhere, for a result drain grouping cannot move; cut to a rank later.
+func tally(contribs []Contribution) (dist []float64) {
+	for _, c := range contribs {
 		for _, rc := range c.Causes {
-			if rc.Cause >= 0 && rc.Cause < rank {
-				out.Distribution[rc.Cause] += rc.Strength
+			if rc.Cause >= 0 {
+				dist = append(dist, make([]float64, max(0, rc.Cause+1-len(dist)))...)
+				dist[rc.Cause] += rc.Strength
 			}
 		}
 	}
-	return out
+	return dist
 }
 
 // firstNonFinite returns the index of the first NaN/±Inf value, or -1.

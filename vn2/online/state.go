@@ -149,7 +149,7 @@ func (m *Monitor) EpochsRendered() uint64 {
 }
 
 // partsLocked collects the epochs' rendered parts, ascending, rendering the
-// missing ones. Caller holds mu.
+// missing ones and settling all but the newest. Caller holds mu.
 func (m *Monitor) partsLocked() ([][]byte, error) {
 	accs := make([]*epochAcc, 0, len(m.epochs))
 	for _, ec := range m.epochs {
@@ -159,12 +159,16 @@ func (m *Monitor) partsLocked() ([][]byte, error) {
 	parts := make([][]byte, len(accs))
 	for i, ec := range accs {
 		if ec.part == nil {
-			b, err := json.Marshal(ec.export(nil))
+			es := ec.export(nil)
+			b, err := json.Marshal(es)
 			if err != nil {
 				return nil, fmt.Errorf("render epoch %d: %w", ec.epoch, err)
 			}
-			ec.part = b
+			ec.part, ec.dist, ec.states = b, tally(es.Contribs), len(es.Contribs)
 			m.rendered++
+		}
+		if ec.epoch < m.stats.LastEpoch {
+			ec.contribs = nil
 		}
 		parts[i] = ec.part
 	}
@@ -222,14 +226,37 @@ func (m *Monitor) exportEpochsLocked(want map[packet.NodeID]bool) []EpochState {
 // export and the rendered part are made from, so the two cannot disagree.
 func (ec *epochAcc) export(want map[packet.NodeID]bool) EpochState {
 	es := EpochState{Epoch: ec.epoch, Contribs: make([]Contribution, 0, len(ec.contribs))}
-	for _, c := range ec.contribs {
+	for _, c := range ec.held() {
 		if want == nil || want[c.Node] {
 			es.Contribs = append(es.Contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
 		}
 	}
-	sort.Slice(es.Contribs, func(i, j int) bool { return es.Contribs[i].Node < es.Contribs[j].Node })
+	sortByNode(es.Contribs)
 	return es
 }
+
+// sortByNode sorts in place, stably, so a decoded epoch re-sorts exactly.
+func sortByNode(cs []Contribution) []Contribution {
+	slices.SortStableFunc(cs, func(a, b Contribution) int { return cmp.Compare(a.Node, b.Node) })
+	return cs
+}
+
+func (ec *epochAcc) settled() bool { return ec.contribs == nil && ec.part != nil }
+
+// held is the epoch's contributions, a settled one's decoded from its part:
+// exactly, as JSON holds shortest round-trip floats and integer ids.
+func (ec *epochAcc) held() []Contribution {
+	var es EpochState
+	if !ec.settled() {
+		return ec.contribs
+	} else if err := json.Unmarshal(ec.part, &es); err != nil {
+		panic(fmt.Sprintf("online: epoch %d: rendered part does not decode: %v", ec.epoch, err))
+	}
+	return es.Contribs
+}
+
+// open readies an epoch for a change to its contributions.
+func (ec *epochAcc) open() { ec.contribs, ec.part, ec.dist = ec.held(), nil, nil }
 
 // validateSliceLocked checks the per-node part of an incoming state — a
 // snapshot's or a handoff's — against the live detector and model: vector
@@ -286,10 +313,10 @@ func (m *Monitor) importLocked(sl NodeSlice) {
 			ec = &epochAcc{epoch: es.Epoch}
 			m.epochs[es.Epoch] = ec
 		}
+		ec.open()
 		for _, c := range es.Contribs {
 			ec.contribs = append(ec.contribs, Contribution{Node: c.Node, Causes: append([]vn2.RankedCause(nil), c.Causes...)})
 		}
-		ec.part = nil
 		m.stats.LastEpoch = max(m.stats.LastEpoch, es.Epoch)
 	}
 }

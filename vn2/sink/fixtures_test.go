@@ -66,7 +66,7 @@ func trainModelFile(tracePath, outPath string, rank int) error {
 	return out.Close()
 }
 
-func serveFixtures(t *testing.T) fixtures {
+func serveFixtures(t testing.TB) fixtures {
 	t.Helper()
 	fixOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "vn2-sink-test-")
@@ -114,7 +114,7 @@ func serveFixtures(t *testing.T) fixtures {
 
 // hotReport derives the next report for a node with a violent counter jump
 // the frozen detector is certain to flag.
-func (f fixtures) hotReport(t *testing.T, node int, epochsAhead int) trace.Record {
+func (f fixtures) hotReport(t testing.TB, node int, epochsAhead int) trace.Record {
 	t.Helper()
 	last, ok := f.tail[node]
 	if !ok {

@@ -20,7 +20,7 @@ import (
 
 // viewSink is a sink with snapshots on and no loop running: the test feeds
 // it through its handler and decides when it ingests and drains.
-func viewSink(t *testing.T, dir string) *Server {
+func viewSink(t testing.TB, dir string) *Server {
 	t.Helper()
 	fx := serveFixtures(t)
 	srv, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
@@ -34,7 +34,7 @@ func viewSink(t *testing.T, dir string) *Server {
 // feed posts the batches through the handler, ingesting and draining after
 // each unless it is one of the last undrained, whose flagged states stay
 // pending.
-func feed(t *testing.T, srv *Server, batches [][]trace.Record, undrained int) {
+func feed(t testing.TB, srv *Server, batches [][]trace.Record, undrained int) {
 	t.Helper()
 	h := srv.Handler()
 	for i, batch := range batches {

@@ -349,7 +349,7 @@ func runSink(t *testing.T, o Options, prep ...func(*Server)) (srv *Server, base 
 // rampReport is hotReport with the jump scaled by the epoch, so consecutive
 // reports of one node each derive a flagged state (hotReport's constant jump
 // flags only the first).
-func (f fixtures) rampReport(t *testing.T, node, epochsAhead int) trace.Record {
+func (f fixtures) rampReport(t testing.TB, node, epochsAhead int) trace.Record {
 	rec := f.hotReport(t, node, epochsAhead)
 	for k := 0; k < 6 && k < len(rec.Vector); k++ {
 		rec.Vector[k] += 1e7 * float64(epochsAhead-1)
@@ -359,7 +359,7 @@ func (f fixtures) rampReport(t *testing.T, node, epochsAhead int) trace.Record {
 
 // rampBatches is count flagged reports over the fixture's first 40 nodes,
 // epoch-major so each node's epochs ascend, cut into batches of size.
-func (f fixtures) rampBatches(t *testing.T, count, size int) (batches [][]trace.Record) {
+func (f fixtures) rampBatches(t testing.TB, count, size int) (batches [][]trace.Record) {
 	nodes := f.nodes()[:40]
 	for i := 0; i < count; i++ {
 		if i%size == 0 {
