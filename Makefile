@@ -101,15 +101,17 @@ knobs:
 # the stream's VN2A ack decoder (seeded in code), the
 # delta wire's bit-exact round trip (encoder → frame decoder → sink cache),
 # the NNLS solver on degenerate and non-finite problems, the model file
-# loader and the snapshot loader with the monitor restore behind it (both
-# seeded in code, from a trained model and from a live sink's snapshot;
-# their inputs are kilobytes of JSON, so minimization is capped or it takes
-# the whole budget).
+# loader, the snapshot loader with the monitor restore behind it and the
+# handoff slice import (all three seeded in code, from a trained model, a
+# live sink's snapshot and a driven monitor's exports; their inputs are
+# kilobytes of JSON, so minimization is capped or it takes the whole
+# budget).
 fuzz:
 	$(GO) test ./internal/nnls -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2 -run '^$$' -fuzz FuzzLoadModel -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x
 	$(GO) test ./vn2/sink -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x
+	$(GO) test ./vn2/online -run '^$$' -fuzz FuzzImportNodes -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDecodeReports -fuzztime $(FUZZ_TIME)
 	$(GO) test ./vn2/sink/ingest -run '^$$' -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC1$$' -fuzztime $(FUZZ_TIME)

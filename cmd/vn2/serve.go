@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/wsn-tools/vn2/vn2/sink"
 )
@@ -26,11 +25,11 @@ func cmdServe(args []string) error {
 	fs.StringVar(&o.SnapshotPath, "snapshot", "", "snapshot file: loaded at startup when present, rewritten periodically")
 	fs.StringVar(&o.WALPath, "wal", "", "write-ahead log directory: accepted reports are journaled before the 202 and replayed on restart (empty = no WAL)")
 	fs.Float64Var(&o.Threshold, "threshold", 0, "exception cutoff eps/max(eps) (0 = paper's 0.01)")
-	fs.IntVar(&o.QueueSize, "queue", 1024, "ingest queue bound, in reports: a bound, paid for as used; a batch it has no room for gets 503")
+	fs.IntVar(&o.QueueSize, "queue", sink.DefaultQueueSize, "ingest queue bound, in reports: a bound, paid for as used; a batch it has no room for gets 503")
 	fs.IntVar(&o.MaxPending, "max-pending", 0, "bound on flagged states awaiting diagnosis (0 = 4096)")
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
-	fs.DurationVar(&o.DrainEvery, "drain-interval", 2*time.Second, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
-	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", time.Minute, "how often the snapshot file is rewritten")
+	fs.DurationVar(&o.DrainEvery, "drain-interval", sink.DefaultDrainEvery, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
+	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", sink.DefaultSnapshotEvery, "how often the snapshot file is rewritten")
 	fs.StringVar(&o.Lifecycle.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
 	fs.BoolVar(&o.Lifecycle.Enabled, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")
 	fs.IntVar(&o.Lifecycle.DriftMin, "drift-min", 0, "diagnosed states the drift window must hold before the trigger can fire (0 = 32)")

@@ -134,15 +134,15 @@ type traceCase struct {
 var traceCases = sync.OnceValue(func() []traceCase {
 	var out []traceCase
 	add := func(name string, model *vn2.Model, det *trace.Detector, live *tracegen.Result) {
-		states := live.Dataset.States()
-		ex, err := det.Detect(states)
-		if err != nil {
-			panic(err)
-		}
 		tc := traceCase{name: name, psi: model.Psi, g: nnls.Gram(model.Psi)}
-		for _, i := range ex.Indices {
+		for _, st := range live.Dataset.States() {
+			if flagged, _, err := det.Exceptional(st.Delta); err != nil {
+				panic(err)
+			} else if !flagged {
+				continue
+			}
 			s := make([]float64, len(model.Scale))
-			for k, v := range states[i].Delta {
+			for k, v := range st.Delta {
 				s[k] = math.Abs(v) / model.Scale[k]
 			}
 			tc.states = append(tc.states, s)

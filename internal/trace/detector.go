@@ -20,9 +20,9 @@ var ErrDetectorUncalibrated = errors.New("trace: detector is not calibrated")
 //	ε(s)/RefMax ≥ Threshold
 //
 // a pure function of one state. Replaying the training window through
-// Detect is bit-identical to DetectExceptions on the same window: the
-// per-state arithmetic is the same code, and RefMax is exactly the batch
-// max the batch detector would divide by.
+// Exceptional state by state is bit-identical to DetectExceptions on the
+// same window: the per-state arithmetic is the same code, and RefMax is
+// exactly the batch max the batch detector divides by.
 //
 // The struct is plain exported data so it serializes to JSON for the serve
 // path's snapshot-to-disk (and back) without a custom codec.
@@ -128,48 +128,6 @@ func (d *Detector) Exceptional(delta []float64) (bool, float64, error) {
 		return false, 0, err
 	}
 	return score >= d.Threshold, score, nil
-}
-
-// Detect replays a batch of states through the frozen detector, producing
-// the same result shape as DetectExceptions. On the training window this is
-// bit-identical to DetectExceptions (same scores, indices, center, scale);
-// on later windows it keeps the training calibration instead of
-// recalibrating, which is the online-monitoring contract.
-func (d *Detector) Detect(states []StateVector) (*ExceptionResult, error) {
-	if !d.Valid() {
-		return nil, ErrDetectorUncalibrated
-	}
-	if len(states) == 0 {
-		return nil, ErrEmpty
-	}
-	m := len(d.Center)
-	for i, s := range states {
-		if len(s.Delta) != m {
-			return nil, fmt.Errorf("%w: state %d has %d metrics, want %d", ErrVectorLength, i, len(s.Delta), m)
-		}
-	}
-	scores := make([]float64, len(states))
-	for i, s := range states {
-		scores[i] = d.rawScore(s.Delta)
-	}
-	return d.judge(scores), nil
-}
-
-// judge divides raw scores by RefMax in place and flags those at or past the
-// threshold. Perfectly uniform data (RefMax 0) flags nothing: nothing
-// deviates.
-func (d *Detector) judge(scores []float64) *ExceptionResult {
-	res := &ExceptionResult{Scores: scores, Center: d.Center, Scale: d.Scale, RefMax: d.RefMax}
-	if d.RefMax == 0 {
-		return res
-	}
-	for i := range scores {
-		scores[i] /= d.RefMax
-		if scores[i] >= d.Threshold {
-			res.Indices = append(res.Indices, i)
-		}
-	}
-	return res
 }
 
 // calibrate computes the frozen calibration and the raw (unnormalized)

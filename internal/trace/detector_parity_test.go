@@ -13,9 +13,9 @@ import (
 
 // TestDetectorParityCitySee7Day freezes a detector on the CitySee 7-day
 // training window (reduced node population to keep the test quick; the
-// full 7 days of epochs) and asserts the replay is bit-identical to batch
-// DetectExceptions: same calibration, same scores, same flagged set, and
-// the per-state online rule agrees with batch membership state by state.
+// full 7 days of epochs) and replays every state through the O(M) online
+// rule: same calibration as batch DetectExceptions, the same score state by
+// state, and a decision that agrees with batch membership state by state.
 func TestDetectorParityCitySee7Day(t *testing.T) {
 	res, err := tracegen.CitySeeTraining(tracegen.CitySeeOptions{Seed: 17, Days: 7, Nodes: 60})
 	if err != nil {
@@ -34,39 +34,22 @@ func TestDetectorParityCitySee7Day(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDetector: %v", err)
 	}
-	replay, err := det.Detect(states)
-	if err != nil {
-		t.Fatalf("Detect: %v", err)
-	}
-
 	for k := range batch.Center {
 		if det.Center[k] != batch.Center[k] || det.Scale[k] != batch.Scale[k] {
 			t.Fatalf("metric %d calibration differs", k)
 		}
 	}
-	if len(replay.Scores) != len(batch.Scores) {
-		t.Fatalf("replay %d scores, batch %d", len(replay.Scores), len(batch.Scores))
-	}
-	for i := range batch.Scores {
-		if replay.Scores[i] != batch.Scores[i] {
-			t.Fatalf("state %d: replay score %v != batch %v", i, replay.Scores[i], batch.Scores[i])
-		}
-	}
-	if len(replay.Indices) != len(batch.Indices) {
-		t.Fatalf("replay flagged %d states, batch %d", len(replay.Indices), len(batch.Indices))
-	}
-	flagged := make(map[int]bool, len(batch.Indices))
-	for i := range batch.Indices {
-		if replay.Indices[i] != batch.Indices[i] {
-			t.Fatalf("flag %d: replay index %d != batch %d", i, replay.Indices[i], batch.Indices[i])
-		}
-		flagged[batch.Indices[i]] = true
+	if det.RefMax != batch.RefMax {
+		t.Fatalf("RefMax %v != batch %v", det.RefMax, batch.RefMax)
 	}
 	if len(batch.Indices) == 0 {
 		t.Fatal("training window produced no exceptions; parity test is vacuous")
 	}
-
-	// The O(M) online rule, state by state, agrees with batch membership.
+	flagged := make(map[int]bool, len(batch.Indices))
+	for _, i := range batch.Indices {
+		flagged[i] = true
+	}
+	replayed := 0
 	for i, s := range states {
 		isEx, score, err := det.Exceptional(s.Delta)
 		if err != nil {
@@ -78,5 +61,11 @@ func TestDetectorParityCitySee7Day(t *testing.T) {
 		if isEx != flagged[i] {
 			t.Fatalf("state %d online decision %v != batch membership %v", i, isEx, flagged[i])
 		}
+		if isEx {
+			replayed++
+		}
+	}
+	if replayed != len(batch.Indices) {
+		t.Fatalf("replay flagged %d states, batch %d", replayed, len(batch.Indices))
 	}
 }

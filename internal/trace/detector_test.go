@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
@@ -82,35 +83,23 @@ func TestDetectorReplayBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDetector: %v", err)
 	}
-	replay, err := det.Detect(states)
-	if err != nil {
-		t.Fatalf("Detect: %v", err)
-	}
-	if len(replay.Scores) != len(batch.Scores) {
-		t.Fatalf("replay has %d scores, batch %d", len(replay.Scores), len(batch.Scores))
-	}
-	for i := range batch.Scores {
-		if replay.Scores[i] != batch.Scores[i] {
-			t.Fatalf("score %d: replay %v != batch %v", i, replay.Scores[i], batch.Scores[i])
-		}
-	}
-	if len(replay.Indices) != len(batch.Indices) {
-		t.Fatalf("replay flagged %d, batch %d", len(replay.Indices), len(batch.Indices))
-	}
-	for i := range batch.Indices {
-		if replay.Indices[i] != batch.Indices[i] {
-			t.Fatalf("index %d: replay %d != batch %d", i, replay.Indices[i], batch.Indices[i])
-		}
-	}
-	// Per-state online scoring agrees with the batch scores too.
+	// Replay state by state through the online rule: the batch's scores
+	// and exactly its flagged indices, in order.
+	var indices []int
 	for i, s := range states {
-		score, err := det.Normalized(s.Delta)
+		flagged, score, err := det.Exceptional(s.Delta)
 		if err != nil {
-			t.Fatalf("Normalized(%d): %v", i, err)
+			t.Fatalf("Exceptional(%d): %v", i, err)
 		}
 		if score != batch.Scores[i] {
 			t.Fatalf("state %d online score %v != batch %v", i, score, batch.Scores[i])
 		}
+		if flagged {
+			indices = append(indices, i)
+		}
+	}
+	if !reflect.DeepEqual(indices, batch.Indices) {
+		t.Fatalf("replay flagged %v, batch %v", indices, batch.Indices)
 	}
 }
 
@@ -129,11 +118,8 @@ func TestDetectorScoreErrors(t *testing.T) {
 	if _, _, err := det.Exceptional([]float64{1}); !errors.Is(err, ErrVectorLength) {
 		t.Errorf("Exceptional short delta err = %v", err)
 	}
-	if _, err := det.Detect(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Detect empty err = %v", err)
-	}
-	if _, err := det.Detect([]StateVector{{Delta: []float64{1}}}); !errors.Is(err, ErrVectorLength) {
-		t.Errorf("Detect ragged err = %v", err)
+	if _, err := det.Normalized(nil); !errors.Is(err, ErrVectorLength) {
+		t.Errorf("Normalized empty err = %v", err)
 	}
 }
 
@@ -149,13 +135,11 @@ func TestDetectorUniformTraining(t *testing.T) {
 	if det.RefMax != 0 {
 		t.Fatalf("uniform training RefMax = %v, want 0", det.RefMax)
 	}
-	// Replay flags nothing, like the batch detector.
-	replay, err := det.Detect(states)
-	if err != nil {
-		t.Fatalf("Detect: %v", err)
-	}
-	if len(replay.Indices) != 0 {
-		t.Errorf("uniform replay flagged %d states", len(replay.Indices))
+	// Replaying the window flags nothing, like the batch detector.
+	for i, s := range states {
+		if flagged, _, err := det.Exceptional(s.Delta); err != nil || flagged {
+			t.Errorf("uniform state %d: flagged=%v err=%v", i, flagged, err)
+		}
 	}
 	// A genuinely deviating live state is unprecedented: flagged, score 1.
 	dev := vec(3)

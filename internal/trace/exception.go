@@ -47,12 +47,23 @@ func (r *ExceptionResult) Exceptions(states []StateVector) []StateVector {
 // A threshold ≤ 0 uses defaultExceptionThreshold.
 //
 // DetectExceptions shares its calibration and scoring code with Detector,
-// so freezing a Detector on the same window and replaying it reproduces
-// this result bit-for-bit.
+// so freezing a Detector on the same window and replaying each state
+// through Exceptional reproduces this result bit-for-bit. Perfectly uniform
+// data (RefMax 0) flags nothing: nothing deviates.
 func DetectExceptions(states []StateVector, threshold float64) (*ExceptionResult, error) {
 	det, scores, err := calibrate(states, threshold)
 	if err != nil {
 		return nil, err
 	}
-	return det.judge(scores), nil
+	res := &ExceptionResult{Scores: scores, Center: det.Center, Scale: det.Scale, RefMax: det.RefMax}
+	if det.RefMax == 0 {
+		return res, nil
+	}
+	for i := range scores {
+		scores[i] /= det.RefMax
+		if scores[i] >= det.Threshold {
+			res.Indices = append(res.Indices, i)
+		}
+	}
+	return res, nil
 }

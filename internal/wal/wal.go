@@ -59,19 +59,8 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Options configures Open.
-type Options struct {
-	// SegmentBytes rotates the active segment once its size reaches this
-	// many bytes. Defaults to 1 MiB.
-	SegmentBytes int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	return o
-}
+// segmentBytes rotates the active segment once its size reaches it.
+const segmentBytes = 1 << 20
 
 // segment is one on-disk file: records [start, start+count).
 type segment struct {
@@ -83,16 +72,16 @@ type segment struct {
 // WAL is an append-only record log. All methods are safe for concurrent
 // use.
 type WAL struct {
-	mu     sync.Mutex
-	dir    string
-	opts   Options
-	segs   []segment // ascending by start; last is active
-	f      *os.File  // active segment
-	bw     *bufio.Writer
-	next   uint64 // LSN of the next record appended
-	size   int64  // active segment bytes (file + buffered)
-	dirty  int    // appends since the last fsync
-	closed bool
+	mu       sync.Mutex
+	dir      string
+	segBytes int64     // rotation size: segmentBytes, smaller in tests
+	segs     []segment // ascending by start; last is active
+	f        *os.File  // active segment
+	bw       *bufio.Writer
+	next     uint64 // LSN of the next record appended
+	size     int64  // active segment bytes (file + buffered)
+	dirty    int    // appends since the last fsync
+	closed   bool
 
 	truncations uint64 // corrupt/torn tails cut during recovery
 }
@@ -105,12 +94,13 @@ func segPath(dir string, start uint64) string {
 // or corrupt tail at the last whole record and dropping any segments past
 // it), and returns a WAL positioned to append. LSNs start at 1 for a fresh
 // log.
-func Open(dir string, opts Options) (*WAL, error) {
-	opts = opts.withDefaults()
+func Open(dir string) (*WAL, error) { return open(dir, segmentBytes) }
+
+func open(dir string, segBytes int64) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{dir: dir, opts: opts, next: 1}
+	w := &WAL{dir: dir, segBytes: segBytes, next: 1}
 	if err := w.scan(); err != nil {
 		return nil, err
 	}
@@ -315,7 +305,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if w.closed {
 		return 0, ErrClosed
 	}
-	if w.size >= w.opts.SegmentBytes && w.segs[len(w.segs)-1].count > 0 {
+	if w.size >= w.segBytes && w.segs[len(w.segs)-1].count > 0 {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}

@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) *WAL {
+// mustOpen opens dir rotating its segments at segBytes.
+func mustOpen(t *testing.T, dir string, segBytes int64) *WAL {
 	t.Helper()
-	w, err := Open(dir, opts)
+	w, err := open(dir, segBytes)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -44,7 +45,7 @@ func collect(t *testing.T, w *WAL) (lsns []uint64, payloads []string) {
 // in order, both live and after reopen.
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	appendN(t, w, 25, "rec")
 	lsns, payloads := collect(t, w)
 	if len(lsns) != 25 || lsns[0] != 1 || lsns[24] != 25 {
@@ -59,7 +60,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2 := mustOpen(t, dir, Options{})
+	w2 := mustOpen(t, dir, segmentBytes)
 	if got := w2.NextLSN(); got != 26 {
 		t.Fatalf("NextLSN after reopen = %d, want 26", got)
 	}
@@ -81,7 +82,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // 200 rotated, un-truncated segments all replay, live and after a reopen.
 func TestRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64})
+	w := mustOpen(t, dir, 64)
 	const n = 800
 	appendN(t, w, n, "rot") // each frame is 8+8 = 16B → 4 records/segment
 	if segs := w.Segments(); segs != n/4 {
@@ -99,7 +100,7 @@ func TestRotationAndRetention(t *testing.T) {
 	if ents, _ := os.ReadDir(dir); len(ents) != n/4 {
 		t.Fatalf("%d segment files on disk, want %d", len(ents), n/4)
 	}
-	w2 := mustOpen(t, dir, Options{SegmentBytes: 64})
+	w2 := mustOpen(t, dir, 64)
 	check(w2)
 	w2.Close()
 }
@@ -108,7 +109,7 @@ func TestRotationAndRetention(t *testing.T) {
 // active one.
 func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64})
+	w := mustOpen(t, dir, 64)
 	appendN(t, w, 20, "tr")
 	before := w.Segments()
 	if before < 3 {
@@ -137,7 +138,7 @@ func TestTruncateBefore(t *testing.T) {
 // unsynced appends vanish; synced ones survive.
 func TestUnsyncedAppendsLostOnAbort(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	appendN(t, w, 5, "durable")
 	if err := w.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -147,7 +148,7 @@ func TestUnsyncedAppendsLostOnAbort(t *testing.T) {
 		t.Fatalf("Abort: %v", err)
 	}
 
-	w2 := mustOpen(t, dir, Options{})
+	w2 := mustOpen(t, dir, segmentBytes)
 	lsns, payloads := collect(t, w2)
 	if len(lsns) != 5 {
 		t.Fatalf("recovered %d records, want the 5 synced ones (got %v)", len(lsns), payloads)
@@ -179,14 +180,14 @@ func corruptTail(t *testing.T, path string) {
 // the log at the last whole record instead of failing Open.
 func TestRecoveryTruncatesCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	appendN(t, w, 10, "c")
 	w.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
 	corruptTail(t, segs[len(segs)-1])
 
-	w2 := mustOpen(t, dir, Options{})
+	w2 := mustOpen(t, dir, segmentBytes)
 	if w2.Truncations() == 0 {
 		t.Fatal("recovery reported no truncation")
 	}
@@ -201,7 +202,7 @@ func TestRecoveryTruncatesCorruptTail(t *testing.T) {
 	}
 	w2.Sync()
 	w2.Close()
-	w3 := mustOpen(t, dir, Options{})
+	w3 := mustOpen(t, dir, segmentBytes)
 	_, payloads := collect(t, w3)
 	if payloads[len(payloads)-1] != "fresh" {
 		t.Fatalf("tail = %q, want the re-appended record", payloads[len(payloads)-1])
@@ -213,7 +214,7 @@ func TestRecoveryTruncatesCorruptTail(t *testing.T) {
 // bytes than exist is cut cleanly.
 func TestRecoveryTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	appendN(t, w, 3, "whole")
 	w.Close()
 
@@ -230,7 +231,7 @@ func TestRecoveryTornWrite(t *testing.T) {
 	f.Write([]byte("torn"))
 	f.Close()
 
-	w2 := mustOpen(t, dir, Options{})
+	w2 := mustOpen(t, dir, segmentBytes)
 	lsns, _ := collect(t, w2)
 	if len(lsns) != 3 {
 		t.Fatalf("recovered %d records, want 3", len(lsns))
@@ -245,7 +246,7 @@ func TestRecoveryTornWrite(t *testing.T) {
 // removes every later segment.
 func TestRecoveryDropsSegmentsPastCorruption(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{SegmentBytes: 64})
+	w := mustOpen(t, dir, 64)
 	appendN(t, w, 20, "mid")
 	if w.Segments() < 3 {
 		t.Fatalf("want ≥3 segments, got %d", w.Segments())
@@ -255,7 +256,7 @@ func TestRecoveryDropsSegmentsPastCorruption(t *testing.T) {
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
 	corruptTail(t, segs[1]) // second segment's tail record
 
-	w2 := mustOpen(t, dir, Options{})
+	w2 := mustOpen(t, dir, segmentBytes)
 	lsns, _ := collect(t, w2)
 	// Everything before the corrupt record survives; nothing after.
 	want := uint64(0)
@@ -278,7 +279,7 @@ func TestRecoveryDropsSegmentsPastCorruption(t *testing.T) {
 // TestRecordTooLargeAndClosed covers the typed error paths.
 func TestRecordTooLargeAndClosed(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	if _, err := w.Append(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
@@ -297,7 +298,7 @@ func TestRecordTooLargeAndClosed(t *testing.T) {
 // TestEmptyPayload round-trips a zero-length record.
 func TestEmptyPayload(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{})
+	w := mustOpen(t, dir, segmentBytes)
 	if _, err := w.Append(nil); err != nil {
 		t.Fatalf("empty append: %v", err)
 	}

@@ -10,21 +10,11 @@ import (
 // per-epoch cause distributions, bit-identical to what one monitor fed
 // every node would produce.
 //
-// Exactness argument: a single monitor computes an epoch's distribution by
-// sorting that epoch's per-node Contributions ascending by node and summing
-// their cause strengths in that order (online.epochAcc.causes). Float
-// addition is not associative, so merging pre-summed per-shard
-// distributions would NOT reproduce those bits. Merging at the Contribution
-// level does: the ring partitions nodes across shards, so concatenating
-// every shard's contributions for an epoch yields exactly the set the
-// single monitor had, and re-sorting by node recovers exactly its
-// summation order. The sum is then the same sequence of float additions.
-//
-// The repo's ingest path derives at most one diagnosed state per (node,
-// epoch) — a node reports once per epoch and duplicates/stale reports are
-// absorbed — so ties in the node sort do not arise and the sort order is
-// total. SliceStable keeps the merge well-defined even if a future caller
-// feeds it duplicated nodes.
+// Exactness argument: the ring partitions nodes across shards, so
+// concatenating every shard's contributions for an epoch yields exactly the
+// set one monitor would have held, and online.SumEpoch — the rule that
+// monitor sums by — is a pure function of that set. Merging pre-summed
+// per-shard distributions would not be: float addition is not associative.
 func MergeEpochs(rank int, shards ...[]online.EpochState) []online.EpochCauses {
 	byEpoch := make(map[int][]online.Contribution)
 	for _, eps := range shards {
@@ -34,16 +24,7 @@ func MergeEpochs(rank int, shards ...[]online.EpochState) []online.EpochCauses {
 	}
 	out := make([]online.EpochCauses, 0, len(byEpoch))
 	for epoch, contribs := range byEpoch {
-		sort.SliceStable(contribs, func(i, j int) bool { return contribs[i].Node < contribs[j].Node })
-		ec := online.EpochCauses{Epoch: epoch, States: len(contribs), Distribution: make([]float64, rank)}
-		for _, c := range contribs {
-			for _, rc := range c.Causes {
-				if rc.Cause >= 0 && rc.Cause < rank {
-					ec.Distribution[rc.Cause] += rc.Strength
-				}
-			}
-		}
-		out = append(out, ec)
+		out = append(out, online.SumEpoch(epoch, rank, contribs))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out

@@ -59,14 +59,9 @@ type DiagnoseConfig struct {
 	Workers int
 }
 
-// Diagnose solves Problem 3 for one state with default configuration.
+// Diagnose solves Problem 3, argmin_w ‖s − wΨ‖² s.t. w ≥ 0, for one state
+// and ranks the correlated root causes by strength.
 func (m *Model) Diagnose(state trace.StateVector) (*Diagnosis, error) {
-	return m.DiagnoseWith(state, DiagnoseConfig{})
-}
-
-// DiagnoseWith solves argmin_w ‖s − wΨ‖² s.t. w ≥ 0 for one state and
-// ranks the correlated root causes by strength.
-func (m *Model) DiagnoseWith(state trace.StateVector, cfg DiagnoseConfig) (*Diagnosis, error) {
 	if !m.trained() {
 		return nil, ErrNotTrained
 	}

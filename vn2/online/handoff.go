@@ -67,7 +67,7 @@ func (m *Monitor) DropNodes(nodes []packet.NodeID) {
 		case len(kept) == 0:
 			delete(m.epochs, e)
 		case len(kept) != len(all):
-			ec.contribs, ec.part, ec.dist = kept, nil, nil
+			ec.contribs, ec.part, ec.sum = kept, nil, EpochCauses{}
 		}
 	}
 }

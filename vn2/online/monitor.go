@@ -56,6 +56,9 @@ var (
 // all. The lifecycle judges drift and candidates against the same cutoff.
 const ResidualThreshold = 0.5
 
+// DefaultMaxPending is Config.MaxPending's default.
+const DefaultMaxPending = 4096
+
 // Config assembles a Monitor.
 type Config struct {
 	// Model is the trained representative matrix used to diagnose flagged
@@ -70,7 +73,7 @@ type Config struct {
 	History int
 	// MaxPending bounds flagged states awaiting diagnosis; an Ingest that
 	// flags a state while the buffer is full drops it and returns
-	// ErrBacklog. Defaults to 4096.
+	// ErrBacklog. Defaults to DefaultMaxPending.
 	MaxPending int
 	// MaxRecent bounds the kept ring of most recent diagnosed states (the
 	// serve path's /diagnosis detail view). Defaults to 128.
@@ -96,7 +99,7 @@ func (c Config) withDefaults() Config {
 		c.History = 64
 	}
 	if c.MaxPending == 0 {
-		c.MaxPending = 4096
+		c.MaxPending = DefaultMaxPending
 	}
 	if c.MaxRecent == 0 {
 		c.MaxRecent = 128
@@ -164,7 +167,8 @@ type Stats struct {
 	Stale uint64 `json:"stale"`
 	// Duplicates counts exact retransmissions absorbed by dedup.
 	Duplicates uint64 `json:"duplicates"`
-	// Invalid counts rejected malformed records (wrong length, NaN/±Inf).
+	// Invalid counts rejected malformed records (wrong length, NaN/±Inf)
+	// and flagged states whose normalized norm is not finite.
 	Invalid uint64 `json:"invalid"`
 	// Normal and Flagged partition the derived states by the detector.
 	Normal  uint64 `json:"normal"`
@@ -246,22 +250,22 @@ type pendingState struct {
 }
 
 // epochAcc keeps one epoch's diagnosed contributions per node rather than a
-// pre-summed distribution. Summing happens at Snapshot time in ascending
-// node order, so the per-epoch distribution is a pure function of the SET of
-// diagnosed states — bit-identical no matter how drains grouped them, which
-// is what lets a crash-recovered monitor reproduce the fault-free run
-// exactly (see DESIGN.md "Failure model & recovery").
+// pre-summed distribution. Summing happens at read time by SumEpoch, so the
+// per-epoch distribution is a pure function of the SET of diagnosed states —
+// bit-identical no matter how drains grouped them, which is what lets a
+// crash-recovered monitor reproduce the fault-free run exactly (see
+// DESIGN.md "Failure model & recovery").
 //
 // part is the read plane's cache: the epoch's EpochState as JSON, rendered
-// on the first read after a change with dist and states tallied from it, and
-// immutable once built, so readers use it outside mu. A rendered epoch older
-// than Stats.LastEpoch drops contribs (it is settled); a change opens it.
+// on the first read after a change with sum taken from it at the rank of the
+// time, and immutable once built, so readers use it outside mu. A rendered
+// epoch older than Stats.LastEpoch drops contribs (it is settled); a change
+// opens it.
 type epochAcc struct {
 	epoch    int
 	contribs []Contribution
 	part     []byte
-	dist     []float64
-	states   int
+	sum      EpochCauses
 }
 
 // resSample is one diagnosed state's contribution to the rolling residual
@@ -420,6 +424,10 @@ func (m *Monitor) Ingest(rec trace.Record) (Observation, error) {
 		m.stats.Normal++
 		return obs, nil
 	}
+	if overflows(m.model, delta) {
+		m.stats.Invalid++
+		return obs, fmt.Errorf("%w: node %d epoch %d: the state's normalized norm overflows", ErrNonFinite, rec.Node, rec.Epoch)
+	}
 	obs.Flagged = true
 	m.stats.Flagged++
 	if len(m.pending) >= m.cfg.MaxPending {
@@ -576,31 +584,45 @@ func (m *Monitor) summaryLocked() Summary {
 	return s
 }
 
-// causes is an epoch's cause distribution: the totals tallied at its
-// render, or, changed since, its contributions tallied the same way. Causes
-// at or past rank are left out. Caller holds mu.
+// causes is an epoch's cause distribution at rank: the sum taken at its
+// render, or, changed since or rendered at another rank, SumEpoch of its
+// contributions. Caller holds mu.
 func (ec *epochAcc) causes(rank int) EpochCauses {
-	dist, states := ec.dist, ec.states
-	if ec.part == nil {
-		dist, states = tally(sortByNode(slices.Clone(ec.contribs))), len(ec.contribs)
+	if ec.part == nil || len(ec.sum.Distribution) != rank {
+		return SumEpoch(ec.epoch, rank, slices.Clone(ec.held()))
 	}
-	out := EpochCauses{Epoch: ec.epoch, States: states, Distribution: make([]float64, rank)}
-	copy(out.Distribution, dist)
+	out := ec.sum
+	out.Distribution = slices.Clone(out.Distribution)
 	return out
 }
 
-// tally sums each cause ≥ 0 on its own, in the order given — node order
-// everywhere, for a result drain grouping cannot move; cut to a rank later.
-func tally(contribs []Contribution) (dist []float64) {
+// SumEpoch is the one rule that turns an epoch's contributions into its
+// cause distribution, for a monitor and for a fleet merge alike: contribs
+// sorted in place, stably, by node, then each cause in [0, rank) summed on
+// its own in that order. Float addition is not associative, so the order is
+// the rule: the result is a pure function of the SET of contributions, not
+// of how drains grouped them or how shards split them.
+func SumEpoch(epoch, rank int, contribs []Contribution) EpochCauses {
+	sortByNode(contribs)
+	out := EpochCauses{Epoch: epoch, States: len(contribs), Distribution: make([]float64, rank)}
 	for _, c := range contribs {
 		for _, rc := range c.Causes {
-			if rc.Cause >= 0 {
-				dist = append(dist, make([]float64, max(0, rc.Cause+1-len(dist)))...)
-				dist[rc.Cause] += rc.Strength
+			if rc.Cause >= 0 && rc.Cause < rank {
+				out.Distribution[rc.Cause] += rc.Strength
 			}
 		}
 	}
-	return dist
+	return out
+}
+
+// overflows reports whether a state's normalized norm under model is not
+// finite, so neither would its diagnosis be (nor any JSON view holding it).
+// Finite reports can get there, so it is checked where a state is queued,
+// never per report; a model that cannot normalize the state is the drain's
+// error to report.
+func overflows(model *vn2.Model, delta []float64) bool {
+	norm, err := model.NormalizedNorm(delta)
+	return err == nil && (math.IsInf(norm, 0) || math.IsNaN(norm))
 }
 
 // firstNonFinite returns the index of the first NaN/±Inf value, or -1.

@@ -57,7 +57,7 @@ var (
 	rigErr  error
 )
 
-func newRig(t *testing.T) testRig {
+func newRig(t testing.TB) testRig {
 	t.Helper()
 	rigOnce.Do(func() {
 		states := synthStates(1500, 42)

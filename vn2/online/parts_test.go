@@ -86,7 +86,7 @@ func mustHoldOnce(t *testing.T, m *Monitor, after string) {
 		switch newest := ec.epoch == m.stats.LastEpoch; {
 		case !newest && ec.contribs != nil:
 			t.Fatalf("after %s: epoch %d (newest %d) is held as %d structs and as its part", after, ec.epoch, m.stats.LastEpoch, len(ec.contribs))
-		case newest && ec.settled() && ec.states > 0:
+		case newest && ec.settled() && ec.sum.States > 0:
 			t.Fatalf("after %s: the newest epoch %d is settled: a drain into it would decode", after, ec.epoch)
 		}
 	}

@@ -164,7 +164,7 @@ func (m *Monitor) partsLocked() ([][]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("render epoch %d: %w", ec.epoch, err)
 			}
-			ec.part, ec.dist, ec.states = b, tally(es.Contribs), len(es.Contribs)
+			ec.part, ec.sum = b, SumEpoch(ec.epoch, m.model.Rank, es.Contribs)
 			m.rendered++
 		}
 		if ec.epoch < m.stats.LastEpoch {
@@ -256,12 +256,12 @@ func (ec *epochAcc) held() []Contribution {
 }
 
 // open readies an epoch for a change to its contributions.
-func (ec *epochAcc) open() { ec.contribs, ec.part, ec.dist = ec.held(), nil, nil }
+func (ec *epochAcc) open() { ec.contribs, ec.part, ec.sum = ec.held(), nil, EpochCauses{} }
 
 // validateSliceLocked checks the per-node part of an incoming state — a
 // snapshot's or a handoff's — against the live detector and model: vector
-// lengths, finite baselines, cause indices within the model's rank. Caller
-// holds mu.
+// lengths, finite baselines, pending states whose norm does not overflow,
+// cause indices within the model's rank. Caller holds mu.
 func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
 	metrics := m.det.Metrics()
 	rank := m.model.Rank
@@ -278,6 +278,10 @@ func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
 		if len(p.State.Delta) != metrics {
 			return fmt.Errorf("%w: pending state node %d delta has %d metrics, want %d",
 				ErrBadState, p.State.Node, len(p.State.Delta), metrics)
+		}
+		if overflows(m.model, p.State.Delta) {
+			return fmt.Errorf("%w: pending state node %d epoch %d has a non-finite normalized norm",
+				ErrBadState, p.State.Node, p.State.Epoch)
 		}
 	}
 	for _, es := range sl.Epochs {

@@ -301,7 +301,7 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 				return
 			}
 			ok = retry("handoff release", func() (bool, bool) {
-				resp, _ := postJSON(t, ts.URL+"/handoff/release", handoffNodesReq{Nodes: []packet.NodeID{id}})
+				resp, _ := postJSON(t, ts.URL+"/handoff/release", map[string][]packet.NodeID{"nodes": {id}})
 				return resp.StatusCode == http.StatusOK, resp.StatusCode == http.StatusServiceUnavailable
 			})
 			if !ok {
@@ -309,8 +309,9 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 			}
 		}
 	})
-	// The drain ticker: diagnosis plus the lifecycle, whose retrains run
-	// inline (Lifecycle.Sync) and commit their swap through the same point.
+	// The drain ticker: diagnosis plus the lifecycle, whose retrains each
+	// tick waits out (Manager.Wait) and which commit their swap through the
+	// same point.
 	stopTicks := make(chan struct{})
 	ticksDone := make(chan struct{})
 	go func() {
@@ -321,6 +322,7 @@ func TestCommitOrderIsLSNOrder(t *testing.T) {
 				return
 			default:
 				srv.DrainTick()
+				srv.lc.Wait()
 				time.Sleep(time.Millisecond)
 			}
 		}

@@ -36,9 +36,19 @@ import (
 // count, not report count, so 32 MiB is generous even for large moves.
 const maxHandoffBody = 32 << 20
 
-// handoffNodesReq is the export/release request body.
-type handoffNodesReq struct {
-	Nodes []packet.NodeID `json:"nodes"`
+// readNodes reads the export/release body, {"nodes": [id, ...]}, answering
+// a malformed or empty one with 400 itself.
+func (s *Server) readNodes(w http.ResponseWriter, r *http.Request) ([]packet.NodeID, bool) {
+	raw, ok := s.readBody(w, r, maxHandoffBody)
+	var req struct {
+		Nodes []packet.NodeID `json:"nodes"`
+	}
+	if ok && (json.Unmarshal(raw, &req) != nil || len(req.Nodes) == 0) {
+		s.badReqs.Add(1)
+		api.Error(w, http.StatusBadRequest, "body must be {\"nodes\": [id, ...]}", nil)
+		ok = false
+	}
+	return req.Nodes, ok
 }
 
 // handleEpochs serves the monitor's rolling per-epoch contributions in
@@ -89,18 +99,12 @@ func (s *Server) barrierFail(w http.ResponseWriter, op string, err error) {
 // call (an export taken outside the queue could miss reports sitting in
 // it, and those would then be dropped by the later release).
 func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r, maxHandoffBody)
+	nodes, ok := s.readNodes(w, r)
 	if !ok {
 		return
 	}
-	var req handoffNodesReq
-	if err := json.Unmarshal(raw, &req); err != nil || len(req.Nodes) == 0 {
-		s.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "body must be {\"nodes\": [id, ...]}", nil)
-		return
-	}
 	var sl online.NodeSlice
-	if err := s.barrierWait(0, nil, func() { sl = s.mon.ExportNodes(req.Nodes) }); err != nil {
+	if err := s.barrierWait(0, nil, func() { sl = s.mon.ExportNodes(nodes) }); err != nil {
 		s.barrierFail(w, "handoff export", err)
 		return
 	}
@@ -149,7 +153,7 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	}
 	var importErr error
 	err := s.barrierWait(len(sl.Pending), func() (uint64, error) {
-		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffIn, Slice: raw})
+		return s.jnl.AppendControl(store.KindHandoff, store.HandoffRecord{Dir: store.HandoffIn, Slice: raw})
 	}, func() { importErr = s.mon.ImportNodes(sl) })
 	if err != nil {
 		s.barrierFail(w, "handoff import", err)
@@ -180,26 +184,20 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		writeOutcome(w, out)
 		return
 	}
-	raw, ok := s.readBody(w, r, maxHandoffBody)
+	nodes, ok := s.readNodes(w, r)
 	if !ok {
 		return
 	}
-	var req handoffNodesReq
-	if err := json.Unmarshal(raw, &req); err != nil || len(req.Nodes) == 0 {
-		s.badReqs.Add(1)
-		api.Error(w, http.StatusBadRequest, "body must be {\"nodes\": [id, ...]}", nil)
-		return
-	}
 	err := s.barrierWait(0, func() (uint64, error) {
-		return s.jnl.AppendHandoffSync(store.HandoffRecord{Dir: store.HandoffOut, Nodes: req.Nodes})
-	}, func() { s.mon.DropNodes(req.Nodes) })
+		return s.jnl.AppendControl(store.KindHandoff, store.HandoffRecord{Dir: store.HandoffOut, Nodes: nodes})
+	}, func() { s.mon.DropNodes(nodes) })
 	if err != nil {
 		s.barrierFail(w, "handoff release", err)
 		return
 	}
 	s.handoffReleases.Add(1)
-	api.WriteJSON(w, http.StatusOK, map[string]any{"released_nodes": len(req.Nodes)})
-	s.publish(EvHandoffReleased, handoffEvent{Dir: store.HandoffOut, Nodes: len(req.Nodes)})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"released_nodes": len(nodes)})
+	s.publish(EvHandoffReleased, handoffEvent{Dir: store.HandoffOut, Nodes: len(nodes)})
 }
 
 // replayHandoff re-applies one KindHandoff WAL record during startup

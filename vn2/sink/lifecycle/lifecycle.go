@@ -88,7 +88,6 @@ type Config struct {
 	Probation      int           // post-swap window before commit/rollback (32)
 	HoldoutMin     int           // min held-out states to judge a candidate (8)
 	CooldownTicks  int           // base trigger cooldown, in drain ticks (8)
-	Sync           bool          // run retrains inline in the tick (tests/chaos only)
 }
 
 func (c *Config) defaults() {
@@ -125,7 +124,6 @@ type Hooks struct {
 type Manager struct {
 	cfg   Config
 	mon   *online.Monitor
-	sleep func(time.Duration)
 	hooks Hooks
 
 	// SnapMu serializes snapshot capture against swap application so no
@@ -161,11 +159,11 @@ type Manager struct {
 	Rollbacks    atomic.Uint64 // probation regressions that auto-reverted
 }
 
-// New builds a Manager serving cur. sleep is the retry sleeper (nil =
-// time.Sleep). The retrain solver runs on the monitor's worker count.
-func New(cfg Config, mon *online.Monitor, cur *Set, sleep func(time.Duration), hooks Hooks) *Manager {
+// New builds a Manager serving cur. The retrain solver runs on the
+// monitor's worker count.
+func New(cfg Config, mon *online.Monitor, cur *Set, hooks Hooks) *Manager {
 	cfg.defaults()
-	return &Manager{cfg: cfg, mon: mon, cur: cur, sleep: sleep, hooks: hooks}
+	return &Manager{cfg: cfg, mon: mon, cur: cur, hooks: hooks}
 }
 
 // Current returns the serving generation.
@@ -199,7 +197,8 @@ func (m *Manager) State() (version uint64, cooldown int, probation bool) {
 // Retraining reports whether a shadow retrain is in flight.
 func (m *Manager) Retraining() bool { return m.retraining.Load() }
 
-// Wait blocks until any in-flight shadow retrain lands (shutdown path).
+// Wait blocks until any in-flight shadow retrain lands: the shutdown path,
+// and how a caller that ticks by hand sees a retrain's outcome.
 func (m *Manager) Wait() { m.wg.Wait() }
 
 // InjectBaseline overrides the rollback baseline (tests provoke rollbacks
@@ -293,10 +292,6 @@ func (m *Manager) Tick() {
 	}
 	m.Retrains.Add(1)
 	fmt.Fprintf(os.Stderr, "vn2 serve: drift detected (model v%d): %s; shadow retrain started\n", ds.ModelVersion, trigger)
-	if m.cfg.Sync {
-		m.runRetrain()
-		return
-	}
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()

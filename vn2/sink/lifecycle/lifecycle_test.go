@@ -1,10 +1,14 @@
 package lifecycle
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
@@ -12,8 +16,8 @@ import (
 )
 
 // testManager builds a Manager over a real monitor serving a small model at
-// version 1, with retrains inline and every enqueued swap's origin recorded
-// in *origins instead of applied.
+// version 1, with every enqueued swap's origin recorded in *origins instead
+// of applied. A test that ticks it waits for the retrain it may start.
 func testManager(t *testing.T, origins *[]string) *Manager {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -37,8 +41,8 @@ func testManager(t *testing.T, origins *[]string) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Enabled: true, ModelsDir: t.TempDir(), DriftMin: 2, Probation: 2, HoldoutMin: 1, CooldownTicks: 1, Sync: true}
-	return New(cfg, mon, &Set{Model: model, Version: 1}, nil, Hooks{
+	cfg := Config{Enabled: true, ModelsDir: t.TempDir(), DriftMin: 2, Probation: 2, HoldoutMin: 1, CooldownTicks: 1}
+	return New(cfg, mon, &Set{Model: model, Version: 1}, Hooks{
 		Enqueue: func(rec store.SwapRecord, apply func()) error {
 			*origins = append(*origins, rec.Origin)
 			return nil
@@ -84,6 +88,7 @@ func TestTickBoundaries(t *testing.T) {
 			m.p50Base, m.p50Set = base, true
 			window(t, m, tc.fill, tc.p50)
 			m.Tick()
+			m.Wait()
 			if got := m.Retrains.Load(); got != tc.retrains {
 				t.Fatalf("retrains = %d, want %d", got, tc.retrains)
 			}
@@ -103,6 +108,7 @@ func TestTickBoundaries(t *testing.T) {
 			m.prev, m.baseMean = m.cur, base
 			window(t, m, 2, tc.mean)
 			m.Tick()
+			m.Wait()
 			if m.prev != nil {
 				t.Fatal("probation did not end on a filled window")
 			}
@@ -110,5 +116,104 @@ func TestTickBoundaries(t *testing.T) {
 				t.Fatalf("swaps enqueued = %v, want a rollback: %v", origins, tc.rollback)
 			}
 		})
+	}
+}
+
+// flag drains n flagged states of distinct nodes through the monitor, so the
+// recent ring — the retrain's held-out window — holds n states.
+func flag(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for node := 1; node <= n; node++ {
+		for epoch, v := range []float64{0, 50} {
+			vec := []float64{v, v, v, v, v, v}
+			if _, err := m.mon.Ingest(trace.Record{Node: packet.NodeID(node), Epoch: epoch + 1, Vector: vec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if out, err := m.mon.Drain(); err != nil || len(out) != n {
+		t.Fatalf("Drain: %d diagnosed, err %v; want %d", len(out), err, n)
+	}
+}
+
+// TestReplaySwapRefuses: a journaled swap replays only against the model
+// file it names, carrying the version it promises, and never when it names
+// a detector file; a refused record changes nothing, a sound one installs
+// its generation.
+func TestReplaySwapRefuses(t *testing.T) {
+	var origins []string
+	m := testManager(t, &origins)
+	save := func(file string, version uint64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.cur.Model.SaveVersioned(&buf, vn2.ModelMeta{ModelVersion: version, Parent: version - 1, Origin: OriginUpdate}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.persistFile(file, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(store.ModelFileName(3), 2) // a v3 file carrying v2
+	save(store.ModelFileName(4), 4)
+	swap := func(version uint64) store.SwapRecord {
+		return store.SwapRecord{Version: version, Parent: version - 1, Origin: OriginUpdate, File: store.ModelFileName(version)}
+	}
+	named := swap(4)
+	named.Detector = "detector-v000004.json"
+	for _, tc := range []struct {
+		name string
+		rec  store.SwapRecord
+		want error
+	}{
+		{"missing model file", swap(2), ErrSwapFileMissing},
+		{"meta version differs", swap(3), ErrSwapFileMismatch},
+		{"record names a detector", named, ErrSwapFileMismatch},
+	} {
+		if err := m.ReplaySwap(tc.rec); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if m.Current().Version != 1 || m.mon.ModelVersion() != 1 || len(m.History()) != 0 {
+		t.Fatalf("a refused replay changed the generation: current v%d, monitor v%d, history %v",
+			m.Current().Version, m.mon.ModelVersion(), m.History())
+	}
+	if err := m.ReplaySwap(swap(4)); err != nil || m.Current().Version != 4 || m.mon.ModelVersion() != 4 {
+		t.Fatalf("sound record: err %v, current v%d, monitor v%d; want v4", err, m.Current().Version, m.mon.ModelVersion())
+	}
+}
+
+// TestRetrainBacksOffWithoutHoldout: with fewer recent states than
+// HoldoutMin there is nothing to judge a candidate by, so the retrain backs
+// off before it trains: no failure, no rejection, no swap.
+func TestRetrainBacksOffWithoutHoldout(t *testing.T) {
+	var origins []string
+	m := testManager(t, &origins)
+	m.cfg.HoldoutMin = 4
+	flag(t, m, 3)
+	m.retraining.Store(true) // as Tick does before it starts one
+	m.runRetrain()
+	if fails, rejects := m.RetrainFails.Load(), m.CandRejects.Load(); fails != 0 || rejects != 0 || len(origins) != 0 {
+		t.Fatalf("failures %d, rejections %d, swaps %v: a candidate was trained", fails, rejects, origins)
+	}
+	if m.rejectN != 1 || m.cooldown != m.cfg.CooldownTicks<<1 || m.Retraining() {
+		t.Fatalf("rejectN %d cooldown %d retraining %v, want one backoff step and no retrain in flight", m.rejectN, m.cooldown, m.Retraining())
+	}
+}
+
+// TestRetrainPastDeadline: a retrain that outlives RetrainTimeout counts one
+// failure, leaves the serving generation as it was and clears Retraining.
+func TestRetrainPastDeadline(t *testing.T) {
+	var origins []string
+	m := testManager(t, &origins)
+	m.cfg.RetrainTimeout = time.Nanosecond
+	flag(t, m, 3)
+	cur := m.Current()
+	m.retraining.Store(true)
+	m.runRetrain()
+	if fails := m.RetrainFails.Load(); fails != 1 {
+		t.Fatalf("retrain failures = %d, want 1", fails)
+	}
+	if m.Current() != cur || len(origins) != 0 || m.Retraining() {
+		t.Fatalf("current v%d (was v%d), swaps %v, retraining %v", m.Current().Version, cur.Version, origins, m.Retraining())
 	}
 }

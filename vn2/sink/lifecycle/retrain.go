@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
@@ -65,44 +63,33 @@ func (m *Manager) runRetrain() {
 	}
 }
 
-// trainCandidate runs vn2.Update under the retrain deadline with restart
-// retries. The solve itself cannot be interrupted, so the deadline races it
-// in a goroutine and an expired attempt's late result is dropped.
+// trainCandidate runs vn2.Update once under the retrain deadline: Update is
+// deterministic, so a second attempt could only repeat the first one's
+// error. The solve itself cannot be interrupted, so the deadline races it in
+// a goroutine and an expired attempt's late result is dropped.
 func (m *Manager) trainCandidate(cur *Set, window []trace.StateVector) (*vn2.Model, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RetrainTimeout)
 	defer cancel()
-	var cand *vn2.Model
-	b := retry.New(50*time.Millisecond, 2*time.Second, 0x5eed)
-	err := retry.Do(ctx, b, 3, m.sleep, func() error {
-		type result struct {
-			m   *vn2.Model
-			err error
-		}
-		ch := make(chan result, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ch <- result{err: fmt.Errorf("update panicked: %v", r)}
-				}
-			}()
-			cm, _, err := cur.Model.Update(window, vn2.TrainConfig{CompressAllStates: true})
-			ch <- result{m: cm, err: err}
-		}()
-		select {
-		case r := <-ch:
-			if r.err != nil {
-				return r.err
-			}
-			cand = r.m
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	})
-	if err != nil {
-		return nil, err
+	type result struct {
+		m   *vn2.Model
+		err error
 	}
-	return cand, nil
+	ch := make(chan result, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ch <- result{err: fmt.Errorf("update panicked: %v", r)}
+			}
+		}()
+		cm, _, err := cur.Model.Update(window, vn2.TrainConfig{CompressAllStates: true})
+		ch <- result{m: cm, err: err}
+	}()
+	select {
+	case r := <-ch:
+		return r.m, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // candConsistencyMin is the fraction of previously-attributed holdout states

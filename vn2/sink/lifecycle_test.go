@@ -42,7 +42,7 @@ func shiftReport(fx fixtures, node, epoch int) trace.Record {
 }
 
 // lifecycleServer builds a lifecycle-enabled server driven synchronously:
-// tests call ingestAll/DrainTick themselves, and retrains run inline.
+// tests call ingestAll and tick themselves.
 func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) *Server {
 	t.Helper()
 	o := Options{
@@ -58,7 +58,6 @@ func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) 
 			HoldoutMin:    4,
 			Probation:     6,
 			CooldownTicks: 1,
-			Sync:          true,
 		},
 		Sleep: noSleep,
 	}
@@ -70,6 +69,13 @@ func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) 
 		t.Fatalf("New: %v", err)
 	}
 	return srv
+}
+
+// tick is one drain tick with the shadow retrain it may start run to its
+// end.
+func tick(srv *Server) {
+	srv.DrainTick()
+	srv.lc.Wait()
 }
 
 // postEpochs posts one batch per epoch (all nodes) of the given regime and
@@ -119,7 +125,7 @@ func TestLifecycleDriftRetrainHotSwap(t *testing.T) {
 
 	// One lifecycle tick: trigger → inline shadow retrain → gate → swap
 	// journaled and enqueued as a barrier.
-	srv.DrainTick()
+	tick(srv)
 	if got := srv.lc.Retrains.Load(); got != 1 {
 		t.Fatalf("retrains = %d, want 1 (rejects=%d fails=%d)", got, srv.lc.CandRejects.Load(), srv.lc.RetrainFails.Load())
 	}
@@ -187,7 +193,7 @@ func TestLifecycleDriftRetrainHotSwap(t *testing.T) {
 	}
 
 	// Probation window is full and healthy: the next tick commits the swap.
-	srv.DrainTick()
+	tick(srv)
 	if _, _, probation := srv.lc.State(); probation {
 		t.Error("healthy candidate still on probation after a full window")
 	}
@@ -228,7 +234,7 @@ func TestLifecycleValidationGate(t *testing.T) {
 	// Establish a swapped-in generation that explains the drifted regime, so
 	// the recent window holds well-attributed states.
 	postEpochs(t, srv, ts.URL, fx, driftReport, nodes, 1, 3)
-	srv.DrainTick()
+	tick(srv)
 	ingestAll(srv)
 	if srv.mon.ModelVersion() != 2 {
 		t.Fatalf("fixture swap did not land (version %d)", srv.mon.ModelVersion())
@@ -308,7 +314,7 @@ func TestLifecycleRetrainDeadline(t *testing.T) {
 	nodes := fx.nodes()[:4]
 
 	postEpochs(t, srv, ts.URL, fx, driftReport, nodes, 1, 3)
-	srv.DrainTick()
+	tick(srv)
 	ingestAll(srv)
 	if got := srv.lc.Retrains.Load(); got != 1 {
 		t.Fatalf("retrains = %d, want 1", got)
@@ -331,7 +337,7 @@ func TestLifecycleRetrainDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest after failed retrain: %d %s", resp.StatusCode, body)
 	}
-	srv.DrainTick()
+	tick(srv)
 	if got := srv.lc.Retrains.Load(); got != 1 {
 		t.Errorf("retrains = %d during cooldown, want still 1", got)
 	}
@@ -405,7 +411,7 @@ func TestLifecycleSwapCrashRecovery(t *testing.T) {
 		// consumed: replay must finish the swap.
 		dir := t.TempDir()
 		srv, ts := prep(t, dir)
-		srv.DrainTick() // trigger + retrain + journaled swap, barrier still queued
+		tick(srv) // trigger + retrain + journaled swap, barrier still queued
 		if srv.lc.Swaps.Load() != 0 || srv.mon.ModelVersion() != 1 {
 			t.Fatal("swap applied before the crash point")
 		}
@@ -431,7 +437,7 @@ func TestLifecycleSwapCrashRecovery(t *testing.T) {
 		// journaled-only reports behind it.
 		dir := t.TempDir()
 		srv, ts := prep(t, dir)
-		srv.DrainTick()
+		tick(srv)
 		ingestAll(srv) // apply the swap
 		if srv.mon.ModelVersion() != 2 {
 			t.Fatal("fixture swap did not land")
@@ -491,7 +497,7 @@ func TestReplayRefusesDetectorSwapRecord(t *testing.T) {
 	}
 	rec := store.SwapRecord{Version: 2, Parent: 1, Origin: lifecycle.OriginUpdate,
 		File: store.ModelFileName(2), Detector: "detector-v000002.json"}
-	if _, err := j.AppendSwapSync(rec); err != nil {
+	if _, err := j.AppendControl(store.KindSwap, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -524,7 +530,7 @@ func TestLifecycleRollback(t *testing.T) {
 
 	// A legitimate swap onto the drifted regime.
 	postEpochs(t, srv, ts.URL, fx, driftReport, nodes, 1, 3)
-	srv.DrainTick()
+	tick(srv)
 	ingestAll(srv)
 	if srv.mon.ModelVersion() != 2 {
 		t.Fatalf("fixture swap did not land (version %d)", srv.mon.ModelVersion())
@@ -542,8 +548,8 @@ func TestLifecycleRollback(t *testing.T) {
 	if _, err := srv.mon.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	srv.DrainTick() // probation verdict: rollback journaled + enqueued
-	ingestAll(srv)  // barrier applies it
+	tick(srv)      // probation verdict: rollback journaled + enqueued
+	ingestAll(srv) // barrier applies it
 
 	if got := srv.lc.Rollbacks.Load(); got != 1 {
 		t.Fatalf("rollbacks = %d, want 1", got)
@@ -601,7 +607,6 @@ func TestLifecycleConcurrentSwap(t *testing.T) {
 	dir := t.TempDir()
 	srv := lifecycleServer(t, fx, dir, func(o *Options) {
 		o.Addr = freePort(t)
-		o.Lifecycle.Sync = false // retrains on their own goroutine
 		o.Lifecycle.Probation = 4
 		o.DrainEvery = 5 * time.Millisecond
 		o.SnapshotEvery = 20 * time.Millisecond

@@ -395,6 +395,15 @@ func (s *Server) Run(ctx context.Context) error {
 
 	loopCtx, cancelLoops := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	// stopLoops is every exit's teardown once no writer is left: let any
+	// in-flight shadow retrain land (or fail), then close the queue and wait
+	// for the loops, the ingest loop draining what was already queued.
+	stopLoops := func() {
+		cancelLoops()
+		s.lc.Wait()
+		s.queue.Close()
+		wg.Wait()
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -431,13 +440,8 @@ func (s *Server) Run(ctx context.Context) error {
 		streamAddr, err := s.StartStream(s.opts.StreamAddr)
 		if err != nil {
 			ln.Close()
-			cancelLoops()
-			s.lc.Wait()
-			s.queue.Close()
-			wg.Wait()
-			if s.jnl != nil {
-				s.jnl.Close()
-			}
+			stopLoops()
+			s.CloseWAL()
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "vn2 serve: stream listening on %s\n", streamAddr)
@@ -452,13 +456,8 @@ func (s *Server) Run(ctx context.Context) error {
 	select {
 	case err := <-serveErr:
 		s.StopStream(true)
-		cancelLoops()
-		s.lc.Wait()
-		s.queue.Close()
-		wg.Wait()
-		if s.jnl != nil {
-			s.jnl.Close()
-		}
+		stopLoops()
+		s.CloseWAL()
 		return err
 	case <-ctx.Done():
 	}
@@ -475,20 +474,13 @@ func (s *Server) Run(ctx context.Context) error {
 	// Drain the stream edge: in-flight frames finish and are acknowledged,
 	// then the connections close — clients see a clean EOF, not a torn ACK.
 	s.StopStream(true)
-	// No more writers: let any in-flight shadow retrain land (or fail),
-	// drain what was already queued, then finish.
-	cancelLoops()
-	s.lc.Wait()
-	s.queue.Close()
-	wg.Wait()
+	stopLoops()
 	s.DrainTick()
 	if err := s.PersistSnapshot(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "vn2 serve: final snapshot:", err)
 	}
-	if s.jnl != nil {
-		if err := s.jnl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "vn2 serve: wal close:", err)
-		}
+	if err := s.CloseWAL(); err != nil {
+		fmt.Fprintln(os.Stderr, "vn2 serve: wal close:", err)
 	}
 	<-serveErr // Serve has returned http.ErrServerClosed by now
 	return shutdownErr

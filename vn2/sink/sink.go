@@ -89,10 +89,36 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
+// The values New gives a zero or negative QueueSize, DrainEvery and
+// SnapshotEvery; the serve flags default to them too.
+const (
+	DefaultQueueSize     = 1024
+	DefaultDrainEvery    = 2 * time.Second
+	DefaultSnapshotEvery = time.Minute
+)
+
+// defaults fills the unset bounds and intervals, before anything is built
+// on them: the monitor's backlog is the bound admission counts against.
+func (o *Options) defaults() {
+	if o.QueueSize <= 0 {
+		o.QueueSize = DefaultQueueSize
+	}
+	if o.MaxPending <= 0 {
+		o.MaxPending = online.DefaultMaxPending
+	}
+	if o.DrainEvery <= 0 {
+		o.DrainEvery = DefaultDrainEvery
+	}
+	if o.SnapshotEvery <= 0 {
+		o.SnapshotEvery = DefaultSnapshotEvery
+	}
+}
+
 // New loads the model, obtains a frozen detector (the snapshot's, else the
 // model's, else calibrated from the trace), primes the monitor, restores
 // snapshot state, replays the WAL, and assembles the Server unstarted.
 func New(o Options) (*Server, error) {
+	o.defaults()
 	var boot bootTimes
 	mark := time.Now()
 	lap := func(stage *time.Duration) {
@@ -222,12 +248,6 @@ func New(o Options) (*Server, error) {
 			return nil, fmt.Errorf("restore monitor state: %w", err)
 		}
 	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 1024
-	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 4096
-	}
 	s := &Server{
 		opts:    o,
 		det:     det,
@@ -241,10 +261,9 @@ func New(o Options) (*Server, error) {
 	s.bus = bus.New(0)
 	s.lc = lifecycle.New(o.Lifecycle, mon,
 		&lifecycle.Set{Model: model, Version: meta.ModelVersion, Raw: modelRaw},
-		o.Sleep,
 		lifecycle.Hooks{
 			Enqueue: func(rec store.SwapRecord, apply func()) error {
-				return s.barrier(0, func() (uint64, error) { return s.jnl.AppendSwapSync(rec) }, apply)
+				return s.barrier(0, func() (uint64, error) { return s.jnl.AppendControl(store.KindSwap, rec) }, apply)
 			},
 			DrainErr: func() { s.drainErrs.Add(1) },
 			OnSwap:   s.onModelSwap,

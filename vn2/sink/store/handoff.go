@@ -2,10 +2,8 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/wal"
 )
 
 // Handoff directions. A rebalance writes one record on each side: the
@@ -26,25 +24,4 @@ type HandoffRecord struct {
 	Dir   string          `json:"dir"`
 	Nodes []packet.NodeID `json:"nodes,omitempty"`
 	Slice json.RawMessage `json:"slice,omitempty"`
-}
-
-// AppendHandoffSync journals a handoff record and fsyncs it immediately,
-// with NO retries — same fail-fast policy as AppendSwapSync: a handoff
-// that cannot be made durable must be reported to the orchestrator, not
-// silently retried while ownership is ambiguous.
-func (j *Journal) AppendHandoffSync(rec HandoffRecord) (uint64, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	lsn, err := j.w.Append(wal.Encode(wal.KindHandoff, payload))
-	if err != nil {
-		j.errs.Add(1)
-		return 0, fmt.Errorf("journal handoff record: %w", err)
-	}
-	if err := j.w.Sync(); err != nil {
-		j.errs.Add(1)
-		return 0, fmt.Errorf("sync handoff record: %w", err)
-	}
-	return lsn, nil
 }

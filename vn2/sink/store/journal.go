@@ -30,9 +30,8 @@ const (
 )
 
 // Journal wraps the write-ahead log with the sink's append/sync policy:
-// decorrelated-jitter retries for transient report-path failures, no
-// retries on the swap and handoff paths (they fsync under the sink's commit
-// mutex and must fail fast), and a single error counter feeding the
+// decorrelated-jitter retries for transient report-path failures, none for
+// a control record (AppendControl), and a single error counter feeding the
 // wal_errors metric.
 type Journal struct {
 	w     *wal.WAL
@@ -43,7 +42,7 @@ type Journal struct {
 // OpenJournal opens (or creates) the WAL directory. sleep is the retry
 // sleeper; nil means time.Sleep.
 func OpenJournal(dir string, sleep func(time.Duration)) (*Journal, error) {
-	w, err := wal.Open(dir, wal.Options{})
+	w, err := wal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -100,23 +99,24 @@ func (j *Journal) Sync() error {
 	return err
 }
 
-// AppendSwapSync journals a model-swap record and fsyncs it immediately,
+// AppendControl journals one control record — a SwapRecord under
+// KindSwap, a HandoffRecord under KindHandoff — and fsyncs it immediately,
 // with NO retries: the caller holds the sink's commit mutex, and stalling
-// there would stall every report append behind it. A failure is the
-// caller's to surface; the swap simply does not happen.
-func (j *Journal) AppendSwapSync(rec SwapRecord) (uint64, error) {
+// there would stall every report append behind it; a swap or handoff that
+// cannot be made durable is the caller's to surface, not to retry while the
+// generation or the ownership is ambiguous.
+func (j *Journal) AppendControl(kind RecordKind, rec any) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return 0, err
 	}
-	lsn, err := j.w.Append(wal.Encode(wal.KindSwap, payload))
+	lsn, err := j.w.Append(wal.Encode(kind, payload))
+	if err == nil {
+		err = j.w.Sync()
+	}
 	if err != nil {
 		j.errs.Add(1)
-		return 0, fmt.Errorf("journal swap record: %w", err)
-	}
-	if err := j.w.Sync(); err != nil {
-		j.errs.Add(1)
-		return 0, fmt.Errorf("sync swap record: %w", err)
+		return 0, fmt.Errorf("journal control record %q: %w", kind, err)
 	}
 	return lsn, nil
 }

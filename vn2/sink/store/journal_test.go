@@ -82,20 +82,20 @@ func TestJournalReplaysEveryKind(t *testing.T) {
 	batch(3, 10)
 	batch(4, 10)
 	swap := SwapRecord{Version: 2, Parent: 1, Origin: "retrain", File: ModelFileName(2)}
-	lsn, err := j.AppendSwapSync(swap)
+	lsn, err := j.AppendControl(KindSwap, swap)
 	if err != nil {
-		t.Fatalf("AppendSwapSync: %v", err)
+		t.Fatalf("AppendControl(KindSwap): %v", err)
 	}
 	want = append(want, journaled{lsn, KindSwap, marshal(swap)})
 	batch(3, 11)
 	in := HandoffRecord{Dir: HandoffIn, Nodes: []packet.NodeID{7, 9}, Slice: json.RawMessage(`{"nodes":[]}`)}
-	if lsn, err = j.AppendHandoffSync(in); err != nil {
-		t.Fatalf("AppendHandoffSync: %v", err)
+	if lsn, err = j.AppendControl(KindHandoff, in); err != nil {
+		t.Fatalf("AppendControl(KindHandoff): %v", err)
 	}
 	want = append(want, journaled{lsn, KindHandoff, marshal(in)})
 	out := HandoffRecord{Dir: HandoffOut, Nodes: []packet.NodeID{4}}
-	if lsn, err = j.AppendHandoffSync(out); err != nil {
-		t.Fatalf("AppendHandoffSync: %v", err)
+	if lsn, err = j.AppendControl(KindHandoff, out); err != nil {
+		t.Fatalf("AppendControl(KindHandoff): %v", err)
 	}
 	want = append(want, journaled{lsn, KindHandoff, marshal(out)})
 	batch(9, 12)

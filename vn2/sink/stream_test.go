@@ -140,7 +140,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(ra.Data), &rap); err != nil || rap.Count != len(nodes) {
 		t.Fatalf("ReportAccepted payload %q: err=%v count=%d want %d", ra.Data, err, rap.Count, len(nodes))
 	}
-	srv.DrainTick() // diagnoses + fires the lifecycle trigger (swap barrier queued)
+	tick(srv) // diagnoses + fires the lifecycle trigger (swap barrier queued)
 	ed := c.next(t, EvEpochDiagnosed, 5*time.Second)
 	var edp struct {
 		Epoch  int                `json:"epoch"`

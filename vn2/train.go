@@ -115,11 +115,20 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 	if err != nil {
 		return nil, nil, fmt.Errorf("factorize: %w", err)
 	}
+	return finish(res, e, workingStates, report, scale, metricNamesFor(e.Cols()),
+		&trace.Detector{Center: det.Center, Scale: det.Scale, RefMax: det.RefMax})
+}
+
+// finish completes a factorization of e, the working states under scale,
+// for Train and Update alike: accuracy, sparsification, sparse accuracy,
+// then the model with its signed signatures and cached Gram matrix.
+func finish(res *nmf.Result, e *mat.Dense, working []trace.StateVector, report *TrainReport,
+	scale []float64, names []string, cal *trace.Detector) (*Model, *TrainReport, error) {
 	report.Iterations = res.Iterations
+	var err error
 	if report.Accuracy, err = res.Accuracy(e); err != nil {
 		return nil, nil, fmt.Errorf("accuracy: %w", err)
 	}
-
 	sparseW, err := nmf.Sparsify(res.W, nmf.DefaultKeepFraction)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sparsify: %w", err)
@@ -128,17 +137,16 @@ func Train(states []trace.StateVector, cfg TrainConfig) (*Model, *TrainReport, e
 		return nil, nil, fmt.Errorf("sparse accuracy: %w", err)
 	}
 	report.W = sparseW
-
 	model := &Model{
 		Psi:         res.Psi,
 		Scale:       scale,
-		MetricNames: metricNamesFor(e.Cols()),
-		Rank:        rank,
+		MetricNames: names,
+		Rank:        report.SelectedRank,
 		Keep:        nmf.DefaultKeepFraction,
-		TrainStates: len(workingStates),
-		Calibration: &trace.Detector{Center: det.Center, Scale: det.Scale, RefMax: det.RefMax},
+		TrainStates: len(working),
+		Calibration: cal,
 	}
-	model.Signatures = signedSignatures(workingStates, sparseW, scale)
+	model.Signatures = signedSignatures(working, sparseW, scale)
 	model.cacheGram()
 	return model, report, nil
 }

@@ -47,29 +47,6 @@ func (m *Model) Update(states []trace.StateVector, cfg TrainConfig) (*Model, *Tr
 	if err != nil {
 		return nil, nil, fmt.Errorf("resume factorization: %w", err)
 	}
-	report.Iterations = res.Iterations
-	if report.Accuracy, err = res.Accuracy(e); err != nil {
-		return nil, nil, fmt.Errorf("accuracy: %w", err)
-	}
-	sparseW, err := nmf.Sparsify(res.W, nmf.DefaultKeepFraction)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sparsify: %w", err)
-	}
-	if report.SparseAccuracy, err = nmf.Accuracy(e, sparseW, res.Psi); err != nil {
-		return nil, nil, fmt.Errorf("sparse accuracy: %w", err)
-	}
-	report.W = sparseW
-
-	updated := &Model{
-		Psi:         res.Psi,
-		Scale:       append([]float64(nil), m.Scale...),
-		MetricNames: append([]string(nil), m.MetricNames...),
-		Rank:        rank,
-		Keep:        nmf.DefaultKeepFraction,
-		TrainStates: len(workingStates),
-		Calibration: m.Calibration,
-	}
-	updated.Signatures = signedSignatures(workingStates, sparseW, updated.Scale)
-	updated.cacheGram()
-	return updated, report, nil
+	return finish(res, e, workingStates, report, append([]float64(nil), m.Scale...),
+		append([]string(nil), m.MetricNames...), m.Calibration)
 }
