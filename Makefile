@@ -98,9 +98,10 @@ knobs:
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
 # report-body decoder, the three mote packet codecs, the batched binary
 # frame decoder — each seeded from a committed corpus under testdata/ — and
-# the stream's VN2A ack decoder (seeded in code), the
-# delta wire's bit-exact round trip (encoder → frame decoder → sink cache),
-# the NNLS solver on degenerate and non-finite problems, the model file
+# the stream's VN2A ack decoder and WAL segment replay (both seeded in
+# code; a replay input is a segment file, so each exec writes and fsyncs),
+# the delta wire's bit-exact round trip (encoder → frame decoder → sink
+# cache), the NNLS solver on degenerate and non-finite problems, the model file
 # loader, the snapshot loader with the monitor restore behind it and the
 # handoff slice import (all three seeded in code, from a trained model, a
 # live sink's snapshot and a driven monitor's exports; their inputs are
@@ -119,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzC3$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzFrame$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/packet -run '^$$' -fuzz 'FuzzStreamResp$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzReplaySegment -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x
 
 # The three chaos targets are one harness (`vn2 chaos`) on different
 # parameters: -transport picks how the faulty run is delivered, -shards the

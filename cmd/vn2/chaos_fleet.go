@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -73,7 +72,6 @@ func (f *fleet) boot(dir string) (*shard, error) {
 		SnapshotPath:      filepath.Join(dir, "snapshot.json"),
 		WALPath:           filepath.Join(dir, "wal"),
 		QueueSize:         4096,
-		Sleep:             noSleep,
 		StreamReadTimeout: streamReadTimeout,
 	})
 	if err != nil {
@@ -190,7 +188,7 @@ func (f *fleet) settle() {
 
 func (f *fleet) snapshot() error {
 	for _, sh := range f.live() {
-		if err := sh.srv.PersistSnapshot(context.Background()); err != nil {
+		if err := sh.srv.PersistSnapshot(); err != nil {
 			return err
 		}
 	}

@@ -28,7 +28,7 @@ func cmdServe(args []string) error {
 	fs.IntVar(&o.QueueSize, "queue", sink.DefaultQueueSize, "ingest queue bound, in reports: a bound, paid for as used; a batch it has no room for gets 503")
 	fs.IntVar(&o.MaxPending, "max-pending", 0, "bound on flagged states awaiting diagnosis (0 = 4096)")
 	fs.IntVar(&o.Workers, "workers", 0, "drain NNLS goroutines (0 = all cores); results identical for any value")
-	fs.DurationVar(&o.DrainEvery, "drain-interval", sink.DefaultDrainEvery, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle/degraded probes")
+	fs.DurationVar(&o.DrainEvery, "drain-interval", sink.DefaultDrainEvery, "idle upper bound of the diagnosis pass (a flagged state wakes it within milliseconds) and clock of the lifecycle and of a drain failure's recovery")
 	fs.DurationVar(&o.SnapshotEvery, "snapshot-interval", sink.DefaultSnapshotEvery, "how often the snapshot file is rewritten")
 	fs.StringVar(&o.Lifecycle.ModelsDir, "models", "", "directory for persisted model generations (required with -lifecycle)")
 	fs.BoolVar(&o.Lifecycle.Enabled, "lifecycle", false, "enable the self-healing model lifecycle: drift-triggered shadow retrain, validated hot-swap, rollback")

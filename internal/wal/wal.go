@@ -24,6 +24,13 @@
 // retention: nothing else ever deletes a record, because anything past the
 // snapshot watermark may be acknowledged data that exists nowhere else. A
 // full disk surfaces as an append error.
+//
+// The disk fails stop: the first failed write, flush, fsync or segment
+// create poisons the WAL (ErrPoisoned), and only a fresh Open, whose tail
+// repair cuts whatever the failure tore, comes back from it. A retry is no
+// answer: Linux reports a writeback error to a file descriptor once and
+// marks the pages clean, so a second fsync succeeds for data that may never
+// reach the disk.
 package wal
 
 import (
@@ -45,6 +52,9 @@ var (
 	ErrClosed = errors.New("wal: closed")
 	// ErrTooLarge reports an Append payload above MaxRecordBytes.
 	ErrTooLarge = errors.New("wal: record too large")
+	// ErrPoisoned wraps the failure that stopped the log; every later
+	// Append, Sync, TruncateBefore and Close returns it.
+	ErrPoisoned = errors.New("wal: poisoned")
 )
 
 // MaxRecordBytes bounds one record's payload; the frame length field is
@@ -62,6 +72,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // segmentBytes rotates the active segment once its size reaches it.
 const segmentBytes = 1 << 20
 
+// segFile is the active segment: an *os.File, or a test's fault injector.
+type segFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 // segment is one on-disk file: records [start, start+count).
 type segment struct {
 	start uint64
@@ -76,12 +93,12 @@ type WAL struct {
 	dir      string
 	segBytes int64     // rotation size: segmentBytes, smaller in tests
 	segs     []segment // ascending by start; last is active
-	f        *os.File  // active segment
+	f        segFile   // active segment; nil after a failed rotation
 	bw       *bufio.Writer
 	next     uint64 // LSN of the next record appended
 	size     int64  // active segment bytes (file + buffered)
 	dirty    int    // appends since the last fsync
-	closed   bool
+	err      error  // sticky: ErrClosed, or the poison (wraps ErrPoisoned)
 
 	truncations uint64 // corrupt/torn tails cut during recovery
 }
@@ -246,27 +263,34 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// fail poisons the log with op's failure err and returns it. Caller holds mu.
+func (w *WAL) fail(op string, err error) error {
+	w.err = fmt.Errorf("%w: %s: %w", ErrPoisoned, op, err)
+	return w.err
+}
+
 // rotateLocked seals the active segment (flush + fsync + close) and starts
 // the next one, fsyncing the directory so the new entry survives a crash.
-// Caller holds mu.
+// Any failure poisons the log. Caller holds mu.
 func (w *WAL) rotateLocked() error {
 	if w.f != nil {
 		if err := w.flushSyncLocked(); err != nil {
 			return err
 		}
-		if err := w.f.Close(); err != nil {
-			return fmt.Errorf("wal: close segment: %w", err)
-		}
+		err := w.f.Close()
 		w.f = nil
+		if err != nil {
+			return w.fail("close segment", err)
+		}
 	}
 	path := segPath(w.dir, w.next)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
+		return w.fail("create segment", err)
 	}
 	if err := syncDir(w.dir); err != nil {
 		f.Close()
-		return err
+		return w.fail("create segment", err)
 	}
 	w.f = f
 	w.bw = bufio.NewWriter(f)
@@ -275,17 +299,15 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// flushSyncLocked pushes buffered frames to the OS and fsyncs. Caller holds
-// mu.
+// flushSyncLocked pushes buffered frames to the OS and fsyncs; a failure
+// poisons the log. Caller holds mu.
 func (w *WAL) flushSyncLocked() error {
-	if w.bw != nil {
-		if err := w.bw.Flush(); err != nil {
-			return fmt.Errorf("wal: flush: %w", err)
-		}
+	if err := w.bw.Flush(); err != nil {
+		return w.fail("flush", err)
 	}
 	if w.dirty > 0 {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+			return w.fail("fsync", err)
 		}
 		w.dirty = 0
 	}
@@ -302,8 +324,8 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
+	if w.err != nil {
+		return 0, w.err
 	}
 	if w.size >= w.segBytes && w.segs[len(w.segs)-1].count > 0 {
 		if err := w.rotateLocked(); err != nil {
@@ -314,10 +336,10 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+		return 0, w.fail("append", err)
 	}
 	if _, err := w.bw.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+		return 0, w.fail("append", err)
 	}
 	lsn := w.next
 	w.next++
@@ -331,30 +353,27 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
+	if w.err != nil {
+		return w.err
 	}
 	return w.flushSyncLocked()
 }
 
 // Replay calls fn for every committed record in LSN order. It reads the
-// segment files (flushing buffered appends first so the log is
+// segment files (committing buffered appends first so the log is
 // self-consistent); fn errors abort the walk. Safe to call on a live WAL,
 // but the serve path replays before serving traffic.
 func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	if w.bw != nil {
-		if err := w.bw.Flush(); err != nil {
-			w.mu.Unlock()
-			return fmt.Errorf("wal: flush: %w", err)
-		}
+	err := w.err
+	if err == nil {
+		err = w.flushSyncLocked()
 	}
 	segs := append([]segment(nil), w.segs...)
 	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	for _, seg := range segs {
 		if err := replaySegment(seg, fn); err != nil {
@@ -401,12 +420,13 @@ func replaySegment(seg segment, fn func(lsn uint64, payload []byte) error) error
 // after a snapshot covering the prefix is durable. The active segment is
 // never dropped. Only whole segments go; records < lsn may survive in a
 // partially-covered segment and will be replayed again on restart (the
-// monitor's dedup makes that harmless).
+// monitor's dedup makes that harmless). A failed unlink does not poison the
+// log: it leaves records on disk, it loses none.
 func (w *WAL) TruncateBefore(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
+	if w.err != nil {
+		return w.err
 	}
 	removed := false
 	for len(w.segs) > 1 && w.segs[0].start+w.segs[0].count <= lsn {
@@ -444,19 +464,22 @@ func (w *WAL) Truncations() uint64 {
 	return w.truncations
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log; a poisoned log is closed without a sync
+// and returns its poison.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.err == ErrClosed {
 		return nil
 	}
-	w.closed = true
-	if err := w.flushSyncLocked(); err != nil {
-		w.f.Close()
-		return err
+	err := w.err
+	if err == nil {
+		err = w.flushSyncLocked()
 	}
-	return w.f.Close()
+	if cerr := w.closeLocked(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Abort closes the log WITHOUT flushing or syncing, discarding buffered
@@ -466,9 +489,18 @@ func (w *WAL) Close() error {
 func (w *WAL) Abort() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.err == ErrClosed {
 		return nil
 	}
-	w.closed = true
+	return w.closeLocked()
+}
+
+// closeLocked marks the log closed and closes the active segment, if a
+// failed rotation left one. Caller holds mu.
+func (w *WAL) closeLocked() error {
+	w.err = ErrClosed
+	if w.f == nil {
+		return nil
+	}
 	return w.f.Close()
 }

@@ -3,10 +3,13 @@ package online
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/wsn-tools/vn2/internal/metricspec"
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
+	"github.com/wsn-tools/vn2/vn2"
 )
 
 // TestOverflowingStateRefused: a report whose metrics are all finite but
@@ -62,5 +65,49 @@ func TestOverflowingStateRefused(t *testing.T) {
 	}
 	if m.Pending() != 0 {
 		t.Errorf("a refused slice left %d states pending", m.Pending())
+	}
+}
+
+// TestOutOfRangeStrengthRefused: an imported or restored contribution whose
+// strength is negative or not finite is refused with ErrBadState, and so is
+// one whose finite strength would make its epoch's summed distribution
+// overflow — alone, with the contributions of the same slice, or with those
+// the monitor already holds. A refused import leaves Snapshot() encodable.
+func TestOutOfRangeStrengthRefused(t *testing.T) {
+	contrib := func(node packet.NodeID, strength float64) Contribution {
+		return Contribution{Node: node, Causes: []vn2.RankedCause{{Cause: 0, Strength: strength}}}
+	}
+	epoch := func(cs ...Contribution) []EpochState { return []EpochState{{Epoch: 5, Contribs: cs}} }
+	for name, epochs := range map[string][]EpochState{
+		"negative strength":             epoch(contrib(1, -1)),
+		"NaN strength":                  epoch(contrib(1, math.NaN())),
+		"infinite strength":             epoch(contrib(1, math.Inf(1))),
+		"two strengths summing to +Inf": epoch(contrib(1, 1e308), contrib(2, 1e308)),
+		"the same epoch twice in one slice": {
+			{Epoch: 5, Contribs: []Contribution{contrib(1, 1e308)}},
+			{Epoch: 5, Contribs: []Contribution{contrib(2, 1e308)}},
+		},
+	} {
+		if err := newTestMonitor(t, Config{}).ImportNodes(NodeSlice{Epochs: epochs}); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: ImportNodes err = %v, want ErrBadState", name, err)
+		}
+		if err := newTestMonitor(t, Config{}).Restore(MonitorState{Epochs: epochs}); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: Restore err = %v, want ErrBadState", name, err)
+		}
+	}
+
+	m := newTestMonitor(t, Config{})
+	if err := m.ImportNodes(NodeSlice{Epochs: epoch(contrib(1, 1e308))}); err != nil {
+		t.Fatalf("a finite strength: %v", err)
+	}
+	second := NodeSlice{Epochs: epoch(contrib(2, 1e308))}
+	if err := m.ValidateSlice(second); !errors.Is(err, ErrBadState) {
+		t.Errorf("ValidateSlice onto a held 1e308: err = %v, want ErrBadState", err)
+	}
+	if err := m.ImportNodes(second); !errors.Is(err, ErrBadState) {
+		t.Errorf("ImportNodes onto a held 1e308: err = %v, want ErrBadState", err)
+	}
+	if _, err := json.Marshal(m.Snapshot()); err != nil {
+		t.Fatalf("Snapshot() after a refused import does not encode: %v", err)
 	}
 }

@@ -85,7 +85,7 @@ func (m *Monitor) DropNodes(nodes []packet.NodeID) {
 func (m *Monitor) ImportNodes(sl NodeSlice) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.validateSliceLocked(sl); err != nil {
+	if err := m.validateSliceLocked(sl, m.epochs); err != nil {
 		return err
 	}
 	m.importLocked(sl)
@@ -99,7 +99,7 @@ func (m *Monitor) ImportNodes(sl NodeSlice) error {
 func (m *Monitor) ValidateSlice(sl NodeSlice) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.validateSliceLocked(sl)
+	return m.validateSliceLocked(sl, m.epochs)
 }
 
 // EpochStates exports the rolling per-epoch contributions in canonical

@@ -13,8 +13,8 @@ import (
 // shard handoff: decoded into a NodeSlice, they go to ValidateSlice and
 // ImportNodes on a monitor restored from a driven one. Nothing may panic.
 // The two must agree; a refused slice leaves State() byte for byte as it
-// was, and an imported one leaves a monitor whose State() and EpochParts()
-// encode and whose next Drain succeeds. Seeded from ExportNodes.
+// was, and an imported one leaves a monitor whose State(), Snapshot() and
+// EpochParts() encode and whose next Drain succeeds. Seeded from ExportNodes.
 func FuzzImportNodes(f *testing.F) {
 	r := newRig(f)
 	cfg := Config{Model: r.model, Detector: r.det, Workers: 1}
@@ -45,6 +45,7 @@ func FuzzImportNodes(f *testing.F) {
 	}
 	f.Add([]byte(`{"nodes":[{"node":5,"epoch":1,"vector":[1]}]}`))
 	f.Add([]byte(`{"pending":[{"state":{"node":5,"epoch":7,"delta":[1e300]},"score":1}]}`))
+	f.Add([]byte(`{"epochs":[{"epoch":2,"contribs":[{"node":5,"causes":[{"cause":0,"strength":1e308}]},{"node":6,"causes":[{"cause":0,"strength":1e308}]}]}]}`))
 	base := src.State()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,6 +76,9 @@ func FuzzImportNodes(f *testing.F) {
 		}
 		if _, err := json.Marshal(m.State()); err != nil {
 			t.Fatalf("State() after an import does not encode: %v", err)
+		}
+		if _, err := json.Marshal(m.Snapshot()); err != nil {
+			t.Fatalf("Snapshot() after an import does not encode: %v", err)
 		}
 		if _, _, err := m.EpochParts(); err != nil {
 			t.Fatalf("EpochParts after an import: %v", err)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -261,8 +262,11 @@ func (ec *epochAcc) open() { ec.contribs, ec.part, ec.sum = ec.held(), nil, Epoc
 // validateSliceLocked checks the per-node part of an incoming state — a
 // snapshot's or a handoff's — against the live detector and model: vector
 // lengths, finite baselines, pending states whose norm does not overflow,
-// cause indices within the model's rank. Caller holds mu.
-func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
+// cause indices within the model's rank, non-negative finite strengths, and
+// epochs whose SumEpoch distribution stays finite once the slice's
+// contributions join those onto already holds (nil for Restore, which
+// replaces them). Caller holds mu.
+func (m *Monitor) validateSliceLocked(sl NodeSlice, onto map[int]*epochAcc) error {
 	metrics := m.det.Metrics()
 	rank := m.model.Rank
 	for _, ns := range sl.Nodes {
@@ -284,14 +288,24 @@ func (m *Monitor) validateSliceLocked(sl NodeSlice) error {
 				ErrBadState, p.State.Node, p.State.Epoch)
 		}
 	}
+	merged := make(map[int][]Contribution)
 	for _, es := range sl.Epochs {
 		for _, c := range es.Contribs {
 			for _, rc := range c.Causes {
-				if rc.Cause < 0 || rc.Cause >= rank {
-					return fmt.Errorf("%w: epoch %d node %d cites cause %d outside model rank %d",
-						ErrBadState, es.Epoch, c.Node, rc.Cause, rank)
+				if rc.Cause < 0 || rc.Cause >= rank || !(rc.Strength >= 0) || math.IsInf(rc.Strength, 1) {
+					return fmt.Errorf("%w: epoch %d node %d cites cause %d (model rank %d) at strength %v",
+						ErrBadState, es.Epoch, c.Node, rc.Cause, rank, rc.Strength)
 				}
 			}
+		}
+		if _, ok := merged[es.Epoch]; !ok && onto[es.Epoch] != nil {
+			merged[es.Epoch] = slices.Clone(onto[es.Epoch].held())
+		}
+		merged[es.Epoch] = append(merged[es.Epoch], es.Contribs...)
+	}
+	for _, es := range sl.Epochs {
+		if k := firstNonFinite(SumEpoch(es.Epoch, rank, merged[es.Epoch]).Distribution); k >= 0 {
+			return fmt.Errorf("%w: epoch %d cause %d sums to a non-finite strength", ErrBadState, es.Epoch, k)
 		}
 	}
 	return nil
@@ -335,7 +349,7 @@ func (m *Monitor) Restore(st MonitorState) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	sl := NodeSlice{Nodes: st.Nodes, Pending: st.Pending, Epochs: st.Epochs}
-	if err := m.validateSliceLocked(sl); err != nil {
+	if err := m.validateSliceLocked(sl, nil); err != nil {
 		return err
 	}
 	metrics := m.det.Metrics()

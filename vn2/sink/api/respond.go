@@ -56,8 +56,8 @@ func NewServer(h http.Handler) *http.Server {
 
 // Degraded is the read-only "last-good" mode state machine shared by the
 // ingest and status surfaces. Reasons are namespaced by a class prefix
-// ("wal: ...", "drain: ...") so a recovery probe for one class cannot
-// clear another's failure. The first Enter wins until its class clears.
+// ("wal: ...", "drain: ...") so the recovery of one class cannot clear
+// another's failure. The first Enter wins until its class clears.
 type Degraded struct {
 	mu      sync.Mutex
 	reason  string

@@ -45,8 +45,8 @@ type outcome struct {
 }
 
 // Backoff hints, in seconds. Busy is transient (queue and backlog drain
-// within milliseconds); unavailable (degraded/draining) clears on operator or
-// probe timescales.
+// within milliseconds); unavailable (degraded/draining) clears on drain-tick
+// or restart timescales.
 const (
 	retryAfterBusy        = 1
 	retryAfterUnavailable = 5
@@ -94,10 +94,11 @@ func (s *Server) shedDegraded(msg string) (out outcome, shed bool) {
 	}, true
 }
 
-// journalDown flips the server into degraded mode on a persistent journal
-// failure and builds the NACK: nothing is ACKed, the client owns the retry.
+// journalDown flips the server into degraded mode on a journal failure and
+// builds the NACK: nothing is ACKed, the client owns the retry. The WAL
+// fails stop, so the reason holds until a restart replays the journal.
 func (s *Server) journalDown(op string, err error) outcome {
-	s.enterDegraded(fmt.Sprintf("%s: %s: %v", degradedWAL, op, err))
+	s.enterDegraded(fmt.Sprintf("%s: %s: %v (restart to recover)", degradedWAL, op, err))
 	return outcome{
 		status:     packet.StreamNackUnavailable,
 		msg:        "journal unavailable, report not accepted",

@@ -29,7 +29,7 @@ type walRecord struct {
 // walRecords replays the journal under dir.
 func walRecords(t *testing.T, dir string) []walRecord {
 	t.Helper()
-	j, err := store.OpenJournal(dir, noSleep)
+	j, err := store.OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -61,7 +61,6 @@ func TestReportEdgeValidation(t *testing.T) {
 		WALPath:       filepath.Join(dir, "wal"),
 		QueueSize:     queue,
 		MaxPending:    queue, // admission also bounds a batch by the diagnosis backlog
-		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -475,7 +474,6 @@ func TestBacklogAdmission(t *testing.T) {
 		WALPath:       filepath.Join(t.TempDir(), "wal"),
 		QueueSize:     64,
 		MaxPending:    6,
-		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/tracegen"
@@ -163,6 +162,3 @@ func freePort(t *testing.T) string {
 	ln.Close()
 	return addr
 }
-
-// noSleep makes retries never wall-clock sleep in tests.
-func noSleep(time.Duration) {}

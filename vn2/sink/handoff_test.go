@@ -35,7 +35,6 @@ func startHandoffSink(t *testing.T, dir string) *handoffSink {
 		SnapshotPath:  filepath.Join(dir, "snapshot.json"),
 		WALPath:       filepath.Join(dir, "wal"),
 		QueueSize:     256,
-		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -226,7 +225,7 @@ func TestHandoffImportAdmission(t *testing.T) {
 	}
 
 	srv, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
-		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 64, MaxPending: 8, Sleep: noSleep})
+		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 64, MaxPending: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

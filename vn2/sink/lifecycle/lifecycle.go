@@ -127,7 +127,7 @@ type Manager struct {
 	hooks Hooks
 
 	// SnapMu serializes snapshot capture against swap application so no
-	// snapshot sees a half-applied swap. The sink's writeSnapshot holds it
+	// snapshot sees a half-applied swap. The sink's PersistSnapshot holds it
 	// for the whole capture.
 	SnapMu sync.Mutex
 

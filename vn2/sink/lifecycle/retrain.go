@@ -66,7 +66,8 @@ func (m *Manager) runRetrain() {
 // trainCandidate runs vn2.Update once under the retrain deadline: Update is
 // deterministic, so a second attempt could only repeat the first one's
 // error. The solve itself cannot be interrupted, so the deadline races it in
-// a goroutine and an expired attempt's late result is dropped.
+// a goroutine and an expired attempt's result is dropped, even one that was
+// ready by the time the race is read.
 func (m *Manager) trainCandidate(cur *Set, window []trace.StateVector) (*vn2.Model, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RetrainTimeout)
 	defer cancel()
@@ -86,10 +87,12 @@ func (m *Manager) trainCandidate(cur *Set, window []trace.StateVector) (*vn2.Mod
 	}()
 	select {
 	case r := <-ch:
-		return r.m, r.err
+		if ctx.Err() == nil {
+			return r.m, r.err
+		}
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	return nil, ctx.Err()
 }
 
 // candConsistencyMin is the fraction of previously-attributed holdout states

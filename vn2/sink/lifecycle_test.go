@@ -59,7 +59,6 @@ func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) 
 			Probation:     6,
 			CooldownTicks: 1,
 		},
-		Sleep: noSleep,
 	}
 	if mut != nil {
 		mut(&o)
@@ -442,8 +441,8 @@ func TestLifecycleSwapCrashRecovery(t *testing.T) {
 		if srv.mon.ModelVersion() != 2 {
 			t.Fatal("fixture swap did not land")
 		}
-		if err := srv.writeSnapshot(); err != nil {
-			t.Fatalf("writeSnapshot: %v", err)
+		if err := srv.PersistSnapshot(); err != nil {
+			t.Fatalf("PersistSnapshot: %v", err)
 		}
 		preStats := srv.mon.Stats()
 		// Journaled but neither ingested nor snapshotted.
@@ -491,7 +490,7 @@ func TestReplayRefusesDetectorSwapRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(models, store.ModelFileName(2)), []byte(buf.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := store.OpenJournal(filepath.Join(dir, "wal"), noSleep)
+	j, err := store.OpenJournal(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +508,6 @@ func TestReplayRefusesDetectorSwapRecord(t *testing.T) {
 		CalibratePath: fx.tracePath,
 		WALPath:       filepath.Join(dir, "wal"),
 		Lifecycle:     lifecycle.Config{Enabled: true, ModelsDir: models},
-		Sleep:         noSleep,
 	})
 	if !errors.Is(err, lifecycle.ErrSwapFileMismatch) || !strings.Contains(err.Error(), rec.Detector) {
 		t.Fatalf("New over a WAL naming a detector file: err = %v, want ErrSwapFileMismatch naming %s", err, rec.Detector)

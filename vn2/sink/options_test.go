@@ -44,8 +44,8 @@ func TestOverflowingReportKeepsViewsAndSnapshots(t *testing.T) {
 			t.Errorf("GET %s: %d, valid JSON %v: %.200s", path, rec.Code, json.Valid(rec.Body.Bytes()), rec.Body)
 		}
 	}
-	if err := srv.writeSnapshot(); err != nil || srv.snapshots.Load() != 1 {
-		t.Fatalf("writeSnapshot: %v (%d written)", err, srv.snapshots.Load())
+	if err := srv.PersistSnapshot(); err != nil || srv.snapshots.Load() != 1 {
+		t.Fatalf("PersistSnapshot: %v (%d written)", err, srv.snapshots.Load())
 	}
 
 	big := make([]float64, metricspec.MetricCount)

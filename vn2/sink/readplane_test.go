@@ -24,7 +24,7 @@ func viewSink(t testing.TB, dir string) *Server {
 	t.Helper()
 	fx := serveFixtures(t)
 	srv, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
-		SnapshotPath: filepath.Join(dir, "snapshot.json"), Sleep: noSleep})
+		SnapshotPath: filepath.Join(dir, "snapshot.json")})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -94,8 +94,8 @@ func mustViewAsStructs(t *testing.T, name string, srv *Server) {
 		t.Fatalf("%s: /epochs is not the struct-built body:\n got %.150s\nwant %.150s", name, view, want.Body)
 	}
 
-	if err := srv.writeSnapshot(); err != nil {
-		t.Fatalf("%s: writeSnapshot: %v", name, err)
+	if err := srv.PersistSnapshot(); err != nil {
+		t.Fatalf("%s: PersistSnapshot: %v", name, err)
 	}
 	file, err := os.ReadFile(srv.opts.SnapshotPath)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestSnapshotIsOneInstantUnderLoad(t *testing.T) {
 	fx := serveFixtures(t)
 	dir := t.TempDir()
 	srv, base, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
-		SnapshotPath: filepath.Join(dir, "snapshot.json"), SnapshotEvery: time.Hour, DrainEvery: time.Hour, Sleep: noSleep})
+		SnapshotPath: filepath.Join(dir, "snapshot.json"), SnapshotEvery: time.Hour, DrainEvery: time.Hour})
 	done := make(chan struct{}) // closed when the load stops
 	enough := make(chan struct{})
 	var wg sync.WaitGroup
@@ -284,8 +284,8 @@ func TestSnapshotIsOneInstantUnderLoad(t *testing.T) {
 				close(enough)
 			}
 		}
-		if err := srv.writeSnapshot(); err != nil {
-			t.Fatalf("writeSnapshot: %v", err)
+		if err := srv.PersistSnapshot(); err != nil {
+			t.Fatalf("PersistSnapshot: %v", err)
 		}
 		snap, err := store.ReadSnapshot(srv.opts.SnapshotPath)
 		if err != nil {

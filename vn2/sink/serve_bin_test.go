@@ -150,8 +150,8 @@ func TestServeBinaryWALRecovery(t *testing.T) {
 	post(1, 4)
 	srv.IngestQueued()
 	srv.DrainTick()
-	if err := srv.writeSnapshot(); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	if err := srv.PersistSnapshot(); err != nil {
+		t.Fatalf("PersistSnapshot: %v", err)
 	}
 	post(2, 4)
 	srv.IngestQueued()

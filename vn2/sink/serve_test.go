@@ -145,7 +145,6 @@ func TestServeBackpressure(t *testing.T) {
 		CalibratePath: fx.tracePath,
 		WALPath:       filepath.Join(t.TempDir(), "wal"),
 		QueueSize:     4,
-		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -525,7 +524,7 @@ func TestSinkReservesNothing(t *testing.T) {
 	base := heap()
 	srv, url, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
 		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 1 << 16, StreamBuffer: 1 << 16,
-		DrainEvery: 20 * time.Millisecond, Sleep: noSleep})
+		DrainEvery: 20 * time.Millisecond})
 	defer stop()
 	resp, err := http.Get(url + "/stream")
 	if err != nil {

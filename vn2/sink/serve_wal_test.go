@@ -2,7 +2,6 @@ package sink
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -31,7 +30,6 @@ func walServer(t *testing.T, fx fixtures, dir string) *Server {
 		SnapshotPath:  filepath.Join(dir, "snapshot.json"),
 		WALPath:       filepath.Join(dir, "wal"),
 		QueueSize:     256,
-		Sleep:         noSleep, // retries never wall-clock sleep in tests
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -75,8 +73,8 @@ func TestServeWALRecovery(t *testing.T) {
 	post(1, 4)
 	ingestAll(srv)
 	srv.DrainTick()
-	if err := srv.writeSnapshot(); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	if err := srv.PersistSnapshot(); err != nil {
+		t.Fatalf("PersistSnapshot: %v", err)
 	}
 	// Epoch +2 for four nodes: ACKed and ingested but NOT snapshotted —
 	// only the WAL knows. Epoch +3 for two nodes: ACKed but still sitting
@@ -183,7 +181,7 @@ func TestSnapshotNeverAheadOfWAL(t *testing.T) {
 	srv.enqueue(ingest.Item{LSN: lsn, Recs: early})
 	srv.commitMu.Unlock()
 	ingestAll(srv)
-	if err := srv.PersistSnapshot(context.Background()); err != nil {
+	if err := srv.PersistSnapshot(); err != nil {
 		t.Fatalf("PersistSnapshot: %v", err)
 	}
 	srv.AbortWAL()
@@ -300,13 +298,45 @@ func TestServeDegradedWAL(t *testing.T) {
 	}
 }
 
+// TestWALDegradedHoldsUntilRestart: a journal failure degrades the sink
+// until a restart. Clean drain ticks clear a drain failure, never this one,
+// and the reason says how it clears; a sink restarted on the same directory
+// is healthy and replays the report it ACKed before the failure.
+func TestWALDegradedHoldsUntilRestart(t *testing.T) {
+	fx := serveFixtures(t)
+	dir := t.TempDir()
+	srv := walServer(t, fx, dir)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if resp, body := postJSON(t, ts.URL+"/report", fx.hotReport(t, fx.nodes()[0], 1)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("healthy report: %d %s", resp.StatusCode, body)
+	}
+	ingestAll(srv)
+	srv.jnl.Close()
+	if resp, body := postJSON(t, ts.URL+"/report", fx.hotReport(t, fx.nodes()[1], 1)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("report on a failed journal: %d %s, want 503", resp.StatusCode, body)
+	}
+	for range 3 {
+		srv.DrainTick()
+	}
+	if reason, _ := srv.deg.Reason(); !srv.deg.Active() || !strings.HasPrefix(reason, degradedWAL) || !strings.Contains(reason, "restart") {
+		t.Fatalf("after clean drain ticks: degraded %v, reason %q; want the WAL reason, naming the restart", srv.deg.Active(), reason)
+	}
+
+	again := walServer(t, fx, dir)
+	defer again.CloseWAL()
+	if again.deg.Active() || again.walReplayed.Load() != 1 {
+		t.Fatalf("restarted sink: degraded %v, %d reports replayed; want healthy and 1", again.deg.Active(), again.walReplayed.Load())
+	}
+}
+
 // TestSnapshotV1Compat: a version-1 snapshot (no monitor state, no
 // watermark) still boots a server; it just re-warms instead of resuming.
 func TestSnapshotV1Compat(t *testing.T) {
 	fx := serveFixtures(t)
 	dir := t.TempDir()
 	srv := walServer(t, fx, dir)
-	if err := srv.writeSnapshot(); err != nil {
+	if err := srv.PersistSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	srv.jnl.Close()
@@ -357,8 +387,8 @@ func TestSnapshotModelMismatch(t *testing.T) {
 	}
 	ingestAll(srv)
 	srv.DrainTick()
-	if err := srv.writeSnapshot(); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	if err := srv.PersistSnapshot(); err != nil {
+		t.Fatalf("PersistSnapshot: %v", err)
 	}
 	ts.Close()
 	srv.jnl.Close()
@@ -410,8 +440,8 @@ func TestBootMetrics(t *testing.T) {
 	if line := cold.boot.String(); !strings.Contains(line, "calibrate") || !strings.Contains(line, "replay") {
 		t.Fatalf("boot line %q does not name its stages", line)
 	}
-	if err := cold.writeSnapshot(); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
+	if err := cold.PersistSnapshot(); err != nil {
+		t.Fatalf("PersistSnapshot: %v", err)
 	}
 	cold.jnl.Abort()
 
@@ -456,7 +486,7 @@ func TestBootFromModelCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	boot := func(modelPath string) *Server {
-		srv, err := New(Options{ModelPath: modelPath, CalibratePath: fx.tracePath, Threshold: 0.02, Sleep: noSleep})
+		srv, err := New(Options{ModelPath: modelPath, CalibratePath: fx.tracePath, Threshold: 0.02})
 		if err != nil {
 			t.Fatalf("New(%s): %v", modelPath, err)
 		}

@@ -6,12 +6,10 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/api"
@@ -21,7 +19,8 @@ import (
 	"github.com/wsn-tools/vn2/vn2/sink/store"
 )
 
-// Degraded-mode reasons; the prefix picks which recovery probe clears it.
+// Degraded-mode reasons, by prefix: a drain reason clears on the next clean
+// drain tick; a WAL reason only by a restart, because the WAL fails stop.
 const (
 	degradedWAL   = "wal"
 	degradedDrain = "drain"
@@ -49,8 +48,7 @@ type Server struct {
 	mon     *online.Monitor
 	jnl     *store.Journal
 	started time.Time
-	boot    bootTimes           // where New spent its time
-	sleep   func(time.Duration) // retry sleeper; nil = time.Sleep (tests inject)
+	boot    bootTimes // where New spent its time
 
 	lc  *lifecycle.Manager
 	bus *bus.Bus
@@ -139,7 +137,7 @@ func (s *Server) enterDegraded(reason string) {
 }
 
 // clearDegraded exits degraded mode if the active reason starts with the
-// given class prefix (so a WAL probe can't clear a drain failure).
+// given class prefix (so a clean drain tick can't clear a WAL failure).
 func (s *Server) clearDegraded(class string) {
 	reason, cleared := s.deg.Clear(class, func() { s.lastGood.Store(nil) })
 	if !cleared {
@@ -238,16 +236,6 @@ func (s *Server) DrainTick() {
 	s.drainFails.Store(0)
 	s.clearDegraded(degradedDrain)
 
-	// WAL recovery probe: while degraded for a WAL reason, a successful
-	// sync means the disk came back.
-	if s.jnl != nil && s.deg.Active() {
-		if reason, _ := s.deg.Reason(); strings.HasPrefix(reason, degradedWAL) {
-			if err := s.jnl.Probe(); err == nil {
-				s.clearDegraded(degradedWAL)
-			}
-		}
-	}
-
 	// Lifecycle: only on a clean, non-degraded tick — a degraded server has
 	// bigger problems than drift, and its window is not trustworthy.
 	if s.opts.Lifecycle.Enabled && !s.deg.Active() {
@@ -284,12 +272,14 @@ func (s *Server) drainLoop(ctx context.Context) {
 	}
 }
 
-// writeSnapshot atomically rewrites the snapshot file (tmp + rename), then
-// lets the WAL drop segments wholly covered by the snapshot. The watermark
-// is read BEFORE the monitor state so the state can only be newer — see
-// store.Snapshot.WALApplied. The file is streamed (store.WriteSnapshot): the
-// document is never in memory, and its epochs are the read plane's parts.
-func (s *Server) writeSnapshot() error {
+// PersistSnapshot atomically rewrites the snapshot file (tmp + rename) and
+// makes the rename durable, then lets the WAL drop segments wholly covered
+// by the snapshot. A failure is not retried: the snapshot tick is the retry
+// clock. The watermark is read BEFORE the monitor state so the state can
+// only be newer — see store.Snapshot.WALApplied. The file is streamed
+// (store.WriteSnapshot): the document is never in memory, and its epochs
+// are the read plane's parts.
+func (s *Server) PersistSnapshot() error {
 	if s.opts.SnapshotPath == "" {
 		return nil
 	}
@@ -331,7 +321,10 @@ func (s *Server) writeSnapshot() error {
 		Swaps:        hist,
 	}
 	var size int64
-	err = store.WriteAtomic(s.opts.SnapshotPath, false, func(w io.Writer) (err error) {
+	// The directory fsync is what makes the rename durable; without it a
+	// power loss could bring back the older snapshot after the truncation
+	// below has unlinked the segments between the two watermarks.
+	err = store.WriteAtomic(s.opts.SnapshotPath, true, func(w io.Writer) (err error) {
 		size, err = store.WriteSnapshot(w, &snap, capt.EpochParts)
 		return err
 	})
@@ -349,13 +342,6 @@ func (s *Server) writeSnapshot() error {
 		}
 	}
 	return nil
-}
-
-// PersistSnapshot is writeSnapshot with decorrelated-jitter retries; a
-// transient filesystem error should not cost a snapshot interval.
-func (s *Server) PersistSnapshot(ctx context.Context) error {
-	b := retry.New(50*time.Millisecond, time.Second, 0x5a9b)
-	return retry.Do(ctx, b, 3, s.sleep, s.writeSnapshot)
 }
 
 // QueueDepth is the current ingest queue occupancy, in reports.
@@ -425,7 +411,7 @@ func (s *Server) Run(ctx context.Context) error {
 				case <-loopCtx.Done():
 					return
 				case <-ticker.C:
-					if err := s.PersistSnapshot(loopCtx); err != nil {
+					if err := s.PersistSnapshot(); err != nil {
 						fmt.Fprintln(os.Stderr, "vn2 serve: snapshot:", err)
 					}
 				}
@@ -476,7 +462,7 @@ func (s *Server) Run(ctx context.Context) error {
 	s.StopStream(true)
 	stopLoops()
 	s.DrainTick()
-	if err := s.PersistSnapshot(context.Background()); err != nil {
+	if err := s.PersistSnapshot(); err != nil {
 		fmt.Fprintln(os.Stderr, "vn2 serve: final snapshot:", err)
 	}
 	if err := s.CloseWAL(); err != nil {

@@ -68,7 +68,7 @@ type Options struct {
 	QueueSize     int
 	MaxPending    int
 	Workers       int
-	DrainEvery    time.Duration // idle upper bound of the diagnosis pass; clock of the lifecycle/degraded probes
+	DrainEvery    time.Duration // idle upper bound of the diagnosis pass; clock of the lifecycle and of a drain failure's recovery
 	SnapshotEvery time.Duration
 
 	// Lifecycle is the model lifecycle, inert unless Lifecycle.Enabled; its
@@ -84,9 +84,6 @@ type Options struct {
 	StreamAddr        string
 	StreamMaxConns    int           // connection cap (0 = 64)
 	StreamReadTimeout time.Duration // per-frame read deadline (0 = 30s)
-
-	// Sleep is the retry sleeper; nil = time.Sleep (tests inject a no-op).
-	Sleep func(time.Duration)
 }
 
 // The values New gives a zero or negative QueueSize, DrainEvery and
@@ -255,7 +252,6 @@ func New(o Options) (*Server, error) {
 		queue:   bus.NewQueue[ingest.Item](o.QueueSize),
 		wake:    make(chan struct{}, 1),
 		started: time.Now(),
-		sleep:   o.Sleep,
 		binDec:  ingest.NewBinaryDecoder(),
 	}
 	s.bus = bus.New(0)
@@ -279,7 +275,7 @@ func New(o Options) (*Server, error) {
 	// absorbed by the monitor's duplicate/stale handling, so recovery errs
 	// on the side of replaying too much.
 	if o.WALPath != "" {
-		j, err := store.OpenJournal(o.WALPath, o.Sleep)
+		j, err := store.OpenJournal(o.WALPath, nil)
 		if err != nil {
 			return nil, fmt.Errorf("open wal: %w", err)
 		}

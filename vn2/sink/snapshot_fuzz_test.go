@@ -22,7 +22,7 @@ import (
 func FuzzReadSnapshot(f *testing.F) {
 	srv := viewSink(f, f.TempDir())
 	feed(f, srv, serveFixtures(f).rampBatches(f, 6*40, 40), 1)
-	if err := srv.writeSnapshot(); err != nil {
+	if err := srv.PersistSnapshot(); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(srv.opts.SnapshotPath)

@@ -18,10 +18,11 @@ func WriteFileAtomic(path string, data []byte, syncDir bool) error {
 // the path pointing at a file whose content didn't make it to disk: fill
 // writes the content to the temporary file, and if it fails the path keeps
 // what it had. With syncDir the containing directory is fsynced too, making
-// the rename itself durable — required when a WAL record is about to
-// reference the file by name (lifecycle model/detector generations); the
-// periodic snapshot skips it because a lost rename there just replays a
-// little more WAL.
+// the rename itself durable — required whenever something durable is about
+// to depend on the new file: a WAL record naming it (lifecycle model and
+// detector generations), or the WAL truncation a snapshot licenses, after
+// which a lost rename would bring back an older snapshot with the segments
+// between the two watermarks gone.
 func WriteAtomic(path string, syncDir bool, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")

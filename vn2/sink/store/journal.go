@@ -1,19 +1,17 @@
 // Package store is the sink's durability layer: the report journal (a thin
-// policy wrapper over internal/wal adding retries, typed swap records and
-// error accounting), the snapshot file format, and the atomic-file
-// primitives the lifecycle uses for persisted model generations. Nothing here knows about HTTP, the event bus, or the
-// monitor — callers hand in bytes and records and get LSNs back.
+// wrapper over internal/wal adding typed records and error accounting), the
+// snapshot file format, and the atomic-file primitives the lifecycle uses
+// for persisted model generations. Nothing here knows about HTTP, the event
+// bus, or the monitor — callers hand in bytes and records and get LSNs back.
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/internal/wal"
 )
@@ -29,24 +27,22 @@ const (
 	KindHandoff = wal.KindHandoff
 )
 
-// Journal wraps the write-ahead log with the sink's append/sync policy:
-// decorrelated-jitter retries for transient report-path failures, none for
-// a control record (AppendControl), and a single error counter feeding the
-// wal_errors metric.
+// Journal wraps the write-ahead log with typed records and the wal_errors
+// counter. It retries nothing: the WAL fails stop, and after its first
+// failure every call returns wal.ErrPoisoned until a restart reopens it.
 type Journal struct {
-	w     *wal.WAL
-	sleep func(time.Duration) // retry sleeper; nil = time.Sleep (tests inject)
-	errs  atomic.Uint64
+	w    *wal.WAL
+	errs atomic.Uint64
 }
 
-// OpenJournal opens (or creates) the WAL directory. sleep is the retry
-// sleeper; nil means time.Sleep.
+// OpenJournal opens (or creates) the WAL directory. sleep is ignored: it
+// was the retry sleeper, and the frozen benchmark harness still passes nil.
 func OpenJournal(dir string, sleep func(time.Duration)) (*Journal, error) {
 	w, err := wal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{w: w, sleep: sleep}, nil
+	return &Journal{w: w}, nil
 }
 
 // AppendRecord journals one report as a one-record batch. Nothing in the
@@ -65,46 +61,22 @@ func (j *Journal) AppendRecord(rec trace.Record) (uint64, error) {
 	return j.AppendBatch(frame)
 }
 
-// AppendBatch journals one report batch as a single WAL record, retrying
-// transient failures (a segment rotation hiding behind Append gets the same
-// retries) with decorrelated-jitter backoff. The frame must contain only
-// fully-materialized records — replay after a snapshot truncation has no
-// delta history. The batch is durable only after a later Sync.
+// AppendBatch journals one report batch as a single WAL record. The frame
+// must contain only fully-materialized records — replay after a snapshot
+// truncation has no delta history. The batch is durable only after a later
+// Sync.
 func (j *Journal) AppendBatch(frame []byte) (uint64, error) {
-	payload := wal.Encode(wal.KindBatch, frame)
-	var lsn uint64
-	b := retry.New(10*time.Millisecond, 250*time.Millisecond, 0x77a3)
-	err := retry.Do(context.Background(), b, 3, j.sleep, func() error {
-		l, err := j.w.Append(payload)
-		if err != nil {
-			return err
-		}
-		lsn = l
-		return nil
-	})
-	if err != nil {
-		j.errs.Add(1)
-	}
-	return lsn, err
+	lsn, err := j.w.Append(wal.Encode(wal.KindBatch, frame))
+	return lsn, j.count(err)
 }
 
 // Sync group-commits everything appended so far. One fsync covers every
 // batch of the request (and any a concurrent request just appended).
-func (j *Journal) Sync() error {
-	b := retry.New(10*time.Millisecond, 250*time.Millisecond, 0x77a2)
-	err := retry.Do(context.Background(), b, 3, j.sleep, j.w.Sync)
-	if err != nil {
-		j.errs.Add(1)
-	}
-	return err
-}
+func (j *Journal) Sync() error { return j.count(j.w.Sync()) }
 
 // AppendControl journals one control record — a SwapRecord under
-// KindSwap, a HandoffRecord under KindHandoff — and fsyncs it immediately,
-// with NO retries: the caller holds the sink's commit mutex, and stalling
-// there would stall every report append behind it; a swap or handoff that
-// cannot be made durable is the caller's to surface, not to retry while the
-// generation or the ownership is ambiguous.
+// KindSwap, a HandoffRecord under KindHandoff — and fsyncs it immediately:
+// a swap or handoff that cannot be made durable is the caller's to surface.
 func (j *Journal) AppendControl(kind RecordKind, rec any) (uint64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -114,17 +86,11 @@ func (j *Journal) AppendControl(kind RecordKind, rec any) (uint64, error) {
 	if err == nil {
 		err = j.w.Sync()
 	}
-	if err != nil {
-		j.errs.Add(1)
+	if j.count(err) != nil {
 		return 0, fmt.Errorf("journal control record %q: %w", kind, err)
 	}
 	return lsn, nil
 }
-
-// Probe is a raw one-shot sync used as the degraded-mode recovery probe: a
-// success means the disk came back. It does not count toward wal_errors —
-// probing a known-bad journal would otherwise inflate the counter forever.
-func (j *Journal) Probe() error { return j.w.Sync() }
 
 // Replay walks every retained frame oldest-first, decoding the typed frame
 // header so the callback sees the kind and the inner payload.
@@ -136,8 +102,10 @@ func (j *Journal) Replay(fn func(lsn uint64, kind RecordKind, inner []byte) erro
 }
 
 // TruncateBefore drops segments wholly below lsn (snapshot-coordinated).
-func (j *Journal) TruncateBefore(lsn uint64) error {
-	err := j.w.TruncateBefore(lsn)
+func (j *Journal) TruncateBefore(lsn uint64) error { return j.count(j.w.TruncateBefore(lsn)) }
+
+// count adds a failed call to the wal_errors metric and passes its error on.
+func (j *Journal) count(err error) error {
 	if err != nil {
 		j.errs.Add(1)
 	}
@@ -154,7 +122,7 @@ func (j *Journal) NextLSN() uint64 { return j.w.NextLSN() }
 // Segments returns the retained segment count.
 func (j *Journal) Segments() int { return j.w.Segments() }
 
-// Truncations returns how many TruncateBefore calls dropped segments.
+// Truncations returns how many torn or corrupt tails recovery cut.
 func (j *Journal) Truncations() uint64 { return j.w.Truncations() }
 
 // Close flushes, fsyncs and closes the journal.

@@ -33,7 +33,6 @@ func streamServer(t *testing.T, fx fixtures, dir string, opt func(*Options)) (*S
 		SnapshotPath:      filepath.Join(dir, "snapshot.json"),
 		WALPath:           filepath.Join(dir, "wal"),
 		QueueSize:         256,
-		Sleep:             noSleep,
 		StreamReadTimeout: 500 * time.Millisecond,
 	}
 	if opt != nil {

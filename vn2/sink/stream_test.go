@@ -192,7 +192,6 @@ func TestStreamResume(t *testing.T) {
 		ModelPath:     fx.modelPath,
 		CalibratePath: fx.tracePath,
 		QueueSize:     256,
-		Sleep:         noSleep,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
