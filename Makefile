@@ -167,9 +167,11 @@ chaos-all:
 
 # smoke boots the real sink stack end to end: build fixtures, start the HTTP
 # server, post reports, and assert the diagnosis round-trip, backpressure,
-# and snapshot restore.
+# and snapshot restore — plus the drain loop's wakes and the rule under
+# them: a report is applied (and diagnosed) only once its WAL record is
+# durable.
 smoke:
-	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors' -count=1 -v
+	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability' -count=1 -v
 
 # smoke-stream is the visibility-plane smoke: a live /stream (SSE) client
 # sees events end to end, Last-Event-ID resume replays exactly the missed

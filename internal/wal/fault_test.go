@@ -15,6 +15,7 @@ type faultFile struct {
 	failSync bool  // the next Sync fails with EIO, later ones succeed
 	writeErr error // every Write fails with it, writing nothing
 	short    bool  // every Write writes one byte less than asked, with no error
+	syncs    int   // Sync calls that reached the file
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
@@ -31,6 +32,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 // marked clean, so the fsync after it returns success for data that may
 // never reach the disk. The real file is not synced on the failing call.
 func (f *faultFile) Sync() error {
+	f.syncs++
 	if f.failSync {
 		f.failSync = false
 		return syscall.EIO
@@ -49,7 +51,8 @@ func inject(w *WAL, f *faultFile) {
 // TestDiskFaultPoisons is the fail-stop rule: after the first failed write,
 // flush, fsync or segment create, every Append, Sync, TruncateBefore and
 // Close fails with ErrPoisoned, however healthy the disk looks afterwards,
-// and a reopen replays a prefix of the appends that ends at a whole record.
+// Durable still names the last record a successful fsync covered, and a
+// reopen replays a prefix of the appends that ends at a whole record.
 func TestDiskFaultPoisons(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -98,6 +101,9 @@ func TestDiskFaultPoisons(t *testing.T) {
 			if synced == nil {
 				t.Fatal("Sync after the fault returned nil: the log would ACK data the disk may have dropped")
 			}
+			if d := w.Durable(); d != 4 {
+				t.Fatalf("Durable %d after the fault, want 4: only the synced records are durable", d)
+			}
 			for _, err := range []error{faulted, synced} {
 				if !errors.Is(err, ErrPoisoned) || !errors.Is(err, tc.cause) {
 					t.Fatalf("%v: want ErrPoisoned wrapping %v", err, tc.cause)
@@ -124,6 +130,9 @@ func TestDiskFaultPoisons(t *testing.T) {
 				if p != want[i] {
 					t.Fatalf("reopen replayed %q: record %d is not %q", payloads, i, want[i])
 				}
+			}
+			if d := w2.Durable(); d != uint64(len(payloads)) {
+				t.Fatalf("Durable %d after reopen, want the tail %d", d, len(payloads))
 			}
 			if lsn, err := w2.Append([]byte("fresh")); err != nil || lsn != uint64(len(payloads))+1 {
 				t.Fatalf("append after reopen: lsn %d err %v, want lsn %d", lsn, err, len(payloads)+1)
@@ -152,5 +161,28 @@ func TestPoisonedLogAborts(t *testing.T) {
 	}
 	if _, err := w.Append(nil); err != ErrClosed {
 		t.Fatalf("append after Abort: %v, want ErrClosed", err)
+	}
+}
+
+// TestSyncCoversOnlyItsCall is group commit from the waiting side: a Sync
+// whose records an fsync covered while it waited returns without an fsync
+// of its own, even though more was appended meanwhile; that later record
+// stays undurable until a Sync called after it.
+func TestSyncCoversOnlyItsCall(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), segmentBytes)
+	defer w.Close()
+	f := &faultFile{}
+	inject(w, f)
+	appendN(t, w, 1, "first")
+	target := w.NextLSN() - 1 // what a Sync called now must cover
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 1, "later")
+	if err := w.syncTo(target); err != nil || f.syncs != 1 || w.Durable() != 1 {
+		t.Fatalf("covered sync: err %v, %d fsyncs, durable %d; want nil, 1, 1", err, f.syncs, w.Durable())
+	}
+	if err := w.Sync(); err != nil || f.syncs != 2 || w.Durable() != 2 {
+		t.Fatalf("sync after the later append: err %v, %d fsyncs, durable %d; want nil, 2, 2", err, f.syncs, w.Durable())
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the WAL.
@@ -95,10 +96,10 @@ type WAL struct {
 	segs     []segment // ascending by start; last is active
 	f        segFile   // active segment; nil after a failed rotation
 	bw       *bufio.Writer
-	next     uint64 // LSN of the next record appended
-	size     int64  // active segment bytes (file + buffered)
-	dirty    int    // appends since the last fsync
-	err      error  // sticky: ErrClosed, or the poison (wraps ErrPoisoned)
+	next     atomic.Uint64 // LSN of the next record appended; written under mu, read without it
+	size     int64         // active segment bytes (file + buffered)
+	err      error         // sticky: ErrClosed, or the poison (wraps ErrPoisoned)
+	durable  atomic.Uint64 // LSN the last fsync covered (at Open: the tail); read without mu
 
 	truncations uint64 // corrupt/torn tails cut during recovery
 }
@@ -117,13 +118,15 @@ func open(dir string, segBytes int64) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{dir: dir, segBytes: segBytes, next: 1}
+	w := &WAL{dir: dir, segBytes: segBytes}
+	w.next.Store(1)
 	if err := w.scan(); err != nil {
 		return nil, err
 	}
 	if err := w.openActive(); err != nil {
 		return nil, err
 	}
+	w.durable.Store(w.next.Load() - 1)
 	return w, nil
 }
 
@@ -179,14 +182,14 @@ func (w *WAL) scan() error {
 			} else {
 				w.segs = append(w.segs, seg)
 			}
-			w.next = seg.start + seg.count
+			w.next.Store(seg.start + seg.count)
 			if err := syncDir(w.dir); err != nil {
 				return err
 			}
 			return nil
 		}
 		w.segs = append(w.segs, seg)
-		w.next = seg.start + seg.count
+		w.next.Store(seg.start + seg.count)
 	}
 	return nil
 }
@@ -283,7 +286,7 @@ func (w *WAL) rotateLocked() error {
 			return w.fail("close segment", err)
 		}
 	}
-	path := segPath(w.dir, w.next)
+	path := segPath(w.dir, w.next.Load())
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return w.fail("create segment", err)
@@ -295,7 +298,7 @@ func (w *WAL) rotateLocked() error {
 	w.f = f
 	w.bw = bufio.NewWriter(f)
 	w.size = 0
-	w.segs = append(w.segs, segment{start: w.next, path: path})
+	w.segs = append(w.segs, segment{start: w.next.Load(), path: path})
 	return nil
 }
 
@@ -305,11 +308,11 @@ func (w *WAL) flushSyncLocked() error {
 	if err := w.bw.Flush(); err != nil {
 		return w.fail("flush", err)
 	}
-	if w.dirty > 0 {
+	if last := w.next.Load() - 1; w.durable.Load() < last {
 		if err := w.f.Sync(); err != nil {
 			return w.fail("fsync", err)
 		}
-		w.dirty = 0
+		w.durable.Store(last)
 	}
 	return nil
 }
@@ -341,19 +344,21 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if _, err := w.bw.Write(payload); err != nil {
 		return 0, w.fail("append", err)
 	}
-	lsn := w.next
-	w.next++
+	lsn := w.next.Add(1) - 1
 	w.segs[len(w.segs)-1].count++
 	w.size += frameHeader + int64(len(payload))
-	w.dirty++
 	return lsn, nil
 }
 
-// Sync makes every appended record durable (group commit).
-func (w *WAL) Sync() error {
+// Sync makes every record appended before the call durable (group commit).
+func (w *WAL) Sync() error { return w.syncTo(w.next.Load() - 1) }
+
+// syncTo makes the records up to lsn durable, with no fsync of its own when
+// one that ran while it waited for mu covered them.
+func (w *WAL) syncTo(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
+	if w.err != nil || w.durable.Load() >= lsn {
 		return w.err
 	}
 	return w.flushSyncLocked()
@@ -443,11 +448,11 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 }
 
 // NextLSN returns the LSN the next Append will get.
-func (w *WAL) NextLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
+func (w *WAL) NextLSN() uint64 { return w.next.Load() }
+
+// Durable returns the LSN the last successful fsync covered: every record
+// at or below it survives a crash. It never waits on an fsync in flight.
+func (w *WAL) Durable() uint64 { return w.durable.Load() }
 
 // Segments returns the retained segment count.
 func (w *WAL) Segments() int {

@@ -135,7 +135,8 @@ func TestTruncateBefore(t *testing.T) {
 }
 
 // TestUnsyncedAppendsLostOnAbort is the kill -9 contract: buffered,
-// unsynced appends vanish; synced ones survive.
+// unsynced appends vanish; synced ones survive, and they are exactly what
+// Durable named.
 func TestUnsyncedAppendsLostOnAbort(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, segmentBytes)
@@ -144,6 +145,9 @@ func TestUnsyncedAppendsLostOnAbort(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	appendN(t, w, 7, "volatile") // never synced
+	if d := w.Durable(); d != 5 {
+		t.Fatalf("Durable = %d with 7 appends unsynced, want 5", d)
+	}
 	if err := w.Abort(); err != nil {
 		t.Fatalf("Abort: %v", err)
 	}

@@ -287,3 +287,39 @@ func TestHandoffImportAdmission(t *testing.T) {
 	}
 	dropped("drained")
 }
+
+// TestDrainWokenByHandoffImport: a handoff import's pending states do not
+// wait for the tick when no report follows them — the import's barrier is an
+// item like any other, and the ingest loop wakes the drain loop after it.
+func TestDrainWokenByHandoffImport(t *testing.T) {
+	fx := serveFixtures(t)
+	nodes := fx.nodes()[:5]
+	peer, err := New(Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath})
+	if err != nil {
+		t.Fatalf("New peer: %v", err)
+	}
+	var hot []trace.Record
+	var ids []packet.NodeID
+	for _, n := range nodes {
+		hot, ids = append(hot, fx.hotReport(t, n, 1)), append(ids, packet.NodeID(n))
+	}
+	if out := peer.commit(func() ([]trace.Record, error) { return hot, nil }); out.status != packet.StreamAck {
+		t.Fatalf("peer batch: %+v", out)
+	}
+	peer.IngestQueued()
+	slice := peer.mon.ExportNodes(ids)
+	if len(slice.Pending) != len(nodes) {
+		t.Fatalf("slice carries %d pending states, want %d", len(slice.Pending), len(nodes))
+	}
+
+	srv, base, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
+		WALPath: filepath.Join(t.TempDir(), "wal"), DrainEvery: time.Hour})
+	defer stop()
+	if resp, body := postJSON(t, base+"/handoff/import", slice); resp.StatusCode != http.StatusOK {
+		t.Fatalf("import: %d %s", resp.StatusCode, body)
+	}
+	waitFor(t, 5*time.Second, "a woken pass", func() bool { return srv.drainsWoken.Load() == 1 })
+	if st, k := srv.mon.Stats(), srv.drainsTicked.Load(); st.Diagnosed != uint64(len(nodes)) || srv.mon.Pending() != 0 || k != 0 {
+		t.Errorf("diagnosed %d, pending %d, drains_ticked %d, want %d, 0, 0", st.Diagnosed, srv.mon.Pending(), k, len(nodes))
+	}
+}

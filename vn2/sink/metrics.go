@@ -89,8 +89,10 @@ func (s *Server) metrics() map[string]any {
 	if s.jnl != nil {
 		m["wal_errors"] = s.jnl.Errs()
 		m["wal_segments"] = s.jnl.Segments()
-		m["wal_next_lsn"] = s.jnl.NextLSN()
+		// Read in this order, applied ≤ durable < next_lsn holds in the map.
 		m["wal_applied"] = s.applied.Load()
+		m["wal_durable"] = s.jnl.Durable()
+		m["wal_next_lsn"] = s.jnl.NextLSN()
 		m["wal_truncations"] = s.jnl.Truncations()
 		m["wal_replayed"] = s.walReplayed.Load()
 		m["wal_replay_skipped"] = s.walSkipped.Load()

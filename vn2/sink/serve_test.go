@@ -413,11 +413,11 @@ func TestDrainWokenByFlaggedState(t *testing.T) {
 	}
 }
 
-// TestDrainCoalesces: 1000 flagged states arriving 64 to a batch share a few
-// dozen DiagnoseBatch calls at most, not one each; drainBurst of them in one
+// TestDrainCoalesces: 1000 flagged states arriving 64 to a batch take at
+// most one pass per batch, not one per state; drainBurst of them in one
 // batch are diagnosed by the wake that finds them, whole; and a shutdown
-// that catches the loop with a wake or a window pending still diagnoses
-// every ACKed state. The tick is an hour away throughout.
+// that catches the loop with a wake pending still diagnoses every ACKed
+// state. The tick is an hour away throughout.
 func TestDrainCoalesces(t *testing.T) {
 	fx := serveFixtures(t)
 	srv, base, stop := runSink(t, Options{
@@ -444,7 +444,7 @@ func TestDrainCoalesces(t *testing.T) {
 		t.Errorf("%d states in %d batches took %d drains, want at most one per batch", posted, len(trickle), drains)
 	}
 
-	time.Sleep(5 * drainLinger) // let a window the last wake may have opened close
+	time.Sleep(20 * time.Millisecond) // let the pass that diagnosed the trickle count itself
 	var burst []trace.Record
 	for _, b := range rest[:drainBurst/64] {
 		burst = append(burst, b...)
@@ -489,7 +489,7 @@ func TestDrainFailureRetriedByTicksOnly(t *testing.T) {
 		}
 		waitFor(t, 5*time.Second, "the report's ingest", func() bool { return srv.mon.Pending() == i+1 })
 		waitFor(t, 5*time.Second, "the first wake's failed pass", func() bool { return srv.drainErrs.Load() >= 1 })
-		time.Sleep(3 * drainLinger) // a window, had this wake opened one, would close in here
+		time.Sleep(10 * time.Millisecond) // a pass, had this wake run one, would have failed in here
 	}
 	if errs, fails := srv.drainErrs.Load(), srv.drainFails.Load(); errs != 1 || fails != 0 || srv.deg.Active() {
 		t.Fatalf("after %d wakes: drain_errors=%d drain_fails_in_a_row=%d degraded=%v, want 1/0/false",

@@ -2,6 +2,7 @@ package sink
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -11,8 +12,11 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2"
 	"github.com/wsn-tools/vn2/vn2/online"
@@ -154,10 +158,10 @@ func TestServeWALRecoveryIdempotent(t *testing.T) {
 	}
 }
 
-// TestSnapshotNeverAheadOfWAL: the ingest loop can apply a batch before the
-// fsync of the request that committed it has returned, so a snapshot cut at
-// that moment captures a watermark the disk has not reached. The snapshot
-// writer must close that gap itself; otherwise the WAL reopened after a
+// TestSnapshotNeverAheadOfWAL: the ingest loop can reach a batch before the
+// fsync of the request that committed it has returned, and a snapshot cut
+// after it must not capture a watermark the disk has not reached — the
+// ingest loop syncs before it applies; otherwise the WAL reopened after a
 // crash hands the watermark's LSN out again, and after a second crash
 // replay skips the report that got it.
 func TestSnapshotNeverAheadOfWAL(t *testing.T) {
@@ -211,6 +215,138 @@ func TestSnapshotNeverAheadOfWAL(t *testing.T) {
 	defer srv3.CloseWAL()
 	if _, ok := monitorNodes(srv3.MonitorState())[late.Node]; !ok {
 		t.Fatalf("node %d's ACKed report vanished in the second recovery", late.Node)
+	}
+}
+
+// TestApplyWaitsForDurability: the monitor holds only durable reports. A
+// batch journaled and queued but not yet synced — where a committer stands
+// just before its fsync — is applied only after the ingest loop has joined
+// the group commit; a batch whose journal dies before any fsync covers it is
+// never applied: not counted, not in the monitor state, never diagnosed.
+func TestApplyWaitsForDurability(t *testing.T) {
+	fx := serveFixtures(t)
+	srv := walServer(t, fx, t.TempDir())
+	sub := srv.bus.Subscribe(64)
+	defer sub.Close()
+	node := fx.nodes()[0]
+	queueUnsynced := func(rec trace.Record) uint64 {
+		t.Helper()
+		frame, err := ingest.FullFrame(nil, []trace.Record{rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.commitMu.Lock()
+		defer srv.commitMu.Unlock()
+		lsn, err := srv.jnl.AppendBatch(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.enqueue(ingest.Item{LSN: lsn, Recs: []trace.Record{rec}})
+		return lsn
+	}
+
+	synced := fx.rampReport(t, node, 1)
+	lsn := queueUnsynced(synced)
+	if d := srv.jnl.Durable(); d >= lsn {
+		t.Fatalf("durable %d before any sync covers lsn %d", d, lsn)
+	}
+	ingestAll(srv)
+	if got := srv.mon.Stats().Flagged; got != 1 {
+		t.Fatalf("flagged %d after the first batch, want 1", got)
+	}
+	if d := srv.jnl.Durable(); d < lsn {
+		t.Fatalf("batch %d applied, yet the journal's durable LSN is %d", lsn, d)
+	}
+
+	lost := fx.rampReport(t, node, 2)
+	queueUnsynced(lost)
+	srv.AbortWAL() // the committer's fsync never happens
+	ingestAll(srv)
+	srv.DrainTick()
+	if got := srv.mon.Stats().Flagged; got != 1 {
+		t.Errorf("flagged %d after the aborted batch, want 1: it was applied", got)
+	}
+	if got := monitorNodes(srv.MonitorState())[packet.NodeID(node)]; got != synced.Epoch {
+		t.Errorf("node %d's monitor epoch %d, want %d: the aborted batch was applied", node, got, synced.Epoch)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	diagnosed := map[int]bool{}
+	for ev, ok := sub.Next(ctx); ok; ev, ok = sub.Next(ctx) {
+		if ev.Type == EvEpochDiagnosed {
+			var e epochDiagnosedEvent
+			if err := json.Unmarshal(ev.Data, &e); err != nil {
+				t.Fatal(err)
+			}
+			diagnosed[e.Epoch] = true
+		}
+	}
+	if !diagnosed[synced.Epoch] || diagnosed[lost.Epoch] {
+		t.Errorf("EpochDiagnosed epochs %v, want %d and not %d", diagnosed, synced.Epoch, lost.Epoch)
+	}
+}
+
+// TestServeDurableWatermark: under concurrent posters every /metrics read
+// has wal_applied ≤ wal_durable < wal_next_lsn — nothing is applied before
+// its fsync — and once the burst is ACKed and applied all three meet.
+func TestServeDurableWatermark(t *testing.T) {
+	fx := serveFixtures(t)
+	srv, base, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
+		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 1024, DrainEvery: time.Hour})
+	defer stop()
+	watermarks := func() (applied, durable, next uint64) {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m struct {
+			Applied uint64 `json:"wal_applied"`
+			Durable uint64 `json:"wal_durable"`
+			Next    uint64 `json:"wal_next_lsn"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Applied, m.Durable, m.Next
+	}
+	batches := fx.rampBatches(t, 4*16*8, 8)
+	var posters sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		posters.Add(1)
+		go func(mine [][]trace.Record) { // t.Error only: this is not the test's goroutine
+			defer posters.Done()
+			for _, b := range mine {
+				body, _ := json.Marshal(b)
+				resp, err := http.Post(base+"/report", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("batch: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Errorf("batch: %d", resp.StatusCode)
+				}
+			}
+		}(batches[p*16 : (p+1)*16])
+	}
+	done := make(chan struct{})
+	go func() { posters.Wait(); close(done) }()
+	for reads, busy := 0, true; busy; reads++ {
+		select {
+		case <-done:
+			busy = false
+		default:
+		}
+		if applied, durable, next := watermarks(); applied > durable || durable >= next {
+			t.Fatalf("read %d: wal_applied %d, wal_durable %d, wal_next_lsn %d", reads, applied, durable, next)
+		}
+	}
+	waitFor(t, 5*time.Second, "the burst to apply", func() bool { return srv.QueueDepth() == 0 })
+	if applied, durable, next := watermarks(); applied != durable || durable != next-1 || next != uint64(len(batches)+1) {
+		t.Errorf("at rest: wal_applied %v, wal_durable %v, wal_next_lsn %v, want %d, %d, %d",
+			applied, durable, next, len(batches), len(batches), len(batches)+1)
 	}
 }
 
@@ -530,8 +666,8 @@ const (
 		reports_ingested reports_received reports_refused_backlog reports_rejected
 		snapshot_bytes snapshot_errors snapshot_ms snapshots_written stream_conns
 		stream_conns_rejected stream_conns_total stream_frames stream_nacks wal_applied
-		wal_errors wal_next_lsn wal_replay_bad wal_replay_skipped wal_replayed
-		wal_segments wal_truncations`
+		wal_durable wal_errors wal_next_lsn wal_replay_bad wal_replay_skipped
+		wal_replayed wal_segments wal_truncations`
 	statusExtraKeys = `bin_bytes bin_cache_nodes bin_deltas bin_frames bin_fulls bin_records
 		bin_rejects lifecycle_enabled model_cooldown_ticks model_history model_probation
 		model_retraining started stream_dropped stream_encode_errors stream_journal_cap

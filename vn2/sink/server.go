@@ -26,11 +26,10 @@ const (
 	degradedDrain = "drain"
 )
 
-// Drain scheduling, see DESIGN.md: a flagged state wakes the drain loop, which
-// lingers drainLinger to batch what follows unless drainBurst states are
-// pending; drainFailLimit consecutive failed ticks degrade the server.
+// Drain scheduling, see DESIGN.md: pending states wake the drain loop once
+// the queue runs dry, or at drainBurst of them; drainFailLimit consecutive
+// failed ticks degrade the server.
 const (
-	drainLinger    = 4 * time.Millisecond
 	drainBurst     = 256
 	drainFailLimit = 5
 )
@@ -60,8 +59,8 @@ type Server struct {
 	// -queue, queue_depth and admission count) and backlog the pending
 	// states queued handoff imports carry; both are raised under commitMu
 	// and lowered by the ingest loop. applied is the LSN of the last item
-	// the ingest loop finished — with in-order apply, everything at or below
-	// it has been offered to the monitor.
+	// the ingest loop applied — in LSN order and only once durable, so it
+	// never passes the journal's Durable().
 	commitMu sync.Mutex
 	queue    *bus.Queue[ingest.Item] // grows with what it holds; room bounds it to -queue reports
 	wake     chan struct{}           // 1 slot, ingest loop → drain loop: "flagged states are pending"
@@ -171,23 +170,30 @@ func (s *Server) IngestQueued() {
 	}
 }
 
+// ingestOne applies one item once its WAL record is durable, so the monitor
+// holds only what a crash cannot take back: an item the disk has not yet
+// confirmed joins the group commit first, and one whose sync fails is dropped
+// unapplied — the WAL is poisoned and its committer NACKs it.
 func (s *Server) ingestOne(q ingest.Item) {
-	if q.Apply != nil {
-		q.Apply()
+	if q.LSN == 0 || q.LSN <= s.jnl.Durable() || s.jnl.Sync() == nil {
+		if q.Apply != nil {
+			q.Apply()
+		}
+		s.ingestRecs(q.Recs)
+		if q.LSN != 0 {
+			s.applied.Store(q.LSN)
+		}
 	}
-	s.ingestRecs(q.Recs)
 	// Lowered last: admission must never see a report or an imported state
 	// as neither queued nor pending.
 	s.depth.Add(-int64(q.Weight()))
 	s.backlog.Add(-int64(q.Pending))
-	if q.LSN != 0 {
-		s.applied.Store(q.LSN)
-	}
 }
 
 // ingestRecs offers one batch to the monitor, live or replayed, and returns
 // how many reports it took; the rest were stale, duplicate or invalid.
-// Flagged states left pending wake the drain loop.
+// Pending states wake the drain loop once nothing is queued behind them, or
+// at drainBurst of them.
 func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
 	for i := range recs {
 		if _, err := s.mon.Ingest(recs[i]); err != nil {
@@ -197,7 +203,7 @@ func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
 		}
 	}
 	s.ingested.Add(taken)
-	if s.mon.Pending() > 0 {
+	if p := s.mon.Pending(); p >= drainBurst || p > 0 && s.queue.Len() == 0 {
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -243,13 +249,12 @@ func (s *Server) DrainTick() {
 	}
 }
 
-// drainLoop schedules the passes: a wake opens a drainLinger window, or at
-// drainBurst pending states drains at once; the ticker is the idle bound.
+// drainLoop runs a pass on every wake; the ticker is the idle bound, the
+// lifecycle's clock and a failed woken pass's retry clock.
 func (s *Server) drainLoop(ctx context.Context) {
 	ticker := time.NewTicker(s.opts.DrainEvery)
 	defer ticker.Stop()
-	wake := s.wake              // nil while standing down after a failed woken pass
-	var window <-chan time.Time // nil while no window is open
+	wake := s.wake // nil while standing down after a failed woken pass
 	for {
 		select {
 		case <-ctx.Done():
@@ -258,13 +263,6 @@ func (s *Server) drainLoop(ctx context.Context) {
 			s.DrainTick()
 			wake = s.wake
 		case <-wake:
-			if s.mon.Pending() >= drainBurst {
-				window = time.After(0)
-			} else if window == nil {
-				window = time.After(drainLinger)
-			}
-		case <-window:
-			window = nil
 			if s.drainPass(&s.drainsWoken) != nil {
 				wake = nil // the tick is the retry clock
 			}
@@ -297,17 +295,6 @@ func (s *Server) PersistSnapshot() error {
 	if err != nil {
 		s.snapErrs.Add(1)
 		return err
-	}
-	// The ingest loop can apply a batch before the fsync of the request that
-	// committed it returns, so wm may be ahead of the WAL's durable tail.
-	// Make the tail catch up before the snapshot claims it: otherwise a crash
-	// lets the reopened WAL hand those LSNs out again, and replay after a
-	// second crash skips the reports that got them as "covered".
-	if s.jnl != nil {
-		if err := s.jnl.Sync(); err != nil {
-			s.snapErrs.Add(1)
-			return fmt.Errorf("sync wal ahead of snapshot: %w", err)
-		}
 	}
 	snap := store.Snapshot{
 		Version:      store.SnapshotVersion,

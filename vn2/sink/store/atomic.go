@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 )
 
+// WriteAtomic's fsync and rename: the os package's, or a test's fault seam.
+var fsync, rename = (*os.File).Sync, os.Rename
+
 // WriteFileAtomic writes data to path by WriteAtomic.
 func WriteFileAtomic(path string, data []byte, syncDir bool) error {
 	return WriteAtomic(path, syncDir, func(w io.Writer) error {
@@ -30,13 +33,13 @@ func WriteAtomic(path string, syncDir bool, fill func(io.Writer) error) error {
 		return err
 	}
 	if err = fill(tmp); err == nil {
-		err = tmp.Sync()
+		err = fsync(tmp)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = rename(tmp.Name(), path)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
@@ -50,5 +53,5 @@ func WriteAtomic(path string, syncDir bool, fill func(io.Writer) error) error {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return fsync(d)
 }

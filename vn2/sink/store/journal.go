@@ -119,6 +119,9 @@ func (j *Journal) Errs() uint64 { return j.errs.Load() }
 // NextLSN returns the LSN the next append will get.
 func (j *Journal) NextLSN() uint64 { return j.w.NextLSN() }
 
+// Durable returns the LSN the last successful fsync covered.
+func (j *Journal) Durable() uint64 { return j.w.Durable() }
+
 // Segments returns the retained segment count.
 func (j *Journal) Segments() int { return j.w.Segments() }
 
