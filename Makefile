@@ -169,9 +169,12 @@ chaos-all:
 # server, post reports, and assert the diagnosis round-trip, backpressure,
 # and snapshot restore — plus the drain loop's wakes and the rule under
 # them: a report is applied (and diagnosed) only once its WAL record is
-# durable.
+# durable — and the monitor's split under that rule: a batch staged (its
+# states solved) before the fsync and applied after gives what Ingest gives,
+# in any call order, and a swap before the drain still decides the model.
 smoke:
 	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability' -count=1 -v
+	$(GO) test ./vn2/online -run 'TestDrainGroupingIndependent|TestSwapBetweenStageAndDrain|TestStagedInAnyOrder' -count=1 -v
 
 # smoke-stream is the visibility-plane smoke: a live /stream (SSE) client
 # sees events end to end, Last-Event-ID resume replays exactly the missed

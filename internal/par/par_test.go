@@ -101,7 +101,7 @@ func hitsOnce(t *testing.T, ctx string, hits []int32) {
 	}
 }
 
-func TestForCoversAllIndices(t *testing.T) {
+func TestRunCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 4, -1, 64} {
 		const n = 97
 		hits := make([]int32, n)
@@ -122,7 +122,7 @@ func TestForZeroLength(t *testing.T) {
 	}
 }
 
-func TestForDeterministicDisjointWrites(t *testing.T) {
+func TestRunDeterministicDisjointWrites(t *testing.T) {
 	const n = 1000
 	ref := make([]float64, n)
 	for i := range ref {
@@ -149,7 +149,7 @@ func TestForErrNil(t *testing.T) {
 	}
 }
 
-func TestForErrReturnsLowestChunkError(t *testing.T) {
+func TestRunErrReturnsLowestChunkError(t *testing.T) {
 	// Every chunk fails; the reported error must come from the chunk owning
 	// the lowest rows, for any worker count.
 	for _, workers := range []int{1, 2, 3, 4, 8} {

@@ -164,10 +164,11 @@ func TestPoisonedLogAborts(t *testing.T) {
 	}
 }
 
-// TestSyncCoversOnlyItsCall is group commit from the waiting side: a Sync
-// whose records an fsync covered while it waited returns without an fsync
-// of its own, even though more was appended meanwhile; that later record
-// stays undurable until a Sync called after it.
+// TestSyncCoversOnlyItsCall is group commit from the waiting side: a
+// SyncTo whose record an fsync covered — the sink's ingest loop waiting for
+// one batch — returns without an fsync of its own, even though more was
+// appended meanwhile; that later record stays undurable until a Sync called
+// after it.
 func TestSyncCoversOnlyItsCall(t *testing.T) {
 	w := mustOpen(t, t.TempDir(), segmentBytes)
 	defer w.Close()
@@ -179,7 +180,7 @@ func TestSyncCoversOnlyItsCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 1, "later")
-	if err := w.syncTo(target); err != nil || f.syncs != 1 || w.Durable() != 1 {
+	if err := w.SyncTo(target); err != nil || f.syncs != 1 || w.Durable() != 1 {
 		t.Fatalf("covered sync: err %v, %d fsyncs, durable %d; want nil, 1, 1", err, f.syncs, w.Durable())
 	}
 	if err := w.Sync(); err != nil || f.syncs != 2 || w.Durable() != 2 {

@@ -351,11 +351,12 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 }
 
 // Sync makes every record appended before the call durable (group commit).
-func (w *WAL) Sync() error { return w.syncTo(w.next.Load() - 1) }
+func (w *WAL) Sync() error { return w.SyncTo(w.next.Load() - 1) }
 
-// syncTo makes the records up to lsn durable, with no fsync of its own when
-// one that ran while it waited for mu covered them.
-func (w *WAL) syncTo(lsn uint64) error {
+// SyncTo makes the records up to lsn durable, with no fsync of its own when
+// one that ran while it waited for mu covered them: a caller that needs one
+// record waits for no later append.
+func (w *WAL) SyncTo(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil || w.durable.Load() >= lsn {

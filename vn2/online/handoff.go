@@ -54,6 +54,7 @@ func (m *Monitor) DropNodes(nodes []packet.NodeID) {
 	for id := range drop {
 		delete(m.last, id)
 	}
+	m.gen++
 	kept := m.pending[:0]
 	for _, p := range m.pending {
 		if !drop[p.state.Node] {

@@ -6,10 +6,12 @@
 // coming up" loop of the paper, without re-running batch detection over a
 // growing window.
 //
-// The split between Ingest (cheap, per report) and Drain (batched NNLS over
-// everything flagged since the last drain) is what makes the monitor
-// servable: a sink can ingest at line rate and amortize the solver over
-// periodic drains.
+// Ingest is two steps. Stage classifies a batch and solves its flagged
+// states without changing what a reader sees; Apply makes it visible under
+// one lock. Drain then folds the backlog into the per-epoch distributions,
+// solving only what Stage did not. A sink stages a batch while its WAL
+// record is being fsynced and applies it once durable, so the solver's
+// time overlaps the disk's.
 package online
 
 import (
@@ -19,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/wsn-tools/vn2/internal/packet"
 	"github.com/wsn-tools/vn2/internal/trace"
@@ -244,10 +247,19 @@ type lastReport struct {
 	vector []float64
 }
 
+// pendingState is a flagged state in the backlog, with the diagnosis and
+// drift sample solved for it under model generation version, if any. The
+// cache is never exported: a restored or imported state has none.
 type pendingState struct {
-	state trace.StateVector
-	score float64
+	state   trace.StateVector
+	score   float64
+	diag    *vn2.Diagnosis
+	sample  resSample
+	version uint64
 }
+
+// solved reports whether the state's cached diagnosis is under version.
+func (p pendingState) solved(version uint64) bool { return p.diag != nil && p.version == version }
 
 // epochAcc keeps one epoch's diagnosed contributions per node rather than a
 // pre-summed distribution. Summing happens at read time by SumEpoch, so the
@@ -276,9 +288,10 @@ type resSample struct {
 }
 
 // Monitor is the streaming sink service core. All methods are safe for
-// concurrent use; Ingest stays O(M) per report and Drain batches the
-// expensive NNLS solves. The model is mutable via SwapModel — every read of
-// it goes through mu; the detector is fixed at construction.
+// concurrent use; Stage does the per-report work and the NNLS solves outside
+// mu, and Apply and Drain's merge are bookkeeping under it. The model is
+// mutable via SwapModel — every read of it goes through mu; the detector is
+// fixed at construction.
 type Monitor struct {
 	cfg Config
 
@@ -287,6 +300,8 @@ type Monitor struct {
 	det       *trace.Detector
 	version   uint64
 	last      map[packet.NodeID]lastReport
+	batchLast map[packet.NodeID]lastReport // deriveLocked's scratch: the batch's own stored reports
+	gen       uint64                       // bumped by every write to last: a Staged older than it is re-classified
 	pending   []pendingState
 	epochs    map[int]*epochAcc
 	recent    []Flagged
@@ -295,6 +310,9 @@ type Monitor struct {
 	quar      []trace.StateVector
 	stats     Stats
 	rendered  uint64 // epoch parts rendered, cumulative (EpochsRendered)
+
+	// Flagged states diagnosed by Stage and by Drain, cumulative (Solves).
+	staged, drained atomic.Uint64
 
 	// drainMu serializes drains so two concurrent Drain calls cannot
 	// interleave their merges (ingest keeps flowing meanwhile: the solve
@@ -316,12 +334,13 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 			ErrBadConfig, c.Detector.Metrics(), c.Model.Metrics())
 	}
 	return &Monitor{
-		cfg:     c,
-		model:   c.Model,
-		det:     c.Detector,
-		version: c.ModelVersion,
-		last:    make(map[packet.NodeID]lastReport),
-		epochs:  make(map[int]*epochAcc),
+		cfg:       c,
+		model:     c.Model,
+		det:       c.Detector,
+		version:   c.ModelVersion,
+		last:      make(map[packet.NodeID]lastReport),
+		batchLast: make(map[packet.NodeID]lastReport),
+		epochs:    make(map[int]*epochAcc),
 	}, nil
 }
 
@@ -356,89 +375,198 @@ func (m *Monitor) storeLast(rec trace.Record) {
 	copy(lr.vector, rec.Vector)
 	lr.epoch = rec.Epoch
 	m.last[rec.Node] = lr
-	if rec.Epoch > m.stats.LastEpoch {
-		m.stats.LastEpoch = rec.Epoch
-	}
+	m.gen++
+	m.stats.LastEpoch = max(m.stats.LastEpoch, rec.Epoch)
 }
 
 // Ingest feeds one sink report through the online pipeline: diff against
 // the node's previous report, score with the frozen detector, and queue the
 // state for diagnosis when it is exceptional. The returned Observation
 // reports what happened even when an error (stale report, full backlog) is
-// returned alongside it.
+// returned alongside it. It is Stage and Apply of a batch of one.
 func (m *Monitor) Ingest(rec trace.Record) (Observation, error) {
-	obs := Observation{Node: rec.Node, Epoch: rec.Epoch}
+	st := m.Stage([]trace.Record{rec})
+	m.Apply(st)
+	return st.out[0].obs, st.out[0].err
+}
+
+// Staged is a batch of reports classified and its flagged states solved, as
+// Stage found the monitor, with nothing visible yet; Apply makes it so, once.
+type Staged struct {
+	recs         []trace.Record
+	gen, version uint64 // the monitor's at Stage: Apply classifies again if either moved
+	out          []verdict
+	flagged      []pendingState // the flagged records' states, in order
+}
+
+// verdict is one record's outcome, the Stats counter it moves, and the
+// state derived from it, if any.
+type verdict struct {
+	obs   Observation
+	err   error
+	count *uint64
+	delta []float64
+}
+
+// Stage classifies recs as Ingest would, in order, and diagnoses their
+// flagged states. Under mu it only derives the states — each record's
+// difference against its node's last report, which costs what copying the
+// report would; the scores and the solves run outside it. A sink stages a
+// batch during its fsync, leaving Apply's bookkeeping.
+func (m *Monitor) Stage(recs []trace.Record) *Staged {
+	st := &Staged{recs: recs}
+	m.mu.Lock()
+	model := m.model
+	m.deriveLocked(st)
+	m.mu.Unlock()
+	m.score(st, model)
+	// A failed solve caches nothing: the drain solves again and reports it.
+	if n, err := m.diagnose(st.flagged, model, st.version); err == nil {
+		m.staged.Add(uint64(n))
+	}
+	return st
+}
+
+// deriveLocked is the part of classifying st that reads the nodes' last
+// reports: each record's invalid, duplicate, stale or first verdict, or its
+// gap and its difference against its base — the node's last report, or its
+// own earlier one in the batch. Caller holds mu.
+func (m *Monitor) deriveLocked(st *Staged) {
+	st.gen, st.version = m.gen, m.version
+	st.out, st.flagged = make([]verdict, len(st.recs)), nil
+	metrics := m.det.Metrics()
+	for i, rec := range st.recs {
+		v := &st.out[i]
+		v.obs, v.count = Observation{Node: rec.Node, Epoch: rec.Epoch}, &m.stats.Invalid
+		lr, ok := m.batchLast[rec.Node]
+		if !ok {
+			lr, ok = m.last[rec.Node]
+		}
+		switch k := firstNonFinite(rec.Vector); {
+		case len(rec.Vector) != metrics:
+			v.err = fmt.Errorf("%w: got %d metrics, want %d", trace.ErrVectorLength, len(rec.Vector), metrics)
+			continue
+		case k >= 0:
+			v.err = fmt.Errorf("%w: node %d epoch %d metric %d", ErrNonFinite, rec.Node, rec.Epoch, k)
+			continue
+		case ok && rec.Epoch == lr.epoch && slices.Equal(rec.Vector, lr.vector):
+			// An exact retransmission is absorbed, not diffed into a zero state.
+			v.count, v.obs.Duplicate = &m.stats.Duplicates, true
+			continue
+		case ok && rec.Epoch <= lr.epoch:
+			v.count, v.err = &m.stats.Stale, fmt.Errorf("%w: node %d epoch %d ≤ %d", ErrStaleReport, rec.Node, rec.Epoch, lr.epoch)
+			continue
+		}
+		m.batchLast[rec.Node] = lastReport{epoch: rec.Epoch, vector: rec.Vector}
+		if !ok {
+			v.count, v.obs.First = &m.stats.FirstReports, true
+			continue
+		}
+		v.obs.Gap, v.delta = rec.Epoch-lr.epoch, make([]float64, metrics)
+		for k, x := range rec.Vector {
+			v.delta[k] = x - lr.vector[k]
+		}
+	}
+	clear(m.batchLast)
+}
+
+// score screens st's derived states with the detector and queues the
+// exceptional ones as st.flagged. It reads no monitor state but the fixed
+// detector, so it runs outside mu; model is the one st was derived under.
+func (m *Monitor) score(st *Staged, model *vn2.Model) {
+	n := 0
+	for i := range st.out {
+		v, rec := &st.out[i], st.recs[i]
+		if v.delta == nil {
+			continue
+		}
+		flagged, score, err := m.det.Exceptional(v.delta)
+		switch {
+		case err != nil: // unreachable: the length was checked
+			v.err = err
+		case !flagged:
+			v.count, v.obs.Score = &m.stats.Normal, score
+		case overflows(model, v.delta):
+			v.obs.Score, v.err = score, fmt.Errorf("%w: node %d epoch %d: the state's normalized norm overflows", ErrNonFinite, rec.Node, rec.Epoch)
+		default:
+			v.count, v.obs.Score, v.obs.Flagged = &m.stats.Flagged, score, true
+			n++
+		}
+	}
+	st.flagged = make([]pendingState, 0, n)
+	for i, v := range st.out {
+		if rec := st.recs[i]; v.obs.Flagged {
+			state := trace.StateVector{Node: rec.Node, Epoch: rec.Epoch, Gap: v.obs.Gap, Delta: v.delta}
+			st.flagged = append(st.flagged, pendingState{state: state, score: v.obs.Score})
+		}
+	}
+}
+
+// Apply makes a staged batch visible under one acquisition of mu. If a last
+// report was stored or the model swapped since Stage, it classifies the
+// batch again first, solving nothing under mu: the drain solves those
+// states. It returns how many reports the monitor took cleanly and the
+// backlog length after.
+func (m *Monitor) Apply(st *Staged) (taken, pending int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.Reports++
-	if len(rec.Vector) != m.det.Metrics() {
-		m.stats.Invalid++
-		return obs, fmt.Errorf("%w: got %d metrics, want %d", trace.ErrVectorLength, len(rec.Vector), m.det.Metrics())
+	if st.gen != m.gen || st.version != m.version {
+		m.deriveLocked(st)
+		m.score(st, m.model)
 	}
-	if k := firstNonFinite(rec.Vector); k >= 0 {
-		m.stats.Invalid++
-		return obs, fmt.Errorf("%w: node %d epoch %d metric %d", ErrNonFinite, rec.Node, rec.Epoch, k)
+	flagged := st.flagged
+	m.pending = slices.Grow(m.pending, len(flagged))
+	for i := range st.out {
+		v := &st.out[i]
+		m.stats.Reports++
+		*v.count++
+		if v.obs.First || v.obs.Gap > 0 {
+			m.storeLast(st.recs[i])
+		}
+		if v.obs.Gap > 1 {
+			m.stats.GapReports++
+		}
+		m.stats.MaxGap = max(m.stats.MaxGap, v.obs.Gap)
+		if v.obs.Flagged {
+			if len(m.pending) < m.cfg.MaxPending {
+				m.pending = append(m.pending, flagged[0])
+			} else {
+				m.stats.Dropped++
+				v.err = fmt.Errorf("%w: %d states pending", ErrBacklog, len(m.pending))
+			}
+			flagged = flagged[1:]
+		}
+		if v.err == nil {
+			taken++
+		}
 	}
-	lr, ok := m.last[rec.Node]
-	if ok && rec.Epoch == lr.epoch && equalVectors(rec.Vector, lr.vector) {
-		// Exact retransmission: absorb it instead of first-differencing it
-		// into a spurious zero state or bouncing it back as an error.
-		m.stats.Duplicates++
-		obs.Duplicate = true
-		return obs, nil
-	}
-	if ok && rec.Epoch <= lr.epoch {
-		m.stats.Stale++
-		return obs, fmt.Errorf("%w: node %d epoch %d ≤ %d", ErrStaleReport, rec.Node, rec.Epoch, lr.epoch)
-	}
-	if !ok {
-		m.storeLast(rec)
-		m.stats.FirstReports++
-		obs.First = true
-		return obs, nil
-	}
+	return taken, len(m.pending)
+}
 
-	gap := rec.Epoch - lr.epoch
-	delta := make([]float64, len(rec.Vector))
-	for k, v := range rec.Vector {
-		delta[k] = v - lr.vector[k]
+// diagnose solves, in one batch under model, every state of ps without a
+// diagnosis under version, and returns how many it solved.
+func (m *Monitor) diagnose(ps []pendingState, model *vn2.Model, version uint64) (int, error) {
+	var states []trace.StateVector
+	for _, p := range ps {
+		if !p.solved(version) {
+			states = append(states, p.state)
+		}
 	}
-	m.storeLast(rec)
-	obs.Gap = gap
-	if gap > 1 {
-		m.stats.GapReports++
+	if len(states) == 0 {
+		return 0, nil
 	}
-	if gap > m.stats.MaxGap {
-		m.stats.MaxGap = gap
-	}
-
-	flagged, score, err := m.det.Exceptional(delta)
+	diags, err := model.DiagnoseBatch(states, vn2.DiagnoseConfig{Workers: m.cfg.Workers})
 	if err != nil {
-		// Length was validated above; this is unreachable, but keep the
-		// accounting honest if the detector ever grows new failure modes.
-		m.stats.Invalid++
-		return obs, err
+		return 0, err
 	}
-	obs.Score = score
-	if !flagged {
-		m.stats.Normal++
-		return obs, nil
+	k := 0
+	for i, p := range ps {
+		if !p.solved(version) {
+			ps[i].diag, ps[i].sample, ps[i].version = diags[k], sample(model, p.state.Delta, diags[k]), version
+			k++
+		}
 	}
-	if overflows(m.model, delta) {
-		m.stats.Invalid++
-		return obs, fmt.Errorf("%w: node %d epoch %d: the state's normalized norm overflows", ErrNonFinite, rec.Node, rec.Epoch)
-	}
-	obs.Flagged = true
-	m.stats.Flagged++
-	if len(m.pending) >= m.cfg.MaxPending {
-		m.stats.Dropped++
-		return obs, fmt.Errorf("%w: %d states pending", ErrBacklog, len(m.pending))
-	}
-	m.pending = append(m.pending, pendingState{
-		state: trace.StateVector{Node: rec.Node, Epoch: rec.Epoch, Gap: gap, Delta: delta},
-		score: score,
-	})
-	return obs, nil
+	return k, nil
 }
 
 // Drain diagnoses everything flagged since the last drain — one exact NNLS
@@ -459,11 +587,9 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 		return nil, nil
 	}
 
-	states := make([]trace.StateVector, len(pend))
-	for i, p := range pend {
-		states[i] = p.state
-	}
-	diags, err := model.DiagnoseBatch(states, vn2.DiagnoseConfig{Workers: m.cfg.Workers})
+	// Stage solved most states already; what it did not, or solved under
+	// another model generation, is solved here under the drain's.
+	n, err := m.diagnose(pend, model, version)
 	if err != nil {
 		// Put the batch back so nothing is lost; newer flagged states queued
 		// during the solve stay behind it in order.
@@ -472,12 +598,10 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("drain: %w", err)
 	}
-
+	m.drained.Add(uint64(n))
 	out := make([]Flagged, len(pend))
-	samples := make([]resSample, len(pend))
 	for i, p := range pend {
-		out[i] = Flagged{State: p.state, Score: p.score, Diagnosis: diags[i]}
-		samples[i] = m.classify(model, p.state.Delta, diags[i])
+		out[i] = Flagged{State: p.state, Score: p.score, Diagnosis: p.diag}
 	}
 
 	m.mu.Lock()
@@ -506,9 +630,9 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 	// would poison its baseline, so they are dropped. Epoch distributions
 	// and the recent ring merge regardless: they record what was served.
 	if m.version == version {
-		for i, sm := range samples {
-			m.residuals = append(m.residuals, sm)
-			if !sm.unattributed {
+		for i, p := range pend {
+			m.residuals = append(m.residuals, p.sample)
+			if !p.sample.unattributed {
 				continue
 			}
 			m.stats.Unattributed++
@@ -551,10 +675,10 @@ func RelResidual(model *vn2.Model, delta []float64, residual float64) float64 {
 	return min(residual/norm, 1)
 }
 
-// classify turns one diagnosis into its drift-window sample: the relative
+// sample turns one diagnosis into its drift-window sample: the relative
 // residual and whether the state counts as unattributed (residual past the
 // threshold, or an empty diagnosis of a state the detector flagged).
-func (m *Monitor) classify(model *vn2.Model, delta []float64, d *vn2.Diagnosis) resSample {
+func sample(model *vn2.Model, delta []float64, d *vn2.Diagnosis) resSample {
 	rel := RelResidual(model, delta, d.Residual)
 	return resSample{rel: rel, unattributed: rel >= ResidualThreshold || len(d.Ranked) == 0}
 }
@@ -635,20 +759,6 @@ func firstNonFinite(v []float64) int {
 	return -1
 }
 
-// equalVectors reports bit-exact equality (NaNs never reach here; records
-// are sanitized first).
-func equalVectors(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // EpochCauses returns the rolling cause distribution of one epoch, summed in
 // ascending node order (bit-identical regardless of how drains grouped the
 // states), and whether the epoch is still inside the rolling window. This is
@@ -671,6 +781,12 @@ func (m *Monitor) Stats() Stats {
 	defer m.mu.Unlock()
 	return m.stats
 }
+
+// Solves returns how many flagged states Stage diagnosed ahead of their
+// Apply, and how many a drain still had to: a state restored, imported,
+// staged when Apply had to classify it again, or solved under a model
+// swapped out since.
+func (m *Monitor) Solves() (staged, drained uint64) { return m.staged.Load(), m.drained.Load() }
 
 // Pending returns the flagged-state backlog length.
 func (m *Monitor) Pending() int {

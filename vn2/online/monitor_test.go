@@ -445,14 +445,16 @@ func (r testRig) stormTrace(seed int64, nodes, epochs int) []trace.Record {
 }
 
 // TestDrainGroupingIndependent is what lets the sink drain whenever it
-// likes: per-state diagnoses, the epoch distributions, the recent ring, the
-// drift window and the quarantine are functions of the ordered set of
-// flagged states, not of how drains partitioned it — one drain per state,
-// one every k states, one at the end, or a goroutine draining as fast as it
-// can while the trace is still being ingested, all bit for bit the same.
-// The trace outruns History, MaxRecent and ResidualWindow, so the pruning
-// and both rings are exercised. Stats.Drains is excluded: it counts the
-// grouping itself.
+// likes, and stage whole batches ahead of their fsync: per-state diagnoses,
+// the epoch distributions, the recent ring, the drift window and the
+// quarantine are functions of the ordered set of flagged states, not of how
+// Stage batched them or drains partitioned them — one drain per state, one
+// every k states, one at the end, or a goroutine draining as fast as it can
+// while the trace is still being ingested, all bit for bit the same. Every
+// run is held to one whose states were all solved by the drain, the rule
+// before Stage solved anything. The trace outruns History, MaxRecent and
+// ResidualWindow, so the pruning and both rings are exercised. Stats.Drains
+// is excluded: it counts the grouping itself.
 func TestDrainGroupingIndependent(t *testing.T) {
 	r := newRig(t)
 	recs := r.stormTrace(7, 24, 80)
@@ -462,9 +464,17 @@ func TestDrainGroupingIndependent(t *testing.T) {
 		state MonitorState
 		diag  []Flagged
 	}
-	// run ingests the trace, draining when every(flagged so far) says so —
-	// or concurrently when every is nil — and once more at the end.
-	run := func(every func(flagged int) bool) result {
+	type grouping struct {
+		// every says when to drain, given the states flagged so far; nil
+		// drains concurrently with the ingest.
+		every func(flagged int) bool
+		// batch is how many records one Stage takes; 0 ingests one by one.
+		batch int
+		// unsolved drops every staged diagnosis before the drain sees it.
+		unsolved bool
+	}
+	// run ingests the trace as g says, and drains once more at the end.
+	run := func(g grouping) result {
 		m := newTestMonitor(t, Config{Workers: 2, MaxPending: len(recs)})
 		for n := 1; n <= 24; n++ {
 			if err := m.Warm(r.calm(packet.NodeID(n), 0)); err != nil {
@@ -473,6 +483,13 @@ func TestDrainGroupingIndependent(t *testing.T) {
 		}
 		var res result
 		drain := func() {
+			if g.unsolved {
+				m.mu.Lock()
+				for i := range m.pending {
+					m.pending[i].diag = nil
+				}
+				m.mu.Unlock()
+			}
 			out, err := m.Drain()
 			if err != nil {
 				t.Error(err)
@@ -482,7 +499,7 @@ func TestDrainGroupingIndependent(t *testing.T) {
 		stop, done := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
-			for every == nil {
+			for g.every == nil {
 				select {
 				case <-stop:
 					return
@@ -492,12 +509,27 @@ func TestDrainGroupingIndependent(t *testing.T) {
 			}
 		}()
 		flagged := 0
-		for _, rec := range recs {
-			if ingestOK(t, m, rec).Flagged {
-				flagged++
-				if every != nil && every(flagged) {
-					drain()
+		for rest := recs; len(rest) > 0; {
+			var chunk []trace.Record
+			if g.batch == 0 {
+				chunk, rest = rest[:1], rest[1:]
+				if ingestOK(t, m, chunk[0]).Flagged {
+					flagged++
 				}
+			} else {
+				chunk, rest = rest[:min(g.batch, len(rest))], rest[min(g.batch, len(rest)):]
+				st := m.Stage(chunk)
+				if taken, _ := m.Apply(st); taken != len(chunk) {
+					t.Fatalf("a staged batch of %d took %d", len(chunk), taken)
+				}
+				for _, v := range st.out {
+					if v.obs.Flagged {
+						flagged++
+					}
+				}
+			}
+			if g.every != nil && g.every(flagged) {
+				drain()
 			}
 		}
 		close(stop)
@@ -507,22 +539,30 @@ func TestDrainGroupingIndependent(t *testing.T) {
 		if res.sum.Stats.Dropped != 0 || int(res.sum.Stats.Diagnosed) != flagged || len(res.diag) != flagged {
 			t.Fatalf("flagged %d, diagnosed %d, returned %d, dropped %d", flagged, res.sum.Stats.Diagnosed, len(res.diag), res.sum.Stats.Dropped)
 		}
+		staged, drained := m.Solves()
+		if want := uint64(flagged); staged != want || g.unsolved && drained != want || !g.unsolved && drained != 0 {
+			t.Fatalf("%d flagged: %d solved staged, %d in drains", flagged, staged, drained)
+		}
 		res.sum.Stats.Drains, res.state.Stats.Drains = 0, 0
 		return res
 	}
 
-	base := run(func(int) bool { return false })
+	never := func(int) bool { return false }
+	base := run(grouping{every: never, unsolved: true})
 	if n := len(base.diag); n <= 256 || len(base.sum.Epochs) != 64 || len(base.sum.Recent) != 128 ||
 		base.sum.Drift.Window != 256 || base.sum.Drift.Quarantine == 0 {
 		t.Fatalf("trace too small to exercise the rings: %d flagged, %d epochs, %d recent, drift %+v",
 			n, len(base.sum.Epochs), len(base.sum.Recent), base.sum.Drift)
 	}
-	for name, every := range map[string]func(int) bool{
-		"a drain per state":       func(int) bool { return true },
-		"a drain every 7 states":  func(n int) bool { return n%7 == 0 },
-		"drains racing the trace": nil,
+	for name, g := range map[string]grouping{
+		"staged one by one, one drain": {every: never},
+		"a drain per state":            {every: func(int) bool { return true }},
+		"a drain every 7 states":       {every: func(n int) bool { return n%7 == 0 }},
+		"drains racing the trace":      {},
+		"staged 64 at a time":          {every: func(n int) bool { return n%7 == 0 }, batch: 64},
+		"staged, drains racing":        {batch: 64},
 	} {
-		got := run(every)
+		got := run(g)
 		if !reflect.DeepEqual(got.diag, base.diag) {
 			t.Errorf("%s: diagnoses differ from the single drain's", name)
 		}
@@ -532,5 +572,109 @@ func TestDrainGroupingIndependent(t *testing.T) {
 		if !reflect.DeepEqual(got.state, base.state) {
 			t.Errorf("%s: State differs from the single drain's", name)
 		}
+	}
+}
+
+// TestSwapBetweenStageAndDrain: a flagged state is diagnosed under the model
+// serving when the drain runs, as it was before Stage solved anything. A
+// swap after Apply leaves the staged diagnoses stale, and the drain solves
+// the states again; a swap between Stage and Apply makes Apply classify the
+// batch again, with nothing solved. Either way every diagnosis equals
+// Model.Diagnose under the drain's model, and so does its drift sample.
+func TestSwapBetweenStageAndDrain(t *testing.T) {
+	r := newRig(t)
+	other, _, err := vn2.Train(synthStates(600, 9), vn2.TrainConfig{Rank: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, swapBeforeApply := range []bool{false, true} {
+		m := newTestMonitor(t, Config{Workers: 2})
+		var batch []trace.Record
+		for n := packet.NodeID(1); n <= 6; n++ {
+			if err := m.Warm(r.calm(n, 10)); err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, r.hot(n, 11), r.calm(n, 12))
+		}
+		st := m.Stage(batch)
+		if staged, _ := m.Solves(); staged == 0 {
+			t.Fatal("Stage solved no flagged state")
+		}
+		if swapBeforeApply {
+			if err := m.SwapModel(2, other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if taken, pending := m.Apply(st); taken != len(batch) || pending != 12 {
+			t.Fatalf("swap before Apply %v: took %d of %d, %d pending; want all, 12", swapBeforeApply, taken, len(batch), pending)
+		}
+		if !swapBeforeApply {
+			if err := m.SwapModel(2, other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := m.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, drained := m.Solves(); drained != uint64(len(out)) {
+			t.Errorf("swap before Apply %v: the drain solved %d of %d states", swapBeforeApply, drained, len(out))
+		}
+		var rel float64
+		for _, f := range out {
+			want, err := other.Diagnose(f.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(f.Diagnosis, want) {
+				t.Errorf("swap before Apply %v: node %d epoch %d: %+v, want %+v", swapBeforeApply, f.State.Node, f.State.Epoch, f.Diagnosis, want)
+			}
+			rel += RelResidual(other, f.State.Delta, want.Residual)
+		}
+		if ds := m.DriftStats(); ds.ModelVersion != 2 || ds.Window != len(out) || ds.MeanResidual != rel/float64(len(out)) {
+			t.Errorf("swap before Apply %v: drift %+v, want %d samples under v2, mean %v", swapBeforeApply, ds, len(out), rel/float64(len(out)))
+		}
+	}
+}
+
+// TestStagedInAnyOrder: Stage and Apply give what Ingest of the same records
+// in Apply order gives, however the calls interleave. A node may report
+// more than once in one staged batch, and a report applied between a
+// batch's Stage and its Apply moves the base the batch was classified
+// against: Apply classifies it again.
+func TestStagedInAnyOrder(t *testing.T) {
+	r := newRig(t)
+	warm := func(m *Monitor) {
+		for n := packet.NodeID(1); n <= 3; n++ {
+			if err := m.Warm(r.calm(n, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	early := []trace.Record{r.calm(2, 11)}
+	batch := []trace.Record{r.hot(1, 12), r.calm(1, 13), r.hot(2, 12), r.calm(2, 12), r.hot(3, 11)}
+
+	want := newTestMonitor(t, Config{})
+	warm(want)
+	for _, rec := range append(early, batch...) {
+		_, _ = want.Ingest(rec)
+	}
+	got := newTestMonitor(t, Config{})
+	warm(got)
+	st := got.Stage(batch)
+	for _, rec := range early {
+		_, _ = got.Ingest(rec)
+	}
+	got.Apply(st)
+	for _, m := range []*Monitor{want, got} {
+		if _, err := m.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, g := want.State(), got.State(); !reflect.DeepEqual(g, w) {
+		t.Errorf("staged across an Ingest: state\n%+v\nwant\n%+v", g.Stats, w.Stats)
+	}
+	if w, g := want.Snapshot(), got.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Errorf("staged across an Ingest: summary differs")
 	}
 }

@@ -315,6 +315,7 @@ func (m *Monitor) validateSliceLocked(sl NodeSlice, onto map[int]*epochAcc) erro
 // ImportNodes documents; Restore runs it over freshly emptied maps, where
 // merging is replacing. Caller holds mu.
 func (m *Monitor) importLocked(sl NodeSlice) {
+	m.gen++
 	for _, ns := range sl.Nodes {
 		if lr, ok := m.last[ns.Node]; ok && lr.epoch > ns.Epoch {
 			continue

@@ -119,8 +119,10 @@ func (s *Server) healthBody() (body map[string]any, ready bool) {
 	}
 	if s.jnl != nil {
 		body["wal_segments"] = s.jnl.Segments()
-		body["wal_next_lsn"] = s.jnl.NextLSN()
+		// Read in this order, applied ≤ durable < next_lsn holds in the body.
 		body["wal_applied"] = s.applied.Load()
+		body["wal_durable"] = s.jnl.Durable()
+		body["wal_next_lsn"] = s.jnl.NextLSN()
 	}
 	switch {
 	case reason != "":

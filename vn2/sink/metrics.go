@@ -13,6 +13,7 @@ func (s *Server) metrics() map[string]any {
 		degraded = 1
 	}
 	st, ds, bst := s.mon.Stats(), s.mon.DriftStats(), s.bus.Stats()
+	staged, drained := s.mon.Solves()
 	m := map[string]any{
 		// HTTP edge + ingest queue.
 		"reports_received":        s.received.Load(),
@@ -51,6 +52,8 @@ func (s *Server) metrics() map[string]any {
 		"monitor_flagged":         st.Flagged,
 		"monitor_dropped":         st.Dropped,
 		"monitor_diagnosed":       st.Diagnosed,
+		"diagnoses_staged":        staged,
+		"diagnoses_drained":       drained,
 		"monitor_gap_reports":     st.GapReports,
 		"monitor_max_gap":         st.MaxGap,
 		"monitor_last_epoch":      st.LastEpoch,

@@ -438,19 +438,22 @@ func TestDrainCoalesces(t *testing.T) {
 	for _, b := range trickle {
 		post(b)
 	}
+	// A pass counts itself once Drain has returned, a moment after its
+	// states read as diagnosed: each count is read after it has had time to.
 	waitFor(t, 10*time.Second, "the 64-report batches' diagnoses", diagnosed)
+	time.Sleep(20 * time.Millisecond)
 	drains := srv.drainsWoken.Load()
 	if drains == 0 || drains > uint64(len(trickle)) {
 		t.Errorf("%d states in %d batches took %d drains, want at most one per batch", posted, len(trickle), drains)
 	}
 
-	time.Sleep(20 * time.Millisecond) // let the pass that diagnosed the trickle count itself
 	var burst []trace.Record
 	for _, b := range rest[:drainBurst/64] {
 		burst = append(burst, b...)
 	}
 	post(burst)
 	waitFor(t, 10*time.Second, "the burst's diagnosis", diagnosed)
+	time.Sleep(20 * time.Millisecond)
 	if got := srv.drainsWoken.Load() - drains; got != 1 {
 		t.Errorf("a burst of %d states took %d drains, want 1", len(burst), got)
 	}

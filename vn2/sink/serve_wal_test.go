@@ -222,7 +222,9 @@ func TestSnapshotNeverAheadOfWAL(t *testing.T) {
 // batch journaled and queued but not yet synced — where a committer stands
 // just before its fsync — is applied only after the ingest loop has joined
 // the group commit; a batch whose journal dies before any fsync covers it is
-// never applied: not counted, not in the monitor state, never diagnosed.
+// never applied: not counted, not in the monitor state, never diagnosed. It
+// was staged — its flagged state solved while the fsync would have run —
+// and that work is dropped with it.
 func TestApplyWaitsForDurability(t *testing.T) {
 	fx := serveFixtures(t)
 	srv := walServer(t, fx, t.TempDir())
@@ -261,7 +263,15 @@ func TestApplyWaitsForDurability(t *testing.T) {
 	lost := fx.rampReport(t, node, 2)
 	queueUnsynced(lost)
 	srv.AbortWAL() // the committer's fsync never happens
+	stats, pending := srv.mon.Stats(), srv.mon.Pending()
+	staged, _ := srv.mon.Solves()
 	ingestAll(srv)
+	if got, _ := srv.mon.Solves(); got != staged+1 {
+		t.Errorf("diagnoses staged %d after the aborted batch, want %d: its flagged state was not staged", got, staged+1)
+	}
+	if got := srv.mon.Stats(); got != stats || srv.mon.Pending() != pending {
+		t.Errorf("the aborted batch is visible: stats %+v, pending %d; want %+v, %d", got, srv.mon.Pending(), stats, pending)
+	}
 	srv.DrainTick()
 	if got := srv.mon.Stats().Flagged; got != 1 {
 		t.Errorf("flagged %d after the aborted batch, want 1: it was applied", got)
@@ -286,17 +296,18 @@ func TestApplyWaitsForDurability(t *testing.T) {
 	}
 }
 
-// TestServeDurableWatermark: under concurrent posters every /metrics read
-// has wal_applied ≤ wal_durable < wal_next_lsn — nothing is applied before
-// its fsync — and once the burst is ACKed and applied all three meet.
+// TestServeDurableWatermark: under concurrent posters every /metrics and
+// /healthz read has wal_applied ≤ wal_durable < wal_next_lsn — nothing is
+// applied before its fsync — and once the burst is ACKed and applied all
+// three meet.
 func TestServeDurableWatermark(t *testing.T) {
 	fx := serveFixtures(t)
 	srv, base, stop := runSink(t, Options{ModelPath: fx.modelPath, CalibratePath: fx.tracePath,
 		WALPath: filepath.Join(t.TempDir(), "wal"), QueueSize: 1024, DrainEvery: time.Hour})
 	defer stop()
-	watermarks := func() (applied, durable, next uint64) {
+	watermarks := func(path string) (applied, durable, next uint64) {
 		t.Helper()
-		resp, err := http.Get(base + "/metrics")
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,14 +350,18 @@ func TestServeDurableWatermark(t *testing.T) {
 			busy = false
 		default:
 		}
-		if applied, durable, next := watermarks(); applied > durable || durable >= next {
-			t.Fatalf("read %d: wal_applied %d, wal_durable %d, wal_next_lsn %d", reads, applied, durable, next)
+		for _, path := range []string{"/metrics", "/healthz"} {
+			if applied, durable, next := watermarks(path); applied > durable || durable >= next {
+				t.Fatalf("read %d of %s: wal_applied %d, wal_durable %d, wal_next_lsn %d", reads, path, applied, durable, next)
+			}
 		}
 	}
 	waitFor(t, 5*time.Second, "the burst to apply", func() bool { return srv.QueueDepth() == 0 })
-	if applied, durable, next := watermarks(); applied != durable || durable != next-1 || next != uint64(len(batches)+1) {
-		t.Errorf("at rest: wal_applied %v, wal_durable %v, wal_next_lsn %v, want %d, %d, %d",
-			applied, durable, next, len(batches), len(batches), len(batches)+1)
+	for _, path := range []string{"/metrics", "/healthz"} {
+		if applied, durable, next := watermarks(path); applied != durable || durable != next-1 || next != uint64(len(batches)+1) {
+			t.Errorf("%s at rest: wal_applied %v, wal_durable %v, wal_next_lsn %v, want %d, %d, %d",
+				path, applied, durable, next, len(batches), len(batches), len(batches)+1)
+		}
 	}
 }
 
@@ -653,8 +668,9 @@ func TestBootFromModelCalibration(t *testing.T) {
 // join /status only while the sink is degraded.
 const (
 	metricsKeys = `bad_requests boot_calibration_ms boot_ms boot_replay_ms bus_journal_bytes
-		bus_journal_evictions degraded degraded_entries drain_busy_us drain_errors
-		drain_fails_in_a_row drains drains_ticked drains_woken drift_mean_residual
+		bus_journal_evictions degraded degraded_entries diagnoses_drained diagnoses_staged
+		drain_busy_us drain_errors drain_fails_in_a_row drains drains_ticked drains_woken
+		drift_mean_residual
 		drift_residual_p50 drift_residual_p90 drift_residual_p99 drift_unattributed
 		drift_unattributed_rate drift_window epochs_rendered handoff_exports
 		handoff_imports handoff_nodes_in handoff_releases ingest_errors

@@ -171,15 +171,19 @@ func (s *Server) IngestQueued() {
 }
 
 // ingestOne applies one item once its WAL record is durable, so the monitor
-// holds only what a crash cannot take back: an item the disk has not yet
-// confirmed joins the group commit first, and one whose sync fails is dropped
-// unapplied — the WAL is poisoned and its committer NACKs it.
+// holds only what a crash cannot take back. A report batch is staged first —
+// classified and its flagged states solved, nothing visible — which overlaps
+// the fsync its committer has started; the loop then waits for that fsync
+// (or runs one) up to the item's own record, and applies. An item whose
+// sync fails is dropped unapplied with its staged work — the WAL is
+// poisoned and its committer NACKs it.
 func (s *Server) ingestOne(q ingest.Item) {
-	if q.LSN == 0 || q.LSN <= s.jnl.Durable() || s.jnl.Sync() == nil {
+	st := s.mon.Stage(q.Recs)
+	if q.LSN == 0 || q.LSN <= s.jnl.Durable() || s.jnl.SyncTo(q.LSN) == nil {
 		if q.Apply != nil {
 			q.Apply()
 		}
-		s.ingestRecs(q.Recs)
+		s.ingestRecs(q.Recs, st)
 		if q.LSN != 0 {
 			s.applied.Store(q.LSN)
 		}
@@ -190,20 +194,16 @@ func (s *Server) ingestOne(q ingest.Item) {
 	s.backlog.Add(-int64(q.Pending))
 }
 
-// ingestRecs offers one batch to the monitor, live or replayed, and returns
-// how many reports it took; the rest were stale, duplicate or invalid.
+// ingestRecs applies one staged batch, live or replayed, and returns how
+// many reports the monitor took; the rest were stale, invalid or dropped.
 // Pending states wake the drain loop once nothing is queued behind them, or
 // at drainBurst of them.
-func (s *Server) ingestRecs(recs []trace.Record) (taken uint64) {
-	for i := range recs {
-		if _, err := s.mon.Ingest(recs[i]); err != nil {
-			s.ingestErr.Add(1)
-		} else {
-			taken++
-		}
-	}
+func (s *Server) ingestRecs(recs []trace.Record, st *online.Staged) (taken uint64) {
+	n, p := s.mon.Apply(st)
+	taken = uint64(n)
 	s.ingested.Add(taken)
-	if p := s.mon.Pending(); p >= drainBurst || p > 0 && s.queue.Len() == 0 {
+	s.ingestErr.Add(uint64(len(recs)) - taken)
+	if p >= drainBurst || p > 0 && s.queue.Len() == 0 {
 		select {
 		case s.wake <- struct{}{}:
 		default:

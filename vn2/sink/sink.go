@@ -321,7 +321,7 @@ func New(o Options) (*Server, error) {
 					s.walBadRec.Add(1)
 					return nil
 				}
-				s.walReplayed.Add(s.ingestRecs(recs))
+				s.walReplayed.Add(s.ingestRecs(recs, s.mon.Stage(recs)))
 				if mon.Pending() >= o.MaxPending/2 {
 					// Keep the backlog bounded during long replays.
 					if _, err := mon.Drain(); err != nil {

@@ -74,6 +74,10 @@ func (j *Journal) AppendBatch(frame []byte) (uint64, error) {
 // batch of the request (and any a concurrent request just appended).
 func (j *Journal) Sync() error { return j.count(j.w.Sync()) }
 
+// SyncTo makes the records up to lsn durable, joining an fsync in flight
+// that covers them rather than one for whatever was appended since.
+func (j *Journal) SyncTo(lsn uint64) error { return j.count(j.w.SyncTo(lsn)) }
+
 // AppendControl journals one control record — a SwapRecord under
 // KindSwap, a HandoffRecord under KindHandoff — and fsyncs it immediately:
 // a swap or handoff that cannot be made durable is the caller's to surface.
