@@ -172,9 +172,13 @@ chaos-all:
 # durable — and the monitor's split under that rule: a batch staged (its
 # states solved) before the fsync and applied after gives what Ingest gives,
 # in any call order, and a swap before the drain still decides the model.
+# The third line holds the router's half of "the client owns the retry": a
+# shard's 503 and its Retry-After come back at once, never slept, and one
+# hung /readyz probe delays no other shard's re-admission.
 smoke:
 	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability' -count=1 -v
 	$(GO) test ./vn2/online -run 'TestDrainGroupingIndependent|TestSwapBetweenStageAndDrain|TestStagedInAnyOrder' -count=1 -v
+	$(GO) test ./vn2/cluster -run 'TestRouterNeverSleeps|TestRouterProbesShardsAtOnce' -count=1 -v
 
 # smoke-stream is the visibility-plane smoke: a live /stream (SSE) client
 # sees events end to end, Last-Event-ID resume replays exactly the missed

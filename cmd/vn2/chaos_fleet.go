@@ -112,14 +112,7 @@ func (f *fleet) bootRouter() error {
 	for i, sh := range f.shards {
 		urls[i] = sh.edge
 	}
-	rt, err := cluster.NewRouter(cluster.Config{
-		Shards:   urls,
-		Seed:     uint64(f.o.wire.Seed),
-		Attempts: 2,
-		RetryMin: time.Millisecond,
-		RetryMax: 2 * time.Millisecond,
-		Sleep:    noSleep,
-	})
+	rt, err := cluster.NewRouter(cluster.Config{Shards: urls, Seed: uint64(f.o.wire.Seed)})
 	if err != nil {
 		return err
 	}

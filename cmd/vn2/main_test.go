@@ -237,7 +237,8 @@ func TestEpochsSubcommand(t *testing.T) {
 }
 
 // TestRouterFlags pins the router's option surface: the hold queue is gone
-// and took -hold with it, and -h lists exactly the flags that remain.
+// and took -hold with it, the retry ladder took -attempts, and -h lists
+// exactly the flags that remain.
 func TestRouterFlags(t *testing.T) {
 	// The flag package prints usage to os.Stderr; capture it for the -h case.
 	stderr := os.Stderr
@@ -247,6 +248,7 @@ func TestRouterFlags(t *testing.T) {
 	}
 	os.Stderr = pw
 	holdErr := run([]string{"router", "-hold", "1"})
+	attemptsErr := run([]string{"router", "-attempts", "4"})
 	helpErr := run([]string{"router", "-h"})
 	os.Stderr = stderr
 	pw.Close()
@@ -258,17 +260,20 @@ func TestRouterFlags(t *testing.T) {
 	if holdErr == nil || !strings.Contains(holdErr.Error(), "flag provided but not defined: -hold") {
 		t.Errorf("router -hold 1: err = %v, want an unknown-flag error", holdErr)
 	}
+	if attemptsErr == nil || !strings.Contains(attemptsErr.Error(), "flag provided but not defined: -attempts") {
+		t.Errorf("router -attempts 4: err = %v, want an unknown-flag error", attemptsErr)
+	}
 	if !errors.Is(helpErr, flag.ErrHelp) {
 		t.Errorf("router -h: err = %v, want flag.ErrHelp", helpErr)
 	}
-	// Each run printed the usage once; the flag set is the same both times.
+	// Each run printed the usage once; the flag set is the same every time.
 	listed := map[string]bool{}
 	for _, line := range strings.Split(string(out), "\n") {
 		if name, ok := strings.CutPrefix(line, "  -"); ok {
 			listed[strings.Fields(name)[0]] = true
 		}
 	}
-	want := []string{"addr", "shards", "seed", "attempts", "probe-interval"}
+	want := []string{"addr", "shards", "seed", "probe-interval"}
 	if len(listed) != len(want) {
 		t.Errorf("router -h lists %v, want exactly %v", listed, want)
 	}

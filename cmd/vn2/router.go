@@ -23,8 +23,7 @@ func cmdRouter(args []string) error {
 	fs := flag.NewFlagSet("router", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8079", "listen address")
 	shards := fs.String("shards", "", "comma-separated shard base URLs, index-aligned with the ring (required)")
-	seed := fs.Uint64("seed", 1, "ring + backoff seed; every router of a cluster must share it")
-	attempts := fs.Int("attempts", 0, "retry attempts per forwarded slice (0 = 4)")
+	seed := fs.Uint64("seed", 1, "ring seed; every router of a cluster must share it")
 	probe := fs.Duration("probe-interval", 0, "shard /readyz probe cadence (0 = 1s)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -42,7 +41,6 @@ func cmdRouter(args []string) error {
 	r, err := cluster.NewRouter(cluster.Config{
 		Shards:        urls,
 		Seed:          *seed,
-		Attempts:      *attempts,
 		ProbeInterval: *probe,
 	})
 	if err != nil {

@@ -114,7 +114,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForZeroLength(t *testing.T) {
+func TestRunZeroLength(t *testing.T) {
 	called := false
 	run(0, 4, func(start, end int) { called = true })
 	if called {
@@ -143,7 +143,7 @@ func TestRunDeterministicDisjointWrites(t *testing.T) {
 	}
 }
 
-func TestForErrNil(t *testing.T) {
+func TestRunErrNil(t *testing.T) {
 	if err := Run(50, 4, func(_, start, end int) error { return nil }); err != nil {
 		t.Fatalf("err = %v, want nil", err)
 	}
@@ -162,7 +162,7 @@ func TestRunErrReturnsLowestChunkError(t *testing.T) {
 	}
 }
 
-func TestForErrLowestRowSemantics(t *testing.T) {
+func TestRunErrLowestRowSemantics(t *testing.T) {
 	// Rows 30 and 50 fail. Processing rows in order within each chunk and
 	// stopping on the first failure must surface row 30's error for any
 	// worker count — the error the sequential loop would return.
@@ -185,7 +185,7 @@ func TestForErrLowestRowSemantics(t *testing.T) {
 	}
 }
 
-func TestForErrZeroLength(t *testing.T) {
+func TestRunErrZeroLength(t *testing.T) {
 	if err := Run(0, 4, func(_, start, end int) error { return errors.New("no") }); err != nil {
 		t.Fatalf("zero-length run: err = %v, want nil", err)
 	}

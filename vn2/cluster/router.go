@@ -28,19 +28,14 @@ import (
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/online"
 	"github.com/wsn-tools/vn2/vn2/sink/api"
 	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 )
 
-// routerRetryTag keys the per-shard backoff jitter streams (internal/rng).
-const routerRetryTag = 0x72747230
-
 // Defaults applied by NewRouter for zero Config fields.
 const (
-	DefaultAttempts      = 4
 	DefaultProbeInterval = time.Second
 	DefaultHTTPTimeout   = 10 * time.Second
 )
@@ -49,27 +44,18 @@ const (
 type Config struct {
 	// Shards are the shard base URLs, index-aligned with the ring.
 	Shards []string
-	// Seed keys the ring AND every jitter stream; equal seeds give
-	// bit-identical routing and backoff schedules.
+	// Seed keys the ring; equal seeds give bit-identical routing.
 	Seed uint64
-	// Attempts bounds one forward's retry ladder.
-	Attempts int
-	// RetryMin/RetryMax bound the decorrelated-jitter backoff.
-	RetryMin, RetryMax time.Duration
 	// ProbeInterval paces the readiness prober in Run.
 	ProbeInterval time.Duration
 	// Client is the forwarding HTTP client (nil = a default with
 	// DefaultHTTPTimeout).
 	Client *http.Client
-	// Sleep is the backoff sleeper (nil = time.Sleep); tests and the chaos
-	// harness pass a stub so retry ladders run instantly.
-	Sleep func(time.Duration)
 }
 
 // shardState is what the router knows about one shard. mu guards url and
-// down and is never locked across a request or a sleep: forwards and probes
-// copy the URL out, do their I/O unlocked, and lock again only to record
-// the verdict.
+// down and is never locked across a request: forwards and probes copy the
+// URL out, do their I/O unlocked, and lock again only to record the verdict.
 type shardState struct {
 	mu   sync.Mutex
 	url  string
@@ -115,17 +101,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: Config.Shards must name at least one shard")
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = DefaultAttempts
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: DefaultHTTPTimeout}
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
 	}
 	r := &Router{cfg: cfg, ring: NewRing(cfg.Seed, len(cfg.Shards), 0)}
 	for _, u := range cfg.Shards {
@@ -201,9 +181,10 @@ func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
 // a diff against the same node's previous record and a node has one owner,
 // so its whole chain reaches one shard, whose delta cache is the only one
 // there is. "Resend full" is thus a shard's answer — its cache lacks a base:
-// it restarted, took a handoff, or decoded this very frame before refusing
-// it busy, so the ladder's retry finds the base replaced — passed through
-// as its 400. A malformed or empty frame gets 400 here; no shard sees it.
+// it restarted, took a handoff, or decoded a frame before refusing it busy,
+// so the client's resend of the same deltas finds the base replaced —
+// passed through as its 400. A malformed or empty frame gets 400 here; no
+// shard sees it.
 func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, packet.FrameHeaderLen+packet.MaxFramePayload))
 	if err != nil {
@@ -232,12 +213,18 @@ func (r *Router) handleReportBin(w http.ResponseWriter, req *http.Request) {
 //   - an owner shard marked unready ⇒ 503 before anything is forwarded, so
 //     a long outage does not pile duplicate WAL records onto the healthy
 //     shards;
-//   - otherwise every slice is forwarded; a shard that stays down or 5xx
-//     through its retry ladder is marked unready (the probe re-admits it)
-//     and the batch gets 503 + Retry-After naming the refusing shards;
-//   - a shard's 4xx is final for that slice — retrying cannot change it —
+//   - otherwise every slice is posted once, in shard order; the router
+//     never resends or sleeps, the client owns that. A shard that cannot be
+//     reached is marked unready (the probe re-admits it); a shard that
+//     answers 5xx (or any status but 202 and 4xx) has shed the slice and
+//     stays in rotation — a degraded one leaves it when its /readyz fails
+//     the next probe. Either way the batch gets 503 naming the refusing
+//     shards, with Retry-After the largest hint a shard sent, at least 1:
+//     relayed, never slept;
+//   - a shard's 4xx is final for that slice — a resend cannot change it —
 //     and is passed through, with the shard's own reason as shard_error,
-//     without touching the shard's readiness;
+//     without touching the shard's readiness; a 503 beats it, and of
+//     several 4xx the lowest shard's wins;
 //   - 202 only when every owner shard answered 202.
 //
 // On anything but 202 the client resends the whole batch, a binary client
@@ -267,19 +254,19 @@ func (r *Router) route(w http.ResponseWriter, n, size int, path, contentType str
 		if slice == nil {
 			continue
 		}
-		status, hint, why, err := r.forward(s, urls[s]+path, contentType, slice)
+		status, hint, why, err := r.forward(urls[s]+path, contentType, slice)
 		retryAfter = max(retryAfter, hint)
 		switch {
 		case err != nil:
 			r.shards[s].mark(err)
 			refusing = append(refusing, s)
-		case status != http.StatusAccepted:
-			if rejection == 0 {
-				rejecting, rejection, reason = s, status, why
-			}
-		default:
+		case status == http.StatusAccepted:
 			r.forwarded.Add(1)
 			r.bytesForwarded.Add(uint64(len(slice)))
+		case status/100 != 4:
+			refusing = append(refusing, s)
+		case rejection == 0:
+			rejecting, rejection, reason = s, status, why
 		}
 	}
 	switch {
@@ -301,59 +288,54 @@ func (r *Router) refuse(w http.ResponseWriter, shards []int, retryAfter int) {
 		map[string]any{"accepted": 0, "shards": shards})
 }
 
-// forward posts one slice to shard s through the retry ladder. It returns
-// the shard's terminal status — 202, or a 4xx, which ends the ladder at
-// once and comes with the shard's reason — or an error when every attempt
-// ended in a transport failure or another status; retryAfter is the largest
-// Retry-After the shard sent, in seconds, each honored as an extra sleep
-// ahead of the jittered one — the same contract the reporter applies to the
-// stream hint.
-func (r *Router) forward(s int, url, contentType string, body []byte) (status, retryAfter int, reason string, err error) {
-	ladder := retry.New(r.cfg.RetryMin, r.cfg.RetryMax, routerRetryTag, r.cfg.Seed, uint64(s))
-	err = retry.Do(context.Background(), ladder, r.cfg.Attempts, r.cfg.Sleep, func() error {
-		resp, err := r.cfg.Client.Post(url, contentType, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		status = resp.StatusCode
-		if status/100 == 4 {
-			// The sink's {"error": …}, read within 4 KiB; a body of another
-			// shape relays no reason.
-			var e struct{ Error string }
-			_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
-			reason = e.Error
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if status == http.StatusAccepted || status/100 == 4 {
-			return nil
-		}
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			retryAfter = max(retryAfter, secs)
-			r.cfg.Sleep(time.Duration(secs) * time.Second)
-		}
-		return fmt.Errorf("shard status %d", status)
-	})
-	return status, retryAfter, reason, err
+// forward posts one slice to a shard, once. It returns the shard's status,
+// its Retry-After in seconds (0 when absent) and, for a 4xx, its reason;
+// err is a transport failure, when no status came back at all.
+func (r *Router) forward(url, contentType string, body []byte) (status, retryAfter int, reason string, err error) {
+	resp, err := r.cfg.Client.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		return 0, 0, "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 == 4 {
+		// The sink's {"error": …}, read within 4 KiB; a body of another
+		// shape relays no reason.
+		var e struct{ Error string }
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&e)
+		reason = e.Error
+	}
+	io.Copy(io.Discard, resp.Body)
+	if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
+		retryAfter = secs
+	}
+	return resp.StatusCode, retryAfter, reason, nil
 }
 
-// ProbeOnce checks every shard's /readyz and records the verdict; a shard
+// ProbeOnce checks every shard's /readyz — all at once, each verdict
+// recorded as its answer arrives, so a black-holed shard delays no other
+// shard's re-admission — and returns when every probe has ended. A shard
 // marked unready is re-admitted here and nowhere else. Synchronous so tests
 // and the chaos harness drive readiness deterministically; Run wraps it in
 // a ticker.
 func (r *Router) ProbeOnce() {
+	var wg sync.WaitGroup
 	for _, sh := range r.shards {
-		url, _ := sh.target()
-		resp, err := r.cfg.Client.Get(url + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("readyz status %d", resp.StatusCode)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			url, _ := sh.target()
+			resp, err := r.cfg.Client.Get(url + "/readyz")
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("readyz status %d", resp.StatusCode)
+				}
 			}
-		}
-		sh.mark(err)
+			sh.mark(err)
+		}()
 	}
+	wg.Wait()
 }
 
 // Run probes readiness on a ticker until ctx is done. The ingest handlers

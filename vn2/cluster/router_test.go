@@ -145,14 +145,7 @@ func newTestRouter(t *testing.T, shards []*fakeShard) (*Router, *httptest.Server
 	for i, s := range shards {
 		urls[i] = s.ts.URL
 	}
-	r, err := NewRouter(Config{
-		Shards:   urls,
-		Seed:     7,
-		Attempts: 2,
-		RetryMin: time.Microsecond,
-		RetryMax: time.Microsecond,
-		Sleep:    func(time.Duration) {},
-	})
+	r, err := NewRouter(Config{Shards: urls, Seed: 7})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -337,45 +330,85 @@ func TestRouterAckMeansDurable(t *testing.T) {
 			}
 		})
 
+		// Two ways an owner shard fails a batch, each ended by the client's
+		// full resend: the shard answers 503 (shedding) and stays in rotation,
+		// or nothing answers (dark) and the shard leaves rotation until a
+		// probe re-admits it. Either way the router asked it once.
 		t.Run(name+"/one shard failing", func(t *testing.T) {
-			post := client()
-			shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
-			r, ts := newTestRouter(t, shards)
-			batch := testRecords(nodes, 1)
-			want0, want1 := ownedBy(r, 0, batch), ownedBy(r, 1, batch)
-			if len(want0) == 0 || len(want1) == 0 {
-				t.Fatalf("degenerate split: %d/%d", len(want0), len(want1))
-			}
+			t.Run("shedding", func(t *testing.T) {
+				post := client()
+				shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
+				r, ts := newTestRouter(t, shards)
+				batch := testRecords(nodes, 1)
+				want0, want1 := ownedBy(r, 0, batch), ownedBy(r, 1, batch)
+				if len(want0) == 0 || len(want1) == 0 {
+					t.Fatalf("degenerate split: %d/%d", len(want0), len(want1))
+				}
 
-			shards[1].answer(http.StatusServiceUnavailable, "2")
-			resp := post(t, ts.URL, batch, false)
-			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
-				t.Fatalf("failing shard: status %d Retry-After %q, want 503 with the shard's hint 2",
-					resp.StatusCode, resp.Header.Get("Retry-After"))
-			}
-			if got := shards[1].requests(); got != 2 {
-				t.Fatalf("failing shard saw %d attempts, want the whole ladder of 2", got)
-			}
-			// The shard is now marked unready: the resend is refused up front.
-			before := shards[0].requests()
-			if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("resend during the outage: status %d, want 503", resp.StatusCode)
-			}
-			if shards[0].requests() != before || shards[1].requests() != 2 {
-				t.Fatal("a batch spanning an unready shard was forwarded")
-			}
+				shards[1].answer(http.StatusServiceUnavailable, "2")
+				resp := post(t, ts.URL, batch, false)
+				if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "2" {
+					t.Fatalf("shedding shard: status %d Retry-After %q, want 503 with the shard's hint 2",
+						resp.StatusCode, resp.Header.Get("Retry-After"))
+				}
+				if got := shards[1].requests(); got != 1 {
+					t.Fatalf("shedding shard saw %d requests, want its slice once", got)
+				}
+				// A shed is not an outage: the next batch is forwarded, no
+				// probe in between.
+				shards[1].answer(0, "")
+				if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("resend after the shed: status %d, want 202", resp.StatusCode)
+				}
+				if got := shards[1].requests(); got != 2 {
+					t.Fatalf("shedding shard saw %d requests, want 2: the batch and its resend", got)
+				}
+				if got := shards[1].records(); !sameRecords(got, want1) {
+					t.Fatalf("shedding shard has %d records, want each of its %d exactly once", len(got), len(want1))
+				}
+				if got := shards[0].records(); !sameRecords(got, append(want0, want0...)) {
+					t.Fatalf("healthy shard has %d records, want its slice and one exact duplicate of it", len(got))
+				}
+			})
 
-			shards[1].answer(0, "")
-			r.ProbeOnce()
-			if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("resend after recovery: status %d, want 202", resp.StatusCode)
-			}
-			if got := shards[1].records(); !sameRecords(got, want1) {
-				t.Fatalf("recovered shard has %d records, want each of its %d exactly once", len(got), len(want1))
-			}
-			if got := shards[0].records(); !sameRecords(got, append(want0, want0...)) {
-				t.Fatalf("healthy shard has %d records, want its slice and one exact duplicate of it", len(got))
-			}
+			t.Run("dark", func(t *testing.T) {
+				post := client()
+				shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
+				r, ts := newTestRouter(t, shards)
+				batch := testRecords(nodes, 1)
+				want0, want1 := ownedBy(r, 0, batch), ownedBy(r, 1, batch)
+				if len(want0) == 0 || len(want1) == 0 {
+					t.Fatalf("degenerate split: %d/%d", len(want0), len(want1))
+				}
+
+				shards[1].ts.Close()
+				resp := post(t, ts.URL, batch, false)
+				if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+					t.Fatalf("dark shard: status %d Retry-After %q, want 503 with the minimum hint 1",
+						resp.StatusCode, resp.Header.Get("Retry-After"))
+				}
+				// The shard is now marked unready: the resend is refused up front.
+				before := shards[0].requests()
+				if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("resend during the outage: status %d, want 503", resp.StatusCode)
+				}
+				if shards[0].requests() != before {
+					t.Fatal("a batch spanning an unready shard was forwarded")
+				}
+
+				shards[1] = newFakeShard(t)
+				r.SetShard(1, shards[1].ts.URL)
+				r.ProbeOnce()
+				if resp := post(t, ts.URL, batch, true); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("resend after recovery: status %d, want 202", resp.StatusCode)
+				}
+				if got := shards[1].records(); !sameRecords(got, want1) {
+					t.Fatalf("recovered shard has %d records, want each of its %d exactly once", len(got), len(want1))
+				}
+				if got := shards[0].records(); !sameRecords(got, append(want0, want0...)) {
+					t.Fatalf("healthy shard has %d records, want its slice and one exact duplicate of it", len(got))
+				}
+			})
 		})
 
 		t.Run(name+"/owner already unready", func(t *testing.T) {
@@ -422,13 +455,13 @@ func TestRouterShardRejectPassesThrough(t *testing.T) {
 
 // TestRouterShardAsksForFull: a passed-through delta fails one way, on a
 // shard whose cache lacks its base. Cold: the shard was replaced by one with
-// an empty cache (a restart, a handoff target). Busy: it decoded the frame,
-// moving its cache, then refused it 503 — the sink's own order — so the
-// ladder's retry of the same bytes finds the base gone, as a client retrying
-// a delta after a sink's busy NACK does. Either way the shard's 400 comes
-// through with its reason, its readiness untouched (the full-encoded resend
-// gets 202, no probe in between), and the end state is the input bit for bit:
-// each record once on the asking shard, the other's taken slice twice.
+// an empty cache (a restart, a handoff target), and its 400 comes through
+// with its reason. Busy: it decoded the frame, moving its cache, then refused
+// it 503 — the sink's own order — and that 503 reaches the client, which owns
+// the resend. Either way the shard's readiness is untouched (the
+// full-encoded resend gets 202, no probe in between), and the end state is
+// the input bit for bit: each record once on the asking shard, the other's
+// taken slice twice.
 func TestRouterShardAsksForFull(t *testing.T) {
 	const nodes = 10
 	for _, cold := range []bool{true, false} {
@@ -453,9 +486,15 @@ func TestRouterShardAsksForFull(t *testing.T) {
 
 		resp := post(t, ts.URL, last, false)
 		reply := replyOf(t, resp)
-		if reason, _ := reply["shard_error"].(string); resp.StatusCode != http.StatusBadRequest || reply["shard"] != 1.0 ||
-			!strings.Contains(reason, ingest.ErrDeltaBase.Error()) {
-			t.Fatalf("cold %v, delta onto a missing base: status %d %v, want shard 1's 400 and its %q", cold, resp.StatusCode, reply, ingest.ErrDeltaBase)
+		if cold {
+			if reason, _ := reply["shard_error"].(string); resp.StatusCode != http.StatusBadRequest || reply["shard"] != 1.0 ||
+				!strings.Contains(reason, ingest.ErrDeltaBase.Error()) {
+				t.Fatalf("delta onto a missing base: status %d %v, want shard 1's 400 and its %q", resp.StatusCode, reply, ingest.ErrDeltaBase)
+			}
+		} else if shards, _ := reply["shards"].([]any); resp.StatusCode != http.StatusServiceUnavailable ||
+			resp.Header.Get("Retry-After") != "1" || !slices.Equal(shards, []any{1.0}) {
+			t.Fatalf("busy shard: status %d Retry-After %q %v, want 503 naming shard 1 with its hint 1",
+				resp.StatusCode, resp.Header.Get("Retry-After"), reply)
 		}
 		if resp := post(t, ts.URL, last, true); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("cold %v, full-encoded resend: status %d, want 202", cold, resp.StatusCode)
@@ -577,6 +616,90 @@ func TestRouterSetShard(t *testing.T) {
 	}
 }
 
+// TestRouterNeverSleeps: a shard's Retry-After is relayed, never slept. A
+// shard shedding with a 5 s hint draws the router's 503 + Retry-After 5 in
+// well under a second; across shards the largest hint wins, and a 503
+// beats another shard's 4xx.
+func TestRouterNeverSleeps(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t), newFakeShard(t)}
+	r, ts := newTestRouter(t, shards)
+	batch, _ := json.Marshal(testRecords(10, 1))
+	only1, _ := json.Marshal(ownedBy(r, 1, testRecords(10, 1)))
+	for _, c := range []struct {
+		name   string
+		body   []byte
+		status [2]int
+		hint   [2]string
+	}{
+		{"one shard, hint 5", only1, [2]int{0, http.StatusServiceUnavailable}, [2]string{"", "5"}},
+		{"hints 1 and 5", batch, [2]int{http.StatusServiceUnavailable, http.StatusServiceUnavailable}, [2]string{"1", "5"}},
+		{"hints 5 and 1", batch, [2]int{http.StatusServiceUnavailable, http.StatusServiceUnavailable}, [2]string{"5", "1"}},
+		{"a 4xx and a 503", batch, [2]int{http.StatusBadRequest, http.StatusServiceUnavailable}, [2]string{"", "5"}},
+	} {
+		for i, sh := range shards {
+			sh.answer(c.status[i], c.hint[i])
+		}
+		start := time.Now()
+		resp := postBody(t, ts.URL+"/report", "application/json", c.body)
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Errorf("%s: the router took %v to answer", c.name, took)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "5" {
+			t.Errorf("%s: status %d Retry-After %q, want 503 relaying the largest hint 5",
+				c.name, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if got := shards[1].requests(); got != 4 {
+		t.Errorf("shard 1 saw %d requests for 4 batches: a slice was posted more than once", got)
+	}
+}
+
+// TestRouterProbesShardsAtOnce: a probe that hangs holds up no other
+// shard's verdict. Shard 0's /readyz sits on its answer; shard 1, repointed
+// and so unready, is back in rotation before shard 0's probe is released.
+func TestRouterProbesShardsAtOnce(t *testing.T) {
+	asked, release := make(chan struct{}, 1), make(chan struct{})
+	held := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		asked <- struct{}{}
+		<-release
+	}))
+	t.Cleanup(held.Close)
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	shard1 := newFakeShard(t)
+	r, err := NewRouter(Config{Shards: []string{held.URL, shard1.ts.URL}, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	r.SetShard(1, shard1.ts.URL)
+
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		r.ProbeOnce()
+	}()
+	<-asked // shard 0's probe is now in flight and held
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ready := r.shards[1].target(); ready {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard 1 is still unready while shard 0's probe is held: probes run one after another")
+		}
+	}
+	select {
+	case <-probed:
+		t.Fatal("ProbeOnce returned before shard 0's probe ended")
+	default:
+	}
+	free()
+	<-probed
+	if _, ready := r.shards[0].target(); !ready {
+		t.Error("shard 0 answered its probe 200 but is not ready")
+	}
+}
+
 // TestRouterNoLockAcrossForward: while one shard sits on a forwarded slice,
 // everything that does not need that shard's answer still completes —
 // batches owned by another shard, /healthz, /metrics, and SetShard on the
@@ -671,7 +794,7 @@ func TestFleetFetchesShardsAtOnce(t *testing.T) {
 			t.Cleanup(ts.Close)
 			urls[s] = ts.URL
 		}
-		r, err := NewRouter(Config{Shards: urls, Seed: 7, Sleep: func(time.Duration) {}})
+		r, err := NewRouter(Config{Shards: urls, Seed: 7})
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}
