@@ -33,9 +33,14 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # and the router are timed by `vn2bench --trace 1`'s per-layer spans.
 BENCH_PATTERN ?= BenchmarkSimulatorEpoch|BenchmarkCitySeeTraining|BenchmarkGEMM
 
-.PHONY: check vet lint build test race fuzz bench-build loc knobs experiments chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
+.PHONY: check fmt vet lint build test race fuzz bench-build loc knobs knobs-list experiments chaos chaos-stream chaos-cluster chaos-all smoke smoke-stream bench bench-all benchpairs benchsoak benchsmoke
 
-check: vet lint build test race fuzz bench-build benchsmoke
+check: fmt vet lint build test race fuzz bench-build benchsmoke
+
+# fmt fails when gofmt would rewrite any file of the root module.
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*')); \
+		if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -85,15 +90,19 @@ bench-build:
 loc:
 	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l
 
-# knobs prints how many values someone can set: the cmd/vn2 flag definitions
-# plus the exported fields of every Options / Config / TrainConfig /
-# DiagnoseConfig struct outside the simulator's model (internal/wsn, env,
-# radio) and the frozen harness — the number behind "settable values down".
-knobs:
-	@{ grep -hoE 'fs\.[A-Z][A-Za-z0-9]*\((&[A-Za-z.]+, )?"[a-z-]+"' $$(ls cmd/vn2/*.go | grep -v _test.go); \
-	find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path './internal/wsn/*' -not -path './internal/env/*' -not -path './internal/radio/*' | xargs awk ' \
+# knobs-list prints every value someone can set, one a line: `flag:<name>`
+# for each cmd/vn2 flag definition, `<file>:<Field>` for each exported field
+# of every Options / Config / TrainConfig / DiagnoseConfig struct outside the
+# simulator's model (internal/wsn, env, radio) and the frozen harness.
+# knobs is its line count — the number behind "settable values down".
+knobs-list:
+	@grep -hoE 'fs\.[A-Z][A-Za-z0-9]*\((&[A-Za-z.]+, )?"[a-z-]+"' $$(ls cmd/vn2/*.go | grep -v _test.go) | sed -E 's/.*"([a-z-]+)"$$/flag:\1/'; \
+	find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path './internal/wsn/*' -not -path './internal/env/*' -not -path './internal/radio/*' | sort | xargs awk ' \
 		/^type (Options|Config|TrainConfig|DiagnoseConfig) struct \{/ { s = 1; next } /^}/ { s = 0 } \
-		s && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { n = split(substr($$0, RSTART + 1, RLENGTH - 2), f, ", "); for (i = 1; i <= n; i++) print f[i] }'; } | wc -l
+		s && match($$0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) { n = split(substr($$0, RSTART + 1, RLENGTH - 2), f, ", "); for (i = 1; i <= n; i++) print substr(FILENAME, 3) ":" f[i] }'
+
+knobs:
+	@$(MAKE) --no-print-directory knobs-list | wc -l
 
 # fuzz smokes the malformed-input decoders: the trace CSV reader, the sink
 # report-body decoder, the three mote packet codecs, the batched binary
@@ -142,7 +151,7 @@ chaos:
 # a slowloris probe, and the mid-run kill -9 — recovered diagnoses must
 # match the fault-free JSON baseline bit for bit, with zero spill drops.
 chaos-stream:
-	$(GO) run ./cmd/vn2 chaos -seed 1 -transport stream -partition-epoch 26 -partition-len 4
+	$(GO) run ./cmd/vn2 chaos -seed 1 -transport stream -partition-epoch 26 -partition-len 6
 	$(GO) test ./cmd/vn2 -run 'TestChaosKillRecoveryExact/^stream-1$$' -count=1 -v
 
 # chaos-cluster proves the sharded fleet's contract: k serve shards behind
@@ -173,12 +182,13 @@ chaos-all:
 # states solved) before the fsync and applied after gives what Ingest gives,
 # in any call order, and a swap before the drain still decides the model.
 # The third line holds the router's half of "the client owns the retry": a
-# shard's 503 and its Retry-After come back at once, never slept, and one
-# hung /readyz probe delays no other shard's re-admission.
+# shard's 503 and its Retry-After come back at once, never slept, one hung
+# /readyz probe delays no other shard's re-admission, and a probe's 200
+# re-admits only the address it asked.
 smoke:
 	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability' -count=1 -v
 	$(GO) test ./vn2/online -run 'TestDrainGroupingIndependent|TestSwapBetweenStageAndDrain|TestStagedInAnyOrder' -count=1 -v
-	$(GO) test ./vn2/cluster -run 'TestRouterNeverSleeps|TestRouterProbesShardsAtOnce' -count=1 -v
+	$(GO) test ./vn2/cluster -run 'TestRouterNeverSleeps|TestRouterProbesShardsAtOnce|TestRouterProbeIgnoresRepointedShard' -count=1 -v
 
 # smoke-stream is the visibility-plane smoke: a live /stream (SSE) client
 # sees events end to end, Last-Event-ID resume replays exactly the missed

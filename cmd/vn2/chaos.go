@@ -119,7 +119,7 @@ func cmdChaos(args []string) error {
 	fs.IntVar(&o.shards, "shards", 1, "fleet size: 1 is a single sink; >= 2 puts the consistent-hash router in front of that many shards, kills one mid-run, replaces the router twice, and compares the merged /fleet view bit-exactly against a single fault-free sink (json and bin only)")
 	fs.Float64Var(&o.conn.Corrupt, "corrupt", 0.1, "per-step frame-corruption probability (-transport stream only; caught by the frame CRC and NACKed)")
 	fs.IntVar(&o.conn.PartitionAt, "partition-epoch", 0, "open a hard network partition at this epoch batch (-transport stream only; 0 = never): the reporter spills into its bounded queue and its circuit breaker trips")
-	fs.IntVar(&o.conn.PartitionLen, "partition-len", 4, "how many epoch batches the partition lasts (-transport stream only)")
+	fs.IntVar(&o.conn.PartitionLen, "partition-len", 6, "how many epoch batches the partition lasts (-transport stream only; the breaker trips on the fifth failed flush)")
 	fs.IntVar(&o.killAfter, "kill-epoch", tracegen.TestbedEpochs/2, "kill -9 a sink after this epoch batch and restart it from WAL+snapshot (0 = never)")
 	fs.Float64Var(&o.tolerance, "tolerance", 0.5, "allowed per-epoch relative L1 deviation when -drop > 0 (a single dropped hot report can dominate a sparse epoch)")
 	fs.StringVar(&o.dir, "dir", "", "work directory (default: temp)")

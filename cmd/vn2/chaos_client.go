@@ -9,12 +9,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/wsn-tools/vn2/internal/chaos"
 	"github.com/wsn-tools/vn2/internal/packet"
-	"github.com/wsn-tools/vn2/internal/retry"
 	"github.com/wsn-tools/vn2/vn2/reporter"
 )
 
@@ -32,7 +30,7 @@ type client interface {
 }
 
 // gateway is the HTTP client: each wire delivery goes out as one JSON array
-// or one delta-encoded binary frame under the shared retry policy. It holds
+// or one delta-encoded binary frame, resent until it is taken. It holds
 // the gateway's side of the router's contract: deliveries go out oldest
 // first and nothing newer is sent while an older one is un-ACKed, so a
 // resend can never land behind a newer report of the same node. Against
@@ -88,11 +86,11 @@ func (g *gateway) finish(stragglers []chaos.Delivery) (*reporter.Stats, error) {
 // post sends one wire transfer to the fleet's edge, honoring the
 // transport's truncation verdict: a truncated delivery goes out cut
 // mid-payload first and must draw a 400 (the JSON syntax error, or the
-// frame CRC); then the whole payload is sent under the shared retry policy.
+// frame CRC); then the whole payload is sent by postUntilTaken.
 func (g *gateway) post(d chaos.Delivery) error {
-	url, contentType, tag := g.f.edge()+"/report", "application/json", uint64(0xc4a05)
+	url, contentType := g.f.edge()+"/report", "application/json"
 	if g.enc != nil {
-		url, contentType, tag = g.f.edge()+"/report/bin", "application/octet-stream", 0xc4a06
+		url, contentType = g.f.edge()+"/report/bin", "application/octet-stream"
 	}
 	// Attempt 1 is encoded exactly once: the cut probe must tear the SAME
 	// frame the first real attempt sends (a second delta encode would diff
@@ -112,7 +110,7 @@ func (g *gateway) post(d chaos.Delivery) error {
 			return fmt.Errorf("truncated delivery got %d, want 400", resp.StatusCode)
 		}
 	}
-	return postWithRetry(url, contentType, tag, noSleep, first,
+	return postUntilTaken(url, contentType, first,
 		func(attempt int) ([]byte, error) { return g.encode(d, attempt) })
 }
 
@@ -142,51 +140,34 @@ func (g *gateway) encode(d chaos.Delivery, attempt int) ([]byte, error) {
 	return append([]byte(nil), f...), err
 }
 
-// postWithRetry is the ONE client retry policy every HTTP chaos delivery
-// shares: POST to url until a 202, with decorrelated-jitter backoff
-// (internal/retry, keyed by tag and the first body's size so equal runs
-// draw equal delay sequences), 12 attempts, and a 503's Retry-After honored
-// as an extra sleep ahead of the jittered one. Attempt 1 sends first;
-// again(n) builds each retry's payload, which lets the binary path
-// re-encode fully materialized frames per attempt.
-func postWithRetry(url, contentType string, tag uint64, sleep func(time.Duration), first []byte, again func(attempt int) ([]byte, error)) error {
-	b := retry.New(time.Millisecond, 50*time.Millisecond, tag, uint64(len(first)))
-	payload, attempt := first, 0
-	return retry.Do(context.Background(), b, 12, sleep, func() (err error) {
-		if attempt++; attempt > 1 {
+// postUntilTaken is the ONE client policy every HTTP chaos delivery
+// shares: POST to url until a 202, at most 12 attempts, sent back to back —
+// the harness is synchronous, so what a refusal waits for (a restarted
+// shard, a drained queue) happens between steps, never during a wait.
+// Attempt 1 sends first; again(n) builds each retry's payload, which lets
+// the binary path re-encode fully materialized frames per attempt.
+func postUntilTaken(url, contentType string, first []byte, again func(attempt int) ([]byte, error)) error {
+	payload := first
+	var err error
+	for attempt := 1; attempt <= 12; attempt++ {
+		if attempt > 1 {
 			if payload, err = again(attempt); err != nil {
 				return err
 			}
 		}
-		resp, err := http.Post(url, contentType, bytes.NewReader(payload))
-		if err != nil {
-			return err
+		var resp *http.Response
+		if resp, err = http.Post(url, contentType, bytes.NewReader(payload)); err != nil {
+			continue
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusAccepted {
 			return nil
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-				sleep(time.Duration(secs) * time.Second)
-			}
-		}
-		return fmt.Errorf("report status %d", resp.StatusCode)
-	})
+		err = fmt.Errorf("report status %d", resp.StatusCode)
+	}
+	return err
 }
-
-const (
-	// streamSpillCap bounds the reporter's spill queue. finish asserts the
-	// high-water mark stays under it and that nothing was oldest-dropped —
-	// the partition backlog must fit, or exactness is unprovable.
-	streamSpillCap = 4096
-	// streamBreakerThreshold/Cooldown: small enough that a multi-step
-	// partition demonstrably trips the breaker, long enough that only the
-	// harness's deliberate clock advances re-close it.
-	streamBreakerThreshold = 3
-	streamBreakerCooldown  = time.Minute
-)
 
 // streamClient is the production vn2/reporter against a real TCP listener,
 // so the fault surface is the connection itself, not just the payload. On
@@ -238,17 +219,9 @@ func newStreamClient(o chaosOptions, f *fleet, probeAt int, logf func(string, ..
 			s.cur = fc
 			return fc, nil
 		},
-		MaxBatch:         256,
-		SpillCap:         streamSpillCap,
-		IOTimeout:        5 * time.Second,
-		RetryMin:         time.Millisecond,
-		RetryMax:         50 * time.Millisecond,
-		Attempts:         12,
-		BreakerThreshold: streamBreakerThreshold,
-		BreakerCooldown:  streamBreakerCooldown,
-		Seed:             uint64(o.wire.Seed),
-		Sleep:            noSleep,
-		Now:              func() time.Time { return s.clock },
+		Seed:  uint64(o.wire.Seed),
+		Sleep: noSleep,
+		Now:   func() time.Time { return s.clock },
 	})
 	return s, err
 }
@@ -299,7 +272,7 @@ func (s *streamClient) send(step int, ds []chaos.Delivery) error {
 		s.partitioned = false
 		// The partition heals; let the breaker cooldown elapse so the
 		// next flush is the half-open probe that re-closes it.
-		s.clock = s.clock.Add(2 * streamBreakerCooldown)
+		s.clock = s.clock.Add(reporter.DefaultBreakerCooldown)
 		s.logf("chaos: partition healed at step %d (spill backlog %d)\n", step, s.rep.Buffered())
 	}
 
@@ -349,15 +322,15 @@ func (s *streamClient) finish(stragglers []chaos.Delivery) (*reporter.Stats, err
 			return nil, fmt.Errorf("spill queue stuck at %d after %d drain rounds", s.rep.Buffered(), tries)
 		}
 		if err := s.flush(); err != nil {
-			s.clock = s.clock.Add(2 * streamBreakerCooldown)
+			s.clock = s.clock.Add(reporter.DefaultBreakerCooldown)
 		}
 	}
 	stats := s.rep.Stats()
 	if stats.SpillDrops != 0 {
 		return nil, fmt.Errorf("spill queue dropped %d reports; the backlog bound is too small for this fault plan", stats.SpillDrops)
 	}
-	if stats.SpillHighWater > streamSpillCap {
-		return nil, fmt.Errorf("spill high water %d exceeds the %d bound", stats.SpillHighWater, streamSpillCap)
+	if stats.SpillHighWater > reporter.DefaultSpillCap {
+		return nil, fmt.Errorf("spill high water %d exceeds the %d bound", stats.SpillHighWater, reporter.DefaultSpillCap)
 	}
 	return &stats, nil
 }

@@ -24,7 +24,7 @@ func chaosTestOptions(dir, transport string, shards int) chaosOptions {
 		dir:       dir,
 	}
 	if transport == "stream" {
-		o.conn = chaos.StreamFaults{Corrupt: 0.15, PartitionAt: 26, PartitionLen: 4}
+		o.conn = chaos.StreamFaults{Corrupt: 0.15, PartitionAt: 26, PartitionLen: 6}
 	}
 	return o
 }
@@ -42,7 +42,7 @@ func chaosTestOptions(dir, transport string, shards int) chaosOptions {
 //     exactness also proves cross-encoding equivalence and that the
 //     client's deltas continue against the replay-primed cache.
 //   - stream/1: the production vn2/reporter over a real TCP connection with
-//     mid-frame cuts, CRC-caught corruption, a 4-step partition (bounded
+//     mid-frame cuts, CRC-caught corruption, a 6-step partition (bounded
 //     spill, breaker trip) and a slowloris probe on top; drive itself
 //     rejects a run whose spill queue dropped or exceeded its bound.
 //   - json/3, bin/3: three shards behind the router, one killed (the router
@@ -117,7 +117,7 @@ func TestChaosKillRecoveryExact(t *testing.T) {
 					t.Fatal("spill high water 0: the partition never backed anything up — the fault plan is vacuous")
 				}
 				if rs.BreakerTrips == 0 {
-					t.Fatal("the 4-step partition never tripped the circuit breaker")
+					t.Fatal("the 6-step partition never tripped the circuit breaker")
 				}
 				if rs.Nacks == 0 {
 					t.Fatal("corruption probability 0.15 produced no NACKs — the CRC path went unexercised")

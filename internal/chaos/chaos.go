@@ -38,6 +38,9 @@ const (
 	tagTrunc   = 0x9c47_0003
 )
 
+// maxDelay bounds how many steps a delayed report is held.
+const maxDelay = 3
+
 // Config sets the fault mix. All probabilities are per record (Truncate is
 // per delivery) in [0, 1].
 type Config struct {
@@ -47,12 +50,9 @@ type Config struct {
 	Drop float64
 	// Duplicate delivers a report twice (adjacent retransmission).
 	Duplicate float64
-	// Delay holds a report for 1..MaxDelay later steps before delivery,
+	// Delay holds a report for 1..maxDelay later steps before delivery,
 	// reordering it relative to other nodes' reports.
 	Delay float64
-	// MaxDelay bounds how many steps a delayed report is held. Defaults
-	// to 3.
-	MaxDelay int
 	// Truncate marks a delivery as wire-truncated: the receiver sees a
 	// cut-off payload and it is the sender's job to retransmit (the chaos
 	// client sends a cut body, collects the 400, and retries).
@@ -105,9 +105,6 @@ func New(cfg Config) (*Transport, error) {
 			return nil, fmt.Errorf("chaos: %s probability %v outside [0, 1]", p.name, p.v)
 		}
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 3
-	}
 	return &Transport{cfg: cfg, held: make(map[packet.NodeID][]heldRec)}, nil
 }
 
@@ -117,7 +114,7 @@ func (t *Transport) fate(rec trace.Record) (drop, dup bool, delaySteps int) {
 	drop = s.Float64() < t.cfg.Drop
 	dup = s.Float64() < t.cfg.Duplicate
 	if s.Float64() < t.cfg.Delay {
-		delaySteps = 1 + int(s.Uint64()%uint64(t.cfg.MaxDelay))
+		delaySteps = 1 + int(s.Uint64()%maxDelay)
 	}
 	return
 }

@@ -130,7 +130,7 @@ func TestCleanWire(t *testing.T) {
 // TestFlushReleasesHeld: records still delayed at end of run come out of
 // Flush in canonical (epoch, node) order.
 func TestFlushReleasesHeld(t *testing.T) {
-	tr, err := New(Config{Seed: 11, Delay: 1, MaxDelay: 100})
+	tr, err := New(Config{Seed: 11, Delay: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

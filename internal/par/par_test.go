@@ -238,9 +238,9 @@ func TestRunNestedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPoolReuseAcrossRuns: many back-to-back runs of varying size, each
+// TestRunBackToBack: many back-to-back runs of varying size, each
 // summing into per-worker slots.
-func TestPoolReuseAcrossRuns(t *testing.T) {
+func TestRunBackToBack(t *testing.T) {
 	const workers = 4
 	for round := 0; round < 200; round++ {
 		n := 1 + (round*31)%97
@@ -282,10 +282,10 @@ func TestPoolRunGrainInlinesSmallWork(t *testing.T) {
 	}
 }
 
-// TestPoolRunIndexedWorkerIDs: worker ids are dense in [0, chunks) and chunk
+// TestRunWorkerIDsDense: worker ids are dense in [0, chunks) and chunk
 // c always carries id c — the invariant per-worker scratch ownership
 // depends on.
-func TestPoolRunIndexedWorkerIDs(t *testing.T) {
+func TestRunWorkerIDsDense(t *testing.T) {
 	const n, workers = 64, 4
 	owner := make([]int32, n)
 	for i := range owner {
@@ -309,9 +309,9 @@ func TestPoolRunIndexedWorkerIDs(t *testing.T) {
 	}
 }
 
-// TestPoolRunErrLowestChunk: when chunk 0 succeeds, the error is the lowest
+// TestRunErrLowestFailingChunk: when chunk 0 succeeds, the error is the lowest
 // failing chunk's, not whichever finished first.
-func TestPoolRunErrLowestChunk(t *testing.T) {
+func TestRunErrLowestFailingChunk(t *testing.T) {
 	for _, workers := range []int{3, 4, 8} {
 		err := Run(64, workers, func(w, start, end int) error {
 			if w == 0 {

@@ -21,71 +21,37 @@ import (
 	"github.com/wsn-tools/vn2/internal/rng"
 )
 
-// Defaults used by New when a bound is zero.
+// The bounds of every delay a Backoff draws.
 const (
-	DefaultMin = 100 * time.Millisecond
-	DefaultMax = 10 * time.Second
+	Min = 100 * time.Millisecond
+	Max = 10 * time.Second
 )
 
 // Backoff emits a decorrelated-jitter delay sequence. Not safe for
 // concurrent use; give each retrying goroutine its own (differently keyed)
 // Backoff.
 type Backoff struct {
-	min, max time.Duration
-	src      rng.Stream
-	key      []uint64 // retained so Reset can rebuild the stream
-	prev     time.Duration
-	attempts int
+	src  rng.Stream
+	prev time.Duration
 }
 
-// New returns a Backoff bounded to [min, max] whose jitter stream is keyed
-// by parts (see rng.New). Zero bounds take the package defaults; a max
-// below min is raised to min.
-func New(min, max time.Duration, parts ...uint64) *Backoff {
-	if min <= 0 {
-		min = DefaultMin
-	}
-	if max <= 0 {
-		max = DefaultMax
-	}
-	if max < min {
-		max = min
-	}
-	key := append([]uint64(nil), parts...)
-	return &Backoff{min: min, max: max, src: rng.New(key...), key: key}
+// New returns a Backoff whose jitter stream is keyed by parts (see rng.New).
+func New(parts ...uint64) *Backoff {
+	return &Backoff{src: rng.New(parts...)}
 }
 
 // Next returns the delay to wait before the next attempt and advances the
-// sequence. The first delay is uniform in [min, 3·min); subsequent delays
-// are uniform in [min, 3·previous), capped at max — the decorrelated-jitter
+// sequence. The first delay is uniform in [Min, 3·Min); subsequent delays
+// are uniform in [Min, 3·previous), capped at Max — the decorrelated-jitter
 // recurrence.
 func (b *Backoff) Next() time.Duration {
-	prev := b.prev
-	if prev < b.min {
-		prev = b.min
+	hi := 3 * max(b.prev, Min)
+	if hi > Max {
+		hi = Max
 	}
-	hi := 3 * prev
-	if hi > b.max {
-		hi = b.max
-	}
-	d := b.min
-	if hi > b.min {
-		d += time.Duration(b.src.Float64() * float64(hi-b.min))
-	}
+	d := Min + time.Duration(b.src.Float64()*float64(hi-Min))
 	b.prev = d
-	b.attempts++
 	return d
-}
-
-// Attempts returns how many delays have been drawn since the last Reset.
-func (b *Backoff) Attempts() int { return b.attempts }
-
-// Reset rewinds the sequence to its initial state: the next Next call
-// repeats the first delay of a fresh Backoff with the same key.
-func (b *Backoff) Reset() {
-	b.src = rng.New(b.key...)
-	b.prev = 0
-	b.attempts = 0
 }
 
 // ErrAttemptsExhausted wraps the last attempt error when Do gives up.
@@ -94,9 +60,8 @@ var ErrAttemptsExhausted = errors.New("retry: attempts exhausted")
 // Do calls fn up to attempts times, sleeping b.Next() between failures via
 // sleep (nil means time.Sleep). It returns nil on the first success, the
 // context error if ctx is done before a retry, and otherwise the last
-// attempt's error wrapped with ErrAttemptsExhausted. b is not Reset; the
-// caller decides whether consecutive Do calls share one escalating
-// sequence (a persistently failing subsystem) or start fresh.
+// attempt's error wrapped with ErrAttemptsExhausted. Consecutive Do calls
+// on one Backoff share one escalating sequence.
 func Do(ctx context.Context, b *Backoff, attempts int, sleep func(time.Duration), fn func() error) error {
 	if attempts <= 0 {
 		attempts = 1

@@ -69,11 +69,15 @@ func (sh *shardState) target() (url string, ready bool) {
 	return sh.url, sh.down == nil
 }
 
-// mark records a readiness verdict: nil means ready.
-func (sh *shardState) mark(down error) {
+// mark records a readiness verdict on url: nil means ready. A verdict on an
+// address the shard no longer holds (SetShard repointed it meanwhile) says
+// nothing about the shard and is dropped.
+func (sh *shardState) mark(url string, down error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.down = down
+	if sh.url == url {
+		sh.down = down
+	}
 }
 
 // Router is the cluster front door: it speaks the sink's own ingest
@@ -258,7 +262,7 @@ func (r *Router) route(w http.ResponseWriter, n, size int, path, contentType str
 		retryAfter = max(retryAfter, hint)
 		switch {
 		case err != nil:
-			r.shards[s].mark(err)
+			r.shards[s].mark(urls[s], err)
 			refusing = append(refusing, s)
 		case status == http.StatusAccepted:
 			r.forwarded.Add(1)
@@ -332,7 +336,7 @@ func (r *Router) ProbeOnce() {
 					err = fmt.Errorf("readyz status %d", resp.StatusCode)
 				}
 			}
-			sh.mark(err)
+			sh.mark(url, err)
 		}()
 	}
 	wg.Wait()

@@ -700,6 +700,41 @@ func TestRouterProbesShardsAtOnce(t *testing.T) {
 	}
 }
 
+// TestRouterProbeIgnoresRepointedShard: a probe's verdict belongs to the
+// address it asked. Shard 0's /readyz sits on its answer while SetShard
+// repoints the shard at a closed listener; the held probe then answers 200,
+// and the shard stays unready — nothing has probed the address it holds.
+func TestRouterProbeIgnoresRepointedShard(t *testing.T) {
+	asked, release := make(chan struct{}, 1), make(chan struct{})
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		asked <- struct{}{}
+		<-release
+	}))
+	t.Cleanup(old.Close)
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	r, err := NewRouter(Config{Shards: []string{old.URL}, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		r.ProbeOnce()
+	}()
+	<-asked // the probe of the old address is in flight and held
+	r.SetShard(0, gone.URL)
+	free()
+	<-probed
+	if url, ready := r.shards[0].target(); ready {
+		t.Fatalf("shard repointed at %s is ready on its old address's 200", url)
+	}
+}
+
 // TestRouterNoLockAcrossForward: while one shard sits on a forwarded slice,
 // everything that does not need that shard's answer still completes —
 // batches owned by another shard, /healthz, /metrics, and SetShard on the

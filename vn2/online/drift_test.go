@@ -126,25 +126,27 @@ func TestDriftClassification(t *testing.T) {
 
 func TestQuarantineBound(t *testing.T) {
 	r := newRig(t)
-	m := newTestMonitor(t, Config{QuarantineSize: 4, ResidualWindow: 6})
-	for epoch := 1; epoch <= 11; epoch++ {
+	m := newTestMonitor(t, Config{})
+	// One node's first report derives no state, so quarantineSize+7 epochs
+	// quarantine quarantineSize+6 unattributed states.
+	for epoch := 1; epoch <= quarantineSize+7; epoch++ {
 		ingestOK(t, m, r.alien(3, epoch))
 	}
 	if _, err := m.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	ds := m.DriftStats()
-	if ds.Quarantine != 4 {
-		t.Errorf("Quarantine = %d, want bound 4", ds.Quarantine)
+	if ds.Quarantine != quarantineSize {
+		t.Errorf("Quarantine = %d, want bound %d", ds.Quarantine, quarantineSize)
 	}
-	if ds.Window != 6 {
-		t.Errorf("Window = %d, want bound 6", ds.Window)
+	if ds.Window != residualWindow {
+		t.Errorf("Window = %d, want bound %d", ds.Window, residualWindow)
 	}
 	st := m.Stats()
 	if st.QuarantineShed != 6 {
-		t.Errorf("QuarantineShed = %d, want 6 (10 quarantined into 4 slots)", st.QuarantineShed)
+		t.Errorf("QuarantineShed = %d, want 6 (%d quarantined into %d slots)", st.QuarantineShed, quarantineSize+6, quarantineSize)
 	}
-	// The oldest were shed: the survivors are the 4 newest epochs.
+	// The oldest were shed: the survivors are the newest epochs.
 	q := m.Quarantine()
 	for i, s := range q {
 		if want := 8 + i; s.Epoch != want {

@@ -62,6 +62,18 @@ const ResidualThreshold = 0.5
 // DefaultMaxPending is Config.MaxPending's default.
 const DefaultMaxPending = 4096
 
+// The monitor's fixed ring bounds. maxRecent bounds the kept ring of most
+// recent diagnosed states (the serve path's /diagnosis detail view);
+// quarantineSize the buffer of unattributed exception states kept for the
+// next shadow retrain, whose oldest are evicted when it is full;
+// residualWindow the rolling sample window behind DriftStats' residual
+// quantiles and unattributed rate.
+const (
+	maxRecent      = 128
+	quarantineSize = 512
+	residualWindow = 256
+)
+
 // Config assembles a Monitor.
 type Config struct {
 	// Model is the trained representative matrix used to diagnose flagged
@@ -78,20 +90,10 @@ type Config struct {
 	// flags a state while the buffer is full drops it and returns
 	// ErrBacklog. Defaults to DefaultMaxPending.
 	MaxPending int
-	// MaxRecent bounds the kept ring of most recent diagnosed states (the
-	// serve path's /diagnosis detail view). Defaults to 128.
-	MaxRecent int
 	// Workers bounds the goroutines a large drain's NNLS solves fan out to
 	// (nnls.SolveBatchInto): 0 uses all cores, otherwise as
 	// vn2.DiagnoseConfig.Workers. Results are identical for any value.
 	Workers int
-	// QuarantineSize bounds the buffer of unattributed exception states kept
-	// for the next shadow retrain; the oldest are evicted when it is full.
-	// Defaults to 512.
-	QuarantineSize int
-	// ResidualWindow bounds the rolling sample window behind DriftStats'
-	// residual quantiles and unattributed rate. Defaults to 256.
-	ResidualWindow int
 	// ModelVersion seeds the monitor's model generation counter; 0 means 1.
 	// SwapModel advances it.
 	ModelVersion uint64
@@ -104,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxPending == 0 {
 		c.MaxPending = DefaultMaxPending
 	}
-	if c.MaxRecent == 0 {
-		c.MaxRecent = 128
-	}
 	if c.Workers == 0 {
 		c.Workers = -1
-	}
-	if c.QuarantineSize == 0 {
-		c.QuarantineSize = 512
-	}
-	if c.ResidualWindow == 0 {
-		c.ResidualWindow = 256
 	}
 	if c.ModelVersion == 0 {
 		c.ModelVersion = 1
@@ -209,7 +202,7 @@ type DriftStats struct {
 	// against; SwapModel resets the window and bumps this.
 	ModelVersion uint64 `json:"model_version"`
 	// Window is how many diagnosed states the rolling window holds (bounded
-	// by Config.ResidualWindow); WindowUnattributed is how many of those were
+	// by residualWindow); WindowUnattributed is how many of those were
 	// unattributed, and UnattributedRate is their ratio (0 when empty).
 	Window             int     `json:"window"`
 	WindowUnattributed int     `json:"window_unattributed"`
@@ -621,7 +614,7 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 		})
 	}
 	m.recent = append(m.recent, out...)
-	if over := len(m.recent) - m.cfg.MaxRecent; over > 0 {
+	if over := len(m.recent) - maxRecent; over > 0 {
 		m.recent = append(m.recent[:0], m.recent[over:]...)
 	}
 	// The drift window and quarantine describe ONE model generation. If a
@@ -636,15 +629,15 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 				continue
 			}
 			m.stats.Unattributed++
-			if len(m.quar) >= m.cfg.QuarantineSize {
-				shed := len(m.quar) - m.cfg.QuarantineSize + 1
+			if len(m.quar) >= quarantineSize {
+				shed := len(m.quar) - quarantineSize + 1
 				m.quar = append(m.quar[:0], m.quar[shed:]...)
 				m.stats.QuarantineShed += uint64(shed)
 			}
 			m.quar = append(m.quar, copyState(out[i].State))
 			m.stats.Quarantined++
 		}
-		if over := len(m.residuals) - m.cfg.ResidualWindow; over > 0 {
+		if over := len(m.residuals) - residualWindow; over > 0 {
 			m.residuals = append(m.residuals[:0], m.residuals[over:]...)
 		}
 	}

@@ -303,11 +303,12 @@ func TestBacklogBoundAndDrop(t *testing.T) {
 
 func TestHistoryPruningAndRecentRing(t *testing.T) {
 	r := newRig(t)
-	m := newTestMonitor(t, Config{History: 4, MaxRecent: 3})
+	m := newTestMonitor(t, Config{History: 4})
 	if err := m.Warm(r.calm(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	for e := 1; e <= 10; e++ {
+	const epochs = maxRecent + 3
+	for e := 1; e <= epochs; e++ {
 		if _, err := m.Ingest(r.hot(1, e)); err != nil {
 			t.Fatal(err)
 		}
@@ -316,22 +317,22 @@ func TestHistoryPruningAndRecentRing(t *testing.T) {
 		}
 	}
 	sum := m.Snapshot()
-	// Epochs ≤ 10-4 = 6 are pruned: 7..10 remain, ascending.
+	// Epochs ≤ epochs-4 are pruned: the newest 4 remain, ascending.
 	if len(sum.Epochs) != 4 {
 		t.Fatalf("epochs kept = %d, want 4 (%+v)", len(sum.Epochs), sum.Epochs)
 	}
 	for i, ec := range sum.Epochs {
-		if ec.Epoch != 7+i {
-			t.Errorf("epoch[%d] = %d, want %d", i, ec.Epoch, 7+i)
+		if ec.Epoch != epochs-3+i {
+			t.Errorf("epoch[%d] = %d, want %d", i, ec.Epoch, epochs-3+i)
 		}
 	}
-	if len(sum.Recent) != 3 {
-		t.Fatalf("recent = %d, want 3", len(sum.Recent))
+	if len(sum.Recent) != maxRecent {
+		t.Fatalf("recent = %d, want %d", len(sum.Recent), maxRecent)
 	}
 	// Ring keeps the newest, oldest first.
 	for i, f := range sum.Recent {
-		if f.State.Epoch != 8+i {
-			t.Errorf("recent[%d] epoch = %d, want %d", i, f.State.Epoch, 8+i)
+		if f.State.Epoch != 4+i {
+			t.Errorf("recent[%d] epoch = %d, want %d", i, f.State.Epoch, 4+i)
 		}
 	}
 }
@@ -452,8 +453,8 @@ func (r testRig) stormTrace(seed int64, nodes, epochs int) []trace.Record {
 // every k states, one at the end, or a goroutine draining as fast as it can
 // while the trace is still being ingested, all bit for bit the same. Every
 // run is held to one whose states were all solved by the drain, the rule
-// before Stage solved anything. The trace outruns History, MaxRecent and
-// ResidualWindow, so the pruning and both rings are exercised. Stats.Drains
+// before Stage solved anything. The trace outruns History, maxRecent and
+// residualWindow, so the pruning and both rings are exercised. Stats.Drains
 // is excluded: it counts the grouping itself.
 func TestDrainGroupingIndependent(t *testing.T) {
 	r := newRig(t)

@@ -379,7 +379,7 @@ func TestSettledEpochsHeldOnce(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	base := live()
-	m := newTestMonitor(t, Config{Workers: 1, QuarantineSize: 1, MaxRecent: 1, ResidualWindow: 1})
+	m := newTestMonitor(t, Config{Workers: 1})
 	recs := r.stormTrace(7, 160, 70)
 	for len(recs) > 0 {
 		k := min(len(recs), 800)
@@ -399,12 +399,17 @@ func TestSettledEpochsHeldOnce(t *testing.T) {
 	for _, p := range parts {
 		partBytes += uint64(len(p))
 	}
+	// The recent ring, the quarantine and the drift window have fixed
+	// bounds and hold no epoch; empty them so the heap is the epochs'.
+	m.mu.Lock()
+	m.recent, m.quar, m.residuals = nil, nil, nil
+	m.mu.Unlock()
 	heap := live() - base
 	st := m.Stats()
 	t.Logf("%d states diagnosed, parts %d bytes, live heap %d bytes (%.2f× the parts)",
 		st.Diagnosed, partBytes, heap, float64(heap)/float64(partBytes))
-	// Held once, the parts are most of the heap (1.7–1.8× them here; the
-	// rest is the nodes' diff slots and the maps). Held twice, 2.3–2.4×.
+	// Held once, the parts are most of the heap (≈1.3× them here; the rest
+	// is the nodes' diff slots and the maps). Held twice, one more 1×.
 	if heap > 2*partBytes {
 		t.Errorf("a 64-epoch storm monitor holds %d live heap bytes, over twice its %d bytes of parts", heap, partBytes)
 	}

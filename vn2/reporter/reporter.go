@@ -8,12 +8,12 @@
 // correct against either state.
 //
 // Reports accumulate in a bounded in-memory spill queue, so a sink outage
-// never grows the client without bound: at SpillCap the oldest report is
-// dropped and counted. Delivery retries with decorrelated-jitter backoff
+// never grows the client without bound: at DefaultSpillCap the oldest report
+// is dropped and counted. Delivery retries with decorrelated-jitter backoff
 // (internal/retry, keyed by Config.Seed — bit-identical sequences for
-// identical configs), and a circuit breaker trips after BreakerThreshold
-// consecutive batch failures so a dead sink costs one fast error per Flush
-// instead of a full retry ladder.
+// identical configs), and a circuit breaker trips after
+// DefaultBreakerThreshold consecutive batch failures so a dead sink costs
+// one fast error per Flush instead of a full retry ladder.
 package reporter
 
 import (
@@ -29,7 +29,14 @@ import (
 	"github.com/wsn-tools/vn2/internal/trace"
 )
 
-// Defaults applied by New for zero Config fields.
+// The reporter's fixed bounds. DefaultMaxBatch caps records per frame;
+// DefaultSpillCap bounds the spill queue (at the cap the OLDEST report is
+// dropped and SpillDrops incremented); DefaultIOTimeout bounds each dial,
+// frame write and response read, always on the wall clock, never Config.Now
+// — deadlines are enforced by the kernel; DefaultAttempts caps delivery
+// attempts per batch. DefaultBreakerThreshold consecutive failed batches
+// open the breaker, which stays open DefaultBreakerCooldown before a
+// half-open probe.
 const (
 	DefaultMaxBatch  = 64
 	DefaultSpillCap  = 4096
@@ -44,7 +51,7 @@ const (
 const reporterRetryTag = 0xd1a7_0001
 
 // ErrBreakerOpen is returned by Flush while the circuit breaker is open:
-// the sink has failed BreakerThreshold consecutive deliveries and the
+// the sink has failed DefaultBreakerThreshold consecutive deliveries and the
 // cooldown has not yet elapsed. Reports keep spilling locally; the caller
 // should keep calling Flush on its normal cadence — the first Flush after
 // the cooldown probes the sink (half-open) and closes the breaker on
@@ -60,28 +67,6 @@ type Config struct {
 	// here.
 	Dial func() (net.Conn, error)
 
-	// MaxBatch caps records per frame (0 = 64, max 65535).
-	MaxBatch int
-	// SpillCap bounds the in-memory spill queue; at the cap the OLDEST
-	// report is dropped and SpillDrops incremented (0 = 4096).
-	SpillCap int
-	// IOTimeout bounds each frame write and each response read. Always
-	// measured on the wall clock, never Config.Now — deadlines are enforced
-	// by the kernel (0 = 10s).
-	IOTimeout time.Duration
-
-	// RetryMin/RetryMax bound the decorrelated-jitter backoff
-	// (0 = internal/retry defaults). Attempts caps delivery attempts per
-	// batch (0 = 8).
-	RetryMin, RetryMax time.Duration
-	Attempts           int
-
-	// BreakerThreshold is the consecutive failed batches that open the
-	// breaker (0 = 5); BreakerCooldown how long it stays open before a
-	// half-open probe (0 = 30s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// Seed keys the jitter stream: equal seeds give bit-identical backoff
 	// sequences.
 	Seed uint64
@@ -96,7 +81,7 @@ type Config struct {
 // Stats is a point-in-time snapshot of the reporter's counters.
 type Stats struct {
 	Buffered       int    // reports waiting in the spill queue
-	SpillDrops     uint64 // oldest-dropped reports (queue hit SpillCap)
+	SpillDrops     uint64 // oldest-dropped reports (queue hit DefaultSpillCap)
 	SpillHighWater int    // max spill-queue depth ever observed
 	Frames         uint64 // frames ACKed
 	Records        uint64 // records ACKed
@@ -137,49 +122,28 @@ type Reporter struct {
 	hint time.Duration
 }
 
-// New validates cfg, applies defaults, and returns a Reporter. No
-// connection is made until the first Flush with queued reports.
+// New validates cfg and returns a Reporter. No connection is made until the
+// first Flush with queued reports.
 func New(cfg Config) (*Reporter, error) {
 	if cfg.Addr == "" && cfg.Dial == nil {
 		return nil, errors.New("reporter: Config.Addr or Config.Dial required")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.MaxBatch > packet.MaxFrameRecords {
-		cfg.MaxBatch = packet.MaxFrameRecords
-	}
-	if cfg.SpillCap <= 0 {
-		cfg.SpillCap = DefaultSpillCap
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = DefaultIOTimeout
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = DefaultAttempts
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
 	r := &Reporter{
 		cfg:     cfg,
 		sleep:   cfg.Sleep,
 		now:     cfg.Now,
 		enc:     packet.NewFrameEncoder(),
-		backoff: retry.New(cfg.RetryMin, cfg.RetryMax, reporterRetryTag, cfg.Seed),
+		backoff: retry.New(reporterRetryTag, cfg.Seed),
 		respBuf: make([]byte, packet.StreamRespLen),
+		br:      retry.Breaker{Threshold: DefaultBreakerThreshold, Cooldown: DefaultBreakerCooldown},
 	}
 	if r.now == nil {
 		r.now = time.Now
 	}
-	r.br = retry.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
 	return r, nil
 }
 
-// Report queues one report for delivery. At SpillCap the oldest queued
+// Report queues one report for delivery. At DefaultSpillCap the oldest queued
 // report is dropped to make room — bounded memory beats unbounded growth
 // during a long sink outage; the drop is counted, never silent. The record's
 // Vector is stored as given and must not be mutated by the caller
@@ -187,7 +151,7 @@ func New(cfg Config) (*Reporter, error) {
 func (r *Reporter) Report(rec trace.Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) >= r.cfg.SpillCap {
+	if len(r.buf) >= DefaultSpillCap {
 		r.buf = r.buf[1:]
 		r.drops++
 		if r.peeked > 0 {
@@ -202,8 +166,8 @@ func (r *Reporter) Report(rec trace.Record) {
 	}
 	// append never reuses r.buf[1:]'s vacated slot, so the backing array
 	// creeps; re-home the queue once the dead prefix dominates.
-	if cap(r.buf) > 2*r.cfg.SpillCap && len(r.buf) <= r.cfg.SpillCap {
-		r.buf = append(make([]trace.Record, 0, r.cfg.SpillCap), r.buf...)
+	if cap(r.buf) > 2*DefaultSpillCap && len(r.buf) <= DefaultSpillCap {
+		r.buf = append(make([]trace.Record, 0, DefaultSpillCap), r.buf...)
 	}
 }
 
@@ -214,7 +178,7 @@ func (r *Reporter) Buffered() int {
 	return len(r.buf)
 }
 
-// Flush drives the spill queue to empty: peek up to MaxBatch reports,
+// Flush drives the spill queue to empty: peek up to DefaultMaxBatch reports,
 // deliver the frame with retries, pop on ACK, repeat. Reports are popped
 // only after the sink's ACK (which the sink sends only after the fsync), so
 // a failure mid-flush loses nothing — the batch stays queued for the next
@@ -271,16 +235,13 @@ func (r *Reporter) Stats() Stats {
 	}
 }
 
-// peek marks up to MaxBatch head reports as in flight and returns them.
-// They remain queued until pop; Report's oldest-drop shrinks the in-flight
-// head count instead of popping survivors out from under it.
+// peek marks up to DefaultMaxBatch head reports as in flight and returns
+// them. They remain queued until pop; Report's oldest-drop shrinks the
+// in-flight head count instead of popping survivors out from under it.
 func (r *Reporter) peek() []trace.Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.buf)
-	if n > r.cfg.MaxBatch {
-		n = r.cfg.MaxBatch
-	}
+	n := min(len(r.buf), DefaultMaxBatch)
 	r.peeked = n
 	return r.buf[:n]
 }
@@ -347,7 +308,7 @@ func (r *Reporter) sendBatch(ctx context.Context, batch []trace.Record) error {
 		r.hint = 0
 		sleep(d)
 	}
-	return retry.Do(ctx, r.backoff, r.cfg.Attempts, hinted, func() error {
+	return retry.Do(ctx, r.backoff, DefaultAttempts, hinted, func() error {
 		if !first {
 			r.mu.Lock()
 			r.retries++
@@ -382,7 +343,7 @@ func (r *Reporter) attempt(batch []trace.Record) error {
 	}
 
 	c := r.conn
-	c.SetWriteDeadline(time.Now().Add(r.cfg.IOTimeout))
+	c.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	if _, err := c.Write(frame); err != nil {
 		r.dropConn()
 		return fmt.Errorf("reporter: write frame: %w", err)
@@ -391,7 +352,7 @@ func (r *Reporter) attempt(batch []trace.Record) error {
 	r.bytesSent += uint64(len(frame))
 	r.fullRecords += uint64(r.enc.Fulls())
 	r.mu.Unlock()
-	c.SetReadDeadline(time.Now().Add(r.cfg.IOTimeout))
+	c.SetReadDeadline(time.Now().Add(DefaultIOTimeout))
 	resp, err := packet.ReadStreamResp(c, r.respBuf)
 	if err != nil {
 		// The frame may well have been committed; only the ACK is lost.
@@ -452,7 +413,7 @@ func (r *Reporter) dial() (net.Conn, error) {
 	if r.cfg.Dial != nil {
 		return r.cfg.Dial()
 	}
-	return net.DialTimeout("tcp", r.cfg.Addr, r.cfg.IOTimeout)
+	return net.DialTimeout("tcp", r.cfg.Addr, DefaultIOTimeout)
 }
 
 func (r *Reporter) dropConn() {

@@ -209,15 +209,6 @@ func newTestReporter(t *testing.T, cfg Config) *Reporter {
 	if cfg.Sleep == nil {
 		cfg.Sleep = noSleep
 	}
-	if cfg.IOTimeout == 0 {
-		cfg.IOTimeout = 5 * time.Second
-	}
-	if cfg.RetryMin == 0 {
-		cfg.RetryMin = time.Millisecond
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 10 * time.Millisecond
-	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -266,28 +257,26 @@ func TestReporterHappyPath(t *testing.T) {
 func TestReporterSpillBound(t *testing.T) {
 	dials := 0
 	r := newTestReporter(t, Config{
-		Dial:     func() (net.Conn, error) { dials++; return nil, errors.New("sink down") },
-		SpillCap: 16,
-		Attempts: 2,
+		Dial: func() (net.Conn, error) { dials++; return nil, errors.New("sink down") },
 	})
-	recs := workload(1, 24) // 24 reports through a 16-slot queue
+	recs := workload(1, DefaultSpillCap+8) // 8 reports more than the queue holds
 	for _, rec := range recs {
 		r.Report(rec)
 	}
 	st := r.Stats()
-	if st.Buffered != 16 || st.SpillDrops != 8 || st.SpillHighWater != 16 {
-		t.Fatalf("stats %+v, want buffered 16, drops 8, high water 16", st)
+	if st.Buffered != DefaultSpillCap || st.SpillDrops != 8 || st.SpillHighWater != DefaultSpillCap {
+		t.Fatalf("stats %+v, want buffered %d, drops 8, high water %d", st, DefaultSpillCap, DefaultSpillCap)
 	}
 	err := r.Flush(context.Background())
 	if err == nil {
 		t.Fatal("Flush against a dead sink succeeded")
 	}
-	if dials == 0 {
-		t.Fatal("Flush never dialed")
+	if dials != DefaultAttempts {
+		t.Fatalf("Flush dialed %d times, want one per attempt (%d)", dials, DefaultAttempts)
 	}
 	// Nothing was lost to the failure itself: the batch stays queued.
-	if got := r.Buffered(); got != 16 {
-		t.Fatalf("post-failure buffered %d, want 16", got)
+	if got := r.Buffered(); got != DefaultSpillCap {
+		t.Fatalf("post-failure buffered %d, want %d", got, DefaultSpillCap)
 	}
 	// The survivors are the NEWEST reports (oldest-drop).
 	r.mu.Lock()
@@ -311,17 +300,18 @@ func TestReporterBreaker(t *testing.T) {
 			}
 			return net.Dial("tcp", sink.addr())
 		},
-		Attempts:         1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		Now:              func() time.Time { return clock },
+		Now: func() time.Time { return clock },
 	})
 	for _, rec := range workload(2, 2) {
 		r.Report(rec)
 	}
 
-	// Two failed batches open the breaker.
-	for i := 0; i < 2; i++ {
+	// One failed batch short of the threshold leaves the breaker closed; the
+	// next one opens it.
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		if st := r.Stats(); st.BreakerState != "closed" {
+			t.Fatalf("after %d failed batches: %+v, want closed", i, st)
+		}
 		if err := r.Flush(context.Background()); err == nil {
 			t.Fatalf("flush %d against dead sink succeeded", i)
 		}
@@ -340,8 +330,14 @@ func TestReporterBreaker(t *testing.T) {
 		t.Fatalf("open breaker dialed (%d → %d)", preDials, dials)
 	}
 
+	// Cooldown not yet elapsed: still refused.
+	clock = clock.Add(DefaultBreakerCooldown - time.Second)
+	if err := r.Flush(context.Background()); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("before the cooldown: err %v, want ErrBreakerOpen", err)
+	}
+
 	// Cooldown elapses → half-open probe; still down → reopens immediately.
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(time.Second)
 	if err := r.Flush(context.Background()); err == nil || errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("half-open probe: err %v, want a dial failure", err)
 	}
@@ -355,7 +351,7 @@ func TestReporterBreaker(t *testing.T) {
 	// Sink recovers; the next post-cooldown probe closes the breaker and
 	// the queue drains completely.
 	down = false
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(DefaultBreakerCooldown)
 	if err := r.Flush(context.Background()); err != nil {
 		t.Fatalf("recovery flush: %v", err)
 	}
@@ -370,8 +366,8 @@ func TestReporterBreaker(t *testing.T) {
 
 func TestReporterBatchSplitting(t *testing.T) {
 	sink := newFakeSink(t)
-	r := newTestReporter(t, Config{Addr: sink.addr(), MaxBatch: 5})
-	recs := workload(4, 3) // 12 records → frames of 5, 5, 2
+	r := newTestReporter(t, Config{Addr: sink.addr()})
+	recs := workload(4, 33) // 132 records → frames of 64, 64, 4
 	for _, rec := range recs {
 		r.Report(rec)
 	}
@@ -388,9 +384,9 @@ func TestReporterBatchSplitting(t *testing.T) {
 
 // TestReporterRetryAfterHint: a NACK-busy carrying a retry-after hint
 // raises the next inter-attempt sleep to at least the hinted duration —
-// the jitter bounds alone (RetryMax 10ms in newTestReporter) could never
-// reach it — and the hint is consumed, so the following sleeps fall back
-// to the jittered ladder.
+// the jitter alone could not reach it (the first two draws stay under
+// 9·retry.Min) — and the hint is consumed, so the following sleeps fall
+// back to the jittered ladder.
 func TestReporterRetryAfterHint(t *testing.T) {
 	sink := newFakeSink(t)
 	sink.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net"
 	"testing"
-	"time"
 
 	"github.com/wsn-tools/vn2/internal/trace"
 )
@@ -122,8 +121,6 @@ func TestResyncAfterSinkRestart(t *testing.T) {
 			}
 			return net.Dial("tcp", first.addr())
 		},
-		RetryMin: time.Millisecond,
-		RetryMax: 10 * time.Millisecond,
 	})
 	half := len(recs) / 2
 	for i, rec := range recs[:half] {

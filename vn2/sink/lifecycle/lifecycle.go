@@ -78,6 +78,14 @@ const (
 	rollbackMargin = 1.05
 )
 
+// holdoutMin is the fewest held-out states a candidate is judged by;
+// cooldownTicks the base trigger cooldown, in drain ticks, that a failed
+// retrain multiplies and a rollback makes eight times longer.
+const (
+	holdoutMin    = 8
+	cooldownTicks = 8
+)
+
 // Config is the lifecycle's knobs (sink.Options.Lifecycle, the serve
 // flags); New fills the zero ones with the defaults in parentheses.
 type Config struct {
@@ -86,8 +94,6 @@ type Config struct {
 	DriftMin       int           // min drift-window fill before triggering (32)
 	RetrainTimeout time.Duration // shadow retrain deadline (2m)
 	Probation      int           // post-swap window before commit/rollback (32)
-	HoldoutMin     int           // min held-out states to judge a candidate (8)
-	CooldownTicks  int           // base trigger cooldown, in drain ticks (8)
 }
 
 func (c *Config) defaults() {
@@ -99,12 +105,6 @@ func (c *Config) defaults() {
 	}
 	if c.Probation <= 0 {
 		c.Probation = 32
-	}
-	if c.HoldoutMin <= 0 {
-		c.HoldoutMin = 8
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 8
 	}
 }
 
@@ -243,7 +243,7 @@ func (m *Manager) Tick() {
 				// A reverted candidate earns a long quiet period: the drift
 				// that triggered it is still there, and retrying immediately
 				// would thrash.
-				m.cooldown = m.cfg.CooldownTicks * 8
+				m.cooldown = cooldownTicks * 8
 				m.mu.Unlock()
 				fmt.Fprintf(os.Stderr,
 					"vn2 serve: rollback: v%d mean residual %.4f regressed past pre-swap %.4f (margin %.2f), reverting to v%d content\n",
@@ -307,7 +307,7 @@ func (m *Manager) retrainBackoff() {
 	defer m.mu.Unlock()
 	m.rejectN++
 	shift := min(m.rejectN, 6)
-	m.cooldown = m.cfg.CooldownTicks << shift
+	m.cooldown = cooldownTicks << shift
 }
 
 // applySwap installs a generation at its barrier position in the ingest

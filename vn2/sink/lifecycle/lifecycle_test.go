@@ -41,7 +41,7 @@ func testManager(t *testing.T, origins *[]string) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Enabled: true, ModelsDir: t.TempDir(), DriftMin: 2, Probation: 2, HoldoutMin: 1, CooldownTicks: 1}
+	cfg := Config{Enabled: true, ModelsDir: t.TempDir(), DriftMin: 2, Probation: 2}
 	return New(cfg, mon, &Set{Model: model, Version: 1}, Hooks{
 		Enqueue: func(rec store.SwapRecord, apply func()) error {
 			*origins = append(*origins, rec.Origin)
@@ -183,19 +183,18 @@ func TestReplaySwapRefuses(t *testing.T) {
 }
 
 // TestRetrainBacksOffWithoutHoldout: with fewer recent states than
-// HoldoutMin there is nothing to judge a candidate by, so the retrain backs
+// holdoutMin there is nothing to judge a candidate by, so the retrain backs
 // off before it trains: no failure, no rejection, no swap.
 func TestRetrainBacksOffWithoutHoldout(t *testing.T) {
 	var origins []string
 	m := testManager(t, &origins)
-	m.cfg.HoldoutMin = 4
-	flag(t, m, 3)
+	flag(t, m, holdoutMin-1)
 	m.retraining.Store(true) // as Tick does before it starts one
 	m.runRetrain()
 	if fails, rejects := m.RetrainFails.Load(), m.CandRejects.Load(); fails != 0 || rejects != 0 || len(origins) != 0 {
 		t.Fatalf("failures %d, rejections %d, swaps %v: a candidate was trained", fails, rejects, origins)
 	}
-	if m.rejectN != 1 || m.cooldown != m.cfg.CooldownTicks<<1 || m.Retraining() {
+	if m.rejectN != 1 || m.cooldown != cooldownTicks<<1 || m.Retraining() {
 		t.Fatalf("rejectN %d cooldown %d retraining %v, want one backoff step and no retrain in flight", m.rejectN, m.cooldown, m.Retraining())
 	}
 }
@@ -206,7 +205,7 @@ func TestRetrainPastDeadline(t *testing.T) {
 	var origins []string
 	m := testManager(t, &origins)
 	m.cfg.RetrainTimeout = time.Nanosecond
-	flag(t, m, 3)
+	flag(t, m, holdoutMin)
 	cur := m.Current()
 	m.retraining.Store(true)
 	m.runRetrain()

@@ -25,7 +25,7 @@ func (m *Manager) runRetrain() {
 
 	cur := m.Current()
 	holdout := m.mon.RecentWindow()
-	if len(holdout) < m.cfg.HoldoutMin {
+	if len(holdout) < holdoutMin {
 		// Not enough evidence to judge a candidate; wait for more stream.
 		m.retrainBackoff()
 		return

@@ -52,12 +52,10 @@ func lifecycleServer(t *testing.T, fx fixtures, dir string, mut func(*Options)) 
 		WALPath:       filepath.Join(dir, "wal"),
 		QueueSize:     256,
 		Lifecycle: lifecycle.Config{
-			Enabled:       true,
-			ModelsDir:     filepath.Join(dir, "models"),
-			DriftMin:      8,
-			HoldoutMin:    4,
-			Probation:     6,
-			CooldownTicks: 1,
+			Enabled:   true,
+			ModelsDir: filepath.Join(dir, "models"),
+			DriftMin:  8,
+			Probation: 6,
 		},
 	}
 	if mut != nil {
@@ -245,7 +243,7 @@ func TestLifecycleValidationGate(t *testing.T) {
 
 	cur := srv.lc.Current()
 	holdout := srv.mon.RecentWindow()
-	if len(holdout) < srv.opts.Lifecycle.HoldoutMin {
+	if len(holdout) < 8 { // the fewest states the lifecycle judges a candidate by
 		t.Fatalf("holdout too small: %d", len(holdout))
 	}
 
@@ -562,7 +560,8 @@ func TestLifecycleRollback(t *testing.T) {
 	if cur.Model != orig.Model {
 		t.Error("rollback did not restore the pre-swap model content")
 	}
-	if _, cooldown, probation := srv.lc.State(); probation || cooldown <= srv.opts.Lifecycle.CooldownTicks {
+	// Longer than the base cooldown of 8 ticks a failed retrain starts from.
+	if _, cooldown, probation := srv.lc.State(); probation || cooldown <= 8 {
 		t.Errorf("after rollback: probation=%v cooldown=%d, want committed with a long cooldown", probation, cooldown)
 	}
 	// The rollback is persisted with its provenance.
