@@ -181,12 +181,16 @@ chaos-all:
 # durable — and the monitor's split under that rule: a batch staged (its
 # states solved) before the fsync and applied after gives what Ingest gives,
 # in any call order, and a swap before the drain still decides the model.
+# The first line also pins the report path's memory: a delta frame costs the
+# commit point and the ingest loop a fixed few allocations, however many
+# reports it carries, and a frame's decode arena is reused only once its
+# batch is applied — frames held on the queue apply as if freshly decoded.
 # The third line holds the router's half of "the client owns the retry": a
 # shard's 503 and its Retry-After come back at once, never slept, one hung
 # /readyz probe delays no other shard's re-admission, and a probe's 200
 # re-admits only the address it asked.
 smoke:
-	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability' -count=1 -v
+	$(GO) test ./vn2/sink -run 'TestServe|TestNewErrors|TestDrain|TestApplyWaitsForDurability|TestIngestPathAllocs|TestQueuedFramesKeepTheirRecords' -count=1 -v
 	$(GO) test ./vn2/online -run 'TestDrainGroupingIndependent|TestSwapBetweenStageAndDrain|TestStagedInAnyOrder' -count=1 -v
 	$(GO) test ./vn2/cluster -run 'TestRouterNeverSleeps|TestRouterProbesShardsAtOnce|TestRouterProbeIgnoresRepointedShard' -count=1 -v
 

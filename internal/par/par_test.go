@@ -261,9 +261,9 @@ func TestRunBackToBack(t *testing.T) {
 	}
 }
 
-// TestPoolRunGrainInlinesSmallWork: a run of one chunk — one worker, or one
+// TestRunOneChunkRunsInline: a run of one chunk — one worker, or one
 // index — calls fn once with the whole range and starts no goroutine.
-func TestPoolRunGrainInlinesSmallWork(t *testing.T) {
+func TestRunOneChunkRunsInline(t *testing.T) {
 	for _, c := range []struct{ n, workers int }{{31, 0}, {31, 1}, {1, 8}} {
 		before := runtime.NumGoroutine()
 		calls := 0
@@ -328,9 +328,9 @@ func TestRunErrLowestFailingChunk(t *testing.T) {
 	}
 }
 
-// TestPoolRunErrLowestRowSemantics: a failing chunk cancels nothing — Run
+// TestRunErrCancelsNothing: a failing chunk cancels nothing — Run
 // returns only after every other chunk has run to its end.
-func TestPoolRunErrLowestRowSemantics(t *testing.T) {
+func TestRunErrCancelsNothing(t *testing.T) {
 	for _, workers := range []int{2, 4, 7} {
 		const n = 64
 		hits := make([]int32, n)
@@ -355,9 +355,9 @@ func TestPoolRunErrLowestRowSemantics(t *testing.T) {
 	}
 }
 
-// TestPoolRunErrNilAndStale: a run where every chunk succeeds returns nil at
+// TestRunErrNilAfterFailure: a run where every chunk succeeds returns nil at
 // every worker count, also right after a run that failed.
-func TestPoolRunErrNilAndStale(t *testing.T) {
+func TestRunErrNilAfterFailure(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, -1} {
 		if err := Run(64, workers, func(_, _, _ int) error { return errors.New("boom") }); err == nil {
 			t.Fatalf("workers=%d: failing run returned nil", workers)

@@ -37,12 +37,8 @@ const (
 // typedMagic is the reserved first byte of a typed payload.
 const typedMagic = 0x00
 
-// Encode wraps payload in the typed envelope.
-func Encode(kind Kind, payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+2)
-	out = append(out, typedMagic, byte(kind))
-	return append(out, payload...)
-}
+// AppendTyped is Append of payload in kind's envelope, written ahead of it: no copy.
+func (w *WAL) AppendTyped(kind Kind, payload []byte) (uint64, error) { return w.append(kind, payload) }
 
 // Decode splits a WAL payload into its kind and inner payload. A payload
 // without the envelope comes back as kind 0, unchanged.

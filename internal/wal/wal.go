@@ -101,7 +101,8 @@ type WAL struct {
 	err      error         // sticky: ErrClosed, or the poison (wraps ErrPoisoned)
 	durable  atomic.Uint64 // LSN the last fsync covered (at Open: the tail); read without mu
 
-	truncations uint64 // corrupt/torn tails cut during recovery
+	truncations uint64                // corrupt/torn tails cut during recovery
+	hdr         [frameHeader + 2]byte // append's frame header and typed envelope; under mu
 }
 
 func segPath(dir string, start uint64) string {
@@ -321,12 +322,20 @@ func (w *WAL) flushSyncLocked() error {
 // record is buffered; it is durable only after the next Sync (or
 // rotation). Rotation happens before the append when the
 // active segment is full, so a record never spans segments.
-func (w *WAL) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordBytes {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
+func (w *WAL) Append(payload []byte) (uint64, error) { return w.append(0, payload) }
+
+// append is Append, behind the typed envelope of kind unless kind is 0.
+func (w *WAL) append(kind Kind, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	hdr := w.hdr[:frameHeader]
+	if kind != 0 {
+		hdr = append(hdr, typedMagic, byte(kind))
+	}
+	n := len(hdr) - frameHeader + len(payload)
+	if n > MaxRecordBytes {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -335,10 +344,9 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Update(crc32.Checksum(hdr[frameHeader:], crcTable), crcTable, payload))
+	if _, err := w.bw.Write(hdr); err != nil {
 		return 0, w.fail("append", err)
 	}
 	if _, err := w.bw.Write(payload); err != nil {
@@ -346,7 +354,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	}
 	lsn := w.next.Add(1) - 1
 	w.segs[len(w.segs)-1].count++
-	w.size += frameHeader + int64(len(payload))
+	w.size += frameHeader + int64(n)
 	return lsn, nil
 }
 

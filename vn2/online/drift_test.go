@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -151,6 +152,35 @@ func TestQuarantineBound(t *testing.T) {
 	for i, s := range q {
 		if want := 8 + i; s.Epoch != want {
 			t.Errorf("quarantine[%d].Epoch = %d, want %d", i, s.Epoch, want)
+		}
+	}
+}
+
+// TestDrainTrimLeavesNoDeadTail: one drain of 800 flagged states trims the
+// recent ring to maxRecent in place; the slots it vacated must hold zero
+// values, not dead Flagged whose deltas and causes the backing array would
+// keep alive. The quarantine ring trims the same way.
+func TestDrainTrimLeavesNoDeadTail(t *testing.T) {
+	r := newRig(t)
+	m := newTestMonitor(t, Config{})
+	for epoch := 1; epoch <= 801; epoch++ {
+		ingestOK(t, m, r.alien(5, epoch))
+	}
+	out, err := m.Drain()
+	if err != nil || len(out) != 800 {
+		t.Fatalf("Drain: %d states, %v; want 800", len(out), err)
+	}
+	if len(m.recent) != maxRecent {
+		t.Fatalf("recent holds %d, want %d", len(m.recent), maxRecent)
+	}
+	for i, f := range m.recent[len(m.recent):cap(m.recent)] {
+		if !reflect.ValueOf(f).IsZero() {
+			t.Fatalf("recent[%d] past the ring still holds epoch %d's state", len(m.recent)+i, f.State.Epoch)
+		}
+	}
+	for i, s := range m.quar[len(m.quar):cap(m.quar)] {
+		if !reflect.ValueOf(s).IsZero() {
+			t.Fatalf("quar[%d] past the ring still holds epoch %d's state", len(m.quar)+i, s.Epoch)
 		}
 	}
 }

@@ -295,6 +295,7 @@ type Monitor struct {
 	last      map[packet.NodeID]lastReport
 	batchLast map[packet.NodeID]lastReport // deriveLocked's scratch: the batch's own stored reports
 	gen       uint64                       // bumped by every write to last: a Staged older than it is re-classified
+	spare     sync.Pool                    // released Stageds, for the next batches
 	pending   []pendingState
 	epochs    map[int]*epochAcc
 	recent    []Flagged
@@ -333,6 +334,7 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 		version:   c.ModelVersion,
 		last:      make(map[packet.NodeID]lastReport),
 		batchLast: make(map[packet.NodeID]lastReport),
+		spare:     sync.Pool{New: func() any { return new(Staged) }},
 		epochs:    make(map[int]*epochAcc),
 	}, nil
 }
@@ -385,6 +387,7 @@ func (m *Monitor) Ingest(rec trace.Record) (Observation, error) {
 
 // Staged is a batch of reports classified and its flagged states solved, as
 // Stage found the monitor, with nothing visible yet; Apply makes it so, once.
+// Its buffers are reused: Release hands it back for a later Stage.
 type Staged struct {
 	recs         []trace.Record
 	gen, version uint64 // the monitor's at Stage: Apply classifies again if either moved
@@ -393,7 +396,7 @@ type Staged struct {
 }
 
 // verdict is one record's outcome, the Stats counter it moves, and the
-// state derived from it, if any.
+// state derived from it, if any (a gap); a flagged state keeps the delta.
 type verdict struct {
 	obs   Observation
 	err   error
@@ -407,7 +410,8 @@ type verdict struct {
 // report would; the scores and the solves run outside it. A sink stages a
 // batch during its fsync, leaving Apply's bookkeeping.
 func (m *Monitor) Stage(recs []trace.Record) *Staged {
-	st := &Staged{recs: recs}
+	st := m.spare.Get().(*Staged)
+	st.recs = recs
 	m.mu.Lock()
 	model := m.model
 	m.deriveLocked(st)
@@ -420,17 +424,25 @@ func (m *Monitor) Stage(recs []trace.Record) *Staged {
 	return st
 }
 
+// Release hands st back for a later Stage once it is applied or abandoned;
+// neither st nor what it returned may be read after.
+func (m *Monitor) Release(st *Staged) {
+	clear(st.flagged)
+	st.recs, st.flagged = nil, st.flagged[:0]
+	m.spare.Put(st)
+}
+
 // deriveLocked is the part of classifying st that reads the nodes' last
 // reports: each record's invalid, duplicate, stale or first verdict, or its
 // gap and its difference against its base — the node's last report, or its
 // own earlier one in the batch. Caller holds mu.
 func (m *Monitor) deriveLocked(st *Staged) {
 	st.gen, st.version = m.gen, m.version
-	st.out, st.flagged = make([]verdict, len(st.recs)), nil
+	st.out = slices.Grow(st.out[:0], len(st.recs))[:len(st.recs)]
 	metrics := m.det.Metrics()
 	for i, rec := range st.recs {
 		v := &st.out[i]
-		v.obs, v.count = Observation{Node: rec.Node, Epoch: rec.Epoch}, &m.stats.Invalid
+		*v = verdict{obs: Observation{Node: rec.Node, Epoch: rec.Epoch}, count: &m.stats.Invalid, delta: v.delta}
 		lr, ok := m.batchLast[rec.Node]
 		if !ok {
 			lr, ok = m.last[rec.Node]
@@ -455,7 +467,10 @@ func (m *Monitor) deriveLocked(st *Staged) {
 			v.count, v.obs.First = &m.stats.FirstReports, true
 			continue
 		}
-		v.obs.Gap, v.delta = rec.Epoch-lr.epoch, make([]float64, metrics)
+		if len(v.delta) != metrics {
+			v.delta = make([]float64, metrics)
+		}
+		v.obs.Gap = rec.Epoch - lr.epoch
 		for k, x := range rec.Vector {
 			v.delta[k] = x - lr.vector[k]
 		}
@@ -470,7 +485,7 @@ func (m *Monitor) score(st *Staged, model *vn2.Model) {
 	n := 0
 	for i := range st.out {
 		v, rec := &st.out[i], st.recs[i]
-		if v.delta == nil {
+		if v.obs.Gap == 0 {
 			continue
 		}
 		flagged, score, err := m.det.Exceptional(v.delta)
@@ -486,11 +501,12 @@ func (m *Monitor) score(st *Staged, model *vn2.Model) {
 			n++
 		}
 	}
-	st.flagged = make([]pendingState, 0, n)
-	for i, v := range st.out {
-		if rec := st.recs[i]; v.obs.Flagged {
+	st.flagged = slices.Grow(st.flagged[:0], n)
+	for i := range st.out {
+		if v, rec := &st.out[i], st.recs[i]; v.obs.Flagged {
 			state := trace.StateVector{Node: rec.Node, Epoch: rec.Epoch, Gap: v.obs.Gap, Delta: v.delta}
 			st.flagged = append(st.flagged, pendingState{state: state, score: v.obs.Score})
+			v.delta = nil // the state owns it now: it outlives the batch
 		}
 	}
 }
@@ -616,6 +632,7 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 	m.recent = append(m.recent, out...)
 	if over := len(m.recent) - maxRecent; over > 0 {
 		m.recent = append(m.recent[:0], m.recent[over:]...)
+		clear(m.recent[maxRecent : maxRecent+over]) // keep no dropped state reachable
 	}
 	// The drift window and quarantine describe ONE model generation. If a
 	// swap landed while the solve ran, these samples were measured against
@@ -632,6 +649,7 @@ func (m *Monitor) Drain() ([]Flagged, error) {
 			if len(m.quar) >= quarantineSize {
 				shed := len(m.quar) - quarantineSize + 1
 				m.quar = append(m.quar[:0], m.quar[shed:]...)
+				clear(m.quar[len(m.quar) : len(m.quar)+shed])
 				m.stats.QuarantineShed += uint64(shed)
 			}
 			m.quar = append(m.quar, copyState(out[i].State))

@@ -48,9 +48,12 @@ func Stream(b *bus.Bus, buffer int) http.Handler {
 		fmt.Fprintf(w, ": stream next_seq=%d\n\n", b.NextSeq())
 		fl.Flush()
 
-		ctx := r.Context()
+		// One timer, re-armed after every wait (an undrained tick: one early heartbeat).
+		ctx, heartbeat := r.Context(), time.NewTimer(StreamHeartbeat)
+		defer heartbeat.Stop()
 		for {
-			ev, ok, idle := sub.NextIdle(ctx, StreamHeartbeat)
+			ev, ok, idle := sub.NextIdle(ctx, heartbeat.C)
+			heartbeat.Reset(StreamHeartbeat)
 			if idle {
 				fmt.Fprint(w, ": heartbeat\n\n")
 				fl.Flush()

@@ -277,20 +277,15 @@ func (q *Queue[T]) wake() {
 // Next blocks until an item is queued, the context is done, or the queue is
 // closed and empty. ok is false exactly when no item is returned.
 func (q *Queue[T]) Next(ctx context.Context) (v T, ok bool) {
-	v, ok, _ = q.NextIdle(ctx, 0)
+	v, ok, _ = q.NextIdle(ctx, nil)
 	return v, ok
 }
 
-// NextIdle is Next with an idle timeout: when idle > 0 and no item arrives
-// within it, NextIdle returns with idle=true (and ok=false) so the caller
-// can emit a keep-alive and come back. idle <= 0 blocks indefinitely.
-func (q *Queue[T]) NextIdle(ctx context.Context, idleAfter time.Duration) (v T, ok, idle bool) {
-	var idleC <-chan time.Time
-	if idleAfter > 0 {
-		t := time.NewTimer(idleAfter)
-		defer t.Stop()
-		idleC = t.C
-	}
+// NextIdle is Next with an idle signal: when idleC fires before an item
+// arrives, NextIdle returns with idle=true (and ok=false) so the caller can
+// emit a keep-alive and come back. The caller owns the timer behind idleC
+// and re-arms it for each wait; a nil idleC blocks indefinitely.
+func (q *Queue[T]) NextIdle(ctx context.Context, idleC <-chan time.Time) (v T, ok, idle bool) {
 	for {
 		q.mu.Lock()
 		v, ok = q.ring.pop()

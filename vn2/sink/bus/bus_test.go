@@ -137,7 +137,7 @@ func TestBusNextBlocking(t *testing.T) {
 		t.Fatal("Next never woke on publish")
 	}
 
-	if _, ok, idle := sub.NextIdle(context.Background(), 5*time.Millisecond); ok || !idle {
+	if _, ok, idle := sub.NextIdle(context.Background(), time.After(5*time.Millisecond)); ok || !idle {
 		t.Fatalf("NextIdle on empty ring: ok=%v idle=%v, want idle", ok, idle)
 	}
 

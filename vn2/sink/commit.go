@@ -123,12 +123,12 @@ func (s *Server) journalDown(op string, err error) outcome {
 // refused before the append; a journal failure can leave the batch
 // journaled and queued but unacknowledged, and the resend is then surplus
 // the monitor's duplicate handling absorbs.
-func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
+func (s *Server) commit(batch func() ([]trace.Record, *ingest.Arena, error)) outcome {
 	if out, shed := s.shedDegraded("degraded: ingest shed, serving last-good diagnosis"); shed {
 		return out
 	}
 	s.commitMu.Lock()
-	recs, err := batch()
+	recs, arena, err := batch()
 	if err != nil {
 		s.commitMu.Unlock()
 		s.badReqs.Add(1)
@@ -147,6 +147,7 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 	}
 	if busy != "" {
 		s.commitMu.Unlock()
+		s.binDec.Release(arena)
 		s.rejected.Add(uint64(n))
 		if limit := min(s.opts.QueueSize, s.opts.MaxPending); n > limit {
 			return outcome{
@@ -180,7 +181,11 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 				return s.journalDown("append batch", err)
 			}
 		}
-		s.enqueue(ingest.Item{LSN: lsn, Recs: head})
+		it := ingest.Item{LSN: lsn, Recs: head}
+		if len(rest) == 0 {
+			it.Arena = arena // released once the whole batch is applied
+		}
+		s.enqueue(it)
 	}
 	depth := s.QueueDepth()
 	s.commitMu.Unlock()
@@ -198,16 +203,16 @@ func (s *Server) commit(batch func() ([]trace.Record, error)) outcome {
 // Decoding is all-or-nothing against the sink's delta cache; a frame that
 // does not decode is NACKed bad with the cache untouched.
 func (s *Server) commitFrame(raw []byte) outcome {
-	return s.commit(func() ([]trace.Record, error) {
-		recs, err := s.binDec.Decode(raw)
+	return s.commit(func() ([]trace.Record, *ingest.Arena, error) {
+		a, err := s.binDec.DecodeArena(raw)
 		if err != nil {
 			s.binRejects.Add(1)
-			return nil, fmt.Errorf("bad binary frame (resend full encoding): %w", err)
+			return nil, nil, fmt.Errorf("bad binary frame (resend full encoding): %w", err)
 		}
 		s.binFrames.Add(1)
-		s.binRecords.Add(uint64(len(recs)))
+		s.binRecords.Add(uint64(len(a.Records())))
 		s.binBytes.Add(uint64(len(raw)))
-		return recs, nil
+		return a.Records(), a, nil
 	})
 }
 

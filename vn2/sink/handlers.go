@@ -52,9 +52,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			"body must be a report, an array of reports, or {\"reports\": [...]}: "+err.Error(), nil)
 		return
 	}
-	writeOutcome(w, s.commit(func() ([]trace.Record, error) {
+	writeOutcome(w, s.commit(func() ([]trace.Record, *ingest.Arena, error) {
 		s.binDec.Observe(recs)
-		return recs, nil
+		return recs, nil, nil
 	}))
 }
 

@@ -14,6 +14,7 @@ import (
 	"github.com/wsn-tools/vn2/internal/trace"
 	"github.com/wsn-tools/vn2/vn2/cluster"
 	"github.com/wsn-tools/vn2/vn2/online"
+	"github.com/wsn-tools/vn2/vn2/sink/ingest"
 )
 
 // handoffSink is one WAL-backed sink driven synchronously, with a pump
@@ -215,7 +216,7 @@ func TestHandoffImportAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New peer: %v", err)
 	}
-	if out := peer.commit(func() ([]trace.Record, error) { return hot(nodes[:9]), nil }); out.status != packet.StreamAck {
+	if out := peer.commit(func() ([]trace.Record, *ingest.Arena, error) { return hot(nodes[:9]), nil, nil }); out.status != packet.StreamAck {
 		t.Fatalf("peer batch: %+v", out)
 	}
 	peer.IngestQueued()
@@ -303,7 +304,7 @@ func TestDrainWokenByHandoffImport(t *testing.T) {
 	for _, n := range nodes {
 		hot, ids = append(hot, fx.hotReport(t, n, 1)), append(ids, packet.NodeID(n))
 	}
-	if out := peer.commit(func() ([]trace.Record, error) { return hot, nil }); out.status != packet.StreamAck {
+	if out := peer.commit(func() ([]trace.Record, *ingest.Arena, error) { return hot, nil, nil }); out.status != packet.StreamAck {
 		t.Fatalf("peer batch: %+v", out)
 	}
 	peer.IngestQueued()

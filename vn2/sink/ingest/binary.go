@@ -3,6 +3,8 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/wsn-tools/vn2/internal/packet"
@@ -39,13 +41,28 @@ type nodeBase struct {
 // exactly as it was — a torn wire or desynced sender can never half-apply
 // a batch or poison later deltas.
 //
-// Not safe for concurrent use; the server serializes access.
+// Not safe for concurrent use but for Release; the server serializes access.
 type BinaryDecoder struct {
 	dec     packet.FrameDecoder
 	last    map[packet.NodeID]*nodeBase
 	inFrame map[packet.NodeID]int // node → latest record index, current frame
 	deltas  atomic.Uint64         // cumulative delta-encoded records decoded
+	free    sync.Pool             // released arenas, for the next frames
 }
+
+// Arena is the memory one decoded frame lives in: its records and the one
+// flat array their vectors share.
+type Arena struct {
+	recs []trace.Record
+	flat []float64
+}
+
+// Records returns the frame's records, valid until the arena is released.
+func (a *Arena) Records() []trace.Record { return a.recs }
+
+// keepRecords bounds the arenas Release keeps, at 64 metrics a record (a
+// CitySee report has 43): a rare huge frame cannot pin its memory.
+const keepRecords = 128
 
 // Deltas reports how many delta-encoded records this decoder has
 // reconstructed (the wire-efficiency signal surfaced at /status).
@@ -57,17 +74,28 @@ func NewBinaryDecoder() *BinaryDecoder {
 	return &BinaryDecoder{
 		last:    make(map[packet.NodeID]*nodeBase),
 		inFrame: make(map[packet.NodeID]int),
+		free:    sync.Pool{New: func() any { return new(Arena) }},
 	}
 }
 
 // Nodes reports how many nodes the last-vector cache holds.
 func (d *BinaryDecoder) Nodes() int { return len(d.last) }
 
-// Decode parses one binary frame into trace records. The returned records
-// own their vectors (one flat backing array per call — ~1 allocation per
-// batch, not per report) and stay valid after the next Decode, so they can
-// sit on the ingest queue while the decoder moves on.
+// Decode parses one binary frame into trace records. The records own their
+// memory — an arena nobody releases — and stay valid after the next
+// Decode, so they can sit on a queue while the decoder moves on.
 func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
+	a, err := d.DecodeArena(raw)
+	if err != nil {
+		return nil, err
+	}
+	return a.recs, nil
+}
+
+// DecodeArena is Decode into a released arena when there is one. The
+// records stay valid until Release takes the arena back: a sink releasing
+// each frame's arena once it is applied decodes into memory it has.
+func (d *BinaryDecoder) DecodeArena(raw []byte) (*Arena, error) {
 	wrecs, err := d.dec.Decode(raw)
 	if err != nil {
 		return nil, err
@@ -79,13 +107,14 @@ func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
 	for i := range wrecs {
 		total += wrecs[i].Len
 	}
-	out := make([]trace.Record, len(wrecs))
-	flat := make([]float64, total)
-	off := 0
+	a := d.free.Get().(*Arena)
+	a.recs = slices.Grow(a.recs[:0], len(wrecs))[:len(wrecs)]
+	a.flat = slices.Grow(a.flat[:0], total)[:total]
+	out, off := a.recs, 0
 	clear(d.inFrame)
 	for i := range wrecs {
 		wr := &wrecs[i]
-		vec := flat[off : off+wr.Len : off+wr.Len]
+		vec := a.flat[off : off+wr.Len : off+wr.Len]
 		off += wr.Len
 		switch wr.Kind {
 		case packet.RecFull:
@@ -119,7 +148,16 @@ func (d *BinaryDecoder) Decode(raw []byte) ([]trace.Record, error) {
 	}
 	// Every record reconstructed — commit the cache.
 	d.Observe(out)
-	return out, nil
+	return a, nil
+}
+
+// Release takes a back for a later frame; none of its records may be in
+// use any more. An arena larger than keepRecords allows is left to the
+// collector.
+func (d *BinaryDecoder) Release(a *Arena) {
+	if a != nil && cap(a.recs) <= keepRecords && cap(a.flat) <= keepRecords*64 {
+		d.free.Put(a)
+	}
 }
 
 // Observe advances the last-vector cache to recs, exactly as decoding a

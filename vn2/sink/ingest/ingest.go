@@ -91,10 +91,12 @@ func decode(raw []byte) ([]trace.Record, error) {
 // publishes it as the applied watermark once the item is done. Apply is an
 // opaque closure so this package stays ignorant of the lifecycle layer;
 // Pending is how many flagged states it adds to the monitor's backlog (a
-// handoff import's), which admission counts like reports.
+// handoff import's), which admission counts like reports. Arena is the
+// decoder memory Recs live in, if any; the ingest loop releases it.
 type Item struct {
 	LSN     uint64
 	Recs    []trace.Record
+	Arena   *Arena
 	Apply   func()
 	Pending int
 }

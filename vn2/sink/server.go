@@ -176,7 +176,8 @@ func (s *Server) IngestQueued() {
 // the fsync its committer has started; the loop then waits for that fsync
 // (or runs one) up to the item's own record, and applies. An item whose
 // sync fails is dropped unapplied with its staged work — the WAL is
-// poisoned and its committer NACKs it.
+// poisoned and its committer NACKs it. Either way its decoder arena goes
+// back for reuse: nothing holds the records after this.
 func (s *Server) ingestOne(q ingest.Item) {
 	st := s.mon.Stage(q.Recs)
 	if q.LSN == 0 || q.LSN <= s.jnl.Durable() || s.jnl.SyncTo(q.LSN) == nil {
@@ -188,6 +189,7 @@ func (s *Server) ingestOne(q ingest.Item) {
 			s.applied.Store(q.LSN)
 		}
 	}
+	s.binDec.Release(q.Arena)
 	// Lowered last: admission must never see a report or an imported state
 	// as neither queued nor pending.
 	s.depth.Add(-int64(q.Weight()))
@@ -197,9 +199,10 @@ func (s *Server) ingestOne(q ingest.Item) {
 // ingestRecs applies one staged batch, live or replayed, and returns how
 // many reports the monitor took; the rest were stale, invalid or dropped.
 // Pending states wake the drain loop once nothing is queued behind them, or
-// at drainBurst of them.
+// at drainBurst of them. st goes back to the monitor for reuse.
 func (s *Server) ingestRecs(recs []trace.Record, st *online.Staged) (taken uint64) {
 	n, p := s.mon.Apply(st)
+	s.mon.Release(st)
 	taken = uint64(n)
 	s.ingested.Add(taken)
 	s.ingestErr.Add(uint64(len(recs)) - taken)

@@ -316,12 +316,13 @@ func New(o Options) (*Server, error) {
 				// monitor and re-primes the sink's delta cache, so a client
 				// that kept its baselines across our restart can keep
 				// sending deltas.
-				recs, err := s.binDec.Decode(inner)
+				a, err := s.binDec.DecodeArena(inner)
 				if err != nil {
 					s.walBadRec.Add(1)
 					return nil
 				}
-				s.walReplayed.Add(s.ingestRecs(recs, s.mon.Stage(recs)))
+				s.walReplayed.Add(s.ingestRecs(a.Records(), s.mon.Stage(a.Records())))
+				s.binDec.Release(a)
 				if mon.Pending() >= o.MaxPending/2 {
 					// Keep the backlog bounded during long replays.
 					if _, err := mon.Drain(); err != nil {

@@ -64,9 +64,9 @@ func (j *Journal) AppendRecord(rec trace.Record) (uint64, error) {
 // AppendBatch journals one report batch as a single WAL record. The frame
 // must contain only fully-materialized records — replay after a snapshot
 // truncation has no delta history. The batch is durable only after a later
-// Sync.
+// Sync. The frame is written as it is, behind the envelope: not copied.
 func (j *Journal) AppendBatch(frame []byte) (uint64, error) {
-	lsn, err := j.w.Append(wal.Encode(wal.KindBatch, frame))
+	lsn, err := j.w.AppendTyped(wal.KindBatch, frame)
 	return lsn, j.count(err)
 }
 
@@ -86,7 +86,7 @@ func (j *Journal) AppendControl(kind RecordKind, rec any) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lsn, err := j.w.Append(wal.Encode(kind, payload))
+	lsn, err := j.w.AppendTyped(kind, payload)
 	if err == nil {
 		err = j.w.Sync()
 	}
